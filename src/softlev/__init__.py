@@ -3,8 +3,8 @@
 Exact output distributions, statistical distances with closed-form gap
 bounds, constrained query optimization, likelihood-ratio hypothesis testing
 with Monte-Carlo sample-complexity estimation, and a reproducible experiment
-harness.  Hot kernels are numba-compiled with a pure-numpy fallback
-(set ``SOFTLEV_DISABLE_NUMBA=1`` to force the fallback).
+harness.  Hot kernels are written in numpy; the optimizer objectives take a
+stack of query points, so a finite-difference gradient is one kernel call.
 """
 
 from ._kernels import BACKEND

@@ -1,46 +1,30 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-Every kernel exists twice: a ``*_np`` implementation written against numpy's
-vectorized API, and a ``*_nb`` twin compiled with ``@njit`` from explicit
-loops.  At import time one set is bound to the public names.  The numba set
-wins when numba imports cleanly and the environment variable
-``SOFTLEV_DISABLE_NUMBA`` is unset (or set to something falsy); otherwise the
-numpy set is used.  ``BACKEND`` records which one is active.
+The four optimizer objectives (``softmax_h2_objective``,
+``softmax_var_objective``, ``leverage_h2_objective``,
+``leverage_var_objective``) take a stack of query points of shape
+``(k, dim)`` and return ``k`` values; the leverage objectives also return
+``k`` status codes.  A single point is the stack with ``k = 1``.  Every row
+of a stack is bitwise equal to evaluating that point alone, because the
+stacked code keeps the single-point arithmetic: matvecs are written as
+``A[None] @ X[:, :, None]``, dots as stacked matmuls, QR factorizations and
+solves run on ``(k, n, d)`` stacks, and sums run along the last axis.
+(``X @ A.T``, ``einsum`` and ``(p * v).sum(axis=1)`` in place of ``p @ v``
+reassociate and differ in the last bits.)
 
-The two backends agree to ~1e-12 relative (they reassociate floating-point
-sums differently), which every consumer tolerance in this package absorbs.
-Within one backend results are bitwise deterministic: ``fastmath`` stays off
-so the compiler cannot reassociate reductions between runs.
+The remaining kernels work on one vector or matrix.  Results are bitwise
+deterministic.
 
-Status codes returned by the leverage kernels (numba cannot raise rich
-exceptions from nopython code, so wrappers translate):
+Status codes returned by the leverage objectives:
 
 * 0 -- fine
 * 1 -- rank-deficient scaled matrix
 * 2 -- a leverage score needed as divisor is numerically zero
 """
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("SOFTLEV_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _flag not in ("", "0", "false", "no")
-
-if _DISABLED:
-    _HAVE_NUMBA = False  # don't even import numba; keeps the fallback cheap to start
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via the env-flag fallback
-        _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-_JIT_OPTS = dict(cache=True, nogil=True, fastmath=False)
+BACKEND = "numpy"
 
 _RANK_RTOL = 1e-12  # |R_kk| at or below _RANK_RTOL * max row norm => deficient
 _LEV_FLOOR = 1e-12  # leverage scores at or below this cannot be divided by
@@ -51,17 +35,17 @@ STATUS_ZERO_LEVERAGE = 2
 
 
 # ---------------------------------------------------------------------------
-# numpy implementations
+# single-vector and single-matrix kernels
 # ---------------------------------------------------------------------------
 
 
-def _softmax_probs_np(logits):
+def softmax_probs(logits):
     shifted = logits - logits.max()
     e = np.exp(shifted)
     return e / e.sum()
 
 
-def _h2_tv_np(p, q):
+def h2_tv(p, q):
     # 0.5 * sum (sqrt p - sqrt q)^2 equals 1 - sum sqrt(pq) but has no
     # cancellation: identical inputs give an exact zero and tiny distances
     # keep full relative accuracy.
@@ -71,22 +55,22 @@ def _h2_tv_np(p, q):
     return min(max(h2, 0.0), 1.0), min(max(tv, 0.0), 1.0)
 
 
-def _weighted_mean_np(p, v):
+def weighted_mean(p, v):
     return float(p @ v)
 
 
-def _weighted_variance_np(p, v):
+def weighted_variance(p, v):
     mean = p @ v
     d = v - mean
     return float(p @ (d * d))
 
 
-def _searchsorted_right_np(cdf, u):
+def searchsorted_right(cdf, u):
     idx = np.searchsorted(cdf, u, side="right")
     return np.minimum(idx, cdf.size - 1).astype(np.int64)
 
 
-def _row_gram_gap_np(A, B):
+def row_gram_gap(A, B):
     # Per row, the difference b b^T - a a^T acts only on span{a, b}; its
     # operator norm is the largest |eigenvalue| of the 2x2 restriction to an
     # orthonormal basis of that span, which has a closed form.  The off-axis
@@ -110,19 +94,7 @@ def _row_gram_gap_np(A, B):
     return float(op.sum())
 
 
-def _softmax_h2_objective_np(A, B, x):
-    pa = _softmax_probs_np(A @ x)
-    pb = _softmax_probs_np(B @ x)
-    h2, _ = _h2_tv_np(pa, pb)
-    return h2
-
-
-def _softmax_var_objective_np(A, M, x):
-    p = _softmax_probs_np(A @ x)
-    return _weighted_variance_np(p, M @ x)
-
-
-def _leverage_probs_np(As):
+def leverage_probs(As):
     n, d = As.shape
     thresh = _RANK_RTOL * np.sqrt((As * As).sum(axis=1).max())
     Q, R = np.linalg.qr(As)
@@ -131,7 +103,7 @@ def _leverage_probs_np(As):
     return lev / d, lev, ok
 
 
-def _leverage_w_parts_np(As, Ms):
+def leverage_w_parts(As, Ms):
     """Leverage scores and diag((I - Pi) Ms (As^T As)^{-1} As^T), via one QR.
 
     Pi is the orthogonal projector onto the column space of As.  Everything
@@ -151,304 +123,96 @@ def _leverage_w_parts_np(As, Ms):
     return lev, wnum, True
 
 
-def _leverage_h2_objective_np(A, B, u):
-    r = np.sqrt(u)[:, None]
-    pa, _, ok1 = _leverage_probs_np(A * r)
-    pb, _, ok2 = _leverage_probs_np(B * r)
-    if not (ok1 and ok2):
-        return 0.0, STATUS_RANK_DEFICIENT
-    h2, _ = _h2_tv_np(pa, pb)
-    return h2, STATUS_OK
+# ---------------------------------------------------------------------------
+# stacked objectives: row j of X (or U) is one query point
+# ---------------------------------------------------------------------------
 
 
-def _leverage_var_objective_np(A, M, u):
-    r = np.sqrt(u)[:, None]
-    lev, wnum, ok = _leverage_w_parts_np(A * r, M * r)
-    if not ok:
-        return 0.0, STATUS_RANK_DEFICIENT
-    if lev.min() <= _LEV_FLOOR:
-        return 0.0, STATUS_ZERO_LEVERAGE
+def _matvec(A, X):
+    return (A[None] @ X[:, :, None])[:, :, 0]
+
+
+def _dot(p, v):
+    return (p[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _h2(P, Q):
+    r = np.sqrt(P) - np.sqrt(Q)
+    return np.clip(0.5 * (r * r).sum(axis=-1), 0.0, 1.0)
+
+
+def _variance(p, v):
+    mean = _dot(p, v)
+    d = v - mean[:, None]
+    return _dot(p, d * d)
+
+
+def _checked_qr(As):
+    """Thin QR of each matrix in a stack, and whether it is numerically full rank."""
+    thresh = _RANK_RTOL * np.sqrt((As * As).sum(axis=-1).max(axis=-1))
+    Q, R = np.linalg.qr(As)
+    ok = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1) > thresh
+    return Q, R, ok
+
+
+def _leverage_stack(As):
+    """Leverage distribution of each matrix in a stack, and whether it is
+    numerically full rank.  Q is squared in place and freed on return, so
+    the Q factors of one stack are gone before the next stack is factored."""
+    Q, _, ok = _checked_qr(As)
+    return np.square(Q, out=Q).sum(axis=-1) / As.shape[-1], ok
+
+
+def softmax_h2_objective(A, B, X):
+    """H^2 between softmax(A x) and softmax(B x) for each row x of X."""
+    return _h2(_softmax(_matvec(A, X)), _softmax(_matvec(B, X)))
+
+
+def softmax_var_objective(A, M, X):
+    """Var_{softmax(A x)}(M x) for each row x of X."""
+    return _variance(_softmax(_matvec(A, X)), _matvec(M, X))
+
+
+def leverage_h2_objective(A, B, U):
+    """H^2 between the leverage distributions of diag(sqrt(u)) A and
+    diag(sqrt(u)) B for each row u of U, and a status code per row."""
+    r = np.sqrt(U)[:, :, None]
+    pa, ok_a = _leverage_stack(A * r)
+    pb, ok_b = _leverage_stack(B * r)
+    ok = ok_a & ok_b
+    return np.where(ok, _h2(pa, pb), 0.0), np.where(ok, STATUS_OK, STATUS_RANK_DEFICIENT)
+
+
+def leverage_var_objective(A, M, U):
+    """Variance of the response ratio w = wnum / lev (see leverage_w_parts)
+    under the leverage distribution of diag(sqrt(u)) A, toward M, for each
+    row u of U, and a status code per row."""
+    r = np.sqrt(U)[:, :, None]
     d = A.shape[1]
-    return _weighted_variance_np(lev / d, wnum / lev), STATUS_OK
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-
-    @njit(**_JIT_OPTS)
-    def _softmax_probs_nb(logits):
-        n = logits.shape[0]
-        mx = logits[0]
-        for i in range(1, n):
-            if logits[i] > mx:
-                mx = logits[i]
-        e = np.empty(n)
-        total = 0.0
-        for i in range(n):
-            e[i] = np.exp(logits[i] - mx)
-            total += e[i]
-        for i in range(n):
-            e[i] /= total
-        return e
-
-    @njit(**_JIT_OPTS)
-    def _h2_tv_nb(p, q):
-        n = p.shape[0]
-        acc = 0.0
-        l1 = 0.0
-        for i in range(n):
-            r = np.sqrt(p[i]) - np.sqrt(q[i])
-            acc += r * r
-            l1 += abs(p[i] - q[i])
-        h2 = 0.5 * acc
-        tv = 0.5 * l1
-        if h2 < 0.0:
-            h2 = 0.0
-        elif h2 > 1.0:
-            h2 = 1.0
-        if tv < 0.0:
-            tv = 0.0
-        elif tv > 1.0:
-            tv = 1.0
-        return h2, tv
-
-    @njit(**_JIT_OPTS)
-    def _weighted_mean_nb(p, v):
-        acc = 0.0
-        for i in range(p.shape[0]):
-            acc += p[i] * v[i]
-        return acc
-
-    @njit(**_JIT_OPTS)
-    def _weighted_variance_nb(p, v):
-        mean = 0.0
-        for i in range(p.shape[0]):
-            mean += p[i] * v[i]
-        acc = 0.0
-        for i in range(p.shape[0]):
-            diff = v[i] - mean
-            acc += p[i] * diff * diff
-        return acc
-
-    @njit(**_JIT_OPTS)
-    def _searchsorted_right_nb(cdf, u):
-        n = cdf.shape[0]
-        m = u.shape[0]
-        out = np.empty(m, dtype=np.int64)
-        for k in range(m):
-            lo = 0
-            hi = n
-            v = u[k]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if v < cdf[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            if lo > n - 1:
-                lo = n - 1
-            out[k] = lo
-        return out
-
-    @njit(**_JIT_OPTS)
-    def _row_gram_gap_nb(A, B):
-        n, d = A.shape
-        total = 0.0
-        for i in range(n):
-            na2 = 0.0
-            nb2 = 0.0
-            ab = 0.0
-            for j in range(d):
-                na2 += A[i, j] * A[i, j]
-                nb2 += B[i, j] * B[i, j]
-                ab += A[i, j] * B[i, j]
-            if na2 > 0.0:
-                c = ab / na2
-                b2sq = 0.0
-                for j in range(d):
-                    r = B[i, j] - c * A[i, j]
-                    b2sq += r * r
-                m11 = (ab - na2) * (ab + na2) / na2
-                m12 = (ab / np.sqrt(na2)) * np.sqrt(b2sq)
-                half_tr = 0.5 * (m11 + b2sq)
-                half_gap = 0.5 * (m11 - b2sq)
-                disc = np.sqrt(half_gap * half_gap + m12 * m12)
-                hi = abs(half_tr + disc)
-                lo = abs(half_tr - disc)
-                total += hi if hi > lo else lo
-            else:
-                total += nb2
-        return total
-
-    @njit(**_JIT_OPTS)
-    def _softmax_h2_objective_nb(A, B, x):
-        n, d = A.shape
-        la = np.empty(n)
-        lb = np.empty(n)
-        for i in range(n):
-            sa = 0.0
-            sb = 0.0
-            for j in range(d):
-                sa += A[i, j] * x[j]
-                sb += B[i, j] * x[j]
-            la[i] = sa
-            lb[i] = sb
-        pa = _softmax_probs_nb(la)
-        pb = _softmax_probs_nb(lb)
-        h2, _ = _h2_tv_nb(pa, pb)
-        return h2
-
-    @njit(**_JIT_OPTS)
-    def _softmax_var_objective_nb(A, M, x):
-        n, d = A.shape
-        logits = np.empty(n)
-        v = np.empty(n)
-        for i in range(n):
-            s = 0.0
-            t = 0.0
-            for j in range(d):
-                s += A[i, j] * x[j]
-                t += M[i, j] * x[j]
-            logits[i] = s
-            v[i] = t
-        p = _softmax_probs_nb(logits)
-        return _weighted_variance_nb(p, v)
-
-    @njit(**_JIT_OPTS)
-    def _leverage_probs_nb(As):
-        n, d = As.shape
-        maxrow = 0.0
-        for i in range(n):
-            acc = 0.0
-            for j in range(d):
-                acc += As[i, j] * As[i, j]
-            if acc > maxrow:
-                maxrow = acc
-        thresh = _RANK_RTOL * np.sqrt(maxrow)
-        Q, R = np.linalg.qr(As)
-        ok = True
-        for k in range(d):
-            if abs(R[k, k]) <= thresh:
-                ok = False
-        lev = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            for j in range(d):
-                acc += Q[i, j] * Q[i, j]
-            lev[i] = acc
-        return lev / d, lev, ok
-
-    @njit(**_JIT_OPTS)
-    def _leverage_w_parts_nb(As, Ms):
-        n, d = As.shape
-        maxrow = 0.0
-        for i in range(n):
-            acc = 0.0
-            for j in range(d):
-                acc += As[i, j] * As[i, j]
-            if acc > maxrow:
-                maxrow = acc
-        thresh = _RANK_RTOL * np.sqrt(maxrow)
-        Q, R = np.linalg.qr(As)
-        for k in range(d):
-            if abs(R[k, k]) <= thresh:
-                z = np.zeros(n)
-                return z, z, False
-        Rinv = np.linalg.inv(np.ascontiguousarray(R))
-        Qc = np.ascontiguousarray(Q)
-        F = Ms @ Rinv
-        G = np.ascontiguousarray(Q.T) @ F
-        QG = Qc @ G
-        wnum = np.empty(n)
-        lev = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            l = 0.0
-            for j in range(d):
-                acc += (F[i, j] - QG[i, j]) * Q[i, j]
-                l += Q[i, j] * Q[i, j]
-            wnum[i] = acc
-            lev[i] = l
-        return lev, wnum, True
-
-    @njit(**_JIT_OPTS)
-    def _leverage_h2_objective_nb(A, B, u):
-        n, d = A.shape
-        As = np.empty((n, d))
-        Bs = np.empty((n, d))
-        for i in range(n):
-            r = np.sqrt(u[i])
-            for j in range(d):
-                As[i, j] = A[i, j] * r
-                Bs[i, j] = B[i, j] * r
-        pa, _, ok1 = _leverage_probs_nb(As)
-        pb, _, ok2 = _leverage_probs_nb(Bs)
-        if not (ok1 and ok2):
-            return 0.0, STATUS_RANK_DEFICIENT
-        h2, _ = _h2_tv_nb(pa, pb)
-        return h2, STATUS_OK
-
-    @njit(**_JIT_OPTS)
-    def _leverage_var_objective_nb(A, M, u):
-        n, d = A.shape
-        As = np.empty((n, d))
-        Ms = np.empty((n, d))
-        for i in range(n):
-            r = np.sqrt(u[i])
-            for j in range(d):
-                As[i, j] = A[i, j] * r
-                Ms[i, j] = M[i, j] * r
-        lev, wnum, ok = _leverage_w_parts_nb(As, Ms)
-        if not ok:
-            return 0.0, STATUS_RANK_DEFICIENT
-        minlev = lev[0]
-        for i in range(1, n):
-            if lev[i] < minlev:
-                minlev = lev[i]
-        if minlev <= _LEV_FLOOR:
-            return 0.0, STATUS_ZERO_LEVERAGE
-        p = lev / d
-        w = wnum / lev
-        return _weighted_variance_nb(p, w), STATUS_OK
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    softmax_probs = _softmax_probs_nb
-    h2_tv = _h2_tv_nb
-    weighted_mean = _weighted_mean_nb
-    weighted_variance = _weighted_variance_nb
-    searchsorted_right = _searchsorted_right_nb
-    row_gram_gap = _row_gram_gap_nb
-    softmax_h2_objective = _softmax_h2_objective_nb
-    softmax_var_objective = _softmax_var_objective_nb
-    leverage_probs = _leverage_probs_nb
-    leverage_w_parts = _leverage_w_parts_nb
-    leverage_h2_objective = _leverage_h2_objective_nb
-    leverage_var_objective = _leverage_var_objective_nb
-else:
-    softmax_probs = _softmax_probs_np
-    h2_tv = _h2_tv_np
-    weighted_mean = _weighted_mean_np
-    weighted_variance = _weighted_variance_np
-    searchsorted_right = _searchsorted_right_np
-    row_gram_gap = _row_gram_gap_np
-    softmax_h2_objective = _softmax_h2_objective_np
-    softmax_var_objective = _softmax_var_objective_np
-    leverage_probs = _leverage_probs_np
-    leverage_w_parts = _leverage_w_parts_np
-    leverage_h2_objective = _leverage_h2_objective_np
-    leverage_var_objective = _leverage_var_objective_np
+    Q, R, ok = _checked_qr(A * r)
+    # A deficient factor is swapped for the identity so that the stacked
+    # solve cannot fail; its row reports a status and no value.
+    R = np.where(ok[:, None, None], R, np.eye(d))
+    F = np.swapaxes(np.linalg.solve(np.swapaxes(R, 1, 2), np.swapaxes(M * r, 1, 2)), 1, 2)
+    QG = Q @ (np.swapaxes(Q, 1, 2) @ F)
+    wnum = (F * Q).sum(axis=-1) - (QG * Q).sum(axis=-1)
+    lev = (Q * Q).sum(axis=-1)
+    lev_ok = lev.min(axis=-1) > _LEV_FLOOR
+    good = ok & lev_ok
+    lev = np.where(good[:, None], lev, 1.0)
+    status = np.where(ok, np.where(lev_ok, STATUS_OK, STATUS_ZERO_LEVERAGE), STATUS_RANK_DEFICIENT)
+    return np.where(good, _variance(lev / d, wnum / lev), 0.0), status
 
 
 def warmup():
-    """Touch every dispatched kernel once so JIT compilation happens eagerly."""
+    """Call every kernel once, so that lazy set-up in numpy and LAPACK is
+    done before anything is timed."""
     A = np.array([[0.3, -0.2], [0.1, 0.9], [-0.5, 0.4]])
     B = A + 0.01
     x = np.array([0.6, -0.8])
@@ -460,9 +224,9 @@ def warmup():
     weighted_variance(p, np.array([0.1, 0.4, -0.2]))
     searchsorted_right(np.cumsum(p), np.array([0.05, 0.5, 0.999]))
     row_gram_gap(A, B)
-    softmax_h2_objective(A, B, x)
-    softmax_var_objective(A, B, x)
+    softmax_h2_objective(A, B, x[None])
+    softmax_var_objective(A, B, x[None])
     leverage_probs(A)
     leverage_w_parts(A, B)
-    leverage_h2_objective(A, B, u)
-    leverage_var_objective(A, B, u)
+    leverage_h2_objective(A, B, u[None])
+    leverage_var_objective(A, B, u[None])

@@ -235,7 +235,7 @@ def _cmd_verify(args) -> int:
                 if args.out:
                     write_taylor_csv(_suite_out(args, f"taylor-{model.family}"), report)
                 flags = []
-                for field in ("degenerate", "band_ok", "converging_half", "converging_eighth", "zratio_ok", "derivative_ok"):
+                for field in ("degenerate", "band_ok", "converging_eighth", "zratio_ok", "derivative_ok"):
                     val = getattr(report, field)
                     if val is not None:
                         flags.append(f"{field}={int(val)}")

@@ -54,28 +54,32 @@ class OptResult:
     converged: bool
 
 
-def _fd_gradient(f, x, h):
-    g = np.empty_like(x)
-    for i in range(x.size):
-        orig = x[i]
-        x[i] = orig + h
-        hi = f(x)
-        x[i] = orig - h
-        lo = f(x)
-        x[i] = orig
-        g[i] = (hi - lo) / (2.0 * h)
-    return g
+def _at(F, x):
+    """The stacked objective F at the single point x."""
+    return float(F(x[None])[0])
 
 
-def _ascend(f, project, x0, cfg):
-    """Projected gradient ascent from one start; returns (x, f(x), iters, converged)."""
+def _fd_gradient(F, x, h):
+    """Central differences of the stacked objective F at x, from one call of
+    F on the probes x + h e_0, x - h e_0, x + h e_1, ... in that order, so a
+    failing probe raises as the first one would when evaluated one by one."""
+    i = np.arange(x.size)
+    probes = np.repeat(x[None], 2 * x.size, axis=0)
+    probes[2 * i, i] = x + h
+    probes[2 * i + 1, i] = x - h
+    vals = F(probes)
+    return (vals[0::2] - vals[1::2]) / (2.0 * h)
+
+
+def _ascend(F, project, x0, cfg):
+    """Projected gradient ascent from one start; returns (x, F(x), iters, converged)."""
     x = project(np.array(x0, dtype=np.float64))
-    fx = f(x)
+    fx = _at(F, x)
     step = cfg.step_init
     converged = False
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
-        g = _fd_gradient(f, x, cfg.grad_eps)
+        g = _fd_gradient(F, x, cfg.grad_eps)
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
             converged = True
@@ -86,7 +90,7 @@ def _ascend(f, project, x0, cfg):
         accepted = False
         while s >= _MIN_STEP:
             cand = project(x + s * direction)
-            fc = f(cand)
+            fc = _at(F, cand)
             if fc > fx:
                 gain = fc - fx
                 x, fx = cand, fc
@@ -100,11 +104,11 @@ def _ascend(f, project, x0, cfg):
     return x, fx, iters, converged
 
 
-def _multistart(f, project, starts, cfg):
+def _multistart(F, project, starts, cfg):
     best = None
     total_iters = 0
     for x0 in starts:
-        x, fx, iters, conv = _ascend(f, project, x0, cfg)
+        x, fx, iters, conv = _ascend(F, project, x0, cfg)
         total_iters += iters
         if best is None or fx > best[1]:  # strict: ties keep the earliest restart
             best = (x, fx, conv)
@@ -168,13 +172,13 @@ def max_hellinger_softmax(A, B, constraint, config=None) -> OptResult:
         raise ShapeMismatch(f"A and B must share a shape, got {A.shape} vs {B.shape}")
     limit = constraint.limit
 
-    def f(x):
-        return _kernels.softmax_h2_objective(A, B, x)
+    def F(X):
+        return _kernels.softmax_h2_objective(A, B, X)
 
-    res = _multistart(f, _ball_projector(limit), _ball_starts(A - B, limit, A.shape[1], cfg), cfg)
+    res = _multistart(F, _ball_projector(limit), _ball_starts(A - B, limit, A.shape[1], cfg), cfg)
     return OptResult(
         argmax=res.argmax,
-        value=math.sqrt(max(f(res.argmax), 0.0)),
+        value=math.sqrt(max(_at(F, res.argmax), 0.0)),
         iterations_used=res.iterations_used,
         restarts_used=res.restarts_used,
         converged=res.converged,
@@ -190,13 +194,13 @@ def max_variance_softmax(A, M, constraint, config=None) -> OptResult:
         raise ShapeMismatch(f"A and M must share a shape, got {A.shape} vs {M.shape}")
     limit = constraint.limit
 
-    def f(x):
-        return _kernels.softmax_var_objective(A, M, x)
+    def F(X):
+        return _kernels.softmax_var_objective(A, M, X)
 
-    res = _multistart(f, _ball_projector(limit), _ball_starts(M, limit, A.shape[1], cfg), cfg)
+    res = _multistart(F, _ball_projector(limit), _ball_starts(M, limit, A.shape[1], cfg), cfg)
     return OptResult(
         argmax=res.argmax,
-        value=f(res.argmax),
+        value=_at(F, res.argmax),
         iterations_used=res.iterations_used,
         restarts_used=res.restarts_used,
         converged=res.converged,
@@ -214,20 +218,23 @@ _STATUS_ERRORS = {
 
 
 def _checked(kernel, *mats):
-    def f(u):
-        val, status = kernel(*mats, u)
-        if status != _kernels.STATUS_OK:
-            err, msg = _STATUS_ERRORS[status]
+    """The stacked leverage objective; raises for the first row whose
+    status is not OK."""
+
+    def F(U):
+        vals, status = kernel(*mats, U)
+        bad = np.flatnonzero(status != _kernels.STATUS_OK)
+        if bad.size:
+            err, msg = _STATUS_ERRORS[int(status[bad[0]])]
             raise err(msg)
-        return val
+        return vals
 
-    return f
+    return F
 
 
-def _box_starts(u_lo, u_hi, n, cfg, f):
+def _box_starts(u_lo, u_hi, n, cfg, F):
     # Corner spot-checks surface rank problems before the ascent loop runs.
-    f(np.full(n, u_lo))
-    f(np.full(n, u_hi))
+    F(np.array([np.full(n, u_lo), np.full(n, u_hi)]))
     yield np.full(n, 0.5 * (u_lo + u_hi))
     for k in range(1, cfg.restarts):
         gen = generator(derive_seed(cfg.seed, "restart", k))
@@ -255,11 +262,11 @@ def max_hellinger_leverage(A, B, box, config=None) -> OptResult:
     if A.shape != B.shape:
         raise ShapeMismatch(f"A and B must share a shape, got {A.shape} vs {B.shape}")
     u_lo, u_hi = 1.0 / box.hi, 1.0 / box.lo
-    f = _checked(_kernels.leverage_h2_objective, A, B)
-    res = _multistart(f, _box_projector(u_lo, u_hi), _box_starts(u_lo, u_hi, A.shape[0], cfg, f), cfg)
+    F = _checked(_kernels.leverage_h2_objective, A, B)
+    res = _multistart(F, _box_projector(u_lo, u_hi), _box_starts(u_lo, u_hi, A.shape[0], cfg, F), cfg)
     return OptResult(
         argmax=_scales_from_u(res.argmax),
-        value=math.sqrt(max(f(res.argmax), 0.0)),
+        value=math.sqrt(max(_at(F, res.argmax), 0.0)),
         iterations_used=res.iterations_used,
         restarts_used=res.restarts_used,
         converged=res.converged,
@@ -275,11 +282,11 @@ def max_variance_leverage(A, M, box, config=None) -> OptResult:
     if A.shape != M.shape:
         raise ShapeMismatch(f"A and M must share a shape, got {A.shape} vs {M.shape}")
     u_lo, u_hi = 1.0 / box.hi, 1.0 / box.lo
-    f = _checked(_kernels.leverage_var_objective, A, M)
-    res = _multistart(f, _box_projector(u_lo, u_hi), _box_starts(u_lo, u_hi, A.shape[0], cfg, f), cfg)
+    F = _checked(_kernels.leverage_var_objective, A, M)
+    res = _multistart(F, _box_projector(u_lo, u_hi), _box_starts(u_lo, u_hi, A.shape[0], cfg, F), cfg)
     return OptResult(
         argmax=_scales_from_u(res.argmax),
-        value=f(res.argmax),
+        value=_at(F, res.argmax),
         iterations_used=res.iterations_used,
         restarts_used=res.restarts_used,
         converged=res.converged,

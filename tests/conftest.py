@@ -7,6 +7,6 @@ from softlev import _kernels
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    # Compile (or load from cache) every dispatched kernel before any test
-    # runs, so timed assertions measure math instead of the JIT.
+    # Call every kernel once before any test runs, so timed assertions
+    # measure math instead of numpy's and LAPACK's lazy set-up.
     _kernels.warmup()

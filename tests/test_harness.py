@@ -390,8 +390,8 @@ def test_taylor_softmax_ratios_converge_to_quarter_and_one():
     # frozen values for this exact closed-form instance (Var = 1/4)
     assert by_eps[1e-3].ratio_half == pytest.approx(0.24999997786440037, rel=1e-9)
     assert by_eps[1e-3].ratio_eighth == pytest.approx(0.9999999114576015, rel=1e-9)
-    assert rep.band_ok is False
-    assert rep.converging_half is True and rep.converging_eighth is True
+    assert rep.band_ok is True
+    assert rep.converging_eighth is True
     assert rep.zratio_ok is True and rep.zratio_dev < 2e-8
 
 
@@ -502,7 +502,8 @@ def test_taylor_csv_smoke(tmp_path):
     assert lines[0] == "eps,h2,half_eps2_var,ratio_half,ratio_eighth"
     assert len([ln for ln in lines if not ln.startswith("#")]) == 1 + 3
     assert "# family softmax" in lines
-    assert "# band_ok 0" in lines
+    assert "# band_ok 1" in lines
+    assert not any(ln.startswith("# converging_half") for ln in lines)
     assert any(ln.startswith("# zratio_dev ") for ln in lines)
 
 

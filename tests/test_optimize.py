@@ -9,11 +9,16 @@ independent of the ascent code.
 import numpy as np
 import pytest
 
+from softlev import _kernels
 from softlev.distributions import hellinger_sq, variance_under
 from softlev.errors import RankDeficient, ShapeMismatch, ZeroLeverage
+from softlev.harness import padded_identity_instance
 from softlev.leverage import BoxConstraint, leverage_pmf, leverage_w
 from softlev.optimize import (
     OptimizerConfig,
+    _at,
+    _checked,
+    _fd_gradient,
     max_hellinger_leverage,
     max_hellinger_softmax,
     max_variance_leverage,
@@ -192,6 +197,68 @@ def test_leverage_zero_leverage_surfaces_from_corner_checks():
     M = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ZeroLeverage):
         max_variance_leverage(A, M, BOX)
+
+
+# ---------------------------------------------------------------------------
+# one-call gradient against the probe-by-probe loop
+# ---------------------------------------------------------------------------
+
+
+def _fd_gradient_loop(F, x, h):
+    """The probe-by-probe central differences that one stacked call replaced."""
+    g = np.empty_like(x)
+    for i in range(x.size):
+        orig = x[i]
+        x[i] = orig + h
+        hi = _at(F, x)
+        x[i] = orig - h
+        lo = _at(F, x)
+        x[i] = orig
+        g[i] = (hi - lo) / (2.0 * h)
+    return g
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (33, 7), (64, 8)])
+def test_one_call_gradient_equals_the_loop(n, d):
+    g = generator(derive_seed(62, "grad", n, d))
+    A = g.standard_normal((n, d))
+    B = A + 0.1 * g.standard_normal((n, d))
+    x = g.standard_normal(d)
+    x *= 0.9 / float(np.linalg.norm(x))
+    u = 0.5 + 1.5 * g.random(n)
+    objectives = [
+        (lambda X: _kernels.softmax_h2_objective(A, B, X), x),
+        (lambda X: _kernels.softmax_var_objective(A, B, X), x),
+        (_checked(_kernels.leverage_h2_objective, A, B), u),
+        (_checked(_kernels.leverage_var_objective, A, B), u),
+    ]
+    for F, point in objectives:
+        assert np.array_equal(_fd_gradient(F, point.copy(), 1e-6), _fd_gradient_loop(F, point.copy(), 1e-6))
+
+
+def _gradient_error(gradient, F, u, h):
+    with pytest.raises((RankDeficient, ZeroLeverage)) as info:
+        gradient(F, u.copy(), h)
+    return info.type
+
+
+def test_failing_probe_raises_as_the_loop_does():
+    # Rows of the padded identity [e0; e1; e0; e0; e0], scaled by sqrt(u).
+    # With every u_i = h, probe u - h e_i zeroes row i: for the e1 row that
+    # zeroes column 1 (rank-deficient), for an e0 row it leaves a row of
+    # leverage 0.  Reordering the rows decides which failure comes first.
+    h = 0.25
+    A = padded_identity_instance(5, 2).A
+    M = generator(derive_seed(63, "probe")).standard_normal((5, 2))
+    u = np.full(5, h)
+    for order, expected in (([1, 0, 2, 3, 4], RankDeficient), ([0, 1, 2, 3, 4], ZeroLeverage)):
+        F = _checked(_kernels.leverage_var_objective, A[order], M)
+        assert _gradient_error(_fd_gradient_loop, F, u, h) is expected
+        assert _gradient_error(_fd_gradient, F, u, h) is expected
+    # H^2 has no zero-leverage status: the first failure is the e1 row.
+    F = _checked(_kernels.leverage_h2_objective, A, M)
+    assert _gradient_error(_fd_gradient_loop, F, u, h) is RankDeficient
+    assert _gradient_error(_fd_gradient, F, u, h) is RankDeficient
 
 
 # ---------------------------------------------------------------------------
