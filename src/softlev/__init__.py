@@ -39,7 +39,6 @@ from .errors import (
 )
 from .harness import (
     ExperimentSpec,
-    ModelSpec,
     SweepRow,
     gaussian_instance,
     load_model_spec,
@@ -52,7 +51,6 @@ from .harness import (
 )
 from .hypotest import (
     ModelOracle,
-    OracleSpec,
     TestReport,
     estimate_sample_complexity,
     estimate_success,
@@ -67,6 +65,7 @@ from .leverage import (
     leverage_sample,
     leverage_w,
 )
+from .model import ModelSpec
 from .numerics import gram, min_eigenvalue, row_gram_gap, thin_qr, two_to_infty_norm
 from .optimize import (
     OptimizerConfig,
@@ -100,7 +99,6 @@ __all__ = [
     "ModelSpec",
     "OptResult",
     "OptimizerConfig",
-    "OracleSpec",
     "RankDeficient",
     "ScaleQuery",
     "ShapeMismatch",

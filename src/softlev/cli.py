@@ -8,7 +8,6 @@ invocations produce byte-identical stdout and output files.
 import argparse
 import math
 import sys
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -39,15 +38,8 @@ from .harness import (
     write_invariance_csv,
     write_taylor_csv,
 )
-from .hypotest import OracleSpec, estimate_success
-from .leverage import leverage_pmf
-from .optimize import (
-    OptimizerConfig,
-    max_hellinger_leverage,
-    max_hellinger_softmax,
-    max_variance_leverage,
-    max_variance_softmax,
-)
+from .hypotest import estimate_success
+from .optimize import OptimizerConfig
 from .softmax import softmax_pmf
 
 _DEMOS = ("demo-softmax", "demo-leverage")
@@ -74,19 +66,6 @@ def _grid(text: str):
         raise argparse.ArgumentTypeError(f"not a comma-separated grid: {text!r}") from exc
 
 
-def _pmf_for(model, query):
-    if model.family == "softmax":
-        return softmax_pmf(model.A, query)
-    return leverage_pmf(model.A, query)
-
-
-def _pair_pmfs(model, query):
-    A, B = model.pair()
-    if model.family == "softmax":
-        return softmax_pmf(A, query), softmax_pmf(B, query)
-    return leverage_pmf(A, query), leverage_pmf(B, query)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -95,7 +74,7 @@ def _pair_pmfs(model, query):
 def _cmd_pmf(args) -> int:
     model = load_model_spec(_resolve_spec_path(args.spec))
     query = model.constraint.check(args.query)
-    for prob in _pmf_for(model, query).probs:
+    for prob in model.pmf(0, query).probs:
         print(fmt17(prob))
     return 0
 
@@ -126,7 +105,7 @@ def _cmd_distance(args) -> int:
         print("error: distance needs --query", file=sys.stderr)
         return 2
     query = model.constraint.check(args.query)
-    P, Q = _pair_pmfs(model, query)
+    P, Q = model.pmf(0, query), model.pmf(1, query)
     t_val, h2_val = tv(P, Q), hellinger_sq(P, Q)
     if not _sandwich_holds(h2_val, t_val):
         print(
@@ -146,15 +125,7 @@ def _cmd_optimize(args) -> int:
         max_iters=args.max_iters,
         seed=args.seed if args.seed is not None else model.seed,
     )
-    if args.objective == "hellinger":
-        A, B = model.pair()
-        res = (max_hellinger_softmax if model.family == "softmax" else max_hellinger_leverage)(
-            A, B, model.constraint, cfg
-        )
-    else:
-        res = (max_variance_softmax if model.family == "softmax" else max_variance_leverage)(
-            model.A, model.direction(), model.constraint, cfg
-        )
+    res = model.max_hellinger(cfg) if args.objective == "hellinger" else model.max_variance(cfg)
     cells = [fmt17(res.value), str(res.iterations_used), str(res.restarts_used), str(int(res.converged))]
     cells += [fmt17(v) for v in res.argmax]
     print(",".join(cells))
@@ -163,11 +134,8 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_test(args) -> int:
     model = load_model_spec(_resolve_spec_path(args.spec))
-    A, B = model.pair()
-    ospec = OracleSpec(model.family, A, B, model.constraint)
     seed = args.seed if args.seed is not None else model.seed
-    query = args.query if args.query is not None else None
-    success = estimate_success(ospec, args.m, args.trials, seed, query=query)
+    success = estimate_success(model, args.m, args.trials, seed, query=args.query)
     print(f"success={fmt17(success)}")
     if args.require is not None and success < args.require:
         return 1
@@ -177,7 +145,6 @@ def _cmd_test(args) -> int:
 def _cmd_sweep(args) -> int:
     model = load_model_spec(_resolve_spec_path(args.spec))
     spec = ExperimentSpec(
-        kind="sweep",
         model=model,
         eps_grid=args.grid,
         trials=args.trials,
@@ -204,7 +171,7 @@ def _cmd_verify(args) -> int:
     failed = False
     for suite in suites:
         if suite == "bounds":
-            spec = ExperimentSpec(kind="bounds", instances=args.instances, seed=args.seed)
+            spec = ExperimentSpec(instances=args.instances, seed=args.seed)
             result = run_bound_suite(spec, bound_scale=args.bound_scale)
             if args.out:
                 write_bounds_csv(_suite_out(args, suite), result)
@@ -215,7 +182,7 @@ def _cmd_verify(args) -> int:
             if result.strict_violations > 0:
                 failed = True
         elif suite == "invariances":
-            spec = ExperimentSpec(kind="invariances", instances=args.instances, seed=args.seed)
+            spec = ExperimentSpec(instances=args.instances, seed=args.seed)
             report = run_invariance_suite(spec)
             if args.out:
                 write_invariance_csv(_suite_out(args, suite), report)
@@ -230,7 +197,7 @@ def _cmd_verify(args) -> int:
             names = [args.spec] if args.spec else list(_DEMOS)
             for name in names:
                 model = load_model_spec(_resolve_spec_path(name))
-                spec = ExperimentSpec(kind="taylor", model=model, seed=args.seed)
+                spec = ExperimentSpec(model=model, seed=args.seed)
                 report = run_taylor_check(spec)
                 if args.out:
                     write_taylor_csv(_suite_out(args, f"taylor-{model.family}"), report)

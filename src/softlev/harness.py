@@ -6,8 +6,7 @@ Everything is driven by a single top-level seed; per-row subseeds come from
 :func:`softlev.rng.derive_seed`, and every emitted row carries the subseed
 that replays it in isolation.  Output tables are byte-identical for
 identical specs, including across ``threads`` settings: grid points may
-compute in any order, but rows are buffered and written in grid order, and
-wall-clock timings never reach the files.
+compute in any order, but rows are buffered and written in grid order.
 """
 
 import json
@@ -16,66 +15,26 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from time import perf_counter
 
 import numpy as np
 
 from .bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
 from .distributions import DiscreteDistribution, hellinger_sq, tv
 from .errors import InputFormatError
-from .hypotest import OracleSpec, estimate_sample_complexity, estimate_success
+from .hypotest import estimate_sample_complexity, estimate_success
 from .leverage import BoxConstraint, leverage_pmf, leverage_pmf_derivative
+from .model import ModelSpec, get_family
 from .numerics import gram, min_eigenvalue, row_gram_gap, two_to_infty_norm
-from .optimize import (
-    OptimizerConfig,
-    max_hellinger_leverage,
-    max_hellinger_softmax,
-    max_variance_leverage,
-    max_variance_softmax,
-)
+from .optimize import OptimizerConfig
 from .rng import derive_seed, generator
 from .softmax import EnergyConstraint, softmax_pmf
 
-KINDS = ("sweep", "taylor", "bounds", "invariances")
 TAYLOR_EPS = (1e-2, 1e-3, 1e-4)
 
 
 # ---------------------------------------------------------------------------
 # model specs and named instance generators
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """One or two concrete models of a family, as read from a spec file.
-
-    ``B`` and ``M`` are both optional: sweeps need the perturbation
-    direction M (B is built per grid point as A + eps * M), while pairwise
-    operations use B directly, falling back to A + M when only M is given.
-    """
-
-    family: str
-    A: np.ndarray
-    B: np.ndarray | None
-    M: np.ndarray | None
-    constraint: object
-    seed: int = 0
-
-    def pair(self):
-        """(A, B) with B defaulting to A + M."""
-        if self.B is not None:
-            return self.A, self.B
-        if self.M is not None:
-            return self.A, self.A + self.M
-        raise InputFormatError("model spec has neither 'B' nor 'M'; cannot form a pair")
-
-    def direction(self):
-        """Perturbation direction M, falling back to B - A."""
-        if self.M is not None:
-            return self.M
-        if self.B is not None:
-            return self.B - self.A
-        raise InputFormatError("model spec has neither 'M' nor 'B'; no perturbation direction")
 
 
 _SPEC_FIELDS = {"family", "A", "B", "M", "constraint", "seed"}
@@ -96,17 +55,7 @@ def _parse_matrix(doc, field, path, required=False):
         for j, entry in enumerate(row):
             if not isinstance(entry, (int, float)) or isinstance(entry, bool):
                 raise InputFormatError(f"{path}: field '{field}' entry [{i}][{j}] is not a number")
-    arr = np.array(val, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise InputFormatError(f"{path}: field '{field}' has non-finite entries")
-    return arr
-
-
-def _parse_positive(obj, key, path):
-    val = obj.get(key)
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not (val > 0 and math.isfinite(val)):
-        raise InputFormatError(f"{path}: constraint field '{key}' must be a positive number")
-    return float(val)
+    return np.array(val, dtype=np.float64)
 
 
 def load_model_spec(path) -> ModelSpec:
@@ -126,33 +75,24 @@ def load_model_spec(path) -> ModelSpec:
     if unknown:
         raise InputFormatError(f"{path}: unknown field(s) {sorted(unknown)}")
     family = doc.get("family")
-    if family not in ("softmax", "leverage"):
-        raise InputFormatError(f"{path}: field 'family' must be 'softmax' or 'leverage', got {family!r}")
+    try:
+        law = get_family(family)
+    except ValueError:
+        raise InputFormatError(f"{path}: field 'family' must be 'softmax' or 'leverage', got {family!r}") from None
     A = _parse_matrix(doc, "A", path, required=True)
     B = _parse_matrix(doc, "B", path)
     M = _parse_matrix(doc, "M", path)
-    for name, other in (("B", B), ("M", M)):
-        if other is not None and other.shape != A.shape:
-            raise InputFormatError(f"{path}: field '{name}' shape {other.shape} does not match 'A' {A.shape}")
     cobj = doc.get("constraint")
     if not isinstance(cobj, dict):
         raise InputFormatError(f"{path}: field 'constraint' must be an object")
-    if family == "softmax":
-        if set(cobj) != {"E"}:
-            raise InputFormatError(f"{path}: softmax constraint must have exactly the field 'E'")
-        constraint = EnergyConstraint(_parse_positive(cobj, "E", path))
-    else:
-        if set(cobj) != {"c", "C"}:
-            raise InputFormatError(f"{path}: leverage constraint must have exactly the fields 'c' and 'C'")
-        lo = _parse_positive(cobj, "c", path)
-        hi = _parse_positive(cobj, "C", path)
-        if lo > hi:
-            raise InputFormatError(f"{path}: constraint needs c <= C, got c={lo!r} C={hi!r}")
-        constraint = BoxConstraint(lo, hi)
+    constraint = law.parse_constraint(cobj, path)
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise InputFormatError(f"{path}: field 'seed' must be an integer")
-    return ModelSpec(family, A, B, M, constraint, seed)
+    try:
+        return ModelSpec(family, A, B, M, constraint, seed)
+    except ValueError as exc:  # a shape or finiteness check, naming its field
+        raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def gaussian_instance(family, n, d, seed=0, energy=1.0, box=(0.5, 2.0)) -> ModelSpec:
@@ -160,8 +100,7 @@ def gaussian_instance(family, n, d, seed=0, energy=1.0, box=(0.5, 2.0)) -> Model
     g = generator(derive_seed(seed, "gaussian", family, n, d))
     A = g.standard_normal((n, d))
     M = g.standard_normal((n, d))
-    constraint = EnergyConstraint(energy) if family == "softmax" else BoxConstraint(*box)
-    return ModelSpec(family, A, None, M, constraint, seed)
+    return ModelSpec(family, A, None, M, get_family(family).default_constraint(energy, box), seed)
 
 
 def low_mass_row_instance(n, d=2, energy=1.0) -> ModelSpec:
@@ -193,7 +132,6 @@ def padded_identity_instance(n, d, box=(0.5, 2.0)) -> ModelSpec:
 class ExperimentSpec:
     """Everything needed to reproduce one experiment run."""
 
-    kind: str
     model: ModelSpec | None = None
     eps_grid: tuple = (0.2, 0.1, 0.05)
     trials: int = 400
@@ -204,8 +142,6 @@ class ExperimentSpec:
     out_path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         grid = tuple(float(e) for e in self.eps_grid)
         if not grid or any(e <= 0 for e in grid):
             raise ValueError("eps grid must be non-empty with positive entries")
@@ -259,7 +195,6 @@ class SweepRow:
     nu: float
     m_star: int
     success_at_m: float
-    seconds: float
     seed: int
 
 
@@ -276,8 +211,6 @@ _SWEEP_HEADER = ("eps", "h2_at_opt", "nu", "m_star", "success_at_m", "seed")
 
 
 def _sweep_row_cells(row: SweepRow):
-    # seconds stays in memory only: wall-clock time in the file would break
-    # byte-identical reruns.
     return (
         fmt17(row.eps),
         fmt17(row.h2_at_opt),
@@ -289,10 +222,7 @@ def _sweep_row_cells(row: SweepRow):
 
 
 def _sweep_nu(model: ModelSpec, opt: OptimizerConfig, seed: int) -> float:
-    cfg = replace(opt, seed=derive_seed(seed, "nu"))
-    if model.family == "softmax":
-        return max_variance_softmax(model.A, model.direction(), model.constraint, cfg).value
-    return max_variance_leverage(model.A, model.direction(), model.constraint, cfg).value
+    return model.max_variance(replace(opt, seed=derive_seed(seed, "nu"))).value
 
 
 def sweep_point(spec: ExperimentSpec, index: int, nu: float) -> SweepRow:
@@ -303,29 +233,12 @@ def sweep_point(spec: ExperimentSpec, index: int, nu: float) -> SweepRow:
     """
     model = spec.model
     eps = spec.eps_grid[index]
-    t0 = perf_counter()
     row_seed = derive_seed(spec.seed, "grid", index)
-    A = model.A
-    B = A + eps * model.direction()
-    cfg = replace(spec.opt, seed=derive_seed(row_seed, "opt"))
-    if model.family == "softmax":
-        opt = max_hellinger_softmax(A, B, model.constraint, cfg)
-    else:
-        opt = max_hellinger_leverage(A, B, model.constraint, cfg)
-    ospec = OracleSpec(model.family, A, B, model.constraint)
-    m_star = estimate_sample_complexity(
-        ospec, trials=spec.trials, seed=derive_seed(row_seed, "mstar"), query=opt.argmax
-    )
-    success = estimate_success(ospec, m_star, spec.trials, derive_seed(row_seed, "success"), query=opt.argmax)
-    return SweepRow(
-        eps=eps,
-        h2_at_opt=opt.value ** 2,
-        nu=nu,
-        m_star=m_star,
-        success_at_m=success,
-        seconds=perf_counter() - t0,
-        seed=row_seed,
-    )
+    pair = ModelSpec(model.family, model.A, model.A + eps * model.direction(), None, model.constraint)
+    query, h = pair.optimal_query(replace(spec.opt, seed=derive_seed(row_seed, "opt")))
+    m_star = estimate_sample_complexity(pair, trials=spec.trials, seed=derive_seed(row_seed, "mstar"), query=query)
+    success = estimate_success(pair, m_star, spec.trials, derive_seed(row_seed, "success"), query=query)
+    return SweepRow(eps=eps, h2_at_opt=h**2, nu=nu, m_star=m_star, success_at_m=success, seed=row_seed)
 
 
 def _fit_loglog(rows):
@@ -424,21 +337,6 @@ class TaylorReport:
     coeff_empirical: float | None = None  # H^2 / eps^2 at the smallest eps
     coeff_w2: float | None = None  # sum_i W_ii^2 / (2 d^2 p_i)
     coeff_w_literal: float | None = None  # sum_i W_ii / p_i
-
-
-def _taylor_query(model: ModelSpec, seed: int):
-    g = generator(derive_seed(seed, "taylor-query"))
-    n, d = model.A.shape
-    if model.family == "softmax":
-        x = g.standard_normal(d)
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:
-            x = np.zeros(d)
-            x[0] = 1.0
-            norm = 1.0
-        return x * (model.constraint.limit / norm)
-    lo, hi = model.constraint.lo, model.constraint.hi
-    return np.sqrt(lo + g.random(n) * (hi - lo))
 
 
 def _run_taylor_softmax(model, query):
@@ -541,7 +439,8 @@ def run_taylor_check(spec: ExperimentSpec, query=None) -> TaylorReport:
         raise ValueError("taylor check needs a model")
     model = spec.model
     if query is None:
-        query = _taylor_query(model, spec.seed)
+        g = generator(derive_seed(spec.seed, "taylor-query"))
+        query = get_family(model.family).random_query(g, model.A.shape, model.constraint)
     model.constraint.check(query)
     if model.family == "softmax":
         return _run_taylor_softmax(model, query)

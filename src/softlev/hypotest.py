@@ -1,6 +1,6 @@
 """Binary hypothesis testing against query oracles.
 
-An ``OracleSpec`` names two candidate parameter matrices for one model
+A ``ModelSpec`` names two candidate parameter matrices for one model
 family; a ``ModelOracle`` hides which of the two answers queries.  The tester
 picks one query (by default the Hellinger-optimal one), draws m samples, and
 decides by log-likelihood ratio.  ``estimate_success`` Monte-Carlos the
@@ -20,55 +20,11 @@ from .errors import (
     IndistinguishableError,
     ShapeMismatch,
 )
-from .leverage import BoxConstraint, leverage_pmf
-from .optimize import OptimizerConfig, max_hellinger_leverage, max_hellinger_softmax
+from .model import ModelSpec
 from .rng import derive_seed, generator
-from .softmax import EnergyConstraint, softmax_pmf
 
 _LOG_FLOOR = 1e-300  # probabilities are clamped here before log
 _H_FLOOR = 1e-8  # Hellinger distance below this counts as indistinguishable
-
-FAMILIES = ("softmax", "leverage")
-
-
-@dataclass(frozen=True)
-class OracleSpec:
-    """Two candidate models of one family plus the shared query constraint."""
-
-    family: str
-    params0: np.ndarray
-    params1: np.ndarray
-    constraint: object
-
-    def __post_init__(self):
-        from .numerics import as_matrix
-
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        p0 = as_matrix(self.params0, "params0")
-        p1 = as_matrix(self.params1, "params1")
-        if p0.shape != p1.shape:
-            raise ShapeMismatch(f"params0 and params1 must share a shape, got {p0.shape} vs {p1.shape}")
-        expected = EnergyConstraint if self.family == "softmax" else BoxConstraint
-        if not isinstance(self.constraint, expected):
-            raise TypeError(f"{self.family} family needs a {expected.__name__}")
-        object.__setattr__(self, "params0", p0)
-        object.__setattr__(self, "params1", p1)
-
-    def pmf(self, which: int, query) -> DiscreteDistribution:
-        params = self.params0 if which == 0 else self.params1
-        if self.family == "softmax":
-            return softmax_pmf(params, query)
-        return leverage_pmf(params, query)
-
-    def optimal_query(self, config: OptimizerConfig = None):
-        """Hellinger-optimal query and its H value, deterministic per config."""
-        cfg = config or OptimizerConfig()
-        if self.family == "softmax":
-            res = max_hellinger_softmax(self.params0, self.params1, self.constraint, cfg)
-        else:
-            res = max_hellinger_leverage(self.params0, self.params1, self.constraint, cfg)
-        return res.argmax, res.value
 
 
 class ModelOracle:
@@ -78,7 +34,7 @@ class ModelOracle:
     reads it; tests rely on that separation.
     """
 
-    def __init__(self, spec: OracleSpec, hidden_truth: int, seed: int):
+    def __init__(self, spec: ModelSpec, hidden_truth: int, seed: int):
         if hidden_truth not in (0, 1):
             raise ValueError(f"hidden_truth must be 0 or 1, got {hidden_truth!r}")
         self.spec = spec
@@ -155,7 +111,7 @@ class TestReport:
     seed: int
 
 
-def _resolve_query(spec: OracleSpec, query):
+def _resolve_query(spec: ModelSpec, query):
     if query is not None:
         return query
     q, value = spec.optimal_query()
@@ -183,7 +139,7 @@ def run_test(oracle: ModelOracle, m: int, query=None) -> TestReport:
     return TestReport(decision=0 if llr >= 0.0 else 1, llr=llr, m=m, query=np.asarray(query), seed=oracle.seed)
 
 
-def estimate_success(spec: OracleSpec, m: int, trials: int, seed: int, query=None) -> float:
+def estimate_success(spec: ModelSpec, m: int, trials: int, seed: int, query=None) -> float:
     """Worst-case (over the two truths) empirical success rate of the test.
 
     Runs ``trials`` independent tests per truth with subseeds derived as
@@ -214,7 +170,7 @@ def estimate_success(spec: OracleSpec, m: int, trials: int, seed: int, query=Non
 
 
 def estimate_sample_complexity(
-    spec: OracleSpec,
+    spec: ModelSpec,
     target: float = 2.0 / 3.0,
     trials: int = 400,
     seed: int = 0,

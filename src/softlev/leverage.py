@@ -69,14 +69,20 @@ def _scale_vector(query) -> np.ndarray:
     return s
 
 
+def require_tall(A, name="leverage model"):
+    """Raise ShapeMismatch unless A has at least as many rows as columns."""
+    n, d = A.shape
+    if n < d:
+        raise ShapeMismatch(f"{name} needs n >= d, got {n} x {d}")
+
+
 def _scaled(A, query, name="A"):
     A = as_matrix(A, name)
     s = _scale_vector(query)
     n, d = A.shape
     if s.size != n:
         raise ShapeMismatch(f"scale length {s.size} does not match rows {n}")
-    if n < d:
-        raise ShapeMismatch(f"leverage model needs n >= d, got {n} x {d}")
+    require_tall(A)
     return A / s[:, None], n, d
 
 

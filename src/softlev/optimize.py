@@ -15,26 +15,25 @@ import numpy as np
 
 from . import _kernels
 from .errors import RankDeficient, ShapeMismatch, ZeroLeverage
+from .leverage import require_tall
 from .numerics import as_matrix
 from .rng import derive_seed, generator
 
 _MIN_STEP = 1e-14
+STEP_INIT = 0.1  # first line-search step of each restart
+GRAD_EPS = 1e-6  # central finite-difference half-width
+TOL = 1e-9  # stop when an accepted step improves by less
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 32
     max_iters: int = 500
-    step_init: float = 0.1
-    grad_eps: float = 1e-6  # central finite-difference half-width
-    tol: float = 1e-9  # stop when an accepted step improves by less
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be at least 1")
-        if not (self.step_init > 0 and self.grad_eps > 0 and self.tol >= 0):
-            raise ValueError("step_init and grad_eps must be positive, tol nonnegative")
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,11 @@ def _ascend(F, project, x0, cfg):
     """Projected gradient ascent from one start; returns (x, F(x), iters, converged)."""
     x = project(np.array(x0, dtype=np.float64))
     fx = _at(F, x)
-    step = cfg.step_init
+    step = STEP_INIT
     converged = False
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
-        g = _fd_gradient(F, x, cfg.grad_eps)
+        g = _fd_gradient(F, x, GRAD_EPS)
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
             converged = True
@@ -98,7 +97,7 @@ def _ascend(F, project, x0, cfg):
                 accepted = True
                 break
             s *= 0.5
-        if not accepted or gain < cfg.tol:
+        if not accepted or gain < TOL:
             converged = True
             break
     return x, fx, iters, converged
@@ -261,6 +260,7 @@ def max_hellinger_leverage(A, B, box, config=None) -> OptResult:
     B = as_matrix(B, "B")
     if A.shape != B.shape:
         raise ShapeMismatch(f"A and B must share a shape, got {A.shape} vs {B.shape}")
+    require_tall(A)
     u_lo, u_hi = 1.0 / box.hi, 1.0 / box.lo
     F = _checked(_kernels.leverage_h2_objective, A, B)
     res = _multistart(F, _box_projector(u_lo, u_hi), _box_starts(u_lo, u_hi, A.shape[0], cfg, F), cfg)
@@ -281,6 +281,7 @@ def max_variance_leverage(A, M, box, config=None) -> OptResult:
     M = as_matrix(M, "M")
     if A.shape != M.shape:
         raise ShapeMismatch(f"A and M must share a shape, got {A.shape} vs {M.shape}")
+    require_tall(A)
     u_lo, u_hi = 1.0 / box.hi, 1.0 / box.lo
     F = _checked(_kernels.leverage_var_objective, A, M)
     res = _multistart(F, _box_projector(u_lo, u_hi), _box_starts(u_lo, u_hi, A.shape[0], cfg, F), cfg)

@@ -1,7 +1,11 @@
 """Shared test setup."""
 
+import os
+from pathlib import Path
+
 import pytest
 
+import softlev
 from softlev import _kernels
 
 
@@ -10,3 +14,13 @@ def warm_kernels():
     # Call every kernel once before any test runs, so timed assertions
     # measure math instead of numpy's and LAPACK's lazy set-up.
     _kernels.warmup()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def subprocesses_import_these_sources():
+    # The CLI tests run `python -m softlev.cli` in subprocesses; they must
+    # import the package this process imported, installed or not.
+    src = str(Path(softlev.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield

@@ -121,7 +121,7 @@ def test_05_softmax_expansion_half_normalized_band(verdict):
         g = generator(derive_seed(0, "acc-expansion", k))
         n, d = int(g.integers(2, 11)), int(g.integers(1, 6))
         model = gaussian_instance("softmax", n, d, seed=k)
-        rep = run_taylor_check(ExperimentSpec(kind="taylor", model=model, seed=k))
+        rep = run_taylor_check(ExperimentSpec(model=model, seed=k))
         at = {r.eps: r for r in rep.rows}[1e-3]
         band_hits += 0.9 <= at.ratio_eighth <= 1.1
         shrink_hits += bool(rep.converging_eighth)
@@ -154,7 +154,7 @@ def test_06_leverage_derivative_matches_central_differences(verdict):
         d = int(g.integers(1, 6))
         n = int(g.integers(d + 1, 11))
         model = gaussian_instance("leverage", n, d, seed=k)
-        rep = run_taylor_check(ExperimentSpec(kind="taylor", model=model, seed=k))
+        rep = run_taylor_check(ExperimentSpec(model=model, seed=k))
         worst_err = max(worst_err, rep.derivative_max_err)
         worst_sum = max(worst_sum, abs(rep.derivative_sum))
     elapsed = perf_counter() - t0
@@ -182,7 +182,7 @@ def _mstar_band(h2):
 def test_07_softmax_demo_scaling_law(verdict):
     t0 = perf_counter()
     model = _demo("demo-softmax")
-    spec = ExperimentSpec(kind="sweep", model=model, trials=400, seed=model.seed)
+    spec = ExperimentSpec(model=model, trials=400, seed=model.seed)
     res = run_sweep(spec)
     bands = [_mstar_band(r.h2_at_opt) for r in res.rows]
     products = [r.m_star * r.h2_at_opt for r in res.rows]
@@ -208,7 +208,7 @@ def test_07_softmax_demo_scaling_law(verdict):
 def test_08_leverage_demo_scaling_law(verdict):
     t0 = perf_counter()
     model = _demo("demo-leverage")
-    spec = ExperimentSpec(kind="sweep", model=model, trials=400, seed=model.seed)
+    spec = ExperimentSpec(model=model, trials=400, seed=model.seed)
     res = run_sweep(spec)
     elapsed = perf_counter() - t0
     ok = -2.4 <= res.slope <= -1.6

@@ -129,6 +129,13 @@ def test_optimize_variance_objective():
     assert float(res.stdout.split(",")[0]) > 0.0
 
 
+def test_optimize_rejects_wide_leverage_spec(tmp_path):
+    doc = {"family": "leverage", "A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "constraint": {"c": 0.5, "C": 2.0}}
+    res = run_cli("optimize", _spec_file(tmp_path, doc))
+    assert res.returncode == 2
+    assert "field 'A': a leverage model needs n >= d, got 2 x 3" in res.stderr
+
+
 def test_repeat_invocations_are_byte_identical():
     args = ("optimize", "demo-leverage", "--restarts", "4", "--seed", "1")
     assert run_cli(*args).stdout == run_cli(*args).stdout

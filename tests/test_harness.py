@@ -114,6 +114,9 @@ def test_load_model_spec_matrix_diagnostics(tmp_path):
         load_model_spec(_write_spec(tmp_path, _valid_doc(A=[[1.0, 2.0], [3.0]])))
     with pytest.raises(InputFormatError, match=r"entry \[0\]\[1\] is not a number"):
         load_model_spec(_write_spec(tmp_path, _valid_doc(A=[[1.0, True], [0.0, 0.0]])))
+    wide = _valid_doc(family="leverage", A=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], M=None, constraint={"c": 0.5, "C": 2.0})
+    with pytest.raises(InputFormatError, match=r"model\.json: field 'A': a leverage model needs n >= d, got 2 x 3"):
+        load_model_spec(_write_spec(tmp_path, wide))
     # JSON has no inf literal, but 1e999 parses to one
     path = _write_spec(tmp_path, '{"family": "softmax", "A": [[1e999]], "constraint": {"E": 1}}')
     with pytest.raises(InputFormatError, match="non-finite"):
@@ -200,21 +203,19 @@ def test_named_instances():
 
 def test_experiment_spec_validation():
     model = gaussian_instance("softmax", 3, 2)
-    with pytest.raises(ValueError, match="kind"):
-        ExperimentSpec(kind="scan", model=model)
     with pytest.raises(ValueError, match="grid"):
-        ExperimentSpec(kind="sweep", model=model, eps_grid=())
+        ExperimentSpec(model=model, eps_grid=())
     with pytest.raises(ValueError, match="decreasing"):
-        ExperimentSpec(kind="sweep", model=model, eps_grid=(0.1, 0.2))
+        ExperimentSpec(model=model, eps_grid=(0.1, 0.2))
     with pytest.raises(ValueError, match="decreasing"):
-        ExperimentSpec(kind="sweep", model=model, eps_grid=(0.1, 0.1))
+        ExperimentSpec(model=model, eps_grid=(0.1, 0.1))
     with pytest.raises(ValueError, match="positive"):
-        ExperimentSpec(kind="sweep", model=model, eps_grid=(0.1, 0.0))
+        ExperimentSpec(model=model, eps_grid=(0.1, 0.0))
     with pytest.raises(ValueError):
-        ExperimentSpec(kind="sweep", model=model, trials=0)
+        ExperimentSpec(model=model, trials=0)
     with pytest.raises(ValueError):
-        ExperimentSpec(kind="sweep", model=model, threads=0)
-    spec = ExperimentSpec(kind="sweep", model=model, eps_grid=[0.2, 0.1])
+        ExperimentSpec(model=model, threads=0)
+    spec = ExperimentSpec(model=model, eps_grid=[0.2, 0.1])
     assert spec.eps_grid == (0.2, 0.1)
 
 
@@ -245,7 +246,6 @@ def test_write_csv_layout(tmp_path):
 def _small_sweep_spec(tmp_path=None, threads=1, out=None):
     model = gaussian_instance("softmax", 4, 2, seed=1)
     return ExperimentSpec(
-        kind="sweep",
         model=model,
         eps_grid=(0.3, 0.15),
         trials=60,
@@ -265,7 +265,7 @@ def test_run_sweep_rows_replay_individually():
     assert replay.h2_at_opt == original.h2_at_opt
     assert replay.m_star == original.m_star
     assert replay.success_at_m == original.success_at_m
-    assert replay.seed == original.seed  # seconds is the only field left out
+    assert replay.seed == original.seed
 
 
 def test_run_sweep_statistics_make_sense():
@@ -276,7 +276,6 @@ def test_run_sweep_statistics_make_sense():
         assert 0.0 < row.h2_at_opt < 1.0
         # m_star targets 2/3; an independent re-estimate can dip a little
         assert row.success_at_m >= 0.55
-        assert row.seconds > 0.0
     assert -4.0 < res.slope < -0.5
 
 
@@ -313,7 +312,7 @@ def test_sweep_csv_format(tmp_path):
 
 def test_run_sweep_single_point_grid_has_nan_fit():
     model = gaussian_instance("softmax", 4, 2, seed=1)
-    spec = ExperimentSpec(kind="sweep", model=model, eps_grid=(0.3,), trials=60, seed=9)
+    spec = ExperimentSpec(model=model, eps_grid=(0.3,), trials=60, seed=9)
     res = run_sweep(spec)
     assert math.isnan(res.slope) and math.isnan(res.intercept)
     assert res.rows_used == 1
@@ -345,21 +344,21 @@ def test_run_sweep_refuses_indistinguishable_directions():
     A = np.zeros((3, 2))
     M = np.ones((3, 1)) @ np.array([[1.0, -0.5]])
     model = ModelSpec("softmax", A, None, M, EnergyConstraint(1.0), seed=0)
-    spec = ExperimentSpec(kind="sweep", model=model, eps_grid=(0.2,), trials=30, opt=light)
+    spec = ExperimentSpec(model=model, eps_grid=(0.2,), trials=30, opt=light)
     with pytest.raises(IndistinguishableError):
         run_sweep(spec)
     # scaling A preserves the leverage law
     g = np.random.default_rng(0)
     A = g.standard_normal((4, 2))
     model = ModelSpec("leverage", A, None, A.copy(), BoxConstraint(0.5, 2.0), seed=0)
-    spec = ExperimentSpec(kind="sweep", model=model, eps_grid=(0.2,), trials=30, opt=light)
+    spec = ExperimentSpec(model=model, eps_grid=(0.2,), trials=30, opt=light)
     with pytest.raises(IndistinguishableError):
         run_sweep(spec)
 
 
 def test_run_sweep_needs_a_model():
     with pytest.raises(ValueError, match="model"):
-        run_sweep(ExperimentSpec(kind="sweep"))
+        run_sweep(ExperimentSpec())
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +375,7 @@ def _two_outcome_taylor():
         EnergyConstraint(1.0),
         seed=0,
     )
-    spec = ExperimentSpec(kind="taylor", model=model, seed=0)
+    spec = ExperimentSpec(model=model, seed=0)
     return run_taylor_check(spec, query=np.array([1.0]))
 
 
@@ -404,13 +403,13 @@ def test_taylor_softmax_degenerate_direction():
         EnergyConstraint(1.0),
         seed=0,
     )
-    rep = run_taylor_check(ExperimentSpec(kind="taylor", model=model, seed=0))
+    rep = run_taylor_check(ExperimentSpec(model=model, seed=0))
     assert rep.degenerate and rep.rows == ()
 
 
 def test_taylor_leverage_demo_coefficients():
     model = load_model_spec(str(ir.files("softlev") / "specs" / "demo_leverage.json"))
-    rep = run_taylor_check(ExperimentSpec(kind="taylor", model=model, seed=model.seed))
+    rep = run_taylor_check(ExperimentSpec(model=model, seed=model.seed))
     assert not rep.degenerate
     assert rep.derivative_ok
     assert rep.derivative_max_err < 1e-8
@@ -425,7 +424,7 @@ def test_taylor_leverage_demo_coefficients():
 def test_taylor_leverage_zero_direction_is_degenerate():
     model = gaussian_instance("leverage", 5, 2, seed=4)
     zeroed = ModelSpec("leverage", model.A, None, np.zeros_like(model.A), model.constraint, 4)
-    rep = run_taylor_check(ExperimentSpec(kind="taylor", model=zeroed, seed=4))
+    rep = run_taylor_check(ExperimentSpec(model=zeroed, seed=4))
     assert rep.degenerate
     assert rep.derivative_ok  # the derivative of nothing is zero, exactly
 
@@ -434,11 +433,11 @@ def test_taylor_default_query_is_admissible():
     # run_taylor_check validates its query against the model constraint, so
     # surviving these calls is the feasibility check
     soft = gaussian_instance("softmax", 4, 3, seed=11)
-    rep = run_taylor_check(ExperimentSpec(kind="taylor", model=soft, seed=11))
+    rep = run_taylor_check(ExperimentSpec(model=soft, seed=11))
     assert rep.query.shape == (3,)
     assert float(np.linalg.norm(rep.query)) <= 1.0 + 1e-9
     lev = gaussian_instance("leverage", 5, 2, seed=11)
-    rep = run_taylor_check(ExperimentSpec(kind="taylor", model=lev, seed=11))
+    rep = run_taylor_check(ExperimentSpec(model=lev, seed=11))
     assert rep.query.shape == (5,)
     assert ((rep.query**2 >= 0.5 - 1e-12) & (rep.query**2 <= 2.0 + 1e-12)).all()
 
@@ -449,7 +448,7 @@ def test_taylor_default_query_is_admissible():
 
 
 def test_bound_suite_clean_at_scale_one():
-    spec = ExperimentSpec(kind="bounds", instances=200, seed=0)
+    spec = ExperimentSpec(instances=200, seed=0)
     res = run_bound_suite(spec)
     assert res.strict_violations == 0
     assert all(r.satisfied for r in res.rows)
@@ -461,14 +460,14 @@ def test_bound_suite_clean_at_scale_one():
 
 
 def test_bound_suite_detects_corrupted_bounds():
-    spec = ExperimentSpec(kind="bounds", instances=60, seed=0)
+    spec = ExperimentSpec(instances=60, seed=0)
     res = run_bound_suite(spec, bound_scale=0.5)
     assert res.strict_violations > 0
     assert not res.all_tight
 
 
 def test_invariance_suite_clean():
-    spec = ExperimentSpec(kind="invariances", instances=150, seed=0)
+    spec = ExperimentSpec(instances=150, seed=0)
     rep = run_invariance_suite(spec)
     assert rep.all_ok
     names = {p.name for p in rep.properties}
@@ -508,7 +507,7 @@ def test_taylor_csv_smoke(tmp_path):
 
 
 def test_bounds_csv_smoke(tmp_path):
-    res = run_bound_suite(ExperimentSpec(kind="bounds", instances=5, seed=0))
+    res = run_bound_suite(ExperimentSpec(instances=5, seed=0))
     path = tmp_path / "bounds.csv"
     write_bounds_csv(path, res)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -522,7 +521,7 @@ def test_bounds_csv_smoke(tmp_path):
 
 
 def test_invariance_csv_smoke(tmp_path):
-    rep = run_invariance_suite(ExperimentSpec(kind="invariances", instances=10, seed=0))
+    rep = run_invariance_suite(ExperimentSpec(instances=10, seed=0))
     path = tmp_path / "inv.csv"
     write_invariance_csv(path, rep)
     lines = path.read_text(encoding="utf-8").splitlines()

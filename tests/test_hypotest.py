@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softlev.distributions import DiscreteDistribution
 from softlev.errors import (
@@ -15,7 +17,6 @@ from softlev.errors import (
 )
 from softlev.hypotest import (
     ModelOracle,
-    OracleSpec,
     estimate_sample_complexity,
     estimate_success,
     log_likelihood_ratio,
@@ -23,6 +24,7 @@ from softlev.hypotest import (
     run_test,
 )
 from softlev.leverage import BoxConstraint, leverage_pmf
+from softlev.model import ModelSpec
 from softlev.rng import derive_seed, generator
 from softlev.softmax import EnergyConstraint, softmax_pmf
 
@@ -31,7 +33,7 @@ BALL = EnergyConstraint(1.0)
 
 def _wide_pair():
     # two-outcome softmax pair with a logit gap of 2 in the first row
-    return OracleSpec("softmax", np.array([[0.0], [0.0]]), np.array([[2.0], [0.0]]), BALL)
+    return ModelSpec("softmax", np.array([[0.0], [0.0]]), np.array([[2.0], [0.0]]), None, BALL)
 
 
 def _dist(*p):
@@ -46,26 +48,64 @@ def _dist(*p):
 def test_spec_validation():
     A = np.zeros((2, 1))
     with pytest.raises(ValueError, match="family"):
-        OracleSpec("gaussian", A, A, BALL)
-    with pytest.raises(ShapeMismatch):
-        OracleSpec("softmax", A, np.zeros((3, 1)), BALL)
+        ModelSpec("gaussian", A, A, None, BALL)
+    with pytest.raises(ShapeMismatch, match="'B' shape"):
+        ModelSpec("softmax", A, np.zeros((3, 1)), None, BALL)
+    with pytest.raises(ShapeMismatch, match="'M' shape"):
+        ModelSpec("softmax", A, None, np.zeros((2, 2)), BALL)
     with pytest.raises(TypeError):
-        OracleSpec("softmax", A, A, BoxConstraint(0.5, 2.0))
+        ModelSpec("softmax", A, A, None, BoxConstraint(0.5, 2.0))
     with pytest.raises(TypeError):
-        OracleSpec("leverage", np.eye(2), np.eye(2), BALL)
+        ModelSpec("leverage", np.eye(2), np.eye(2), None, BALL)
+    with pytest.raises(ShapeMismatch, match="n >= d"):
+        ModelSpec("leverage", np.ones((2, 3)), None, None, BoxConstraint(0.5, 2.0))
+    wide = ModelSpec("softmax", np.ones((2, 3)), None, None, BALL)  # softmax has no n >= d rule
+    assert wide.A.shape == (2, 3)
+
+
+SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_spec_validation_property(data):
+    """Construction raises exactly when B or M mismatches A in shape, the
+    constraint is the other family's, or a leverage A has fewer rows than
+    columns."""
+    family = data.draw(st.sampled_from(["softmax", "leverage"]))
+    shape = data.draw(SHAPES)
+    b_shape, m_shape = (data.draw(st.none() | st.just(shape) | SHAPES) for _ in "BM")
+    constraint = data.draw(st.sampled_from([BALL, BoxConstraint(0.5, 2.0)]))
+    mismatch = any(s is not None and s != shape for s in (b_shape, m_shape))
+    wrong_class = isinstance(constraint, EnergyConstraint) != (family == "softmax")
+    wide = family == "leverage" and shape[0] < shape[1]
+
+    def build():
+        ones = [None if s is None else np.ones(s) for s in (b_shape, m_shape)]
+        return ModelSpec(family, np.ones(shape), *ones, constraint)
+
+    if mismatch or wrong_class or wide:
+        with pytest.raises((ShapeMismatch, TypeError)):
+            build()
+    else:
+        build()
 
 
 def test_spec_pmf_dispatches_per_branch_and_family():
     spec = _wide_pair()
     q = np.array([0.5])
-    assert np.array_equal(spec.pmf(0, q).probs, softmax_pmf(spec.params0, q).probs)
-    assert np.array_equal(spec.pmf(1, q).probs, softmax_pmf(spec.params1, q).probs)
+    assert np.array_equal(spec.pmf(0, q).probs, softmax_pmf(spec.A, q).probs)
+    assert np.array_equal(spec.pmf(1, q).probs, softmax_pmf(spec.B, q).probs)
 
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     B = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-    lev = OracleSpec("leverage", A, B, BoxConstraint(0.5, 2.0))
+    lev = ModelSpec("leverage", A, B, None, BoxConstraint(0.5, 2.0))
     s = np.array([1.0, 1.0, 1.0])
+    assert np.array_equal(lev.pmf(0, s).probs, leverage_pmf(A, s).probs)
     assert np.array_equal(lev.pmf(1, s).probs, leverage_pmf(B, s).probs)
+    # with only M, the second model is A + M
+    only_m = ModelSpec("leverage", A, None, B - A, BoxConstraint(0.5, 2.0))
+    assert np.array_equal(only_m.pmf(1, s).probs, leverage_pmf(A + (B - A), s).probs)
 
 
 def test_optimal_query_is_deterministic_and_feasible():
@@ -182,14 +222,14 @@ def test_run_test_decides_correctly_at_large_m():
 
 def test_run_test_identical_models_explicit_query():
     A = np.array([[1.0], [0.0]])
-    spec = OracleSpec("softmax", A, A.copy(), BALL)
+    spec = ModelSpec("softmax", A, A.copy(), None, BALL)
     rep = run_test(ModelOracle(spec, 0, seed=0), 10, query=np.array([0.5]))
     assert rep.decision == 0 and rep.llr == 0.0
 
 
 def test_run_test_identical_models_auto_query_refuses():
     A = np.array([[1.0], [0.0]])
-    spec = OracleSpec("softmax", A, A.copy(), BALL)
+    spec = ModelSpec("softmax", A, A.copy(), None, BALL)
     with pytest.raises(IndistinguishableError):
         run_test(ModelOracle(spec, 0, seed=0), 10)
 
@@ -245,7 +285,7 @@ def test_estimate_success_is_monotone_in_m_up_to_noise():
     g = generator(derive_seed(70, "mono"))
     A = g.standard_normal((4, 2))
     B = A + 0.5 * g.standard_normal((4, 2))
-    spec = OracleSpec("softmax", A, B, BALL)
+    spec = ModelSpec("softmax", A, B, None, BALL)
     s_small = estimate_success(spec, 2, 300, 7)
     s_large = estimate_success(spec, 8, 300, 7)
     assert s_large >= s_small - 0.06  # two Monte-Carlo standard errors
@@ -265,7 +305,7 @@ def test_sample_complexity_target_validation():
 
 def test_sample_complexity_identical_models_refuse():
     A = np.array([[1.0], [0.0]])
-    spec = OracleSpec("softmax", A, A.copy(), BALL)
+    spec = ModelSpec("softmax", A, A.copy(), None, BALL)
     with pytest.raises(IndistinguishableError):
         estimate_sample_complexity(spec, trials=10)
     # the explicit-query path has its own Hellinger gate
@@ -277,7 +317,7 @@ def test_sample_complexity_budget_cap():
     # a hairline gap needs far more than 8 samples
     A = np.array([[0.0], [0.0]])
     B = np.array([[1e-4], [0.0]])
-    spec = OracleSpec("softmax", A, B, BALL)
+    spec = ModelSpec("softmax", A, B, None, BALL)
     with pytest.raises(BudgetExceeded):
         estimate_sample_complexity(spec, trials=50, cap=8)
 
@@ -290,7 +330,7 @@ def test_sample_complexity_quarters_when_eps_halves():
     M = g.standard_normal((5, 3))
     ms = []
     for eps in (0.2, 0.1):
-        spec = OracleSpec("softmax", A, A + eps * M, BALL)
+        spec = ModelSpec("softmax", A, A + eps * M, None, BALL)
         ms.append(estimate_sample_complexity(spec, trials=400, seed=5))
     assert ms[1] > ms[0]
     assert 2.5 <= ms[1] / ms[0] <= 6.0

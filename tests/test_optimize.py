@@ -36,12 +36,6 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(step_init=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(grad_eps=-1e-6)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tol=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +177,14 @@ def test_leverage_argmax_is_a_feasible_scale_vector():
     BOX.check(res.argmax)  # must not raise
     sq = res.argmax**2
     assert sq.min() >= BOX.lo - 1e-9 and sq.max() <= BOX.hi + 1e-9
+
+
+def test_leverage_needs_at_least_as_many_rows_as_columns():
+    A = np.ones((2, 3))
+    with pytest.raises(ShapeMismatch, match=r"leverage model needs n >= d, got 2 x 3"):
+        max_hellinger_leverage(A, A + 0.1, BOX)
+    with pytest.raises(ShapeMismatch, match=r"leverage model needs n >= d, got 2 x 3"):
+        max_variance_leverage(A, A, BOX)
 
 
 def test_leverage_rank_deficiency_surfaces_from_corner_checks():
