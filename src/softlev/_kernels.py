@@ -12,8 +12,11 @@ solves run on ``(k, n, d)`` stacks, and sums run along the last axis.
 (``X @ A.T``, ``einsum`` and ``(p * v).sum(axis=1)`` in place of ``p @ v``
 reassociate and differ in the last bits.)
 
-The remaining kernels work on one vector or matrix.  Results are bitwise
-deterministic.
+``softmax_probs`` and ``h2_tv`` work along the last axis and
+``leverage_probs`` factors a ``(k, n, d)`` stack in one QR call, so one
+vector or matrix is the stack of one and every row of a stack is bitwise
+equal to that row alone.  ``leverage_w_parts`` and the remaining helpers
+take one vector or matrix.  Results are bitwise deterministic.
 
 Status codes returned by the leverage objectives:
 
@@ -35,24 +38,40 @@ STATUS_ZERO_LEVERAGE = 2
 
 
 # ---------------------------------------------------------------------------
-# single-vector and single-matrix kernels
+# pmf, distance and helper kernels
 # ---------------------------------------------------------------------------
 
 
-def softmax_probs(logits):
-    shifted = logits - logits.max()
+def _softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _at_most_one(x):
+    # A one-vector distance is a numpy float, which Python's min clamps for
+    # a fraction of what a ufunc call costs on a scalar.
+    return min(x, 1.0) if isinstance(x, float) else np.minimum(x, 1.0)
+
+
+def _h2(P, Q):
+    # 0.5 * sum (sqrt p - sqrt q)^2 equals 1 - sum sqrt(pq) but has no
+    # cancellation: identical inputs give an exact zero and tiny distances
+    # keep full relative accuracy.  A sum of squares cannot be negative, so
+    # only the upper end of [0, 1] needs clamping (likewise for TV).
+    # np.add.reduce is what ndarray.sum calls, minus a Python-level wrapper
+    # that would cost a one-vector call more than the arithmetic does.
+    r = np.sqrt(P) - np.sqrt(Q)
+    return _at_most_one(0.5 * np.add.reduce(r * r, axis=-1))
+
+
+# The objectives call the private names, so a caller that rebinds the public
+# kernel sees only the calls made from outside this module.
+softmax_probs = _softmax
 
 
 def h2_tv(p, q):
-    # 0.5 * sum (sqrt p - sqrt q)^2 equals 1 - sum sqrt(pq) but has no
-    # cancellation: identical inputs give an exact zero and tiny distances
-    # keep full relative accuracy.
-    r = np.sqrt(p) - np.sqrt(q)
-    h2 = 0.5 * (r * r).sum()
-    tv = 0.5 * np.abs(p - q).sum()
-    return min(max(h2, 0.0), 1.0), min(max(tv, 0.0), 1.0)
+    return _h2(p, q), _at_most_one(0.5 * np.add.reduce(np.abs(p - q), axis=-1))
 
 
 def weighted_mean(p, v):
@@ -94,13 +113,12 @@ def row_gram_gap(A, B):
     return float(op.sum())
 
 
-def leverage_probs(As):
-    n, d = As.shape
-    thresh = _RANK_RTOL * np.sqrt((As * As).sum(axis=1).max())
+def _checked_qr(As):
+    """Thin QR of each matrix in a stack, and whether it is numerically full rank."""
+    thresh = _RANK_RTOL * np.sqrt((As * As).sum(axis=-1).max(axis=-1))
     Q, R = np.linalg.qr(As)
-    ok = bool(np.abs(np.diag(R)).min() > thresh)
-    lev = (Q * Q).sum(axis=1)
-    return lev / d, lev, ok
+    ok = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1) > thresh
+    return Q, R, ok
 
 
 def leverage_w_parts(As, Ms):
@@ -109,11 +127,9 @@ def leverage_w_parts(As, Ms):
     Pi is the orthogonal projector onto the column space of As.  Everything
     is assembled from the thin factor Q, so no n-by-n matrix is ever formed.
     """
-    n, d = As.shape
-    thresh = _RANK_RTOL * np.sqrt((As * As).sum(axis=1).max())
-    Q, R = np.linalg.qr(As)
-    if np.abs(np.diag(R)).min() <= thresh:
-        z = np.zeros(n)
+    Q, R, ok = _checked_qr(As)
+    if not ok:
+        z = np.zeros(As.shape[0])
         return z, z, False
     F = np.linalg.solve(R.T, Ms.T).T  # Ms R^{-1} without forming the inverse
     G = Q.T @ F
@@ -136,37 +152,23 @@ def _dot(p, v):
     return (p[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _h2(P, Q):
-    r = np.sqrt(P) - np.sqrt(Q)
-    return np.clip(0.5 * (r * r).sum(axis=-1), 0.0, 1.0)
-
-
 def _variance(p, v):
     mean = _dot(p, v)
     d = v - mean[:, None]
     return _dot(p, d * d)
 
 
-def _checked_qr(As):
-    """Thin QR of each matrix in a stack, and whether it is numerically full rank."""
-    thresh = _RANK_RTOL * np.sqrt((As * As).sum(axis=-1).max(axis=-1))
-    Q, R = np.linalg.qr(As)
-    ok = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1) > thresh
-    return Q, R, ok
-
-
 def _leverage_stack(As):
-    """Leverage distribution of each matrix in a stack, and whether it is
-    numerically full rank.  Q is squared in place and freed on return, so
-    the Q factors of one stack are gone before the next stack is factored."""
+    """Leverage distribution and scores of each matrix in a stack, and
+    whether it is numerically full rank.  Q is squared in place and freed on
+    return, so the Q factors of one stack are gone before the next stack is
+    factored."""
     Q, _, ok = _checked_qr(As)
-    return np.square(Q, out=Q).sum(axis=-1) / As.shape[-1], ok
+    lev = np.square(Q, out=Q).sum(axis=-1)
+    return lev / As.shape[-1], lev, ok
+
+
+leverage_probs = _leverage_stack
 
 
 def softmax_h2_objective(A, B, X):
@@ -183,8 +185,8 @@ def leverage_h2_objective(A, B, U):
     """H^2 between the leverage distributions of diag(sqrt(u)) A and
     diag(sqrt(u)) B for each row u of U, and a status code per row."""
     r = np.sqrt(U)[:, :, None]
-    pa, ok_a = _leverage_stack(A * r)
-    pb, ok_b = _leverage_stack(B * r)
+    pa, _, ok_a = _leverage_stack(A * r)
+    pb, _, ok_b = _leverage_stack(B * r)
     ok = ok_a & ok_b
     return np.where(ok, _h2(pa, pb), 0.0), np.where(ok, STATUS_OK, STATUS_RANK_DEFICIENT)
 

@@ -272,7 +272,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=default_threads())
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=default_threads(),
+        help="threads over grid points; output is identical for any value, and more than 1 "
+        "gives no speedup (the work is many small numpy calls that hold the interpreter lock)",
+    )
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("verify", help="bound-falsification / invariance / expansion suites")

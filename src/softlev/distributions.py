@@ -14,37 +14,78 @@ _NEG_TOL = 1e-12  # entries below -_NEG_TOL are rejected; above, clamped to 0
 _SUM_TOL = 1e-9  # |sum - 1| beyond this is rejected rather than renormalized
 
 
+def _reject(rows, low):
+    """Raise the ValueError of the first invalid vector in a 2-D stack whose
+    negatives are clamped; ``low`` holds each vector's minimum before."""
+    for row, lo in zip(rows, low):
+        # clamping keeps NaN and +inf, and a -inf shows in lo
+        if not (np.isfinite(row).all() and np.isfinite(lo)):
+            raise ValueError("probabilities must be finite")
+        if lo < -_NEG_TOL:
+            raise ValueError(f"negative probability {lo!r}")
+        total = row.sum()
+        if abs(total - 1.0) > _SUM_TOL:
+            raise ValueError(f"probabilities sum to {total!r}, expected 1 within {_SUM_TOL}")
+
+
+def _normalize(p):
+    """Normalize in place the vectors along the last axis of a C-contiguous
+    float64 array, and return it (see :func:`normalize_probs`).
+
+    The checks and nudges loop over the rows as Python floats.  For the one
+    to ten rows that callers stack, that costs less than vectorised checks,
+    whose per-call overhead would dominate a one-vector call.
+    """
+    rows = p.reshape(-1, p.shape[-1])
+    # np.minimum.reduce and np.add.reduce are what ndarray.min and .sum
+    # call, minus a Python-level wrapper
+    low = np.minimum.reduce(rows, axis=-1)
+    np.maximum(rows, 0.0, out=rows)
+    total = np.add.reduce(rows, axis=-1, keepdims=True)
+    for lo, (tot,) in zip(low.tolist(), total.tolist()):
+        # NaN compares false, and an infinity leaves lo or tot out of range
+        if not (lo >= -_NEG_TOL and abs(tot - 1.0) <= _SUM_TOL):
+            _reject(rows, low)
+    rows /= total
+    for _ in range(3):
+        sums = np.add.reduce(rows, axis=-1).tolist()
+        if sums.count(1.0) == len(sums):
+            break
+        for i, t in enumerate(sums):
+            if t != 1.0:
+                row = rows[i]
+                row[row.argmax()] += 1.0 - t
+    return p
+
+
+def normalize_probs(probs) -> np.ndarray:
+    """A normalized float64 copy of probability vectors along the last axis.
+
+    Each vector has its tiny negatives clamped and anything worse rejected,
+    a sum within ``1e-9`` of one renormalized, and then its largest entry
+    nudged toward an exact float sum.  The nudge usually lands bitwise on
+    1.0 but cannot always: numpy's blocked summation can step over it, so
+    the sum is 1.0 to within 2 ulp.  The first bad vector raises the
+    ``ValueError`` it raises alone.
+    """
+    return _normalize(np.array(probs, dtype=np.float64, order="C"))
+
+
 class DiscreteDistribution:
     """An immutable probability vector whose float sum is 1.0 to within 2 ulp.
 
-    Construction clamps tiny negatives, rejects anything worse, renormalizes
-    sums within ``1e-9`` of one, and then nudges the largest entry toward an
-    exact float sum.  The nudge usually lands bitwise on 1.0 but cannot
-    always: numpy's blocked summation can step over it.  Within-2-ulp is the
-    contract; both downstream samplers (multinomial, inverse-CDF with a
-    clamped final bin) accept that.
+    Construction validates and normalizes the vector with
+    :func:`normalize_probs`.  Within-2-ulp is the contract; both downstream
+    samplers (multinomial, inverse-CDF with a clamped final bin) accept that.
     """
 
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        p = np.array(probs, dtype=np.float64, copy=True, order="C")
+        p = np.array(probs, dtype=np.float64, order="C")
         if p.ndim != 1 or p.size < 1:
             raise ShapeMismatch(f"probability vector must be 1-D and non-empty, got shape {p.shape}")
-        if not np.isfinite(p).all():
-            raise ValueError("probabilities must be finite")
-        if p.min() < -_NEG_TOL:
-            raise ValueError(f"negative probability {p.min()!r}")
-        np.maximum(p, 0.0, out=p)
-        total = p.sum()
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within {_SUM_TOL}")
-        p /= total
-        for _ in range(3):
-            resid = 1.0 - p.sum()
-            if resid == 0.0:
-                break
-            p[int(p.argmax())] += resid
+        _normalize(p)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

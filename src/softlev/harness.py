@@ -18,16 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
 from .distributions import DiscreteDistribution, hellinger_sq, tv
 from .errors import InputFormatError
 from .hypotest import estimate_sample_complexity, estimate_success
-from .leverage import BoxConstraint, leverage_pmf, leverage_pmf_derivative
+from .leverage import BoxConstraint, leverage_pmf, leverage_pmf_derivative, leverage_pmfs
 from .model import ModelSpec, get_family
 from .numerics import gram, min_eigenvalue, row_gram_gap, two_to_infty_norm
 from .optimize import OptimizerConfig
 from .rng import derive_seed, generator
-from .softmax import EnergyConstraint, softmax_pmf
+from .softmax import EnergyConstraint, softmax_pmf, softmax_pmfs
 
 TAYLOR_EPS = (1e-2, 1e-3, 1e-4)
 
@@ -501,6 +502,12 @@ def _random_distribution(g, n):
     return DiscreteDistribution(p / p.sum())
 
 
+def _softmax_pair(A, B, x):
+    """H^2 and TV between softmax(A x) and softmax(B x), as one (2, n) stack."""
+    h2, t = _kernels.h2_tv(*softmax_pmfs(np.stack([A @ x, B @ x])))
+    return float(h2), float(t)
+
+
 def _logit_pair_rows(seed, count, bound_scale):
     rows = []
     for k in range(count):
@@ -510,11 +517,10 @@ def _logit_pair_rows(seed, count, bound_scale):
         a = 2.0 * g.standard_normal(n)
         mask = g.random(n) < 0.5
         b = a + eps * mask
-        P = softmax_pmf(a[:, None], np.ones(1))
-        Q = softmax_pmf(b[:, None], np.ones(1))
+        h2, t = _softmax_pair(a[:, None], b[:, None], np.ones(1))
         params = {"eps": eps, "n": n, "m": int(mask.sum()), "seed": k}
-        rows.append(BoundReport("logit_gap_h2", params, bound_scale * lemma_h2_bound(eps), hellinger_sq(P, Q)))
-        rows.append(BoundReport("logit_gap_tv", params, bound_scale * lemma_tv_bound(eps), tv(P, Q)))
+        rows.append(BoundReport("logit_gap_h2", params, bound_scale * lemma_h2_bound(eps), h2))
+        rows.append(BoundReport("logit_gap_tv", params, bound_scale * lemma_tv_bound(eps), t))
     return rows
 
 
@@ -526,11 +532,10 @@ def _chain_rows(seed, count, bound_scale):
         eps = 2.0 * float(g.random())
         a = 2.0 * g.standard_normal(n)
         b = a + eps * (2.0 * g.random(n) - 1.0)  # ||a - b||_inf <= eps
-        P = softmax_pmf(a[:, None], np.ones(1))
-        Q = softmax_pmf(b[:, None], np.ones(1))
+        h2, t = _softmax_pair(a[:, None], b[:, None], np.ones(1))
         params = {"eps": eps, "n": n, "seed": k}
-        rows.append(BoundReport("infty_gap_h2_chain", params, bound_scale * lemma_h2_bound(2.0 * eps), hellinger_sq(P, Q)))
-        rows.append(BoundReport("infty_gap_tv_chain", params, bound_scale * 2.0 * lemma_tv_bound(eps), tv(P, Q)))
+        rows.append(BoundReport("infty_gap_h2_chain", params, bound_scale * lemma_h2_bound(2.0 * eps), h2))
+        rows.append(BoundReport("infty_gap_tv_chain", params, bound_scale * 2.0 * lemma_tv_bound(eps), t))
     return rows
 
 
@@ -540,11 +545,10 @@ def _extremal_rows(bound_scale):
         for n in (2, 5, 10):
             for m in sorted({1, n // 2}):
                 a, b = extremal_pair(n, m, eps)
-                P = softmax_pmf(a[:, None], np.ones(1))
-                Q = softmax_pmf(b[:, None], np.ones(1))
+                h2, t = _softmax_pair(a[:, None], b[:, None], np.ones(1))
                 params = {"eps": eps, "n": n, "m": m}
-                rows.append(BoundReport("extremal_h2", params, bound_scale * lemma_h2_bound(eps), hellinger_sq(P, Q)))
-                rows.append(BoundReport("extremal_tv", params, bound_scale * lemma_tv_bound(eps), tv(P, Q)))
+                rows.append(BoundReport("extremal_h2", params, bound_scale * lemma_h2_bound(eps), h2))
+                rows.append(BoundReport("extremal_tv", params, bound_scale * lemma_tv_bound(eps), t))
     return rows
 
 
@@ -566,10 +570,9 @@ def _softmax_envelope_rows(seed, count, bound_scale):
         rho = 0.5 * float(g.random())
         gap = rho / xnorm
         B = A + gap * D
-        P = softmax_pmf(A, x)
-        Q = softmax_pmf(B, x)
+        h2, _ = _softmax_pair(A, B, x)
         params = {"rho": rho, "n": n, "d": d, "seed": k}
-        rows.append(BoundReport("softmax_query_h2", params, bound_scale * rho * rho, hellinger_sq(P, Q)))
+        rows.append(BoundReport("softmax_query_h2", params, bound_scale * rho * rho, h2))
     return rows
 
 
@@ -608,12 +611,10 @@ def _leverage_envelope_rows(seed, count, bound_scale, queries_per_pair=10):
     rows = []
     for k in range(count):
         g, A, B, n, d, ratio = _leverage_envelope_pair(seed, k, box)
-        worst = 0.0
-        for _ in range(queries_per_pair):
-            s = np.sqrt(box.lo + g.random(n) * (box.hi - box.lo))
-            worst = max(worst, tv(leverage_pmf(A, s), leverage_pmf(B, s)))
+        S = np.sqrt(box.lo + g.random((queries_per_pair, n)) * (box.hi - box.lo))
+        _, tvs = _kernels.h2_tv(leverage_pmfs(A, S), leverage_pmfs(B, S))
         params = {"n": n, "d": d, "ratio": ratio, "seed": k}
-        rows.append(BoundReport("leverage_tv_envelope", params, bound_scale * 4.0 * ratio, worst))
+        rows.append(BoundReport("leverage_tv_envelope", params, bound_scale * 4.0 * ratio, float(tvs.max())))
     return rows
 
 
@@ -622,10 +623,9 @@ def _low_mass_rows(bound_scale, eps=0.1, energy=1.0):
     for n in (10, 100, 1000):
         model = low_mass_row_instance(n, d=2, energy=energy)
         x = np.array([energy, 0.0])  # aligned boundary query maximizes the gap
-        P = softmax_pmf(model.A, x)
-        Q = softmax_pmf(model.A + eps * model.M, x)
+        h2, _ = _softmax_pair(model.A, model.A + eps * model.M, x)
         params = {"n": n, "eps": eps, "E": energy}
-        rows.append(BoundReport("low_mass_h2", params, bound_scale * 2.0 * eps * eps * energy * energy / n, hellinger_sq(P, Q)))
+        rows.append(BoundReport("low_mass_h2", params, bound_scale * 2.0 * eps * eps * energy * energy / n, h2))
     return rows
 
 
@@ -730,7 +730,8 @@ def _shift_invariance(seed, count):
         w = g.standard_normal(d)
         x = g.standard_normal(d)
         B = A + np.outer(np.ones(n), w)
-        dev = float(np.abs(softmax_pmf(A, x).probs - softmax_pmf(B, x).probs).max())
+        P = softmax_pmfs(np.stack([A @ x, B @ x]))
+        dev = float(np.abs(P[0] - P[1]).max())
         worst = max(worst, dev)
     return worst
 
@@ -750,7 +751,8 @@ def _right_invariance(seed, count):
         V = np.linalg.qr(g.standard_normal((d, d)))[0]
         R = U @ np.diag(sing) @ V
         s = np.sqrt(0.5 + g.random(n) * 1.5)
-        dev = float(np.abs(leverage_pmf(A @ R, s).probs - leverage_pmf(A, s).probs).max())
+        P = leverage_pmfs(np.stack([A @ R, A]), s)
+        dev = float(np.abs(P[0] - P[1]).max())
         worst = max(worst, dev)
     return worst
 
@@ -764,14 +766,13 @@ def _sign_invariance(seed, count):
         A = g.standard_normal((n, d))
         s = np.sqrt(0.5 + g.random(n) * 1.5)
         flip = np.where(g.random(n) < 0.5, -1.0, 1.0)
-        dev = float(np.abs(leverage_pmf(A, s * flip).probs - leverage_pmf(A, s).probs).max())
+        P = leverage_pmfs(A, np.stack([s * flip, s]))
+        dev = float(np.abs(P[0] - P[1]).max())
         worst = max(worst, dev)
     return worst
 
 
 def _normalization(seed, count):
-    from . import _kernels
-
     worst = 0.0
     for k in range(count):
         g = generator(derive_seed(seed, "norm", k))

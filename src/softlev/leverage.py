@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .distributions import DiscreteDistribution, draw
+from .distributions import DiscreteDistribution, draw, normalize_probs
 from .errors import ConstraintViolation, RankDeficient, ShapeMismatch, ZeroLeverage
 from .numerics import as_matrix, as_vector
 
 _SLACK = 1e-12  # relative slack on the box bounds
+_DEFICIENT = "scaled matrix diag(s)^{-1} A is numerically rank-deficient"
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,10 @@ class ScaleQuery:
         self.s.setflags(write=False)
 
 
-def _scale_vector(query) -> np.ndarray:
+def _scale_vector(query, stack=False) -> np.ndarray:
     if isinstance(query, ScaleQuery):
         return query.s
-    s = as_vector(query, "scales")
+    s = as_vector(query, "scales", stack)
     if np.abs(s).min() == 0.0:
         raise ConstraintViolation("scales must be nonzero")
     return s
@@ -71,28 +72,47 @@ def _scale_vector(query) -> np.ndarray:
 
 def require_tall(A, name="leverage model"):
     """Raise ShapeMismatch unless A has at least as many rows as columns."""
-    n, d = A.shape
+    n, d = A.shape[-2:]
     if n < d:
         raise ShapeMismatch(f"{name} needs n >= d, got {n} x {d}")
 
 
-def _scaled(A, query, name="A"):
-    A = as_matrix(A, name)
-    s = _scale_vector(query)
-    n, d = A.shape
-    if s.size != n:
-        raise ShapeMismatch(f"scale length {s.size} does not match rows {n}")
+def _scaled(A, query, stack=False):
+    """diag(s)^{-1} A, validated; with ``stack``, A and s may be stacks that
+    broadcast against each other."""
+    A = as_matrix(A, "A", stack)
+    s = _scale_vector(query, stack)
+    n, d = A.shape[-2:]
+    if s.shape[-1] != n:
+        raise ShapeMismatch(f"scale length {s.shape[-1]} does not match rows {n}")
     require_tall(A)
-    return A / s[:, None], n, d
+    return A / s[..., None], n, d
+
+
+def _leverage_probs(As):
+    probs, _, ok = _kernels.leverage_probs(As)
+    if not np.all(ok):
+        raise RankDeficient(_DEFICIENT)
+    return probs
 
 
 def leverage_pmf(A, query) -> DiscreteDistribution:
     """Exact output distribution: i-th leverage score of diag(s)^{-1} A over d."""
     As, _, _ = _scaled(A, query)
-    probs, _, ok = _kernels.leverage_probs(As)
-    if not ok:
-        raise RankDeficient("scaled matrix diag(s)^{-1} A is numerically rank-deficient")
-    return DiscreteDistribution(probs)
+    return DiscreteDistribution(_leverage_probs(As))
+
+
+def leverage_pmfs(A, S) -> np.ndarray:
+    """Leverage distributions of diag(s)^{-1} A for a stack, from one QR call.
+
+    ``A`` is one ``(n, d)`` matrix or a ``(k, n, d)`` stack, ``S`` one scale
+    vector or a ``(k, n)`` stack; they broadcast against each other.  Row j
+    of the ``(k, n)`` result is bitwise equal to
+    ``leverage_pmf(A[j], S[j]).probs``, and a rank-deficient matrix anywhere
+    in the stack raises ``RankDeficient`` as ``leverage_pmf`` does.
+    """
+    As, _, _ = _scaled(A, S, stack=True)
+    return normalize_probs(_leverage_probs(As))
 
 
 def leverage_sample(A, query, seed: int, count: int) -> np.ndarray:
@@ -108,7 +128,7 @@ def _w_parts(A, M, query):
     s = _scale_vector(query)
     lev, wnum, ok = _kernels.leverage_w_parts(As, M / s[:, None])
     if not ok:
-        raise RankDeficient("scaled matrix diag(s)^{-1} A is numerically rank-deficient")
+        raise RankDeficient(_DEFICIENT)
     return lev, wnum, d
 
 

@@ -105,13 +105,17 @@ def get_family(name):
     return FAMILIES[name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """One or two concrete models of a family plus their query constraint.
 
     ``B`` and ``M`` are both optional: sweeps need the perturbation
     direction M (B is built per grid point as A + eps * M), while pairwise
     operations use B directly, falling back to A + M when only M is given.
+
+    Specs compare and hash by identity: two specs with equal matrices are
+    distinct objects, and a field-wise ``==`` on arrays has no single truth
+    value.
     """
 
     family: str

@@ -10,21 +10,25 @@ from . import _kernels
 from .errors import RankDeficient, ShapeMismatch
 
 
-def as_matrix(A, name: str = "matrix") -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array, validating finiteness."""
+def as_matrix(A, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a C-contiguous float64 2-D array, or with ``stack`` a stack
+    of them, validating finiteness."""
     arr = np.ascontiguousarray(A, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeMismatch(f"{name} must be 2-D with at least one row and column, got shape {arr.shape}")
+    if (arr.ndim < 2 if stack else arr.ndim != 2) or arr.size < 1:
+        kind = "2-D or a stack of 2-D" if stack else "2-D"
+        raise ShapeMismatch(f"{name} must be {kind} with at least one row and column, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a C-contiguous float64 1-D array, validating finiteness."""
+def as_vector(x, name: str = "vector", stack: bool = False) -> np.ndarray:
+    """Coerce to a C-contiguous float64 1-D array, or with ``stack`` a stack
+    of them, validating finiteness."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ShapeMismatch(f"{name} must be 1-D and non-empty, got shape {arr.shape}")
+    if (arr.ndim < 1 if stack else arr.ndim != 1) or arr.size < 1:
+        kind = "1-D or a stack of 1-D" if stack else "1-D"
+        raise ShapeMismatch(f"{name} must be {kind} and non-empty, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr

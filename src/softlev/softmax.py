@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .distributions import DiscreteDistribution, draw
+from .distributions import DiscreteDistribution, draw, normalize_probs
 from .errors import ConstraintViolation, ShapeMismatch
 from .numerics import as_matrix, as_vector
 
@@ -67,6 +67,15 @@ def softmax_pmf(A, query) -> DiscreteDistribution:
     if x.size != A.shape[1]:
         raise ShapeMismatch(f"query length {x.size} does not match parameter columns {A.shape[1]}")
     return DiscreteDistribution(_kernels.softmax_probs(A @ x))
+
+
+def softmax_pmfs(logits) -> np.ndarray:
+    """softmax of each row of a ``(k, n)`` logit stack, in one kernel call.
+
+    Row j is bitwise equal to ``softmax_pmf(A_j, x_j).probs`` when
+    ``logits[j]`` is ``A_j @ x_j``.
+    """
+    return normalize_probs(_kernels.softmax_probs(np.asarray(logits, dtype=np.float64)))
 
 
 def softmax_sample(A, query, seed: int, count: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from softlev.distributions import (
     draw,
     hellinger_sq,
     mean_under,
+    normalize_probs,
     tv,
     variance_under,
 )
@@ -77,6 +78,72 @@ def test_rejects_bad_shapes_and_values():
         DiscreteDistribution(np.ones((2, 2)) / 4)
     with pytest.raises(ValueError):
         DiscreteDistribution([np.nan, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# normalization of a stack, against the one-vector reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_normalize(probs):
+    """The one-vector normalization that normalize_probs replaced, verbatim."""
+    p = np.array(probs, dtype=np.float64, copy=True, order="C")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if p.min() < -1e-12:
+        raise ValueError(f"negative probability {p.min()!r}")
+    np.maximum(p, 0.0, out=p)
+    total = p.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {1e-09}")
+    p /= total
+    for _ in range(3):
+        resid = 1.0 - p.sum()
+        if resid == 0.0:
+            break
+        p[int(p.argmax())] += resid
+    return p
+
+
+def _awkward_rows(g, k, n):
+    """Rows with exact zeros, clampable negatives and sums off by up to 5e-10."""
+    P = g.random((k, n)) + 1e-9
+    P[g.random((k, n)) < 0.2] = 0.0
+    P[:, 0] += 0.1  # no row is all zero
+    P *= (1.0 + 5e-10 * (2.0 * g.random((k, 1)) - 1.0)) / P.sum(axis=-1, keepdims=True)
+    P[(g.random((k, n)) < 0.1) & (P == 0.0)] = -1e-13
+    return P
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_normalize_probs_rows_equal_one_vector_normalization(n):
+    g = generator(derive_seed(20, "stack", n))
+    P = _awkward_rows(g, 400, n)
+    stacked = normalize_probs(P)
+    assert stacked.shape == P.shape
+    for row, out in zip(P, stacked):
+        assert out.tobytes() == _ref_normalize(row).tobytes()
+        assert out.tobytes() == DiscreteDistribution(row).probs.tobytes()
+    # a stack of stacks is the same rows
+    assert normalize_probs(P.reshape(20, 20, n)).tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, -1e-11, "sum"])
+def test_normalize_probs_raises_what_the_first_bad_row_raises_alone(bad):
+    P = _awkward_rows(generator(derive_seed(20, "bad")), 4, 5)
+    if bad == "sum":
+        P[2] *= 1.0 + 1e-8
+    else:
+        P[2, 1] = bad
+    P[3, 2] = -1e-11 if bad is np.nan else np.nan  # a later row fails differently
+    with pytest.raises(ValueError) as alone:
+        _ref_normalize(P[2])
+    with pytest.raises(ValueError) as stacked:
+        normalize_probs(P)
+    with pytest.raises(ValueError) as single:
+        DiscreteDistribution(P[2])
+    assert type(stacked.value) is type(single.value) is type(alone.value)
+    assert str(stacked.value) == str(single.value) == str(alone.value)
 
 
 # ---------------------------------------------------------------------------

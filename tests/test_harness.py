@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from softlev import harness
+from softlev.bounds import BoundReport
+from softlev.distributions import hellinger_sq, tv
 from softlev.errors import BudgetExceeded, IndistinguishableError, InputFormatError
 from softlev.harness import (
     ExperimentSpec,
@@ -28,9 +30,10 @@ from softlev.harness import (
     write_invariance_csv,
     write_taylor_csv,
 )
-from softlev.leverage import BoxConstraint
+from softlev.leverage import BoxConstraint, leverage_pmf
 from softlev.optimize import OptimizerConfig
-from softlev.softmax import EnergyConstraint
+from softlev.rng import derive_seed, generator
+from softlev.softmax import EnergyConstraint, softmax_pmf
 
 
 def _write_spec(tmp_path, doc, name="model.json"):
@@ -486,6 +489,108 @@ def test_invariance_suite_clean():
     assert all(p.violations == 0 for p in rep.properties)
     with pytest.raises(KeyError):
         rep.by_name("associativity")
+
+
+# ---------------------------------------------------------------------------
+# stacked suites against their one-pmf-at-a-time references
+# ---------------------------------------------------------------------------
+#
+# The suites evaluate their output distributions as stacks.  The functions
+# below are the loops they replaced, kept as the oracle: one softmax_pmf or
+# leverage_pmf call per model, one scale vector drawn per query.
+
+
+def _ref_softmax_pair(A, B, x):
+    P, Q = softmax_pmf(A, x), softmax_pmf(B, x)
+    return hellinger_sq(P, Q), tv(P, Q)
+
+
+def _ref_leverage_envelope_rows(seed, count, bound_scale, queries_per_pair=10):
+    box = BoxConstraint(0.5, 2.0)
+    rows = []
+    for k in range(count):
+        g, A, B, n, d, ratio = harness._leverage_envelope_pair(seed, k, box)
+        worst = 0.0
+        for _ in range(queries_per_pair):
+            s = np.sqrt(box.lo + g.random(n) * (box.hi - box.lo))
+            worst = max(worst, tv(leverage_pmf(A, s), leverage_pmf(B, s)))
+        params = {"n": n, "d": d, "ratio": ratio, "seed": k}
+        rows.append(BoundReport("leverage_tv_envelope", params, bound_scale * 4.0 * ratio, worst))
+    return rows
+
+
+def _ref_shift_invariance(seed, count):
+    worst = 0.0
+    for k in range(count):
+        g = generator(derive_seed(seed, "shift", k))
+        n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
+        A = g.standard_normal((n, d))
+        w = g.standard_normal(d)
+        x = g.standard_normal(d)
+        B = A + np.outer(np.ones(n), w)
+        worst = max(worst, float(np.abs(softmax_pmf(A, x).probs - softmax_pmf(B, x).probs).max()))
+    return worst
+
+
+def _ref_right_invariance(seed, count):
+    worst = 0.0
+    for k in range(count):
+        g = generator(derive_seed(seed, "right", k))
+        d = int(g.integers(1, 5))
+        n = int(g.integers(d + 1, 10))
+        A = g.standard_normal((n, d))
+        kappa = 10.0 ** (3.0 * float(g.random()))
+        sing = np.exp(np.linspace(-0.5, 0.5, d) * math.log(kappa)) if d > 1 else np.ones(1)
+        U = np.linalg.qr(g.standard_normal((d, d)))[0]
+        V = np.linalg.qr(g.standard_normal((d, d)))[0]
+        R = U @ np.diag(sing) @ V
+        s = np.sqrt(0.5 + g.random(n) * 1.5)
+        worst = max(worst, float(np.abs(leverage_pmf(A @ R, s).probs - leverage_pmf(A, s).probs).max()))
+    return worst
+
+
+def _ref_sign_invariance(seed, count):
+    worst = 0.0
+    for k in range(count):
+        g = generator(derive_seed(seed, "sign", k))
+        d = int(g.integers(1, 5))
+        n = int(g.integers(d + 1, 10))
+        A = g.standard_normal((n, d))
+        s = np.sqrt(0.5 + g.random(n) * 1.5)
+        flip = np.where(g.random(n) < 0.5, -1.0, 1.0)
+        worst = max(worst, float(np.abs(leverage_pmf(A, s * flip).probs - leverage_pmf(A, s).probs).max()))
+    return worst
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _row_key(row):
+    params = {k: _bits(v) if isinstance(v, float) else v for k, v in row.parameters.items()}
+    return row.bound_name, params, _bits(row.bound_value), _bits(row.observed_value)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_bound_suite_rows_equal_per_pmf_reference(seed, monkeypatch):
+    spec = ExperimentSpec(instances=50, seed=seed)
+    stacked = run_bound_suite(spec).rows
+    monkeypatch.setattr(harness, "_softmax_pair", _ref_softmax_pair)
+    monkeypatch.setattr(harness, "_leverage_envelope_rows", _ref_leverage_envelope_rows)
+    reference = run_bound_suite(spec).rows
+    assert len(stacked) == len(reference) > 6 * 50
+    assert [_row_key(r) for r in stacked] == [_row_key(r) for r in reference]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_invariance_suite_deviations_equal_per_pmf_reference(seed):
+    rep = run_invariance_suite(ExperimentSpec(instances=50, seed=seed))
+    for name, reference in [
+        ("shift_invariance", _ref_shift_invariance),
+        ("right_invariance", _ref_right_invariance),
+        ("sign_invariance", _ref_sign_invariance),
+    ]:
+        assert _bits(rep.by_name(name).max_deviation) == _bits(reference(seed, 50)), name
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from softlev.hypotest import (
     run_test,
 )
 from softlev.leverage import BoxConstraint, leverage_pmf
+from softlev.harness import ExperimentSpec
 from softlev.model import ModelSpec
 from softlev.rng import derive_seed, generator
 from softlev.softmax import EnergyConstraint, softmax_pmf
@@ -89,6 +90,19 @@ def test_spec_validation_property(data):
             build()
     else:
         build()
+
+
+def test_specs_compare_and_hash_by_identity():
+    a = ModelSpec("softmax", np.eye(2), 2.0 * np.eye(2), None, BALL)
+    b = ModelSpec("softmax", np.eye(2), 2.0 * np.eye(2), None, BALL)  # equal values
+    assert a == a and not (a != a)
+    assert a != b and not (a == b)
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+    assert a in [b, a] and a not in [b]
+    assert ExperimentSpec(model=a) == ExperimentSpec(model=a)
+    assert ExperimentSpec(model=a) != ExperimentSpec(model=b)
+    assert hash(ExperimentSpec(model=a)) == hash(ExperimentSpec(model=a))
 
 
 def test_spec_pmf_dispatches_per_branch_and_family():

@@ -109,6 +109,33 @@ def test_stacked_leverage_statuses_match_row_by_row():
     ]
 
 
+def test_last_axis_kernels_equal_their_rows():
+    g = generator(derive_seed(314, "last-axis"))
+    for n in (1, 2, 7, 8, 9, 130, 1000):
+        L = 5.0 * g.standard_normal((6, n))
+        P = _kernels.softmax_probs(L)
+        for row, logits in zip(P, L):
+            assert row.tobytes() == _kernels.softmax_probs(logits).tobytes()
+        h2, t = _kernels.h2_tv(P[:3], P[3:])
+        for i in range(3):
+            h2_i, t_i = _kernels.h2_tv(P[i], P[3 + i])
+            assert (h2[i], t[i]) == (h2_i, t_i)
+
+
+def test_leverage_probs_stack_equals_each_matrix():
+    A = padded_identity_instance(6, 3).A
+    deficient = A.copy()
+    deficient[2] = 0.0
+    g = generator(derive_seed(314, "lev-stack"))
+    stack = np.stack([A * r for r in np.sqrt(0.5 + 1.5 * g.random((4, 6)))[:, :, None]] + [deficient])
+    probs, lev, ok = _kernels.leverage_probs(stack)
+    assert ok.tolist() == [True, True, True, True, False]
+    for i, As in enumerate(stack):
+        p1, l1, ok1 = _kernels.leverage_probs(As)
+        assert probs[i].tobytes() == p1.tobytes() and lev[i].tobytes() == l1.tobytes()
+        assert ok1 == ok[i]
+
+
 def test_backend_constant_is_consistent():
     assert _kernels.BACKEND == "numpy"
 

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from softlev.errors import ConstraintViolation, RankDeficient, ShapeMismatch, ZeroLeverage
+from softlev.harness import padded_identity_instance
 from softlev.leverage import (
     BoxConstraint,
     ScaleQuery,
     leverage_pmf,
     leverage_pmf_derivative,
+    leverage_pmfs,
     leverage_sample,
     leverage_w,
 )
@@ -95,6 +97,49 @@ def test_pmf_shape_requirements():
         leverage_pmf(np.eye(2), [1.0, 1.0, 1.0])
     with pytest.raises(ShapeMismatch):
         leverage_pmf(np.ones((2, 3)), [1.0, 1.0])  # wide matrices have no leverage law
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (6, 2), (9, 3), (33, 7)])
+def test_stacked_pmfs_equal_leverage_pmf_row_by_row(n, d):
+    g = generator(derive_seed(44, "stack", n, d))
+    A = g.standard_normal((n, d))
+    S = np.sqrt(0.5 + 1.5 * g.random((10, n)))
+    S[::3] *= -1.0  # signs are free
+    for row, s in zip(leverage_pmfs(A, S), S):
+        assert row.tobytes() == leverage_pmf(A, s).probs.tobytes()
+    # a stack of matrices under one scale vector
+    As = np.stack([A, A @ g.standard_normal((d, d)), 2.0 * A])
+    for row, Ai in zip(leverage_pmfs(As, S[0]), As):
+        assert row.tobytes() == leverage_pmf(Ai, S[0]).probs.tobytes()
+
+
+def test_stacked_pmfs_raise_like_leverage_pmf():
+    A = padded_identity_instance(5, 2).A
+    deficient = A.copy()
+    deficient[1] = 0.0  # the second identity row: rank 1
+    s = np.ones(5)
+    with pytest.raises(RankDeficient) as alone:
+        leverage_pmf(deficient, s)
+    with pytest.raises(RankDeficient) as stacked:
+        leverage_pmfs(np.stack([A, deficient, A]), s)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ShapeMismatch):
+        leverage_pmfs(A, np.ones((2, 4)))
+    with pytest.raises(ShapeMismatch, match="n >= d"):
+        leverage_pmfs(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ConstraintViolation, match="nonzero"):
+        leverage_pmfs(A, np.array([[1.0, 1.0, 0.0, 1.0, 1.0]]))
+    # non-finite input is named as such, not reported as a deficient matrix
+    bad_s = np.ones((3, 5))
+    bad_s[1, 2] = np.nan
+    bad_A = np.stack([A, A])
+    bad_A[0, 0, 0] = np.inf
+    for stacked_args, alone_args in (((A, bad_s), (A, bad_s[1])), ((bad_A, s), (bad_A[0], s))):
+        with pytest.raises(ValueError, match="non-finite") as alone:
+            leverage_pmf(*alone_args)
+        with pytest.raises(ValueError, match="non-finite") as stacked:
+            leverage_pmfs(*stacked_args)
+        assert str(stacked.value) == str(alone.value)
 
 
 def test_right_invariance():

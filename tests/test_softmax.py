@@ -10,7 +10,7 @@ from softlev.distributions import hellinger_sq, tv
 from softlev.errors import ConstraintViolation, ShapeMismatch
 from softlev.numerics import two_to_infty_norm
 from softlev.rng import derive_seed, generator
-from softlev.softmax import EnergyConstraint, SoftmaxQuery, softmax_pmf, softmax_sample
+from softlev.softmax import EnergyConstraint, SoftmaxQuery, softmax_pmf, softmax_pmfs, softmax_sample
 
 
 def test_energy_constraint_accepts_boundary_and_rejects_beyond():
@@ -75,6 +75,18 @@ def test_overwhelming_logit_is_shift_stable():
 def test_pmf_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         softmax_pmf(np.zeros((3, 2)), [1.0, 2.0, 3.0])
+
+
+def test_stacked_pmfs_equal_softmax_pmf_row_by_row():
+    for k in range(2000):
+        g = generator(derive_seed(32, "stack", k))
+        n, d = int(g.integers(1, 12)), int(g.integers(1, 6))
+        A = 3.0 * g.standard_normal((n, d))
+        B = A + g.standard_normal((n, d))
+        x = g.standard_normal(d)
+        P, Q = softmax_pmfs(np.stack([A @ x, B @ x]))
+        assert P.tobytes() == softmax_pmf(A, x).probs.tobytes()
+        assert Q.tobytes() == softmax_pmf(B, x).probs.tobytes()
 
 
 def test_shift_invariance():
