@@ -11,7 +11,6 @@ compute in any order, but rows are buffered and written in grid order.
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -508,7 +507,7 @@ def _softmax_pair(A, B, x):
     return float(h2), float(t)
 
 
-def _logit_pair_rows(seed, count, bound_scale):
+def _logit_pair_rows(seed, count):
     rows = []
     for k in range(count):
         g = generator(derive_seed(seed, "gap", k))
@@ -519,12 +518,12 @@ def _logit_pair_rows(seed, count, bound_scale):
         b = a + eps * mask
         h2, t = _softmax_pair(a[:, None], b[:, None], np.ones(1))
         params = {"eps": eps, "n": n, "m": int(mask.sum()), "seed": k}
-        rows.append(BoundReport("logit_gap_h2", params, bound_scale * lemma_h2_bound(eps), h2))
-        rows.append(BoundReport("logit_gap_tv", params, bound_scale * lemma_tv_bound(eps), t))
+        rows.append(BoundReport("logit_gap_h2", params, lemma_h2_bound(eps), h2))
+        rows.append(BoundReport("logit_gap_tv", params, lemma_tv_bound(eps), t))
     return rows
 
 
-def _chain_rows(seed, count, bound_scale):
+def _chain_rows(seed, count):
     rows = []
     for k in range(count):
         g = generator(derive_seed(seed, "chain", k))
@@ -534,12 +533,12 @@ def _chain_rows(seed, count, bound_scale):
         b = a + eps * (2.0 * g.random(n) - 1.0)  # ||a - b||_inf <= eps
         h2, t = _softmax_pair(a[:, None], b[:, None], np.ones(1))
         params = {"eps": eps, "n": n, "seed": k}
-        rows.append(BoundReport("infty_gap_h2_chain", params, bound_scale * lemma_h2_bound(2.0 * eps), h2))
-        rows.append(BoundReport("infty_gap_tv_chain", params, bound_scale * 2.0 * lemma_tv_bound(eps), t))
+        rows.append(BoundReport("infty_gap_h2_chain", params, lemma_h2_bound(2.0 * eps), h2))
+        rows.append(BoundReport("infty_gap_tv_chain", params, 2.0 * lemma_tv_bound(eps), t))
     return rows
 
 
-def _extremal_rows(bound_scale):
+def _extremal_rows():
     rows = []
     for eps in (0.1, 0.5, 1.0, 2.0):
         for n in (2, 5, 10):
@@ -547,12 +546,12 @@ def _extremal_rows(bound_scale):
                 a, b = extremal_pair(n, m, eps)
                 h2, t = _softmax_pair(a[:, None], b[:, None], np.ones(1))
                 params = {"eps": eps, "n": n, "m": m}
-                rows.append(BoundReport("extremal_h2", params, bound_scale * lemma_h2_bound(eps), h2))
-                rows.append(BoundReport("extremal_tv", params, bound_scale * lemma_tv_bound(eps), t))
+                rows.append(BoundReport("extremal_h2", params, lemma_h2_bound(eps), h2))
+                rows.append(BoundReport("extremal_tv", params, lemma_tv_bound(eps), t))
     return rows
 
 
-def _softmax_envelope_rows(seed, count, bound_scale):
+def _softmax_envelope_rows(seed, count):
     # H^2 <= 1.0 * (gap * ||x||)^2 whenever gap * ||x|| <= 1/2, with
     # gap the max row norm of B - A (measured envelope constant 1.0).
     rows = []
@@ -572,7 +571,7 @@ def _softmax_envelope_rows(seed, count, bound_scale):
         B = A + gap * D
         h2, _ = _softmax_pair(A, B, x)
         params = {"rho": rho, "n": n, "d": d, "seed": k}
-        rows.append(BoundReport("softmax_query_h2", params, bound_scale * rho * rho, h2))
+        rows.append(BoundReport("softmax_query_h2", params, rho * rho, h2))
     return rows
 
 
@@ -604,7 +603,7 @@ def _leverage_envelope_pair(seed, k, box):
     raise RuntimeError(f"could not draw a well-conditioned leverage pair for index {k}")  # pragma: no cover
 
 
-def _leverage_envelope_rows(seed, count, bound_scale, queries_per_pair=10):
+def _leverage_envelope_rows(seed, count, queries_per_pair=10):
     # TV <= 4 * eps C / (c delta) whenever eps C / (c delta) <= 0.1, with
     # eps the row-gram gap and delta = lambda_min(A^T A).
     box = BoxConstraint(0.5, 2.0)
@@ -614,18 +613,18 @@ def _leverage_envelope_rows(seed, count, bound_scale, queries_per_pair=10):
         S = np.sqrt(box.lo + g.random((queries_per_pair, n)) * (box.hi - box.lo))
         _, tvs = _kernels.h2_tv(leverage_pmfs(A, S), leverage_pmfs(B, S))
         params = {"n": n, "d": d, "ratio": ratio, "seed": k}
-        rows.append(BoundReport("leverage_tv_envelope", params, bound_scale * 4.0 * ratio, float(tvs.max())))
+        rows.append(BoundReport("leverage_tv_envelope", params, 4.0 * ratio, float(tvs.max())))
     return rows
 
 
-def _low_mass_rows(bound_scale, eps=0.1, energy=1.0):
+def _low_mass_rows(eps=0.1, energy=1.0):
     rows = []
     for n in (10, 100, 1000):
         model = low_mass_row_instance(n, d=2, energy=energy)
         x = np.array([energy, 0.0])  # aligned boundary query maximizes the gap
         h2, _ = _softmax_pair(model.A, model.A + eps * model.M, x)
         params = {"n": n, "eps": eps, "E": energy}
-        rows.append(BoundReport("low_mass_h2", params, bound_scale * 2.0 * eps * eps * energy * energy / n, h2))
+        rows.append(BoundReport("low_mass_h2", params, 2.0 * eps * eps * energy * energy / n, h2))
     return rows
 
 
@@ -634,20 +633,16 @@ _ENVELOPE_FAMILIES = ("softmax_query_h2", "leverage_tv_envelope", "low_mass_h2")
 _TIGHT_TOL = 1e-9
 
 
-def run_bound_suite(spec: ExperimentSpec, bound_scale: float = 1.0) -> BoundSuiteResult:
+def run_bound_suite(spec: ExperimentSpec) -> BoundSuiteResult:
     """Randomized falsification of every closed-form bound plus the two
-    model-level envelopes and the low-mass construction.
-
-    ``bound_scale`` multiplies every bound value; it exists so failure paths
-    can be exercised deliberately (scale < 1 corrupts the bounds).
-    """
+    model-level envelopes and the low-mass construction."""
     rows = []
-    rows += _logit_pair_rows(spec.seed, spec.instances, bound_scale)
-    rows += _chain_rows(spec.seed, spec.instances, bound_scale)
-    rows += _extremal_rows(bound_scale)
-    rows += _softmax_envelope_rows(spec.seed, spec.instances, bound_scale)
-    rows += _leverage_envelope_rows(spec.seed, spec.instances, bound_scale)
-    rows += _low_mass_rows(bound_scale)
+    rows += _logit_pair_rows(spec.seed, spec.instances)
+    rows += _chain_rows(spec.seed, spec.instances)
+    rows += _extremal_rows()
+    rows += _softmax_envelope_rows(spec.seed, spec.instances)
+    rows += _leverage_envelope_rows(spec.seed, spec.instances)
+    rows += _low_mass_rows()
 
     strict = tuple(r.bound_name in _STRICT_FAMILIES for r in rows)
     tight = tuple(
@@ -844,7 +839,3 @@ def write_invariance_csv(path, report: InvarianceReport):
         cells,
         footers=(f"all_ok {int(report.all_ok)}",),
     )
-
-
-def default_threads() -> int:
-    return max(os.cpu_count() or 1, 1)

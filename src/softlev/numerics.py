@@ -94,8 +94,7 @@ def thin_qr(A):
     n, d = A.shape
     if n < d:
         raise ShapeMismatch(f"thin QR needs n >= d, got {n} x {d}")
-    Q, R = np.linalg.qr(A)
-    thresh = _kernels._RANK_RTOL * two_to_infty_norm(A)
-    if np.abs(np.diag(R)).min() <= thresh:
+    Q, R, ok = _kernels._checked_qr(A)
+    if not ok:
         raise RankDeficient(f"matrix is numerically rank-deficient (min |R_kk| = {np.abs(np.diag(R)).min():.3e})")
     return Q, R

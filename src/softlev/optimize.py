@@ -10,6 +10,7 @@ reported value is the objective re-evaluated at the reported point.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -104,6 +105,8 @@ def _ascend(F, project, x0, cfg):
 
 
 def _multistart(F, project, starts, cfg):
+    """Ascend from every start; returns (x, F(x), iterations summed over all
+    restarts, converged) of the best restart."""
     best = None
     total_iters = 0
     for x0 in starts:
@@ -112,103 +115,61 @@ def _multistart(F, project, starts, cfg):
         if best is None or fx > best[1]:  # strict: ties keep the earliest restart
             best = (x, fx, conv)
     x, fx, conv = best
-    return OptResult(
-        argmax=x,
-        value=fx,
-        iterations_used=total_iters,
-        restarts_used=cfg.restarts,
-        converged=conv,
-    )
+    return x, fx, total_iters, conv
 
 
 # ---------------------------------------------------------------------------
-# softmax objectives (energy ball)
+# feasible sets: objective wrapper, projector, starts, and the map from the
+# point ascended to the model's query
 # ---------------------------------------------------------------------------
 
 
-def _ball_projector(limit):
-    def project(x):
+class _Ball:
+    """The energy ball ||x||_2 <= E of softmax queries, worked in x itself."""
+
+    def __init__(self, constraint, A, gap):
+        self.limit = constraint.limit
+        self.gap = gap
+
+    @staticmethod
+    def objective(kernel, A, X):
+        return partial(kernel, A, X)
+
+    def project(self, x):
         norm = float(np.linalg.norm(x))
-        if norm > limit:
-            return x * (limit / norm)
+        if norm > self.limit:
+            return x * (self.limit / norm)
         return x
 
-    return project
+    def starts(self, F, cfg):
+        """First start: the boundary point aligned with the largest row of
+        the gap/direction matrix (distances between nearby softmax models
+        grow toward the boundary, and the largest row dominates).  Rest:
+        uniform in the ball, seeded per restart index."""
+        limit, d = self.limit, self.gap.shape[1]
+        row_norms = (self.gap * self.gap).sum(axis=1)
+        top = self.gap[int(row_norms.argmax())]
+        if row_norms.max() > 0:
+            yield top * (limit / math.sqrt(row_norms.max()))
+        else:
+            e0 = np.zeros(d)
+            e0[0] = limit
+            yield e0
+        for k in range(1, cfg.restarts):
+            gen = generator(derive_seed(cfg.seed, "restart", k))
+            g = gen.standard_normal(d)
+            gn = float(np.linalg.norm(g))
+            if gn == 0.0:
+                g = np.zeros(d)
+                g[0] = 1.0
+                gn = 1.0
+            radius = limit * gen.random() ** (1.0 / d)
+            yield g * (radius / gn)
 
+    @staticmethod
+    def query(x):
+        return x
 
-def _ball_starts(direction_matrix, limit, d, cfg):
-    """First start: the boundary point aligned with the largest row of the
-    gap/direction matrix (distances between nearby softmax models grow
-    toward the boundary, and the largest row dominates).  Rest: uniform in
-    the ball, seeded per restart index."""
-    row_norms = (direction_matrix * direction_matrix).sum(axis=1)
-    top = direction_matrix[int(row_norms.argmax())]
-    if row_norms.max() > 0:
-        yield top * (limit / math.sqrt(row_norms.max()))
-    else:
-        e0 = np.zeros(d)
-        e0[0] = limit
-        yield e0
-    for k in range(1, cfg.restarts):
-        gen = generator(derive_seed(cfg.seed, "restart", k))
-        g = gen.standard_normal(d)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            g = np.zeros(d)
-            g[0] = 1.0
-            gn = 1.0
-        radius = limit * gen.random() ** (1.0 / d)
-        yield g * (radius / gn)
-
-
-def max_hellinger_softmax(A, B, constraint, config=None) -> OptResult:
-    """Maximize the Hellinger distance between softmax(A x) and softmax(B x)
-    over the energy ball.  The reported value is H (not H^2)."""
-    cfg = config or OptimizerConfig()
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ShapeMismatch(f"A and B must share a shape, got {A.shape} vs {B.shape}")
-    limit = constraint.limit
-
-    def F(X):
-        return _kernels.softmax_h2_objective(A, B, X)
-
-    res = _multistart(F, _ball_projector(limit), _ball_starts(A - B, limit, A.shape[1], cfg), cfg)
-    return OptResult(
-        argmax=res.argmax,
-        value=math.sqrt(max(_at(F, res.argmax), 0.0)),
-        iterations_used=res.iterations_used,
-        restarts_used=res.restarts_used,
-        converged=res.converged,
-    )
-
-
-def max_variance_softmax(A, M, constraint, config=None) -> OptResult:
-    """Maximize Var_{softmax(A x)}(M x) over the energy ball."""
-    cfg = config or OptimizerConfig()
-    A = as_matrix(A, "A")
-    M = as_matrix(M, "M")
-    if A.shape != M.shape:
-        raise ShapeMismatch(f"A and M must share a shape, got {A.shape} vs {M.shape}")
-    limit = constraint.limit
-
-    def F(X):
-        return _kernels.softmax_var_objective(A, M, X)
-
-    res = _multistart(F, _ball_projector(limit), _ball_starts(M, limit, A.shape[1], cfg), cfg)
-    return OptResult(
-        argmax=res.argmax,
-        value=_at(F, res.argmax),
-        iterations_used=res.iterations_used,
-        restarts_used=res.restarts_used,
-        converged=res.converged,
-    )
-
-
-# ---------------------------------------------------------------------------
-# leverage objectives (box in u = s^{-2})
-# ---------------------------------------------------------------------------
 
 _STATUS_ERRORS = {
     _kernels.STATUS_RANK_DEFICIENT: (RankDeficient, "scaled matrix became numerically rank-deficient"),
@@ -216,79 +177,90 @@ _STATUS_ERRORS = {
 }
 
 
-def _checked(kernel, *mats):
-    """The stacked leverage objective; raises for the first row whose
-    status is not OK."""
+class _Box:
+    """The scale box c <= s_i^2 <= C of leverage queries, worked in
+    u = s^{-2}, where it is the box 1/C <= u_i <= 1/c."""
 
-    def F(U):
-        vals, status = kernel(*mats, U)
-        bad = np.flatnonzero(status != _kernels.STATUS_OK)
-        if bad.size:
-            err, msg = _STATUS_ERRORS[int(status[bad[0]])]
-            raise err(msg)
-        return vals
+    def __init__(self, constraint, A, gap):
+        require_tall(A)
+        self.lo, self.hi = 1.0 / constraint.hi, 1.0 / constraint.lo
+        self.n = A.shape[0]
 
-    return F
+    @staticmethod
+    def objective(kernel, A, X):
+        """The stacked leverage objective; raises for the first row whose
+        status is not OK."""
+
+        def F(U):
+            vals, status = kernel(A, X, U)
+            bad = np.flatnonzero(status != _kernels.STATUS_OK)
+            if bad.size:
+                err, msg = _STATUS_ERRORS[int(status[bad[0]])]
+                raise err(msg)
+            return vals
+
+        return F
+
+    def project(self, u):
+        return np.clip(u, self.lo, self.hi)
+
+    def starts(self, F, cfg):
+        lo, hi, n = self.lo, self.hi, self.n
+        # Corner spot-checks surface rank problems before the ascent loop runs.
+        F(np.array([np.full(n, lo), np.full(n, hi)]))
+        yield np.full(n, 0.5 * (lo + hi))
+        for k in range(1, cfg.restarts):
+            gen = generator(derive_seed(cfg.seed, "restart", k))
+            yield lo + gen.random(n) * (hi - lo)
+
+    @staticmethod
+    def query(u):
+        """The scale vector s (positive branch) at u."""
+        return 1.0 / np.sqrt(u)
 
 
-def _box_starts(u_lo, u_hi, n, cfg, F):
-    # Corner spot-checks surface rank problems before the ascent loop runs.
-    F(np.array([np.full(n, u_lo), np.full(n, u_hi)]))
-    yield np.full(n, 0.5 * (u_lo + u_hi))
-    for k in range(1, cfg.restarts):
-        gen = generator(derive_seed(cfg.seed, "restart", k))
-        yield u_lo + gen.random(n) * (u_hi - u_lo)
+def _maximize(feasible, constraint, kernel, A, X, name, config, hellinger):
+    """Maximize ``_kernels.<kernel>(A, X, .)`` over the feasible set built
+    from ``constraint``; with ``hellinger`` the kernel is H^2 and the value
+    reported is H.  The kernel is looked up at call time, so rebinding it in
+    ``_kernels`` reaches every evaluation."""
+    cfg = config or OptimizerConfig()
+    A = as_matrix(A, "A")
+    X = as_matrix(X, name)
+    if A.shape != X.shape:
+        raise ShapeMismatch(f"A and {name} must share a shape, got {A.shape} vs {X.shape}")
+    space = feasible(constraint, A, A - X if hellinger else X)
+    F = space.objective(getattr(_kernels, kernel), A, X)
+    x, _, iters, conv = _multistart(F, space.project, space.starts(F, cfg), cfg)
+    value = _at(F, x)
+    return OptResult(
+        argmax=space.query(x),
+        value=math.sqrt(max(value, 0.0)) if hellinger else value,
+        iterations_used=iters,
+        restarts_used=cfg.restarts,
+        converged=conv,
+    )
 
 
-def _box_projector(u_lo, u_hi):
-    def project(u):
-        return np.clip(u, u_lo, u_hi)
+def max_hellinger_softmax(A, B, constraint, config=None) -> OptResult:
+    """Maximize the Hellinger distance between softmax(A x) and softmax(B x)
+    over the energy ball.  The reported value is H (not H^2)."""
+    return _maximize(_Ball, constraint, "softmax_h2_objective", A, B, "B", config, hellinger=True)
 
-    return project
 
-
-def _scales_from_u(u):
-    return 1.0 / np.sqrt(u)
+def max_variance_softmax(A, M, constraint, config=None) -> OptResult:
+    """Maximize Var_{softmax(A x)}(M x) over the energy ball."""
+    return _maximize(_Ball, constraint, "softmax_var_objective", A, M, "M", config, hellinger=False)
 
 
 def max_hellinger_leverage(A, B, box, config=None) -> OptResult:
     """Maximize the Hellinger distance between the leverage distributions of
     A and B over scale vectors in the box.  ``argmax`` is the scale vector s
     (positive branch); the value is H."""
-    cfg = config or OptimizerConfig()
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ShapeMismatch(f"A and B must share a shape, got {A.shape} vs {B.shape}")
-    require_tall(A)
-    u_lo, u_hi = 1.0 / box.hi, 1.0 / box.lo
-    F = _checked(_kernels.leverage_h2_objective, A, B)
-    res = _multistart(F, _box_projector(u_lo, u_hi), _box_starts(u_lo, u_hi, A.shape[0], cfg, F), cfg)
-    return OptResult(
-        argmax=_scales_from_u(res.argmax),
-        value=math.sqrt(max(_at(F, res.argmax), 0.0)),
-        iterations_used=res.iterations_used,
-        restarts_used=res.restarts_used,
-        converged=res.converged,
-    )
+    return _maximize(_Box, box, "leverage_h2_objective", A, B, "B", config, hellinger=True)
 
 
 def max_variance_leverage(A, M, box, config=None) -> OptResult:
     """Maximize the variance of the first-order response ratio w under the
     leverage distribution, over scale vectors in the box.  ``argmax`` is s."""
-    cfg = config or OptimizerConfig()
-    A = as_matrix(A, "A")
-    M = as_matrix(M, "M")
-    if A.shape != M.shape:
-        raise ShapeMismatch(f"A and M must share a shape, got {A.shape} vs {M.shape}")
-    require_tall(A)
-    u_lo, u_hi = 1.0 / box.hi, 1.0 / box.lo
-    F = _checked(_kernels.leverage_var_objective, A, M)
-    res = _multistart(F, _box_projector(u_lo, u_hi), _box_starts(u_lo, u_hi, A.shape[0], cfg, F), cfg)
-    return OptResult(
-        argmax=_scales_from_u(res.argmax),
-        value=_at(F, res.argmax),
-        iterations_used=res.iterations_used,
-        restarts_used=res.restarts_used,
-        converged=res.converged,
-    )
+    return _maximize(_Box, box, "leverage_var_objective", A, M, "M", config, hellinger=False)

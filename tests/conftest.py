@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import softlev
-from softlev import _kernels
+from softlev import _kernels, harness
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -24,3 +24,13 @@ def subprocesses_import_these_sources():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         yield
+
+
+@pytest.fixture
+def halved_lemma_bounds(monkeypatch):
+    # The bound suite reads the two closed-form bounds through harness's
+    # globals; halving them corrupts every strict and extremal row, so the
+    # suite's failure path runs.
+    h2_bound, tv_bound = harness.lemma_h2_bound, harness.lemma_tv_bound
+    monkeypatch.setattr(harness, "lemma_h2_bound", lambda eps: 0.5 * h2_bound(eps))
+    monkeypatch.setattr(harness, "lemma_tv_bound", lambda eps: 0.5 * tv_bound(eps))

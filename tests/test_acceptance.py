@@ -71,8 +71,8 @@ def test_01_extremal_pair_attains_both_closed_forms(verdict):
 
 def test_02_gap_bounds_survive_random_falsification(verdict):
     t0 = perf_counter()
-    rows = harness._logit_pair_rows(0, 10_000, 1.0)  # one-sided {0, eps} gaps
-    rows += harness._chain_rows(0, 10_000, 1.0)  # two-sided, chain constant 2
+    rows = harness._logit_pair_rows(0, 10_000)  # one-sided {0, eps} gaps
+    rows += harness._chain_rows(0, 10_000)  # two-sided, chain constant 2
     violations = sum(not r.satisfied for r in rows)
     elapsed = perf_counter() - t0
     ok = violations == 0
@@ -220,7 +220,7 @@ def test_08_leverage_demo_scaling_law(verdict):
 
 def test_09_leverage_tv_envelope(verdict):
     t0 = perf_counter()
-    rows = harness._leverage_envelope_rows(0, 1000, 1.0)
+    rows = harness._leverage_envelope_rows(0, 1000)
     violations = sum(not r.satisfied for r in rows)
     max_ratio = max(r.ratio for r in rows)
     elapsed = perf_counter() - t0

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from softlev import cli
 from softlev.harness import gaussian_instance
 
 
@@ -233,6 +234,11 @@ def test_sweep_writes_csv_and_summary(tmp_path):
     assert len(content) == 6
 
 
+def test_sweep_runs_on_one_thread_by_default():
+    args = cli._build_parser().parse_args(["sweep", "demo-softmax", "--out", "sweep.csv"])
+    assert args.threads == 1
+
+
 def test_sweep_output_does_not_depend_on_thread_count(tmp_path):
     spec = _sweep_spec_file(tmp_path)
     out1, out3 = tmp_path / "t1.csv", tmp_path / "t3.csv"
@@ -257,10 +263,14 @@ def test_verify_bounds_suite_passes():
     assert lines[-1] == "verdict: PASS"
 
 
-def test_verify_detects_corrupted_bounds():
-    res = run_cli("verify", "--suite", "bounds", "--instances", "40", "--bound-scale", "0.5")
-    assert res.returncode == 1
-    assert res.stdout.splitlines()[-1] == "verdict: FAIL"
+@pytest.mark.usefixtures("halved_lemma_bounds")
+def test_verify_detects_corrupted_bounds(capsys):
+    # In-process, so that the fixture's corrupted bounds reach the suite.
+    assert cli.main(["verify", "--suite", "bounds", "--instances", "40"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert int(lines[0].split("strict_violations=")[1]) > 0
+    assert "bounds: all_tight=0 monotone_ok=1" in lines
+    assert lines[-1] == "verdict: FAIL"
 
 
 def test_verify_invariances_suite_passes():

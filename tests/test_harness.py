@@ -14,7 +14,6 @@ from softlev.errors import BudgetExceeded, IndistinguishableError, InputFormatEr
 from softlev.harness import (
     ExperimentSpec,
     ModelSpec,
-    default_threads,
     fmt17,
     gaussian_instance,
     load_model_spec,
@@ -462,9 +461,10 @@ def test_bound_suite_clean_at_scale_one():
     assert len(res.rows) > 2 * 200 + 2 * 200 + 200 + 200
 
 
+@pytest.mark.usefixtures("halved_lemma_bounds")
 def test_bound_suite_detects_corrupted_bounds():
     spec = ExperimentSpec(instances=60, seed=0)
-    res = run_bound_suite(spec, bound_scale=0.5)
+    res = run_bound_suite(spec)
     assert res.strict_violations > 0
     assert not res.all_tight
 
@@ -505,7 +505,7 @@ def _ref_softmax_pair(A, B, x):
     return hellinger_sq(P, Q), tv(P, Q)
 
 
-def _ref_leverage_envelope_rows(seed, count, bound_scale, queries_per_pair=10):
+def _ref_leverage_envelope_rows(seed, count, queries_per_pair=10):
     box = BoxConstraint(0.5, 2.0)
     rows = []
     for k in range(count):
@@ -515,7 +515,7 @@ def _ref_leverage_envelope_rows(seed, count, bound_scale, queries_per_pair=10):
             s = np.sqrt(box.lo + g.random(n) * (box.hi - box.lo))
             worst = max(worst, tv(leverage_pmf(A, s), leverage_pmf(B, s)))
         params = {"n": n, "d": d, "ratio": ratio, "seed": k}
-        rows.append(BoundReport("leverage_tv_envelope", params, bound_scale * 4.0 * ratio, worst))
+        rows.append(BoundReport("leverage_tv_envelope", params, 4.0 * ratio, worst))
     return rows
 
 
@@ -633,7 +633,3 @@ def test_invariance_csv_smoke(tmp_path):
     assert lines[0] == "property,instances,max_deviation,violations,ok"
     assert lines[-1] == "# all_ok 1"
     assert len(lines) == 1 + 7 + 1
-
-
-def test_default_threads_positive():
-    assert default_threads() >= 1

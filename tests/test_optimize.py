@@ -17,7 +17,8 @@ from softlev.leverage import BoxConstraint, leverage_pmf, leverage_w
 from softlev.optimize import (
     OptimizerConfig,
     _at,
-    _checked,
+    _Ball,
+    _Box,
     _fd_gradient,
     max_hellinger_leverage,
     max_hellinger_softmax,
@@ -229,10 +230,10 @@ def test_one_call_gradient_equals_the_loop(n, d):
     x *= 0.9 / float(np.linalg.norm(x))
     u = 0.5 + 1.5 * g.random(n)
     objectives = [
-        (lambda X: _kernels.softmax_h2_objective(A, B, X), x),
-        (lambda X: _kernels.softmax_var_objective(A, B, X), x),
-        (_checked(_kernels.leverage_h2_objective, A, B), u),
-        (_checked(_kernels.leverage_var_objective, A, B), u),
+        (_Ball.objective(_kernels.softmax_h2_objective, A, B), x),
+        (_Ball.objective(_kernels.softmax_var_objective, A, B), x),
+        (_Box.objective(_kernels.leverage_h2_objective, A, B), u),
+        (_Box.objective(_kernels.leverage_var_objective, A, B), u),
     ]
     for F, point in objectives:
         assert np.array_equal(_fd_gradient(F, point.copy(), 1e-6), _fd_gradient_loop(F, point.copy(), 1e-6))
@@ -254,11 +255,11 @@ def test_failing_probe_raises_as_the_loop_does():
     M = generator(derive_seed(63, "probe")).standard_normal((5, 2))
     u = np.full(5, h)
     for order, expected in (([1, 0, 2, 3, 4], RankDeficient), ([0, 1, 2, 3, 4], ZeroLeverage)):
-        F = _checked(_kernels.leverage_var_objective, A[order], M)
+        F = _Box.objective(_kernels.leverage_var_objective, A[order], M)
         assert _gradient_error(_fd_gradient_loop, F, u, h) is expected
         assert _gradient_error(_fd_gradient, F, u, h) is expected
     # H^2 has no zero-leverage status: the first failure is the e1 row.
-    F = _checked(_kernels.leverage_h2_objective, A, M)
+    F = _Box.objective(_kernels.leverage_h2_objective, A, M)
     assert _gradient_error(_fd_gradient_loop, F, u, h) is RankDeficient
     assert _gradient_error(_fd_gradient, F, u, h) is RankDeficient
 

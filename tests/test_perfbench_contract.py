@@ -1,0 +1,58 @@
+"""The names perfbench reaches into softlev by.
+
+``perfbench/spans.py`` rebinds softlev functions by module and attribute
+name for its traced run, and ``perfbench/run.py`` imports a few more for
+its set-up timing.  A refactor that drops or renames one of them breaks the
+benchmark without failing any other test, so this module checks them.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from softlev import _kernels, cli, harness
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _softlev_bindings():
+    """Every (module, attribute, object) binding in the loaded softlev modules."""
+    return {
+        (name, key): val
+        for name, mod in list(sys.modules.items())
+        if name == "softlev" or name.startswith("softlev.")
+        for key, val in vars(mod).items()
+    }
+
+
+def test_tracer_install_and_uninstall_restore_every_name(spans):
+    before = _softlev_bindings()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        rebound = list(tracer._undo)
+    finally:
+        tracer.uninstall()
+    assert {key for _, key, _ in rebound} >= {"max_hellinger_softmax", "leverage_h2_objective", "__init__", "qr"}
+    for owner, key, orig in rebound:
+        assert getattr(owner, key) is orig, f"{key} was not restored"
+    after = _softlev_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+
+
+def test_setup_code_names_exist():
+    assert _kernels.BACKEND == "numpy"
+    assert callable(_kernels.warmup)
+    assert callable(cli._resolve_spec_path)
+    assert callable(harness.load_model_spec)
