@@ -26,7 +26,7 @@ from .leverage import BoxConstraint, leverage_pmf, leverage_pmf_derivative, leve
 from .model import ModelSpec, get_family
 from .numerics import gram, min_eigenvalue, row_gram_gap, two_to_infty_norm
 from .optimize import OptimizerConfig
-from .rng import derive_seed, generator
+from .rng import Stream, derive_seed, derive_seeds, generator, generators
 from .softmax import EnergyConstraint, softmax_pmf, softmax_pmfs
 
 TAYLOR_EPS = (1e-2, 1e-3, 1e-4)
@@ -507,10 +507,15 @@ def _softmax_pair(A, B, x):
     return float(h2), float(t)
 
 
+def _streams(seed, label, count):
+    """generator(derive_seed(seed, label, k)) for k < count, as one re-keyed
+    stream: each generator is valid until the next is drawn."""
+    return generators(derive_seeds(seed, label, indices=range(count)))
+
+
 def _logit_pair_rows(seed, count):
     rows = []
-    for k in range(count):
-        g = generator(derive_seed(seed, "gap", k))
+    for k, g in enumerate(_streams(seed, "gap", count)):
         n = int(g.integers(2, 11))
         eps = 2.0 * float(g.random())
         a = 2.0 * g.standard_normal(n)
@@ -525,8 +530,7 @@ def _logit_pair_rows(seed, count):
 
 def _chain_rows(seed, count):
     rows = []
-    for k in range(count):
-        g = generator(derive_seed(seed, "chain", k))
+    for k, g in enumerate(_streams(seed, "chain", count)):
         n = int(g.integers(2, 11))
         eps = 2.0 * float(g.random())
         a = 2.0 * g.standard_normal(n)
@@ -555,8 +559,7 @@ def _softmax_envelope_rows(seed, count):
     # H^2 <= 1.0 * (gap * ||x||)^2 whenever gap * ||x|| <= 1/2, with
     # gap the max row norm of B - A (measured envelope constant 1.0).
     rows = []
-    for k in range(count):
-        g = generator(derive_seed(seed, "softmax-env", k))
+    for k, g in enumerate(_streams(seed, "softmax-env", count)):
         n = int(g.integers(2, 11))
         d = int(g.integers(1, 6))
         A = g.standard_normal((n, d))
@@ -575,11 +578,12 @@ def _softmax_envelope_rows(seed, count):
     return rows
 
 
-def _leverage_envelope_pair(seed, k, box):
+def _leverage_envelope_pair(stream, seed, k, box):
     """One well-conditioned pair (A, B) with gap ratio eps*C/(c*delta) in
-    (0, 0.1]; retries drawn instances until the conditioning floor holds."""
+    (0, 0.1]; retries drawn instances until the conditioning floor holds.
+    The returned generator is ``stream``, keyed by the accepted attempt."""
     for attempt in range(50):
-        g = generator(derive_seed(seed, "lev-env", k, attempt))
+        g = stream.keyed(derive_seed(seed, "lev-env", k, attempt))
         d = int(g.integers(1, 4))
         n = int(g.integers(d + 1, 9))
         A = g.standard_normal((n, d))
@@ -607,9 +611,10 @@ def _leverage_envelope_rows(seed, count, queries_per_pair=10):
     # TV <= 4 * eps C / (c delta) whenever eps C / (c delta) <= 0.1, with
     # eps the row-gram gap and delta = lambda_min(A^T A).
     box = BoxConstraint(0.5, 2.0)
+    stream = Stream()
     rows = []
     for k in range(count):
-        g, A, B, n, d, ratio = _leverage_envelope_pair(seed, k, box)
+        g, A, B, n, d, ratio = _leverage_envelope_pair(stream, seed, k, box)
         S = np.sqrt(box.lo + g.random((queries_per_pair, n)) * (box.hi - box.lo))
         _, tvs = _kernels.h2_tv(leverage_pmfs(A, S), leverage_pmfs(B, S))
         params = {"n": n, "d": d, "ratio": ratio, "seed": k}
@@ -718,8 +723,7 @@ class InvarianceReport:
 
 def _shift_invariance(seed, count):
     worst = 0.0
-    for k in range(count):
-        g = generator(derive_seed(seed, "shift", k))
+    for g in _streams(seed, "shift", count):
         n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
         A = g.standard_normal((n, d))
         w = g.standard_normal(d)
@@ -733,8 +737,7 @@ def _shift_invariance(seed, count):
 
 def _right_invariance(seed, count):
     worst = 0.0
-    for k in range(count):
-        g = generator(derive_seed(seed, "right", k))
+    for g in _streams(seed, "right", count):
         d = int(g.integers(1, 5))
         n = int(g.integers(d + 1, 10))
         A = g.standard_normal((n, d))
@@ -754,8 +757,7 @@ def _right_invariance(seed, count):
 
 def _sign_invariance(seed, count):
     worst = 0.0
-    for k in range(count):
-        g = generator(derive_seed(seed, "sign", k))
+    for g in _streams(seed, "sign", count):
         d = int(g.integers(1, 5))
         n = int(g.integers(d + 1, 10))
         A = g.standard_normal((n, d))
@@ -769,8 +771,7 @@ def _sign_invariance(seed, count):
 
 def _normalization(seed, count):
     worst = 0.0
-    for k in range(count):
-        g = generator(derive_seed(seed, "norm", k))
+    for g in _streams(seed, "norm", count):
         d = int(g.integers(1, 5))
         n = int(g.integers(d + 1, 10))
         A = g.standard_normal((n, d))
@@ -788,8 +789,7 @@ def _metric_axioms(seed, count):
     sym_viol = 0
     ident_dev = 0.0
     slack = 1e-12
-    for k in range(count):
-        g = generator(derive_seed(seed, "metric", k))
+    for g in _streams(seed, "metric", count):
         n = int(g.integers(2, 12))
         P = _random_distribution(g, n)
         Q = _random_distribution(g, n)

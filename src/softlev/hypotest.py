@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .model import ModelSpec
-from .rng import derive_seed, generator
+from .rng import derive_seed, derive_seeds, generator, generators
 
 _LOG_FLOOR = 1e-300  # probabilities are clamped here before log
 _H_FLOOR = 1e-8  # Hellinger distance below this counts as indistinguishable
@@ -145,7 +145,7 @@ def estimate_success(spec: ModelSpec, m: int, trials: int, seed: int, query=None
     Runs ``trials`` independent tests per truth with subseeds derived as
     (seed, truth, trial); equivalent to building a fresh ``ModelOracle`` per
     trial and calling :func:`run_test`, but with the per-trial pmf work
-    hoisted out of the loop.
+    hoisted out of the loop and one re-keyed stream for all trials.
     """
     if m < 1 or trials < 1:
         raise ValueError("m and trials must be at least 1")
@@ -158,10 +158,12 @@ def estimate_success(spec: ModelSpec, m: int, trials: int, seed: int, query=None
     worst = 1.0
     for truth in (0, 1):
         correct = 0
-        for trial in range(trials):
-            # mirrors ModelOracle._next_seed for call index 0
-            call_seed = derive_seed(derive_seed(seed, truth, trial), "call", 0)
-            counts = generator(call_seed).multinomial(m, pmfs[truth])
+        # mirrors ModelOracle._next_seed for call index 0, per trial
+        seeds = derive_seeds(seed, truth, indices=range(trials), tail=("call", 0))
+        for g in generators(seeds):
+            counts = g.multinomial(m, pmfs[truth])
+            # one dot per trial: a tie at llr = 0 decides it, so keep the
+            # exact arithmetic of run_test
             llr = float(counts @ ratio)
             decision = 0 if llr >= 0.0 else 1
             correct += decision == truth

@@ -35,7 +35,10 @@ class _Softmax:
     def parse_constraint(self, cobj, path):
         if set(cobj) != {"E"}:
             raise InputFormatError(f"{path}: softmax constraint must have exactly the field 'E'")
-        return EnergyConstraint(_parse_positive(cobj, "E", path))
+        try:
+            return EnergyConstraint(_parse_positive(cobj, "E", path))
+        except ValueError as exc:  # a limit whose square overflows
+            raise InputFormatError(f"{path}: constraint field 'E': {exc}") from None
 
     def default_constraint(self, energy, box):
         return EnergyConstraint(energy)

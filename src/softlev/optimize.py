@@ -18,7 +18,7 @@ from . import _kernels
 from .errors import RankDeficient, ShapeMismatch, ZeroLeverage
 from .leverage import require_tall
 from .numerics import as_matrix
-from .rng import derive_seed, generator
+from .rng import derive_seeds, generators
 
 _MIN_STEP = 1e-14
 STEP_INIT = 0.1  # first line-search step of each restart
@@ -155,8 +155,7 @@ class _Ball:
             e0 = np.zeros(d)
             e0[0] = limit
             yield e0
-        for k in range(1, cfg.restarts):
-            gen = generator(derive_seed(cfg.seed, "restart", k))
+        for gen in generators(derive_seeds(cfg.seed, "restart", indices=range(1, cfg.restarts))):
             g = gen.standard_normal(d)
             gn = float(np.linalg.norm(g))
             if gn == 0.0:
@@ -209,8 +208,7 @@ class _Box:
         # Corner spot-checks surface rank problems before the ascent loop runs.
         F(np.array([np.full(n, lo), np.full(n, hi)]))
         yield np.full(n, 0.5 * (lo + hi))
-        for k in range(1, cfg.restarts):
-            gen = generator(derive_seed(cfg.seed, "restart", k))
+        for gen in generators(derive_seeds(cfg.seed, "restart", indices=range(1, cfg.restarts))):
             yield lo + gen.random(n) * (hi - lo)
 
     @staticmethod

@@ -5,6 +5,7 @@ query is a vector x with ||x||_2 <= E; the model answers with a sample from
 softmax(A x).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ class EnergyConstraint:
     def __post_init__(self):
         if not (np.isfinite(self.limit) and self.limit > 0):
             raise ValueError(f"energy limit must be positive and finite, got {self.limit!r}")
+        # Norms inside the ball are sqrt(x . x); past sqrt(max float) the dot
+        # overflows and the projection collapses every point to zero.
+        if not math.isfinite(float(self.limit) * float(self.limit)):
+            raise ValueError(f"energy limit must have a finite square, got {self.limit!r}")
 
     def check(self, x) -> np.ndarray:
         """Validate a query vector, returning it coerced to float64."""

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via subprocesses."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -135,6 +136,20 @@ def test_optimize_rejects_wide_leverage_spec(tmp_path):
     res = run_cli("optimize", _spec_file(tmp_path, doc))
     assert res.returncode == 2
     assert "field 'A': a leverage model needs n >= d, got 2 x 3" in res.stderr
+
+
+def test_optimize_rejects_an_energy_limit_whose_square_overflows(tmp_path):
+    doc = {"family": "softmax", "A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.5], [0.0, 1.0]], "constraint": {"E": 1e200}}
+    res = run_cli("optimize", _spec_file(tmp_path, doc))
+    assert res.returncode == 2
+    assert "constraint field 'E'" in res.stderr and "finite square" in res.stderr
+    assert res.stdout == ""
+    doc["constraint"]["E"] = 1e150
+    res = run_cli("optimize", _spec_file(tmp_path, doc))
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    value, *_, x0, x1 = (float(v) for v in res.stdout.split(","))
+    assert value > 0.0 and math.hypot(x0, x1) > 1e149
 
 
 def test_repeat_invocations_are_byte_identical():

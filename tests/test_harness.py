@@ -3,6 +3,7 @@
 import importlib.resources as ir
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -497,7 +498,8 @@ def test_invariance_suite_clean():
 #
 # The suites evaluate their output distributions as stacks.  The functions
 # below are the loops they replaced, kept as the oracle: one softmax_pmf or
-# leverage_pmf call per model, one scale vector drawn per query.
+# leverage_pmf call per model, one scale vector drawn per query, and a new
+# generator per instance where the suites re-key one stream.
 
 
 def _ref_softmax_pair(A, B, x):
@@ -505,11 +507,16 @@ def _ref_softmax_pair(A, B, x):
     return hellinger_sq(P, Q), tv(P, Q)
 
 
+def _ref_streams(seed, label, count):
+    return (generator(derive_seed(seed, label, k)) for k in range(count))
+
+
 def _ref_leverage_envelope_rows(seed, count, queries_per_pair=10):
     box = BoxConstraint(0.5, 2.0)
+    fresh = SimpleNamespace(keyed=generator)  # a new generator per attempt
     rows = []
     for k in range(count):
-        g, A, B, n, d, ratio = harness._leverage_envelope_pair(seed, k, box)
+        g, A, B, n, d, ratio = harness._leverage_envelope_pair(fresh, seed, k, box)
         worst = 0.0
         for _ in range(queries_per_pair):
             s = np.sqrt(box.lo + g.random(n) * (box.hi - box.lo))
@@ -577,6 +584,7 @@ def test_bound_suite_rows_equal_per_pmf_reference(seed, monkeypatch):
     stacked = run_bound_suite(spec).rows
     monkeypatch.setattr(harness, "_softmax_pair", _ref_softmax_pair)
     monkeypatch.setattr(harness, "_leverage_envelope_rows", _ref_leverage_envelope_rows)
+    monkeypatch.setattr(harness, "_streams", _ref_streams)
     reference = run_bound_suite(spec).rows
     assert len(stacked) == len(reference) > 6 * 50
     assert [_row_key(r) for r in stacked] == [_row_key(r) for r in reference]

@@ -1,12 +1,15 @@
 """Likelihood-ratio testing against hidden-model oracles."""
 
+import importlib.resources as ir
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softlev import hypotest
 from softlev.distributions import DiscreteDistribution
 from softlev.errors import (
     BudgetExceeded,
@@ -24,8 +27,8 @@ from softlev.hypotest import (
     run_test,
 )
 from softlev.leverage import BoxConstraint, leverage_pmf
-from softlev.harness import ExperimentSpec
-from softlev.model import ModelSpec
+from softlev.harness import ExperimentSpec, load_model_spec
+from softlev.model import ModelSpec, get_family
 from softlev.rng import derive_seed, generator
 from softlev.softmax import EnergyConstraint, softmax_pmf
 
@@ -293,6 +296,68 @@ def test_estimate_success_mirrors_per_trial_oracles():
             correct += rep.decision == truth
         worst = min(worst, correct / trials)
     assert estimate_success(spec, m, trials, seed, query=q) == worst
+
+
+def _ref_estimate_success(spec, m, trials, seed, query=None):
+    """The per-trial loop estimate_success replaced: a new derive_seed pair
+    and a new generator for every trial."""
+    if m < 1 or trials < 1:
+        raise ValueError("m and trials must be at least 1")
+    query = hypotest._resolve_query(spec, query)
+    spec.constraint.check(query)
+    p0 = spec.pmf(0, query)
+    p1 = spec.pmf(1, query)
+    ratio = log_likelihood_ratio(p0, p1)
+    pmfs = (p0.probs, p1.probs)
+    worst = 1.0
+    for truth in (0, 1):
+        correct = 0
+        for trial in range(trials):
+            call_seed = derive_seed(derive_seed(seed, truth, trial), "call", 0)
+            counts = generator(call_seed).multinomial(m, pmfs[truth])
+            llr = float(counts @ ratio)
+            decision = 0 if llr >= 0.0 else 1
+            correct += decision == truth
+        worst = min(worst, correct / trials)
+    return worst
+
+
+def _demo(family):
+    return load_model_spec(str(ir.files("softlev") / "specs" / f"demo_{family}.json"))
+
+
+def _demo_pair(model, eps):
+    return ModelSpec(model.family, model.A, model.A + eps * model.direction(), None, model.constraint)
+
+
+@pytest.mark.parametrize("family", ["softmax", "leverage"])
+def test_estimate_success_equals_per_trial_generator_reference(family):
+    model = _demo(family)
+    pair = _demo_pair(model, 0.1)
+    g = generator(derive_seed(3, "ref-query", family))
+    query = get_family(family).random_query(g, model.A.shape, model.constraint)
+    for seed in range(4):
+        for trials in (1, 50, 400):
+            for m in (1, 2, 7, 64, 1000):
+                got = estimate_success(pair, m, trials, seed, query=query)
+                assert got == _ref_estimate_success(pair, m, trials, seed, query=query), (seed, trials, m)
+
+
+@pytest.mark.parametrize("family", ["softmax", "leverage"])
+def test_sample_complexity_equals_per_trial_generator_reference(family, monkeypatch):
+    # at each grid point's query, exactly as sweep_point derives it
+    spec = ExperimentSpec(model=_demo(family))
+    points = []
+    for index, eps in enumerate(spec.eps_grid):
+        row_seed = derive_seed(spec.seed, "grid", index)
+        pair = _demo_pair(spec.model, eps)
+        query, _ = pair.optimal_query(replace(spec.opt, seed=derive_seed(row_seed, "opt")))
+        points.append((pair, query, derive_seed(row_seed, "mstar")))
+    fast = [estimate_sample_complexity(p, trials=spec.trials, seed=s, query=q) for p, q, s in points]
+    monkeypatch.setattr(hypotest, "estimate_success", _ref_estimate_success)
+    slow = [estimate_sample_complexity(p, trials=spec.trials, seed=s, query=q) for p, q, s in points]
+    assert fast == slow
+    assert all(m >= 1 for m in fast)
 
 
 def test_estimate_success_is_monotone_in_m_up_to_noise():

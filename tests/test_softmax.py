@@ -28,6 +28,14 @@ def test_energy_constraint_validates_its_limit():
         EnergyConstraint(float("inf"))
 
 
+def test_energy_constraint_rejects_a_limit_whose_square_overflows():
+    # norms are sqrt(x . x), which overflows past sqrt(max float) ~ 1.34e154
+    with pytest.raises(ValueError, match="finite square"):
+        EnergyConstraint(1e200)
+    c = EnergyConstraint(1e150)
+    assert np.array_equal(c.check([1e150, 0.0]), [1e150, 0.0])
+
+
 def test_softmax_query_wrapper_is_frozen_and_checked():
     q = SoftmaxQuery(np.array([0.6, 0.8]), EnergyConstraint(1.0))
     assert not q.x.flags.writeable
