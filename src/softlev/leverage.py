@@ -43,7 +43,7 @@ class BoxConstraint:
         sq = s * s
         if sq.min() < self.lo * (1.0 - _SLACK) or sq.max() > self.hi * (1.0 + _SLACK):
             raise ConstraintViolation(
-                f"box constraint violated: s_i^2 range [{sq.min()!r}, {sq.max()!r}] "
+                f"box constraint violated: s_i^2 range [{float(sq.min())!r}, {float(sq.max())!r}] "
                 f"outside [{self.lo!r}, {self.hi!r}]"
             )
         return s

@@ -6,6 +6,20 @@ The objectives are cheap, low-dimensional, and smooth almost everywhere but
 multimodal, so many seeded restarts with a deterministic boundary-biased
 first start beat anything clever.  Results are certified lower bounds: the
 reported value is the objective re-evaluated at the reported point.
+
+All restarts ascend in lockstep.  Each iteration evaluates the
+central-difference probes of every live restart in one stacked objective
+call.  The line search then runs in rounds: round r evaluates the next 2^r
+rungs s, s/2, s/4, ... of every restart still searching, all in one stack,
+and a restart stops searching at its first improving rung or once the step
+falls below ``_MIN_STEP``.  Each kernel call takes at most
+``_MAX_ELEMENTS`` matrix elements (rows times ``A.size``); larger stacks are
+split.  Every stacked row is bitwise equal to evaluating that point alone,
+so each restart follows exactly the path it follows on its own, and the
+result is the one restart-by-restart ascent gives.  Errors follow that order
+too: the optimizer raises for the lowest-index restart that fails, at its
+first failing evaluation; a rung evaluated beyond the accepted one is
+ignored.
 """
 
 import math
@@ -21,6 +35,7 @@ from .numerics import as_matrix
 from .rng import derive_seeds, generators
 
 _MIN_STEP = 1e-14
+_MAX_ELEMENTS = 2**16  # matrix elements per kernel call: rows times A.size
 STEP_INIT = 0.1  # first line-search step of each restart
 GRAD_EPS = 1e-6  # central finite-difference half-width
 TOL = 1e-9  # stop when an accepted step improves by less
@@ -54,68 +69,141 @@ class OptResult:
     converged: bool
 
 
-def _at(F, x):
-    """The stacked objective F at the single point x."""
-    return float(F(x[None])[0])
+_STATUS_ERRORS = {
+    _kernels.STATUS_RANK_DEFICIENT: (RankDeficient, "scaled matrix became numerically rank-deficient"),
+    _kernels.STATUS_ZERO_LEVERAGE: (ZeroLeverage, "a leverage score vanished inside the box"),
+}
 
 
-def _fd_gradient(F, x, h):
-    """Central differences of the stacked objective F at x, from one call of
-    F on the probes x + h e_0, x - h e_0, x + h e_1, ... in that order, so a
-    failing probe raises as the first one would when evaluated one by one."""
-    i = np.arange(x.size)
-    probes = np.repeat(x[None], 2 * x.size, axis=0)
-    probes[2 * i, i] = x + h
-    probes[2 * i + 1, i] = x - h
-    vals = F(probes)
-    return (vals[0::2] - vals[1::2]) / (2.0 * h)
+def _first_error(status):
+    """The error for the first row whose status is not OK, or None."""
+    bad = np.flatnonzero(status != _kernels.STATUS_OK)
+    if bad.size:
+        err, msg = _STATUS_ERRORS[int(status[bad[0]])]
+        return err(msg)
+    return None
 
 
-def _ascend(F, project, x0, cfg):
-    """Projected gradient ascent from one start; returns (x, F(x), iters, converged)."""
-    x = project(np.array(x0, dtype=np.float64))
-    fx = _at(F, x)
-    step = STEP_INIT
-    converged = False
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        g = _fd_gradient(F, x, GRAD_EPS)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm == 0.0:
-            converged = True
-            break
-        direction = g / gnorm
-        s = step
-        gain = 0.0
-        accepted = False
-        while s >= _MIN_STEP:
-            cand = project(x + s * direction)
-            fc = _at(F, cand)
-            if fc > fx:
-                gain = fc - fx
-                x, fx = cand, fc
-                step = s * 2.0
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted or gain < TOL:
-            converged = True
-            break
-    return x, fx, iters, converged
+def _capped(F, rows):
+    """The stacked objective F, called on at most ``rows`` rows at a time."""
+
+    def G(X):
+        if len(X) <= rows:
+            return F(X)
+        parts = [F(X[i : i + rows]) for i in range(0, len(X), rows)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    return G
+
+
+def _probes(X, h):
+    """The central-difference probes of each row x of X, restart after
+    restart: x + h e_0, x - h e_0, x + h e_1, ..."""
+    k, dim = X.shape
+    i = np.arange(dim)
+    P = np.repeat(X, 2 * dim, axis=0).reshape(k, 2 * dim, dim)
+    P[:, 2 * i, i] = X + h
+    P[:, 2 * i + 1, i] = X - h
+    return P.reshape(k * 2 * dim, dim)
+
+
+def _slopes(vals, dim, h):
+    """The central differences of the objective values at ``_probes(X, h)``,
+    one gradient row per row of X."""
+    V = vals.reshape(-1, 2 * dim)
+    return (V[:, 0::2] - V[:, 1::2]) / (2.0 * h)
+
+
+def _norms(X):
+    """The 2-norm of each row of X, bitwise equal to np.linalg.norm of that
+    row, which is sqrt(x.dot(x)): a stacked matmul keeps that dot."""
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
 
 
 def _multistart(F, project, starts, cfg):
-    """Ascend from every start; returns (x, F(x), iterations summed over all
-    restarts, converged) of the best restart."""
-    best = None
-    total_iters = 0
-    for x0 in starts:
-        x, fx, iters, conv = _ascend(F, project, x0, cfg)
-        total_iters += iters
-        if best is None or fx > best[1]:  # strict: ties keep the earliest restart
-            best = (x, fx, conv)
-    x, fx, conv = best
-    return x, fx, total_iters, conv
+    """Projected gradient ascent from every start, all restarts in lockstep.
+
+    F maps a stack of points to (values, status codes).  Returns (x,
+    iterations summed over all restarts, converged) of the best restart;
+    strictly better wins, so ties keep the earliest.  Raises the error that
+    the lowest-index failing restart meets first.
+    """
+    x = project(np.array(starts, dtype=np.float64))
+    k, dim = x.shape
+    fx, status = F(x)
+    step = np.full(k, STEP_INIT)
+    gain = np.zeros(k)
+    direction = np.zeros_like(x)
+    iters = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    failed, error = k, None  # the lowest-index restart that failed, and its error
+
+    def survivors(rows, blocks):
+        """Record the lowest-index failure among ``rows``, whose status
+        codes in loop order are the rows of ``blocks``; mask of the rows
+        before every failure so far."""
+        nonlocal failed, error
+        bad = np.flatnonzero((blocks != _kernels.STATUS_OK).any(axis=1))
+        if bad.size and rows[bad[0]] < failed:
+            failed, error = int(rows[bad[0]]), _first_error(blocks[bad[0]])
+        return rows < failed
+
+    live = np.arange(k)
+    live = live[survivors(live, status[:, None])]
+    for it in range(1, cfg.max_iters + 1):
+        if not live.size:
+            break
+        vals, status = F(_probes(x[live], GRAD_EPS))
+        keep = survivors(live, status.reshape(live.size, 2 * dim))
+        live, g = live[keep], _slopes(vals, dim, GRAD_EPS)[keep]
+        iters[live] = it
+        gnorm = _norms(g)
+        moving = gnorm != 0.0
+        converged[live[~moving]] = True
+        live = live[moving]
+        direction[live] = g[moving] / gnorm[moving, None]
+
+        # Line search: each round evaluates the next ``width`` rungs s, s/2,
+        # ... of every searching restart, down to _MIN_STEP, in one stack;
+        # a restart's first rung that fails or improves ends its search.
+        accepted = np.zeros(k, dtype=bool)
+        s = step.copy()  # each restart's next rung
+        searching, width = live, 1
+        while searching.size:
+            rungs = s[searching, None] * 0.5 ** np.arange(width)
+            valid = rungs >= _MIN_STEP
+            at = np.full(rungs.shape, -1)  # the row of cand holding each valid rung
+            at[valid] = np.arange(valid.sum())
+            cand = project((x[searching, None] + rungs[:, :, None] * direction[searching, None])[valid])
+            vals, status = F(cand)
+            ends = np.zeros(rungs.shape, dtype=bool)
+            better = vals > np.broadcast_to(fx[searching, None], rungs.shape)[valid]
+            ends[valid] = (status != _kernels.STATUS_OK) | better
+            col = ends.argmax(axis=1)
+            first = at[np.arange(searching.size), col]
+            decided = ends.any(axis=1)
+            codes = np.where(decided, status[first], _kernels.STATUS_OK)
+            keep = survivors(searching, codes[:, None])
+            win = decided & keep & (codes == _kernels.STATUS_OK)
+            r, j = searching[win], first[win]
+            gain[r] = vals[j] - fx[r]
+            x[r], fx[r], step[r] = cand[j], vals[j], rungs[win, col[win]] * 2.0
+            accepted[r] = True
+            s[searching] = rungs[:, -1] * 0.5
+            searching = searching[keep & ~decided & (s[searching] >= _MIN_STEP)]
+            width *= 2
+
+        live = live[live < failed]
+        stop = ~accepted[live] | (gain[live] < TOL)
+        converged[live[stop]] = True
+        live = live[~stop]
+    if error is not None:
+        raise error
+    best = 0
+    for r in range(1, k):
+        if fx[r] > fx[best]:
+            best = r
+    return x[best], int(iters.sum()), bool(converged[best])
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +221,14 @@ class _Ball:
 
     @staticmethod
     def objective(kernel, A, X):
-        return partial(kernel, A, X)
+        """The stacked softmax objective, with an OK status for every row."""
+        return lambda P: (kernel(A, X, P), np.zeros(len(P), dtype=np.int64))
 
-    def project(self, x):
-        norm = float(np.linalg.norm(x))
-        if norm > self.limit:
-            return x * (self.limit / norm)
-        return x
+    def project(self, X):
+        """Each row of X, scaled back onto the ball if it lies outside."""
+        norms = _norms(X)
+        outside = norms > self.limit
+        return X * np.divide(self.limit, norms, out=np.ones_like(norms), where=outside)[:, None]
 
     def starts(self, F, cfg):
         """First start: the boundary point aligned with the largest row of
@@ -170,12 +259,6 @@ class _Ball:
         return x
 
 
-_STATUS_ERRORS = {
-    _kernels.STATUS_RANK_DEFICIENT: (RankDeficient, "scaled matrix became numerically rank-deficient"),
-    _kernels.STATUS_ZERO_LEVERAGE: (ZeroLeverage, "a leverage score vanished inside the box"),
-}
-
-
 class _Box:
     """The scale box c <= s_i^2 <= C of leverage queries, worked in
     u = s^{-2}, where it is the box 1/C <= u_i <= 1/c."""
@@ -187,26 +270,18 @@ class _Box:
 
     @staticmethod
     def objective(kernel, A, X):
-        """The stacked leverage objective; raises for the first row whose
-        status is not OK."""
+        """The stacked leverage objective, with its status code per row."""
+        return partial(kernel, A, X)
 
-        def F(U):
-            vals, status = kernel(A, X, U)
-            bad = np.flatnonzero(status != _kernels.STATUS_OK)
-            if bad.size:
-                err, msg = _STATUS_ERRORS[int(status[bad[0]])]
-                raise err(msg)
-            return vals
-
-        return F
-
-    def project(self, u):
-        return np.clip(u, self.lo, self.hi)
+    def project(self, U):
+        return np.clip(U, self.lo, self.hi)
 
     def starts(self, F, cfg):
         lo, hi, n = self.lo, self.hi, self.n
         # Corner spot-checks surface rank problems before the ascent loop runs.
-        F(np.array([np.full(n, lo), np.full(n, hi)]))
+        error = _first_error(F(np.array([np.full(n, lo), np.full(n, hi)]))[1])
+        if error is not None:
+            raise error
         yield np.full(n, 0.5 * (lo + hi))
         for gen in generators(derive_seeds(cfg.seed, "restart", indices=range(1, cfg.restarts))):
             yield lo + gen.random(n) * (hi - lo)
@@ -228,9 +303,9 @@ def _maximize(feasible, constraint, kernel, A, X, name, config, hellinger):
     if A.shape != X.shape:
         raise ShapeMismatch(f"A and {name} must share a shape, got {A.shape} vs {X.shape}")
     space = feasible(constraint, A, A - X if hellinger else X)
-    F = space.objective(getattr(_kernels, kernel), A, X)
-    x, _, iters, conv = _multistart(F, space.project, space.starts(F, cfg), cfg)
-    value = _at(F, x)
+    F = _capped(space.objective(getattr(_kernels, kernel), A, X), max(1, _MAX_ELEMENTS // A.size))
+    x, iters, conv = _multistart(F, space.project, list(space.starts(F, cfg)), cfg)
+    value = float(F(x[None])[0][0])
     return OptResult(
         argmax=space.query(x),
         value=math.sqrt(max(value, 0.0)) if hellinger else value,

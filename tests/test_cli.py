@@ -200,6 +200,13 @@ def test_lrt_identical_pair_exits_1(tmp_path):
     assert "indistinguishable" in res.stderr
 
 
+def test_box_violation_prints_plain_floats():
+    res = run_cli("test", "demo-leverage", "--m", "5", "--query", "0,1,1,1,1,1")
+    assert res.returncode == 2
+    assert "s_i^2 range [0.0, 1.0]" in res.stderr
+    assert "np.float64" not in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -4,22 +4,38 @@ Grid oracles: for d = 1 both leverage objectives collapse to closed forms in
 u = s^{-2} (pmf_i = a_i^2 u_i / sum_k a_k^2 u_k, response ratio
 w_i = m_i/a_i - tau/g), so a dense grid over the box is cheap and
 independent of the ascent code.
+
+Loop oracle: the restart-by-restart ascent that the lockstep ascent
+replaced, one point per objective call, kept here to check that lockstep
+returns bitwise the same result and raises the same error.
 """
+
+import importlib.resources as ir
+import itertools
+import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from softlev import _kernels
+from softlev import _kernels, optimize
 from softlev.distributions import hellinger_sq, variance_under
 from softlev.errors import RankDeficient, ShapeMismatch, ZeroLeverage
-from softlev.harness import padded_identity_instance
+from softlev.harness import load_model_spec, padded_identity_instance
 from softlev.leverage import BoxConstraint, leverage_pmf, leverage_w
 from softlev.optimize import (
+    _MAX_ELEMENTS,
+    _MIN_STEP,
+    GRAD_EPS,
+    STEP_INIT,
+    TOL,
     OptimizerConfig,
-    _at,
+    OptResult,
     _Ball,
     _Box,
-    _fd_gradient,
+    _first_error,
+    _probes,
+    _slopes,
     max_hellinger_leverage,
     max_hellinger_softmax,
     max_variance_leverage,
@@ -203,8 +219,129 @@ def test_leverage_zero_leverage_surfaces_from_corner_checks():
 
 
 # ---------------------------------------------------------------------------
+# the loop oracle: one restart after another, one point per call
+# ---------------------------------------------------------------------------
+
+
+def _raising(F):
+    """The objective F as values only, raising for its first failing row."""
+
+    def G(X):
+        vals, status = F(X)
+        error = _first_error(status)
+        if error is not None:
+            raise error
+        return vals
+
+    return G
+
+
+def _at(F, x):
+    """The raising objective F at the single point x."""
+    return float(F(x[None])[0])
+
+
+def _project_one(space, x):
+    """The single-point projection of the loop."""
+    if isinstance(space, _Ball):
+        norm = float(np.linalg.norm(x))
+        return x * (space.limit / norm) if norm > space.limit else x
+    return np.clip(x, space.lo, space.hi)
+
+
+def _ascend_loop(F, project, x0, cfg):
+    """Projected gradient ascent from one start; returns (x, F(x), iters, converged)."""
+    x = project(np.array(x0, dtype=np.float64))
+    fx = _at(F, x)
+    step = STEP_INIT
+    converged = False
+    iters = 0
+    for iters in range(1, cfg.max_iters + 1):
+        g = _fd_gradient(F, x, GRAD_EPS)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm == 0.0:
+            converged = True
+            break
+        direction = g / gnorm
+        s = step
+        gain = 0.0
+        accepted = False
+        while s >= _MIN_STEP:
+            cand = project(x + s * direction)
+            fc = _at(F, cand)
+            if fc > fx:
+                gain = fc - fx
+                x, fx = cand, fc
+                step = s * 2.0
+                accepted = True
+                break
+            s *= 0.5
+        if not accepted or gain < TOL:
+            converged = True
+            break
+    return x, fx, iters, converged
+
+
+def _multistart_loop(F, project, starts, cfg):
+    """Ascend from every start in turn; returns (x, F(x), iterations summed
+    over all restarts, converged) of the best restart."""
+    best = None
+    total_iters = 0
+    for x0 in starts:
+        x, fx, iters, conv = _ascend_loop(F, project, x0, cfg)
+        total_iters += iters
+        if best is None or fx > best[1]:  # strict: ties keep the earliest restart
+            best = (x, fx, conv)
+    x, fx, conv = best
+    return x, fx, total_iters, conv
+
+
+_SETS = {
+    max_hellinger_softmax: (_Ball, "softmax_h2_objective", True),
+    max_variance_softmax: (_Ball, "softmax_var_objective", False),
+    max_hellinger_leverage: (_Box, "leverage_h2_objective", True),
+    max_variance_leverage: (_Box, "leverage_var_objective", False),
+}
+
+
+def _maximize_loop(maximize, A, X, constraint, cfg):
+    """What ``maximize(A, X, constraint, cfg)`` returns, by the loop."""
+    feasible, kernel, hellinger = _SETS[maximize]
+    space = feasible(constraint, A, A - X if hellinger else X)
+    objective = space.objective(getattr(_kernels, kernel), A, X)
+    F = _raising(objective)
+    x, _, iters, conv = _multistart_loop(F, partial(_project_one, space), space.starts(objective, cfg), cfg)
+    value = _at(F, x)
+    return OptResult(
+        argmax=space.query(x),
+        value=math.sqrt(max(value, 0.0)) if hellinger else value,
+        iterations_used=iters,
+        restarts_used=cfg.restarts,
+        converged=conv,
+    )
+
+
+def _outcome(run, *args):
+    """The result of ``run(*args)`` bit for bit, or the error it raises."""
+    try:
+        r = run(*args)
+    except (RankDeficient, ZeroLeverage) as exc:
+        return type(exc), str(exc)
+    return r.argmax.tobytes(), float(r.value).hex(), r.iterations_used, r.restarts_used, r.converged
+
+
+def _constraint(maximize):
+    return BALL if _SETS[maximize][0] is _Ball else BOX
+
+
+# ---------------------------------------------------------------------------
 # one-call gradient against the probe-by-probe loop
 # ---------------------------------------------------------------------------
+
+
+def _fd_gradient(F, x, h):
+    """The optimizer's one-call gradient, at the single point x."""
+    return _slopes(F(_probes(x[None], h)), x.size, h)[0]
 
 
 def _fd_gradient_loop(F, x, h):
@@ -235,7 +372,8 @@ def test_one_call_gradient_equals_the_loop(n, d):
         (_Box.objective(_kernels.leverage_h2_objective, A, B), u),
         (_Box.objective(_kernels.leverage_var_objective, A, B), u),
     ]
-    for F, point in objectives:
+    for objective, point in objectives:
+        F = _raising(objective)
         assert np.array_equal(_fd_gradient(F, point.copy(), 1e-6), _fd_gradient_loop(F, point.copy(), 1e-6))
 
 
@@ -255,13 +393,184 @@ def test_failing_probe_raises_as_the_loop_does():
     M = generator(derive_seed(63, "probe")).standard_normal((5, 2))
     u = np.full(5, h)
     for order, expected in (([1, 0, 2, 3, 4], RankDeficient), ([0, 1, 2, 3, 4], ZeroLeverage)):
-        F = _Box.objective(_kernels.leverage_var_objective, A[order], M)
+        F = _raising(_Box.objective(_kernels.leverage_var_objective, A[order], M))
         assert _gradient_error(_fd_gradient_loop, F, u, h) is expected
         assert _gradient_error(_fd_gradient, F, u, h) is expected
     # H^2 has no zero-leverage status: the first failure is the e1 row.
-    F = _Box.objective(_kernels.leverage_h2_objective, A, M)
+    F = _raising(_Box.objective(_kernels.leverage_h2_objective, A, M))
     assert _gradient_error(_fd_gradient_loop, F, u, h) is RankDeficient
     assert _gradient_error(_fd_gradient, F, u, h) is RankDeficient
+
+
+# ---------------------------------------------------------------------------
+# lockstep ascent against the loop
+# ---------------------------------------------------------------------------
+
+
+def _gaussian_pair(maximize, n, d, seed):
+    g = generator(derive_seed(64, "lockstep", n, d, seed))
+    A = g.standard_normal((n, d))
+    B = A + 0.1 * g.standard_normal((n, d))
+    M = g.standard_normal((n, d))
+    return A, B if _SETS[maximize][2] else M
+
+
+_RUNS = [(restarts, iters) for restarts in (1, 2, 32) for iters in (1, 3, 10, 500)]
+# Many restarts times many iterations of the loop take tens of seconds on
+# the two larger shapes, so those run 500 iterations from one restart only
+# and 32 restarts for one iteration only.
+_RUNS_LARGE = [(1, 1), (1, 3), (1, 10), (1, 500), (2, 1), (2, 3), (2, 10), (32, 1)]
+
+
+@pytest.mark.parametrize("maximize", list(_SETS), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (33, 7), (64, 8)])
+def test_lockstep_equals_the_loop(maximize, n, d):
+    for restarts, iters in _RUNS if n < 8 else _RUNS_LARGE:
+        for seed in range(4):
+            A, X = _gaussian_pair(maximize, n, d, seed)
+            cfg = OptimizerConfig(restarts=restarts, max_iters=iters, seed=seed)
+            expected = _outcome(_maximize_loop, maximize, A, X, _constraint(maximize), cfg)
+            assert _outcome(maximize, A, X, _constraint(maximize), cfg) == expected, (restarts, iters, seed)
+
+
+def test_stacked_ball_projection_equals_one_point_at_a_time():
+    g = generator(derive_seed(67, "project"))
+    space = _Ball(EnergyConstraint(1.5), None, np.ones((1, 1)))
+    for d in range(1, 65):
+        X = g.standard_normal((64, d)) * g.uniform(0.01, 3.0, (64, 1))
+        X[0] = 0.0
+        projected = space.project(X)
+        for x, p in zip(X, projected):
+            assert p.tobytes() == _project_one(space, x).tobytes()
+
+
+def _near_deficient_pair(maximize, n, rank_k, lev_k, seed):
+    """The padded identity [e0; e1; e0; ...] with its e1 row scaled to
+    ``rank_k * 1e-12``, so that the scaled matrix is rank-deficient once u_1
+    falls far enough below the largest u_i, and its third row scaled to
+    ``sqrt(lev_k * 1e-12)``, so that its leverage reaches the zero-leverage
+    floor once u_2 falls far enough below the other e0 rows' u_i.  A zero
+    ``rank_k`` or ``lev_k`` leaves that row unscaled."""
+    A = padded_identity_instance(n, 2).A
+    if rank_k:
+        A[1] *= rank_k * 1e-12
+    if lev_k:
+        A[2] *= math.sqrt(lev_k * 1e-12)
+    noise = generator(derive_seed(66, n, seed)).standard_normal((n, 2))
+    return A, A + 0.5 * noise if _SETS[maximize][2] else noise
+
+
+def _restart_failures(maximize, A, X, box, cfg):
+    """For each start, None if its ascent alone succeeds, else the error it
+    raises and the iteration it raises in (0: at the start point)."""
+    feasible, kernel, _ = _SETS[maximize]
+    space = feasible(box, A, A)
+    objective = space.objective(getattr(_kernels, kernel), A, X)
+    iteration = 0
+
+    def F(U):
+        nonlocal iteration
+        iteration += len(U) == 2 * A.shape[0]  # each iteration starts with its gradient stack
+        return _raising(objective)(U)
+
+    failures = []
+    for x0 in space.starts(objective, cfg):
+        iteration = 0
+        try:
+            _ascend_loop(F, partial(_project_one, space), x0, cfg)
+            failures.append(None)
+        except (RankDeficient, ZeroLeverage) as exc:
+            failures.append((type(exc), iteration))
+    return failures
+
+
+@pytest.mark.parametrize("maximize", [max_hellinger_leverage, max_variance_leverage], ids=lambda f: f.__name__)
+def test_lockstep_fails_or_succeeds_as_the_loop_does(maximize):
+    for n, rank_k, lev_k, (lo, hi), seed in itertools.product(
+        (5, 6), (0, 1.5, 2.5), (0, 5), ((0.5, 2.0), (0.25, 4.0)), range(2)
+    ):
+        A, X = _near_deficient_pair(maximize, n, rank_k, lev_k, seed)
+        box = BoxConstraint(lo, hi)
+        cfg = OptimizerConfig(restarts=8, max_iters=60, seed=seed)
+        expected = _outcome(_maximize_loop, maximize, A, X, box, cfg)
+        assert _outcome(maximize, A, X, box, cfg) == expected, (n, rank_k, lev_k, lo, hi, seed)
+
+
+# Each case has restarts i < j that fail with different errors, j in an
+# earlier iteration than i, and no restart before i fails: lockstep meets
+# j's error first and must still raise i's.
+@pytest.mark.parametrize(
+    "maximize,n,rank_k,lev_k,box,seed",
+    [
+        (max_variance_leverage, 6, 1.5, 5, (0.5, 2.0), 2),
+        (max_variance_leverage, 5, 1.5, 5, (0.25, 4.0), 1),
+    ],
+)
+def test_lockstep_raises_the_first_restarts_error(maximize, n, rank_k, lev_k, box, seed):
+    A, X = _near_deficient_pair(maximize, n, rank_k, lev_k, seed)
+    box = BoxConstraint(*box)
+    cfg = OptimizerConfig(restarts=8, max_iters=60, seed=seed)
+    failures = _restart_failures(maximize, A, X, box, cfg)
+    first = next(f for f in failures if f is not None)
+    assert any(f is not None and f[0] is not first[0] and f[1] < first[1] for f in failures)
+    expected = _outcome(_maximize_loop, maximize, A, X, box, cfg)
+    assert expected[0] is first[0]
+    assert _outcome(maximize, A, X, box, cfg) == expected
+
+
+def test_failing_rung_beyond_the_accepted_one_is_ignored():
+    # One restart on [0, 1] from 0.5 toward the peak at 0.54.  Rung 0.6 does
+    # not improve, so the next ladder holds rungs 0.55 and 0.525: 0.55
+    # improves and is accepted, and 0.525 lies in a failing band that the
+    # loop never evaluates in this iteration.  (The padded-identity
+    # instances above fail only toward the far end of a ray, so they never
+    # put a failing rung behind an accepted one.)
+    statuses = []
+
+    def F(U):
+        u = U[:, 0]
+        status = np.where((0.52 < u) & (u < 0.53), _kernels.STATUS_RANK_DEFICIENT, _kernels.STATUS_OK)
+        statuses.extend(status)
+        return -((u - 0.54) ** 2), status
+
+    def project(U):
+        return np.clip(U, 0.0, 1.0)
+
+    cfg = OptimizerConfig(restarts=1, max_iters=1)
+    x, iters, conv = optimize._multistart(F, project, [np.array([0.5])], cfg)
+    assert _kernels.STATUS_RANK_DEFICIENT in statuses
+    expected = _multistart_loop(_raising(F), project, [np.array([0.5])], cfg)
+    assert (x.tobytes(), iters, conv) == (expected[0].tobytes(), expected[2], expected[3])
+    assert x[0] == 0.55
+
+
+def test_lockstep_work_guard(monkeypatch):
+    # Counts, not timings: on the leverage demo at the sweep's middle grid
+    # point, lockstep makes at most a tenth of the loop's kernel calls for
+    # at most 2% more rows, and no call exceeds _MAX_ELEMENTS matrix elements.
+    model = load_model_spec(str(ir.files("softlev") / "specs" / "demo_leverage.json"))
+    A, B = model.A, model.A + 0.1 * model.M
+    rows = []
+    kernel = _kernels.leverage_h2_objective
+
+    def counted(A, B, U):
+        rows.append(len(U))
+        return kernel(A, B, U)
+
+    monkeypatch.setattr(_kernels, "leverage_h2_objective", counted)
+    max_hellinger_leverage(A, B, model.constraint)
+    lockstep = list(rows)
+    rows.clear()
+    _maximize_loop(max_hellinger_leverage, A, B, model.constraint, OptimizerConfig())
+    assert 10 * len(lockstep) <= len(rows)
+    assert sum(lockstep) <= 1.02 * sum(rows)
+    assert max(lockstep) * A.size <= _MAX_ELEMENTS
+    # 32 restarts of a 64x8 model probe 32 * 128 rows at once: 64 times the cap.
+    A, B = _gaussian_pair(max_hellinger_leverage, 64, 8, 0)
+    rows.clear()
+    max_hellinger_leverage(A, B, BOX, OptimizerConfig(max_iters=1))
+    assert sum(rows) > 32 * 128
+    assert max(rows) * A.size == _MAX_ELEMENTS
 
 
 # ---------------------------------------------------------------------------
