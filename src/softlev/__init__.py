@@ -4,7 +4,8 @@ Exact output distributions, statistical distances with closed-form gap
 bounds, constrained query optimization, likelihood-ratio hypothesis testing
 with Monte-Carlo sample-complexity estimation, and a reproducible experiment
 harness.  Hot kernels are written in numpy; the optimizer objectives take a
-stack of query points, so a finite-difference gradient is one kernel call.
+stack of query points, so the finite-difference probes of every restart of
+a multi-start ascent are one kernel call.
 """
 
 from ._kernels import BACKEND

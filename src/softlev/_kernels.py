@@ -12,11 +12,12 @@ solves run on ``(k, n, d)`` stacks, and sums run along the last axis.
 (``X @ A.T``, ``einsum`` and ``(p * v).sum(axis=1)`` in place of ``p @ v``
 reassociate and differ in the last bits.)
 
-``softmax_probs`` and ``h2_tv`` work along the last axis and
-``leverage_probs`` factors a ``(k, n, d)`` stack in one QR call, so one
-vector or matrix is the stack of one and every row of a stack is bitwise
-equal to that row alone.  ``leverage_w_parts`` and the remaining helpers
-take one vector or matrix.  Results are bitwise deterministic.
+``softmax_probs`` and ``h2_tv`` work along the last axis, and
+``leverage_probs`` and ``leverage_w_parts`` factor a ``(..., n, d)`` stack in
+one QR call, so one vector or matrix is the stack of one and every row of a
+stack is bitwise equal to that row alone.  Only ``row_gram_gap`` takes one
+pair of matrices.  Each kernel has one implementation, and results are
+bitwise deterministic.
 
 Status codes returned by the leverage objectives:
 
@@ -74,21 +75,6 @@ def h2_tv(p, q):
     return _h2(p, q), _at_most_one(0.5 * np.add.reduce(np.abs(p - q), axis=-1))
 
 
-def weighted_mean(p, v):
-    return float(p @ v)
-
-
-def weighted_variance(p, v):
-    mean = p @ v
-    d = v - mean
-    return float(p @ (d * d))
-
-
-def searchsorted_right(cdf, u):
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, cdf.size - 1).astype(np.int64)
-
-
 def row_gram_gap(A, B):
     # Per row, the difference b b^T - a a^T acts only on span{a, b}; its
     # operator norm is the largest |eigenvalue| of the 2x2 restriction to an
@@ -119,24 +105,6 @@ def _checked_qr(As):
     Q, R = np.linalg.qr(As)
     ok = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1) > thresh
     return Q, R, ok
-
-
-def leverage_w_parts(As, Ms):
-    """Leverage scores and diag((I - Pi) Ms (As^T As)^{-1} As^T), via one QR.
-
-    Pi is the orthogonal projector onto the column space of As.  Everything
-    is assembled from the thin factor Q, so no n-by-n matrix is ever formed.
-    """
-    Q, R, ok = _checked_qr(As)
-    if not ok:
-        z = np.zeros(As.shape[0])
-        return z, z, False
-    F = np.linalg.solve(R.T, Ms.T).T  # Ms R^{-1} without forming the inverse
-    G = Q.T @ F
-    QG = Q @ G
-    wnum = (F * Q).sum(axis=1) - (QG * Q).sum(axis=1)
-    lev = (Q * Q).sum(axis=1)
-    return lev, wnum, True
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +139,29 @@ def _leverage_stack(As):
 leverage_probs = _leverage_stack
 
 
+def _w_stack(As, Ms):
+    """Leverage scores and diag((I - Pi) Ms (As^T As)^{-1} As^T) of each
+    (As, Ms) pair in a ``(..., n, d)`` stack via one QR call, and whether
+    each As is numerically full rank.
+
+    Pi is the orthogonal projector onto the column space of As.  Everything
+    is assembled from the thin factor Q, so no n-by-n matrix is ever formed.
+    A deficient factor is swapped for the identity so that the stacked solve
+    cannot fail; its pair's scores mean nothing.
+    """
+    Q, R, ok = _checked_qr(As)
+    R = np.where(ok[..., None, None], R, np.eye(As.shape[-1]))
+    # Ms R^{-1} without forming the inverse
+    F = np.swapaxes(np.linalg.solve(np.swapaxes(R, -1, -2), np.swapaxes(Ms, -1, -2)), -1, -2)
+    QG = Q @ (np.swapaxes(Q, -1, -2) @ F)
+    wnum = (F * Q).sum(axis=-1) - (QG * Q).sum(axis=-1)
+    lev = (Q * Q).sum(axis=-1)
+    return lev, wnum, ok
+
+
+leverage_w_parts = _w_stack
+
+
 def softmax_h2_objective(A, B, X):
     """H^2 between softmax(A x) and softmax(B x) for each row x of X."""
     return _h2(_softmax(_matvec(A, X)), _softmax(_matvec(B, X)))
@@ -196,20 +187,12 @@ def leverage_var_objective(A, M, U):
     under the leverage distribution of diag(sqrt(u)) A, toward M, for each
     row u of U, and a status code per row."""
     r = np.sqrt(U)[:, :, None]
-    d = A.shape[1]
-    Q, R, ok = _checked_qr(A * r)
-    # A deficient factor is swapped for the identity so that the stacked
-    # solve cannot fail; its row reports a status and no value.
-    R = np.where(ok[:, None, None], R, np.eye(d))
-    F = np.swapaxes(np.linalg.solve(np.swapaxes(R, 1, 2), np.swapaxes(M * r, 1, 2)), 1, 2)
-    QG = Q @ (np.swapaxes(Q, 1, 2) @ F)
-    wnum = (F * Q).sum(axis=-1) - (QG * Q).sum(axis=-1)
-    lev = (Q * Q).sum(axis=-1)
+    lev, wnum, ok = _w_stack(A * r, M * r)
     lev_ok = lev.min(axis=-1) > _LEV_FLOOR
     good = ok & lev_ok
     lev = np.where(good[:, None], lev, 1.0)
     status = np.where(ok, np.where(lev_ok, STATUS_OK, STATUS_ZERO_LEVERAGE), STATUS_RANK_DEFICIENT)
-    return np.where(good, _variance(lev / d, wnum / lev), 0.0), status
+    return np.where(good, _variance(lev / A.shape[1], wnum / lev), 0.0), status
 
 
 def warmup():
@@ -222,9 +205,6 @@ def warmup():
     p = softmax_probs(A @ x)
     q = softmax_probs(B @ x)
     h2_tv(p, q)
-    weighted_mean(p, x[0] * np.ones(3))
-    weighted_variance(p, np.array([0.1, 0.4, -0.2]))
-    searchsorted_right(np.cumsum(p), np.array([0.05, 0.5, 0.999]))
     row_gram_gap(A, B)
     softmax_h2_objective(A, B, x[None])
     softmax_var_objective(A, B, x[None])

@@ -130,7 +130,7 @@ def mean_under(P: DiscreteDistribution, values) -> float:
     v = np.ascontiguousarray(values, dtype=np.float64)
     if v.shape != (P.n,):
         raise ShapeMismatch(f"values must have shape ({P.n},), got {v.shape}")
-    return float(_kernels.weighted_mean(P.probs, v))
+    return float(P.probs @ v)
 
 
 def variance_under(P: DiscreteDistribution, values) -> float:
@@ -138,7 +138,8 @@ def variance_under(P: DiscreteDistribution, values) -> float:
     v = np.ascontiguousarray(values, dtype=np.float64)
     if v.shape != (P.n,):
         raise ShapeMismatch(f"values must have shape ({P.n},), got {v.shape}")
-    return max(float(_kernels.weighted_variance(P.probs, v)), 0.0)
+    d = v - P.probs @ v
+    return max(float(P.probs @ (d * d)), 0.0)
 
 
 def draw(P: DiscreteDistribution, seed: int, count: int) -> np.ndarray:
@@ -150,4 +151,7 @@ def draw(P: DiscreteDistribution, seed: int, count: int) -> np.ndarray:
         raise ValueError(f"count must be nonnegative, got {count}")
     cdf = np.cumsum(P.probs)
     u = generator(seed).random(count)
-    return _kernels.searchsorted_right(cdf, u)
+    # float noise can leave the cdf's last entry a hair below 1.0; a u above it
+    # must still land in the last bin
+    idx = np.searchsorted(cdf, u, side="right")
+    return np.minimum(idx, cdf.size - 1).astype(np.int64)

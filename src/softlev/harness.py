@@ -11,6 +11,7 @@ compute in any order, but rows are buffered and written in grid order.
 
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from .bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
 from .distributions import DiscreteDistribution, hellinger_sq
 from .errors import InputFormatError
 from .hypotest import estimate_sample_complexity, estimate_success
-from .leverage import BoxConstraint, leverage_pmf, leverage_pmf_derivative, leverage_pmfs
+from .leverage import BoxConstraint, _w_parts, leverage_pmf, leverage_pmfs
 from .model import ModelSpec, get_family
 from .numerics import gram, min_eigenvalue, row_gram_gap, two_to_infty_norm
 from .optimize import OptimizerConfig
@@ -55,6 +56,8 @@ def _parse_matrix(doc, field, path, required=False):
         for j, entry in enumerate(row):
             if not isinstance(entry, (int, float)) or isinstance(entry, bool):
                 raise InputFormatError(f"{path}: field '{field}' entry [{i}][{j}] is not a number")
+            if isinstance(entry, int) and abs(entry) > sys.float_info.max:
+                raise InputFormatError(f"{path}: field '{field}' entry [{i}][{j}] is too large for a float")
     return np.array(val, dtype=np.float64)
 
 
@@ -371,11 +374,10 @@ def _run_taylor_softmax(model, query):
 
 
 def _run_taylor_leverage(model, query):
-    from . import _kernels
-
     A, M = model.A, model.direction()
     s = np.asarray(query, dtype=np.float64)
-    deriv = leverage_pmf_derivative(A, M, s)
+    lev, wnum, d = _w_parts(A, M, s)
+    deriv = 2.0 * wnum / d  # as leverage_pmf_derivative computes it
     fd_eps = 1e-6
     hi = leverage_pmf(A + fd_eps * M, s).probs
     lo = leverage_pmf(A - fd_eps * M, s).probs
@@ -383,10 +385,6 @@ def _run_taylor_leverage(model, query):
     max_err = float(np.abs(deriv - fd).max())
     dsum = float(deriv.sum())
     ok = max_err <= 1e-4 and abs(dsum) <= 1e-10
-    lev, wnum, good = _kernels.leverage_w_parts(A / s[:, None], M / s[:, None])
-    if not good:
-        raise AssertionError("unreachable: pmf above succeeded")  # pragma: no cover
-    d = A.shape[1]
     if float((wnum * wnum).sum()) == 0.0:
         return TaylorReport(
             family="leverage",

@@ -7,7 +7,7 @@ this module's globals at call time, so rebinding a global (as a tracer does)
 reaches every call.
 """
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,8 @@ from .softmax import EnergyConstraint, softmax_pmf
 
 def _parse_positive(obj, key, path):
     val = obj.get(key)
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not (val > 0 and math.isfinite(val)):
+    # compared exactly, so an integer beyond the float range fails like inf
+    if not isinstance(val, (int, float)) or isinstance(val, bool) or not 0 < val <= sys.float_info.max:
         raise InputFormatError(f"{path}: constraint field '{key}' must be a positive number")
     return float(val)
 

@@ -24,7 +24,6 @@ ignored.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -117,7 +116,7 @@ def _slopes(vals, dim, h):
 def _norms(X):
     """The 2-norm of each row of X, bitwise equal to np.linalg.norm of that
     row, which is sqrt(x.dot(x)): a stacked matmul keeps that dot."""
-    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+    return np.sqrt(_kernels._dot(X, X))
 
 
 def _multistart(F, project, starts, cfg):
@@ -268,10 +267,15 @@ class _Box:
         self.lo, self.hi = 1.0 / constraint.hi, 1.0 / constraint.lo
         self.n = A.shape[0]
 
-    @staticmethod
-    def objective(kernel, A, X):
-        """The stacked leverage objective, with its status code per row."""
-        return partial(kernel, A, X)
+    def objective(self, kernel, A, X):
+        """The stacked leverage objective, with its status code per row.
+
+        When the lower bound 1/C lies below GRAD_EPS, a finite-difference
+        probe u - GRAD_EPS e_i can reach u_i <= 0, outside the domain u > 0.
+        Such a coordinate is evaluated at the lower bound instead; every
+        other coordinate is evaluated as it is."""
+        lo = self.lo
+        return lambda U: kernel(A, X, np.where(U > 0.0, U, lo))
 
     def project(self, U):
         return np.clip(U, self.lo, self.hi)

@@ -61,6 +61,18 @@ def test_missing_spec_file_is_a_usage_error(tmp_path):
     assert "cannot read" in res.stderr
 
 
+def test_spec_integers_beyond_the_float_range_are_input_errors(tmp_path):
+    huge = 10**400
+    for doc, where in (
+        ({"family": "softmax", "A": [[huge]], "constraint": {"E": 1.0}}, "field 'A' entry [0][0]"),
+        ({"family": "softmax", "A": [[0.0]], "constraint": {"E": huge}}, "constraint field 'E'"),
+    ):
+        res = run_cli("pmf", _spec_file(tmp_path, doc), "--query", "0")
+        assert res.returncode == 2
+        assert where in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+
 def test_malformed_spec_reports_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ bad", encoding="utf-8")

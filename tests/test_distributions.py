@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from softlev import distributions
 from softlev.distributions import (
     DiscreteDistribution,
     draw,
@@ -280,3 +281,15 @@ def test_draw_edge_cases():
     assert draw(P, 1, 3).dtype == np.int64
     with pytest.raises(ValueError):
         draw(P, 1, -1)
+
+
+def test_draw_clamps_to_last_index(monkeypatch):
+    # u == 1.0 (or a hair above, from float noise in the cdf) must stay in range
+    class Stub:
+        def random(self, count):
+            return np.array([0.0, 0.999, 1.0])
+
+    monkeypatch.setattr(distributions, "generator", lambda seed: Stub())
+    out = draw(_dist(0.25, 0.25, 0.5), 0, 3)
+    assert out.tolist() == [0, 2, 2]
+    assert out.dtype == np.int64

@@ -124,6 +124,11 @@ def test_load_model_spec_matrix_diagnostics(tmp_path):
     path = _write_spec(tmp_path, '{"family": "softmax", "A": [[1e999]], "constraint": {"E": 1}}')
     with pytest.raises(InputFormatError, match="non-finite"):
         load_model_spec(path)
+    # an integer beyond the float range parses exactly, and float() overflows
+    huge = "1" + "0" * 400
+    path = _write_spec(tmp_path, '{"family": "softmax", "A": [[1, 0], [0, -%s]], "constraint": {"E": 1}}' % huge)
+    with pytest.raises(InputFormatError, match=r"model\.json: field 'A' entry \[1\]\[1\] is too large for a float"):
+        load_model_spec(path)
 
 
 def test_load_model_spec_shape_cross_checks(tmp_path):
@@ -146,6 +151,14 @@ def test_load_model_spec_constraint_diagnostics(tmp_path):
     doc = _valid_doc(family="leverage", constraint={"c": 0.5})
     with pytest.raises(InputFormatError, match="'c' and 'C'"):
         load_model_spec(_write_spec(tmp_path, doc))
+    huge = 10**400  # beyond the float range, like the 1e999 that parses to inf
+    for constraint in ({"E": huge}, {"E": float("inf")}):
+        with pytest.raises(InputFormatError, match="constraint field 'E' must be a positive number"):
+            load_model_spec(_write_spec(tmp_path, _valid_doc(constraint=constraint)))
+    for key in ("c", "C"):
+        doc = _valid_doc(family="leverage", constraint={"c": 0.5, "C": 2.0, key: huge})
+        with pytest.raises(InputFormatError, match=f"constraint field '{key}' must be a positive number"):
+            load_model_spec(_write_spec(tmp_path, doc))
 
 
 def test_load_model_spec_seed_must_be_integer(tmp_path):

@@ -1,9 +1,10 @@
-"""Kernel edge cases, and the stacked objectives against single-point
+"""Kernel edge cases, and the stacked kernels against single-point
 references.
 
-The references below are the one-point objectives the stacked kernels
-replaced, kept verbatim as the oracle: every row of a stack must be bitwise
-equal to them, status codes included.
+The references below are the one-point objectives and the single-matrix W
+factorization that the stacked kernels replaced, kept verbatim as the
+oracle: every row of a stack must be bitwise equal to them, status codes
+included.
 """
 
 import numpy as np
@@ -25,9 +26,15 @@ def _ref_softmax_h2(A, B, x):
     return h2
 
 
+def _weighted_variance(p, v):
+    mean = p @ v
+    d = v - mean
+    return float(p @ (d * d))
+
+
 def _ref_softmax_var(A, M, x):
     p = _kernels.softmax_probs(A @ x)
-    return _kernels.weighted_variance(p, M @ x)
+    return _weighted_variance(p, M @ x)
 
 
 def _ref_leverage_h2(A, B, u):
@@ -40,15 +47,33 @@ def _ref_leverage_h2(A, B, u):
     return h2, _kernels.STATUS_OK
 
 
+def _ref_w_parts(As, Ms):
+    """Leverage scores and diag((I - Pi) Ms (As^T As)^{-1} As^T), via one QR.
+
+    Pi is the orthogonal projector onto the column space of As.  Everything
+    is assembled from the thin factor Q, so no n-by-n matrix is ever formed.
+    """
+    Q, R, ok = _kernels._checked_qr(As)
+    if not ok:
+        z = np.zeros(As.shape[0])
+        return z, z, False
+    F = np.linalg.solve(R.T, Ms.T).T  # Ms R^{-1} without forming the inverse
+    G = Q.T @ F
+    QG = Q @ G
+    wnum = (F * Q).sum(axis=1) - (QG * Q).sum(axis=1)
+    lev = (Q * Q).sum(axis=1)
+    return lev, wnum, True
+
+
 def _ref_leverage_var(A, M, u):
     r = np.sqrt(u)[:, None]
-    lev, wnum, ok = _kernels.leverage_w_parts(A * r, M * r)
+    lev, wnum, ok = _ref_w_parts(A * r, M * r)
     if not ok:
         return 0.0, _kernels.STATUS_RANK_DEFICIENT
     if lev.min() <= _kernels._LEV_FLOOR:
         return 0.0, _kernels.STATUS_ZERO_LEVERAGE
     d = A.shape[1]
-    return _kernels.weighted_variance(lev / d, wnum / lev), _kernels.STATUS_OK
+    return _weighted_variance(lev / d, wnum / lev), _kernels.STATUS_OK
 
 
 SOFTMAX = [
@@ -136,15 +161,52 @@ def test_leverage_probs_stack_equals_each_matrix():
         assert ok1 == ok[i]
 
 
+def _assert_w_rows_match(As, Ms):
+    """Each pair of a stack gives the single-matrix reference's parts bitwise,
+    and so does the stack of one."""
+    lev, wnum, ok = _kernels.leverage_w_parts(As, Ms)
+    for idx in np.ndindex(As.shape[:-2]):
+        ref_lev, ref_wnum, ref_ok = _ref_w_parts(As[idx], Ms[idx])
+        alone = _kernels.leverage_w_parts(As[idx], Ms[idx])
+        assert ok[idx] == ref_ok == alone[2]
+        if ref_ok:
+            assert lev[idx].tobytes() == alone[0].tobytes() == ref_lev.tobytes()
+            assert wnum[idx].tobytes() == alone[1].tobytes() == ref_wnum.tobytes()
+    return ok
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (6, 3), (5, 3), (33, 7), (64, 8), (256, 16)])
+def test_leverage_w_parts_stack_equals_single_matrix_reference(n, d):
+    g = generator(derive_seed(314, "w-stack", n, d))
+    A = g.standard_normal((n, d))
+    M = g.standard_normal((n, d))
+    R = np.sqrt(0.5 + 1.5 * g.random((5, n)))[:, :, None]
+    _assert_w_rows_match(A * R, M * R)
+    # a (2, 3, n, d) stack, and row 0 of a stack of one
+    R = np.sqrt(0.5 + 1.5 * g.random((2, 3, n)))[..., None]
+    _assert_w_rows_match(A * R, M * R)
+    _assert_w_rows_match((A * R)[0, :1], (M * R)[0, :1])
+
+
+def test_leverage_w_parts_flags_deficient_rows_and_leaves_the_rest():
+    A = padded_identity_instance(6, 3).A
+    g = generator(derive_seed(314, "w-deficient"))
+    M = g.standard_normal((6, 3))
+    R = np.sqrt(0.5 + 1.5 * g.random((5, 6)))[:, :, None]
+    As, Ms = A * R, M * R
+    As[1, 1] = 0.0  # zeroes the e1 row: rank 2
+    As[3, :, 2] = 0.0  # zeroes column 2: rank 2
+    ok = _assert_w_rows_match(As, Ms)
+    assert ok.tolist() == [True, False, True, False, True]
+    full = [0, 2, 4]
+    lev, wnum, _ = _kernels.leverage_w_parts(As[full], Ms[full])
+    mixed_lev, mixed_wnum, _ = _kernels.leverage_w_parts(As, Ms)
+    assert mixed_lev[full].tobytes() == lev.tobytes()
+    assert mixed_wnum[full].tobytes() == wnum.tobytes()
+
+
 def test_backend_constant_is_consistent():
     assert _kernels.BACKEND == "numpy"
-
-
-def test_searchsorted_clamps_to_last_index():
-    cdf = np.array([0.25, 0.5, 1.0])
-    # u == 1.0 (or a hair above, from float noise in the cdf) must stay in range
-    out = _kernels.searchsorted_right(cdf, np.array([0.0, 0.999, 1.0]))
-    assert out.tolist() == [0, 2, 2]
 
 
 def test_rank_deficient_status_from_objectives():

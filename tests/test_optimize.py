@@ -12,13 +12,14 @@ returns bitwise the same result and raises the same error.
 
 import importlib.resources as ir
 import itertools
+import json
 import math
 from functools import partial
 
 import numpy as np
 import pytest
 
-from softlev import _kernels, optimize
+from softlev import _kernels, cli, optimize
 from softlev.distributions import hellinger_sq, variance_under
 from softlev.errors import RankDeficient, ShapeMismatch, ZeroLeverage
 from softlev.harness import load_model_spec, padded_identity_instance
@@ -196,6 +197,33 @@ def test_leverage_argmax_is_a_feasible_scale_vector():
     assert sq.min() >= BOX.lo - 1e-9 and sq.max() <= BOX.hi + 1e-9
 
 
+def test_probes_below_a_tiny_lower_bound_stay_in_the_domain(tmp_path, monkeypatch, capsys):
+    # With C = 1e7 the box's lower bound 1/C lies below GRAD_EPS, so a probe
+    # u - GRAD_EPS e_i of a restart at that bound reaches u_i <= 0, where
+    # sqrt(u) is NaN.  The suite turns that RuntimeWarning into an error.
+    doc = json.loads((ir.files("softlev") / "specs" / "demo_leverage.json").read_text(encoding="utf-8"))
+    doc["constraint"] = {"c": 1.0, "C": 1e7}
+    path = tmp_path / "wide_box.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    lowest = []
+    probes = optimize._probes
+
+    def recorded(X, h):
+        P = probes(X, h)
+        lowest.append(P.min())
+        return P
+
+    monkeypatch.setattr(optimize, "_probes", recorded)
+    box = BoxConstraint(1.0, 1e7)
+    for objective in ("hellinger", "variance"):
+        lowest.clear()
+        assert cli.main(["optimize", str(path), "--objective", objective]) == 0
+        assert min(lowest) <= 0.0
+        value, _, _, _, *s = (float(v) for v in capsys.readouterr().out.split(","))
+        assert value > 0.0
+        box.check(s)  # must not raise
+
+
 def test_leverage_needs_at_least_as_many_rows_as_columns():
     A = np.ones((2, 3))
     with pytest.raises(ShapeMismatch, match=r"leverage model needs n >= d, got 2 x 3"):
@@ -369,8 +397,8 @@ def test_one_call_gradient_equals_the_loop(n, d):
     objectives = [
         (_Ball.objective(_kernels.softmax_h2_objective, A, B), x),
         (_Ball.objective(_kernels.softmax_var_objective, A, B), x),
-        (_Box.objective(_kernels.leverage_h2_objective, A, B), u),
-        (_Box.objective(_kernels.leverage_var_objective, A, B), u),
+        (_Box(BOX, A, B).objective(_kernels.leverage_h2_objective, A, B), u),
+        (_Box(BOX, A, B).objective(_kernels.leverage_var_objective, A, B), u),
     ]
     for objective, point in objectives:
         F = _raising(objective)
@@ -388,16 +416,18 @@ def test_failing_probe_raises_as_the_loop_does():
     # With every u_i = h, probe u - h e_i zeroes row i: for the e1 row that
     # zeroes column 1 (rank-deficient), for an e0 row it leaves a row of
     # leverage 0.  Reordering the rows decides which failure comes first.
+    # The kernels take the probes as they are: _Box.objective would move a
+    # coordinate at 0 to the box's lower bound.
     h = 0.25
     A = padded_identity_instance(5, 2).A
     M = generator(derive_seed(63, "probe")).standard_normal((5, 2))
     u = np.full(5, h)
     for order, expected in (([1, 0, 2, 3, 4], RankDeficient), ([0, 1, 2, 3, 4], ZeroLeverage)):
-        F = _raising(_Box.objective(_kernels.leverage_var_objective, A[order], M))
+        F = _raising(partial(_kernels.leverage_var_objective, A[order], M))
         assert _gradient_error(_fd_gradient_loop, F, u, h) is expected
         assert _gradient_error(_fd_gradient, F, u, h) is expected
     # H^2 has no zero-leverage status: the first failure is the e1 row.
-    F = _raising(_Box.objective(_kernels.leverage_h2_objective, A, M))
+    F = _raising(partial(_kernels.leverage_h2_objective, A, M))
     assert _gradient_error(_fd_gradient_loop, F, u, h) is RankDeficient
     assert _gradient_error(_fd_gradient, F, u, h) is RankDeficient
 

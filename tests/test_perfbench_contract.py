@@ -56,3 +56,17 @@ def test_setup_code_names_exist():
     assert callable(_kernels.warmup)
     assert callable(cli._resolve_spec_path)
     assert callable(harness.load_model_spec)
+
+
+def test_warmup_calls_every_kernel_perfbench_times(spans):
+    # A kernel left out of warmup() pays its lazy set-up inside a timed run.
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        _kernels.warmup()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    kernels = [name for name in spans.LAYERS if name.startswith("kernels.")]
+    assert kernels
+    assert [name for name in kernels if metrics[f"{name}.calls"] < 1] == []
