@@ -77,7 +77,7 @@ def _cmd_distance(args) -> int:
         if args.eps is None or args.n is None or args.m is None:
             print("error: --lemma-a1 needs --eps, --n, and --m", file=sys.stderr)
             return 2
-        a, b = extremal_pair(args.n, args.m, args.eps, args.t)
+        a, b = extremal_pair(args.n, args.m, args.eps)
         P = softmax_pmf(a[:, None], np.ones(1))
         Q = softmax_pmf(b[:, None], np.ones(1))
         t_val, h2_val = tv(P, Q), hellinger_sq(P, Q)
@@ -150,18 +150,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _taylor_verdict(report) -> bool:
-    """Gate only exact-identity checks; measured-constant bands are reported."""
-    return report.derivative_ok is not False
-
-
 def _cmd_verify(args) -> int:
     suites = ("bounds", "invariances", "taylor") if args.suite == "all" else (args.suite,)
     failed = False
     for suite in suites:
         if suite == "bounds":
-            spec = ExperimentSpec(instances=args.instances, seed=args.seed)
-            result = run_bound_suite(spec)
+            result = run_bound_suite(args.instances, args.seed)
             if args.out:
                 write_bounds_csv(_suite_out(args, suite), result)
             print(f"bounds: rows={len(result.rows)} strict_violations={result.strict_violations}")
@@ -171,8 +165,7 @@ def _cmd_verify(args) -> int:
             if result.strict_violations > 0:
                 failed = True
         elif suite == "invariances":
-            spec = ExperimentSpec(instances=args.instances, seed=args.seed)
-            report = run_invariance_suite(spec)
+            report = run_invariance_suite(args.instances, args.seed)
             if args.out:
                 write_invariance_csv(_suite_out(args, suite), report)
             for prop in report.properties:
@@ -186,17 +179,12 @@ def _cmd_verify(args) -> int:
             names = [args.spec] if args.spec else list(_DEMOS)
             for name in names:
                 model = load_model_spec(_resolve_spec_path(name))
-                spec = ExperimentSpec(model=model, seed=args.seed)
-                report = run_taylor_check(spec)
+                report = run_taylor_check(model, args.seed)
                 if args.out:
                     write_taylor_csv(_suite_out(args, f"taylor-{model.family}"), report)
-                flags = []
-                for field in ("degenerate", "band_ok", "converging_eighth", "zratio_ok", "derivative_ok"):
-                    val = getattr(report, field)
-                    if val is not None:
-                        flags.append(f"{field}={int(val)}")
+                flags = [f"{name}={int(val)}" for name, val in report.figures() if isinstance(val, bool)]
                 print(f"taylor[{model.family}]: " + " ".join(flags))
-                if not _taylor_verdict(report):
+                if not report.ok:
                     failed = True
     print(f"verdict: {'FAIL' if failed else 'PASS'}")
     return 1 if failed else 0
@@ -234,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--t", type=float, default=1.0)
     p.set_defaults(handler=_cmd_distance)
 
     p = sub.add_parser("optimize", help="maximize Hellinger distance or the variance functional")

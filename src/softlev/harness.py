@@ -13,7 +13,8 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -133,25 +134,26 @@ def padded_identity_instance(n, d, box=(0.5, 2.0)) -> ModelSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one experiment run."""
+    """Everything needed to reproduce one epsilon sweep."""
 
-    model: ModelSpec | None = None
+    model: ModelSpec
     eps_grid: tuple = (0.2, 0.1, 0.05)
     trials: int = 400
-    instances: int = 1000
     opt: OptimizerConfig = OptimizerConfig()
     seed: int = 0
     threads: int = 1
     out_path: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.model, ModelSpec):
+            raise TypeError(f"a sweep needs a ModelSpec, got {type(self.model).__name__}")
         grid = tuple(float(e) for e in self.eps_grid)
-        if not grid or any(e <= 0 for e in grid):
-            raise ValueError("eps grid must be non-empty with positive entries")
+        if not grid or not all(0.0 < e < math.inf for e in grid):
+            raise ValueError(f"eps grid must be non-empty with positive finite entries, got {grid}")
         if any(a <= b for a, b in zip(grid, grid[1:])):
             raise ValueError(f"eps grid must be strictly decreasing, got {grid}")
-        if self.trials < 1 or self.instances < 1 or self.threads < 1:
-            raise ValueError("trials, instances, and threads must be at least 1")
+        if self.trials < 1 or self.threads < 1:
+            raise ValueError("trials and threads must be at least 1")
         object.__setattr__(self, "eps_grid", grid)
 
 
@@ -165,15 +167,15 @@ def fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
+def _cell(val) -> str:
+    """A float in fmt17 form, a flag as 0 or 1, anything else as str."""
+    if isinstance(val, float):
+        return fmt17(val)
+    return str(int(val)) if isinstance(val, bool) else str(val)
+
+
 def _fmt_params(params: dict) -> str:
-    parts = []
-    for key in sorted(params):
-        val = params[key]
-        if isinstance(val, float):
-            parts.append(f"{key}={fmt17(val)}")
-        else:
-            parts.append(f"{key}={val}")
-    return ";".join(parts)
+    return ";".join(f"{key}={_cell(params[key])}" for key in sorted(params))
 
 
 def write_csv(path, header, rows, footers=()):
@@ -296,8 +298,6 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     depend on eps.  On error, rows that completed are flushed to
     ``spec.out_path`` (when set) before the first error re-raises.
     """
-    if spec.model is None:
-        raise ValueError("sweep needs a model")
     nu = _sweep_nu(spec.model, spec.opt, spec.seed)
     rows, first_error = _gather_grid(spec, lambda i: sweep_point(spec, i, nu))
     slope, intercept = _fit_loglog(rows)
@@ -340,6 +340,20 @@ class TaylorReport:
     coeff_empirical: float | None = None  # H^2 / eps^2 at the smallest eps
     coeff_w2: float | None = None  # sum_i W_ii^2 / (2 d^2 p_i)
     coeff_w_literal: float | None = None  # sum_i W_ii / p_i
+
+    def figures(self):
+        """(name, value) of every computed figure, in field order: the
+        family, the degenerate flag, then the family's flags and figures."""
+        return [
+            (f.name, getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in ("query", "rows") and getattr(self, f.name) is not None
+        ]
+
+    @property
+    def ok(self) -> bool:
+        """Gate only exact-identity checks; measured-constant bands are reported."""
+        return self.derivative_ok is not False
 
 
 def _run_taylor_softmax(model, query):
@@ -417,7 +431,7 @@ def _run_taylor_leverage(model, query):
     )
 
 
-def run_taylor_check(spec: ExperimentSpec, query=None) -> TaylorReport:
+def run_taylor_check(model: ModelSpec, seed: int, query=None) -> TaylorReport:
     """Local expansion checks at a fixed admissible query.
 
     softmax: tabulates r(eps) = H^2 / ((1/2) eps^2 Var_P(Mx)) at
@@ -433,11 +447,8 @@ def run_taylor_check(spec: ExperimentSpec, query=None) -> TaylorReport:
     the empirical H^2/eps^2 coefficient next to the two closed-form
     candidates, asserting neither.
     """
-    if spec.model is None:
-        raise ValueError("taylor check needs a model")
-    model = spec.model
     if query is None:
-        g = generator(derive_seed(spec.seed, "taylor-query"))
+        g = generator(derive_seed(seed, "taylor-query"))
         query = get_family(model.family).random_query(g, model.A.shape, model.constraint)
     model.constraint.check(query)
     if model.family == "softmax":
@@ -447,23 +458,7 @@ def run_taylor_check(spec: ExperimentSpec, query=None) -> TaylorReport:
 
 def write_taylor_csv(path, report: TaylorReport):
     rows = [(fmt17(r.eps), fmt17(r.h2), fmt17(r.reference), fmt17(r.ratio_half), fmt17(r.ratio_eighth)) for r in report.rows]
-    footers = [f"family {report.family}", f"degenerate {int(report.degenerate)}"]
-    for name in (
-        "band_ok",
-        "converging_eighth",
-        "zratio_dev",
-        "zratio_ok",
-        "derivative_max_err",
-        "derivative_sum",
-        "derivative_ok",
-        "coeff_empirical",
-        "coeff_w2",
-        "coeff_w_literal",
-    ):
-        val = getattr(report, name)
-        if val is None:
-            continue
-        footers.append(f"{name} {fmt17(val) if isinstance(val, float) else int(val)}")
+    footers = [f"{name} {_cell(val)}" for name, val in report.figures()]
     write_csv(path, ("eps", "h2", "half_eps2_var", "ratio_half", "ratio_eighth"), rows, footers)
 
 
@@ -636,15 +631,21 @@ _ENVELOPE_FAMILIES = ("softmax_query_h2", "leverage_tv_envelope", "low_mass_h2")
 _TIGHT_TOL = 1e-9
 
 
-def run_bound_suite(spec: ExperimentSpec) -> BoundSuiteResult:
+def _check_instances(instances):
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
+
+
+def run_bound_suite(instances: int, seed: int) -> BoundSuiteResult:
     """Randomized falsification of every closed-form bound plus the two
     model-level envelopes and the low-mass construction."""
+    _check_instances(instances)
     rows = []
-    rows += _logit_pair_rows(spec.seed, spec.instances)
-    rows += _chain_rows(spec.seed, spec.instances)
+    rows += _logit_pair_rows(seed, instances)
+    rows += _chain_rows(seed, instances)
     rows += _extremal_rows()
-    rows += _softmax_envelope_rows(spec.seed, spec.instances)
-    rows += _leverage_envelope_rows(spec.seed, spec.instances)
+    rows += _softmax_envelope_rows(seed, instances)
+    rows += _leverage_envelope_rows(seed, instances)
     rows += _low_mass_rows()
 
     strict = tuple(r.bound_name in _STRICT_FAMILIES for r in rows)
@@ -719,66 +720,59 @@ class InvarianceReport:
         raise KeyError(name)
 
 
-def _shift_invariance(seed, count):
-    worst = 0.0
-    for g in _streams(seed, "shift", count):
-        n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
-        A = g.standard_normal((n, d))
-        w = g.standard_normal(d)
-        x = g.standard_normal(d)
-        B = A + np.outer(np.ones(n), w)
-        P = softmax_pmfs(np.stack([A @ x, B @ x]))
-        dev = float(np.abs(P[0] - P[1]).max())
-        worst = max(worst, dev)
-    return worst
+def _shift_deviation(g):
+    n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
+    A = g.standard_normal((n, d))
+    w = g.standard_normal(d)
+    x = g.standard_normal(d)
+    B = A + np.outer(np.ones(n), w)
+    P = softmax_pmfs(np.stack([A @ x, B @ x]))
+    return float(np.abs(P[0] - P[1]).max())
 
 
-def _right_invariance(seed, count):
-    worst = 0.0
-    for g in _streams(seed, "right", count):
-        d = int(g.integers(1, 5))
-        n = int(g.integers(d + 1, 10))
-        A = g.standard_normal((n, d))
-        # R with condition number capped at 1e3: random orthogonal factors
-        # around a log-uniform singular spectrum.
-        kappa = 10.0 ** (3.0 * float(g.random()))
-        sing = np.exp(np.linspace(-0.5, 0.5, d) * math.log(kappa)) if d > 1 else np.ones(1)
-        U = np.linalg.qr(g.standard_normal((d, d)))[0]
-        V = np.linalg.qr(g.standard_normal((d, d)))[0]
-        R = U @ np.diag(sing) @ V
-        s = np.sqrt(0.5 + g.random(n) * 1.5)
-        P = leverage_pmfs(np.stack([A @ R, A]), s)
-        dev = float(np.abs(P[0] - P[1]).max())
-        worst = max(worst, dev)
-    return worst
+def _right_deviation(g):
+    d = int(g.integers(1, 5))
+    n = int(g.integers(d + 1, 10))
+    A = g.standard_normal((n, d))
+    # R with condition number capped at 1e3: random orthogonal factors
+    # around a log-uniform singular spectrum.
+    kappa = 10.0 ** (3.0 * float(g.random()))
+    sing = np.exp(np.linspace(-0.5, 0.5, d) * math.log(kappa)) if d > 1 else np.ones(1)
+    U = np.linalg.qr(g.standard_normal((d, d)))[0]
+    V = np.linalg.qr(g.standard_normal((d, d)))[0]
+    R = U @ np.diag(sing) @ V
+    s = np.sqrt(0.5 + g.random(n) * 1.5)
+    P = leverage_pmfs(np.stack([A @ R, A]), s)
+    return float(np.abs(P[0] - P[1]).max())
 
 
-def _sign_invariance(seed, count):
-    worst = 0.0
-    for g in _streams(seed, "sign", count):
-        d = int(g.integers(1, 5))
-        n = int(g.integers(d + 1, 10))
-        A = g.standard_normal((n, d))
-        s = np.sqrt(0.5 + g.random(n) * 1.5)
-        flip = np.where(g.random(n) < 0.5, -1.0, 1.0)
-        P = leverage_pmfs(A, np.stack([s * flip, s]))
-        dev = float(np.abs(P[0] - P[1]).max())
-        worst = max(worst, dev)
-    return worst
+def _sign_deviation(g):
+    d = int(g.integers(1, 5))
+    n = int(g.integers(d + 1, 10))
+    A = g.standard_normal((n, d))
+    s = np.sqrt(0.5 + g.random(n) * 1.5)
+    flip = np.where(g.random(n) < 0.5, -1.0, 1.0)
+    P = leverage_pmfs(A, np.stack([s * flip, s]))
+    return float(np.abs(P[0] - P[1]).max())
 
 
-def _normalization(seed, count):
-    worst = 0.0
-    for g in _streams(seed, "norm", count):
-        d = int(g.integers(1, 5))
-        n = int(g.integers(d + 1, 10))
-        A = g.standard_normal((n, d))
-        x = g.standard_normal(d)
-        worst = max(worst, abs(float(_kernels.softmax_probs(A @ x).sum()) - 1.0))
-        probs, _, ok = _kernels.leverage_probs(A)
-        if ok:
-            worst = max(worst, abs(float(probs.sum()) - 1.0))
-    return worst
+def _normalization_deviation(g):
+    d = int(g.integers(1, 5))
+    n = int(g.integers(d + 1, 10))
+    A = g.standard_normal((n, d))
+    x = g.standard_normal(d)
+    dev = abs(float(_kernels.softmax_probs(A @ x).sum()) - 1.0)
+    probs, _, ok = _kernels.leverage_probs(A)
+    return max(dev, abs(float(probs.sum()) - 1.0)) if ok else dev
+
+
+# (property, stream label, tolerance, deviation of one instance drawn from g)
+_INVARIANCES = (
+    ("shift_invariance", "shift", 1e-12, _shift_deviation),
+    ("right_invariance", "right", 1e-8, _right_deviation),
+    ("sign_invariance", "sign", 1e-12, _sign_deviation),
+    ("normalization", "norm", 1e-9, _normalization_deviation),
+)
 
 
 def _h2_tv(P, Q):
@@ -817,23 +811,17 @@ def _metric_axioms(seed, count):
     return sandwich_viol, triangle_viol, sym_viol, ident_dev
 
 
-def run_invariance_suite(spec: ExperimentSpec) -> InvarianceReport:
+def run_invariance_suite(instances: int, seed: int) -> InvarianceReport:
     """Model symmetries and metric axioms over randomized instances."""
-    count = spec.instances
-    seed = spec.seed
+    _check_instances(instances)
     props = []
-    dev = _shift_invariance(seed, count)
-    props.append(PropertyResult("shift_invariance", count, dev, int(dev > 1e-12), dev <= 1e-12))
-    dev = _right_invariance(seed, count)
-    props.append(PropertyResult("right_invariance", count, dev, int(dev > 1e-8), dev <= 1e-8))
-    dev = _sign_invariance(seed, count)
-    props.append(PropertyResult("sign_invariance", count, dev, int(dev > 1e-12), dev <= 1e-12))
-    dev = _normalization(seed, count)
-    props.append(PropertyResult("normalization", count, dev, int(dev > 1e-9), dev <= 1e-9))
-    sandwich, triangle, sym, ident = _metric_axioms(seed, count)
-    props.append(PropertyResult("metric_sandwich", count, float(ident), sandwich, sandwich == 0))
-    props.append(PropertyResult("metric_triangle", count, float(ident), triangle, triangle == 0))
-    props.append(PropertyResult("metric_symmetry", count, 0.0, sym, sym == 0))
+    for name, label, tol, deviation in _INVARIANCES:
+        dev = reduce(max, (deviation(g) for g in _streams(seed, label, instances)), 0.0)
+        props.append(PropertyResult(name, instances, dev, int(dev > tol), dev <= tol))
+    sandwich, triangle, sym, ident = _metric_axioms(seed, instances)
+    props.append(PropertyResult("metric_sandwich", instances, float(ident), sandwich, sandwich == 0))
+    props.append(PropertyResult("metric_triangle", instances, float(ident), triangle, triangle == 0))
+    props.append(PropertyResult("metric_symmetry", instances, 0.0, sym, sym == 0))
     return InvarianceReport(tuple(props), all(p.ok for p in props))
 
 

@@ -95,9 +95,10 @@ def test_03_metric_sandwich_on_random_distributions(verdict):
 
 def test_04_model_invariances(verdict):
     t0 = perf_counter()
-    shift = harness._shift_invariance(0, 1000)
-    right = harness._right_invariance(0, 1000)
-    sign = harness._sign_invariance(0, 1000)
+    rep = harness.run_invariance_suite(1000, 0)
+    shift = rep.by_name("shift_invariance").max_deviation
+    right = rep.by_name("right_invariance").max_deviation
+    sign = rep.by_name("sign_invariance").max_deviation
     elapsed = perf_counter() - t0
     ok = shift <= 1e-12 and right <= 1e-8 and sign <= 1e-8
     verdict(4, "shift / right / sign invariances on 1e3 instances", ok and elapsed < 10.0,
@@ -121,7 +122,7 @@ def test_05_softmax_expansion_half_normalized_band(verdict):
         g = generator(derive_seed(0, "acc-expansion", k))
         n, d = int(g.integers(2, 11)), int(g.integers(1, 6))
         model = gaussian_instance("softmax", n, d, seed=k)
-        rep = run_taylor_check(ExperimentSpec(model=model, seed=k))
+        rep = run_taylor_check(model, k)
         at = {r.eps: r for r in rep.rows}[1e-3]
         band_hits += 0.9 <= at.ratio_eighth <= 1.1
         shrink_hits += bool(rep.converging_eighth)
@@ -154,7 +155,7 @@ def test_06_leverage_derivative_matches_central_differences(verdict):
         d = int(g.integers(1, 6))
         n = int(g.integers(d + 1, 11))
         model = gaussian_instance("leverage", n, d, seed=k)
-        rep = run_taylor_check(ExperimentSpec(model=model, seed=k))
+        rep = run_taylor_check(model, k)
         worst_err = max(worst_err, rep.derivative_max_err)
         worst_sum = max(worst_sum, abs(rep.derivative_sum))
     elapsed = perf_counter() - t0

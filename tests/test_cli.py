@@ -284,6 +284,14 @@ def test_sweep_output_does_not_depend_on_thread_count(tmp_path):
     assert res1.stdout.splitlines()[1:] == res3.stdout.splitlines()[1:]
 
 
+@pytest.mark.parametrize("grid", ["0.2,nan", "inf,0.1"])
+def test_sweep_rejects_non_finite_grid_before_running(tmp_path, capsys, grid):
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "demo-softmax", "--grid", grid, "--out", str(out)]) == 2
+    assert "eps grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -305,6 +313,15 @@ def test_verify_detects_corrupted_bounds(capsys):
     assert int(lines[0].split("strict_violations=")[1]) > 0
     assert "bounds: all_tight=0 monotone_ok=1" in lines
     assert lines[-1] == "verdict: FAIL"
+
+
+@pytest.mark.parametrize("suite", ["bounds", "invariances", "all"])
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_verify_needs_at_least_one_instance(capsys, suite, instances):
+    assert cli.main(["verify", "--suite", suite, "--instances", instances]) == 2
+    captured = capsys.readouterr()
+    assert "instances" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_invariances_suite_passes():

@@ -227,6 +227,9 @@ def test_experiment_spec_validation():
         ExperimentSpec(model=model, eps_grid=(0.1, 0.1))
     with pytest.raises(ValueError, match="positive"):
         ExperimentSpec(model=model, eps_grid=(0.1, 0.0))
+    for grid in ((0.2, math.nan), (math.inf, 0.1)):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentSpec(model=model, eps_grid=grid)
     with pytest.raises(ValueError):
         ExperimentSpec(model=model, trials=0)
     with pytest.raises(ValueError):
@@ -373,8 +376,11 @@ def test_run_sweep_refuses_indistinguishable_directions():
 
 
 def test_run_sweep_needs_a_model():
-    with pytest.raises(ValueError, match="model"):
-        run_sweep(ExperimentSpec())
+    # the spec describes a sweep, so it cannot be built without a model
+    with pytest.raises(TypeError):
+        ExperimentSpec()
+    with pytest.raises(TypeError, match="ModelSpec"):
+        ExperimentSpec(model=None)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +397,7 @@ def _two_outcome_taylor():
         EnergyConstraint(1.0),
         seed=0,
     )
-    spec = ExperimentSpec(model=model, seed=0)
-    return run_taylor_check(spec, query=np.array([1.0]))
+    return run_taylor_check(model, 0, query=np.array([1.0]))
 
 
 def test_taylor_softmax_ratios_converge_to_quarter_and_one():
@@ -419,13 +424,13 @@ def test_taylor_softmax_degenerate_direction():
         EnergyConstraint(1.0),
         seed=0,
     )
-    rep = run_taylor_check(ExperimentSpec(model=model, seed=0))
+    rep = run_taylor_check(model, 0)
     assert rep.degenerate and rep.rows == ()
 
 
 def test_taylor_leverage_demo_coefficients():
     model = load_model_spec(str(ir.files("softlev") / "specs" / "demo_leverage.json"))
-    rep = run_taylor_check(ExperimentSpec(model=model, seed=model.seed))
+    rep = run_taylor_check(model, model.seed)
     assert not rep.degenerate
     assert rep.derivative_ok
     assert rep.derivative_max_err < 1e-8
@@ -440,7 +445,7 @@ def test_taylor_leverage_demo_coefficients():
 def test_taylor_leverage_zero_direction_is_degenerate():
     model = gaussian_instance("leverage", 5, 2, seed=4)
     zeroed = ModelSpec("leverage", model.A, None, np.zeros_like(model.A), model.constraint, 4)
-    rep = run_taylor_check(ExperimentSpec(model=zeroed, seed=4))
+    rep = run_taylor_check(zeroed, 4)
     assert rep.degenerate
     assert rep.derivative_ok  # the derivative of nothing is zero, exactly
 
@@ -449,11 +454,11 @@ def test_taylor_default_query_is_admissible():
     # run_taylor_check validates its query against the model constraint, so
     # surviving these calls is the feasibility check
     soft = gaussian_instance("softmax", 4, 3, seed=11)
-    rep = run_taylor_check(ExperimentSpec(model=soft, seed=11))
+    rep = run_taylor_check(soft, 11)
     assert rep.query.shape == (3,)
     assert float(np.linalg.norm(rep.query)) <= 1.0 + 1e-9
     lev = gaussian_instance("leverage", 5, 2, seed=11)
-    rep = run_taylor_check(ExperimentSpec(model=lev, seed=11))
+    rep = run_taylor_check(lev, 11)
     assert rep.query.shape == (5,)
     assert ((rep.query**2 >= 0.5 - 1e-12) & (rep.query**2 <= 2.0 + 1e-12)).all()
 
@@ -464,8 +469,7 @@ def test_taylor_default_query_is_admissible():
 
 
 def test_bound_suite_clean_at_scale_one():
-    spec = ExperimentSpec(instances=200, seed=0)
-    res = run_bound_suite(spec)
+    res = run_bound_suite(200, 0)
     assert res.strict_violations == 0
     assert all(r.satisfied for r in res.rows)
     assert res.all_tight and res.monotone_ok
@@ -477,15 +481,13 @@ def test_bound_suite_clean_at_scale_one():
 
 @pytest.mark.usefixtures("halved_lemma_bounds")
 def test_bound_suite_detects_corrupted_bounds():
-    spec = ExperimentSpec(instances=60, seed=0)
-    res = run_bound_suite(spec)
+    res = run_bound_suite(60, 0)
     assert res.strict_violations > 0
     assert not res.all_tight
 
 
 def test_invariance_suite_clean():
-    spec = ExperimentSpec(instances=150, seed=0)
-    rep = run_invariance_suite(spec)
+    rep = run_invariance_suite(150, 0)
     assert rep.all_ok
     names = {p.name for p in rep.properties}
     assert names == {
@@ -593,19 +595,18 @@ def _row_key(row):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_bound_suite_rows_equal_per_pmf_reference(seed, monkeypatch):
-    spec = ExperimentSpec(instances=50, seed=seed)
-    stacked = run_bound_suite(spec).rows
+    stacked = run_bound_suite(50, seed).rows
     monkeypatch.setattr(harness, "_softmax_pair", _ref_softmax_pair)
     monkeypatch.setattr(harness, "_leverage_envelope_rows", _ref_leverage_envelope_rows)
     monkeypatch.setattr(harness, "_streams", _ref_streams)
-    reference = run_bound_suite(spec).rows
+    reference = run_bound_suite(50, seed).rows
     assert len(stacked) == len(reference) > 6 * 50
     assert [_row_key(r) for r in stacked] == [_row_key(r) for r in reference]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_invariance_suite_deviations_equal_per_pmf_reference(seed):
-    rep = run_invariance_suite(ExperimentSpec(instances=50, seed=seed))
+    rep = run_invariance_suite(50, seed)
     for name, reference in [
         ("shift_invariance", _ref_shift_invariance),
         ("right_invariance", _ref_right_invariance),
@@ -633,7 +634,7 @@ def test_taylor_csv_smoke(tmp_path):
 
 
 def test_bounds_csv_smoke(tmp_path):
-    res = run_bound_suite(ExperimentSpec(instances=5, seed=0))
+    res = run_bound_suite(5, 0)
     path = tmp_path / "bounds.csv"
     write_bounds_csv(path, res)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -647,7 +648,7 @@ def test_bounds_csv_smoke(tmp_path):
 
 
 def test_invariance_csv_smoke(tmp_path):
-    rep = run_invariance_suite(ExperimentSpec(instances=10, seed=0))
+    rep = run_invariance_suite(10, 0)
     path = tmp_path / "inv.csv"
     write_invariance_csv(path, rep)
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from softlev import _kernels, cli, harness
+from softlev.optimize import OptimizerConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -70,3 +71,19 @@ def test_warmup_calls_every_kernel_perfbench_times(spans):
     kernels = [name for name in spans.LAYERS if name.startswith("kernels.")]
     assert kernels
     assert [name for name in kernels if metrics[f"{name}.calls"] < 1] == []
+
+
+def test_traced_sweep_reports_its_grid(spans):
+    # spans._extra_grid reads the thread budget off _gather_grid's first
+    # argument; the traced sweep needs it for harness.grid_efficiency.
+    model = harness.gaussian_instance("softmax", 4, 2, seed=1)
+    spec = harness.ExperimentSpec(model=model, eps_grid=(0.3,), trials=20, opt=OptimizerConfig(restarts=2), seed=9)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        harness.run_sweep(spec)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["harness.sweep_point.calls"] == 1
+    assert metrics["harness.grid_efficiency"] > 0
