@@ -12,12 +12,12 @@ solves run on ``(k, n, d)`` stacks, and sums run along the last axis.
 (``X @ A.T``, ``einsum`` and ``(p * v).sum(axis=1)`` in place of ``p @ v``
 reassociate and differ in the last bits.)
 
-``softmax_probs`` and ``h2_tv`` work along the last axis, and
+``softmax_probs`` and ``h2_tv`` work along the last axis, ``row_gram_gap``
+sums along the last axis of a ``(..., n, d)`` stack of matrix pairs, and
 ``leverage_probs`` and ``leverage_w_parts`` factor a ``(..., n, d)`` stack in
 one QR call, so one vector or matrix is the stack of one and every row of a
-stack is bitwise equal to that row alone.  Only ``row_gram_gap`` takes one
-pair of matrices.  Each kernel has one implementation, and results are
-bitwise deterministic.
+stack is bitwise equal to that row alone.  Each kernel has one
+implementation, and results are bitwise deterministic.
 
 Status codes returned by the leverage objectives:
 
@@ -76,6 +76,8 @@ def h2_tv(p, q):
 
 
 def row_gram_gap(A, B):
+    """sum_i || B_i B_i^T - A_i A_i^T ||_op over the rows of each (A, B) pair
+    in a ``(..., n, d)`` stack, one value per pair."""
     # Per row, the difference b b^T - a a^T acts only on span{a, b}; its
     # operator norm is the largest |eigenvalue| of the 2x2 restriction to an
     # orthonormal basis of that span, which has a closed form.  The off-axis
@@ -83,20 +85,20 @@ def row_gram_gap(A, B):
     # nb2 - b1^2, which cancels catastrophically for near-parallel rows, and
     # the diagonal term is kept in product form so bitwise-equal rows give an
     # exact zero.
-    na2 = (A * A).sum(axis=1)
-    nb2 = (B * B).sum(axis=1)
-    ab = (A * B).sum(axis=1)
+    na2 = (A * A).sum(axis=-1)
+    nb2 = (B * B).sum(axis=-1)
+    ab = (A * B).sum(axis=-1)
     safe = na2 > 0.0
     den = np.where(safe, na2, 1.0)
-    R = B - (ab / den)[:, None] * A
-    b2sq = (R * R).sum(axis=1)
+    R = B - (ab / den)[..., None] * A
+    b2sq = (R * R).sum(axis=-1)
     m11 = (ab - na2) * (ab + na2) / den
     m12 = (ab / np.sqrt(den)) * np.sqrt(b2sq)
     half_tr = 0.5 * (m11 + b2sq)
     disc = np.sqrt((0.5 * (m11 - b2sq)) ** 2 + m12 * m12)
     op = np.maximum(np.abs(half_tr + disc), np.abs(half_tr - disc))
     op = np.where(safe, op, nb2)
-    return float(op.sum())
+    return op.sum(axis=-1)
 
 
 def _checked_qr(As):

@@ -7,6 +7,13 @@ Everything is driven by a single top-level seed; per-row subseeds come from
 that replays it in isolation.  Output tables are byte-identical for
 identical specs, including across ``threads`` settings: grid points may
 compute in any order, but rows are buffered and written in grid order.
+
+The randomized bound and invariance suites run in lockstep, a fixed block
+of instances at a time: every instance first draws all of its numbers from
+its own keyed stream, in the order a one-instance loop would, then each
+group of instances of equal shape is evaluated as one stack.  The kernels
+work along the last axes, so rows and deviations are bitwise those of the
+one-instance loop, and they come out in instance order.
 """
 
 import json
@@ -21,12 +28,12 @@ import numpy as np
 
 from . import _kernels
 from .bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
-from .distributions import DiscreteDistribution, hellinger_sq
+from .distributions import hellinger_sq, normalize_probs
 from .errors import InputFormatError
 from .hypotest import estimate_sample_complexity, estimate_success
 from .leverage import BoxConstraint, _w_parts, leverage_pmf, leverage_pmfs
 from .model import ModelSpec, get_family
-from .numerics import gram, min_eigenvalue, row_gram_gap, two_to_infty_norm
+from .numerics import gram, min_eigenvalue, two_to_infty_norm
 from .optimize import OptimizerConfig
 from .rng import Stream, derive_seed, derive_seeds, generator, generators
 from .softmax import EnergyConstraint, softmax_pmf, softmax_pmfs
@@ -485,53 +492,84 @@ class BoundSuiteResult:
     all_tight: bool
 
 
-def _random_distribution(g, n):
-    p = g.random(n) + 1e-12
-    mask = g.random(n) < 0.15
-    if mask.all():
-        mask[int(g.integers(n))] = False
-    p[mask] = 0.0
-    return DiscreteDistribution(p / p.sum())
+_BLOCK = 512  # instances drawn and evaluated together; bounds transient memory
+
+
+def _blocks(count):
+    """range(count) as consecutive ranges of at most _BLOCK indices."""
+    return [range(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
+
+
+def _streams(seed, label, indices):
+    """(k, generator(derive_seed(seed, label, k))) for each index k, from one
+    re-keyed stream: each generator is valid until the next is drawn."""
+    return zip(indices, generators(derive_seeds(seed, label, indices=indices)))
+
+
+def _stacked(evaluate, draws):
+    """Run ``evaluate`` once per group of draws whose first arrays share a
+    shape, on one stack per field of the group's draws.  ``evaluate``
+    returns a tuple of arrays with one value per draw; the result is one
+    tuple of floats per draw, in draw order."""
+    groups = {}
+    for i, draw in enumerate(draws):
+        groups.setdefault(draw[0].shape, []).append(i)
+    out = [None] * len(draws)
+    for idx in groups.values():
+        results = evaluate(*(np.stack(field) for field in zip(*(draws[i] for i in idx))))
+        for i, values in zip(idx, zip(*(r.tolist() for r in results))):
+            out[i] = values
+    return out
+
+
+def _matvec(A, x):
+    """A @ x of each (A, x) pair in a stack, bitwise equal to one pair's A @ x."""
+    return (A @ x[..., None])[..., 0]
+
+
+def _softmax_gaps(a, b):
+    """H^2 and TV between softmax(a) and softmax(b) for each pair of logit
+    vectors in a stack, from one ``(..., 2, n)`` softmax stack."""
+    P = softmax_pmfs(np.stack([a, b], axis=-2))
+    return _kernels.h2_tv(P[..., 0, :], P[..., 1, :])
 
 
 def _softmax_pair(A, B, x):
-    """H^2 and TV between softmax(A x) and softmax(B x), as one (2, n) stack."""
-    h2, t = _kernels.h2_tv(*softmax_pmfs(np.stack([A @ x, B @ x])))
+    """H^2 and TV between softmax(A x) and softmax(B x)."""
+    h2, t = _softmax_gaps(A @ x, B @ x)
     return float(h2), float(t)
-
-
-def _streams(seed, label, count):
-    """generator(derive_seed(seed, label, k)) for k < count, as one re-keyed
-    stream: each generator is valid until the next is drawn."""
-    return generators(derive_seeds(seed, label, indices=range(count)))
 
 
 def _logit_pair_rows(seed, count):
     rows = []
-    for k, g in enumerate(_streams(seed, "gap", count)):
-        n = int(g.integers(2, 11))
-        eps = 2.0 * float(g.random())
-        a = 2.0 * g.standard_normal(n)
-        mask = g.random(n) < 0.5
-        b = a + eps * mask
-        h2, t = _softmax_pair(a[:, None], b[:, None], np.ones(1))
-        params = {"eps": eps, "n": n, "m": int(mask.sum()), "seed": k}
-        rows.append(BoundReport("logit_gap_h2", params, lemma_h2_bound(eps), h2))
-        rows.append(BoundReport("logit_gap_tv", params, lemma_tv_bound(eps), t))
+    for block in _blocks(count):
+        params, pairs = [], []
+        for k, g in _streams(seed, "gap", block):
+            n = int(g.integers(2, 11))
+            eps = 2.0 * float(g.random())
+            a = 2.0 * g.standard_normal(n)
+            mask = g.random(n) < 0.5
+            pairs.append((a, a + eps * mask))
+            params.append({"eps": eps, "n": n, "m": int(mask.sum()), "seed": k})
+        for p, (h2, t) in zip(params, _stacked(_softmax_gaps, pairs)):
+            rows.append(BoundReport("logit_gap_h2", p, lemma_h2_bound(p["eps"]), h2))
+            rows.append(BoundReport("logit_gap_tv", p, lemma_tv_bound(p["eps"]), t))
     return rows
 
 
 def _chain_rows(seed, count):
     rows = []
-    for k, g in enumerate(_streams(seed, "chain", count)):
-        n = int(g.integers(2, 11))
-        eps = 2.0 * float(g.random())
-        a = 2.0 * g.standard_normal(n)
-        b = a + eps * (2.0 * g.random(n) - 1.0)  # ||a - b||_inf <= eps
-        h2, t = _softmax_pair(a[:, None], b[:, None], np.ones(1))
-        params = {"eps": eps, "n": n, "seed": k}
-        rows.append(BoundReport("infty_gap_h2_chain", params, lemma_h2_bound(2.0 * eps), h2))
-        rows.append(BoundReport("infty_gap_tv_chain", params, 2.0 * lemma_tv_bound(eps), t))
+    for block in _blocks(count):
+        params, pairs = [], []
+        for k, g in _streams(seed, "chain", block):
+            n = int(g.integers(2, 11))
+            eps = 2.0 * float(g.random())
+            a = 2.0 * g.standard_normal(n)
+            pairs.append((a, a + eps * (2.0 * g.random(n) - 1.0)))  # ||a - b||_inf <= eps
+            params.append({"eps": eps, "n": n, "seed": k})
+        for p, (h2, t) in zip(params, _stacked(_softmax_gaps, pairs)):
+            rows.append(BoundReport("infty_gap_h2_chain", p, lemma_h2_bound(2.0 * p["eps"]), h2))
+            rows.append(BoundReport("infty_gap_tv_chain", p, 2.0 * lemma_tv_bound(p["eps"]), t))
     return rows
 
 
@@ -552,66 +590,123 @@ def _softmax_envelope_rows(seed, count):
     # H^2 <= 1.0 * (gap * ||x||)^2 whenever gap * ||x|| <= 1/2, with
     # gap the max row norm of B - A (measured envelope constant 1.0).
     rows = []
-    for k, g in enumerate(_streams(seed, "softmax-env", count)):
-        n = int(g.integers(2, 11))
-        d = int(g.integers(1, 6))
-        A = g.standard_normal((n, d))
-        D = g.standard_normal((n, d))
-        D /= two_to_infty_norm(D)
-        x = g.standard_normal(d)
-        xnorm = float(np.linalg.norm(x))
-        if xnorm == 0.0:
-            continue
-        rho = 0.5 * float(g.random())
-        gap = rho / xnorm
-        B = A + gap * D
-        h2, _ = _softmax_pair(A, B, x)
-        params = {"rho": rho, "n": n, "d": d, "seed": k}
-        rows.append(BoundReport("softmax_query_h2", params, rho * rho, h2))
+    for block in _blocks(count):
+        params, draws = [], []
+        for k, g in _streams(seed, "softmax-env", block):
+            n = int(g.integers(2, 11))
+            d = int(g.integers(1, 6))
+            A = g.standard_normal((n, d))
+            D = g.standard_normal((n, d))
+            D /= two_to_infty_norm(D)
+            x = g.standard_normal(d)
+            xnorm = float(np.linalg.norm(x))
+            if xnorm == 0.0:
+                continue
+            rho = 0.5 * float(g.random())
+            gap = rho / xnorm
+            draws.append((A, A + gap * D, x))
+            params.append({"rho": rho, "n": n, "d": d, "seed": k})
+        gaps = _stacked(lambda A, B, x: _softmax_gaps(_matvec(A, x), _matvec(B, x)), draws)
+        for p, (h2, _) in zip(params, gaps):
+            rows.append(BoundReport("softmax_query_h2", p, p["rho"] * p["rho"], h2))
     return rows
 
 
-def _leverage_envelope_pair(stream, seed, k, box):
-    """One well-conditioned pair (A, B) with gap ratio eps*C/(c*delta) in
-    (0, 0.1]; retries drawn instances until the conditioning floor holds.
-    The returned generator is ``stream``, keyed by the accepted attempt."""
-    for attempt in range(50):
-        g = stream.keyed(derive_seed(seed, "lev-env", k, attempt))
-        d = int(g.integers(1, 4))
-        n = int(g.integers(d + 1, 9))
-        A = g.standard_normal((n, d))
-        delta = min_eigenvalue(gram(A))
-        if delta < 0.05:
-            continue
-        target = 0.1 * (0.1 + 0.9 * float(g.random()))
-        G = g.standard_normal((n, d))
-        gamma = 1e-3
-        for _ in range(30):
-            ratio = row_gram_gap(A, A + gamma * G) * box.hi / (box.lo * delta)
-            if ratio <= 0.0:
+_ENVELOPE_BOX = BoxConstraint(0.5, 2.0)
+
+
+def _envelope_ratio(gap, delta):
+    box = _ENVELOPE_BOX
+    return gap * box.hi / (box.lo * delta)
+
+
+def _gamma_search(A, G, delta, target):
+    """gamma of each (A, G) pair in a stack such that B = A + gamma G puts
+    the gap ratio (row-gram gap of A and B) C / (c delta) within 5% of the
+    target, from up to 30 square-root steps starting at 1e-3; returns gamma
+    and the ratio at gamma.  Every pair steps in lockstep while its search
+    is live, so each takes exactly the steps it would take alone."""
+    delta, target = delta.tolist(), target.tolist()
+    gamma = [1e-3] * len(delta)
+    live = list(range(len(delta)))
+    for _ in range(30):
+        if not live:
+            break
+        steps = np.array([gamma[i] for i in live])[:, None, None]
+        gaps = _kernels.row_gram_gap(A[live], A[live] + steps * G[live])
+        searching = []
+        for i, gap in zip(live, gaps.tolist()):
+            ratio = _envelope_ratio(gap, delta[i])
+            if ratio <= 0.0 or abs(ratio - target[i]) <= 0.05 * target[i]:
+                continue
+            gamma[i] *= (target[i] / ratio) ** 0.5
+            searching.append(i)
+        live = searching
+    gamma = np.array(gamma)
+    gaps = _kernels.row_gram_gap(A, A + gamma[:, None, None] * G).tolist()
+    return gamma, np.array([_envelope_ratio(gap, dl) for gap, dl in zip(gaps, delta)])
+
+
+def _leverage_envelope_pairs(seed, block, queries):
+    """(A, B, S, ratio) for each index k of the block: the first of k's
+    attempts that draws a well-conditioned A (lambda_min(A^T A) >= 0.05) and
+    whose gamma search lands the gap ratio eps*C/(c*delta) in (0, 0.1], with
+    S that attempt's query scales.  Each round draws the next candidate
+    attempt of every pending index and runs their gamma searches in
+    lockstep; a pair whose search misses is redrawn at its next attempt in
+    the next round."""
+    box = _ENVELOPE_BOX
+    stream = Stream()
+    pending = dict.fromkeys(block, 0)  # index -> its next attempt
+    pairs, failed = {}, []
+    while pending:
+        drawn, searches = [], []
+        for k, first in pending.items():
+            for attempt in range(first, 50):
+                g = stream.keyed(derive_seed(seed, "lev-env", k, attempt))
+                d = int(g.integers(1, 4))
+                n = int(g.integers(d + 1, 9))
+                A = g.standard_normal((n, d))
+                delta = min_eigenvalue(gram(A))
+                if delta < 0.05:
+                    continue
+                target = 0.1 * (0.1 + 0.9 * float(g.random()))
+                G = g.standard_normal((n, d))
+                S = np.sqrt(box.lo + g.random((queries, n)) * (box.hi - box.lo))
+                drawn.append((k, attempt, A, G, S))
+                searches.append((A, G, delta, target))
                 break
-            if abs(ratio - target) <= 0.05 * target:
-                break
-            gamma *= (target / ratio) ** 0.5
-        B = A + gamma * G
-        ratio = row_gram_gap(A, B) * box.hi / (box.lo * delta)
-        if 0.0 < ratio <= 0.1:
-            return g, A, B, n, d, ratio
-    raise RuntimeError(f"could not draw a well-conditioned leverage pair for index {k}")  # pragma: no cover
+            else:
+                failed.append(k)
+        pending = {}
+        for (k, attempt, A, G, S), (gamma, ratio) in zip(drawn, _stacked(_gamma_search, searches)):
+            if 0.0 < ratio <= 0.1:
+                pairs[k] = (A, A + gamma * G, S, ratio)
+            else:
+                pending[k] = attempt + 1
+    if failed:
+        raise RuntimeError(f"could not draw a well-conditioned leverage pair for index {min(failed)}")
+    return [pairs[k] for k in block]
+
+
+def _worst_tv(A, B, S):
+    """Largest TV between the leverage laws of A and B over each pair's
+    query scales, from one QR call per model."""
+    _, tvs = _kernels.h2_tv(leverage_pmfs(A[:, None], S), leverage_pmfs(B[:, None], S))
+    return (tvs.max(axis=-1),)
 
 
 def _leverage_envelope_rows(seed, count, queries_per_pair=10):
     # TV <= 4 * eps C / (c delta) whenever eps C / (c delta) <= 0.1, with
     # eps the row-gram gap and delta = lambda_min(A^T A).
-    box = BoxConstraint(0.5, 2.0)
-    stream = Stream()
     rows = []
-    for k in range(count):
-        g, A, B, n, d, ratio = _leverage_envelope_pair(stream, seed, k, box)
-        S = np.sqrt(box.lo + g.random((queries_per_pair, n)) * (box.hi - box.lo))
-        _, tvs = _kernels.h2_tv(leverage_pmfs(A, S), leverage_pmfs(B, S))
-        params = {"n": n, "d": d, "ratio": ratio, "seed": k}
-        rows.append(BoundReport("leverage_tv_envelope", params, 4.0 * ratio, float(tvs.max())))
+    for block in _blocks(count):
+        pairs = _leverage_envelope_pairs(seed, block, queries_per_pair)
+        worst = _stacked(_worst_tv, [(A, B, S) for A, B, S, _ in pairs])
+        for k, (A, _, _, ratio), (tv_max,) in zip(block, pairs, worst):
+            n, d = A.shape
+            params = {"n": n, "d": d, "ratio": ratio, "seed": k}
+            rows.append(BoundReport("leverage_tv_envelope", params, 4.0 * ratio, tv_max))
     return rows
 
 
@@ -720,66 +815,115 @@ class InvarianceReport:
         raise KeyError(name)
 
 
-def _shift_deviation(g):
+def _tall_matrix(g):
+    d = int(g.integers(1, 5))
+    n = int(g.integers(d + 1, 10))
+    return g.standard_normal((n, d))
+
+
+def _max_gap(P):
+    """max_i |P[..., 0, i] - P[..., 1, i]| of each pair in a pmf stack."""
+    return np.abs(P[..., 0, :] - P[..., 1, :]).max(axis=-1)
+
+
+def _shift_draw(g):
     n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
     A = g.standard_normal((n, d))
     w = g.standard_normal(d)
     x = g.standard_normal(d)
-    B = A + np.outer(np.ones(n), w)
-    P = softmax_pmfs(np.stack([A @ x, B @ x]))
-    return float(np.abs(P[0] - P[1]).max())
+    return A, w, x
 
 
-def _right_deviation(g):
-    d = int(g.integers(1, 5))
-    n = int(g.integers(d + 1, 10))
-    A = g.standard_normal((n, d))
+def _shift_deviation(A, w, x):
+    B = A + w[..., None, :]  # A + outer(ones(n), w), whose entries are 1.0 * w_j
+    return (_max_gap(softmax_pmfs(np.stack([_matvec(A, x), _matvec(B, x)], axis=-2))),)
+
+
+def _right_draw(g):
+    A = _tall_matrix(g)
+    d = A.shape[1]
     # R with condition number capped at 1e3: random orthogonal factors
     # around a log-uniform singular spectrum.
     kappa = 10.0 ** (3.0 * float(g.random()))
     sing = np.exp(np.linspace(-0.5, 0.5, d) * math.log(kappa)) if d > 1 else np.ones(1)
-    U = np.linalg.qr(g.standard_normal((d, d)))[0]
-    V = np.linalg.qr(g.standard_normal((d, d)))[0]
-    R = U @ np.diag(sing) @ V
-    s = np.sqrt(0.5 + g.random(n) * 1.5)
-    P = leverage_pmfs(np.stack([A @ R, A]), s)
-    return float(np.abs(P[0] - P[1]).max())
+    U = g.standard_normal((d, d))
+    V = g.standard_normal((d, d))
+    s = np.sqrt(0.5 + g.random(A.shape[0]) * 1.5)
+    return A, sing, U, V, s
 
 
-def _sign_deviation(g):
-    d = int(g.integers(1, 5))
-    n = int(g.integers(d + 1, 10))
-    A = g.standard_normal((n, d))
+def _right_deviation(A, sing, U, V, s):
+    diag = sing[..., None] * np.eye(A.shape[-1])  # np.diag of each spectrum
+    R = np.linalg.qr(U)[0] @ diag @ np.linalg.qr(V)[0]
+    return (_max_gap(leverage_pmfs(np.stack([A @ R, A], axis=-3), s[..., None, :])),)
+
+
+def _sign_draw(g):
+    A = _tall_matrix(g)
+    n = A.shape[0]
     s = np.sqrt(0.5 + g.random(n) * 1.5)
     flip = np.where(g.random(n) < 0.5, -1.0, 1.0)
-    P = leverage_pmfs(A, np.stack([s * flip, s]))
-    return float(np.abs(P[0] - P[1]).max())
+    return A, s, flip
 
 
-def _normalization_deviation(g):
-    d = int(g.integers(1, 5))
-    n = int(g.integers(d + 1, 10))
-    A = g.standard_normal((n, d))
-    x = g.standard_normal(d)
-    dev = abs(float(_kernels.softmax_probs(A @ x).sum()) - 1.0)
+def _sign_deviation(A, s, flip):
+    return (_max_gap(leverage_pmfs(A[..., None, :, :], np.stack([s * flip, s], axis=-2))),)
+
+
+def _normalization_draw(g):
+    A = _tall_matrix(g)
+    return A, g.standard_normal(A.shape[1])
+
+
+def _normalization_deviation(A, x):
+    dev = np.abs(_kernels.softmax_probs(_matvec(A, x)).sum(axis=-1) - 1.0)
     probs, _, ok = _kernels.leverage_probs(A)
-    return max(dev, abs(float(probs.sum()) - 1.0)) if ok else dev
+    lev_dev = np.abs(probs.sum(axis=-1) - 1.0)
+    return (np.where(ok & (lev_dev > dev), lev_dev, dev),)  # max(dev, lev_dev) if ok else dev
 
 
-# (property, stream label, tolerance, deviation of one instance drawn from g)
+# (property, stream label, tolerance, draw of one instance from its stream,
+# deviation of each instance in a stack of draws)
 _INVARIANCES = (
-    ("shift_invariance", "shift", 1e-12, _shift_deviation),
-    ("right_invariance", "right", 1e-8, _right_deviation),
-    ("sign_invariance", "sign", 1e-12, _sign_deviation),
-    ("normalization", "norm", 1e-9, _normalization_deviation),
+    ("shift_invariance", "shift", 1e-12, _shift_draw, _shift_deviation),
+    ("right_invariance", "right", 1e-8, _right_draw, _right_deviation),
+    ("sign_invariance", "sign", 1e-12, _sign_draw, _sign_deviation),
+    ("normalization", "norm", 1e-9, _normalization_draw, _normalization_deviation),
 )
 
 
-def _h2_tv(P, Q):
-    """Squared Hellinger and total variation distance of P and Q, from one
-    kernel call; each bitwise equal to ``hellinger_sq`` and ``tv``."""
-    h2, t = _kernels.h2_tv(P.probs, Q.probs)
-    return float(h2), float(t)
+def _deviations(seed, label, count, draw, deviation):
+    """The deviation of each instance, in instance order."""
+    devs = []
+    for block in _blocks(count):
+        devs += [dev for (dev,) in _stacked(deviation, [draw(g) for _, g in _streams(seed, label, block)])]
+    return devs
+
+
+def _random_distribution(g, n):
+    p = g.random(n) + 1e-12
+    mask = g.random(n) < 0.15
+    if mask.all():
+        mask[int(g.integers(n))] = False
+    p[mask] = 0.0
+    return p / p.sum()
+
+
+def _metric_draw(g):
+    n = int(g.integers(2, 12))
+    P = _random_distribution(g, n)
+    Q = _random_distribution(g, n)
+    R = _random_distribution(g, n)
+    return P, Q, R
+
+
+def _metric_distances(P, Q, R):
+    """H^2 of the five distinct ordered pairs (P, Q), (Q, P), (P, P),
+    (P, R) and (Q, R) of each instance, then their TV, from one kernel call."""
+    probs = normalize_probs(np.stack([P, Q, R], axis=1))
+    P, Q, R = probs[:, 0], probs[:, 1], probs[:, 2]
+    h2, t = _kernels.h2_tv(np.stack([P, Q, P, P, Q], axis=1), np.stack([Q, P, P, R, R], axis=1))
+    return (*h2.T, *t.T)
 
 
 def _metric_axioms(seed, count):
@@ -788,26 +932,18 @@ def _metric_axioms(seed, count):
     sym_viol = 0
     ident_dev = 0.0
     slack = 1e-12
-    for g in _streams(seed, "metric", count):
-        n = int(g.integers(2, 12))
-        P = _random_distribution(g, n)
-        Q = _random_distribution(g, n)
-        R = _random_distribution(g, n)
-        # The five distinct ordered pairs, each distance computed once.
-        h2_pq, tv_pq = _h2_tv(P, Q)
-        h2_qp, tv_qp = _h2_tv(Q, P)
-        h2_pp, tv_pp = _h2_tv(P, P)
-        h2_pr, tv_pr = _h2_tv(P, R)
-        h2_qr, tv_qr = _h2_tv(Q, R)
-        if not (h2_pq <= tv_pq + slack and tv_pq <= math.sqrt(2.0 * h2_pq) + slack):
-            sandwich_viol += 1
-        if tv_pq != tv_qp or h2_pq != h2_qp:
-            sym_viol += 1
-        ident_dev = max(ident_dev, tv_pp, h2_pp)
-        if tv_pr > tv_pq + tv_qr + slack:
-            triangle_viol += 1
-        if math.sqrt(h2_pr) > math.sqrt(h2_pq) + math.sqrt(h2_qr) + slack:
-            triangle_viol += 1
+    for block in _blocks(count):
+        distances = _stacked(_metric_distances, [_metric_draw(g) for _, g in _streams(seed, "metric", block)])
+        for h2_pq, h2_qp, h2_pp, h2_pr, h2_qr, tv_pq, tv_qp, tv_pp, tv_pr, tv_qr in distances:
+            if not (h2_pq <= tv_pq + slack and tv_pq <= math.sqrt(2.0 * h2_pq) + slack):
+                sandwich_viol += 1
+            if tv_pq != tv_qp or h2_pq != h2_qp:
+                sym_viol += 1
+            ident_dev = max(ident_dev, tv_pp, h2_pp)
+            if tv_pr > tv_pq + tv_qr + slack:
+                triangle_viol += 1
+            if math.sqrt(h2_pr) > math.sqrt(h2_pq) + math.sqrt(h2_qr) + slack:
+                triangle_viol += 1
     return sandwich_viol, triangle_viol, sym_viol, ident_dev
 
 
@@ -815,8 +951,8 @@ def run_invariance_suite(instances: int, seed: int) -> InvarianceReport:
     """Model symmetries and metric axioms over randomized instances."""
     _check_instances(instances)
     props = []
-    for name, label, tol, deviation in _INVARIANCES:
-        dev = reduce(max, (deviation(g) for g in _streams(seed, label, instances)), 0.0)
+    for name, label, tol, draw, deviation in _INVARIANCES:
+        dev = reduce(max, _deviations(seed, label, instances, draw, deviation), 0.0)
         props.append(PropertyResult(name, instances, dev, int(dev > tol), dev <= tol))
     sandwich, triangle, sym, ident = _metric_axioms(seed, instances)
     props.append(PropertyResult("metric_sandwich", instances, float(ident), sandwich, sandwich == 0))

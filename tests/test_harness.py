@@ -3,14 +3,13 @@
 import importlib.resources as ir
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from softlev import harness
-from softlev.bounds import BoundReport
-from softlev.distributions import hellinger_sq, tv
+from softlev import _kernels, harness
+from softlev.bounds import BoundReport, lemma_h2_bound, lemma_tv_bound
+from softlev.distributions import DiscreteDistribution, hellinger_sq, tv
 from softlev.errors import BudgetExceeded, IndistinguishableError, InputFormatError
 from softlev.harness import (
     ExperimentSpec,
@@ -31,6 +30,7 @@ from softlev.harness import (
     write_taylor_csv,
 )
 from softlev.leverage import BoxConstraint, leverage_pmf
+from softlev.numerics import gram, min_eigenvalue, row_gram_gap, two_to_infty_norm
 from softlev.optimize import OptimizerConfig
 from softlev.rng import derive_seed, generator
 from softlev.softmax import EnergyConstraint, softmax_pmf
@@ -508,13 +508,14 @@ def test_invariance_suite_clean():
 
 
 # ---------------------------------------------------------------------------
-# stacked suites against their one-pmf-at-a-time references
+# lockstep suites against their one-instance-at-a-time references
 # ---------------------------------------------------------------------------
 #
-# The suites evaluate their output distributions as stacks.  The functions
-# below are the loops they replaced, kept as the oracle: one softmax_pmf or
-# leverage_pmf call per model, one scale vector drawn per query, and a new
-# generator per instance where the suites re-key one stream.
+# The suites draw a block of instances, then evaluate each group of equal
+# shape as one stack.  The loops below are what they replaced, kept as the
+# oracle: a new generator per instance (per attempt for the leverage
+# envelope), and one softmax_pmf, leverage_pmf, row_gram_gap or
+# DiscreteDistribution per model, in instance order.
 
 
 def _ref_softmax_pair(A, B, x):
@@ -526,12 +527,93 @@ def _ref_streams(seed, label, count):
     return (generator(derive_seed(seed, label, k)) for k in range(count))
 
 
-def _ref_leverage_envelope_rows(seed, count, queries_per_pair=10):
+def _ref_logit_pair_rows(seed, count):
+    rows = []
+    for k, g in enumerate(_ref_streams(seed, "gap", count)):
+        n = int(g.integers(2, 11))
+        eps = 2.0 * float(g.random())
+        a = 2.0 * g.standard_normal(n)
+        mask = g.random(n) < 0.5
+        b = a + eps * mask
+        h2, t = _ref_softmax_pair(a[:, None], b[:, None], np.ones(1))
+        params = {"eps": eps, "n": n, "m": int(mask.sum()), "seed": k}
+        rows.append(BoundReport("logit_gap_h2", params, lemma_h2_bound(eps), h2))
+        rows.append(BoundReport("logit_gap_tv", params, lemma_tv_bound(eps), t))
+    return rows
+
+
+def _ref_chain_rows(seed, count):
+    rows = []
+    for k, g in enumerate(_ref_streams(seed, "chain", count)):
+        n = int(g.integers(2, 11))
+        eps = 2.0 * float(g.random())
+        a = 2.0 * g.standard_normal(n)
+        b = a + eps * (2.0 * g.random(n) - 1.0)
+        h2, t = _ref_softmax_pair(a[:, None], b[:, None], np.ones(1))
+        params = {"eps": eps, "n": n, "seed": k}
+        rows.append(BoundReport("infty_gap_h2_chain", params, lemma_h2_bound(2.0 * eps), h2))
+        rows.append(BoundReport("infty_gap_tv_chain", params, 2.0 * lemma_tv_bound(eps), t))
+    return rows
+
+
+def _ref_softmax_envelope_rows(seed, count):
+    rows = []
+    for k, g in enumerate(_ref_streams(seed, "softmax-env", count)):
+        n = int(g.integers(2, 11))
+        d = int(g.integers(1, 6))
+        A = g.standard_normal((n, d))
+        D = g.standard_normal((n, d))
+        D /= two_to_infty_norm(D)
+        x = g.standard_normal(d)
+        xnorm = float(np.linalg.norm(x))
+        if xnorm == 0.0:
+            continue
+        rho = 0.5 * float(g.random())
+        gap = rho / xnorm
+        B = A + gap * D
+        h2, _ = _ref_softmax_pair(A, B, x)
+        params = {"rho": rho, "n": n, "d": d, "seed": k}
+        rows.append(BoundReport("softmax_query_h2", params, rho * rho, h2))
+    return rows
+
+
+def _ref_leverage_envelope_pair(seed, k, box, rejected=None):
+    """The accepted attempt's generator, A, B, n, d and ratio; each rejected
+    attempt is appended to ``rejected`` as (k, attempt, reason)."""
+    for attempt in range(50):
+        g = generator(derive_seed(seed, "lev-env", k, attempt))
+        d = int(g.integers(1, 4))
+        n = int(g.integers(d + 1, 9))
+        A = g.standard_normal((n, d))
+        delta = min_eigenvalue(gram(A))
+        if delta < 0.05:
+            if rejected is not None:
+                rejected.append((k, attempt, "conditioning"))
+            continue
+        target = 0.1 * (0.1 + 0.9 * float(g.random()))
+        G = g.standard_normal((n, d))
+        gamma = 1e-3
+        for _ in range(30):
+            ratio = row_gram_gap(A, A + gamma * G) * box.hi / (box.lo * delta)
+            if ratio <= 0.0:
+                break
+            if abs(ratio - target) <= 0.05 * target:
+                break
+            gamma *= (target / ratio) ** 0.5
+        B = A + gamma * G
+        ratio = row_gram_gap(A, B) * box.hi / (box.lo * delta)
+        if 0.0 < ratio <= 0.1:
+            return g, A, B, n, d, ratio
+        if rejected is not None:
+            rejected.append((k, attempt, "gamma"))
+    raise RuntimeError(f"could not draw a well-conditioned leverage pair for index {k}")
+
+
+def _ref_leverage_envelope_rows(seed, count, queries_per_pair=10, rejected=None):
     box = BoxConstraint(0.5, 2.0)
-    fresh = SimpleNamespace(keyed=generator)  # a new generator per attempt
     rows = []
     for k in range(count):
-        g, A, B, n, d, ratio = harness._leverage_envelope_pair(fresh, seed, k, box)
+        g, A, B, n, d, ratio = _ref_leverage_envelope_pair(seed, k, box, rejected)
         worst = 0.0
         for _ in range(queries_per_pair):
             s = np.sqrt(box.lo + g.random(n) * (box.hi - box.lo))
@@ -541,47 +623,103 @@ def _ref_leverage_envelope_rows(seed, count, queries_per_pair=10):
     return rows
 
 
-def _ref_shift_invariance(seed, count):
-    worst = 0.0
-    for k in range(count):
-        g = generator(derive_seed(seed, "shift", k))
-        n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
-        A = g.standard_normal((n, d))
-        w = g.standard_normal(d)
-        x = g.standard_normal(d)
-        B = A + np.outer(np.ones(n), w)
-        worst = max(worst, float(np.abs(softmax_pmf(A, x).probs - softmax_pmf(B, x).probs).max()))
-    return worst
+def _ref_bound_rows(seed, count):
+    return (
+        _ref_logit_pair_rows(seed, count)
+        + _ref_chain_rows(seed, count)
+        + harness._extremal_rows()
+        + _ref_softmax_envelope_rows(seed, count)
+        + _ref_leverage_envelope_rows(seed, count)
+        + harness._low_mass_rows()
+    )
 
 
-def _ref_right_invariance(seed, count):
-    worst = 0.0
-    for k in range(count):
-        g = generator(derive_seed(seed, "right", k))
-        d = int(g.integers(1, 5))
-        n = int(g.integers(d + 1, 10))
-        A = g.standard_normal((n, d))
-        kappa = 10.0 ** (3.0 * float(g.random()))
-        sing = np.exp(np.linspace(-0.5, 0.5, d) * math.log(kappa)) if d > 1 else np.ones(1)
-        U = np.linalg.qr(g.standard_normal((d, d)))[0]
-        V = np.linalg.qr(g.standard_normal((d, d)))[0]
-        R = U @ np.diag(sing) @ V
-        s = np.sqrt(0.5 + g.random(n) * 1.5)
-        worst = max(worst, float(np.abs(leverage_pmf(A @ R, s).probs - leverage_pmf(A, s).probs).max()))
-    return worst
+def _ref_shift_deviation(g):
+    n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
+    A = g.standard_normal((n, d))
+    w = g.standard_normal(d)
+    x = g.standard_normal(d)
+    B = A + np.outer(np.ones(n), w)
+    return float(np.abs(softmax_pmf(A, x).probs - softmax_pmf(B, x).probs).max())
 
 
-def _ref_sign_invariance(seed, count):
-    worst = 0.0
-    for k in range(count):
-        g = generator(derive_seed(seed, "sign", k))
-        d = int(g.integers(1, 5))
-        n = int(g.integers(d + 1, 10))
-        A = g.standard_normal((n, d))
-        s = np.sqrt(0.5 + g.random(n) * 1.5)
-        flip = np.where(g.random(n) < 0.5, -1.0, 1.0)
-        worst = max(worst, float(np.abs(leverage_pmf(A, s * flip).probs - leverage_pmf(A, s).probs).max()))
-    return worst
+def _ref_right_deviation(g):
+    d = int(g.integers(1, 5))
+    n = int(g.integers(d + 1, 10))
+    A = g.standard_normal((n, d))
+    kappa = 10.0 ** (3.0 * float(g.random()))
+    sing = np.exp(np.linspace(-0.5, 0.5, d) * math.log(kappa)) if d > 1 else np.ones(1)
+    U = np.linalg.qr(g.standard_normal((d, d)))[0]
+    V = np.linalg.qr(g.standard_normal((d, d)))[0]
+    R = U @ np.diag(sing) @ V
+    s = np.sqrt(0.5 + g.random(n) * 1.5)
+    return float(np.abs(leverage_pmf(A @ R, s).probs - leverage_pmf(A, s).probs).max())
+
+
+def _ref_sign_deviation(g):
+    d = int(g.integers(1, 5))
+    n = int(g.integers(d + 1, 10))
+    A = g.standard_normal((n, d))
+    s = np.sqrt(0.5 + g.random(n) * 1.5)
+    flip = np.where(g.random(n) < 0.5, -1.0, 1.0)
+    return float(np.abs(leverage_pmf(A, s * flip).probs - leverage_pmf(A, s).probs).max())
+
+
+def _ref_normalization_deviation(g):
+    d = int(g.integers(1, 5))
+    n = int(g.integers(d + 1, 10))
+    A = g.standard_normal((n, d))
+    x = g.standard_normal(d)
+    return _ref_normalization(A, x)
+
+
+def _ref_normalization(A, x):
+    # the raw kernels: a pmf would be renormalized to within 2 ulp of one
+    dev = abs(float(_kernels.softmax_probs(A @ x).sum()) - 1.0)
+    probs, _, ok = _kernels.leverage_probs(A)
+    return max(dev, abs(float(probs.sum()) - 1.0)) if ok else dev
+
+
+_REF_DEVIATIONS = {
+    "shift_invariance": _ref_shift_deviation,
+    "right_invariance": _ref_right_deviation,
+    "sign_invariance": _ref_sign_deviation,
+    "normalization": _ref_normalization_deviation,
+}
+
+
+def _ref_random_distribution(g, n):
+    p = g.random(n) + 1e-12
+    mask = g.random(n) < 0.15
+    if mask.all():
+        mask[int(g.integers(n))] = False
+    p[mask] = 0.0
+    return DiscreteDistribution(p / p.sum())
+
+
+def _ref_metric_axioms(seed, count):
+    sandwich_viol = triangle_viol = sym_viol = 0
+    ident_dev = 0.0
+    slack = 1e-12
+    for g in _ref_streams(seed, "metric", count):
+        n = int(g.integers(2, 12))
+        P = _ref_random_distribution(g, n)
+        Q = _ref_random_distribution(g, n)
+        R = _ref_random_distribution(g, n)
+        h2_pq, tv_pq = hellinger_sq(P, Q), tv(P, Q)
+        h2_qp, tv_qp = hellinger_sq(Q, P), tv(Q, P)
+        h2_pr, tv_pr = hellinger_sq(P, R), tv(P, R)
+        h2_qr, tv_qr = hellinger_sq(Q, R), tv(Q, R)
+        if not (h2_pq <= tv_pq + slack and tv_pq <= math.sqrt(2.0 * h2_pq) + slack):
+            sandwich_viol += 1
+        if tv_pq != tv_qp or h2_pq != h2_qp:
+            sym_viol += 1
+        ident_dev = max(ident_dev, tv(P, P), hellinger_sq(P, P))
+        if tv_pr > tv_pq + tv_qr + slack:
+            triangle_viol += 1
+        if math.sqrt(h2_pr) > math.sqrt(h2_pq) + math.sqrt(h2_qr) + slack:
+            triangle_viol += 1
+    return sandwich_viol, triangle_viol, sym_viol, ident_dev
 
 
 def _bits(x):
@@ -593,26 +731,78 @@ def _row_key(row):
     return row.bound_name, params, _bits(row.bound_value), _bits(row.observed_value)
 
 
+# 1, 7 and 50 instances fit in one block; the last count spans two.
+_COUNTS = (1, 7, 50, harness._BLOCK + 88)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_bound_suite_rows_equal_per_pmf_reference(seed, monkeypatch):
-    stacked = run_bound_suite(50, seed).rows
-    monkeypatch.setattr(harness, "_softmax_pair", _ref_softmax_pair)
-    monkeypatch.setattr(harness, "_leverage_envelope_rows", _ref_leverage_envelope_rows)
-    monkeypatch.setattr(harness, "_streams", _ref_streams)
-    reference = run_bound_suite(50, seed).rows
-    assert len(stacked) == len(reference) > 6 * 50
-    assert [_row_key(r) for r in stacked] == [_row_key(r) for r in reference]
+def test_bound_suite_rows_equal_per_pmf_reference(seed):
+    for count in _COUNTS:
+        rows = run_bound_suite(count, seed).rows
+        reference = _ref_bound_rows(seed, count)
+        assert len(rows) == len(reference) > 6 * count
+        assert [_row_key(r) for r in rows] == [_row_key(r) for r in reference], count
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_invariance_suite_deviations_equal_per_pmf_reference(seed):
-    rep = run_invariance_suite(50, seed)
-    for name, reference in [
-        ("shift_invariance", _ref_shift_invariance),
-        ("right_invariance", _ref_right_invariance),
-        ("sign_invariance", _ref_sign_invariance),
-    ]:
-        assert _bits(rep.by_name(name).max_deviation) == _bits(reference(seed, 50)), name
+    for count in _COUNTS:
+        rep = run_invariance_suite(count, seed)
+        for name, label, _, draw, deviation in harness._INVARIANCES:
+            devs = harness._deviations(seed, label, count, draw, deviation)
+            reference = [_REF_DEVIATIONS[name](g) for g in _ref_streams(seed, label, count)]
+            assert [_bits(v) for v in devs] == [_bits(v) for v in reference], (name, count)
+            assert _bits(rep.by_name(name).max_deviation) == _bits(max(reference)), (name, count)
+        metric = harness._metric_axioms(seed, count)
+        reference = _ref_metric_axioms(seed, count)
+        assert metric[:3] == reference[:3], count
+        assert _bits(metric[3]) == _bits(reference[3]), count
+
+
+def test_normalization_deviation_ignores_a_rank_deficient_leverage_model():
+    # Random instances are never rank deficient.  Here the first model's
+    # zero column makes it so: its leverage scores, which sum to one ulp off
+    # one, are not checked, and its zero logits give a uniform softmax.
+    A = np.zeros((2, 4, 2))
+    A[:, :, 0] = [1.0, 2.0, 3.0, 4.0]
+    A[1, 0, 1] = 1.0
+    x = np.array([[0.0, 1.0], [0.5, 1.0]])
+    (devs,) = harness._normalization_deviation(A, x)
+    assert [_bits(v) for v in devs] == [_bits(_ref_normalization(Ai, xi)) for Ai, xi in zip(A, x)]
+    assert devs[0] == 0.0
+
+
+def test_leverage_envelope_redraws_a_missed_gamma_search_at_the_next_attempt():
+    # At seed 2, pair 134's first gamma search lands outside (0, 0.1], so the
+    # pair is redrawn at its next attempt in a later round; every row still
+    # equals the loop's.
+    rejected = []
+    reference = _ref_leverage_envelope_rows(2, 150, rejected=rejected)
+    assert [(k, attempt) for k, attempt, reason in rejected if reason == "gamma"] == [(134, 0)]
+    rows = harness._leverage_envelope_rows(2, 150)
+    assert [_row_key(r) for r in rows] == [_row_key(r) for r in reference]
+
+
+def test_leverage_envelope_gives_up_after_fifty_attempts(monkeypatch):
+    # Reject every conditioning test after the first: index 0 keeps its
+    # first attempt at seed 0, and index 1 runs out of attempts.
+    rejected = []
+    _ref_leverage_envelope_pair(0, 0, BoxConstraint(0.5, 2.0), rejected)
+    assert rejected == []
+    real, calls = harness.min_eigenvalue, []
+
+    def ill_conditioned(S):
+        calls.append(S)
+        return real(S) if len(calls) == 1 else 0.0
+
+    monkeypatch.setattr(harness, "min_eigenvalue", ill_conditioned)
+    with pytest.raises(RuntimeError, match=r"leverage pair for index 1$"):
+        harness._leverage_envelope_rows(0, 3)
+    assert len(calls) == 1 + 2 * 50
+    calls.clear()
+    monkeypatch.setattr(harness, "min_eigenvalue", lambda S: 0.0)
+    with pytest.raises(RuntimeError, match=r"leverage pair for index 0$"):
+        harness._leverage_envelope_rows(0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,24 @@ def test_last_axis_kernels_equal_their_rows():
             assert (h2[i], t[i]) == (h2_i, t_i)
 
 
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 3), (7, 2), (8, 3), (9, 1), (130, 5)])
+def test_row_gram_gap_stack_equals_each_pair(n, d):
+    g = generator(derive_seed(314, "rgg-stack", n, d))
+    A = g.standard_normal((2, 5, n, d))
+    B = A + g.standard_normal((2, 5, n, d)) * g.random((2, 5, 1, 1))
+    A[0, 1, 0] = 0.0  # a zero row of A against a nonzero row of B
+    B[0, 2] = 0.0  # a zero B
+    A[1, 0], B[1, 0] = 0.0, 0.0  # both zero: an exact 0
+    B[1, 1] = A[1, 1] * (1.0 + 1e-9) + g.standard_normal((n, d)) * 1e-10  # near-parallel rows
+    B[1, 2] = A[1, 2]  # bitwise-equal rows: an exact 0
+    gaps = _kernels.row_gram_gap(A, B)
+    assert gaps.shape == (2, 5)
+    for idx in np.ndindex(2, 5):
+        assert gaps[idx].tobytes() == _kernels.row_gram_gap(A[idx], B[idx]).tobytes()
+    assert gaps[1, 0] == gaps[1, 2] == 0.0
+    assert 0.0 < gaps[1, 1] < 1e-6 * n
+
+
 def test_leverage_probs_stack_equals_each_matrix():
     A = padded_identity_instance(6, 3).A
     deficient = A.copy()
