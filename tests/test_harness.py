@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from softlev import _kernels, harness
-from softlev.bounds import BoundReport, lemma_h2_bound, lemma_tv_bound
+from softlev.bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
 from softlev.distributions import DiscreteDistribution, hellinger_sq, tv
 from softlev.errors import BudgetExceeded, IndistinguishableError, InputFormatError
 from softlev.harness import (
@@ -623,14 +623,38 @@ def _ref_leverage_envelope_rows(seed, count, queries_per_pair=10, rejected=None)
     return rows
 
 
+def _ref_extremal_rows():
+    rows = []
+    for eps in (0.1, 0.5, 1.0, 2.0):
+        for n in (2, 5, 10):
+            for m in sorted({1, n // 2}):
+                a, b = extremal_pair(n, m, eps)
+                h2, t = _ref_softmax_pair(a[:, None], b[:, None], np.ones(1))
+                params = {"eps": eps, "n": n, "m": m}
+                rows.append(BoundReport("extremal_h2", params, lemma_h2_bound(eps), h2))
+                rows.append(BoundReport("extremal_tv", params, lemma_tv_bound(eps), t))
+    return rows
+
+
+def _ref_low_mass_rows(eps=0.1, energy=1.0):
+    rows = []
+    for n in (10, 100, 1000):
+        model = low_mass_row_instance(n, d=2, energy=energy)
+        x = np.array([energy, 0.0])
+        h2, _ = _ref_softmax_pair(model.A, model.A + eps * model.M, x)
+        params = {"n": n, "eps": eps, "E": energy}
+        rows.append(BoundReport("low_mass_h2", params, 2.0 * eps * eps * energy * energy / n, h2))
+    return rows
+
+
 def _ref_bound_rows(seed, count):
     return (
         _ref_logit_pair_rows(seed, count)
         + _ref_chain_rows(seed, count)
-        + harness._extremal_rows()
+        + _ref_extremal_rows()
         + _ref_softmax_envelope_rows(seed, count)
         + _ref_leverage_envelope_rows(seed, count)
-        + harness._low_mass_rows()
+        + _ref_low_mass_rows()
     )
 
 
@@ -731,32 +755,45 @@ def _row_key(row):
     return row.bound_name, params, _bits(row.bound_value), _bits(row.observed_value)
 
 
-# 1, 7 and 50 instances fit in one block; the last count spans two.
-_COUNTS = (1, 7, 50, harness._BLOCK + 88)
+def _assert_bound_rows_equal_reference(seed, count):
+    rows = run_bound_suite(count, seed).rows
+    reference = _ref_bound_rows(seed, count)
+    assert len(rows) == len(reference) > 6 * count
+    assert [_row_key(r) for r in rows] == [_row_key(r) for r in reference], count
+
+
+def _assert_deviations_equal_reference(seed, count):
+    rep = run_invariance_suite(count, seed)
+    for name, label, _, draw, deviation in harness._INVARIANCES:
+        devs = harness._deviations(seed, label, count, draw, deviation)
+        reference = [_REF_DEVIATIONS[name](g) for g in _ref_streams(seed, label, count)]
+        assert [_bits(v) for v in devs] == [_bits(v) for v in reference], (name, count)
+        assert _bits(rep.by_name(name).max_deviation) == _bits(max(reference)), (name, count)
+    metric = harness._metric_axioms(seed, count)
+    reference = _ref_metric_axioms(seed, count)
+    assert metric[:3] == reference[:3], count
+    assert _bits(metric[3]) == _bits(reference[3]), count
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_bound_suite_rows_equal_per_pmf_reference(seed):
-    for count in _COUNTS:
-        rows = run_bound_suite(count, seed).rows
-        reference = _ref_bound_rows(seed, count)
-        assert len(rows) == len(reference) > 6 * count
-        assert [_row_key(r) for r in rows] == [_row_key(r) for r in reference], count
+    for count in (1, 7, 50):  # each fits in one block
+        _assert_bound_rows_equal_reference(seed, count)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_invariance_suite_deviations_equal_per_pmf_reference(seed):
-    for count in _COUNTS:
-        rep = run_invariance_suite(count, seed)
-        for name, label, _, draw, deviation in harness._INVARIANCES:
-            devs = harness._deviations(seed, label, count, draw, deviation)
-            reference = [_REF_DEVIATIONS[name](g) for g in _ref_streams(seed, label, count)]
-            assert [_bits(v) for v in devs] == [_bits(v) for v in reference], (name, count)
-            assert _bits(rep.by_name(name).max_deviation) == _bits(max(reference)), (name, count)
-        metric = harness._metric_axioms(seed, count)
-        reference = _ref_metric_axioms(seed, count)
-        assert metric[:3] == reference[:3], count
-        assert _bits(metric[3]) == _bits(reference[3]), count
+    for count in (1, 7, 50):
+        _assert_deviations_equal_reference(seed, count)
+
+
+# Where one block ends does not depend on the seed, so one seed covers it.
+def test_bound_suite_rows_equal_per_pmf_reference_across_blocks():
+    _assert_bound_rows_equal_reference(0, harness._BLOCK + 88)
+
+
+def test_invariance_suite_deviations_equal_per_pmf_reference_across_blocks():
+    _assert_deviations_equal_reference(0, harness._BLOCK + 88)
 
 
 def test_normalization_deviation_ignores_a_rank_deficient_leverage_model():
