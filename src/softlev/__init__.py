@@ -52,6 +52,7 @@ from .harness import (
 )
 from .hypotest import (
     ModelOracle,
+    SampleComplexity,
     TestReport,
     estimate_sample_complexity,
     estimate_success,
@@ -101,6 +102,7 @@ __all__ = [
     "OptResult",
     "OptimizerConfig",
     "RankDeficient",
+    "SampleComplexity",
     "ScaleQuery",
     "ShapeMismatch",
     "SoftmaxQuery",

@@ -32,9 +32,8 @@ def _normalize(p):
     """Normalize in place the vectors along the last axis of a C-contiguous
     float64 array, and return it (see :func:`normalize_probs`).
 
-    The checks and nudges loop over the rows as Python floats.  For the one
-    to ten rows that callers stack, that costs less than vectorised checks,
-    whose per-call overhead would dominate a one-vector call.
+    The checks run on the whole stack at once, and each nudge pass moves
+    the largest entry of every row whose sum is not yet 1.0.
     """
     rows = p.reshape(-1, p.shape[-1])
     # np.minimum.reduce and np.add.reduce are what ndarray.min and .sum
@@ -42,19 +41,17 @@ def _normalize(p):
     low = np.minimum.reduce(rows, axis=-1)
     np.maximum(rows, 0.0, out=rows)
     total = np.add.reduce(rows, axis=-1, keepdims=True)
-    for lo, (tot,) in zip(low.tolist(), total.tolist()):
-        # NaN compares false, and an infinity leaves lo or tot out of range
-        if not (lo >= -_NEG_TOL and abs(tot - 1.0) <= _SUM_TOL):
-            _reject(rows, low)
+    # NaN compares false, and an infinity leaves low or total out of range
+    ok = (low >= -_NEG_TOL) & (np.abs(total[:, 0] - 1.0) <= _SUM_TOL)
+    if not ok.all():
+        _reject(rows, low)
     rows /= total
     for _ in range(3):
-        sums = np.add.reduce(rows, axis=-1).tolist()
-        if sums.count(1.0) == len(sums):
+        sums = np.add.reduce(rows, axis=-1)
+        off = np.flatnonzero(sums != 1.0)
+        if not off.size:
             break
-        for i, t in enumerate(sums):
-            if t != 1.0:
-                row = rows[i]
-                row[row.argmax()] += 1.0 - t
+        rows[off, rows[off].argmax(axis=-1)] += 1.0 - sums[off]
     return p
 
 

@@ -30,7 +30,7 @@ from . import _kernels
 from .bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
 from .distributions import hellinger_sq, normalize_probs
 from .errors import InputFormatError
-from .hypotest import estimate_sample_complexity, estimate_success
+from .hypotest import estimate_sample_complexity
 from .leverage import BoxConstraint, _w_parts, leverage_pmf, leverage_pmfs
 from .model import ModelSpec, get_family
 from .numerics import gram, min_eigenvalue, two_to_infty_norm
@@ -248,9 +248,8 @@ def sweep_point(spec: ExperimentSpec, index: int, nu: float) -> SweepRow:
     row_seed = derive_seed(spec.seed, "grid", index)
     pair = ModelSpec(model.family, model.A, model.A + eps * model.direction(), None, model.constraint)
     query, h = pair.optimal_query(replace(spec.opt, seed=derive_seed(row_seed, "opt")))
-    m_star = estimate_sample_complexity(pair, trials=spec.trials, seed=derive_seed(row_seed, "mstar"), query=query)
-    success = estimate_success(pair, m_star, spec.trials, derive_seed(row_seed, "success"), query=query)
-    return SweepRow(eps=eps, h2_at_opt=h**2, nu=nu, m_star=m_star, success_at_m=success, seed=row_seed)
+    found = estimate_sample_complexity(pair, trials=spec.trials, seed=derive_seed(row_seed, "mstar"), query=query)
+    return SweepRow(eps=eps, h2_at_opt=h**2, nu=nu, m_star=found.m_star, success_at_m=found.success, seed=row_seed)
 
 
 def _fit_loglog(rows):

@@ -4,8 +4,11 @@ A ``ModelSpec`` names two candidate parameter matrices for one model
 family; a ``ModelOracle`` hides which of the two answers queries.  The tester
 picks one query (by default the Hellinger-optimal one), draws m samples, and
 decides by log-likelihood ratio.  ``estimate_success`` Monte-Carlos the
-worst-case success probability and ``estimate_sample_complexity`` searches
-for the smallest m that reaches a target.
+worst-case success probability at one m from multinomial counts.
+``estimate_sample_complexity`` draws one common block of sample sequences
+per truth, the ones ``ModelOracle.sample`` would draw, and reads the
+worst-case success at every m off their running log-likelihood ratios;
+m* is where that curve crosses the target for the last time.
 """
 
 import math
@@ -21,10 +24,12 @@ from .errors import (
     ShapeMismatch,
 )
 from .model import ModelSpec
-from .rng import derive_seed, derive_seeds, generator, generators
+from .rng import Stream, derive_seed, derive_seeds, generator, generators
 
 _LOG_FLOOR = 1e-300  # probabilities are clamped here before log
 _H_FLOOR = 1e-8  # Hellinger distance below this counts as indistinguishable
+_BLOCK = 1 << 12  # outcomes per block of rows in the m* search
+_Z95 = 1.9599639845400536  # standard normal 97.5% quantile, for 95% intervals
 
 
 class ModelOracle:
@@ -171,6 +176,71 @@ def estimate_success(spec: ModelSpec, m: int, trials: int, seed: int, query=None
     return worst
 
 
+@dataclass(frozen=True)
+class SampleComplexity:
+    """The result of :func:`estimate_sample_complexity`.
+
+    ``m_star`` is the smallest m from which the worst-case success curve of
+    the common block stays at or above the target up to the horizon,
+    ``success`` that curve at ``m_star``, ``horizon`` the number of samples
+    per trial the block held, and ``m_star_ci`` the same crossing read off
+    the curve's 95% Wilson upper and lower bounds.
+    """
+
+    m_star: int
+    success: float
+    horizon: int
+    m_star_ci: tuple[int, int]
+
+
+def _success_curve(pmfs, ratio, trials: int, seed: int, horizon: int) -> np.ndarray:
+    """Worst-case success of the likelihood-ratio test at every m in
+    1..horizon, on one common block of draws per truth.
+
+    Row k of truth t holds the ``horizon`` outcomes that
+    ``ModelOracle(spec, t, derive_seed(seed, t, k)).sample(query, horizon)``
+    draws, and the running sum of ``ratio`` along it gives that trial's
+    log-likelihood ratio after every m.  Draws are a prefix of longer ones,
+    so the curve at m does not depend on the horizon.  The rows are
+    processed ``_BLOCK // horizon`` (at least one) at a time.
+    """
+    rows = max(1, _BLOCK // horizon)
+    block = np.empty((min(rows, trials), horizon))
+    correct = []
+    for truth in (0, 1):
+        cdf = np.cumsum(pmfs[truth].probs)
+        counts = np.zeros(horizon, dtype=np.int64)
+        # mirrors ModelOracle._next_seed for call index 0, per trial
+        seeds = list(derive_seeds(seed, truth, indices=range(trials), tail=("call", 0)))
+        keyed = Stream().keyed
+        for start in range(0, trials, rows):
+            u = block[: min(rows, trials - start)]
+            for row, s in zip(u, seeds[start : start + rows]):
+                keyed(s).random(out=row)
+            # inverse-CDF as in distributions.draw
+            idx = np.searchsorted(cdf, u, side="right")
+            np.minimum(idx, cdf.size - 1, out=idx)
+            llr = np.cumsum(ratio[idx], axis=1)
+            # a tie at llr = 0 decides for truth 0, as in run_test
+            counts += np.count_nonzero(llr >= 0.0 if truth == 0 else llr < 0.0, axis=0)
+        correct.append(counts)
+    return np.minimum(*correct) / trials
+
+
+def _last_below(curve, target: float) -> int:
+    """The last m (1-based) whose curve value is below target; 0 if none."""
+    below = np.flatnonzero(curve < target)
+    return int(below[-1]) + 1 if below.size else 0
+
+
+def _wilson(p, n: int):
+    """95% Wilson score bounds on binomial proportions p of n trials."""
+    z2n = _Z95 * _Z95 / n
+    center = (p + z2n / 2.0) / (1.0 + z2n)
+    half = _Z95 / (1.0 + z2n) * np.sqrt(p * (1.0 - p) / n + z2n / (4.0 * n))
+    return center - half, center + half
+
+
 def estimate_sample_complexity(
     spec: ModelSpec,
     target: float = 2.0 / 3.0,
@@ -178,40 +248,42 @@ def estimate_sample_complexity(
     seed: int = 0,
     query=None,
     cap: int = 10_000_000,
-) -> int:
-    """Smallest m (within resolution 1) whose worst-case success reaches target.
+) -> SampleComplexity:
+    """The sample size m* at which the worst-case success reaches target.
 
-    Doubles m from 1 until the target is met, then bisects.  Every probe uses
-    a fresh derived seed, so the search never reuses randomness between
-    probes.  Raises ``BudgetExceeded`` when the doubling would pass ``cap``
-    and ``IndistinguishableError`` when the models coincide at the query.
+    Draws one common ``trials`` x horizon block of outcomes per truth (see
+    :func:`_success_curve`) and reads the worst-case success at every m off
+    it.  m* is one past the last m whose success is below target, so the
+    success stays at or above target from m* up to the horizon.  The
+    horizon starts at the Bhattacharyya bound ceil(ln 3 / -ln(1 - H^2)),
+    where the test's true success already exceeds 2/3, capped at ``cap``;
+    while the curve is still below target at the horizon, the horizon
+    doubles.  Raises ``BudgetExceeded`` when that would pass ``cap`` and
+    ``IndistinguishableError`` when the models coincide at the query.
     """
     if not (0.5 < target < 1.0):
         raise ValueError(f"target must be in (0.5, 1), got {target!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     query = _resolve_query(spec, query)
-    h2 = hellinger_sq(spec.pmf(0, query), spec.pmf(1, query))
+    spec.constraint.check(query)
+    pmfs = (spec.pmf(0, query), spec.pmf(1, query))
+    h2 = hellinger_sq(*pmfs)
     if math.sqrt(max(h2, 0.0)) <= _H_FLOOR:
         raise IndistinguishableError(
             f"models coincide at the chosen query (H^2 = {h2:.3e}); no sample size suffices"
         )
-    probe = 0
-
-    def success(m):
-        nonlocal probe
-        rate = estimate_success(spec, m, trials, derive_seed(seed, "probe", probe), query)
-        probe += 1
-        return rate
-
-    m = 1
-    while success(m) < target:
-        if 2 * m > cap:
+    ratio = log_likelihood_ratio(*pmfs)
+    rate = -math.log1p(-h2) if h2 < 1.0 else math.inf
+    horizon = max(1, min(cap, math.ceil(math.log(3.0) / rate)))
+    while True:
+        curve = _success_curve(pmfs, ratio, trials, seed, horizon)
+        last = _last_below(curve, target)
+        if last < horizon:
+            break
+        if horizon >= cap:
             raise BudgetExceeded(f"sample-size search passed the cap {cap} without reaching {target}")
-        m *= 2
-    lo, hi = m // 2, m
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if success(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        horizon = min(2 * horizon, cap)
+    lower, upper = _wilson(curve, trials)
+    ci = (_last_below(upper, target) + 1, _last_below(lower, target) + 1)
+    return SampleComplexity(m_star=last + 1, success=float(curve[last]), horizon=horizon, m_star_ci=ci)

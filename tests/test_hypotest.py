@@ -3,6 +3,7 @@
 import importlib.resources as ir
 import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softlev import hypotest
-from softlev.distributions import DiscreteDistribution
+from softlev.distributions import DiscreteDistribution, mean_under, variance_under
 from softlev.errors import (
     BudgetExceeded,
     ConstraintViolation,
@@ -343,21 +344,115 @@ def test_estimate_success_equals_per_trial_generator_reference(family):
                 assert got == _ref_estimate_success(pair, m, trials, seed, query=query), (seed, trials, m)
 
 
-@pytest.mark.parametrize("family", ["softmax", "leverage"])
-def test_sample_complexity_equals_per_trial_generator_reference(family, monkeypatch):
-    # at each grid point's query, exactly as sweep_point derives it
+def _ref_success_curve(pair, query, trials, seed, horizon):
+    """The worst-case success curve from one ModelOracle per trial: row k of
+    truth t is that oracle's first ``sample`` call, summed with np.cumsum."""
+    ratio = log_likelihood_ratio(pair.pmf(0, query), pair.pmf(1, query))
+    correct = []
+    for truth in (0, 1):
+        counts = np.zeros(horizon, dtype=np.int64)
+        for k in range(trials):
+            samples = ModelOracle(pair, truth, derive_seed(seed, truth, k)).sample(query, horizon)
+            llr = np.cumsum(ratio[samples])
+            counts += (llr >= 0.0) if truth == 0 else (llr < 0.0)
+        correct.append(counts)
+    return np.minimum(*correct) / trials
+
+
+def _sweep_points(family):
+    """(pair, query, search seed) at each default grid point of the demo,
+    exactly as sweep_point derives them."""
     spec = ExperimentSpec(model=_demo(family))
     points = []
     for index, eps in enumerate(spec.eps_grid):
         row_seed = derive_seed(spec.seed, "grid", index)
         pair = _demo_pair(spec.model, eps)
         query, _ = pair.optimal_query(replace(spec.opt, seed=derive_seed(row_seed, "opt")))
-        points.append((pair, query, derive_seed(row_seed, "mstar")))
-    fast = [estimate_sample_complexity(p, trials=spec.trials, seed=s, query=q) for p, q, s in points]
-    monkeypatch.setattr(hypotest, "estimate_success", _ref_estimate_success)
-    slow = [estimate_sample_complexity(p, trials=spec.trials, seed=s, query=q) for p, q, s in points]
-    assert fast == slow
-    assert all(m >= 1 for m in fast)
+        points.append((eps, pair, query, derive_seed(row_seed, "mstar")))
+    return points
+
+
+@pytest.mark.parametrize("family", ["softmax", "leverage"])
+def test_success_curve_equals_per_trial_oracle_reference(family):
+    model = _demo(family)
+    pair = _demo_pair(model, 0.1)
+    g = generator(derive_seed(3, "ref-query", family))
+    query = get_family(family).random_query(g, model.A.shape, model.constraint)
+    pmfs = (pair.pmf(0, query), pair.pmf(1, query))
+    ratio = log_likelihood_ratio(*pmfs)
+    # horizons below, at and above the row block, and one row per block
+    for horizon in (7, 1000, hypotest._BLOCK, hypotest._BLOCK + 3):
+        for trials in (1, 50, 400):
+            seed = horizon + trials
+            got = hypotest._success_curve(pmfs, ratio, trials, seed, horizon)
+            want = _ref_success_curve(pair, query, trials, seed, horizon)
+            assert got.tobytes() == want.tobytes(), (horizon, trials)
+
+
+def test_success_curve_breaks_ties_like_the_oracle():
+    # mirrored laws give the ratio [r, -r] exactly, so a walk that steps
+    # up and back down lands on llr = 0, which decides for truth 0
+    spec = ModelSpec("softmax", np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]), None, BALL)
+    query = np.array([1.0])
+    pmfs = (spec.pmf(0, query), spec.pmf(1, query))
+    ratio = log_likelihood_ratio(*pmfs)
+    assert ratio[0] == -ratio[1]
+    walks = [np.cumsum(ratio[ModelOracle(spec, 0, derive_seed(4, 0, k)).sample(query, 40)]) for k in range(50)]
+    assert sum((w == 0.0).any() for w in walks) >= 10
+    got = hypotest._success_curve(pmfs, ratio, 50, 4, 40)
+    assert got.tobytes() == _ref_success_curve(spec, query, 50, 4, 40).tobytes()
+
+
+@pytest.mark.parametrize("family", ["softmax", "leverage"])
+def test_sample_complexity_is_the_last_crossing_of_the_oracle_curve(family):
+    for _, pair, query, seed in _sweep_points(family):
+        found = estimate_sample_complexity(pair, trials=400, seed=seed, query=query)
+        curve = _ref_success_curve(pair, query, 400, seed, found.horizon)
+        below = np.flatnonzero(curve < 2.0 / 3.0)
+        assert found.m_star == (below[-1] + 2 if below.size else 1)
+        assert found.success == curve[found.m_star - 1] >= 2.0 / 3.0
+        assert found.m_star <= found.horizon
+
+
+def test_sample_complexity_doubles_the_horizon_past_a_late_crossing():
+    # one trial per truth: at seed 11 the truth's walk is still wrong at the
+    # Bhattacharyya horizon of 12 and at 24, and right from 33 on
+    spec = _wide_pair()
+    query, _ = spec.optimal_query()
+    found = estimate_sample_complexity(spec, trials=1, seed=11)
+    assert (found.m_star, found.success, found.horizon) == (33, 1.0, 48)
+    pmfs = (spec.pmf(0, query), spec.pmf(1, query))
+    ratio = log_likelihood_ratio(*pmfs)
+    # the shorter block is a prefix of the longer one
+    long = hypotest._success_curve(pmfs, ratio, 1, 11, 48)
+    assert hypotest._success_curve(pmfs, ratio, 1, 11, 12).tobytes() == long[:12].tobytes()
+    assert long[11] < 2.0 / 3.0 and long[23] < 2.0 / 3.0
+
+
+def _m_gauss(pair, query, target=2.0 / 3.0):
+    """The CLT prediction of m*: the m at which a normal approximation of the
+    summed log-likelihood ratio reaches target, worst over the two truths."""
+    pmfs = (pair.pmf(0, query), pair.pmf(1, query))
+    ratio = log_likelihood_ratio(*pmfs)
+    z = NormalDist().inv_cdf(target)
+    return max(
+        (z * math.sqrt(variance_under(p, ratio)) / mean_under(p, ratio)) ** 2 for p in pmfs
+    )
+
+
+@pytest.mark.parametrize("family", ["softmax", "leverage"])
+def test_sample_complexity_agrees_with_the_clt_and_its_interval(family):
+    # m* is the last crossing, so it sits at or above the first-crossing
+    # CLT figure; the band is fixed in advance, not fitted to these seeds
+    for eps, pair, query, _ in _sweep_points(family):
+        if eps > 0.1:
+            continue
+        m_gauss = _m_gauss(pair, query)
+        for seed in range(6):
+            found = estimate_sample_complexity(pair, trials=400, seed=seed, query=query)
+            lo, hi = found.m_star_ci
+            assert lo <= found.m_star <= hi <= found.horizon + 1, (eps, seed)
+            assert 0.75 * m_gauss <= found.m_star <= 2.25 * m_gauss, (eps, seed, found.m_star, m_gauss)
 
 
 def test_estimate_success_is_monotone_in_m_up_to_noise():
@@ -410,7 +505,7 @@ def test_sample_complexity_quarters_when_eps_halves():
     ms = []
     for eps in (0.2, 0.1):
         spec = ModelSpec("softmax", A, A + eps * M, None, BALL)
-        ms.append(estimate_sample_complexity(spec, trials=400, seed=5))
+        ms.append(estimate_sample_complexity(spec, trials=400, seed=5).m_star)
     assert ms[1] > ms[0]
     assert 2.5 <= ms[1] / ms[0] <= 6.0
 
@@ -419,4 +514,4 @@ def test_sample_complexity_is_deterministic():
     spec = _wide_pair()
     a = estimate_sample_complexity(spec, trials=60, seed=2)
     b = estimate_sample_complexity(spec, trials=60, seed=2)
-    assert a == b and a >= 1
+    assert a == b and a.m_star >= 1

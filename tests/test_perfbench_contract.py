@@ -75,9 +75,11 @@ def test_warmup_calls_every_kernel_perfbench_times(spans):
 
 def test_traced_sweep_reports_its_grid(spans):
     # spans._extra_grid reads the thread budget off _gather_grid's first
-    # argument; the traced sweep needs it for harness.grid_efficiency.
+    # argument; the traced sweep needs it for harness.grid_efficiency.  The
+    # hypotest layer is traced through harness.estimate_sample_complexity,
+    # which each grid point calls once.
     model = harness.gaussian_instance("softmax", 4, 2, seed=1)
-    spec = harness.ExperimentSpec(model=model, eps_grid=(0.3,), trials=20, opt=OptimizerConfig(restarts=2), seed=9)
+    spec = harness.ExperimentSpec(model=model, eps_grid=(0.3, 0.15), trials=20, opt=OptimizerConfig(restarts=2), seed=9)
     tracer = spans.Tracer()
     try:
         tracer.install()
@@ -85,5 +87,6 @@ def test_traced_sweep_reports_its_grid(spans):
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
-    assert metrics["harness.sweep_point.calls"] == 1
+    assert metrics["harness.sweep_point.calls"] == 2
+    assert metrics["hypotest.estimate_sample_complexity.calls"] == 2
     assert metrics["harness.grid_efficiency"] > 0
