@@ -3,9 +3,9 @@
 Exact output distributions, statistical distances with closed-form gap
 bounds, constrained query optimization, likelihood-ratio hypothesis testing
 with Monte-Carlo sample-complexity estimation, and a reproducible experiment
-harness.  Hot kernels are written in numpy; the optimizer objectives take a
-stack of query points, so the finite-difference probes of every restart of
-a multi-start ascent are one kernel call.
+harness.  Hot kernels are written in numpy; the optimizer objectives and
+their closed-form gradients take a stack of query points, so the gradients
+of every restart of a multi-start ascent are one kernel call.
 """
 
 from ._kernels import BACKEND

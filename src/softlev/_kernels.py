@@ -4,11 +4,16 @@ The four optimizer objectives (``softmax_h2_objective``,
 ``softmax_var_objective``, ``leverage_h2_objective``,
 ``leverage_var_objective``) take a stack of query points of shape
 ``(k, dim)`` and return ``k`` values; the leverage objectives also return
-``k`` status codes.  A single point is the stack with ``k = 1``.  Every row
-of a stack is bitwise equal to evaluating that point alone, because the
-stacked code keeps the single-point arithmetic: matvecs are written as
-``A[None] @ X[:, :, None]``, dots as stacked matmuls, QR factorizations and
-solves run on ``(k, n, d)`` stacks, and sums run along the last axis.
+``k`` status codes.  Their closed-form gradients (``softmax_h2_gradient``,
+``softmax_var_gradient``, ``leverage_h2_gradient``,
+``leverage_var_gradient``) take the same arguments and return a ``(k, dim)``
+stack; they are meant for points whose objective status is OK, and build
+every sum over the n rows from d-by-d matrices.  A single point is the
+stack with ``k = 1``.  Every row of a stack is bitwise equal to evaluating
+that point alone, because the stacked code keeps the single-point
+arithmetic: matvecs are written as ``A[None] @ X[:, :, None]``, dots as
+stacked matmuls, QR factorizations and solves run on ``(k, n, d)`` stacks,
+and sums run along the last axis.
 (``X @ A.T``, ``einsum`` and ``(p * v).sum(axis=1)`` in place of ``p @ v``
 reassociate and differ in the last bits.)
 
@@ -114,8 +119,17 @@ def _checked_qr(As):
 # ---------------------------------------------------------------------------
 
 
+def _t(X):
+    return np.swapaxes(X, -1, -2)
+
+
 def _matvec(A, X):
     return (A[None] @ X[:, :, None])[:, :, 0]
+
+
+def _vecmat(A, C):
+    """A^T c for each row c of C."""
+    return (C[:, None, :] @ A[None])[:, 0, :]
 
 
 def _dot(p, v):
@@ -141,6 +155,25 @@ def _leverage_stack(As):
 leverage_probs = _leverage_stack
 
 
+def _w_factors(As, Ms):
+    """The parts of ``_w_stack`` and the factors they come from: the thin Q
+    of each As, F = Ms R^{-1} and S = Q^T F, then the leverage scores, wnum
+    and ok.
+
+    Pi = Q Q^T is the orthogonal projector onto the column space of As, so
+    wnum = diag((I - Pi) Ms (As^T As)^{-1} As^T) = rowsum(F Q) - rowsum(Q S Q).
+    A deficient factor is swapped for the identity so that the stacked solve
+    cannot fail; its pair's factors and scores mean nothing.
+    """
+    Q, R, ok = _checked_qr(As)
+    R = np.where(ok[..., None, None], R, np.eye(As.shape[-1]))
+    # Ms R^{-1} without forming the inverse
+    F = _t(np.linalg.solve(_t(R), _t(Ms)))
+    S = _t(Q) @ F
+    wnum = (F * Q).sum(axis=-1) - ((Q @ S) * Q).sum(axis=-1)
+    return Q, F, S, (Q * Q).sum(axis=-1), wnum, ok
+
+
 def _w_stack(As, Ms):
     """Leverage scores and diag((I - Pi) Ms (As^T As)^{-1} As^T) of each
     (As, Ms) pair in a ``(..., n, d)`` stack via one QR call, and whether
@@ -148,17 +181,9 @@ def _w_stack(As, Ms):
 
     Pi is the orthogonal projector onto the column space of As.  Everything
     is assembled from the thin factor Q, so no n-by-n matrix is ever formed.
-    A deficient factor is swapped for the identity so that the stacked solve
-    cannot fail; its pair's scores mean nothing.
+    A deficient pair's scores mean nothing.
     """
-    Q, R, ok = _checked_qr(As)
-    R = np.where(ok[..., None, None], R, np.eye(As.shape[-1]))
-    # Ms R^{-1} without forming the inverse
-    F = np.swapaxes(np.linalg.solve(np.swapaxes(R, -1, -2), np.swapaxes(Ms, -1, -2)), -1, -2)
-    QG = Q @ (np.swapaxes(Q, -1, -2) @ F)
-    wnum = (F * Q).sum(axis=-1) - (QG * Q).sum(axis=-1)
-    lev = (Q * Q).sum(axis=-1)
-    return lev, wnum, ok
+    return _w_factors(As, Ms)[3:]
 
 
 leverage_w_parts = _w_stack
@@ -197,6 +222,97 @@ def leverage_var_objective(A, M, U):
     return np.where(good, _variance(lev / A.shape[1], wnum / lev), 0.0), status
 
 
+# ---------------------------------------------------------------------------
+# stacked gradients: row j is the gradient of the objective at row j of X (or U)
+# ---------------------------------------------------------------------------
+
+
+def _softmax_pull(A, p, c):
+    """sum_i c_i grad_x log p_i(x) = A^T c - (sum c) A^T p, with p = softmax(A x)."""
+    return _vecmat(A, c) - c.sum(axis=-1)[:, None] * _vecmat(A, p)
+
+
+def softmax_h2_gradient(A, B, X):
+    """The gradient of ``softmax_h2_objective`` at each row x of X.
+
+    With p = softmax(A x), q = softmax(B x) and r = sqrt(p q), the partial
+    derivative of H^2 = (sum p + sum q)/2 - sum r in log p_i is (p_i - r_i)/2,
+    and likewise in log q_i.  Nothing is divided, so a p_i that underflows to
+    0 is harmless."""
+    p = _softmax(_matvec(A, X))
+    q = _softmax(_matvec(B, X))
+    r = np.sqrt(p * q)
+    return _softmax_pull(A, p, 0.5 * (p - r)) + _softmax_pull(B, q, 0.5 * (q - r))
+
+
+def softmax_var_gradient(A, M, X):
+    """The gradient of ``softmax_var_objective`` at each row x of X: with
+    v = M x and delta = v - p.v, it is sum_i p_i delta_i^2 grad log p_i
+    + 2 M^T (p delta)."""
+    p = _softmax(_matvec(A, X))
+    v = _matvec(M, X)
+    delta = v - _dot(p, v)[:, None]
+    return _softmax_pull(A, p, p * delta * delta) + 2.0 * _vecmat(M, p * delta)
+
+
+def _hat_weighted(Q, c):
+    """sum_i c_i P_ij^2 for each j, where P = Q Q^T is the hat matrix: the
+    quadratic form q_j^T (Q^T diag(c) Q) q_j, so no n-by-n matrix is formed."""
+    return ((Q @ (_t(Q) @ (c[..., None] * Q))) * Q).sum(axis=-1)
+
+
+def _leverage_h2_part(Q, tau, other):
+    """sum_i c_i (delta_ij tau_i - P_ij^2) for each j, with c_i the partial
+    derivative of H^2 in p_i = tau_i / d, which is (1 - sqrt(other_i / tau_i)) / 2.
+    A row with tau_i = 0 has a zero row of Q, so P_ij = 0 for every j and
+    its weight is never used; it is guarded so that it is never divided."""
+    ratio = np.divide(other, tau, out=np.zeros_like(tau), where=tau > 0.0)
+    c = 0.5 * (1.0 - np.sqrt(ratio))
+    return c * tau - _hat_weighted(Q, c)
+
+
+def leverage_h2_gradient(A, B, U):
+    """The gradient of ``leverage_h2_objective`` at each row u of U.
+
+    The leverage scores tau of diag(sqrt(u)) A move as
+    d tau_i / d u_j = (delta_ij tau_i - P_ij^2) / u_j, with P the hat matrix
+    of diag(sqrt(u)) A; likewise for B.  Defined where the objective's
+    status is OK."""
+    r = np.sqrt(U)[:, :, None]
+    Qa = np.linalg.qr(A * r)[0]
+    Qb = np.linalg.qr(B * r)[0]
+    ta = (Qa * Qa).sum(axis=-1)
+    tb = (Qb * Qb).sum(axis=-1)
+    return (_leverage_h2_part(Qa, ta, tb) + _leverage_h2_part(Qb, tb, ta)) / (A.shape[1] * U)
+
+
+def leverage_var_gradient(A, M, U):
+    """The gradient of ``leverage_var_objective`` at each row u of U.
+
+    With G = (A^T U A)^{-1} and S = A^T U M, the ratio is
+    w_i = (m_i^T G a_i - a_i^T G S G a_i) / (a_i^T G a_i), and
+    dG/du_j = -G a_j a_j^T G, dS/du_j = a_j m_j^T.  In the basis of the
+    thin QR of diag(sqrt(u)) A, where G a_i = R^{-1} q_i / sqrt(u_i), every
+    sum over i becomes a d-by-d matrix (Q^T diag(.) Q, Q^T diag(.) F, or
+    S = Q^T F with F = diag(sqrt(u)) M R^{-1}), so a point costs O(n d^2).
+    With delta = w - mu under p = tau / d, the gradient is
+    (delta_j^2 tau_j + q_j^T T q_j - 2 q_j^T W f_j) / (d u_j), where q_j and
+    f_j are rows of Q and F, W = Q^T diag(delta) Q and
+    T = Q^T diag(delta (w + mu)) Q + 2 (W (S + S^T) - Q^T diag(delta) F).
+    Defined where the objective's status is OK."""
+    d = A.shape[1]
+    r = np.sqrt(U)[:, :, None]
+    Q, F, S, lev, wnum, _ = _w_factors(A * r, M * r)
+    w = np.divide(wnum, lev, out=np.zeros_like(lev), where=lev > 0.0)
+    mu = _dot(lev / d, w)[:, None]
+    delta = w - mu
+    Qt = _t(Q)
+    W = Qt @ (delta[..., None] * Q)
+    T = Qt @ ((delta * (w + mu))[..., None] * Q) + 2.0 * (W @ (S + _t(S)) - Qt @ (delta[..., None] * F))
+    g = delta * delta * lev + ((Q @ T) * Q).sum(axis=-1) - 2.0 * ((Q @ W) * F).sum(axis=-1)
+    return g / (d * U)
+
+
 def warmup():
     """Call every kernel once, so that lazy set-up in numpy and LAPACK is
     done before anything is timed."""
@@ -214,3 +330,7 @@ def warmup():
     leverage_w_parts(A, B)
     leverage_h2_objective(A, B, u[None])
     leverage_var_objective(A, B, u[None])
+    softmax_h2_gradient(A, B, x[None])
+    softmax_var_gradient(A, B, x[None])
+    leverage_h2_gradient(A, B, u[None])
+    leverage_var_gradient(A, B, u[None])

@@ -1,5 +1,5 @@
-"""Query optimizers: multi-start projected gradient ascent with finite
-differences, over the energy ball (softmax queries) or the box (scale
+"""Query optimizers: multi-start projected gradient ascent with closed-form
+gradients, over the energy ball (softmax queries) or the box (scale
 queries, worked in u = s^{-2} coordinates where the feasible set is a box).
 
 The objectives are cheap, low-dimensional, and smooth almost everywhere but
@@ -7,23 +7,27 @@ multimodal, so many seeded restarts with a deterministic boundary-biased
 first start beat anything clever.  Results are certified lower bounds: the
 reported value is the objective re-evaluated at the reported point.
 
-All restarts ascend in lockstep.  Each iteration evaluates the
-central-difference probes of every live restart in one stacked objective
-call.  The line search then runs in rounds: round r evaluates the next 2^r
-rungs s, s/2, s/4, ... of every restart still searching, all in one stack,
-and a restart stops searching at its first improving rung or once the step
-falls below ``_MIN_STEP``.  Each kernel call takes at most
-``_MAX_ELEMENTS`` matrix elements (rows times ``A.size``); larger stacks are
-split.  Every stacked row is bitwise equal to evaluating that point alone,
-so each restart follows exactly the path it follows on its own, and the
-result is the one restart-by-restart ascent gives.  Errors follow that order
-too: the optimizer raises for the lowest-index restart that fails, at its
-first failing evaluation; a rung evaluated beyond the accepted one is
-ignored.
+All restarts ascend in lockstep.  Each iteration takes the gradient of
+every live restart in one stacked call of the objective's gradient kernel
+(``<name>_gradient`` beside ``<name>_objective`` in ``_kernels``).  The line
+search then runs in rounds: round r evaluates the next 2^r rungs s, s/2,
+s/4, ... of every restart still searching, all in one stack, and a restart
+stops searching at its first improving rung or once the step falls below
+``_MIN_STEP``.  Each kernel call takes at most ``_MAX_ELEMENTS`` matrix
+elements (rows times ``A.size``); larger stacks are split.  Every stacked row
+is bitwise equal to evaluating that point alone, so each restart follows
+exactly the path it follows on its own, and the result is the one
+restart-by-restart ascent gives.  Errors follow that order too: the
+optimizer raises for the lowest-index restart that fails, at its first
+failing evaluation; a rung evaluated beyond the accepted one is ignored.
+Failures surface only at evaluated points (the starts, the box's corner
+checks and the line-search rungs): the gradient is taken only at a point
+whose objective status was OK.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +40,6 @@ from .rng import derive_seeds, generators
 _MIN_STEP = 1e-14
 _MAX_ELEMENTS = 2**16  # matrix elements per kernel call: rows times A.size
 STEP_INIT = 0.1  # first line-search step of each restart
-GRAD_EPS = 1e-6  # central finite-difference half-width
 TOL = 1e-9  # stop when an accepted step improves by less
 
 
@@ -84,33 +87,18 @@ def _first_error(status):
 
 
 def _capped(F, rows):
-    """The stacked objective F, called on at most ``rows`` rows at a time."""
+    """The stacked kernel F, called on at most ``rows`` rows at a time; F
+    returns one array or a tuple of arrays, one entry per row."""
 
     def G(X):
         if len(X) <= rows:
             return F(X)
         parts = [F(X[i : i + rows]) for i in range(0, len(X), rows)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(p) for p in zip(*parts))
+        return np.concatenate(parts)
 
     return G
-
-
-def _probes(X, h):
-    """The central-difference probes of each row x of X, restart after
-    restart: x + h e_0, x - h e_0, x + h e_1, ..."""
-    k, dim = X.shape
-    i = np.arange(dim)
-    P = np.repeat(X, 2 * dim, axis=0).reshape(k, 2 * dim, dim)
-    P[:, 2 * i, i] = X + h
-    P[:, 2 * i + 1, i] = X - h
-    return P.reshape(k * 2 * dim, dim)
-
-
-def _slopes(vals, dim, h):
-    """The central differences of the objective values at ``_probes(X, h)``,
-    one gradient row per row of X."""
-    V = vals.reshape(-1, 2 * dim)
-    return (V[:, 0::2] - V[:, 1::2]) / (2.0 * h)
 
 
 def _norms(X):
@@ -119,16 +107,17 @@ def _norms(X):
     return np.sqrt(_kernels._dot(X, X))
 
 
-def _multistart(F, project, starts, cfg):
+def _multistart(F, grad, project, starts, cfg):
     """Projected gradient ascent from every start, all restarts in lockstep.
 
-    F maps a stack of points to (values, status codes).  Returns (x,
+    F maps a stack of points to (values, status codes), and grad maps a
+    stack of points whose status is OK to their gradients.  Returns (x,
     iterations summed over all restarts, converged) of the best restart;
     strictly better wins, so ties keep the earliest.  Raises the error that
     the lowest-index failing restart meets first.
     """
     x = project(np.array(starts, dtype=np.float64))
-    k, dim = x.shape
+    k = len(x)
     fx, status = F(x)
     step = np.full(k, STEP_INIT)
     gain = np.zeros(k)
@@ -137,24 +126,21 @@ def _multistart(F, project, starts, cfg):
     converged = np.zeros(k, dtype=bool)
     failed, error = k, None  # the lowest-index restart that failed, and its error
 
-    def survivors(rows, blocks):
+    def survivors(rows, codes):
         """Record the lowest-index failure among ``rows``, whose status
-        codes in loop order are the rows of ``blocks``; mask of the rows
-        before every failure so far."""
+        codes are ``codes``; mask of the rows before every failure so far."""
         nonlocal failed, error
-        bad = np.flatnonzero((blocks != _kernels.STATUS_OK).any(axis=1))
+        bad = np.flatnonzero(codes != _kernels.STATUS_OK)
         if bad.size and rows[bad[0]] < failed:
-            failed, error = int(rows[bad[0]]), _first_error(blocks[bad[0]])
+            failed, error = int(rows[bad[0]]), _first_error(codes[bad])
         return rows < failed
 
     live = np.arange(k)
-    live = live[survivors(live, status[:, None])]
+    live = live[survivors(live, status)]
     for it in range(1, cfg.max_iters + 1):
         if not live.size:
             break
-        vals, status = F(_probes(x[live], GRAD_EPS))
-        keep = survivors(live, status.reshape(live.size, 2 * dim))
-        live, g = live[keep], _slopes(vals, dim, GRAD_EPS)[keep]
+        g = grad(x[live])
         iters[live] = it
         gnorm = _norms(g)
         moving = gnorm != 0.0
@@ -182,7 +168,7 @@ def _multistart(F, project, starts, cfg):
             first = at[np.arange(searching.size), col]
             decided = ends.any(axis=1)
             codes = np.where(decided, status[first], _kernels.STATUS_OK)
-            keep = survivors(searching, codes[:, None])
+            keep = survivors(searching, codes)
             win = decided & keep & (codes == _kernels.STATUS_OK)
             r, j = searching[win], first[win]
             gain[r] = vals[j] - fx[r]
@@ -267,15 +253,10 @@ class _Box:
         self.lo, self.hi = 1.0 / constraint.hi, 1.0 / constraint.lo
         self.n = A.shape[0]
 
-    def objective(self, kernel, A, X):
-        """The stacked leverage objective, with its status code per row.
-
-        When the lower bound 1/C lies below GRAD_EPS, a finite-difference
-        probe u - GRAD_EPS e_i can reach u_i <= 0, outside the domain u > 0.
-        Such a coordinate is evaluated at the lower bound instead; every
-        other coordinate is evaluated as it is."""
-        lo = self.lo
-        return lambda U: kernel(A, X, np.where(U > 0.0, U, lo))
+    @staticmethod
+    def objective(kernel, A, X):
+        """The stacked leverage objective, with its status code per row."""
+        return partial(kernel, A, X)
 
     def project(self, U):
         return np.clip(U, self.lo, self.hi)
@@ -297,18 +278,21 @@ class _Box:
 
 
 def _maximize(feasible, constraint, kernel, A, X, name, config, hellinger):
-    """Maximize ``_kernels.<kernel>(A, X, .)`` over the feasible set built
-    from ``constraint``; with ``hellinger`` the kernel is H^2 and the value
-    reported is H.  The kernel is looked up at call time, so rebinding it in
-    ``_kernels`` reaches every evaluation."""
+    """Maximize ``_kernels.<kernel>_objective(A, X, .)`` over the feasible
+    set built from ``constraint``, ascending along
+    ``_kernels.<kernel>_gradient(A, X, .)``; with ``hellinger`` the objective
+    is H^2 and the value reported is H.  Both kernels are looked up at call
+    time, so rebinding one in ``_kernels`` reaches every call."""
     cfg = config or OptimizerConfig()
     A = as_matrix(A, "A")
     X = as_matrix(X, name)
     if A.shape != X.shape:
         raise ShapeMismatch(f"A and {name} must share a shape, got {A.shape} vs {X.shape}")
     space = feasible(constraint, A, A - X if hellinger else X)
-    F = _capped(space.objective(getattr(_kernels, kernel), A, X), max(1, _MAX_ELEMENTS // A.size))
-    x, iters, conv = _multistart(F, space.project, list(space.starts(F, cfg)), cfg)
+    rows = max(1, _MAX_ELEMENTS // A.size)
+    F = _capped(space.objective(getattr(_kernels, f"{kernel}_objective"), A, X), rows)
+    grad = _capped(partial(getattr(_kernels, f"{kernel}_gradient"), A, X), rows)
+    x, iters, conv = _multistart(F, grad, space.project, list(space.starts(F, cfg)), cfg)
     value = float(F(x[None])[0][0])
     return OptResult(
         argmax=space.query(x),
@@ -322,22 +306,22 @@ def _maximize(feasible, constraint, kernel, A, X, name, config, hellinger):
 def max_hellinger_softmax(A, B, constraint, config=None) -> OptResult:
     """Maximize the Hellinger distance between softmax(A x) and softmax(B x)
     over the energy ball.  The reported value is H (not H^2)."""
-    return _maximize(_Ball, constraint, "softmax_h2_objective", A, B, "B", config, hellinger=True)
+    return _maximize(_Ball, constraint, "softmax_h2", A, B, "B", config, hellinger=True)
 
 
 def max_variance_softmax(A, M, constraint, config=None) -> OptResult:
     """Maximize Var_{softmax(A x)}(M x) over the energy ball."""
-    return _maximize(_Ball, constraint, "softmax_var_objective", A, M, "M", config, hellinger=False)
+    return _maximize(_Ball, constraint, "softmax_var", A, M, "M", config, hellinger=False)
 
 
 def max_hellinger_leverage(A, B, box, config=None) -> OptResult:
     """Maximize the Hellinger distance between the leverage distributions of
     A and B over scale vectors in the box.  ``argmax`` is the scale vector s
     (positive branch); the value is H."""
-    return _maximize(_Box, box, "leverage_h2_objective", A, B, "B", config, hellinger=True)
+    return _maximize(_Box, box, "leverage_h2", A, B, "B", config, hellinger=True)
 
 
 def max_variance_leverage(A, M, box, config=None) -> OptResult:
     """Maximize the variance of the first-order response ratio w under the
     leverage distribution, over scale vectors in the box.  ``argmax`` is s."""
-    return _maximize(_Box, box, "leverage_var_objective", A, M, "M", config, hellinger=False)
+    return _maximize(_Box, box, "leverage_var", A, M, "M", config, hellinger=False)

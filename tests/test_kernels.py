@@ -116,6 +116,42 @@ def test_stacked_objectives_equal_single_point_references(n, d):
         _assert_rows_match(kernel, reference, A, B, U)
 
 
+GRADIENTS = ["softmax_h2_gradient", "softmax_var_gradient", "leverage_h2_gradient", "leverage_var_gradient"]
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (33, 7), (64, 8)])
+def test_stacked_gradients_equal_each_point_alone(n, d):
+    g = generator(derive_seed(314, "gradient-stack", n, d))
+    A = g.standard_normal((n, d))
+    B = A + 0.1 * g.standard_normal((n, d))
+    k = 2 * max(n, d) + 1
+    X = g.standard_normal((k, d))
+    U = 0.5 + 1.5 * g.random((k, n))
+    for name, Z in zip(GRADIENTS, (X, X, U, U)):
+        kernel = getattr(_kernels, name)
+        stacked = kernel(A, B, Z)
+        assert stacked.shape == Z.shape
+        for row, z in zip(stacked, Z):
+            assert row.tobytes() == kernel(A, B, z[None])[0].tobytes(), name
+
+
+def test_warmup_calls_every_gradient_kernel(monkeypatch):
+    # perfbench's warm-up check covers only the kernels its tracer times,
+    # and it does not time the gradients: a gradient left out of warmup()
+    # would pay the lazy set-up of its qr and solve calls inside a timed run.
+    called = []
+    for name in GRADIENTS:
+        kernel = getattr(_kernels, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            called.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    _kernels.warmup()
+    assert sorted(called) == sorted(GRADIENTS)
+
+
 def test_stacked_leverage_statuses_match_row_by_row():
     # Rows of one stack: fine, rank-deficient (an identity row zeroed), and
     # zero leverage (a padding row zeroed, rank intact).

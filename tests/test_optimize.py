@@ -6,14 +6,19 @@ w_i = m_i/a_i - tau/g), so a dense grid over the box is cheap and
 independent of the ascent code.
 
 Loop oracle: the restart-by-restart ascent that the lockstep ascent
-replaced, one point per objective call, kept here to check that lockstep
-returns bitwise the same result and raises the same error.
+replaced, one point per objective and gradient call, kept here to check that
+lockstep returns bitwise the same result and raises the same error.
+
+Gradient oracle: the central differences that the closed-form gradient
+kernels replaced, one stacked call of 2 * dim probes per point, and beside
+them the probe-by-probe loop that the stacked call replaced.
 """
 
 import importlib.resources as ir
 import itertools
 import json
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -27,7 +32,6 @@ from softlev.leverage import BoxConstraint, leverage_pmf, leverage_w
 from softlev.optimize import (
     _MAX_ELEMENTS,
     _MIN_STEP,
-    GRAD_EPS,
     STEP_INIT,
     TOL,
     OptimizerConfig,
@@ -35,8 +39,6 @@ from softlev.optimize import (
     _Ball,
     _Box,
     _first_error,
-    _probes,
-    _slopes,
     max_hellinger_leverage,
     max_hellinger_softmax,
     max_variance_leverage,
@@ -197,28 +199,29 @@ def test_leverage_argmax_is_a_feasible_scale_vector():
     assert sq.min() >= BOX.lo - 1e-9 and sq.max() <= BOX.hi + 1e-9
 
 
-def test_probes_below_a_tiny_lower_bound_stay_in_the_domain(tmp_path, monkeypatch, capsys):
-    # With C = 1e7 the box's lower bound 1/C lies below GRAD_EPS, so a probe
-    # u - GRAD_EPS e_i of a restart at that bound reaches u_i <= 0, where
-    # sqrt(u) is NaN.  The suite turns that RuntimeWarning into an error.
+def test_tiny_lower_bound_evaluates_only_inside_the_domain(tmp_path, monkeypatch, capsys):
+    # With C = 1e7 the box's lower bound 1/C = 1e-7 lies just above u = 0,
+    # where sqrt(u) is NaN; the suite turns that RuntimeWarning into an
+    # error.  Every stack passed to a leverage objective or gradient kernel
+    # is recorded: no evaluated point may have a u_i <= 0.
     doc = json.loads((ir.files("softlev") / "specs" / "demo_leverage.json").read_text(encoding="utf-8"))
     doc["constraint"] = {"c": 1.0, "C": 1e7}
     path = tmp_path / "wide_box.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    lowest = []
-    probes = optimize._probes
+    lowest = {}
+    for name in ("leverage_h2_objective", "leverage_h2_gradient", "leverage_var_objective", "leverage_var_gradient"):
 
-    def recorded(X, h):
-        P = probes(X, h)
-        lowest.append(P.min())
-        return P
+        def recorded(A, X, U, name=name, kernel=getattr(_kernels, name)):
+            lowest.setdefault(name, []).append(U.min())
+            return kernel(A, X, U)
 
-    monkeypatch.setattr(optimize, "_probes", recorded)
+        monkeypatch.setattr(_kernels, name, recorded)
     box = BoxConstraint(1.0, 1e7)
-    for objective in ("hellinger", "variance"):
+    for objective, kernel in (("hellinger", "leverage_h2"), ("variance", "leverage_var")):
         lowest.clear()
         assert cli.main(["optimize", str(path), "--objective", objective]) == 0
-        assert min(lowest) <= 0.0
+        assert sorted(lowest) == [f"{kernel}_gradient", f"{kernel}_objective"]
+        assert min(min(v) for v in lowest.values()) == 1.0 / 1e7  # the corner check sits on the bound
         value, _, _, _, *s = (float(v) for v in capsys.readouterr().out.split(","))
         assert value > 0.0
         box.check(s)  # must not raise
@@ -277,15 +280,16 @@ def _project_one(space, x):
     return np.clip(x, space.lo, space.hi)
 
 
-def _ascend_loop(F, project, x0, cfg):
-    """Projected gradient ascent from one start; returns (x, F(x), iters, converged)."""
+def _ascend_loop(F, grad, project, x0, cfg):
+    """Projected gradient ascent from one start along the one-point gradient
+    ``grad``; returns (x, F(x), iters, converged)."""
     x = project(np.array(x0, dtype=np.float64))
     fx = _at(F, x)
     step = STEP_INIT
     converged = False
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
-        g = _fd_gradient(F, x, GRAD_EPS)
+        g = grad(x[None])[0]
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
             converged = True
@@ -310,13 +314,13 @@ def _ascend_loop(F, project, x0, cfg):
     return x, fx, iters, converged
 
 
-def _multistart_loop(F, project, starts, cfg):
+def _multistart_loop(F, grad, project, starts, cfg):
     """Ascend from every start in turn; returns (x, F(x), iterations summed
     over all restarts, converged) of the best restart."""
     best = None
     total_iters = 0
     for x0 in starts:
-        x, fx, iters, conv = _ascend_loop(F, project, x0, cfg)
+        x, fx, iters, conv = _ascend_loop(F, grad, project, x0, cfg)
         total_iters += iters
         if best is None or fx > best[1]:  # strict: ties keep the earliest restart
             best = (x, fx, conv)
@@ -325,20 +329,29 @@ def _multistart_loop(F, project, starts, cfg):
 
 
 _SETS = {
-    max_hellinger_softmax: (_Ball, "softmax_h2_objective", True),
-    max_variance_softmax: (_Ball, "softmax_var_objective", False),
-    max_hellinger_leverage: (_Box, "leverage_h2_objective", True),
-    max_variance_leverage: (_Box, "leverage_var_objective", False),
+    max_hellinger_softmax: (_Ball, "softmax_h2", True),
+    max_variance_softmax: (_Ball, "softmax_var", False),
+    max_hellinger_leverage: (_Box, "leverage_h2", True),
+    max_variance_leverage: (_Box, "leverage_var", False),
 }
+
+
+def _kernel_pair(maximize, space, A, X):
+    """The objective and the gradient that ``maximize`` ascends, looked up in
+    ``_kernels`` now, as ``optimize._maximize`` does."""
+    kernel = _SETS[maximize][1]
+    objective = space.objective(getattr(_kernels, f"{kernel}_objective"), A, X)
+    return objective, partial(getattr(_kernels, f"{kernel}_gradient"), A, X)
 
 
 def _maximize_loop(maximize, A, X, constraint, cfg):
     """What ``maximize(A, X, constraint, cfg)`` returns, by the loop."""
-    feasible, kernel, hellinger = _SETS[maximize]
+    feasible, _, hellinger = _SETS[maximize]
     space = feasible(constraint, A, A - X if hellinger else X)
-    objective = space.objective(getattr(_kernels, kernel), A, X)
+    objective, grad = _kernel_pair(maximize, space, A, X)
     F = _raising(objective)
-    x, _, iters, conv = _multistart_loop(F, partial(_project_one, space), space.starts(objective, cfg), cfg)
+    project = partial(_project_one, space)
+    x, _, iters, conv = _multistart_loop(F, grad, project, space.starts(objective, cfg), cfg)
     value = _at(F, x)
     return OptResult(
         argmax=space.query(x),
@@ -363,12 +376,31 @@ def _constraint(maximize):
 
 
 # ---------------------------------------------------------------------------
-# one-call gradient against the probe-by-probe loop
+# closed-form gradients against central differences
 # ---------------------------------------------------------------------------
 
 
+def _probes(X, h):
+    """The central-difference probes of each row x of X, row after row:
+    x + h e_0, x - h e_0, x + h e_1, ..."""
+    k, dim = X.shape
+    i = np.arange(dim)
+    P = np.repeat(X, 2 * dim, axis=0).reshape(k, 2 * dim, dim)
+    P[:, 2 * i, i] = X + h
+    P[:, 2 * i + 1, i] = X - h
+    return P.reshape(k * 2 * dim, dim)
+
+
+def _slopes(vals, dim, h):
+    """The central differences of the objective values at ``_probes(X, h)``,
+    one gradient row per row of X."""
+    V = vals.reshape(-1, 2 * dim)
+    return (V[:, 0::2] - V[:, 1::2]) / (2.0 * h)
+
+
 def _fd_gradient(F, x, h):
-    """The optimizer's one-call gradient, at the single point x."""
+    """Central differences of the values-only objective F at the single
+    point x, all 2 * dim probes in one call."""
     return _slopes(F(_probes(x[None], h)), x.size, h)[0]
 
 
@@ -386,50 +418,75 @@ def _fd_gradient_loop(F, x, h):
     return g
 
 
-@pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (33, 7), (64, 8)])
-def test_one_call_gradient_equals_the_loop(n, d):
-    g = generator(derive_seed(62, "grad", n, d))
+_GRAD_SHAPES = [(6, 2), (5, 3), (33, 7), (64, 8)]
+
+
+def _gradient_cases(n, d, seed=0):
+    """(objective as values only, gradient kernel, point) for each of the
+    four objectives on one gaussian pair, at a point inside the ball or box."""
+    g = generator(derive_seed(62, "grad", n, d, seed))
     A = g.standard_normal((n, d))
     B = A + 0.1 * g.standard_normal((n, d))
     x = g.standard_normal(d)
     x *= 0.9 / float(np.linalg.norm(x))
     u = 0.5 + 1.5 * g.random(n)
-    objectives = [
-        (_Ball.objective(_kernels.softmax_h2_objective, A, B), x),
-        (_Ball.objective(_kernels.softmax_var_objective, A, B), x),
-        (_Box(BOX, A, B).objective(_kernels.leverage_h2_objective, A, B), u),
-        (_Box(BOX, A, B).objective(_kernels.leverage_var_objective, A, B), u),
-    ]
-    for objective, point in objectives:
-        F = _raising(objective)
+    cases = []
+    for maximize, point in zip(_SETS, (x, x, u, u)):
+        objective, grad = _kernel_pair(maximize, _SETS[maximize][0], A, B)
+        cases.append((_raising(objective), grad, point))
+    return cases
+
+
+@pytest.mark.parametrize("n,d", _GRAD_SHAPES)
+def test_one_call_gradient_equals_the_loop(n, d):
+    for F, _, point in _gradient_cases(n, d):
         assert np.array_equal(_fd_gradient(F, point.copy(), 1e-6), _fd_gradient_loop(F, point.copy(), 1e-6))
 
 
-def _gradient_error(gradient, F, u, h):
-    with pytest.raises((RankDeficient, ZeroLeverage)) as info:
-        gradient(F, u.copy(), h)
-    return info.type
+def _assert_close_to_central_differences(F, grad, point):
+    expected = _fd_gradient(F, point.copy(), 1e-6)
+    got = grad(point[None])[0]
+    assert np.isfinite(got).all()
+    assert np.linalg.norm(got - expected) <= 1e-6 * np.linalg.norm(expected), grad.func.__name__
 
 
-def test_failing_probe_raises_as_the_loop_does():
-    # Rows of the padded identity [e0; e1; e0; e0; e0], scaled by sqrt(u).
-    # With every u_i = h, probe u - h e_i zeroes row i: for the e1 row that
-    # zeroes column 1 (rank-deficient), for an e0 row it leaves a row of
-    # leverage 0.  Reordering the rows decides which failure comes first.
-    # The kernels take the probes as they are: _Box.objective would move a
-    # coordinate at 0 to the box's lower bound.
-    h = 0.25
+@pytest.mark.parametrize("n,d", _GRAD_SHAPES)
+def test_gradient_kernels_match_central_differences(n, d):
+    for seed in range(3):
+        for F, grad, point in _gradient_cases(n, d, seed):
+            _assert_close_to_central_differences(F, grad, point)
+
+
+def test_leverage_gradients_are_finite_for_a_zero_row():
+    # A zero row of A has leverage 0 at every u: it never moves, and its
+    # H^2 weight (1 - sqrt(tau_b / tau_a)) / 2 must not be divided out.
     A = padded_identity_instance(5, 2).A
-    M = generator(derive_seed(63, "probe")).standard_normal((5, 2))
-    u = np.full(5, h)
-    for order, expected in (([1, 0, 2, 3, 4], RankDeficient), ([0, 1, 2, 3, 4], ZeroLeverage)):
-        F = _raising(partial(_kernels.leverage_var_objective, A[order], M))
-        assert _gradient_error(_fd_gradient_loop, F, u, h) is expected
-        assert _gradient_error(_fd_gradient, F, u, h) is expected
-    # H^2 has no zero-leverage status: the first failure is the e1 row.
-    F = _raising(partial(_kernels.leverage_h2_objective, A, M))
-    assert _gradient_error(_fd_gradient_loop, F, u, h) is RankDeficient
-    assert _gradient_error(_fd_gradient, F, u, h) is RankDeficient
+    A[3] = 0.0
+    B = A + 0.2 * generator(derive_seed(63, "zero-row")).standard_normal((5, 2))
+    u = np.array([0.6, 1.3, 0.9, 1.7, 1.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X, Y in ((A, B), (B, A)):
+            F = _raising(partial(_kernels.leverage_h2_objective, X, Y))
+            _assert_close_to_central_differences(F, partial(_kernels.leverage_h2_gradient, X, Y), u)
+        # the variance objective fails here (zero leverage); its gradient
+        # is never taken at such a point, but stays finite all the same
+        assert np.isfinite(_kernels.leverage_var_gradient(A, B, u[None])).all()
+        assert _kernels.leverage_var_objective(A, B, u[None])[1][0] == _kernels.STATUS_ZERO_LEVERAGE
+
+
+def test_softmax_gradients_are_finite_when_probabilities_underflow():
+    # Logits 800 apart: exp(-800) underflows to 0, so p has exact zeros.
+    A = np.array([[400.0, 1.0], [0.0, -1.0], [-400.0, 0.5]])
+    B = np.array([[0.0, 1.0], [0.0, 0.0], [-400.0, 0.5]])
+    x = np.array([1.0, 0.2])
+    assert (_kernels.softmax_probs(A @ x) == 0.0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for maximize in (max_hellinger_softmax, max_variance_softmax):
+            for X, Y in ((A, B), (B, A)):
+                objective, grad = _kernel_pair(maximize, _Ball, X, Y)
+                _assert_close_to_central_differences(_raising(objective), grad, x)
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +550,20 @@ def _near_deficient_pair(maximize, n, rank_k, lev_k, seed):
 def _restart_failures(maximize, A, X, box, cfg):
     """For each start, None if its ascent alone succeeds, else the error it
     raises and the iteration it raises in (0: at the start point)."""
-    feasible, kernel, _ = _SETS[maximize]
-    space = feasible(box, A, A)
-    objective = space.objective(getattr(_kernels, kernel), A, X)
+    space = _SETS[maximize][0](box, A, A)
+    objective, gradient = _kernel_pair(maximize, space, A, X)
     iteration = 0
 
-    def F(U):
+    def grad(U):
         nonlocal iteration
-        iteration += len(U) == 2 * A.shape[0]  # each iteration starts with its gradient stack
-        return _raising(objective)(U)
+        iteration += 1  # each iteration starts with its gradient
+        return gradient(U)
 
     failures = []
     for x0 in space.starts(objective, cfg):
         iteration = 0
         try:
-            _ascend_loop(F, partial(_project_one, space), x0, cfg)
+            _ascend_loop(_raising(objective), grad, partial(_project_one, space), x0, cfg)
             failures.append(None)
         except (RankDeficient, ZeroLeverage) as exc:
             failures.append((type(exc), iteration))
@@ -516,6 +572,7 @@ def _restart_failures(maximize, A, X, box, cfg):
 
 @pytest.mark.parametrize("maximize", [max_hellinger_leverage, max_variance_leverage], ids=lambda f: f.__name__)
 def test_lockstep_fails_or_succeeds_as_the_loop_does(maximize):
+    seen = set()
     for n, rank_k, lev_k, (lo, hi), seed in itertools.product(
         (5, 6), (0, 1.5, 2.5), (0, 5), ((0.5, 2.0), (0.25, 4.0)), range(2)
     ):
@@ -524,6 +581,9 @@ def test_lockstep_fails_or_succeeds_as_the_loop_does(maximize):
         cfg = OptimizerConfig(restarts=8, max_iters=60, seed=seed)
         expected = _outcome(_maximize_loop, maximize, A, X, box, cfg)
         assert _outcome(maximize, A, X, box, cfg) == expected, (n, rank_k, lev_k, lo, hi, seed)
+        seen.add(expected[0] if isinstance(expected[0], type) else None)
+    # the cases cover success and every failure the objective can report
+    assert seen == ({None, RankDeficient} if _SETS[maximize][2] else {None, RankDeficient, ZeroLeverage})
 
 
 # Each case has restarts i < j that fail with different errors, j in an
@@ -548,6 +608,36 @@ def test_lockstep_raises_the_first_restarts_error(maximize, n, rank_k, lev_k, bo
     assert _outcome(maximize, A, X, box, cfg) == expected
 
 
+@pytest.mark.parametrize("maximize", [max_hellinger_leverage, max_variance_leverage], ids=lambda f: f.__name__)
+def test_gradient_is_taken_only_where_the_objective_is_ok(maximize, monkeypatch):
+    # Failures surface only at evaluated points (starts, corner checks and
+    # line-search rungs).  On near-deficient pairs, some of whose ascents
+    # fail after they have taken gradients, every point passed to the
+    # gradient kernel has objective status OK.
+    kernel = _SETS[maximize][1]
+    objective, gradient = (getattr(_kernels, f"{kernel}_{kind}") for kind in ("objective", "gradient"))
+    points = []
+
+    def recorded(A, X, U):
+        points.append(U)
+        return gradient(A, X, U)
+
+    monkeypatch.setattr(_kernels, f"{kernel}_gradient", recorded)
+    raised = []
+    for n, rank_k, lev_k, seed in itertools.product((5, 6), (1.5, 2.5), (0, 5), range(2)):
+        A, X = _near_deficient_pair(maximize, n, rank_k, lev_k, seed)
+        points.clear()
+        try:
+            maximize(A, X, BoxConstraint(0.25, 4.0), OptimizerConfig(restarts=8, max_iters=60, seed=seed))
+        except (RankDeficient, ZeroLeverage) as exc:
+            raised.append((type(exc), bool(points)))
+        if points:
+            U = np.concatenate(points)
+            assert (objective(A, X, U)[1] == _kernels.STATUS_OK).all(), (n, rank_k, lev_k, seed)
+    failures = {RankDeficient} if _SETS[maximize][2] else {RankDeficient, ZeroLeverage}
+    assert {error for error, after_gradients in raised if after_gradients} == failures
+
+
 def test_failing_rung_beyond_the_accepted_one_is_ignored():
     # One restart on [0, 1] from 0.5 toward the peak at 0.54.  Rung 0.6 does
     # not improve, so the next ladder holds rungs 0.55 and 0.525: 0.55
@@ -566,41 +656,62 @@ def test_failing_rung_beyond_the_accepted_one_is_ignored():
     def project(U):
         return np.clip(U, 0.0, 1.0)
 
+    def grad(U):
+        return -2.0 * (U - 0.54)
+
     cfg = OptimizerConfig(restarts=1, max_iters=1)
-    x, iters, conv = optimize._multistart(F, project, [np.array([0.5])], cfg)
+    x, iters, conv = optimize._multistart(F, grad, project, [np.array([0.5])], cfg)
     assert _kernels.STATUS_RANK_DEFICIENT in statuses
-    expected = _multistart_loop(_raising(F), project, [np.array([0.5])], cfg)
+    expected = _multistart_loop(_raising(F), grad, project, [np.array([0.5])], cfg)
     assert (x.tobytes(), iters, conv) == (expected[0].tobytes(), expected[2], expected[3])
     assert x[0] == 0.55
 
 
 def test_lockstep_work_guard(monkeypatch):
-    # Counts, not timings: on the leverage demo at the sweep's middle grid
-    # point, lockstep makes at most a tenth of the loop's kernel calls for
-    # at most 2% more rows, and no call exceeds _MAX_ELEMENTS matrix elements.
+    # Counts, not timings.  On the leverage demo at the sweep's middle grid
+    # point, lockstep takes one gradient call per iteration, holding every
+    # restart still ascending, where the loop takes one per restart per
+    # iteration; it makes at most a tenth of the loop's objective calls for
+    # at most 2% more objective rows; and no call exceeds _MAX_ELEMENTS
+    # matrix elements.
     model = load_model_spec(str(ir.files("softlev") / "specs" / "demo_leverage.json"))
     A, B = model.A, model.A + 0.1 * model.M
-    rows = []
-    kernel = _kernels.leverage_h2_objective
+    calls = {"objective": [], "gradient": []}
+    for kind, rows in calls.items():
 
-    def counted(A, B, U):
-        rows.append(len(U))
-        return kernel(A, B, U)
+        def counted(A, B, U, rows=rows, kernel=getattr(_kernels, f"leverage_h2_{kind}")):
+            rows.append(len(U))
+            return kernel(A, B, U)
 
-    monkeypatch.setattr(_kernels, "leverage_h2_objective", counted)
-    max_hellinger_leverage(A, B, model.constraint)
-    lockstep = list(rows)
-    rows.clear()
-    _maximize_loop(max_hellinger_leverage, A, B, model.constraint, OptimizerConfig())
-    assert 10 * len(lockstep) <= len(rows)
-    assert sum(lockstep) <= 1.02 * sum(rows)
-    assert max(lockstep) * A.size <= _MAX_ELEMENTS
-    # 32 restarts of a 64x8 model probe 32 * 128 rows at once: 64 times the cap.
-    A, B = _gaussian_pair(max_hellinger_leverage, 64, 8, 0)
-    rows.clear()
-    max_hellinger_leverage(A, B, BOX, OptimizerConfig(max_iters=1))
-    assert sum(rows) > 32 * 128
-    assert max(rows) * A.size == _MAX_ELEMENTS
+        monkeypatch.setattr(_kernels, f"leverage_h2_{kind}", counted)
+
+    def counts(run, *args):
+        for rows in calls.values():
+            rows.clear()
+        run(*args)
+        return {kind: list(rows) for kind, rows in calls.items()}
+
+    cfg = OptimizerConfig()
+    lockstep = counts(max_hellinger_leverage, A, B, model.constraint, cfg)
+    space = _Box(model.constraint, A, A - B)
+    objective, grad = _kernel_pair(max_hellinger_leverage, space, A, B)
+    iters = []
+    loop = counts(
+        lambda: iters.extend(
+            _ascend_loop(_raising(objective), grad, partial(_project_one, space), x0, cfg)[2]
+            for x0 in space.starts(objective, cfg)
+        )
+    )
+    assert len(iters) == cfg.restarts and loop["gradient"] == [1] * sum(iters)
+    assert lockstep["gradient"] == [sum(i >= t for i in iters) for t in range(1, max(iters) + 1)]
+    assert 10 * len(lockstep["objective"]) <= len(loop["objective"])
+    assert sum(lockstep["objective"]) <= 1.02 * sum(loop["objective"])
+    assert max(max(rows) for rows in lockstep.values()) * A.size <= _MAX_ELEMENTS
+    # 32 restarts of a 256x16 model: 32 rows are twice the cap of 16.
+    A, B = _gaussian_pair(max_hellinger_leverage, 256, 16, 0)
+    capped = counts(max_hellinger_leverage, A, B, BOX, OptimizerConfig(max_iters=1))
+    assert capped["gradient"] == [16, 16]
+    assert max(capped["objective"]) * A.size == _MAX_ELEMENTS
 
 
 # ---------------------------------------------------------------------------
