@@ -18,7 +18,8 @@ and sums run along the last axis.
 reassociate and differ in the last bits.)
 
 ``softmax_probs`` and ``h2_tv`` work along the last axis, ``row_gram_gap``
-sums along the last axis of a ``(..., n, d)`` stack of matrix pairs, and
+sums along the last axis of a ``(..., n, d)`` stack of matrix pairs,
+``min_eigenvalue`` takes a ``(..., d, d)`` stack of symmetric matrices, and
 ``leverage_probs`` and ``leverage_w_parts`` factor a ``(..., n, d)`` stack in
 one QR call, so one vector or matrix is the stack of one and every row of a
 stack is bitwise equal to that row alone.  Each kernel has one
@@ -104,6 +105,18 @@ def row_gram_gap(A, B):
     op = np.maximum(np.abs(half_tr + disc), np.abs(half_tr - disc))
     op = np.where(safe, op, nb2)
     return op.sum(axis=-1)
+
+
+def min_eigenvalue(S):
+    """Smallest eigenvalue of each symmetric matrix in a ``(..., d, d)``
+    stack: closed forms for d = 1 and 2, ``numpy.linalg.eigvalsh`` above."""
+    d = S.shape[-1]
+    if d == 1:
+        return S[..., 0, 0]
+    if d == 2:
+        half_tr = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
+        return half_tr - np.hypot(0.5 * (S[..., 0, 0] - S[..., 1, 1]), S[..., 0, 1])
+    return np.linalg.eigvalsh(S)[..., 0]
 
 
 def _checked_qr(As):

@@ -33,7 +33,7 @@ from .errors import InputFormatError
 from .hypotest import estimate_sample_complexity
 from .leverage import BoxConstraint, _w_parts, leverage_pmf, leverage_pmfs
 from .model import ModelSpec, get_family
-from .numerics import gram, min_eigenvalue, two_to_infty_norm
+from .numerics import two_to_infty_norm
 from .optimize import OptimizerConfig
 from .rng import Stream, derive_seed, derive_seeds, generator, generators
 from .softmax import EnergyConstraint, softmax_pmf, softmax_pmfs
@@ -650,39 +650,50 @@ def _gamma_search(A, G, delta, target):
     return gamma, np.array([_envelope_ratio(gap, dl) for gap, dl in zip(gaps, delta)])
 
 
+def _conditioning(A):
+    """lambda_min(A^T A) of each matrix in a ``(k, n, d)`` stack, bitwise
+    equal to ``min_eigenvalue(gram(a))`` of each matrix alone."""
+    G = np.stack([a.T @ a for a in A])  # one 2-D product each, as gram() takes it
+    return _kernels.min_eigenvalue(np.triu(G) + np.swapaxes(np.triu(G, 1), -1, -2))
+
+
 def _leverage_envelope_pairs(seed, block, queries):
     """(A, B, S, ratio) for each index k of the block: the first of k's
     attempts that draws a well-conditioned A (lambda_min(A^T A) >= 0.05) and
     whose gamma search lands the gap ratio eps*C/(c*delta) in (0, 0.1], with
-    S that attempt's query scales.  Each round draws the next candidate
-    attempt of every pending index and runs their gamma searches in
-    lockstep; a pair whose search misses is redrawn at its next attempt in
-    the next round."""
+    S that attempt's query scales.  Each round draws the next attempt of
+    every pending index in full (d, n, A, target, G, then S), tests the
+    conditioning of each shape group as one stack, and runs the gamma searches of the accepted attempts in
+    lockstep; an index whose attempt fails either test is redrawn at its
+    next attempt in the next round.  Every attempt has its own key, so the
+    draws a rejected attempt did not need change nothing."""
     box = _ENVELOPE_BOX
     stream = Stream()
     pending = dict.fromkeys(block, 0)  # index -> its next attempt
     pairs, failed = {}, []
     while pending:
-        drawn, searches = [], []
-        for k, first in pending.items():
-            for attempt in range(first, 50):
-                g = stream.keyed(derive_seed(seed, "lev-env", k, attempt))
-                d = int(g.integers(1, 4))
-                n = int(g.integers(d + 1, 9))
-                A = g.standard_normal((n, d))
-                delta = min_eigenvalue(gram(A))
-                if delta < 0.05:
-                    continue
-                target = 0.1 * (0.1 + 0.9 * float(g.random()))
-                G = g.standard_normal((n, d))
-                S = np.sqrt(box.lo + g.random((queries, n)) * (box.hi - box.lo))
-                drawn.append((k, attempt, A, G, S))
-                searches.append((A, G, delta, target))
-                break
-            else:
+        drawn = []
+        for k, attempt in pending.items():
+            if attempt == 50:
                 failed.append(k)
-        pending = {}
-        for (k, attempt, A, G, S), (gamma, ratio) in zip(drawn, _stacked(_gamma_search, searches)):
+                continue
+            g = stream.keyed(derive_seed(seed, "lev-env", k, attempt))
+            d = int(g.integers(1, 4))
+            n = int(g.integers(d + 1, 9))
+            A = g.standard_normal((n, d))
+            target = 0.1 * (0.1 + 0.9 * float(g.random()))
+            G = g.standard_normal((n, d))
+            S = np.sqrt(box.lo + g.random((queries, n)) * (box.hi - box.lo))
+            drawn.append((k, attempt, A, G, target, S))
+        deltas = _stacked(lambda A: (_conditioning(A),), [(A,) for _, _, A, *_ in drawn])
+        accepted, searches, pending = [], [], {}
+        for (k, attempt, A, G, target, S), (delta,) in zip(drawn, deltas):
+            if delta < 0.05:
+                pending[k] = attempt + 1
+            else:
+                accepted.append((k, attempt, A, G, S))
+                searches.append((A, G, delta, target))
+        for (k, attempt, A, G, S), (gamma, ratio) in zip(accepted, _stacked(_gamma_search, searches)):
             if 0.0 < ratio <= 0.1:
                 pairs[k] = (A, A + gamma * G, S, ratio)
             else:

@@ -8,7 +8,10 @@ worst-case success probability at one m from multinomial counts.
 ``estimate_sample_complexity`` draws one common block of sample sequences
 per truth, the ones ``ModelOracle.sample`` would draw, and reads the
 worst-case success at every m off their running log-likelihood ratios;
-m* is where that curve crosses the target for the last time.
+m* is where that curve crosses the target for the last time.  The block
+starts three times as long as the central-limit prediction of m* (at most
+as long as the Bhattacharyya bound) and doubles while the curve is still
+below the target at its end.
 """
 
 import math
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, draw, hellinger_sq
+from .distributions import DiscreteDistribution, draw, hellinger_sq, mean_under, variance_under
 from .errors import (
     BudgetExceeded,
     IndexOutOfRange,
@@ -183,8 +186,9 @@ class SampleComplexity:
     ``m_star`` is the smallest m from which the worst-case success curve of
     the common block stays at or above the target up to the horizon,
     ``success`` that curve at ``m_star``, ``horizon`` the number of samples
-    per trial the block held, and ``m_star_ci`` the same crossing read off
-    the curve's 95% Wilson upper and lower bounds.
+    per trial the block held (the start horizon, doubled as often as the
+    curve was still below the target at the end), and ``m_star_ci`` the
+    same crossing read off the curve's 95% Wilson upper and lower bounds.
     """
 
     m_star: int
@@ -233,6 +237,23 @@ def _last_below(curve, target: float) -> int:
     return int(below[-1]) + 1 if below.size else 0
 
 
+def _clt_m_star(pmfs, ratio, target: float) -> float:
+    """The central-limit prediction of m*: the m at which a normal
+    approximation of the summed log-likelihood ratio reaches ``target``,
+    max over the two truths of (z sigma_t / mu_t)^2 with z = Phi^-1(target)."""
+    # imported here: statistics costs every CLI start about 4 ms
+    from statistics import NormalDist
+
+    z = NormalDist().inv_cdf(target)
+    worst = 0.0
+    for p in pmfs:
+        mean = mean_under(p, ratio)
+        if mean == 0.0:
+            return math.inf
+        worst = max(worst, (z * math.sqrt(variance_under(p, ratio)) / mean) ** 2)
+    return worst
+
+
 def _wilson(p, n: int):
     """95% Wilson score bounds on binomial proportions p of n trials."""
     z2n = _Z95 * _Z95 / n
@@ -255,11 +276,17 @@ def estimate_sample_complexity(
     :func:`_success_curve`) and reads the worst-case success at every m off
     it.  m* is one past the last m whose success is below target, so the
     success stays at or above target from m* up to the horizon.  The
-    horizon starts at the Bhattacharyya bound ceil(ln 3 / -ln(1 - H^2)),
-    where the test's true success already exceeds 2/3, capped at ``cap``;
-    while the curve is still below target at the horizon, the horizon
-    doubles.  Raises ``BudgetExceeded`` when that would pass ``cap`` and
-    ``IndistinguishableError`` when the models coincide at the query.
+    horizon starts at ceil(3 m_gauss), with m_gauss the central-limit
+    prediction of m* (see :func:`_clt_m_star`), but never above the
+    Bhattacharyya bound ceil(ln 3 / -ln(1 - H^2)), where the test's true
+    success already exceeds 2/3, nor above ``cap``; while the curve is
+    still below target at the horizon, the horizon doubles.  A trial's
+    draws are a prefix of longer ones, so the curve up to the horizon
+    does not depend on where the horizon started; m* can only come out
+    lower than a longer block would give, where the curve dips below
+    target again past the horizon.  Raises ``BudgetExceeded`` when the
+    doubling would pass ``cap`` and ``IndistinguishableError`` when the
+    models coincide at the query.
     """
     if not (0.5 < target < 1.0):
         raise ValueError(f"target must be in (0.5, 1), got {target!r}")
@@ -275,7 +302,9 @@ def estimate_sample_complexity(
         )
     ratio = log_likelihood_ratio(*pmfs)
     rate = -math.log1p(-h2) if h2 < 1.0 else math.inf
-    horizon = max(1, min(cap, math.ceil(math.log(3.0) / rate)))
+    bhattacharyya = math.log(3.0) / rate
+    start = min(3.0 * _clt_m_star(pmfs, ratio, target), bhattacharyya)
+    horizon = max(1, min(cap, math.ceil(start)))
     while True:
         curve = _success_curve(pmfs, ratio, trials, seed, horizon)
         last = _last_below(curve, target)

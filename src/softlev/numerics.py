@@ -55,13 +55,7 @@ def min_eigenvalue(S) -> float:
     d = S.shape[0]
     if S.shape[1] != d or not np.array_equal(S, S.T):
         raise ShapeMismatch("S must be square and exactly symmetric")
-    if d == 1:
-        return float(S[0, 0])
-    if d == 2:
-        half_tr = 0.5 * (S[0, 0] + S[1, 1])
-        disc = np.hypot(0.5 * (S[0, 0] - S[1, 1]), S[0, 1])
-        return float(half_tr - disc)
-    return float(np.linalg.eigvalsh(S)[0])
+    return float(_kernels.min_eigenvalue(S))
 
 
 def two_to_infty_norm(A) -> float:

@@ -14,6 +14,7 @@ the next one is requested.  Each loop owns its stream: never keep one in a
 module global or share it between threads.
 """
 
+import operator
 from hashlib import blake2b
 
 import numpy as np
@@ -54,13 +55,15 @@ def derive_seeds(seed: int, *labels, indices, tail=None):
     """Yield ``derive_seed(seed, *labels, i)`` for each ``i`` in ``indices``;
     with a ``tail`` tuple, ``derive_seed(derive_seed(seed, *labels, i), *tail)``.
 
-    The shared prefix and the tail are encoded once, leaving one hash per
-    index and level.
+    The shared prefix, with the int tag of the index, and the tail are
+    encoded once, leaving one hash per index and level.  Each index must be
+    an int (``operator.index`` accepts it).
     """
-    prefix = (int(seed) & _MASK64).to_bytes(8, "little") + _encode(labels)
+    prefix = (int(seed) & _MASK64).to_bytes(8, "little") + _encode(labels) + _INT_TAG
     suffix = None if tail is None else _encode(tail)
     for i in indices:
-        sub = int.from_bytes(blake2b(prefix + _encode((i,)), digest_size=8).digest(), "little")
+        data = prefix + (operator.index(i) & _MASK64).to_bytes(8, "little")
+        sub = int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
         if suffix is not None:
             sub = int.from_bytes(blake2b(sub.to_bytes(8, "little") + suffix, digest_size=8).digest(), "little")
         yield sub

@@ -837,20 +837,37 @@ def test_leverage_envelope_gives_up_after_fifty_attempts(monkeypatch):
     rejected = []
     _ref_leverage_envelope_pair(0, 0, BoxConstraint(0.5, 2.0), rejected)
     assert rejected == []
-    real, calls = harness.min_eigenvalue, []
+    real, tested = harness._conditioning, []
 
-    def ill_conditioned(S):
-        calls.append(S)
-        return real(S) if len(calls) == 1 else 0.0
+    def ill_conditioned(A):
+        deltas = np.zeros(len(A))
+        if not tested:  # the first stack holds index 0's first attempt first
+            deltas[0] = real(A[:1])[0]
+        tested.extend(A)
+        return deltas
 
-    monkeypatch.setattr(harness, "min_eigenvalue", ill_conditioned)
+    monkeypatch.setattr(harness, "_conditioning", ill_conditioned)
     with pytest.raises(RuntimeError, match=r"leverage pair for index 1$"):
         harness._leverage_envelope_rows(0, 3)
-    assert len(calls) == 1 + 2 * 50
-    calls.clear()
-    monkeypatch.setattr(harness, "min_eigenvalue", lambda S: 0.0)
+    assert len(tested) == 1 + 2 * 50
+    monkeypatch.setattr(harness, "_conditioning", lambda A: np.zeros(len(A)))
     with pytest.raises(RuntimeError, match=r"leverage pair for index 0$"):
         harness._leverage_envelope_rows(0, 1)
+
+
+def test_stacked_conditioning_equals_min_eigenvalue_of_each_gram():
+    # d = 1 and 2 take the closed forms, d = 3 eigvalsh; the draws include
+    # matrices that fail the 0.05 conditioning test
+    g = generator(derive_seed(9, "conditioning"))
+    for d in (1, 2, 3):
+        for n in range(d + 1, 9):
+            A = g.standard_normal((40, n, d))
+            A[0] *= 0.01  # small
+            A[1, :, -1] = A[1, :, 0] * (1.0 + 1e-3)  # nearly rank-deficient when d > 1
+            got = harness._conditioning(A).tolist()
+            want = [min_eigenvalue(gram(a)) for a in A]
+            assert [_bits(v) for v in got] == [_bits(v) for v in want], (n, d)
+            assert want[0] < 0.05 and max(want) >= 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softlev import hypotest
-from softlev.distributions import DiscreteDistribution, mean_under, variance_under
+from softlev.distributions import DiscreteDistribution, hellinger_sq, mean_under, variance_under
 from softlev.errors import (
     BudgetExceeded,
     ConstraintViolation,
@@ -416,9 +416,11 @@ def test_sample_complexity_is_the_last_crossing_of_the_oracle_curve(family):
 
 def test_sample_complexity_doubles_the_horizon_past_a_late_crossing():
     # one trial per truth: at seed 11 the truth's walk is still wrong at the
-    # Bhattacharyya horizon of 12 and at 24, and right from 33 on
+    # start horizon of 3 (3 m_gauss = 2.96) and at 6, 12 and 24, and right
+    # from 33 on
     spec = _wide_pair()
     query, _ = spec.optimal_query()
+    assert math.ceil(3.0 * _m_gauss(spec, query)) == 3
     found = estimate_sample_complexity(spec, trials=1, seed=11)
     assert (found.m_star, found.success, found.horizon) == (33, 1.0, 48)
     pmfs = (spec.pmf(0, query), spec.pmf(1, query))
@@ -426,7 +428,7 @@ def test_sample_complexity_doubles_the_horizon_past_a_late_crossing():
     # the shorter block is a prefix of the longer one
     long = hypotest._success_curve(pmfs, ratio, 1, 11, 48)
     assert hypotest._success_curve(pmfs, ratio, 1, 11, 12).tobytes() == long[:12].tobytes()
-    assert long[11] < 2.0 / 3.0 and long[23] < 2.0 / 3.0
+    assert all(long[h - 1] < 2.0 / 3.0 for h in (3, 6, 12, 24))
 
 
 def _m_gauss(pair, query, target=2.0 / 3.0):
@@ -438,6 +440,75 @@ def _m_gauss(pair, query, target=2.0 / 3.0):
     return max(
         (z * math.sqrt(variance_under(p, ratio)) / mean_under(p, ratio)) ** 2 for p in pmfs
     )
+
+
+def _bhattacharyya_horizon(pair, query):
+    h2 = hellinger_sq(pair.pmf(0, query), pair.pmf(1, query))
+    return math.ceil(math.log(3.0) / -math.log1p(-h2))
+
+
+def _clamped_pair():
+    # truth 1 gives outcome 0 probability exp(-800) = 0, so the ratio there
+    # hits the clamp (about +684) and its rare draws under truth 0 blow up
+    # the CLT prediction: 3 m_gauss is about 138 against a Bhattacharyya
+    # horizon of 4
+    A = np.array([[math.log(1e-3)], [0.0], [-700.0]])
+    B = np.array([[-800.0], [0.0], [0.0]])
+    return ModelSpec("softmax", A, B, None, BALL), np.array([1.0])
+
+
+@pytest.mark.parametrize("family", ["softmax", "leverage"])
+def test_clt_prediction_equals_the_oracle(family):
+    points = [(pair, query) for _, pair, query, _ in _sweep_points(family)]
+    points += [(_wide_pair(), np.array([-1.0])), _clamped_pair()]
+    for pair, query in points:
+        pmfs = (pair.pmf(0, query), pair.pmf(1, query))
+        for target in (0.55, 2.0 / 3.0, 0.9, 0.99):
+            got = hypotest._clt_m_star(pmfs, log_likelihood_ratio(*pmfs), target)
+            want = _m_gauss(pair, query, target)
+            assert abs(got - want) <= 1e-12 * want, (target, got, want)
+
+
+@pytest.mark.parametrize("family", ["softmax", "leverage"])
+def test_sample_complexity_is_the_last_crossing_over_the_bhattacharyya_horizon(family):
+    # The search stops at about 3 m_gauss; at 400 trials the curve does not
+    # dip below target again before the Bhattacharyya horizon, the block the
+    # search used to draw, so m* and its success are the same as that
+    # block gives.
+    for _, pair, query, _ in _sweep_points(family):
+        full = _bhattacharyya_horizon(pair, query)
+        for seed in range(6):
+            found = estimate_sample_complexity(pair, trials=400, seed=seed, query=query)
+            assert found.horizon < full
+            curve = _ref_success_curve(pair, query, 400, seed, full)
+            below = np.flatnonzero(curve < 2.0 / 3.0)
+            assert found.m_star == below[-1] + 2, (seed, found)
+            assert found.success == curve[found.m_star - 1]
+
+
+def test_sample_complexity_never_starts_above_the_bhattacharyya_horizon(monkeypatch):
+    spec, query = _clamped_pair()
+    full = _bhattacharyya_horizon(spec, query)
+    assert full == 4 and 3.0 * _m_gauss(spec, query) > 30 * full
+    real, horizons = hypotest._success_curve, []
+
+    def recording(pmfs, ratio, trials, seed, horizon):
+        horizons.append(horizon)
+        return real(pmfs, ratio, trials, seed, horizon)
+
+    monkeypatch.setattr(hypotest, "_success_curve", recording)
+    # one and two trials per truth still stop: the horizon doubles until
+    # every walk is right at its end
+    for trials in (1, 2, 400):
+        for seed in range(8):
+            horizons.clear()
+            found = estimate_sample_complexity(spec, trials=trials, seed=seed, query=query)
+            assert horizons == [full << i for i in range(len(horizons))]
+            assert found.horizon == horizons[-1] and 1 <= found.m_star <= found.horizon
+    for seed in range(8):
+        for trials in (1, 2):
+            found = estimate_sample_complexity(_wide_pair(), trials=trials, seed=seed)
+            assert found.m_star <= found.horizon < 10_000
 
 
 @pytest.mark.parametrize("family", ["softmax", "leverage"])

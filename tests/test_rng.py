@@ -72,6 +72,26 @@ def test_derive_seeds_equals_nested_derive_seed(seed, labels):
             assert list(derive_seeds(seed, *labels, indices=indices, tail=tail)) == nested
 
 
+def test_derive_seeds_encodes_int_indices_like_derive_seed():
+    # the index is encoded inline, not through the label encoder: every int
+    # kind it accepts must still hash like derive_seed's int label
+    indices = [*range(-5, 2000), 2**64 + 3, -(2**64) - 3, np.int64(-7), np.uint64(2**64 - 1), np.int8(3), True, False]
+    for tail in (None, ("call", 0)):
+        got = list(derive_seeds(11, "idx", indices=indices, tail=tail))
+        if tail is None:
+            assert got == [derive_seed(11, "idx", i) for i in indices]
+        else:
+            assert got == [derive_seed(derive_seed(11, "idx", i), *tail) for i in indices]
+
+
+@pytest.mark.parametrize("index", [1.0, 2.5, np.float64(3.0), "4", None])
+def test_derive_seeds_rejects_a_non_int_index(index):
+    with pytest.raises(TypeError):
+        list(derive_seeds(0, "idx", indices=[0, index]))
+    with pytest.raises(TypeError):
+        list(derive_seeds(0, "idx", indices=[index], tail=("call", 0)))
+
+
 def test_derive_seeds_is_lazy_over_its_indices():
     def indices():
         yield 4
