@@ -9,11 +9,13 @@ The four optimizer objectives (``softmax_h2_objective``,
 ``leverage_var_gradient``) take the same arguments and return a ``(k, dim)``
 stack; they are meant for points whose objective status is OK, and build
 every sum over the n rows from d-by-d matrices.  A single point is the
-stack with ``k = 1``.  Every row of a stack is bitwise equal to evaluating
-that point alone, because the stacked code keeps the single-point
-arithmetic: matvecs are written as ``A[None] @ X[:, :, None]``, dots as
-stacked matmuls, QR factorizations and solves run on ``(k, n, d)`` stacks,
-and sums run along the last axis.
+stack with ``k = 1``.  The second matrix (B or M) is either one ``(n, d)``
+matrix shared by every row or a ``(k, n, d)`` stack holding each row's own,
+so rows of different problems with the same A evaluate in one call.  Every
+row of a stack is bitwise equal to evaluating that point alone, because the
+stacked code keeps the single-point arithmetic: matvecs are written as
+``A @ X[:, :, None]``, dots as stacked matmuls, QR factorizations and solves
+run on ``(k, n, d)`` stacks, and sums run along the last axis.
 (``X @ A.T``, ``einsum`` and ``(p * v).sum(axis=1)`` in place of ``p @ v``
 reassociate and differ in the last bits.)
 
@@ -137,12 +139,13 @@ def _t(X):
 
 
 def _matvec(A, X):
-    return (A[None] @ X[:, :, None])[:, :, 0]
+    """A x for each row x of X; A is one matrix or one per row."""
+    return (A @ X[:, :, None])[:, :, 0]
 
 
 def _vecmat(A, C):
-    """A^T c for each row c of C."""
-    return (C[:, None, :] @ A[None])[:, 0, :]
+    """A^T c for each row c of C; A is one matrix or one per row."""
+    return (C[:, None, :] @ A)[:, 0, :]
 
 
 def _dot(p, v):
@@ -204,7 +207,8 @@ leverage_w_parts = _w_stack
 
 def softmax_h2_objective(A, B, X):
     """H^2 between softmax(A x) and softmax(B x) for each row x of X."""
-    return _h2(_softmax(_matvec(A, X)), _softmax(_matvec(B, X)))
+    p, q = _softmax(np.stack((_matvec(A, X), _matvec(B, X))))
+    return _h2(p, q)
 
 
 def softmax_var_objective(A, M, X):
@@ -216,8 +220,7 @@ def leverage_h2_objective(A, B, U):
     """H^2 between the leverage distributions of diag(sqrt(u)) A and
     diag(sqrt(u)) B for each row u of U, and a status code per row."""
     r = np.sqrt(U)[:, :, None]
-    pa, _, ok_a = _leverage_stack(A * r)
-    pb, _, ok_b = _leverage_stack(B * r)
+    (pa, pb), _, (ok_a, ok_b) = _leverage_stack(np.stack((A * r, B * r)))
     ok = ok_a & ok_b
     return np.where(ok, _h2(pa, pb), 0.0), np.where(ok, STATUS_OK, STATUS_RANK_DEFICIENT)
 
@@ -252,8 +255,7 @@ def softmax_h2_gradient(A, B, X):
     derivative of H^2 = (sum p + sum q)/2 - sum r in log p_i is (p_i - r_i)/2,
     and likewise in log q_i.  Nothing is divided, so a p_i that underflows to
     0 is harmless."""
-    p = _softmax(_matvec(A, X))
-    q = _softmax(_matvec(B, X))
+    p, q = _softmax(np.stack((_matvec(A, X), _matvec(B, X))))
     r = np.sqrt(p * q)
     return _softmax_pull(A, p, 0.5 * (p - r)) + _softmax_pull(B, q, 0.5 * (q - r))
 
@@ -292,8 +294,7 @@ def leverage_h2_gradient(A, B, U):
     of diag(sqrt(u)) A; likewise for B.  Defined where the objective's
     status is OK."""
     r = np.sqrt(U)[:, :, None]
-    Qa = np.linalg.qr(A * r)[0]
-    Qb = np.linalg.qr(B * r)[0]
+    Qa, Qb = np.linalg.qr(np.stack((A * r, B * r)))[0]
     ta = (Qa * Qa).sum(axis=-1)
     tb = (Qb * Qb).sum(axis=-1)
     return (_leverage_h2_part(Qa, ta, tb) + _leverage_h2_part(Qb, tb, ta)) / (A.shape[1] * U)

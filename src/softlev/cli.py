@@ -252,8 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="threads over grid points; output is identical for any value, and more than 1 "
-        "gives no speedup (the work is many small numpy calls that hold the interpreter lock)",
+        help="threads for the grid points' m* searches (their ascents run first, as one lockstep "
+        "run); output is identical for any value, and more than 1 gives no speedup (the work is "
+        "many small numpy calls that hold the interpreter lock)",
     )
     p.set_defaults(handler=_cmd_sweep)
 

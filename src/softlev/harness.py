@@ -5,8 +5,13 @@ suites, and CSV emission.
 Everything is driven by a single top-level seed; per-row subseeds come from
 :func:`softlev.rng.derive_seed`, and every emitted row carries the subseed
 that replays it in isolation.  Output tables are byte-identical for
-identical specs, including across ``threads`` settings: grid points may
-compute in any order, but rows are buffered and written in grid order.
+identical specs, including across ``threads`` settings.
+
+A sweep runs in two phases.  First one lockstep ascent finds every grid
+point's Hellinger-optimal query: all points' restarts climb together, and
+each point gets the result its own ascent would give.  Then the m* searches
+run, one per grid point, on ``threads`` threads; they may finish in any
+order, but rows are buffered and written in grid order.
 
 The randomized bound and invariance suites run in lockstep, a fixed block
 of instances at a time: every instance first draws all of its numbers from
@@ -19,7 +24,6 @@ one-instance loop, and they come out in instance order.
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import reduce
 from pathlib import Path
@@ -237,19 +241,52 @@ def _sweep_nu(model: ModelSpec, opt: OptimizerConfig, seed: int) -> float:
     return model.max_variance(replace(opt, seed=derive_seed(seed, "nu"))).value
 
 
-def sweep_point(spec: ExperimentSpec, index: int, nu: float) -> SweepRow:
+def _point_pair(spec: ExperimentSpec, index: int) -> ModelSpec:
+    """The pair (A, A + eps M) of grid point ``index``."""
+    model = spec.model
+    B = model.A + spec.eps_grid[index] * model.direction()
+    return ModelSpec(model.family, model.A, B, None, model.constraint)
+
+
+def _point_opt(spec: ExperimentSpec, row_seed: int) -> OptimizerConfig:
+    return replace(spec.opt, seed=derive_seed(row_seed, "opt"))
+
+
+def _sweep_optima(spec: ExperimentSpec) -> list:
+    """Every grid point's Hellinger ascent, all in one lockstep run: per
+    point, its OptResult or the error its ascent raised.  Should the grid
+    not set up as one run, every entry is None and each point ascends alone,
+    raising what it raises."""
+    model = spec.model
+    try:
+        pairs = [_point_pair(spec, i) for i in range(len(spec.eps_grid))]
+        opts = [_point_opt(spec, derive_seed(spec.seed, "grid", i)) for i in range(len(spec.eps_grid))]
+        return get_family(model.family).max_hellinger_each(model.A, [p.B for p in pairs], model.constraint, opts)
+    except Exception:  # noqa: BLE001 - each point raises it again on its own
+        return [None] * len(spec.eps_grid)
+
+
+def sweep_point(spec: ExperimentSpec, index: int, nu: float, optimum=None) -> SweepRow:
     """Compute one grid point; deterministic given (spec, index).
 
     The row's subseed is derive_seed(spec.seed, "grid", index); everything
     stochastic in the row flows from it, so a row can be replayed alone.
+    ``optimum`` is this point's entry of ``_sweep_optima``, the OptResult
+    or error of its ascent; with None the point runs its own ascent.
     """
-    model = spec.model
     eps = spec.eps_grid[index]
     row_seed = derive_seed(spec.seed, "grid", index)
-    pair = ModelSpec(model.family, model.A, model.A + eps * model.direction(), None, model.constraint)
-    query, h = pair.optimal_query(replace(spec.opt, seed=derive_seed(row_seed, "opt")))
-    found = estimate_sample_complexity(pair, trials=spec.trials, seed=derive_seed(row_seed, "mstar"), query=query)
-    return SweepRow(eps=eps, h2_at_opt=h**2, nu=nu, m_star=found.m_star, success_at_m=found.success, seed=row_seed)
+    pair = _point_pair(spec, index)
+    if optimum is None:
+        optimum = pair.max_hellinger(_point_opt(spec, row_seed))
+    elif isinstance(optimum, Exception):
+        raise optimum
+    found = estimate_sample_complexity(
+        pair, trials=spec.trials, seed=derive_seed(row_seed, "mstar"), query=optimum.argmax
+    )
+    return SweepRow(
+        eps=eps, h2_at_opt=optimum.value**2, nu=nu, m_star=found.m_star, success_at_m=found.success, seed=row_seed
+    )
 
 
 def _fit_loglog(rows):
@@ -272,6 +309,8 @@ def _gather_grid(spec, worker):
             except Exception as exc:  # noqa: BLE001 - re-raised after flushing
                 outcomes[i] = ("err", exc)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # costs every CLI start a few ms
+
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
             futures = [pool.submit(worker, i) for i in range(len(spec.eps_grid))]
             for i, fut in enumerate(futures):
@@ -301,11 +340,14 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """m*(eps) sweep over the grid with a log-log least-squares fit.
 
     nu (the variance functional's sup) is computed once -- it does not
-    depend on eps.  On error, rows that completed are flushed to
-    ``spec.out_path`` (when set) before the first error re-raises.
+    depend on eps.  Every point's ascent runs first, in one lockstep run
+    (``_sweep_optima``); the threads run only the m* searches.  On error,
+    rows that completed are flushed to ``spec.out_path`` (when set) before
+    the first error in grid order re-raises.
     """
     nu = _sweep_nu(spec.model, spec.opt, spec.seed)
-    rows, first_error = _gather_grid(spec, lambda i: sweep_point(spec, i, nu))
+    optima = _sweep_optima(spec)
+    rows, first_error = _gather_grid(spec, lambda i: sweep_point(spec, i, nu, optima[i]))
     slope, intercept = _fit_loglog(rows)
     if spec.out_path:
         _write_sweep_csv(spec.out_path, rows, slope, intercept)

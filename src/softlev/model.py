@@ -15,7 +15,14 @@ import numpy as np
 from .errors import InputFormatError, ShapeMismatch
 from .leverage import BoxConstraint, leverage_pmf, require_tall
 from .numerics import as_matrix
-from .optimize import max_hellinger_leverage, max_hellinger_softmax, max_variance_leverage, max_variance_softmax
+from .optimize import (
+    max_hellinger_leverage,
+    max_hellinger_leverage_each,
+    max_hellinger_softmax,
+    max_hellinger_softmax_each,
+    max_variance_leverage,
+    max_variance_softmax,
+)
 from .softmax import EnergyConstraint, softmax_pmf
 
 
@@ -49,6 +56,9 @@ class _Softmax:
 
     def max_hellinger(self, A, B, constraint, cfg):
         return max_hellinger_softmax(A, B, constraint, cfg)
+
+    def max_hellinger_each(self, A, Bs, constraint, cfgs):
+        return max_hellinger_softmax_each(A, Bs, constraint, cfgs)
 
     def max_variance(self, A, M, constraint, cfg):
         return max_variance_softmax(A, M, constraint, cfg)
@@ -89,6 +99,9 @@ class _Leverage:
 
     def max_hellinger(self, A, B, constraint, cfg):
         return max_hellinger_leverage(A, B, constraint, cfg)
+
+    def max_hellinger_each(self, A, Bs, constraint, cfgs):
+        return max_hellinger_leverage_each(A, Bs, constraint, cfgs)
 
     def max_variance(self, A, M, constraint, cfg):
         return max_variance_leverage(A, M, constraint, cfg)

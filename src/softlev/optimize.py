@@ -23,6 +23,15 @@ failing evaluation; a rung evaluated beyond the accepted one is ignored.
 Failures surface only at evaluated points (the starts, the box's corner
 checks and the line-search rungs): the gradient is taken only at a point
 whose objective status was OK.
+
+Several problems that share A and the feasible set but differ in B (or M),
+such as the grid points of a sweep, ascend as one lockstep run
+(``max_hellinger_softmax_each``, ``max_hellinger_leverage_each``): each
+kernel row carries its own problem's B from a ``(p, n, d)`` stack, and the
+bookkeeping (failures, the best restart, iterations) is kept per problem, so
+every problem gets the result or error of its own run, and one failing
+problem leaves the others alone.  A single ``max_*`` call is this run with
+one problem.
 """
 
 import math
@@ -87,13 +96,14 @@ def _first_error(status):
 
 
 def _capped(F, rows):
-    """The stacked kernel F, called on at most ``rows`` rows at a time; F
-    returns one array or a tuple of arrays, one entry per row."""
+    """The stacked kernel F(X, problems), called on at most ``rows`` rows at
+    a time, each part of X with the same part of ``problems``; F returns one
+    array or a tuple of arrays, one entry per row."""
 
-    def G(X):
+    def G(X, problems):
         if len(X) <= rows:
-            return F(X)
-        parts = [F(X[i : i + rows]) for i in range(0, len(X), rows)]
+            return F(X, problems)
+        parts = [F(X[i : i + rows], problems[i : i + rows]) for i in range(0, len(X), rows)]
         if isinstance(parts[0], tuple):
             return tuple(np.concatenate(p) for p in zip(*parts))
         return np.concatenate(parts)
@@ -107,40 +117,46 @@ def _norms(X):
     return np.sqrt(_kernels._dot(X, X))
 
 
-def _multistart(F, grad, project, starts, cfg):
+def _multistart(F, grad, project, starts, owners, cfg):
     """Projected gradient ascent from every start, all restarts in lockstep.
 
-    F maps a stack of points to (values, status codes), and grad maps a
-    stack of points whose status is OK to their gradients.  Returns (x,
-    iterations summed over all restarts, converged) of the best restart;
-    strictly better wins, so ties keep the earliest.  Raises the error that
-    the lowest-index failing restart meets first.
+    Restart r belongs to problem ``owners[r]`` (non-decreasing).  F maps a
+    stack of points and the problem of each to (values, status codes), and
+    grad maps a stack of points whose status is OK, and their problems, to
+    their gradients.  Returns a dict from each problem to (x, iterations
+    summed over its restarts, converged) of its best restart; strictly
+    better wins, so ties keep the earliest.  A problem with a failing
+    restart maps instead to the error that its lowest-index failing restart
+    meets first.  No problem's restarts affect another's.
     """
     x = project(np.array(starts, dtype=np.float64))
     k = len(x)
-    fx, status = F(x)
+    owners = np.asarray(owners)
+    fx, status = F(x, owners)
     step = np.full(k, STEP_INIT)
     gain = np.zeros(k)
     direction = np.zeros_like(x)
     iters = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
-    failed, error = k, None  # the lowest-index restart that failed, and its error
+    failed = np.full(owners[-1] + 1, k)  # each problem's lowest-index failing restart
+    errors = {}  # and its error
 
     def survivors(rows, codes):
-        """Record the lowest-index failure among ``rows``, whose status
-        codes are ``codes``; mask of the rows before every failure so far."""
-        nonlocal failed, error
-        bad = np.flatnonzero(codes != _kernels.STATUS_OK)
-        if bad.size and rows[bad[0]] < failed:
-            failed, error = int(rows[bad[0]]), _first_error(codes[bad])
-        return rows < failed
+        """Record each problem's lowest-index failure among ``rows``, whose
+        status codes are ``codes``; mask of the rows before every failure
+        of their problem so far."""
+        for j in np.flatnonzero(codes != _kernels.STATUS_OK):
+            r, q = rows[j], owners[rows[j]]
+            if r < failed[q]:
+                failed[q], errors[q] = r, _first_error(codes[j : j + 1])
+        return rows < failed[owners[rows]]
 
     live = np.arange(k)
     live = live[survivors(live, status)]
     for it in range(1, cfg.max_iters + 1):
         if not live.size:
             break
-        g = grad(x[live])
+        g = grad(x[live], owners[live])
         iters[live] = it
         gnorm = _norms(g)
         moving = gnorm != 0.0
@@ -160,7 +176,7 @@ def _multistart(F, grad, project, starts, cfg):
             at = np.full(rungs.shape, -1)  # the row of cand holding each valid rung
             at[valid] = np.arange(valid.sum())
             cand = project((x[searching, None] + rungs[:, :, None] * direction[searching, None])[valid])
-            vals, status = F(cand)
+            vals, status = F(cand, np.broadcast_to(owners[searching, None], rungs.shape)[valid])
             ends = np.zeros(rungs.shape, dtype=bool)
             better = vals > np.broadcast_to(fx[searching, None], rungs.shape)[valid]
             ends[valid] = (status != _kernels.STATUS_OK) | better
@@ -178,17 +194,17 @@ def _multistart(F, grad, project, starts, cfg):
             searching = searching[keep & ~decided & (s[searching] >= _MIN_STEP)]
             width *= 2
 
-        live = live[live < failed]
+        live = live[live < failed[owners[live]]]
         stop = ~accepted[live] | (gain[live] < TOL)
         converged[live[stop]] = True
         live = live[~stop]
-    if error is not None:
-        raise error
-    best = 0
-    for r in range(1, k):
-        if fx[r] > fx[best]:
-            best = r
-    return x[best], int(iters.sum()), bool(converged[best])
+    best, total = {}, {}
+    for r in range(k):
+        q = int(owners[r])
+        total[q] = total.get(q, 0) + int(iters[r])
+        if q not in best or fx[r] > fx[best[q]]:
+            best[q] = r
+    return {q: errors[q] if q in errors else (x[r], total[q], bool(converged[r])) for q, r in best.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -277,36 +293,86 @@ class _Box:
         return 1.0 / np.sqrt(u)
 
 
-def _maximize(feasible, constraint, kernel, A, X, name, config, hellinger):
-    """Maximize ``_kernels.<kernel>_objective(A, X, .)`` over the feasible
-    set built from ``constraint``, ascending along
-    ``_kernels.<kernel>_gradient(A, X, .)``; with ``hellinger`` the objective
-    is H^2 and the value reported is H.  Both kernels are looked up at call
-    time, so rebinding one in ``_kernels`` reaches every call."""
-    cfg = config or OptimizerConfig()
+def _maximize_each(feasible, constraint, kernel, A, Xs, name, configs, hellinger):
+    """Maximize ``_kernels.<kernel>_objective(A, X, .)`` for each X in
+    ``Xs``, problem i under ``configs[i]``, over the feasible set built from
+    ``constraint``, ascending along ``_kernels.<kernel>_gradient(A, X, .)``;
+    with ``hellinger`` the objective is H^2 and the value reported is H.
+    Every problem's restarts climb in one lockstep ascent, each row of a
+    kernel call with its own problem's X.  Returns, per problem, its
+    OptResult or the error its corner checks or ascent raise; each is what
+    that problem gets alone.  Both kernels are looked up at call time, so
+    rebinding one in ``_kernels`` reaches every call."""
+    if len({cfg.max_iters for cfg in configs}) > 1:
+        raise ValueError("problems that ascend together need one max_iters")
     A = as_matrix(A, "A")
-    X = as_matrix(X, name)
-    if A.shape != X.shape:
-        raise ShapeMismatch(f"A and {name} must share a shape, got {A.shape} vs {X.shape}")
-    space = feasible(constraint, A, A - X if hellinger else X)
+    Xs = [as_matrix(X, name) for X in Xs]
+    for X in Xs:
+        if A.shape != X.shape:
+            raise ShapeMismatch(f"A and {name} must share a shape, got {A.shape} vs {X.shape}")
+    objective = getattr(_kernels, f"{kernel}_objective")
+    gradient = getattr(_kernels, f"{kernel}_gradient")
+    # One problem keeps its single X, which every row shares; several are
+    # one (p, n, d) stack, indexed by each row's problem.
+    stack = Xs[0] if len(Xs) == 1 else np.stack(Xs)
+
+    def own(problems):
+        return stack if stack.ndim == 2 else stack[problems]
+
     rows = max(1, _MAX_ELEMENTS // A.size)
-    F = _capped(space.objective(getattr(_kernels, f"{kernel}_objective"), A, X), rows)
-    grad = _capped(partial(getattr(_kernels, f"{kernel}_gradient"), A, X), rows)
-    x, iters, conv = _multistart(F, grad, space.project, list(space.starts(F, cfg)), cfg)
-    value = float(F(x[None])[0][0])
-    return OptResult(
-        argmax=space.query(x),
-        value=math.sqrt(max(value, 0.0)) if hellinger else value,
-        iterations_used=iters,
-        restarts_used=cfg.restarts,
-        converged=conv,
-    )
+    F = _capped(lambda P, problems: feasible.objective(objective, A, own(problems))(P), rows)
+    grad = _capped(lambda P, problems: gradient(A, own(problems), P), rows)
+    outcomes = [None] * len(Xs)
+    starts, owners = [], []
+    for i, (X, cfg) in enumerate(zip(Xs, configs)):
+        # The feasible set is the same for every problem; only the ball's
+        # first start depends on X.
+        space = feasible(constraint, A, A - X if hellinger else X)
+        try:
+            mine = list(space.starts(lambda P, i=i: F(P, np.full(len(P), i)), cfg))
+        except (RankDeficient, ZeroLeverage) as exc:  # a failed corner check
+            outcomes[i] = exc
+            continue
+        starts += mine
+        owners += [i] * len(mine)
+    found = _multistart(F, grad, space.project, starts, owners, configs[0]) if starts else {}
+    for q, res in found.items():
+        outcomes[q] = res
+    done = [q for q, res in found.items() if not isinstance(res, Exception)]
+    if done:
+        # each reported value is the objective re-evaluated at the argmax
+        values = F(np.array([found[q][0] for q in done]), np.array(done))[0]
+        for q, value in zip(done, values.tolist()):
+            x, iters, conv = found[q]
+            outcomes[q] = OptResult(
+                argmax=space.query(x),
+                value=math.sqrt(max(value, 0.0)) if hellinger else value,
+                iterations_used=iters,
+                restarts_used=configs[q].restarts,
+                converged=conv,
+            )
+    return outcomes
+
+
+def _maximize(feasible, constraint, kernel, A, X, name, config, hellinger):
+    """``_maximize_each`` on the one problem X: its OptResult, or its error raised."""
+    (result,) = _maximize_each(feasible, constraint, kernel, A, [X], name, [config or OptimizerConfig()], hellinger)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def max_hellinger_softmax(A, B, constraint, config=None) -> OptResult:
     """Maximize the Hellinger distance between softmax(A x) and softmax(B x)
     over the energy ball.  The reported value is H (not H^2)."""
     return _maximize(_Ball, constraint, "softmax_h2", A, B, "B", config, hellinger=True)
+
+
+def max_hellinger_softmax_each(A, Bs, constraint, configs) -> list:
+    """``max_hellinger_softmax(A, B, constraint, config)`` for each B in Bs
+    and config in configs, all in one lockstep ascent: per B, the OptResult
+    or the error that call raises.  The configs share ``max_iters``."""
+    return _maximize_each(_Ball, constraint, "softmax_h2", A, Bs, "B", configs, hellinger=True)
 
 
 def max_variance_softmax(A, M, constraint, config=None) -> OptResult:
@@ -319,6 +385,13 @@ def max_hellinger_leverage(A, B, box, config=None) -> OptResult:
     A and B over scale vectors in the box.  ``argmax`` is the scale vector s
     (positive branch); the value is H."""
     return _maximize(_Box, box, "leverage_h2", A, B, "B", config, hellinger=True)
+
+
+def max_hellinger_leverage_each(A, Bs, box, configs) -> list:
+    """``max_hellinger_leverage(A, B, box, config)`` for each B in Bs and
+    config in configs, all in one lockstep ascent: per B, the OptResult or
+    the error that call raises.  The configs share ``max_iters``."""
+    return _maximize_each(_Box, box, "leverage_h2", A, Bs, "B", configs, hellinger=True)
 
 
 def max_variance_leverage(A, M, box, config=None) -> OptResult:

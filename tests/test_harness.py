@@ -3,14 +3,15 @@
 import importlib.resources as ir
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from softlev import _kernels, harness
+from softlev import _kernels, harness, model
 from softlev.bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
 from softlev.distributions import DiscreteDistribution, hellinger_sq, tv
-from softlev.errors import BudgetExceeded, IndistinguishableError, InputFormatError
+from softlev.errors import BudgetExceeded, IndistinguishableError, InputFormatError, RankDeficient
 from softlev.harness import (
     ExperimentSpec,
     ModelSpec,
@@ -366,6 +367,84 @@ def test_run_sweep_flushes_completed_rows_before_reraising(tmp_path, monkeypatch
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len([ln for ln in lines if not ln.startswith("#") and ln != lines[0]]) == 1
     assert "# rows_used 1" in lines
+
+
+_GRIDS = [(0.1,), (0.2, 0.1, 0.05), (0.3, 0.2, 0.14, 0.1, 0.07, 0.05, 0.035)]
+
+
+def _demo_model(name):
+    return load_model_spec(str(ir.files("softlev") / "specs" / f"{name}.json"))
+
+
+def _row_cells(rows):
+    return [harness._sweep_row_cells(r) for r in rows]
+
+
+@pytest.mark.parametrize("name", ["demo_softmax", "demo_leverage"])
+@pytest.mark.parametrize("grid", _GRIDS, ids=len)
+def test_sweep_rows_equal_each_point_replayed_alone(name, grid):
+    # Phase 1 ascends every grid point in one lockstep run; each row must
+    # be bitwise the row that sweep_point computes alone, ascent included,
+    # on any number of threads.
+    for seed in range(4):
+        spec = ExperimentSpec(model=_demo_model(name), eps_grid=grid, trials=40, seed=seed)
+        nu = run_sweep(spec).nu
+        alone = _row_cells(sweep_point(spec, i, nu) for i in range(len(grid)))
+        for threads in (1, 2, 3):
+            res = run_sweep(replace(spec, threads=threads))
+            assert _row_cells(res.rows) == alone, (seed, threads)
+
+
+def _rank_one_at_a_tenth():
+    """A leverage sweep whose B = A + eps M is the rank-one C at eps = 0.1,
+    so that point's corner check raises RankDeficient, while the points at
+    0.2 and 0.05 complete."""
+    demo = _demo_model("demo_leverage")
+    C = np.outer(generator(derive_seed(70, "rank-one")).standard_normal(6), [1.0, -0.5])
+    M = 10.0 * (C - demo.A)
+    return ModelSpec("leverage", demo.A, None, M, demo.constraint)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_run_sweep_reraises_a_failing_ascent_after_the_other_rows(tmp_path, monkeypatch, threads):
+    spec = ExperimentSpec(model=_rank_one_at_a_tenth(), trials=40, threads=threads, out_path=str(tmp_path / "s.csv"))
+    nu = harness._sweep_nu(spec.model, spec.opt, spec.seed)
+    # the per-point loop: each point alone, its own ascent included
+    rows, errors = [], []
+    for i in range(len(spec.eps_grid)):
+        try:
+            rows.append(sweep_point(spec, i, nu))
+        except Exception as exc:  # noqa: BLE001 - compared below
+            errors.append(exc)
+    assert len(rows) == 2 and [type(e) for e in errors] == [RankDeficient]
+    # the failure comes out of the shared ascent, as that point's entry
+    assert [type(o).__name__ for o in harness._sweep_optima(spec)] == ["OptResult", "RankDeficient", "OptResult"]
+    harness._write_sweep_csv(tmp_path / "loop.csv", rows, *harness._fit_loglog(rows))
+    calls = []
+    real = harness.sweep_point
+
+    def counted(spec, index, nu, optimum=None):
+        calls.append(index)
+        return real(spec, index, nu, optimum)
+
+    monkeypatch.setattr(harness, "sweep_point", counted)
+    with pytest.raises(RankDeficient) as raised:
+        run_sweep(spec)
+    assert str(raised.value) == str(errors[0])
+    assert sorted(calls) == [0, 1, 2]
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_run_sweep_ascends_each_point_alone_when_the_grid_cannot_run_as_one(monkeypatch):
+    spec = ExperimentSpec(model=_demo_model("demo_softmax"), trials=40)
+    expected = _row_cells(run_sweep(spec).rows)
+
+    def refuse(*args):
+        raise RuntimeError("no shared run")
+
+    monkeypatch.setattr(model, "max_hellinger_softmax_each", refuse)
+    assert harness._sweep_optima(spec) == [None] * 3
+    assert _row_cells(run_sweep(spec).rows) == expected
 
 
 def test_run_sweep_refuses_indistinguishable_directions():

@@ -135,6 +135,36 @@ def test_stacked_gradients_equal_each_point_alone(n, d):
             assert row.tobytes() == kernel(A, B, z[None])[0].tobytes(), name
 
 
+OBJECTIVES = ["softmax_h2_objective", "softmax_var_objective", "leverage_h2_objective", "leverage_var_objective"]
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (33, 7), (64, 8)])
+def test_per_row_matrix_stack_equals_each_problems_own_call(n, d):
+    # Rows of different problems (same A, own B or M) in one call, as a
+    # lockstep run over a sweep's grid makes them: each row must be bitwise
+    # what its problem's own call gives, status codes included.  Problem 0's
+    # B has a zero column, so its leverage rows are rank-deficient.
+    g = generator(derive_seed(314, "per-row", n, d))
+    A = g.standard_normal((n, d))
+    Bs = A + g.standard_normal((5, n, d)) * np.array([0.05, 0.1, 0.2, 0.4, 0.8])[:, None, None]
+    Bs[0, :, 0] = 0.0
+    k = 3 * max(n, d) + 1
+    problems = g.integers(0, len(Bs), k)
+    X = g.standard_normal((k, d))
+    U = 0.5 + 1.5 * g.random((k, n))
+    for name, Z in zip(OBJECTIVES + GRADIENTS, (X, X, U, U) * 2):
+        kernel = getattr(_kernels, name)
+        stacked = kernel(A, Bs[problems], Z)
+        own = [kernel(A, Bs[q], z[None]) for q, z in zip(problems, Z)]
+        if isinstance(stacked, tuple):
+            for part, parts in zip(stacked, zip(*own)):
+                assert part.tobytes() == np.concatenate(parts).tobytes(), name
+        else:
+            assert stacked.tobytes() == np.concatenate(own).tobytes(), name
+    status = _kernels.leverage_h2_objective(A, Bs[problems], U)[1]
+    assert set(status) == {_kernels.STATUS_OK, _kernels.STATUS_RANK_DEFICIENT}
+
+
 def test_warmup_calls_every_gradient_kernel(monkeypatch):
     # perfbench's warm-up check covers only the kernels its tracer times,
     # and it does not time the gradients: a gradient left out of warmup()

@@ -12,6 +12,9 @@ lockstep returns bitwise the same result and raises the same error.
 Gradient oracle: the central differences that the closed-form gradient
 kernels replaced, one stacked call of 2 * dim probes per point, and beside
 them the probe-by-probe loop that the stacked call replaced.
+
+Problem oracle: several problems with one A ascend as one lockstep run;
+each must get bitwise the result, or the error, of its own ``max_*`` call.
 """
 
 import importlib.resources as ir
@@ -39,8 +42,11 @@ from softlev.optimize import (
     _Ball,
     _Box,
     _first_error,
+    _maximize_each,
     max_hellinger_leverage,
+    max_hellinger_leverage_each,
     max_hellinger_softmax,
+    max_hellinger_softmax_each,
     max_variance_leverage,
     max_variance_softmax,
 )
@@ -368,6 +374,13 @@ def _outcome(run, *args):
         r = run(*args)
     except (RankDeficient, ZeroLeverage) as exc:
         return type(exc), str(exc)
+    return _summary(r)
+
+
+def _summary(r):
+    """An OptResult bit for bit, or an error as its type and message."""
+    if isinstance(r, Exception):
+        return type(r), str(r)
     return r.argmax.tobytes(), float(r.value).hex(), r.iterations_used, r.restarts_used, r.converged
 
 
@@ -660,7 +673,9 @@ def test_failing_rung_beyond_the_accepted_one_is_ignored():
         return -2.0 * (U - 0.54)
 
     cfg = OptimizerConfig(restarts=1, max_iters=1)
-    x, iters, conv = optimize._multistart(F, grad, project, [np.array([0.5])], cfg)
+    (x, iters, conv), = optimize._multistart(
+        lambda U, _: F(U), lambda U, _: grad(U), project, [np.array([0.5])], [0], cfg
+    ).values()
     assert _kernels.STATUS_RANK_DEFICIENT in statuses
     expected = _multistart_loop(_raising(F), grad, project, [np.array([0.5])], cfg)
     assert (x.tobytes(), iters, conv) == (expected[0].tobytes(), expected[2], expected[3])
@@ -712,6 +727,106 @@ def test_lockstep_work_guard(monkeypatch):
     capped = counts(max_hellinger_leverage, A, B, BOX, OptimizerConfig(max_iters=1))
     assert capped["gradient"] == [16, 16]
     assert max(capped["objective"]) * A.size == _MAX_ELEMENTS
+
+
+# ---------------------------------------------------------------------------
+# several problems in one lockstep run, against each problem's own call
+# ---------------------------------------------------------------------------
+
+
+def _each(maximize, A, Xs, constraint, cfgs):
+    """Each X's outcome when every problem ascends in one run."""
+    feasible, kernel, hellinger = _SETS[maximize]
+    name = "B" if hellinger else "M"
+    return [_summary(r) for r in _maximize_each(feasible, constraint, kernel, A, Xs, name, cfgs, hellinger)]
+
+
+def _alone(maximize, A, Xs, constraint, cfgs):
+    return [_outcome(maximize, A, X, constraint, cfg) for X, cfg in zip(Xs, cfgs)]
+
+
+def _configs(count, seed, max_iters):
+    """Restart counts that differ between problems, each with its own seed."""
+    return [
+        OptimizerConfig(restarts=(1, 4, 9)[i % 3], max_iters=max_iters, seed=derive_seed(seed, "problem", i))
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("maximize", list(_SETS), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (33, 7)])
+def test_problems_in_one_run_get_their_own_results(maximize, n, d):
+    for seed, count in itertools.product(range(4), (1, 3, 7)):
+        g = generator(derive_seed(68, "each", n, d, seed))
+        A = g.standard_normal((n, d))
+        M = g.standard_normal((n, d))
+        Xs = [A + eps * M for eps in (0.3, 0.2, 0.14, 0.1, 0.07, 0.05, 0.035)[:count]]
+        if not _SETS[maximize][2]:
+            Xs = [X - A for X in Xs]
+        cfgs = _configs(count, seed, 40)
+        constraint = _constraint(maximize)
+        assert _each(maximize, A, Xs, constraint, cfgs) == _alone(maximize, A, Xs, constraint, cfgs), (seed, count)
+
+
+@pytest.mark.parametrize("maximize", [max_hellinger_leverage, max_variance_leverage], ids=lambda f: f.__name__)
+def test_a_failing_problem_leaves_the_others_alone(maximize):
+    # The near-deficient pairs of one A fail in their corner checks, in
+    # their ascents or not at all; a zero B or M fails its corner check.
+    seen, mixed = set(), 0
+    for n, rank_k, lev_k in itertools.product((5, 6), (0, 1.5, 2.5), (0, 5)):
+        Xs = [_near_deficient_pair(maximize, n, rank_k, lev_k, seed)[1] for seed in range(6)]
+        A = _near_deficient_pair(maximize, n, rank_k, lev_k, 0)[0]
+        Xs.insert(2, np.zeros_like(A))
+        box = BoxConstraint(0.25, 4.0)
+        cfgs = [OptimizerConfig(restarts=8, max_iters=60, seed=seed) for seed in range(len(Xs))]
+        expected = _alone(maximize, A, Xs, box, cfgs)
+        assert _each(maximize, A, Xs, box, cfgs) == expected, (n, rank_k, lev_k)
+        kinds = {e[0] if isinstance(e[0], type) else None for e in expected}
+        mixed += None in kinds and len(kinds) > 1
+        seen |= kinds
+    assert mixed
+    assert seen == ({None, RankDeficient} if _SETS[maximize][2] else {None, RankDeficient, ZeroLeverage})
+
+
+@pytest.mark.parametrize(
+    "each,maximize,n,d,restarts",
+    [
+        (max_hellinger_leverage_each, max_hellinger_leverage, 64, 8, 32),
+        (max_hellinger_softmax_each, max_hellinger_softmax, 256, 16, 8),
+    ],
+)
+def test_capped_calls_split_across_problems(monkeypatch, each, maximize, n, d, restarts):
+    # 5 problems of 32 restarts hold 160 rows, above the 128 rows of a 64x8
+    # call; 5 of 8 hold 40, above the 16 of a 256x16 call.  Some call must
+    # be exactly full and hold rows of more than one problem.
+    kernel = _SETS[maximize][1]
+    g = generator(derive_seed(69, "cap", n, d))
+    A = g.standard_normal((n, d))
+    Bs = [A + 0.1 * g.standard_normal((n, d)) for _ in range(5)]
+    cfgs = [OptimizerConfig(restarts=restarts, max_iters=2, seed=seed) for seed in range(5)]
+    constraint = _constraint(maximize)
+    expected = _alone(maximize, A, Bs, constraint, cfgs)
+    calls = []
+    for kind in ("objective", "gradient"):
+        original = getattr(_kernels, f"{kernel}_{kind}")
+
+        def counted(A, B, Z, original=original):
+            mixed = B.ndim == 3 and any(not np.array_equal(B[0], b) for b in B[1:])
+            calls.append((len(Z), mixed))
+            return original(A, B, Z)
+
+        monkeypatch.setattr(_kernels, f"{kernel}_{kind}", counted)
+    assert [_summary(r) for r in each(A, Bs, constraint, cfgs)] == expected
+    cap = _MAX_ELEMENTS // A.size
+    assert max(rows for rows, _ in calls) == cap
+    assert (cap, True) in calls
+
+
+def test_problems_in_one_run_share_max_iters():
+    A, B = _gaussian_pair(max_hellinger_softmax, 4, 2, 0)
+    cfgs = [OptimizerConfig(max_iters=10), OptimizerConfig(max_iters=20)]
+    with pytest.raises(ValueError, match="max_iters"):
+        max_hellinger_softmax_each(A, [B, B], BALL, cfgs)
 
 
 # ---------------------------------------------------------------------------
