@@ -161,8 +161,8 @@ def _variance(p, v):
 def _leverage_stack(As):
     """Leverage distribution and scores of each matrix in a stack, and
     whether it is numerically full rank.  Q is squared in place and freed on
-    return, so the Q factors of one stack are gone before the next stack is
-    factored."""
+    return.  The leverage H^2 kernels factor A and B as one stack, so one of
+    their calls holds two matrices per row."""
     Q, _, ok = _checked_qr(As)
     lev = np.square(Q, out=Q).sum(axis=-1)
     return lev / As.shape[-1], lev, ok

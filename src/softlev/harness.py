@@ -248,22 +248,30 @@ def _point_pair(spec: ExperimentSpec, index: int) -> ModelSpec:
     return ModelSpec(model.family, model.A, B, None, model.constraint)
 
 
-def _point_opt(spec: ExperimentSpec, row_seed: int) -> OptimizerConfig:
-    return replace(spec.opt, seed=derive_seed(row_seed, "opt"))
+def _point_seed(spec: ExperimentSpec, index: int) -> int:
+    """The optimizer seed of grid point ``index``'s ascent."""
+    return derive_seed(derive_seed(spec.seed, "grid", index), "opt")
 
 
 def _sweep_optima(spec: ExperimentSpec) -> list:
     """Every grid point's Hellinger ascent, all in one lockstep run: per
-    point, its OptResult or the error its ascent raised.  Should the grid
-    not set up as one run, every entry is None and each point ascends alone,
-    raising what it raises."""
+    point, its OptResult or the error its set-up or ascent raised."""
     model = spec.model
-    try:
-        pairs = [_point_pair(spec, i) for i in range(len(spec.eps_grid))]
-        opts = [_point_opt(spec, derive_seed(spec.seed, "grid", i)) for i in range(len(spec.eps_grid))]
-        return get_family(model.family).max_hellinger_each(model.A, [p.B for p in pairs], model.constraint, opts)
-    except Exception:  # noqa: BLE001 - each point raises it again on its own
-        return [None] * len(spec.eps_grid)
+    optima = [None] * len(spec.eps_grid)
+    points = []  # (index, B) of every point whose pair sets up
+    for i in range(len(spec.eps_grid)):
+        try:
+            points.append((i, _point_pair(spec, i).B))
+        except Exception as exc:  # noqa: BLE001 - such as A + eps M overflowing; raised by its row
+            optima[i] = exc
+    if points:
+        seeds = [_point_seed(spec, i) for i, _ in points]
+        found = get_family(model.family).max_hellinger_each(
+            model.A, [B for _, B in points], model.constraint, spec.opt, seeds
+        )
+        for (i, _), optimum in zip(points, found):
+            optima[i] = optimum
+    return optima
 
 
 def sweep_point(spec: ExperimentSpec, index: int, nu: float, optimum=None) -> SweepRow:
@@ -272,15 +280,16 @@ def sweep_point(spec: ExperimentSpec, index: int, nu: float, optimum=None) -> Sw
     The row's subseed is derive_seed(spec.seed, "grid", index); everything
     stochastic in the row flows from it, so a row can be replayed alone.
     ``optimum`` is this point's entry of ``_sweep_optima``, the OptResult
-    or error of its ascent; with None the point runs its own ascent.
+    or error of its set-up or ascent; with None the point runs its own
+    ascent.
     """
+    if isinstance(optimum, Exception):
+        raise optimum
     eps = spec.eps_grid[index]
     row_seed = derive_seed(spec.seed, "grid", index)
     pair = _point_pair(spec, index)
     if optimum is None:
-        optimum = pair.max_hellinger(_point_opt(spec, row_seed))
-    elif isinstance(optimum, Exception):
-        raise optimum
+        optimum = pair.max_hellinger(replace(spec.opt, seed=_point_seed(spec, index)))
     found = estimate_sample_complexity(
         pair, trials=spec.trials, seed=derive_seed(row_seed, "mstar"), query=optimum.argmax
     )

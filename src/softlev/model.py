@@ -57,8 +57,8 @@ class _Softmax:
     def max_hellinger(self, A, B, constraint, cfg):
         return max_hellinger_softmax(A, B, constraint, cfg)
 
-    def max_hellinger_each(self, A, Bs, constraint, cfgs):
-        return max_hellinger_softmax_each(A, Bs, constraint, cfgs)
+    def max_hellinger_each(self, A, Bs, constraint, cfg, seeds):
+        return max_hellinger_softmax_each(A, Bs, constraint, cfg, seeds)
 
     def max_variance(self, A, M, constraint, cfg):
         return max_variance_softmax(A, M, constraint, cfg)
@@ -100,8 +100,8 @@ class _Leverage:
     def max_hellinger(self, A, B, constraint, cfg):
         return max_hellinger_leverage(A, B, constraint, cfg)
 
-    def max_hellinger_each(self, A, Bs, constraint, cfgs):
-        return max_hellinger_leverage_each(A, Bs, constraint, cfgs)
+    def max_hellinger_each(self, A, Bs, constraint, cfg, seeds):
+        return max_hellinger_leverage_each(A, Bs, constraint, cfg, seeds)
 
     def max_variance(self, A, M, constraint, cfg):
         return max_variance_leverage(A, M, constraint, cfg)

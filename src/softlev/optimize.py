@@ -13,10 +13,10 @@ every live restart in one stacked call of the objective's gradient kernel
 search then runs in rounds: round r evaluates the next 2^r rungs s, s/2,
 s/4, ... of every restart still searching, all in one stack, and a restart
 stops searching at its first improving rung or once the step falls below
-``_MIN_STEP``.  Each kernel call takes at most ``_MAX_ELEMENTS`` matrix
-elements (rows times ``A.size``); larger stacks are split.  Every stacked row
-is bitwise equal to evaluating that point alone, so each restart follows
-exactly the path it follows on its own, and the result is the one
+``_MIN_STEP``.  Each kernel call takes at most ``_MAX_ELEMENTS // A.size``
+rows; larger stacks are split.  Every stacked row is bitwise equal to
+evaluating that point alone, so each restart follows exactly the path it
+follows on its own, and the result is the one
 restart-by-restart ascent gives.  Errors follow that order too: the
 optimizer raises for the lowest-index restart that fails, at its first
 failing evaluation; a rung evaluated beyond the accepted one is ignored.
@@ -35,7 +35,7 @@ one problem.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -47,7 +47,9 @@ from .numerics import as_matrix
 from .rng import derive_seeds, generators
 
 _MIN_STEP = 1e-14
-_MAX_ELEMENTS = 2**16  # matrix elements per kernel call: rows times A.size
+# Rows per kernel call times A.size; the H^2 kernels stack A and B, so a
+# call of theirs holds up to twice this many matrix elements.
+_MAX_ELEMENTS = 2**16
 STEP_INIT = 0.1  # first line-search step of each restart
 TOL = 1e-9  # stop when an accepted step improves by less
 
@@ -293,18 +295,17 @@ class _Box:
         return 1.0 / np.sqrt(u)
 
 
-def _maximize_each(feasible, constraint, kernel, A, Xs, name, configs, hellinger):
+def _maximize_each(feasible, constraint, kernel, A, Xs, name, config, seeds, hellinger):
     """Maximize ``_kernels.<kernel>_objective(A, X, .)`` for each X in
-    ``Xs``, problem i under ``configs[i]``, over the feasible set built from
-    ``constraint``, ascending along ``_kernels.<kernel>_gradient(A, X, .)``;
-    with ``hellinger`` the objective is H^2 and the value reported is H.
-    Every problem's restarts climb in one lockstep ascent, each row of a
-    kernel call with its own problem's X.  Returns, per problem, its
-    OptResult or the error its corner checks or ascent raise; each is what
-    that problem gets alone.  Both kernels are looked up at call time, so
-    rebinding one in ``_kernels`` reaches every call."""
-    if len({cfg.max_iters for cfg in configs}) > 1:
-        raise ValueError("problems that ascend together need one max_iters")
+    ``Xs``, problem i under ``config`` with seed ``seeds[i]``, over the
+    feasible set built from ``constraint``, ascending along
+    ``_kernels.<kernel>_gradient(A, X, .)``; with ``hellinger`` the
+    objective is H^2 and the value reported is H.  Every problem's restarts
+    climb in one lockstep ascent, each row of a kernel call with its own
+    problem's X.  Returns, per problem, its OptResult or the error its
+    corner checks or ascent raise; each is what that problem gets alone.
+    Both kernels are looked up at call time, so rebinding one in
+    ``_kernels`` reaches every call."""
     A = as_matrix(A, "A")
     Xs = [as_matrix(X, name) for X in Xs]
     for X in Xs:
@@ -324,18 +325,18 @@ def _maximize_each(feasible, constraint, kernel, A, Xs, name, configs, hellinger
     grad = _capped(lambda P, problems: gradient(A, own(problems), P), rows)
     outcomes = [None] * len(Xs)
     starts, owners = [], []
-    for i, (X, cfg) in enumerate(zip(Xs, configs)):
+    for i, (X, seed) in enumerate(zip(Xs, seeds)):
         # The feasible set is the same for every problem; only the ball's
         # first start depends on X.
         space = feasible(constraint, A, A - X if hellinger else X)
         try:
-            mine = list(space.starts(lambda P, i=i: F(P, np.full(len(P), i)), cfg))
+            mine = list(space.starts(lambda P, i=i: F(P, np.full(len(P), i)), replace(config, seed=seed)))
         except (RankDeficient, ZeroLeverage) as exc:  # a failed corner check
             outcomes[i] = exc
             continue
         starts += mine
         owners += [i] * len(mine)
-    found = _multistart(F, grad, space.project, starts, owners, configs[0]) if starts else {}
+    found = _multistart(F, grad, space.project, starts, owners, config) if starts else {}
     for q, res in found.items():
         outcomes[q] = res
     done = [q for q, res in found.items() if not isinstance(res, Exception)]
@@ -348,7 +349,7 @@ def _maximize_each(feasible, constraint, kernel, A, Xs, name, configs, hellinger
                 argmax=space.query(x),
                 value=math.sqrt(max(value, 0.0)) if hellinger else value,
                 iterations_used=iters,
-                restarts_used=configs[q].restarts,
+                restarts_used=config.restarts,
                 converged=conv,
             )
     return outcomes
@@ -356,7 +357,8 @@ def _maximize_each(feasible, constraint, kernel, A, Xs, name, configs, hellinger
 
 def _maximize(feasible, constraint, kernel, A, X, name, config, hellinger):
     """``_maximize_each`` on the one problem X: its OptResult, or its error raised."""
-    (result,) = _maximize_each(feasible, constraint, kernel, A, [X], name, [config or OptimizerConfig()], hellinger)
+    config = config or OptimizerConfig()
+    (result,) = _maximize_each(feasible, constraint, kernel, A, [X], name, config, [config.seed], hellinger)
     if isinstance(result, Exception):
         raise result
     return result
@@ -368,11 +370,11 @@ def max_hellinger_softmax(A, B, constraint, config=None) -> OptResult:
     return _maximize(_Ball, constraint, "softmax_h2", A, B, "B", config, hellinger=True)
 
 
-def max_hellinger_softmax_each(A, Bs, constraint, configs) -> list:
-    """``max_hellinger_softmax(A, B, constraint, config)`` for each B in Bs
-    and config in configs, all in one lockstep ascent: per B, the OptResult
-    or the error that call raises.  The configs share ``max_iters``."""
-    return _maximize_each(_Ball, constraint, "softmax_h2", A, Bs, "B", configs, hellinger=True)
+def max_hellinger_softmax_each(A, Bs, constraint, config, seeds) -> list:
+    """``max_hellinger_softmax(A, B, constraint, replace(config, seed=seed))``
+    for each B in Bs and seed in seeds, all in one lockstep ascent: per B,
+    the OptResult or the error that call raises."""
+    return _maximize_each(_Ball, constraint, "softmax_h2", A, Bs, "B", config, seeds, hellinger=True)
 
 
 def max_variance_softmax(A, M, constraint, config=None) -> OptResult:
@@ -387,11 +389,11 @@ def max_hellinger_leverage(A, B, box, config=None) -> OptResult:
     return _maximize(_Box, box, "leverage_h2", A, B, "B", config, hellinger=True)
 
 
-def max_hellinger_leverage_each(A, Bs, box, configs) -> list:
-    """``max_hellinger_leverage(A, B, box, config)`` for each B in Bs and
-    config in configs, all in one lockstep ascent: per B, the OptResult or
-    the error that call raises.  The configs share ``max_iters``."""
-    return _maximize_each(_Box, box, "leverage_h2", A, Bs, "B", configs, hellinger=True)
+def max_hellinger_leverage_each(A, Bs, box, config, seeds) -> list:
+    """``max_hellinger_leverage(A, B, box, replace(config, seed=seed))`` for
+    each B in Bs and seed in seeds, all in one lockstep ascent: per B, the
+    OptResult or the error that call raises."""
+    return _maximize_each(_Box, box, "leverage_h2", A, Bs, "B", config, seeds, hellinger=True)
 
 
 def max_variance_leverage(A, M, box, config=None) -> OptResult:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from softlev import _kernels, harness, model
+from softlev import _kernels, harness
 from softlev.bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
 from softlev.distributions import DiscreteDistribution, hellinger_sq, tv
 from softlev.errors import BudgetExceeded, IndistinguishableError, InputFormatError, RankDeficient
@@ -435,16 +435,26 @@ def test_run_sweep_reraises_a_failing_ascent_after_the_other_rows(tmp_path, monk
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
-def test_run_sweep_ascends_each_point_alone_when_the_grid_cannot_run_as_one(monkeypatch):
-    spec = ExperimentSpec(model=_demo_model("demo_softmax"), trials=40)
-    expected = _row_cells(run_sweep(spec).rows)
-
-    def refuse(*args):
-        raise RuntimeError("no shared run")
-
-    monkeypatch.setattr(model, "max_hellinger_softmax_each", refuse)
-    assert harness._sweep_optima(spec) == [None] * 3
-    assert _row_cells(run_sweep(spec).rows) == expected
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_sweep_reraises_a_point_whose_pair_overflows_after_the_other_rows(tmp_path, threads):
+    # At eps = 1e308 the entries of A + eps M overflow to inf, so that
+    # point's pair cannot be built; the points at 0.2 and 0.1 complete.
+    demo = _demo_model("demo_softmax")
+    overflowing = ModelSpec("softmax", demo.A, None, 10.0 * demo.M, demo.constraint)
+    spec = ExperimentSpec(
+        model=overflowing, eps_grid=(1e308, 0.2, 0.1), trials=40, threads=threads, out_path=str(tmp_path / "s.csv")
+    )
+    with np.errstate(over="ignore"):
+        optima = harness._sweep_optima(spec)
+        nu = harness._sweep_nu(spec.model, spec.opt, spec.seed)
+        rows = [sweep_point(spec, i, nu) for i in (1, 2)]
+        with pytest.raises(ValueError, match="non-finite"):
+            sweep_point(spec, 0, nu)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_sweep(spec)
+    assert [type(o).__name__ for o in optima] == ["ValueError", "OptResult", "OptResult"]
+    harness._write_sweep_csv(tmp_path / "loop.csv", rows, *harness._fit_loglog(rows))
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 def test_run_sweep_refuses_indistinguishable_directions():

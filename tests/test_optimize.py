@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -734,23 +735,15 @@ def test_lockstep_work_guard(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _each(maximize, A, Xs, constraint, cfgs):
+def _each(maximize, A, Xs, constraint, cfg, seeds):
     """Each X's outcome when every problem ascends in one run."""
     feasible, kernel, hellinger = _SETS[maximize]
     name = "B" if hellinger else "M"
-    return [_summary(r) for r in _maximize_each(feasible, constraint, kernel, A, Xs, name, cfgs, hellinger)]
+    return [_summary(r) for r in _maximize_each(feasible, constraint, kernel, A, Xs, name, cfg, seeds, hellinger)]
 
 
-def _alone(maximize, A, Xs, constraint, cfgs):
-    return [_outcome(maximize, A, X, constraint, cfg) for X, cfg in zip(Xs, cfgs)]
-
-
-def _configs(count, seed, max_iters):
-    """Restart counts that differ between problems, each with its own seed."""
-    return [
-        OptimizerConfig(restarts=(1, 4, 9)[i % 3], max_iters=max_iters, seed=derive_seed(seed, "problem", i))
-        for i in range(count)
-    ]
+def _alone(maximize, A, Xs, constraint, cfg, seeds):
+    return [_outcome(maximize, A, X, constraint, replace(cfg, seed=seed)) for X, seed in zip(Xs, seeds)]
 
 
 @pytest.mark.parametrize("maximize", list(_SETS), ids=lambda f: f.__name__)
@@ -763,9 +756,11 @@ def test_problems_in_one_run_get_their_own_results(maximize, n, d):
         Xs = [A + eps * M for eps in (0.3, 0.2, 0.14, 0.1, 0.07, 0.05, 0.035)[:count]]
         if not _SETS[maximize][2]:
             Xs = [X - A for X in Xs]
-        cfgs = _configs(count, seed, 40)
+        cfg = OptimizerConfig(restarts=(1, 4, 9)[seed % 3], max_iters=40)
+        seeds = [derive_seed(seed, "problem", i) for i in range(count)]
         constraint = _constraint(maximize)
-        assert _each(maximize, A, Xs, constraint, cfgs) == _alone(maximize, A, Xs, constraint, cfgs), (seed, count)
+        expected = _alone(maximize, A, Xs, constraint, cfg, seeds)
+        assert _each(maximize, A, Xs, constraint, cfg, seeds) == expected, (seed, count)
 
 
 @pytest.mark.parametrize("maximize", [max_hellinger_leverage, max_variance_leverage], ids=lambda f: f.__name__)
@@ -778,9 +773,9 @@ def test_a_failing_problem_leaves_the_others_alone(maximize):
         A = _near_deficient_pair(maximize, n, rank_k, lev_k, 0)[0]
         Xs.insert(2, np.zeros_like(A))
         box = BoxConstraint(0.25, 4.0)
-        cfgs = [OptimizerConfig(restarts=8, max_iters=60, seed=seed) for seed in range(len(Xs))]
-        expected = _alone(maximize, A, Xs, box, cfgs)
-        assert _each(maximize, A, Xs, box, cfgs) == expected, (n, rank_k, lev_k)
+        cfg, seeds = OptimizerConfig(restarts=8, max_iters=60), range(len(Xs))
+        expected = _alone(maximize, A, Xs, box, cfg, seeds)
+        assert _each(maximize, A, Xs, box, cfg, seeds) == expected, (n, rank_k, lev_k)
         kinds = {e[0] if isinstance(e[0], type) else None for e in expected}
         mixed += None in kinds and len(kinds) > 1
         seen |= kinds
@@ -803,9 +798,9 @@ def test_capped_calls_split_across_problems(monkeypatch, each, maximize, n, d, r
     g = generator(derive_seed(69, "cap", n, d))
     A = g.standard_normal((n, d))
     Bs = [A + 0.1 * g.standard_normal((n, d)) for _ in range(5)]
-    cfgs = [OptimizerConfig(restarts=restarts, max_iters=2, seed=seed) for seed in range(5)]
+    cfg, seeds = OptimizerConfig(restarts=restarts, max_iters=2), range(5)
     constraint = _constraint(maximize)
-    expected = _alone(maximize, A, Bs, constraint, cfgs)
+    expected = _alone(maximize, A, Bs, constraint, cfg, seeds)
     calls = []
     for kind in ("objective", "gradient"):
         original = getattr(_kernels, f"{kernel}_{kind}")
@@ -816,17 +811,10 @@ def test_capped_calls_split_across_problems(monkeypatch, each, maximize, n, d, r
             return original(A, B, Z)
 
         monkeypatch.setattr(_kernels, f"{kernel}_{kind}", counted)
-    assert [_summary(r) for r in each(A, Bs, constraint, cfgs)] == expected
+    assert [_summary(r) for r in each(A, Bs, constraint, cfg, seeds)] == expected
     cap = _MAX_ELEMENTS // A.size
     assert max(rows for rows, _ in calls) == cap
     assert (cap, True) in calls
-
-
-def test_problems_in_one_run_share_max_iters():
-    A, B = _gaussian_pair(max_hellinger_softmax, 4, 2, 0)
-    cfgs = [OptimizerConfig(max_iters=10), OptimizerConfig(max_iters=20)]
-    with pytest.raises(ValueError, match="max_iters"):
-        max_hellinger_softmax_each(A, [B, B], BALL, cfgs)
 
 
 # ---------------------------------------------------------------------------
