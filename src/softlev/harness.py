@@ -14,11 +14,15 @@ run, one per grid point, on ``threads`` threads; they may finish in any
 order, but rows are buffered and written in grid order.
 
 The randomized bound and invariance suites run in lockstep, a fixed block
-of instances at a time: every instance first draws all of its numbers from
-its own keyed stream, in the order a one-instance loop would, then each
-group of instances of equal shape is evaluated as one stack.  The kernels
-work along the last axes, so rows and deviations are bitwise those of the
-one-instance loop, and they come out in instance order.
+of instances at a time.  The loop over instances only draws: each instance
+takes its raw numbers from its own keyed stream, in the order a one-instance
+loop would, and branches only where the draws decide whether more draws
+follow.  Everything derived from the draws (scalings, masks, square roots,
+sign flips, normalizations, the perturbed models) is computed once per group
+of instances of equal shape, on the group's stack, with the same elementwise
+operations.  The kernels work along the last axes, so rows and deviations
+are bitwise those of the one-instance loop, and they come out in instance
+order.
 """
 
 import json
@@ -37,7 +41,6 @@ from .errors import InputFormatError
 from .hypotest import estimate_sample_complexity
 from .leverage import BoxConstraint, _w_parts, leverage_pmf, leverage_pmfs
 from .model import ModelSpec, get_family
-from .numerics import two_to_infty_norm
 from .optimize import OptimizerConfig
 from .rng import Stream, derive_seed, derive_seeds, generator, generators
 from .softmax import EnergyConstraint, softmax_pmf, softmax_pmfs
@@ -562,15 +565,16 @@ def _streams(seed, label, indices):
 
 def _stacked(evaluate, draws):
     """Run ``evaluate`` once per group of draws whose first arrays share a
-    shape, on one stack per field of the group's draws.  ``evaluate``
-    returns a tuple of arrays with one value per draw; the result is one
-    tuple of floats per draw, in draw order."""
+    shape, on one stack per field of the group's draws (a field of floats
+    stacks to a vector).  ``evaluate`` returns a tuple of arrays with one
+    value per draw; the result is one tuple of Python scalars per draw, in
+    draw order."""
     groups = {}
     for i, draw in enumerate(draws):
         groups.setdefault(draw[0].shape, []).append(i)
     out = [None] * len(draws)
     for idx in groups.values():
-        results = evaluate(*(np.stack(field) for field in zip(*(draws[i] for i in idx))))
+        results = evaluate(*(np.array(field) for field in zip(*(draws[i] for i in idx))))
         for i, values in zip(idx, zip(*(r.tolist() for r in results))):
             out[i] = values
     return out
@@ -594,34 +598,47 @@ def _softmax_pair(A, B, x):
     return float(h2), float(t)
 
 
+def _logit_gaps(z, r, eps):
+    """H^2, TV and the gap count m of each logit-gap instance: a = 2 z and
+    b = a + eps on the m entries whose r is below 1/2."""
+    a = 2.0 * z
+    mask = r < 0.5
+    return (*_softmax_gaps(a, a + eps[:, None] * mask), mask.sum(axis=-1))
+
+
 def _logit_pair_rows(seed, count):
     rows = []
     for block in _blocks(count):
-        params, pairs = [], []
+        params, draws = [], []
         for k, g in _streams(seed, "gap", block):
             n = int(g.integers(2, 11))
             eps = 2.0 * float(g.random())
-            a = 2.0 * g.standard_normal(n)
-            mask = g.random(n) < 0.5
-            pairs.append((a, a + eps * mask))
-            params.append({"eps": eps, "n": n, "m": int(mask.sum()), "seed": k})
-        for p, (h2, t) in zip(params, _stacked(_softmax_gaps, pairs)):
-            rows.append(BoundReport("logit_gap_h2", p, lemma_h2_bound(p["eps"]), h2))
-            rows.append(BoundReport("logit_gap_tv", p, lemma_tv_bound(p["eps"]), t))
+            draws.append((g.standard_normal(n), g.random(n), eps))
+            params.append((eps, n, k))
+        for (eps, n, k), (h2, t, m) in zip(params, _stacked(_logit_gaps, draws)):
+            p = {"eps": eps, "n": n, "m": m, "seed": k}
+            rows.append(BoundReport("logit_gap_h2", p, lemma_h2_bound(eps), h2))
+            rows.append(BoundReport("logit_gap_tv", p, lemma_tv_bound(eps), t))
     return rows
+
+
+def _chain_gaps(z, r, eps):
+    """H^2 and TV of each chain instance: a = 2 z and b = a + eps (2 r - 1),
+    so that ||a - b||_inf <= eps."""
+    a = 2.0 * z
+    return _softmax_gaps(a, a + eps[:, None] * (2.0 * r - 1.0))
 
 
 def _chain_rows(seed, count):
     rows = []
     for block in _blocks(count):
-        params, pairs = [], []
+        params, draws = [], []
         for k, g in _streams(seed, "chain", block):
             n = int(g.integers(2, 11))
             eps = 2.0 * float(g.random())
-            a = 2.0 * g.standard_normal(n)
-            pairs.append((a, a + eps * (2.0 * g.random(n) - 1.0)))  # ||a - b||_inf <= eps
+            draws.append((g.standard_normal(n), g.random(n), eps))
             params.append({"eps": eps, "n": n, "seed": k})
-        for p, (h2, t) in zip(params, _stacked(_softmax_gaps, pairs)):
+        for p, (h2, t) in zip(params, _stacked(_chain_gaps, draws)):
             rows.append(BoundReport("infty_gap_h2_chain", p, lemma_h2_bound(2.0 * p["eps"]), h2))
             rows.append(BoundReport("infty_gap_tv_chain", p, 2.0 * lemma_tv_bound(p["eps"]), t))
     return rows
@@ -640,6 +657,14 @@ def _extremal_rows():
     return rows
 
 
+def _envelope_gaps(A, D, x, xnorm, rho):
+    """H^2 and TV of each softmax-envelope instance: B = A + gap D with D
+    scaled to unit 2->infinity norm and gap = rho / ||x||."""
+    D = D / np.sqrt((D * D).sum(axis=-1).max(axis=-1))[:, None, None]  # as two_to_infty_norm(D) of each
+    B = A + (rho / xnorm)[:, None, None] * D
+    return _softmax_gaps(_matvec(A, x), _matvec(B, x))
+
+
 def _softmax_envelope_rows(seed, count):
     # H^2 <= 1.0 * (gap * ||x||)^2 whenever gap * ||x|| <= 1/2, with
     # gap the max row norm of B - A (measured envelope constant 1.0).
@@ -651,17 +676,14 @@ def _softmax_envelope_rows(seed, count):
             d = int(g.integers(1, 6))
             A = g.standard_normal((n, d))
             D = g.standard_normal((n, d))
-            D /= two_to_infty_norm(D)
             x = g.standard_normal(d)
-            xnorm = float(np.linalg.norm(x))
+            xnorm = math.sqrt(x.dot(x))  # np.linalg.norm(x), from the same dot product
             if xnorm == 0.0:
                 continue
             rho = 0.5 * float(g.random())
-            gap = rho / xnorm
-            draws.append((A, A + gap * D, x))
+            draws.append((A, D, x, xnorm, rho))
             params.append({"rho": rho, "n": n, "d": d, "seed": k})
-        gaps = _stacked(lambda A, B, x: _softmax_gaps(_matvec(A, x), _matvec(B, x)), draws)
-        for p, (h2, _) in zip(params, gaps):
+        for p, (h2, _) in zip(params, _stacked(_envelope_gaps, draws)):
             rows.append(BoundReport("softmax_query_h2", p, p["rho"] * p["rho"], h2))
     return rows
 
@@ -704,21 +726,21 @@ def _gamma_search(A, G, delta, target):
 def _conditioning(A):
     """lambda_min(A^T A) of each matrix in a ``(k, n, d)`` stack, bitwise
     equal to ``min_eigenvalue(gram(a))`` of each matrix alone."""
-    G = np.stack([a.T @ a for a in A])  # one 2-D product each, as gram() takes it
+    G = np.array([a.T @ a for a in A])  # one 2-D product each, as gram() takes it
     return _kernels.min_eigenvalue(np.triu(G) + np.swapaxes(np.triu(G, 1), -1, -2))
 
 
 def _leverage_envelope_pairs(seed, block, queries):
-    """(A, B, S, ratio) for each index k of the block: the first of k's
-    attempts that draws a well-conditioned A (lambda_min(A^T A) >= 0.05) and
-    whose gamma search lands the gap ratio eps*C/(c*delta) in (0, 0.1], with
-    S that attempt's query scales.  Each round draws the next attempt of
-    every pending index in full (d, n, A, target, G, then S), tests the
-    conditioning of each shape group as one stack, and runs the gamma searches of the accepted attempts in
-    lockstep; an index whose attempt fails either test is redrawn at its
-    next attempt in the next round.  Every attempt has its own key, so the
-    draws a rejected attempt did not need change nothing."""
-    box = _ENVELOPE_BOX
+    """(A, G, gamma, R, ratio) for each index k of the block: the first of
+    k's attempts that draws a well-conditioned A (lambda_min(A^T A) >= 0.05)
+    and whose gamma search lands the gap ratio eps*C/(c*delta) of A and
+    B = A + gamma G in (0, 0.1], with R the uniform draws of that attempt's
+    query scales.  Each round draws the next attempt of every pending index
+    in full (d, n, A, target, G, then R), tests the conditioning of each
+    shape group as one stack, and runs the gamma searches of the accepted
+    attempts in lockstep; an index whose attempt fails either test is
+    redrawn at its next attempt in the next round.  Every attempt has its
+    own key, so the draws a rejected attempt did not need change nothing."""
     stream = Stream()
     pending = dict.fromkeys(block, 0)  # index -> its next attempt
     pairs, failed = {}, []
@@ -734,19 +756,18 @@ def _leverage_envelope_pairs(seed, block, queries):
             A = g.standard_normal((n, d))
             target = 0.1 * (0.1 + 0.9 * float(g.random()))
             G = g.standard_normal((n, d))
-            S = np.sqrt(box.lo + g.random((queries, n)) * (box.hi - box.lo))
-            drawn.append((k, attempt, A, G, target, S))
+            drawn.append((k, attempt, A, G, target, g.random((queries, n))))
         deltas = _stacked(lambda A: (_conditioning(A),), [(A,) for _, _, A, *_ in drawn])
         accepted, searches, pending = [], [], {}
-        for (k, attempt, A, G, target, S), (delta,) in zip(drawn, deltas):
+        for (k, attempt, A, G, target, R), (delta,) in zip(drawn, deltas):
             if delta < 0.05:
                 pending[k] = attempt + 1
             else:
-                accepted.append((k, attempt, A, G, S))
+                accepted.append((k, attempt, A, G, R))
                 searches.append((A, G, delta, target))
-        for (k, attempt, A, G, S), (gamma, ratio) in zip(accepted, _stacked(_gamma_search, searches)):
+        for (k, attempt, A, G, R), (gamma, ratio) in zip(accepted, _stacked(_gamma_search, searches)):
             if 0.0 < ratio <= 0.1:
-                pairs[k] = (A, A + gamma * G, S, ratio)
+                pairs[k] = (A, G, gamma, R, ratio)
             else:
                 pending[k] = attempt + 1
     if failed:
@@ -754,9 +775,13 @@ def _leverage_envelope_pairs(seed, block, queries):
     return [pairs[k] for k in block]
 
 
-def _worst_tv(A, B, S):
-    """Largest TV between the leverage laws of A and B over each pair's
-    query scales, from one QR call per model."""
+def _worst_tv(A, G, gamma, R):
+    """Largest TV between the leverage laws of A and B = A + gamma G over
+    each pair's query scales sqrt(c + R (C - c)), from one QR call per
+    model."""
+    box = _ENVELOPE_BOX
+    B = A + gamma[:, None, None] * G
+    S = np.sqrt(box.lo + R * (box.hi - box.lo))
     _, tvs = _kernels.h2_tv(leverage_pmfs(A[:, None], S), leverage_pmfs(B[:, None], S))
     return (tvs.max(axis=-1),)
 
@@ -767,8 +792,8 @@ def _leverage_envelope_rows(seed, count, queries_per_pair=10):
     rows = []
     for block in _blocks(count):
         pairs = _leverage_envelope_pairs(seed, block, queries_per_pair)
-        worst = _stacked(_worst_tv, [(A, B, S) for A, B, S, _ in pairs])
-        for k, (A, _, _, ratio), (tv_max,) in zip(block, pairs, worst):
+        worst = _stacked(_worst_tv, [draw for *draw, _ in pairs])
+        for k, (A, *_, ratio), (tv_max,) in zip(block, pairs, worst):
             n, d = A.shape
             params = {"n": n, "d": d, "ratio": ratio, "seed": k}
             rows.append(BoundReport("leverage_tv_envelope", params, 4.0 * ratio, tv_max))
@@ -904,34 +929,37 @@ def _shift_deviation(A, w, x):
     return (_max_gap(softmax_pmfs(np.stack([_matvec(A, x), _matvec(B, x)], axis=-2))),)
 
 
+def _scales(r):
+    """Leverage query scales sqrt(0.5 + 1.5 r) of uniform draws r."""
+    return np.sqrt(0.5 + r * 1.5)
+
+
 def _right_draw(g):
+    # R has condition number kappa <= 1e3: random orthogonal factors
+    # around a log-uniform singular spectrum.
     A = _tall_matrix(g)
     d = A.shape[1]
-    # R with condition number capped at 1e3: random orthogonal factors
-    # around a log-uniform singular spectrum.
-    kappa = 10.0 ** (3.0 * float(g.random()))
-    sing = np.exp(np.linspace(-0.5, 0.5, d) * math.log(kappa)) if d > 1 else np.ones(1)
-    U = g.standard_normal((d, d))
-    V = g.standard_normal((d, d))
-    s = np.sqrt(0.5 + g.random(A.shape[0]) * 1.5)
-    return A, sing, U, V, s
+    log_kappa = math.log(10.0 ** (3.0 * float(g.random())))
+    return A, log_kappa, g.standard_normal((d, d)), g.standard_normal((d, d)), g.random(A.shape[0])
 
 
-def _right_deviation(A, sing, U, V, s):
-    diag = sing[..., None] * np.eye(A.shape[-1])  # np.diag of each spectrum
+def _right_deviation(A, log_kappa, U, V, r):
+    d = A.shape[-1]
+    sing = np.exp(np.linspace(-0.5, 0.5, d) * log_kappa[:, None]) if d > 1 else np.ones((len(A), 1))
+    diag = sing[..., None] * np.eye(d)  # np.diag of each spectrum
     R = np.linalg.qr(U)[0] @ diag @ np.linalg.qr(V)[0]
-    return (_max_gap(leverage_pmfs(np.stack([A @ R, A], axis=-3), s[..., None, :])),)
+    return (_max_gap(leverage_pmfs(np.stack([A @ R, A], axis=-3), _scales(r)[..., None, :])),)
 
 
 def _sign_draw(g):
     A = _tall_matrix(g)
     n = A.shape[0]
-    s = np.sqrt(0.5 + g.random(n) * 1.5)
-    flip = np.where(g.random(n) < 0.5, -1.0, 1.0)
-    return A, s, flip
+    return A, g.random(n), g.random(n)
 
 
-def _sign_deviation(A, s, flip):
+def _sign_deviation(A, r, coin):
+    s = _scales(r)
+    flip = np.where(coin < 0.5, -1.0, 1.0)
     return (_max_gap(leverage_pmfs(A[..., None, :, :], np.stack([s * flip, s], axis=-2))),)
 
 
@@ -966,12 +994,22 @@ def _deviations(seed, label, count, draw, deviation):
 
 
 def _random_distribution(g, n):
-    p = g.random(n) + 1e-12
-    mask = g.random(n) < 0.15
-    if mask.all():
-        mask[int(g.integers(n))] = False
-    p[mask] = 0.0
-    return p / p.sum()
+    """Weights and coins of a random distribution on n outcomes, which
+    ``_distributions`` turns into the distribution.  An outcome whose coin
+    falls below 0.15 is masked; if all are, one drawn at random keeps its
+    weight (its coin is set to 1)."""
+    weights = g.random(n)
+    coins = g.random(n)
+    if max(coins.tolist()) < 0.15:
+        coins[int(g.integers(n))] = 1.0
+    return weights, coins
+
+
+def _distributions(weights, coins):
+    """weights + 1e-12, zero where the coin is below 0.15, normalized to sum
+    to one along the last axis."""
+    p = np.where(coins < 0.15, 0.0, weights + 1e-12)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _metric_draw(g):
@@ -979,13 +1017,15 @@ def _metric_draw(g):
     P = _random_distribution(g, n)
     Q = _random_distribution(g, n)
     R = _random_distribution(g, n)
-    return P, Q, R
+    return (*P, *Q, *R)
 
 
-def _metric_distances(P, Q, R):
+def _metric_distances(*draws):
     """H^2 of the five distinct ordered pairs (P, Q), (Q, P), (P, P),
-    (P, R) and (Q, R) of each instance, then their TV, from one kernel call."""
-    probs = normalize_probs(np.stack([P, Q, R], axis=1))
+    (P, R) and (Q, R) of each instance, then their TV, from one kernel call;
+    ``draws`` are the weights and coins of P, Q and R."""
+    weights, coins = np.stack(draws[::2], axis=1), np.stack(draws[1::2], axis=1)
+    probs = normalize_probs(_distributions(weights, coins))
     P, Q, R = probs[:, 0], probs[:, 1], probs[:, 2]
     h2, t = _kernels.h2_tv(np.stack([P, Q, P, P, Q], axis=1), np.stack([Q, P, P, R, R], axis=1))
     return (*h2.T, *t.T)

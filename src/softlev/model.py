@@ -43,8 +43,9 @@ class _Softmax:
     def parse_constraint(self, cobj, path):
         if set(cobj) != {"E"}:
             raise InputFormatError(f"{path}: softmax constraint must have exactly the field 'E'")
+        limit = _parse_positive(cobj, "E", path)
         try:
-            return EnergyConstraint(_parse_positive(cobj, "E", path))
+            return EnergyConstraint(limit)
         except ValueError as exc:  # a limit whose square overflows
             raise InputFormatError(f"{path}: constraint field 'E': {exc}") from None
 
@@ -157,19 +158,23 @@ class ModelSpec:
             require_tall(self.A, f"field 'A': a {self.family} model")
 
     def pair(self):
-        """(A, B) with B defaulting to A + M."""
+        """(A, B) with B defaulting to A + M; ValueError naming A + M when an
+        entry of it overflows."""
         if self.B is not None:
             return self.A, self.B
         if self.M is not None:
-            return self.A, self.A + self.M
+            with np.errstate(over="ignore"):
+                return self.A, as_matrix(self.A + self.M, "A + M")
         raise InputFormatError("model spec has neither 'B' nor 'M'; cannot form a pair")
 
     def direction(self):
-        """Perturbation direction M, falling back to B - A."""
+        """Perturbation direction M, falling back to B - A; ValueError naming
+        B - A when an entry of it overflows."""
         if self.M is not None:
             return self.M
         if self.B is not None:
-            return self.B - self.A
+            with np.errstate(over="ignore"):
+                return as_matrix(self.B - self.A, "B - A")
         raise InputFormatError("model spec has neither 'M' nor 'B'; no perturbation direction")
 
     def pmf(self, which: int, query):

@@ -83,6 +83,30 @@ def test_spec_integers_beyond_the_float_range_are_input_errors(tmp_path):
         assert res.stdout == ""
 
 
+@pytest.mark.parametrize("limit", [-1, True, "1", math.inf], ids=["negative", "bool", "string", "Infinity"])
+def test_a_bad_energy_limit_names_its_location_once(tmp_path, capsys, limit):
+    doc = {"family": "softmax", "A": [[1.0, 2.0], [3.0, 4.0]], "constraint": {"E": limit}}
+    path = _spec_file(tmp_path, doc, "neg_E.json")
+    assert cli.main(["pmf", path, "--query", "0.1,0.2"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: constraint field 'E' must be a positive number\n"
+
+
+def test_a_derived_matrix_that_overflows_is_named(tmp_path, capsys):
+    # A and M are finite, but A + M overflows in its first entry; without a
+    # B, every pairwise command forms it
+    doc = {"family": "softmax", "A": [[1e308, 2.0], [3.0, 4.0]], "constraint": {"E": 1.0}}
+    path = _spec_file(tmp_path, dict(doc, M=[[1e308, 1.0], [1.0, 1.0]]))
+    res = run_cli("distance", path, "--query", "0.1,0.2")  # stderr would carry numpy's overflow warning
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: A + M has non-finite entries\n")
+    for argv in (["optimize", path], ["test", path, "--m", "5", "--trials", "10"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: A + M has non-finite entries\n"
+    # likewise B - A, the direction that the variance ascent follows
+    path = _spec_file(tmp_path, dict(doc, B=[[-1e308, 2.0], [3.0, 4.0]]))
+    assert cli.main(["optimize", path, "--objective", "variance"]) == 2
+    assert capsys.readouterr().err == "error: B - A has non-finite entries\n"
+
+
 def test_malformed_spec_reports_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ bad", encoding="utf-8")

@@ -198,6 +198,17 @@ def test_pair_and_direction_fallbacks():
         neither.direction()
 
 
+def test_pair_and_direction_name_the_matrix_that_overflows():
+    # finite operands whose sum or difference overflows; a numpy overflow
+    # warning would fail the test, since warnings are errors here
+    A = np.array([[1e308, 2.0], [3.0, 4.0]])
+    big = np.array([[1e308, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^A \+ M has non-finite entries$"):
+        ModelSpec("softmax", A, None, big, EnergyConstraint(1.0)).pair()
+    with pytest.raises(ValueError, match=r"^B - A has non-finite entries$"):
+        ModelSpec("softmax", A, -big, None, EnergyConstraint(1.0)).direction()
+
+
 def test_gaussian_instance_is_deterministic_per_arguments():
     a = gaussian_instance("softmax", 5, 3, seed=2)
     b = gaussian_instance("softmax", 5, 3, seed=2)
@@ -907,6 +918,58 @@ def test_normalization_deviation_ignores_a_rank_deficient_leverage_model():
     (devs,) = harness._normalization_deviation(A, x)
     assert [_bits(v) for v in devs] == [_bits(_ref_normalization(Ai, xi)) for Ai, xi in zip(A, x)]
     assert devs[0] == 0.0
+
+
+def _masked_draws(seed, k):
+    """The distributions of metric instance k, in order, whose coins all
+    fell below 0.15, so that it drew one more index to keep unmasked."""
+    g = generator(derive_seed(seed, "metric", k))
+    n = int(g.integers(2, 12))
+    masked = []
+    for name in "PQR":
+        g.random(n)
+        if (g.random(n) < 0.15).all():
+            masked.append(name)
+            g.integers(n)
+    return masked
+
+
+def test_metric_instance_whose_coins_all_mask_draws_the_index_to_keep():
+    # At seed 0, instance 545's P masks both of its two outcomes, so P
+    # draws the index it keeps, and Q and R follow that extra draw.  Every
+    # instance's ten distances, evaluated as one stack with the others,
+    # equal the one-distribution-at-a-time reference bitwise.
+    seed, count = 0, 546
+    assert [k for k in range(count) if _masked_draws(seed, k)] == [290, 478, 481, 545]
+    assert _masked_draws(seed, 545) == ["P"]
+    streams = _ref_streams(seed, "metric", count)
+    got = harness._stacked(harness._metric_distances, [harness._metric_draw(g) for g in streams])
+    for k, g in enumerate(_ref_streams(seed, "metric", count)):
+        n = int(g.integers(2, 12))
+        P, Q, R = (_ref_random_distribution(g, n) for _ in range(3))
+        pairs = ((P, Q), (Q, P), (P, P), (P, R), (Q, R))
+        want = [hellinger_sq(a, b) for a, b in pairs] + [tv(a, b) for a, b in pairs]
+        assert [_bits(v) for v in got[k]] == [_bits(v) for v in want], k
+    assert harness._metric_axioms(seed, count) == _ref_metric_axioms(seed, count)
+
+
+def test_right_invariance_stacks_a_group_with_one_column():
+    # d = 1 takes a spectrum of ones, not exp(linspace * log kappa).  At
+    # seed 1 the first 50 instances hold five groups of shape (n, 1) with
+    # two instances each; each group, as one stack, gives the reference.
+    seed, count = 1, 50
+    _, label, _, draw, deviation = harness._INVARIANCES[1]
+    by_shape = {}
+    for k, g in enumerate(_ref_streams(seed, label, count)):
+        fields = draw(g)
+        if fields[0].shape[1] == 1:
+            by_shape.setdefault(fields[0].shape, []).append((k, fields))
+    pairs = [group for group in by_shape.values() if len(group) == 2]
+    assert len(pairs) == 5
+    for group in pairs:
+        (devs,) = deviation(*(np.array(field) for field in zip(*(fields for _, fields in group))))
+        reference = [_ref_right_deviation(generator(derive_seed(seed, label, k))) for k, _ in group]
+        assert [_bits(v) for v in devs.tolist()] == [_bits(v) for v in reference]
 
 
 def test_leverage_envelope_redraws_a_missed_gamma_search_at_the_next_attempt():
