@@ -123,7 +123,16 @@ def min_eigenvalue(S):
 
 def _checked_qr(As):
     """Thin QR of each matrix in a stack, and whether it is numerically full rank."""
-    thresh = _RANK_RTOL * np.sqrt((As * As).sum(axis=-1).max(axis=-1))
+    with np.errstate(over="ignore"):
+        thresh = _RANK_RTOL * np.sqrt((As * As).sum(axis=-1).max(axis=-1))
+    if not np.isfinite(thresh).all():
+        # A squared entry overflowed: the same norm, from rows scaled by the
+        # matrix's largest |entry| (at least tiny, so an all-zero matrix
+        # divides no 0 by 0).  Matrices whose plain value is finite keep it.
+        scale = np.maximum(np.abs(As).max(axis=(-2, -1), keepdims=True), np.finfo(np.float64).tiny)
+        scaled = As / scale
+        norm = scale[..., 0, 0] * np.sqrt((scaled * scaled).sum(axis=-1).max(axis=-1))
+        thresh = np.where(np.isfinite(thresh), thresh, _RANK_RTOL * norm)
     Q, R = np.linalg.qr(As)
     ok = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1) > thresh
     return Q, R, ok

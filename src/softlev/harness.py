@@ -108,7 +108,7 @@ def load_model_spec(path) -> ModelSpec:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise InputFormatError(f"{path}: field 'seed' must be an integer")
     try:
-        return ModelSpec(family, A, B, M, constraint, seed)
+        return ModelSpec(family, A, B, M, constraint, seed, source=path)
     except ValueError as exc:  # a shape or finiteness check, naming its field
         raise InputFormatError(f"{path}: {exc}") from exc
 

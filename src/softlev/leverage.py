@@ -40,7 +40,8 @@ class BoxConstraint:
     def check(self, s) -> np.ndarray:
         """Validate a scale vector, returning it coerced to float64."""
         s = as_vector(s, "scales")
-        sq = s * s
+        with np.errstate(over="ignore"):  # an s_i^2 past the float range is inf, outside the box
+            sq = s * s
         if sq.min() < self.lo * (1.0 - _SLACK) or sq.max() > self.hi * (1.0 + _SLACK):
             raise ConstraintViolation(
                 f"box constraint violated: s_i^2 range [{float(sq.min())!r}, {float(sq.max())!r}] "

@@ -131,6 +131,9 @@ class ModelSpec:
     direction M (B is built per grid point as A + eps * M), while pairwise
     operations use B directly, falling back to A + M when only M is given.
 
+    ``source`` is the file the spec was loaded from, if any; the errors of
+    ``pair`` and ``direction`` name it.
+
     Specs compare and hash by identity: two specs with equal matrices are
     distinct objects, and a field-wise ``==`` on arrays has no single truth
     value.
@@ -142,6 +145,7 @@ class ModelSpec:
     M: np.ndarray | None
     constraint: object
     seed: int = 0
+    source: str | None = None
 
     def __post_init__(self):
         law = get_family(self.family)
@@ -157,6 +161,10 @@ class ModelSpec:
         if law.tall:
             require_tall(self.A, f"field 'A': a {self.family} model")
 
+    def _named(self, message):
+        """``message`` prefixed with the spec's source file, if it has one."""
+        return f"{self.source}: {message}" if self.source else message
+
     def pair(self):
         """(A, B) with B defaulting to A + M; ValueError naming A + M when an
         entry of it overflows."""
@@ -164,8 +172,8 @@ class ModelSpec:
             return self.A, self.B
         if self.M is not None:
             with np.errstate(over="ignore"):
-                return self.A, as_matrix(self.A + self.M, "A + M")
-        raise InputFormatError("model spec has neither 'B' nor 'M'; cannot form a pair")
+                return self.A, as_matrix(self.A + self.M, self._named("A + M"))
+        raise InputFormatError(self._named("model spec has neither 'B' nor 'M'; cannot form a pair"))
 
     def direction(self):
         """Perturbation direction M, falling back to B - A; ValueError naming
@@ -174,8 +182,8 @@ class ModelSpec:
             return self.M
         if self.B is not None:
             with np.errstate(over="ignore"):
-                return as_matrix(self.B - self.A, "B - A")
-        raise InputFormatError("model spec has neither 'M' nor 'B'; no perturbation direction")
+                return as_matrix(self.B - self.A, self._named("B - A"))
+        raise InputFormatError(self._named("model spec has neither 'M' nor 'B'; no perturbation direction"))
 
     def pmf(self, which: int, query):
         """Output law of A (which = 0) or of B (which = 1) at ``query``."""

@@ -13,16 +13,21 @@ every live restart in one stacked call of the objective's gradient kernel
 search then runs in rounds: round r evaluates the next 2^r rungs s, s/2,
 s/4, ... of every restart still searching, all in one stack, and a restart
 stops searching at its first improving rung or once the step falls below
-``_MIN_STEP``.  Each kernel call takes at most ``_MAX_ELEMENTS // A.size``
-rows; larger stacks are split.  Every stacked row is bitwise equal to
-evaluating that point alone, so each restart follows exactly the path it
-follows on its own, and the result is the one
-restart-by-restart ascent gives.  Errors follow that order too: the
+``_MIN_STEP``.  On the box, a rung that the clip maps back onto its
+restart's point also ends the search, unevaluated: it and every smaller
+rung would come back to that point and improve nothing (``_multistart``
+has the proof).  The ball is exempt: its rescaling is not monotone
+bitwise, so its searches walk the whole ladder.  Each kernel call takes at
+most ``_MAX_ELEMENTS // A.size`` rows; larger stacks are split.  Every
+stacked row is bitwise equal to evaluating that point alone, so each
+restart follows exactly the path it follows on its own, and the result is
+the one restart-by-restart ascent gives.  Errors follow that order too: the
 optimizer raises for the lowest-index restart that fails, at its first
 failing evaluation; a rung evaluated beyond the accepted one is ignored.
 Failures surface only at evaluated points (the starts, the box's corner
 checks and the line-search rungs): the gradient is taken only at a point
-whose objective status was OK.
+whose objective status was OK.  A skipped rung that comes back to its
+start is such a point, so skipping it hides no failure.
 
 Several problems that share A and the feasible set but differ in B (or M),
 such as the grid points of a sweep, ascend as one lockstep run
@@ -119,17 +124,20 @@ def _norms(X):
     return np.sqrt(_kernels._dot(X, X))
 
 
-def _multistart(F, grad, project, starts, owners, cfg):
+def _multistart(F, grad, project, starts, owners, cfg, clips=False):
     """Projected gradient ascent from every start, all restarts in lockstep.
 
     Restart r belongs to problem ``owners[r]`` (non-decreasing).  F maps a
     stack of points and the problem of each to (values, status codes), and
     grad maps a stack of points whose status is OK, and their problems, to
-    their gradients.  Returns a dict from each problem to (x, iterations
-    summed over its restarts, converged) of its best restart; strictly
-    better wins, so ties keep the earliest.  A problem with a failing
-    restart maps instead to the error that its lowest-index failing restart
-    meets first.  No problem's restarts affect another's.
+    their gradients.  With ``clips``, ``project`` must be a coordinatewise
+    clip onto a box, and a rung that it maps back onto its restart's point
+    ends that restart's line search unevaluated (see the proof below).
+    Returns a dict from each problem to (x, iterations summed over its
+    restarts, converged) of its best restart; strictly better wins, so ties
+    keep the earliest.  A problem with a failing restart maps instead to the
+    error that its lowest-index failing restart meets first.  No problem's
+    restarts affect another's.
     """
     x = project(np.array(starts, dtype=np.float64))
     k = len(x)
@@ -175,9 +183,28 @@ def _multistart(F, grad, project, starts, owners, cfg):
         while searching.size:
             rungs = s[searching, None] * 0.5 ** np.arange(width)
             valid = rungs >= _MIN_STEP
+            cand = project((x[searching, None] + rungs[:, :, None] * direction[searching, None])[valid])
+            if clips:
+                # A rung that the clip maps back onto its restart's point x
+                # has the value fx, bitwise (a stacked row equals the point
+                # alone), and status OK (only OK restarts are live), so it
+                # neither improves nor fails.  So does every smaller rung:
+                # the rungs are s * 2^-k, exactly, so |fl(s' d_i)| shrinks
+                # with s' and keeps its sign, fl(x_i + t) is monotone in t,
+                # and the clip is monotone.  If fl(x_i + t) == x_i, every
+                # smaller t of the same sign rounds to x_i too; if the clip
+                # took it back to a face, every smaller t still lies beyond
+                # that face.  The loop walks all of them, finds none better
+                # and ends the search unaccepted; here the first returning
+                # rung ends it, and it and the rungs after it are dropped.
+                home = np.zeros(rungs.shape, dtype=bool)
+                home[valid] = (cand == x[searching[np.nonzero(valid)[0]]]).all(axis=1)
+                cand = cand[~home[valid]]
+                valid &= ~home
+                if not valid.any():  # every restart still searching came back
+                    break
             at = np.full(rungs.shape, -1)  # the row of cand holding each valid rung
             at[valid] = np.arange(valid.sum())
-            cand = project((x[searching, None] + rungs[:, :, None] * direction[searching, None])[valid])
             vals, status = F(cand, np.broadcast_to(owners[searching, None], rungs.shape)[valid])
             ends = np.zeros(rungs.shape, dtype=bool)
             better = vals > np.broadcast_to(fx[searching, None], rungs.shape)[valid]
@@ -193,6 +220,8 @@ def _multistart(F, grad, project, starts, owners, cfg):
             x[r], fx[r], step[r] = cand[j], vals[j], rungs[win, col[win]] * 2.0
             accepted[r] = True
             s[searching] = rungs[:, -1] * 0.5
+            if clips:
+                decided |= home.any(axis=1)
             searching = searching[keep & ~decided & (s[searching] >= _MIN_STEP)]
             width *= 2
 
@@ -217,6 +246,8 @@ def _multistart(F, grad, project, starts, owners, cfg):
 
 class _Ball:
     """The energy ball ||x||_2 <= E of softmax queries, worked in x itself."""
+
+    clips = False  # the rescaling onto the ball is not monotone bitwise
 
     def __init__(self, constraint, A, gap):
         self.limit = constraint.limit
@@ -265,6 +296,8 @@ class _Ball:
 class _Box:
     """The scale box c <= s_i^2 <= C of leverage queries, worked in
     u = s^{-2}, where it is the box 1/C <= u_i <= 1/c."""
+
+    clips = True  # project is a coordinatewise clip
 
     def __init__(self, constraint, A, gap):
         require_tall(A)
@@ -336,7 +369,7 @@ def _maximize_each(feasible, constraint, kernel, A, Xs, name, config, seeds, hel
             continue
         starts += mine
         owners += [i] * len(mine)
-    found = _multistart(F, grad, space.project, starts, owners, config) if starts else {}
+    found = _multistart(F, grad, space.project, starts, owners, config, space.clips) if starts else {}
     for q, res in found.items():
         outcomes[q] = res
     done = [q for q, res in found.items() if not isinstance(res, Exception)]

@@ -35,8 +35,11 @@ class EnergyConstraint:
     def check(self, x) -> np.ndarray:
         """Validate a query vector, returning it coerced to float64."""
         x = as_vector(x, "query")
-        norm = float(np.linalg.norm(x))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(x))
         if norm > self.limit * _SLACK:
+            if math.isinf(norm):  # x . x overflowed
+                norm = math.hypot(*x.tolist())
             raise ConstraintViolation(
                 f"energy constraint violated: ||x||_2 = {norm!r} exceeds limit {self.limit!r}"
             )

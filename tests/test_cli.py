@@ -97,14 +97,31 @@ def test_a_derived_matrix_that_overflows_is_named(tmp_path, capsys):
     doc = {"family": "softmax", "A": [[1e308, 2.0], [3.0, 4.0]], "constraint": {"E": 1.0}}
     path = _spec_file(tmp_path, dict(doc, M=[[1e308, 1.0], [1.0, 1.0]]))
     res = run_cli("distance", path, "--query", "0.1,0.2")  # stderr would carry numpy's overflow warning
-    assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: A + M has non-finite entries\n")
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {path}: A + M has non-finite entries\n")
     for argv in (["optimize", path], ["test", path, "--m", "5", "--trials", "10"]):
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err == "error: A + M has non-finite entries\n"
+        assert capsys.readouterr().err == f"error: {path}: A + M has non-finite entries\n"
     # likewise B - A, the direction that the variance ascent follows
     path = _spec_file(tmp_path, dict(doc, B=[[-1e308, 2.0], [3.0, 4.0]]))
     assert cli.main(["optimize", path, "--objective", "variance"]) == 2
-    assert capsys.readouterr().err == "error: B - A has non-finite entries\n"
+    assert capsys.readouterr().err == f"error: {path}: B - A has non-finite entries\n"
+
+
+def test_a_scaled_matrix_whose_squares_overflow_gets_its_pmf(tmp_path):
+    # diag(s)^-1 A has entries near 4.5e161, whose squares overflow
+    doc = {"family": "leverage", "A": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "constraint": {"c": 5e-324, "C": 2.0}}
+    path = _spec_file(tmp_path, doc)
+    res = run_cli("pmf", path, "--query", ",".join(["2.2227587494850775e-162"] * 3))
+    assert (res.returncode, res.stderr) == (0, "")
+    unscaled = run_cli("pmf", path, "--query", "1,1,1").stdout.splitlines()
+    assert [float(p) for p in res.stdout.splitlines()] == pytest.approx([float(p) for p in unscaled], rel=1e-12)
+    # a row of 1e200 beside rows of 1 is deficient under the relative rank
+    # rule, as 1e13 is; the verdict comes without numpy's overflow warning
+    for top in (1e13, 1e200):
+        path = _spec_file(tmp_path, dict(doc, A=[[top, 0.0], [0.0, 1.0], [1.0, 1.0]], constraint={"c": 0.5, "C": 2.0}))
+        res = run_cli("pmf", path, "--query", "1,1,1")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "error: scaled matrix diag(s)^{-1} A is numerically rank-deficient\n"
 
 
 def test_malformed_spec_reports_line_and_column(tmp_path):

@@ -92,6 +92,25 @@ def test_rank_deficiency_raises_before_sampling():
         leverage_sample(A, [1.0, 1.0, 1.0], 1, 10)
 
 
+def test_pmf_of_a_matrix_whose_squared_entries_overflow():
+    # The rank threshold takes the largest row norm of diag(s)^-1 A; past
+    # about 1.3e154 its square overflows, and the threshold must not.
+    g = generator(derive_seed(45, "huge"))
+    A = g.standard_normal((6, 3))
+    s = np.sqrt(0.5 + 1.5 * g.random(6))
+    big = A * 2.0**600
+    assert np.abs(big).max() > math.sqrt(np.finfo(np.float64).max)
+    np.testing.assert_allclose(leverage_pmf(big, s).probs, leverage_pmf(A, s).probs, rtol=1e-12)
+    # in a stack, the matrices whose threshold does not overflow keep it bitwise
+    for row, Ai in zip(leverage_pmfs(np.stack([A, big, 2.0 * A]), s), (A, A, 2.0 * A)):
+        assert row.tobytes() == leverage_pmf(Ai, s).probs.tobytes()
+    # the rule is relative to the largest row norm, overflow or not: columns
+    # of scales 1e13 and 1 are deficient, as are 1e200 and 1
+    for top in (1e13, 1e200):
+        with pytest.raises(RankDeficient):
+            leverage_pmf(np.array([[top, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(3))
+
+
 def test_pmf_shape_requirements():
     with pytest.raises(ShapeMismatch):
         leverage_pmf(np.eye(2), [1.0, 1.0, 1.0])

@@ -27,11 +27,13 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from softlev import _kernels, cli, optimize
+from softlev import _kernels, cli, harness, optimize
 from softlev.distributions import hellinger_sq, variance_under
 from softlev.errors import RankDeficient, ShapeMismatch, ZeroLeverage
-from softlev.harness import load_model_spec, padded_identity_instance
+from softlev.harness import ExperimentSpec, load_model_spec, padded_identity_instance
 from softlev.leverage import BoxConstraint, leverage_pmf, leverage_w
 from softlev.optimize import (
     _MAX_ELEMENTS,
@@ -722,12 +724,92 @@ def test_lockstep_work_guard(monkeypatch):
     assert lockstep["gradient"] == [sum(i >= t for i in iters) for t in range(1, max(iters) + 1)]
     assert 10 * len(lockstep["objective"]) <= len(loop["objective"])
     assert sum(lockstep["objective"]) <= 1.02 * sum(loop["objective"])
+    # the box's returning rungs end their searches unevaluated
+    assert 2 * sum(lockstep["objective"]) <= sum(loop["objective"])
     assert max(max(rows) for rows in lockstep.values()) * A.size <= _MAX_ELEMENTS
     # 32 restarts of a 256x16 model: 32 rows are twice the cap of 16.
     A, B = _gaussian_pair(max_hellinger_leverage, 256, 16, 0)
     capped = counts(max_hellinger_leverage, A, B, BOX, OptimizerConfig(max_iters=1))
     assert capped["gradient"] == [16, 16]
     assert max(capped["objective"]) * A.size == _MAX_ELEMENTS
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_demo_sweep_ascents_equal_the_loop_where_rungs_come_back(monkeypatch, seed):
+    # The demo-leverage optima sit at vertices of the box, so most line
+    # searches end at a rung that the clip maps back onto its restart's
+    # point.  The sweep's grid ascent and its nu ascent must still equal the
+    # loop, which evaluates every rung, on at most half its objective rows.
+    model = load_model_spec(str(ir.files("softlev") / "specs" / "demo_leverage.json"))
+    spec = ExperimentSpec(model=model, seed=seed)
+    rows = []
+    for kind in ("h2", "var"):
+
+        def counted(A, X, U, kernel=getattr(_kernels, f"leverage_{kind}_objective")):
+            rows.append(len(U))
+            return kernel(A, X, U)
+
+        monkeypatch.setattr(_kernels, f"leverage_{kind}_objective", counted)
+
+    def measured(run, *args):
+        rows.clear()
+        return run(*args), sum(rows)
+
+    optima, grid_rows = measured(harness._sweep_optima, spec)
+    loop_rows = 0
+    for i, optimum in enumerate(optima):
+        cfg = replace(spec.opt, seed=harness._point_seed(spec, i))
+        B = harness._point_pair(spec, i).B
+        expected, n = measured(_outcome, _maximize_loop, max_hellinger_leverage, model.A, B, model.constraint, cfg)
+        assert _summary(optimum) == expected, i
+        loop_rows += n
+    assert 2 * grid_rows <= loop_rows
+    nu_cfg = replace(spec.opt, seed=derive_seed(seed, "nu"))
+    nu = (max_variance_leverage, model.A, model.direction(), model.constraint, nu_cfg)
+    (result, nu_rows), (expected, loop_rows) = measured(_outcome, *nu), measured(_outcome, _maximize_loop, *nu)
+    assert result == expected
+    assert 2 * nu_rows <= loop_rows
+
+
+_FACES = st.sampled_from(["lo", "hi", "above lo", "below hi", "inside"])
+_DIRECTIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1.0, -1.0]),
+    st.floats(-1.0, 1.0, allow_subnormal=True),
+)
+
+
+@st.composite
+def _box_rays(draw):
+    """(lo, hi, x, d, s): a box, a point in it with coordinates on its faces
+    or inside, a direction and a rung s >= _MIN_STEP."""
+    lo = draw(st.floats(1e-3, 1e3))
+    hi = lo * draw(st.sampled_from([1.0, 1.0 + 2**-52, 2.0, 16.0]))
+    dim = draw(st.integers(1, 6))
+    x = np.empty(dim)
+    for i in range(dim):
+        x[i] = {
+            "lo": lo,
+            "hi": hi,
+            "above lo": np.nextafter(lo, np.inf),
+            "below hi": np.nextafter(hi, 0.0),
+            "inside": lo + draw(st.floats(0.0, 1.0)) * (hi - lo),
+        }[draw(_FACES)]
+    x = np.clip(x, lo, hi)
+    d = np.array(draw(st.lists(_DIRECTIONS, min_size=dim, max_size=dim)))
+    # rungs from the smallest evaluated to ones that leave the box
+    s = draw(st.one_of(st.floats(_MIN_STEP, 1e-6), st.floats(_MIN_STEP, 1e3)))
+    return lo, hi, x, d, s
+
+
+@settings(max_examples=400, deadline=None)
+@given(_box_rays())
+def test_every_rung_below_one_the_clip_returns_comes_back_too(ray):
+    # The lemma behind the box's line-search shortcut.
+    lo, hi, x, d, s = ray
+    if np.clip(x + s * d, lo, hi).tobytes() != x.tobytes():
+        return
+    for k in range(1, 61):
+        assert np.clip(x + (s * 0.5**k) * d, lo, hi).tobytes() == x.tobytes(), k
 
 
 # ---------------------------------------------------------------------------
