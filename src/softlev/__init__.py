@@ -1,11 +1,16 @@
 """softlev: softmax and leverage-score query models under query constraints.
 
-Exact output distributions, statistical distances with closed-form gap
-bounds, constrained query optimization, likelihood-ratio hypothesis testing
-with Monte-Carlo sample-complexity estimation, and a reproducible experiment
-harness.  Hot kernels are written in numpy; the optimizer objectives and
-their closed-form gradients take a stack of query points, so the gradients
-of every restart of a multi-start ascent are one kernel call.
+A query is a plain vector: x in the energy ball for a softmax model, the
+scale vector s in the box for a leverage model.  ``softmax_pmf`` and
+``leverage_pmf`` give the exact output distribution at a query, ``draw``
+takes seeded samples from it, and ``ModelSpec.max_hellinger`` finds the
+query that best separates a pair of models.  Around these: statistical
+distances with closed-form gap bounds, constrained query optimization,
+likelihood-ratio hypothesis testing with Monte-Carlo sample-complexity
+estimation, and a reproducible experiment harness.  Hot kernels are written
+in numpy; the optimizer objectives and their closed-form gradients take a
+stack of query points, so the gradients of every restart of a multi-start
+ascent are one kernel call.
 """
 
 from ._kernels import BACKEND
@@ -61,14 +66,12 @@ from .hypotest import (
 )
 from .leverage import (
     BoxConstraint,
-    ScaleQuery,
     leverage_pmf,
     leverage_pmf_derivative,
-    leverage_sample,
     leverage_w,
 )
 from .model import ModelSpec
-from .numerics import gram, min_eigenvalue, row_gram_gap, thin_qr, two_to_infty_norm
+from .numerics import gram, min_eigenvalue, row_gram_gap, two_to_infty_norm
 from .optimize import (
     OptimizerConfig,
     OptResult,
@@ -78,7 +81,7 @@ from .optimize import (
     max_variance_softmax,
 )
 from .rng import derive_seed, generator
-from .softmax import EnergyConstraint, SoftmaxQuery, softmax_pmf, softmax_sample
+from .softmax import EnergyConstraint, softmax_pmf
 
 __version__ = "0.1.0"
 
@@ -103,9 +106,7 @@ __all__ = [
     "OptimizerConfig",
     "RankDeficient",
     "SampleComplexity",
-    "ScaleQuery",
     "ShapeMismatch",
-    "SoftmaxQuery",
     "SweepRow",
     "TestReport",
     "ZeroLeverage",
@@ -123,7 +124,6 @@ __all__ = [
     "leverage_lb_quantity",
     "leverage_pmf",
     "leverage_pmf_derivative",
-    "leverage_sample",
     "leverage_w",
     "load_model_spec",
     "low_mass_row_instance",
@@ -143,8 +143,6 @@ __all__ = [
     "run_test",
     "softmax_lb_quantity",
     "softmax_pmf",
-    "softmax_sample",
-    "thin_qr",
     "tv",
     "two_to_infty_norm",
     "variance_under",

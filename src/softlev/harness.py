@@ -28,7 +28,7 @@ order.
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import reduce
 from pathlib import Path
 
@@ -36,11 +36,12 @@ import numpy as np
 
 from . import _kernels
 from .bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
-from .distributions import hellinger_sq, normalize_probs
+from .distributions import hellinger_sq, normalize_probs, variance_under
 from .errors import InputFormatError
 from .hypotest import estimate_sample_complexity
 from .leverage import BoxConstraint, _w_parts, leverage_pmf, leverage_pmfs
 from .model import ModelSpec, get_family
+from .numerics import as_matrix
 from .optimize import OptimizerConfig
 from .rng import Stream, derive_seed, derive_seeds, generator, generators
 from .softmax import EnergyConstraint, softmax_pmf, softmax_pmfs
@@ -182,10 +183,13 @@ def fmt17(x) -> str:
 
 
 def _cell(val) -> str:
-    """A float in fmt17 form, a flag as 0 or 1, anything else as str."""
+    """A float in fmt17 form, a flag (numpy's too) as 0 or 1, None as an
+    empty cell, anything else as str."""
+    if isinstance(val, (bool, np.bool_)):
+        return str(int(val))
     if isinstance(val, float):
         return fmt17(val)
-    return str(int(val)) if isinstance(val, bool) else str(val)
+    return "" if val is None else str(val)
 
 
 def _fmt_params(params: dict) -> str:
@@ -193,11 +197,12 @@ def _fmt_params(params: dict) -> str:
 
 
 def write_csv(path, header, rows, footers=()):
-    """UTF-8 CSV with '#'-prefixed footer lines and '\\n' newlines."""
+    """UTF-8 CSV with '#'-prefixed footer lines and '\\n' newlines; each
+    cell is formatted by ``_cell``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
         for line in footers:
             fh.write(f"# {line}\n")
 
@@ -226,28 +231,18 @@ class SweepResult:
     nu: float
 
 
-_SWEEP_HEADER = ("eps", "h2_at_opt", "nu", "m_star", "success_at_m", "seed")
-
-
-def _sweep_row_cells(row: SweepRow):
-    return (
-        fmt17(row.eps),
-        fmt17(row.h2_at_opt),
-        fmt17(row.nu),
-        str(row.m_star),
-        fmt17(row.success_at_m),
-        str(row.seed),
-    )
-
-
 def _sweep_nu(model: ModelSpec, opt: OptimizerConfig, seed: int) -> float:
     return model.max_variance(replace(opt, seed=derive_seed(seed, "nu"))).value
 
 
 def _point_pair(spec: ExperimentSpec, index: int) -> ModelSpec:
-    """The pair (A, A + eps M) of grid point ``index``."""
+    """The pair (A, A + eps M) of grid point ``index``; ValueError naming the
+    spec and the point when an entry of A + eps M overflows."""
     model = spec.model
-    B = model.A + spec.eps_grid[index] * model.direction()
+    eps = spec.eps_grid[index]
+    where = model._named(f"grid point {index} (eps = {eps!r}): A + eps M")
+    with np.errstate(over="ignore"):
+        B = as_matrix(model.A + eps * model.direction(), where)
     return ModelSpec(model.family, model.A, B, None, model.constraint)
 
 
@@ -338,8 +333,8 @@ def _gather_grid(spec, worker):
 def _write_sweep_csv(path, rows, slope, intercept):
     write_csv(
         path,
-        _SWEEP_HEADER,
-        [_sweep_row_cells(r) for r in rows],
+        [f.name for f in fields(SweepRow)],
+        [astuple(r) for r in rows],
         footers=(
             f"fit_slope {fmt17(slope)}",
             f"fit_intercept {fmt17(intercept)}",
@@ -420,7 +415,7 @@ def _run_taylor_softmax(model, query):
     A, M = model.A, model.direction()
     P = softmax_pmf(A, query)
     v = M @ query
-    var = float(P.probs @ (v - P.probs @ v) ** 2)
+    var = variance_under(P, v)
     if var == 0.0:
         return TaylorReport(family="softmax", degenerate=True, query=np.asarray(query))
     rows = []
@@ -517,7 +512,7 @@ def run_taylor_check(model: ModelSpec, seed: int, query=None) -> TaylorReport:
 
 
 def write_taylor_csv(path, report: TaylorReport):
-    rows = [(fmt17(r.eps), fmt17(r.h2), fmt17(r.reference), fmt17(r.ratio_half), fmt17(r.ratio_eighth)) for r in report.rows]
+    rows = [astuple(r) for r in report.rows]
     footers = [f"{name} {_cell(val)}" for name, val in report.figures()]
     write_csv(path, ("eps", "h2", "half_eps2_var", "ratio_half", "ratio_eighth"), rows, footers)
 
@@ -578,11 +573,6 @@ def _stacked(evaluate, draws):
         for i, values in zip(idx, zip(*(r.tolist() for r in results))):
             out[i] = values
     return out
-
-
-def _matvec(A, x):
-    """A @ x of each (A, x) pair in a stack, bitwise equal to one pair's A @ x."""
-    return (A @ x[..., None])[..., 0]
 
 
 def _softmax_gaps(a, b):
@@ -662,7 +652,7 @@ def _envelope_gaps(A, D, x, xnorm, rho):
     scaled to unit 2->infinity norm and gap = rho / ||x||."""
     D = D / np.sqrt((D * D).sum(axis=-1).max(axis=-1))[:, None, None]  # as two_to_infty_norm(D) of each
     B = A + (rho / xnorm)[:, None, None] * D
-    return _softmax_gaps(_matvec(A, x), _matvec(B, x))
+    return _softmax_gaps(_kernels._matvec(A, x), _kernels._matvec(B, x))
 
 
 def _softmax_envelope_rows(seed, count):
@@ -853,19 +843,10 @@ def run_bound_suite(instances: int, seed: int) -> BoundSuiteResult:
 
 
 def write_bounds_csv(path, result: BoundSuiteResult):
-    cells = []
-    for row, st, ti in zip(result.rows, result.strict, result.tight):
-        cells.append(
-            (
-                row.bound_name,
-                _fmt_params(row.parameters),
-                fmt17(row.bound_value),
-                fmt17(row.observed_value),
-                str(int(row.satisfied)),
-                str(int(st)),
-                "" if ti is None else str(int(ti)),
-            )
-        )
+    cells = [
+        (row.bound_name, _fmt_params(row.parameters), row.bound_value, row.observed_value, row.satisfied, st, ti)
+        for row, st, ti in zip(result.rows, result.strict, result.tight)
+    ]
     footers = [f"rows {len(result.rows)}", f"strict_violations {result.strict_violations}"]
     for fam in sorted(result.max_ratios):
         footers.append(f"max_ratio_{fam} {fmt17(result.max_ratios[fam])}")
@@ -926,7 +907,7 @@ def _shift_draw(g):
 
 def _shift_deviation(A, w, x):
     B = A + w[..., None, :]  # A + outer(ones(n), w), whose entries are 1.0 * w_j
-    return (_max_gap(softmax_pmfs(np.stack([_matvec(A, x), _matvec(B, x)], axis=-2))),)
+    return (_max_gap(softmax_pmfs(np.stack([_kernels._matvec(A, x), _kernels._matvec(B, x)], axis=-2))),)
 
 
 def _scales(r):
@@ -969,7 +950,7 @@ def _normalization_draw(g):
 
 
 def _normalization_deviation(A, x):
-    dev = np.abs(_kernels.softmax_probs(_matvec(A, x)).sum(axis=-1) - 1.0)
+    dev = np.abs(_kernels.softmax_probs(_kernels._matvec(A, x)).sum(axis=-1) - 1.0)
     probs, _, ok = _kernels.leverage_probs(A)
     lev_dev = np.abs(probs.sum(axis=-1) - 1.0)
     return (np.where(ok & (lev_dev > dev), lev_dev, dev),)  # max(dev, lev_dev) if ok else dev
@@ -1067,13 +1048,9 @@ def run_invariance_suite(instances: int, seed: int) -> InvarianceReport:
 
 
 def write_invariance_csv(path, report: InvarianceReport):
-    cells = [
-        (p.name, str(p.instances), fmt17(p.max_deviation), str(p.violations), str(int(p.ok)))
-        for p in report.properties
-    ]
     write_csv(
         path,
         ("property", "instances", "max_deviation", "violations", "ok"),
-        cells,
+        [astuple(p) for p in report.properties],
         footers=(f"all_ok {int(report.all_ok)}",),
     )

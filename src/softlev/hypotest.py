@@ -122,12 +122,12 @@ class TestReport:
 def _resolve_query(spec: ModelSpec, query):
     if query is not None:
         return query
-    q, value = spec.optimal_query()
-    if value <= _H_FLOOR:
+    res = spec.max_hellinger()
+    if res.value <= _H_FLOOR:
         raise IndistinguishableError(
-            f"models coincide at the optimal query (H = {value:.3e}); no test can separate them"
+            f"models coincide at the optimal query (H = {res.value:.3e}); no test can separate them"
         )
-    return q
+    return res.argmax
 
 
 def run_test(oracle: ModelOracle, m: int, query=None) -> TestReport:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .distributions import DiscreteDistribution, draw, normalize_probs
+from .distributions import DiscreteDistribution, normalize_probs
 from .errors import ConstraintViolation, RankDeficient, ShapeMismatch, ZeroLeverage
 from .numerics import as_matrix, as_vector
 
@@ -50,21 +50,7 @@ class BoxConstraint:
         return s
 
 
-@dataclass(frozen=True)
-class ScaleQuery:
-    """A scale vector bundled with the box it satisfies."""
-
-    s: np.ndarray
-    constraint: BoxConstraint
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", self.constraint.check(self.s))
-        self.s.setflags(write=False)
-
-
 def _scale_vector(query, stack=False) -> np.ndarray:
-    if isinstance(query, ScaleQuery):
-        return query.s
     s = as_vector(query, "scales", stack)
     if np.abs(s).min() == 0.0:
         raise ConstraintViolation("scales must be nonzero")
@@ -114,11 +100,6 @@ def leverage_pmfs(A, S) -> np.ndarray:
     """
     As, _, _ = _scaled(A, S, stack=True)
     return normalize_probs(_leverage_probs(As))
-
-
-def leverage_sample(A, query, seed: int, count: int) -> np.ndarray:
-    """``count`` iid row indices from the leverage distribution, seeded."""
-    return draw(leverage_pmf(A, query), seed, count)
 
 
 def _w_parts(A, M, query):

@@ -198,8 +198,3 @@ class ModelSpec:
     def max_variance(self, config=None):
         """The variance functional of A along the direction, maximized."""
         return FAMILIES[self.family].max_variance(self.A, self.direction(), self.constraint, config)
-
-    def optimal_query(self, config=None):
-        """Hellinger-optimal query and its H value, deterministic per config."""
-        res = self.max_hellinger(config)
-        return res.argmax, res.value

@@ -1,4 +1,5 @@
-"""Small dense-matrix helpers: Gram matrices, extremal eigenvalues, norms, thin QR.
+"""Small dense-matrix helpers: input coercion, Gram matrices, extremal
+eigenvalues and norms.
 
 Everything here operates on float64 arrays of modest size (hundreds of rows,
 tens of columns); the heavy lifting is delegated to LAPACK through numpy.
@@ -7,7 +8,7 @@ tens of columns); the heavy lifting is delegated to LAPACK through numpy.
 import numpy as np
 
 from . import _kernels
-from .errors import RankDeficient, ShapeMismatch
+from .errors import ShapeMismatch
 
 
 def as_matrix(A, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -77,18 +78,3 @@ def row_gram_gap(A, B) -> float:
         raise ShapeMismatch(f"A and B must share a shape, got {A.shape} vs {B.shape}")
     return float(_kernels.row_gram_gap(A, B))
 
-
-def thin_qr(A):
-    """Reduced QR factorization A = Q R with a loud rank check.
-
-    Raises ``RankDeficient`` when any |R_kk| falls at or below
-    1e-12 times the largest row norm of A (the all-zero matrix included).
-    """
-    A = as_matrix(A, "A")
-    n, d = A.shape
-    if n < d:
-        raise ShapeMismatch(f"thin QR needs n >= d, got {n} x {d}")
-    Q, R, ok = _kernels._checked_qr(A)
-    if not ok:
-        raise RankDeficient(f"matrix is numerically rank-deficient (min |R_kk| = {np.abs(np.diag(R)).min():.3e})")
-    return Q, R

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .distributions import DiscreteDistribution, draw, normalize_probs
+from .distributions import DiscreteDistribution, normalize_probs
 from .errors import ConstraintViolation, ShapeMismatch
 from .numerics import as_matrix, as_vector
 
@@ -46,24 +46,6 @@ class EnergyConstraint:
         return x
 
 
-@dataclass(frozen=True)
-class SoftmaxQuery:
-    """A query vector bundled with the constraint it satisfies."""
-
-    x: np.ndarray
-    constraint: EnergyConstraint
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", self.constraint.check(self.x))
-        self.x.setflags(write=False)
-
-
-def _query_vector(query) -> np.ndarray:
-    if isinstance(query, SoftmaxQuery):
-        return query.x
-    return as_vector(query, "query")
-
-
 def softmax_pmf(A, query) -> DiscreteDistribution:
     """Exact output distribution softmax(A x).
 
@@ -71,7 +53,7 @@ def softmax_pmf(A, query) -> DiscreteDistribution:
     with large magnitudes neither overflow nor collapse to zero.
     """
     A = as_matrix(A, "A")
-    x = _query_vector(query)
+    x = as_vector(query, "query")
     if x.size != A.shape[1]:
         raise ShapeMismatch(f"query length {x.size} does not match parameter columns {A.shape[1]}")
     return DiscreteDistribution(_kernels.softmax_probs(A @ x))
@@ -84,8 +66,3 @@ def softmax_pmfs(logits) -> np.ndarray:
     ``logits[j]`` is ``A_j @ x_j``.
     """
     return normalize_probs(_kernels.softmax_probs(np.asarray(logits, dtype=np.float64)))
-
-
-def softmax_sample(A, query, seed: int, count: int) -> np.ndarray:
-    """``count`` iid outcome indices from softmax(A x), seeded."""
-    return draw(softmax_pmf(A, query), seed, count)

@@ -107,6 +107,23 @@ def test_a_derived_matrix_that_overflows_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: B - A has non-finite entries\n"
 
 
+def test_a_sweep_names_the_grid_point_whose_pair_overflows(tmp_path, capsys):
+    # A + eps M overflows at eps = 1e240 only; the eps = 1 row still lands
+    doc = {
+        "family": "softmax",
+        "A": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+        "M": [[1e70, 0.0], [0.0, 1e70], [1e70, -1e70]],
+        "constraint": {"E": 1.0},
+    }
+    path = _spec_file(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", path, "--grid", "1e240,1", "--trials", "20", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: grid point 0 (eps = 1e+240): A + eps M has non-finite entries\n"
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in lines[1:] if not line.startswith("#")] == ["1"]
+    assert "# rows_used 1" in lines
+
+
 def test_a_scaled_matrix_whose_squares_overflow_gets_its_pmf(tmp_path):
     # diag(s)^-1 A has entries near 4.5e161, whose squares overflow
     doc = {"family": "leverage", "A": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "constraint": {"c": 5e-324, "C": 2.0}}

@@ -3,7 +3,7 @@
 import importlib.resources as ir
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -264,9 +264,10 @@ def test_fmt17_round_trips():
 
 def test_write_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ("a", "b"), [("1", "2"), ("3", "4")], footers=("note 5",))
+    rows = [("1", "2"), ("3", "4"), (0.1, 7), (True, np.False_), (None, np.float64(1.0 / 3.0))]
+    write_csv(path, ("a", "b"), rows, footers=("note 5",))
     text = path.read_text(encoding="utf-8")
-    assert text == "a,b\n1,2\n3,4\n# note 5\n"
+    assert text == "a,b\n1,2\n3,4\n0.10000000000000001,7\n1,0\n,0.33333333333333331\n# note 5\n"
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +389,7 @@ def _demo_model(name):
 
 
 def _row_cells(rows):
-    return [harness._sweep_row_cells(r) for r in rows]
+    return [tuple(map(harness._cell, astuple(r))) for r in rows]
 
 
 @pytest.mark.parametrize("name", ["demo_softmax", "demo_leverage"])

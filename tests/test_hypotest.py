@@ -126,13 +126,12 @@ def test_spec_pmf_dispatches_per_branch_and_family():
     assert np.array_equal(only_m.pmf(1, s).probs, leverage_pmf(A + (B - A), s).probs)
 
 
-def test_optimal_query_is_deterministic_and_feasible():
+def test_max_hellinger_is_deterministic_and_feasible():
     spec = _wide_pair()
-    q1, v1 = spec.optimal_query()
-    q2, v2 = spec.optimal_query()
-    assert np.array_equal(q1, q2) and v1 == v2
-    assert v1 > 0.1  # a gap of 2 is clearly distinguishable
-    BALL.check(q1)
+    r1, r2 = spec.max_hellinger(), spec.max_hellinger()
+    assert np.array_equal(r1.argmax, r2.argmax) and r1.value == r2.value
+    assert r1.value > 0.1  # a gap of 2 is clearly distinguishable
+    BALL.check(r1.argmax)
 
 
 def test_oracle_truth_validation_and_accounting():
@@ -367,7 +366,7 @@ def _sweep_points(family):
     for index, eps in enumerate(spec.eps_grid):
         row_seed = derive_seed(spec.seed, "grid", index)
         pair = _demo_pair(spec.model, eps)
-        query, _ = pair.optimal_query(replace(spec.opt, seed=derive_seed(row_seed, "opt")))
+        query = pair.max_hellinger(replace(spec.opt, seed=derive_seed(row_seed, "opt"))).argmax
         points.append((eps, pair, query, derive_seed(row_seed, "mstar")))
     return points
 
@@ -419,7 +418,7 @@ def test_sample_complexity_doubles_the_horizon_past_a_late_crossing():
     # start horizon of 3 (3 m_gauss = 2.96) and at 6, 12 and 24, and right
     # from 33 on
     spec = _wide_pair()
-    query, _ = spec.optimal_query()
+    query = spec.max_hellinger().argmax
     assert math.ceil(3.0 * _m_gauss(spec, query)) == 3
     found = estimate_sample_complexity(spec, trials=1, seed=11)
     assert (found.m_star, found.success, found.horizon) == (33, 1.0, 48)

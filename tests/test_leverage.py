@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from softlev.distributions import draw
 from softlev.errors import ConstraintViolation, RankDeficient, ShapeMismatch, ZeroLeverage
 from softlev.harness import padded_identity_instance
 from softlev.leverage import (
     BoxConstraint,
-    ScaleQuery,
     leverage_pmf,
     leverage_pmf_derivative,
     leverage_pmfs,
-    leverage_sample,
     leverage_w,
 )
 from softlev.rng import derive_seed, generator
@@ -33,13 +32,6 @@ def test_box_constraint_validates_bounds():
         BoxConstraint(0.0, 1.0)
     with pytest.raises(ValueError):
         BoxConstraint(2.0, 1.0)
-
-
-def test_scale_query_wrapper():
-    q = ScaleQuery(np.array([1.0, -1.0]), BoxConstraint(0.5, 2.0))
-    assert not q.s.flags.writeable
-    A = np.eye(2)
-    assert np.array_equal(leverage_pmf(A, q).probs, leverage_pmf(A, q.s).probs)
 
 
 def test_zero_scale_is_rejected():
@@ -85,11 +77,12 @@ def test_pmf_output_is_normalized():
 
 
 def test_rank_deficiency_raises_before_sampling():
-    A = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    with pytest.raises(RankDeficient):
-        leverage_pmf(A, [1.0, 1.0, 1.0])
-    with pytest.raises(RankDeficient):
-        leverage_sample(A, [1.0, 1.0, 1.0], 1, 10)
+    collinear = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    for A in (collinear, np.zeros((3, 2))):  # the zero matrix counts as deficient
+        with pytest.raises(RankDeficient):
+            leverage_pmf(A, [1.0, 1.0, 1.0])
+        with pytest.raises(RankDeficient):
+            leverage_pmfs(A, [1.0, 1.0, 1.0])
 
 
 def test_pmf_of_a_matrix_whose_squared_entries_overflow():
@@ -188,12 +181,12 @@ def test_sign_invariance():
 
 def test_sampling_determinism():
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    a = leverage_sample(A, [1.0, 1.0, 1.0], 9, 500)
-    assert np.array_equal(a, leverage_sample(A, [1.0, 1.0, 1.0], 9, 500))
+    a = draw(leverage_pmf(A, [1.0, 1.0, 1.0]), 9, 500)
+    assert np.array_equal(a, draw(leverage_pmf(A, [1.0, 1.0, 1.0]), 9, 500))
 
 
 def test_identity_sampling_frequencies():
-    out = leverage_sample(np.eye(2), [1.0, 1.0], 3, 20_000)
+    out = draw(leverage_pmf(np.eye(2), [1.0, 1.0]), 3, 20_000)
     assert abs((out == 0).mean() - 0.5) < 0.01
 
 

@@ -1,10 +1,13 @@
-"""Dense-matrix helpers: gram, extremal eigenvalues, norms, row-gram gap, QR."""
+"""Dense-matrix helpers: gram, extremal eigenvalues, norms, row-gram gap,
+and the thin-QR rank and shape checks."""
 
 import numpy as np
 import pytest
 
-from softlev.errors import RankDeficient, ShapeMismatch
-from softlev.numerics import gram, min_eigenvalue, row_gram_gap, thin_qr, two_to_infty_norm
+from softlev import _kernels
+from softlev.errors import ShapeMismatch
+from softlev.leverage import leverage_pmf, require_tall
+from softlev.numerics import gram, min_eigenvalue, row_gram_gap, two_to_infty_norm
 from softlev.rng import derive_seed, generator
 
 
@@ -168,48 +171,33 @@ def test_row_gram_gap_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# thin_qr
+# thin QR: the rank rule of _kernels._checked_qr and the n >= d requirement
 # ---------------------------------------------------------------------------
 
 
-def test_thin_qr_identity_up_to_signs():
-    Q, R = thin_qr(np.eye(3))
-    assert np.abs(np.abs(Q) - np.eye(3)).max() < 1e-14
-    assert np.abs(np.abs(R) - np.eye(3)).max() < 1e-14
-
-
-def test_thin_qr_normalizes_a_repeated_column():
-    Q, R = thin_qr(np.array([[1.0], [1.0]]))
-    assert np.abs(np.abs(Q) - 1 / np.sqrt(2)).max() < 1e-14
-    assert abs(abs(R[0, 0]) - np.sqrt(2)) < 1e-14
-
-
-def test_thin_qr_reconstruction_and_orthonormality():
-    g = generator(derive_seed(10, "qr"))
-    A = g.standard_normal((6, 3))
-    Q, R = thin_qr(A)
-    assert np.abs(Q @ R - A).max() <= 1e-10
-    assert np.abs(Q.T @ Q - np.eye(3)).max() <= 1e-10
-    assert np.abs(np.tril(R, -1)).max() == 0.0
-
-
 def test_thin_qr_rejects_rank_deficiency():
-    with pytest.raises(RankDeficient):
-        thin_qr(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
-    with pytest.raises(RankDeficient):
-        thin_qr(np.zeros((3, 2)))  # the zero matrix counts as deficient
+    collinear = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    for A in (collinear, np.zeros((3, 2))):  # the zero matrix counts as deficient
+        _, _, ok = _kernels._checked_qr(A)
+        assert not ok
+    Q, R, ok = _kernels._checked_qr(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 7.0]]))
+    assert ok
+    assert np.abs(Q @ R - np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 7.0]])).max() <= 1e-12
+    _, _, oks = _kernels._checked_qr(np.stack([collinear, np.eye(3, 2)]))
+    assert oks.tolist() == [False, True]
 
 
 def test_thin_qr_needs_tall_input():
     with pytest.raises(ShapeMismatch):
-        thin_qr(np.ones((2, 3)))
+        require_tall(np.ones((2, 3)))
+    require_tall(np.ones((3, 3)))  # square is tall enough
+    require_tall(np.ones((4, 3)))
 
 
 def test_leverage_diagonal_via_qr_matches_explicit_inverse():
     for k in range(30):
         g = generator(derive_seed(11, "lev-diag", k))
         A = g.standard_normal((7, 3)) + 0.1
-        Q, _ = thin_qr(A)
-        lev_qr = (Q * Q).sum(axis=1)
+        lev_qr = 3.0 * leverage_pmf(A, np.ones(7)).probs
         H = A @ np.linalg.inv(A.T @ A) @ A.T
         assert np.abs(lev_qr - np.diag(H)).max() <= 1e-8

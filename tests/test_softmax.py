@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from softlev.bounds import lemma_h2_bound, lemma_tv_bound
-from softlev.distributions import hellinger_sq, tv
+from softlev.distributions import draw, hellinger_sq, tv
 from softlev.errors import ConstraintViolation, ShapeMismatch
 from softlev.numerics import two_to_infty_norm
 from softlev.rng import derive_seed, generator
-from softlev.softmax import EnergyConstraint, SoftmaxQuery, softmax_pmf, softmax_pmfs, softmax_sample
+from softlev.softmax import EnergyConstraint, softmax_pmf, softmax_pmfs
 
 
 def test_energy_constraint_accepts_boundary_and_rejects_beyond():
@@ -34,16 +34,6 @@ def test_energy_constraint_rejects_a_limit_whose_square_overflows():
         EnergyConstraint(1e200)
     c = EnergyConstraint(1e150)
     assert np.array_equal(c.check([1e150, 0.0]), [1e150, 0.0])
-
-
-def test_softmax_query_wrapper_is_frozen_and_checked():
-    q = SoftmaxQuery(np.array([0.6, 0.8]), EnergyConstraint(1.0))
-    assert not q.x.flags.writeable
-    with pytest.raises(ConstraintViolation):
-        SoftmaxQuery(np.array([2.0, 0.0]), EnergyConstraint(1.0))
-    # softmax_pmf accepts either the wrapper or a raw vector
-    A = np.zeros((3, 2))
-    assert np.array_equal(softmax_pmf(A, q).probs, softmax_pmf(A, q.x).probs)
 
 
 def test_zero_parameters_give_uniform():
@@ -74,7 +64,7 @@ def test_overwhelming_logit_is_shift_stable():
     A = np.array([[100.0], [0.0]])
     P = softmax_pmf(A, [1.0])
     assert P.probs[0] > 1.0 - 1e-12
-    assert softmax_sample(A, [1.0], 5, 100).tolist() == [0] * 100
+    assert draw(P, 5, 100).tolist() == [0] * 100
     # magnitudes that overflow exp() raw still come out finite
     P = softmax_pmf(np.array([[800.0], [-800.0]]), [1.0])
     assert np.isfinite(P.probs).all() and P.probs.sum() == 1.0
@@ -111,8 +101,8 @@ def test_shift_invariance():
 
 def test_sampling_is_deterministic_and_calibrated():
     A = np.zeros((3, 1))
-    out = softmax_sample(A, [0.5], 123, 30_000)
-    assert np.array_equal(out, softmax_sample(A, [0.5], 123, 30_000))
+    out = draw(softmax_pmf(A, [0.5]), 123, 30_000)
+    assert np.array_equal(out, draw(softmax_pmf(A, [0.5]), 123, 30_000))
     for i in range(3):
         assert abs((out == i).mean() - 1.0 / 3.0) < 0.01
 
