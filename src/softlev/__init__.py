@@ -36,7 +36,6 @@ from .errors import (
     ConstraintViolation,
     DegenerateModel,
     DomainError,
-    IndexOutOfRange,
     IndistinguishableError,
     InputFormatError,
     RankDeficient,
@@ -58,11 +57,8 @@ from .harness import (
 from .hypotest import (
     ModelOracle,
     SampleComplexity,
-    TestReport,
     estimate_sample_complexity,
     estimate_success,
-    lrt_decide,
-    run_test,
 )
 from .leverage import (
     BoxConstraint,
@@ -97,7 +93,6 @@ __all__ = [
     "EnergyConstraint",
     "ExperimentSpec",
     "INDISTINGUISHABLE",
-    "IndexOutOfRange",
     "IndistinguishableError",
     "InputFormatError",
     "ModelOracle",
@@ -108,7 +103,6 @@ __all__ = [
     "SampleComplexity",
     "ShapeMismatch",
     "SweepRow",
-    "TestReport",
     "ZeroLeverage",
     "derive_seed",
     "draw",
@@ -127,7 +121,6 @@ __all__ = [
     "leverage_w",
     "load_model_spec",
     "low_mass_row_instance",
-    "lrt_decide",
     "max_hellinger_leverage",
     "max_hellinger_softmax",
     "max_variance_leverage",
@@ -140,7 +133,6 @@ __all__ = [
     "run_invariance_suite",
     "run_sweep",
     "run_taylor_check",
-    "run_test",
     "softmax_lb_quantity",
     "softmax_pmf",
     "tv",

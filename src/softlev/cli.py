@@ -122,6 +122,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    if args.require is not None and not 0.0 <= args.require <= 1.0:
+        print(f"error: --require must be a success rate in [0, 1], got {args.require!r}", file=sys.stderr)
+        return 2
     model = load_model_spec(_resolve_spec_path(args.spec))
     seed = args.seed if args.seed is not None else model.seed
     success = estimate_success(model, args.m, args.trials, seed, query=args.query)
@@ -144,7 +147,7 @@ def _cmd_sweep(args) -> int:
     )
     result = run_sweep(spec)
     print(f"wrote {args.out}")
-    print(f"rows={result.rows_used}")
+    print(f"rows={len(result.rows)}")
     print(f"slope={fmt17(result.slope)}")
     print(f"nu={fmt17(result.nu)}")
     return 0

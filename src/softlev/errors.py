@@ -25,10 +25,6 @@ class ConstraintViolation(ValueError):
     """A query violates its energy or box constraint."""
 
 
-class IndexOutOfRange(IndexError):
-    """A sample index lies outside the distribution's support."""
-
-
 class IndistinguishableError(ValueError):
     """The two hypotheses coincide at the chosen query; no test separates them."""
 

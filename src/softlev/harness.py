@@ -227,7 +227,6 @@ class SweepResult:
     rows: tuple
     slope: float
     intercept: float
-    rows_used: int
     nu: float
 
 
@@ -360,7 +359,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
         _write_sweep_csv(spec.out_path, rows, slope, intercept)
     if first_error is not None:
         raise first_error
-    return SweepResult(tuple(rows), slope, intercept, len(rows), nu)
+    return SweepResult(tuple(rows), slope, intercept, nu)
 
 
 # ---------------------------------------------------------------------------

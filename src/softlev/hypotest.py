@@ -3,15 +3,18 @@
 A ``ModelSpec`` names two candidate parameter matrices for one model
 family; a ``ModelOracle`` hides which of the two answers queries.  The tester
 picks one query (by default the Hellinger-optimal one), draws m samples, and
-decides by log-likelihood ratio.  ``estimate_success`` Monte-Carlos the
-worst-case success probability at one m from multinomial counts.
-``estimate_sample_complexity`` draws one common block of sample sequences
-per truth, the ones ``ModelOracle.sample`` would draw, and reads the
-worst-case success at every m off their running log-likelihood ratios;
-m* is where that curve crosses the target for the last time.  The block
-starts three times as long as the central-limit prediction of m* (at most
-as long as the Bhattacharyya bound) and doubles while the curve is still
-below the target at its end.
+decides by log-likelihood ratio, ties going to model 0.  Two estimators run
+that test:
+
+* ``estimate_success`` Monte-Carlos the worst-case success probability at
+  one m from multinomial counts, O(n) per trial whatever m is.
+* ``estimate_sample_complexity`` draws one common block of sample sequences
+  per truth, the ones ``ModelOracle.sample`` would draw, and reads the
+  worst-case success at every m off their running log-likelihood ratios;
+  m* is where that curve crosses the target for the last time.  The block
+  starts three times as long as the central-limit prediction of m* (at most
+  as long as the Bhattacharyya bound) and doubles while the curve is still
+  below the target at its end.
 """
 
 import math
@@ -20,14 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, draw, hellinger_sq, mean_under, variance_under
-from .errors import (
-    BudgetExceeded,
-    IndexOutOfRange,
-    IndistinguishableError,
-    ShapeMismatch,
-)
+from .errors import BudgetExceeded, IndistinguishableError, ShapeMismatch
 from .model import ModelSpec
-from .rng import Stream, derive_seed, derive_seeds, generator, generators
+from .rng import Stream, derive_seed, derive_seeds, generators
 
 _LOG_FLOOR = 1e-300  # probabilities are clamped here before log
 _H_FLOOR = 1e-8  # Hellinger distance below this counts as indistinguishable
@@ -39,7 +37,8 @@ class ModelOracle:
     """Black box answering queries from one of the two models in a spec.
 
     The hidden index is stored name-mangled and nothing in the decision path
-    reads it; tests rely on that separation.
+    reads it; tests rely on that separation.  Call c of ``sample`` draws
+    with the seed ``derive_seed(seed, "call", c)``.
     """
 
     def __init__(self, spec: ModelSpec, hidden_truth: int, seed: int):
@@ -51,34 +50,15 @@ class ModelOracle:
         self.__truth = int(hidden_truth)
         self.__calls = 0
 
-    def _hidden_pmf(self, query) -> DiscreteDistribution:
-        return self.spec.pmf(self.__truth, query)
-
-    def _next_seed(self) -> int:
-        s = derive_seed(self.seed, "call", self.__calls)
-        self.__calls += 1
-        return s
-
     def sample(self, query, count: int) -> np.ndarray:
         """``count`` outcome indices from the hidden model's law at ``query``."""
         self.spec.constraint.check(query)
-        pmf = self._hidden_pmf(query)
-        out = draw(pmf, self._next_seed(), count)
+        pmf = self.spec.pmf(self.__truth, query)
+        seed = derive_seed(self.seed, "call", self.__calls)
+        self.__calls += 1
+        out = draw(pmf, seed, count)
         self.queries_used += count
         return out
-
-    def sample_counts(self, query, count: int) -> np.ndarray:
-        """Aggregated outcome counts of ``count`` draws (multinomial).
-
-        Statistically equivalent to binning :meth:`sample`, and O(n) instead
-        of O(count) -- the samples are exchangeable and only their counts
-        enter a likelihood ratio.
-        """
-        self.spec.constraint.check(query)
-        pmf = self._hidden_pmf(query)
-        counts = generator(self._next_seed()).multinomial(count, pmf.probs)
-        self.queries_used += count
-        return counts
 
 
 def log_likelihood_ratio(P0: DiscreteDistribution, P1: DiscreteDistribution) -> np.ndarray:
@@ -92,86 +72,45 @@ def log_likelihood_ratio(P0: DiscreteDistribution, P1: DiscreteDistribution) -> 
     return np.log(np.maximum(P0.probs, _LOG_FLOOR)) - np.log(np.maximum(P1.probs, _LOG_FLOOR))
 
 
-def lrt_decide(samples, P0: DiscreteDistribution, P1: DiscreteDistribution):
-    """Likelihood-ratio decision on a sample sequence: (decision, llr).
-
-    decision is 0 exactly when the summed log-likelihood ratio is >= 0
-    (ties go to 0).
-    """
-    samples = np.asarray(samples, dtype=np.int64)
-    if samples.ndim != 1:
-        raise ShapeMismatch("samples must be a 1-D index array")
-    ratio = log_likelihood_ratio(P0, P1)
-    if samples.size:
-        lo, hi = int(samples.min()), int(samples.max())
-        if lo < 0 or hi >= P0.n:
-            raise IndexOutOfRange(f"sample index out of range [0, {P0.n}): saw {lo if lo < 0 else hi}")
-    llr = float(ratio[samples].sum())
-    return (0 if llr >= 0.0 else 1), llr
-
-
-@dataclass(frozen=True)
-class TestReport:
-    decision: int
-    llr: float
-    m: int
-    query: np.ndarray
-    seed: int
-
-
-def _resolve_query(spec: ModelSpec, query):
-    if query is not None:
-        return query
-    res = spec.max_hellinger()
-    if res.value <= _H_FLOOR:
-        raise IndistinguishableError(
-            f"models coincide at the optimal query (H = {res.value:.3e}); no test can separate them"
-        )
-    return res.argmax
-
-
-def run_test(oracle: ModelOracle, m: int, query=None) -> TestReport:
-    """One likelihood-ratio test with m samples against a live oracle.
-
-    With ``query=None`` the Hellinger-optimal query is computed from the
-    oracle's public spec (never from its hidden truth).
-    """
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    query = _resolve_query(oracle.spec, query)
-    p0 = oracle.spec.pmf(0, query)
-    p1 = oracle.spec.pmf(1, query)
-    ratio = log_likelihood_ratio(p0, p1)
-    counts = oracle.sample_counts(query, m)
-    llr = float(counts @ ratio)
-    return TestReport(decision=0 if llr >= 0.0 else 1, llr=llr, m=m, query=np.asarray(query), seed=oracle.seed)
+def _pmfs_and_ratio(spec: ModelSpec, query):
+    """The two models' pmfs at the query and their per-outcome
+    log-likelihood ratio.  With ``query=None`` the query is the
+    Hellinger-optimal one, and models that coincide there raise
+    ``IndistinguishableError``; a given query must satisfy the constraint."""
+    if query is None:
+        res = spec.max_hellinger()
+        if res.value <= _H_FLOOR:
+            raise IndistinguishableError(
+                f"models coincide at the optimal query (H = {res.value:.3e}); no test can separate them"
+            )
+        query = res.argmax
+    spec.constraint.check(query)
+    pmfs = (spec.pmf(0, query), spec.pmf(1, query))
+    return pmfs, log_likelihood_ratio(*pmfs)
 
 
 def estimate_success(spec: ModelSpec, m: int, trials: int, seed: int, query=None) -> float:
-    """Worst-case (over the two truths) empirical success rate of the test.
+    """Worst-case (over the two truths) empirical success rate of the
+    likelihood-ratio test with m samples at one query.
 
     Runs ``trials`` independent tests per truth with subseeds derived as
-    (seed, truth, trial); equivalent to building a fresh ``ModelOracle`` per
-    trial and calling :func:`run_test`, but with the per-trial pmf work
-    hoisted out of the loop and one re-keyed stream for all trials.
+    (seed, truth, trial), each keyed as the first ``ModelOracle.sample``
+    call of that trial's oracle.  A test sees the multinomial counts of its
+    m samples, O(n) per trial instead of O(m), and decides 0 exactly when
+    the summed log-likelihood ratio is >= 0 (ties go to 0).
     """
     if m < 1 or trials < 1:
         raise ValueError("m and trials must be at least 1")
-    query = _resolve_query(spec, query)
-    spec.constraint.check(query)
-    p0 = spec.pmf(0, query)
-    p1 = spec.pmf(1, query)
-    ratio = log_likelihood_ratio(p0, p1)
-    pmfs = (p0.probs, p1.probs)
+    pmfs, ratio = _pmfs_and_ratio(spec, query)
     worst = 1.0
     for truth in (0, 1):
-        correct = 0
-        # mirrors ModelOracle._next_seed for call index 0, per trial
+        correct, probs = 0, pmfs[truth].probs
+        # mirrors ModelOracle.sample's first call, per trial
         seeds = derive_seeds(seed, truth, indices=range(trials), tail=("call", 0))
         for g in generators(seeds):
-            counts = g.multinomial(m, pmfs[truth])
+            counts = g.multinomial(m, probs)
             # one dot per trial: a tie at llr = 0 decides it, so keep the
-            # exact arithmetic of run_test
+            # arithmetic exact
             llr = float(counts @ ratio)
             decision = 0 if llr >= 0.0 else 1
             correct += decision == truth
@@ -214,7 +153,7 @@ def _success_curve(pmfs, ratio, trials: int, seed: int, horizon: int) -> np.ndar
     for truth in (0, 1):
         cdf = np.cumsum(pmfs[truth].probs)
         counts = np.zeros(horizon, dtype=np.int64)
-        # mirrors ModelOracle._next_seed for call index 0, per trial
+        # mirrors ModelOracle.sample's first call, per trial
         seeds = list(derive_seeds(seed, truth, indices=range(trials), tail=("call", 0)))
         keyed = Stream().keyed
         for start in range(0, trials, rows):
@@ -225,7 +164,7 @@ def _success_curve(pmfs, ratio, trials: int, seed: int, horizon: int) -> np.ndar
             idx = np.searchsorted(cdf, u, side="right")
             np.minimum(idx, cdf.size - 1, out=idx)
             llr = np.cumsum(ratio[idx], axis=1)
-            # a tie at llr = 0 decides for truth 0, as in run_test
+            # a tie at llr = 0 decides for truth 0, as in estimate_success
             counts += np.count_nonzero(llr >= 0.0 if truth == 0 else llr < 0.0, axis=0)
         correct.append(counts)
     return np.minimum(*correct) / trials
@@ -292,15 +231,12 @@ def estimate_sample_complexity(
         raise ValueError(f"target must be in (0.5, 1), got {target!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    query = _resolve_query(spec, query)
-    spec.constraint.check(query)
-    pmfs = (spec.pmf(0, query), spec.pmf(1, query))
+    pmfs, ratio = _pmfs_and_ratio(spec, query)
     h2 = hellinger_sq(*pmfs)
     if math.sqrt(max(h2, 0.0)) <= _H_FLOOR:
         raise IndistinguishableError(
             f"models coincide at the chosen query (H^2 = {h2:.3e}); no sample size suffices"
         )
-    ratio = log_likelihood_ratio(*pmfs)
     rate = -math.log1p(-h2) if h2 < 1.0 else math.inf
     bhattacharyya = math.log(3.0) / rate
     start = min(3.0 * _clt_m_star(pmfs, ratio, target), bhattacharyya)

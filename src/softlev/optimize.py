@@ -46,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from . import _kernels
-from .errors import RankDeficient, ShapeMismatch, ZeroLeverage
+from .errors import DomainError, RankDeficient, ShapeMismatch, ZeroLeverage
 from .leverage import require_tall
 from .numerics import as_matrix
 from .rng import derive_seeds, generators
@@ -87,9 +87,11 @@ class OptResult:
     converged: bool
 
 
+_STATUS_NON_FINITE = 3  # a ball objective value is not finite (see _Ball.objective)
 _STATUS_ERRORS = {
     _kernels.STATUS_RANK_DEFICIENT: (RankDeficient, "scaled matrix became numerically rank-deficient"),
     _kernels.STATUS_ZERO_LEVERAGE: (ZeroLeverage, "a leverage score vanished inside the box"),
+    _STATUS_NON_FINITE: (DomainError, "the objective is not finite in the energy ball; the matrix entries are too big"),
 }
 
 
@@ -255,8 +257,15 @@ class _Ball:
 
     @staticmethod
     def objective(kernel, A, X):
-        """The stacked softmax objective, with an OK status for every row."""
-        return lambda P: (kernel(A, X, P), np.zeros(len(P), dtype=np.int64))
+        """The stacked softmax objective, with an OK status for every row
+        whose value is finite; a value that overflowed fails the row."""
+
+        def F(P):
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = kernel(A, X, P)
+            return values, np.where(np.isfinite(values), _kernels.STATUS_OK, _STATUS_NON_FINITE)
+
+        return F
 
     def project(self, X):
         """Each row of X, scaled back onto the ball if it lies outside."""
@@ -270,10 +279,23 @@ class _Ball:
         grow toward the boundary, and the largest row dominates).  Rest:
         uniform in the ball, seeded per restart index."""
         limit, d = self.limit, self.gap.shape[1]
-        row_norms = (self.gap * self.gap).sum(axis=1)
-        top = self.gap[int(row_norms.argmax())]
-        if row_norms.max() > 0:
-            yield top * (limit / math.sqrt(row_norms.max()))
+        with np.errstate(over="ignore"):
+            row_norms = (self.gap * self.gap).sum(axis=1)
+        top, top_sq = self.gap[int(row_norms.argmax())], row_norms.max()
+        big = ~np.isfinite(row_norms)
+        if big.any():
+            # A squared entry overflowed, so the largest rows are among
+            # these: rank them by their norms from the rows scaled by their
+            # largest |entry|, as _kernels._checked_qr does, and aim along
+            # the scaled top row, which points the same way.
+            scale = np.abs(self.gap[big]).max(axis=1, keepdims=True)
+            with np.errstate(over="ignore", invalid="ignore"):  # an inf gap entry
+                rows = self.gap[big] / scale
+                sq = (rows * rows).sum(axis=1)
+                i = int((scale[:, 0] * np.sqrt(sq)).argmax())
+            top, top_sq = rows[i], sq[i]
+        if top_sq > 0:
+            yield top * (limit / math.sqrt(top_sq))
         else:
             e0 = np.zeros(d)
             e0[0] = limit

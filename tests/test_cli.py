@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from softlev import cli
-from softlev.harness import gaussian_instance
+from softlev.harness import fmt17, gaussian_instance
 
 
 def run_cli(*args):
@@ -232,6 +232,20 @@ def test_optimize_rejects_an_energy_limit_whose_square_overflows(tmp_path):
     assert value > 0.0 and math.hypot(x0, x1) > 1e149
 
 
+def test_optimize_fails_where_the_ball_objective_overflows(tmp_path):
+    # the first start lies along M's top row, whose squared norm overflows;
+    # the squared deviations of M x overflow there, so the variance is nan
+    doc = {
+        "family": "softmax",
+        "A": [[1.7e308, 0.0], [0.0, 1.0]],
+        "M": [[1e308, 0.0], [0.0, 1.0]],
+        "constraint": {"E": 1.0},
+    }
+    res = run_cli("optimize", _spec_file(tmp_path, doc), "--objective", "variance")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: the objective is not finite in the energy ball; the matrix entries are too big\n"
+
+
 def test_repeat_invocations_are_byte_identical():
     args = ("optimize", "demo-leverage", "--restarts", "4", "--seed", "1")
     assert run_cli(*args).stdout == run_cli(*args).stdout
@@ -262,10 +276,35 @@ def test_lrt_success_and_require_gate(tmp_path):
     success = float(res.stdout.split("=")[1])
     assert success >= 0.9
     assert run_cli(*base).stdout == res.stdout  # seeded, hence repeatable
-    above = run_cli(*base, "--require", str(success + 0.01))
-    assert above.returncode == 1
     below = run_cli(*base, "--require", str(success - 0.01))
     assert below.returncode == 0
+    assert run_cli(*base, "--require", str(success)).returncode == 0  # the gate is success < require
+    # --m 10 leaves room for a --require above its success
+    few = ("test", spec, "--m", "10", "--trials", "50", "--seed", "5")
+    low = float(run_cli(*few).stdout.split("=")[1])
+    assert low <= 0.99
+    above = run_cli(*few, "--require", str(low + 0.01))
+    assert above.returncode == 1
+
+
+@pytest.mark.parametrize("require", ["nan", "1.5", "-1", "inf"])
+def test_test_rejects_a_require_outside_the_unit_interval(capsys, require):
+    assert cli.main(["test", "demo-softmax", "--m", "20", "--require", require]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --require ") and require.lstrip("-") in err
+
+
+def test_test_prints_the_reference_success_on_both_demos(capsys):
+    from test_hypotest import _demo, _ref_estimate_success
+
+    for family in ("softmax", "leverage"):
+        model = _demo(family)
+        for m in (1, 20, 200):
+            for seed in (0, 1):
+                assert cli.main(["test", f"demo-{family}", "--m", str(m), "--seed", str(seed)]) == 0
+                want = _ref_estimate_success(model, m, 400, seed)
+                assert capsys.readouterr().out == f"success={fmt17(want)}\n", (family, m, seed)
 
 
 def test_lrt_identical_pair_exits_1(tmp_path):

@@ -290,7 +290,7 @@ def _small_sweep_spec(tmp_path=None, threads=1, out=None):
 def test_run_sweep_rows_replay_individually():
     spec = _small_sweep_spec()
     res = run_sweep(spec)
-    assert res.rows_used == 2 and len(res.rows) == 2
+    assert len(res.rows) == 2
     replay = sweep_point(spec, 1, res.nu)
     original = res.rows[1]
     assert replay.eps == original.eps
@@ -358,7 +358,7 @@ def test_run_sweep_single_point_grid_has_nan_fit():
     spec = ExperimentSpec(model=model, eps_grid=(0.3,), trials=60, seed=9)
     res = run_sweep(spec)
     assert math.isnan(res.slope) and math.isnan(res.intercept)
-    assert res.rows_used == 1
+    assert len(res.rows) == 1
 
 
 def test_run_sweep_flushes_completed_rows_before_reraising(tmp_path, monkeypatch):

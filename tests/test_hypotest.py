@@ -11,22 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softlev import hypotest
-from softlev.distributions import DiscreteDistribution, hellinger_sq, mean_under, variance_under
-from softlev.errors import (
-    BudgetExceeded,
-    ConstraintViolation,
-    IndexOutOfRange,
-    IndistinguishableError,
-    ShapeMismatch,
-)
-from softlev.hypotest import (
-    ModelOracle,
-    estimate_sample_complexity,
-    estimate_success,
-    log_likelihood_ratio,
-    lrt_decide,
-    run_test,
-)
+from softlev.distributions import DiscreteDistribution, draw, hellinger_sq, mean_under, variance_under
+from softlev.errors import BudgetExceeded, ConstraintViolation, IndistinguishableError, ShapeMismatch
+from softlev.hypotest import ModelOracle, estimate_sample_complexity, estimate_success, log_likelihood_ratio
 from softlev.leverage import BoxConstraint, leverage_pmf
 from softlev.harness import ExperimentSpec, load_model_spec
 from softlev.model import ModelSpec, get_family
@@ -142,8 +129,10 @@ def test_oracle_truth_validation_and_accounting():
     q = np.array([1.0])
     oracle.sample(q, 5)
     oracle.sample(q, 5)
-    oracle.sample_counts(q, 7)
+    third = oracle.sample(q, 7)
     assert oracle.queries_used == 17
+    # call c draws with the seed derive_seed(seed, "call", c)
+    assert np.array_equal(third, draw(spec.pmf(0, q), derive_seed(5, "call", 2), 7))
 
 
 def test_oracle_samples_depend_only_on_spec_truth_seed():
@@ -162,12 +151,6 @@ def test_oracle_enforces_the_constraint():
         oracle.sample(np.array([2.0]), 1)
 
 
-def test_sample_counts_total():
-    oracle = ModelOracle(_wide_pair(), 0, seed=3)
-    counts = oracle.sample_counts(np.array([1.0]), 1000)
-    assert counts.sum() == 1000 and counts.shape == (2,)
-
-
 # ---------------------------------------------------------------------------
 # likelihood ratios
 # ---------------------------------------------------------------------------
@@ -184,77 +167,41 @@ def test_llr_support_mismatch():
         log_likelihood_ratio(_dist(1.0), _dist(0.5, 0.5))
 
 
-def test_lrt_tie_goes_to_zero():
-    P = _dist(0.5, 0.5)
-    decision, llr = lrt_decide([0, 1, 0], P, P)
-    assert decision == 0 and llr == 0.0
-
-
 def test_lrt_hand_computed_value():
-    P0 = _dist(0.9, 0.1)
-    P1 = _dist(0.1, 0.9)
-    decision, llr = lrt_decide([0, 0, 0], P0, P1)
-    assert decision == 0
-    assert llr == pytest.approx(3 * math.log(9.0), rel=1e-12)
-    decision, llr = lrt_decide([1], P0, P1)
-    assert decision == 1 and llr == pytest.approx(-math.log(9.0), rel=1e-12)
-    # one of each cancels exactly; the tie rule sends it to 0
-    decision, llr = lrt_decide([0, 1], P0, P1)
-    assert decision == 0 and abs(llr) < 1e-12
+    # the test's statistic is the ratio summed over the draws: three draws
+    # of outcome 0 give 3 ln 9, one of outcome 1 gives -ln 9, and one of
+    # each cancels exactly
+    ratio = log_likelihood_ratio(_dist(0.9, 0.1), _dist(0.1, 0.9))
+    assert ratio[[0, 0, 0]].sum() == pytest.approx(3 * math.log(9.0), rel=1e-12)
+    assert ratio[1] == pytest.approx(-math.log(9.0), rel=1e-12)
+    assert ratio[[0, 1]].sum() == 0.0
 
 
-def test_lrt_rejects_bad_samples():
-    P = _dist(0.5, 0.5)
-    with pytest.raises(IndexOutOfRange):
-        lrt_decide([2], P, P)
-    with pytest.raises(IndexOutOfRange):
-        lrt_decide([-1], P, P)
-    with pytest.raises(ShapeMismatch):
-        lrt_decide([[0, 1]], P, P)
-
-
-def test_lrt_empty_sample_is_a_tie():
-    decision, llr = lrt_decide(np.array([], dtype=np.int64), _dist(0.9, 0.1), _dist(0.1, 0.9))
-    assert decision == 0 and llr == 0.0
-
-
-# ---------------------------------------------------------------------------
-# end-to-end tests
-# ---------------------------------------------------------------------------
-
-
-def test_run_test_validates_m():
-    oracle = ModelOracle(_wide_pair(), 0, seed=0)
-    with pytest.raises(ValueError):
-        run_test(oracle, 0)
-
-
-def test_run_test_decides_correctly_at_large_m():
-    spec = _wide_pair()
-    for truth in (0, 1):
-        rep = run_test(ModelOracle(spec, truth, seed=21), 200)
-        assert rep.decision == truth
-        assert rep.m == 200 and rep.seed == 21
+def test_lrt_tie_goes_to_zero():
+    # identical models give a zero ratio, so every test ties at llr = 0 and
+    # decides for truth 0: truth 1 is never detected, at any m
+    A = np.array([[1.0], [0.0]])
+    spec = ModelSpec("softmax", A, A.copy(), None, BALL)
+    query = np.array([0.5])
+    assert estimate_success(spec, 1, 50, 0, query=query) == 0.0
+    pmfs = (spec.pmf(0, query), spec.pmf(1, query))
+    ratio = log_likelihood_ratio(*pmfs)
+    assert not ratio.any()
+    assert not hypotest._success_curve(pmfs, ratio, 50, 0, 40).any()
 
 
 def test_run_test_identical_models_explicit_query():
+    # a test run at a given query on identical models: the oracle's m draws
+    # sum to llr = 0 exactly, the tie decides 0, and so truth 1 is missed
     A = np.array([[1.0], [0.0]])
     spec = ModelSpec("softmax", A, A.copy(), None, BALL)
-    rep = run_test(ModelOracle(spec, 0, seed=0), 10, query=np.array([0.5]))
-    assert rep.decision == 0 and rep.llr == 0.0
-
-
-def test_run_test_identical_models_auto_query_refuses():
-    A = np.array([[1.0], [0.0]])
-    spec = ModelSpec("softmax", A, A.copy(), None, BALL)
-    with pytest.raises(IndistinguishableError):
-        run_test(ModelOracle(spec, 0, seed=0), 10)
-
-
-def test_run_test_consumes_exactly_m_queries():
-    oracle = ModelOracle(_wide_pair(), 0, seed=4)
-    run_test(oracle, 37)
-    assert oracle.queries_used == 37
+    query = np.array([0.5])
+    ratio = log_likelihood_ratio(spec.pmf(0, query), spec.pmf(1, query))
+    for truth in (0, 1):
+        oracle = ModelOracle(spec, truth, seed=0)
+        assert ratio[oracle.sample(query, 10)].sum() == 0.0
+        assert oracle.queries_used == 10
+    assert estimate_success(spec, 10, 50, 0, query=query) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +217,13 @@ def test_estimate_success_validation():
         estimate_success(spec, 1, 0, 0)
 
 
+def test_estimate_success_identical_models_auto_query_refuses():
+    A = np.array([[1.0], [0.0]])
+    spec = ModelSpec("softmax", A, A.copy(), None, BALL)
+    with pytest.raises(IndistinguishableError):
+        estimate_success(spec, 10, 20, 0)
+
+
 def test_estimate_success_at_large_m_is_near_one():
     assert estimate_success(_wide_pair(), 200, 300, 11) >= 0.99
 
@@ -283,38 +237,18 @@ def test_estimate_success_single_query_hovers_at_half():
     assert rate == estimate_success(_wide_pair(), 1, 400, 11)  # deterministic
 
 
-def test_estimate_success_mirrors_per_trial_oracles():
-    spec = _wide_pair()
-    q = np.array([0.8])
-    trials, m, seed = 50, 3, 17
-    worst = 1.0
-    for truth in (0, 1):
-        correct = 0
-        for trial in range(trials):
-            oracle = ModelOracle(spec, truth, seed=derive_seed(seed, truth, trial))
-            rep = run_test(oracle, m, query=q)
-            correct += rep.decision == truth
-        worst = min(worst, correct / trials)
-    assert estimate_success(spec, m, trials, seed, query=q) == worst
-
-
 def _ref_estimate_success(spec, m, trials, seed, query=None):
     """The per-trial loop estimate_success replaced: a new derive_seed pair
     and a new generator for every trial."""
     if m < 1 or trials < 1:
         raise ValueError("m and trials must be at least 1")
-    query = hypotest._resolve_query(spec, query)
-    spec.constraint.check(query)
-    p0 = spec.pmf(0, query)
-    p1 = spec.pmf(1, query)
-    ratio = log_likelihood_ratio(p0, p1)
-    pmfs = (p0.probs, p1.probs)
+    pmfs, ratio = hypotest._pmfs_and_ratio(spec, query)
     worst = 1.0
     for truth in (0, 1):
         correct = 0
         for trial in range(trials):
             call_seed = derive_seed(derive_seed(seed, truth, trial), "call", 0)
-            counts = generator(call_seed).multinomial(m, pmfs[truth])
+            counts = generator(call_seed).multinomial(m, pmfs[truth].probs)
             llr = float(counts @ ratio)
             decision = 0 if llr >= 0.0 else 1
             correct += decision == truth

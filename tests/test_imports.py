@@ -1,5 +1,6 @@
 """Import hygiene of the package: no module imports a name it does not use,
-and the public ``__all__`` lists each name once, every one of them real.
+the public ``__all__`` lists each name once, every one of them real, and
+every exception class in ``errors`` is named by another module.
 
 Parses each ``src/softlev/*.py`` with ``ast``; the whole file costs well
 under 0.1 s.
@@ -47,3 +48,21 @@ def test_public_names_are_listed_once_and_resolve():
     names = softlev.__all__
     assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
     assert [n for n in names if not hasattr(softlev, n)] == []
+
+
+def test_every_exception_class_is_raised_or_caught_somewhere():
+    # A class in errors.py that no other module names is dead weight (or a
+    # caller forgot it); the package's __init__ only re-exports.
+    from softlev import errors
+
+    classes = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == errors.__name__
+    }
+    named = set()
+    for path in _MODULES:
+        if path.name not in ("errors.py", "__init__.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(classes - named) == []
