@@ -114,8 +114,9 @@ def _cmd_optimize(args) -> int:
         max_iters=args.max_iters,
         seed=args.seed if args.seed is not None else model.seed,
     )
-    res = model.max_hellinger(cfg) if args.objective == "hellinger" else model.max_variance(cfg)
-    cells = [fmt17(res.value), str(res.iterations_used), str(res.restarts_used), str(int(res.converged))]
+    with model.locating():
+        res = model.max_hellinger(cfg) if args.objective == "hellinger" else model.max_variance(cfg)
+    cells = [fmt17(res.value), str(res.iterations_used), str(cfg.restarts), str(int(res.converged))]
     cells += [fmt17(v) for v in res.argmax]
     print(",".join(cells))
     return 0
@@ -127,7 +128,8 @@ def _cmd_test(args) -> int:
         return 2
     model = load_model_spec(_resolve_spec_path(args.spec))
     seed = args.seed if args.seed is not None else model.seed
-    success = estimate_success(model, args.m, args.trials, seed, query=args.query)
+    with model.locating():  # the ascent to the Hellinger-optimal query, when --query is absent
+        success = estimate_success(model, args.m, args.trials, seed, query=args.query)
     print(f"success={fmt17(success)}")
     if args.require is not None and success < args.require:
         return 1

@@ -36,18 +36,15 @@ import numpy as np
 
 from . import _kernels
 from .bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
-from .distributions import hellinger_sq, normalize_probs, variance_under
+from .distributions import normalize_probs
 from .errors import InputFormatError
 from .hypotest import estimate_sample_complexity
-from .leverage import BoxConstraint, _w_parts, leverage_pmf, leverage_pmfs
-from .model import ModelSpec, get_family
+from .leverage import BoxConstraint, leverage_pmfs
+from .model import FAMILIES, ModelSpec, TaylorReport, get_family
 from .numerics import as_matrix
 from .optimize import OptimizerConfig
 from .rng import Stream, derive_seed, derive_seeds, generator, generators
-from .softmax import EnergyConstraint, softmax_pmf, softmax_pmfs
-
-TAYLOR_EPS = (1e-2, 1e-3, 1e-4)
-
+from .softmax import EnergyConstraint, softmax_pmfs
 
 # ---------------------------------------------------------------------------
 # model specs and named instance generators
@@ -97,7 +94,8 @@ def load_model_spec(path) -> ModelSpec:
     try:
         law = get_family(family)
     except ValueError:
-        raise InputFormatError(f"{path}: field 'family' must be 'softmax' or 'leverage', got {family!r}") from None
+        names = " or ".join(map(repr, FAMILIES))
+        raise InputFormatError(f"{path}: field 'family' must be {names}, got {family!r}") from None
     A = _parse_matrix(doc, "A", path, required=True)
     B = _parse_matrix(doc, "B", path)
     M = _parse_matrix(doc, "M", path)
@@ -231,17 +229,21 @@ class SweepResult:
 
 
 def _sweep_nu(model: ModelSpec, opt: OptimizerConfig, seed: int) -> float:
-    return model.max_variance(replace(opt, seed=derive_seed(seed, "nu"))).value
+    with model.locating("nu"):
+        return model.max_variance(replace(opt, seed=derive_seed(seed, "nu"))).value
+
+
+def _point_name(spec: ExperimentSpec, index: int) -> str:
+    return f"grid point {index} (eps = {spec.eps_grid[index]!r})"
 
 
 def _point_pair(spec: ExperimentSpec, index: int) -> ModelSpec:
     """The pair (A, A + eps M) of grid point ``index``; ValueError naming the
     spec and the point when an entry of A + eps M overflows."""
     model = spec.model
-    eps = spec.eps_grid[index]
-    where = model._named(f"grid point {index} (eps = {eps!r}): A + eps M")
+    where = model._named(f"{_point_name(spec, index)}: A + eps M")
     with np.errstate(over="ignore"):
-        B = as_matrix(model.A + eps * model.direction(), where)
+        B = as_matrix(model.A + spec.eps_grid[index] * model.direction(), where)
     return ModelSpec(model.family, model.A, B, None, model.constraint)
 
 
@@ -280,13 +282,14 @@ def sweep_point(spec: ExperimentSpec, index: int, nu: float, optimum=None) -> Sw
     or error of its set-up or ascent; with None the point runs its own
     ascent.
     """
-    if isinstance(optimum, Exception):
-        raise optimum
+    with spec.model.locating(_point_name(spec, index)):  # an ascent's error; set-up errors name the point
+        if isinstance(optimum, Exception):
+            raise optimum
+        pair = _point_pair(spec, index)
+        if optimum is None:
+            optimum = pair.max_hellinger(replace(spec.opt, seed=_point_seed(spec, index)))
     eps = spec.eps_grid[index]
     row_seed = derive_seed(spec.seed, "grid", index)
-    pair = _point_pair(spec, index)
-    if optimum is None:
-        optimum = pair.max_hellinger(replace(spec.opt, seed=_point_seed(spec, index)))
     found = estimate_sample_complexity(
         pair, trials=spec.trials, seed=derive_seed(row_seed, "mstar"), query=optimum.argmax
     )
@@ -367,124 +370,6 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaylorRow:
-    eps: float
-    h2: float
-    reference: float  # (1/2) eps^2 Var_P(Mx): the half-normalized yardstick
-    ratio_half: float  # h2 / reference
-    ratio_eighth: float  # h2 / ((1/8) eps^2 Var_P(Mx))
-
-
-@dataclass(frozen=True)
-class TaylorReport:
-    family: str
-    degenerate: bool
-    query: np.ndarray | None
-    rows: tuple = ()
-    # softmax flags
-    band_ok: bool | None = None  # ratio_half at eps = 1e-3 within (1/4) [0.9, 1.1]
-    converging_eighth: bool | None = None  # |ratio_eighth - 1| shrinks from 1e-3 to 1e-4
-    zratio_dev: float | None = None  # |Z ratio - (1 + eps <p, Mx>)| at eps = 1e-4
-    zratio_ok: bool | None = None  # dev within 2 eps^2
-    # leverage figures
-    derivative_max_err: float | None = None
-    derivative_sum: float | None = None
-    derivative_ok: bool | None = None  # max err <= 1e-4 and |sum| <= 1e-10
-    coeff_empirical: float | None = None  # H^2 / eps^2 at the smallest eps
-    coeff_w2: float | None = None  # sum_i W_ii^2 / (2 d^2 p_i)
-    coeff_w_literal: float | None = None  # sum_i W_ii / p_i
-
-    def figures(self):
-        """(name, value) of every computed figure, in field order: the
-        family, the degenerate flag, then the family's flags and figures."""
-        return [
-            (f.name, getattr(self, f.name))
-            for f in fields(self)
-            if f.name not in ("query", "rows") and getattr(self, f.name) is not None
-        ]
-
-    @property
-    def ok(self) -> bool:
-        """Gate only exact-identity checks; measured-constant bands are reported."""
-        return self.derivative_ok is not False
-
-
-def _run_taylor_softmax(model, query):
-    A, M = model.A, model.direction()
-    P = softmax_pmf(A, query)
-    v = M @ query
-    var = variance_under(P, v)
-    if var == 0.0:
-        return TaylorReport(family="softmax", degenerate=True, query=np.asarray(query))
-    rows = []
-    for eps in TAYLOR_EPS:
-        Q = softmax_pmf(A + eps * M, query)
-        h2 = hellinger_sq(P, Q)
-        ref = 0.5 * eps * eps * var
-        rows.append(TaylorRow(eps, h2, ref, h2 / ref, h2 / (0.25 * ref)))
-    by_eps = {r.eps: r for r in rows}
-    band_ok = 0.25 * 0.9 <= by_eps[1e-3].ratio_half <= 0.25 * 1.1
-    conv_eighth = abs(by_eps[1e-4].ratio_eighth - 1.0) < abs(by_eps[1e-3].ratio_eighth - 1.0)
-    eps = 1e-4
-    zratio = float(P.probs @ np.exp(eps * v))  # Z_{A+eps M} / Z_A, exactly
-    zdev = abs(zratio - (1.0 + eps * float(P.probs @ v)))
-    return TaylorReport(
-        family="softmax",
-        degenerate=False,
-        query=np.asarray(query),
-        rows=tuple(rows),
-        band_ok=band_ok,
-        converging_eighth=conv_eighth,
-        zratio_dev=zdev,
-        zratio_ok=zdev <= 2.0 * eps * eps,
-    )
-
-
-def _run_taylor_leverage(model, query):
-    A, M = model.A, model.direction()
-    s = np.asarray(query, dtype=np.float64)
-    lev, wnum, d = _w_parts(A, M, s)
-    deriv = 2.0 * wnum / d  # as leverage_pmf_derivative computes it
-    fd_eps = 1e-6
-    hi = leverage_pmf(A + fd_eps * M, s).probs
-    lo = leverage_pmf(A - fd_eps * M, s).probs
-    fd = (hi - lo) / (2.0 * fd_eps)
-    max_err = float(np.abs(deriv - fd).max())
-    dsum = float(deriv.sum())
-    ok = max_err <= 1e-4 and abs(dsum) <= 1e-10
-    if float((wnum * wnum).sum()) == 0.0:
-        return TaylorReport(
-            family="leverage",
-            degenerate=True,
-            query=s,
-            derivative_max_err=max_err,
-            derivative_sum=dsum,
-            derivative_ok=ok,
-        )
-    P = leverage_pmf(A, s)
-    rows = []
-    for eps in TAYLOR_EPS:
-        h2 = hellinger_sq(P, leverage_pmf(A + eps * M, s))
-        rows.append(TaylorRow(eps, h2, math.nan, math.nan, math.nan))
-    p = lev / d
-    coeff_emp = rows[-1].h2 / rows[-1].eps ** 2
-    coeff_w2 = float((wnum * wnum / (2.0 * d * d * p)).sum())
-    coeff_lit = float((wnum / p).sum())
-    return TaylorReport(
-        family="leverage",
-        degenerate=False,
-        query=s,
-        rows=tuple(rows),
-        derivative_max_err=max_err,
-        derivative_sum=dsum,
-        derivative_ok=ok,
-        coeff_empirical=coeff_emp,
-        coeff_w2=coeff_w2,
-        coeff_w_literal=coeff_lit,
-    )
-
-
 def run_taylor_check(model: ModelSpec, seed: int, query=None) -> TaylorReport:
     """Local expansion checks at a fixed admissible query.
 
@@ -501,13 +386,12 @@ def run_taylor_check(model: ModelSpec, seed: int, query=None) -> TaylorReport:
     the empirical H^2/eps^2 coefficient next to the two closed-form
     candidates, asserting neither.
     """
+    law = get_family(model.family)
     if query is None:
         g = generator(derive_seed(seed, "taylor-query"))
-        query = get_family(model.family).random_query(g, model.A.shape, model.constraint)
+        query = law.random_query(g, model.A.shape, model.constraint)
     model.constraint.check(query)
-    if model.family == "softmax":
-        return _run_taylor_softmax(model, query)
-    return _run_taylor_leverage(model, query)
+    return law.taylor(model, query)
 
 
 def write_taylor_csv(path, report: TaylorReport):

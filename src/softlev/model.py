@@ -1,21 +1,26 @@
 """The model spec and the two model families, softmax and leverage score.
 
 A family object owns all that differs between the two: the constraint class
-and its spec-file form, the default constraint, the pmf, the optimizers and a
-random feasible query.  Its methods look the pmfs and optimizers up through
-this module's globals at call time, so rebinding a global (as a tracer does)
-reaches every call.
+and its spec-file form, the default constraint, the pmf, the optimizers, a
+random feasible query and the local-expansion (Taylor) check, whose report
+types live here too.  Its methods look the pmfs, the distance and the
+optimizers up through this module's globals at call time, so rebinding a
+global (as a tracer does) reaches every call.
 """
 
+import math
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .distributions import hellinger_sq, variance_under
 from .errors import InputFormatError, ShapeMismatch
-from .leverage import BoxConstraint, leverage_pmf, require_tall
+from .leverage import BoxConstraint, _w_parts, leverage_pmf, require_tall
 from .numerics import as_matrix
 from .optimize import (
+    ASCENT_ERRORS,
     max_hellinger_leverage,
     max_hellinger_leverage_each,
     max_hellinger_softmax,
@@ -24,6 +29,51 @@ from .optimize import (
     max_variance_softmax,
 )
 from .softmax import EnergyConstraint, softmax_pmf
+
+TAYLOR_EPS = (1e-2, 1e-3, 1e-4)
+
+
+@dataclass(frozen=True)
+class TaylorRow:
+    eps: float
+    h2: float
+    reference: float  # (1/2) eps^2 Var_P(Mx): the half-normalized yardstick
+    ratio_half: float  # h2 / reference
+    ratio_eighth: float  # h2 / ((1/8) eps^2 Var_P(Mx))
+
+
+@dataclass(frozen=True)
+class TaylorReport:
+    family: str
+    degenerate: bool
+    query: np.ndarray | None
+    rows: tuple = ()
+    # softmax flags
+    band_ok: bool | None = None  # ratio_half at eps = 1e-3 within (1/4) [0.9, 1.1]
+    converging_eighth: bool | None = None  # |ratio_eighth - 1| shrinks from 1e-3 to 1e-4
+    zratio_dev: float | None = None  # |Z ratio - (1 + eps <p, Mx>)| at eps = 1e-4
+    zratio_ok: bool | None = None  # dev within 2 eps^2
+    # leverage figures
+    derivative_max_err: float | None = None
+    derivative_sum: float | None = None
+    derivative_ok: bool | None = None  # max err <= 1e-4 and |sum| <= 1e-10
+    coeff_empirical: float | None = None  # H^2 / eps^2 at the smallest eps
+    coeff_w2: float | None = None  # sum_i W_ii^2 / (2 d^2 p_i)
+    coeff_w_literal: float | None = None  # sum_i W_ii / p_i
+
+    def figures(self):
+        """(name, value) of every computed figure, in field order: the
+        family, the degenerate flag, then the family's flags and figures."""
+        return [
+            (f.name, getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in ("query", "rows") and getattr(self, f.name) is not None
+        ]
+
+    @property
+    def ok(self) -> bool:
+        """Gate only exact-identity checks; measured-constant bands are reported."""
+        return self.derivative_ok is not False
 
 
 def _parse_positive(obj, key, path):
@@ -75,6 +125,34 @@ class _Softmax:
             norm = 1.0
         return x * (constraint.limit / norm)
 
+    def taylor(self, model, query):
+        """``run_taylor_check`` of a softmax model at a checked query."""
+        A, M = model.A, model.direction()
+        P = softmax_pmf(A, query)
+        v = M @ query
+        var = variance_under(P, v)
+        if var == 0.0:
+            return TaylorReport(family="softmax", degenerate=True, query=np.asarray(query))
+        rows = []
+        for eps in TAYLOR_EPS:
+            h2 = hellinger_sq(P, softmax_pmf(A + eps * M, query))
+            ref = 0.5 * eps * eps * var
+            rows.append(TaylorRow(eps, h2, ref, h2 / ref, h2 / (0.25 * ref)))
+        by_eps = {r.eps: r for r in rows}
+        eps = 1e-4
+        zratio = float(P.probs @ np.exp(eps * v))  # Z_{A+eps M} / Z_A, exactly
+        zdev = abs(zratio - (1.0 + eps * float(P.probs @ v)))
+        return TaylorReport(
+            family="softmax",
+            degenerate=False,
+            query=np.asarray(query),
+            rows=tuple(rows),
+            band_ok=0.25 * 0.9 <= by_eps[1e-3].ratio_half <= 0.25 * 1.1,
+            converging_eighth=abs(by_eps[1e-4].ratio_eighth - 1.0) < abs(by_eps[1e-3].ratio_eighth - 1.0),
+            zratio_dev=zdev,
+            zratio_ok=zdev <= 2.0 * eps * eps,
+        )
+
 
 class _Leverage:
     """Scale queries s with c <= s_i^2 <= C; the model answers the leverage
@@ -111,6 +189,34 @@ class _Leverage:
         """Scales whose squares are uniform in [c, C]."""
         lo, hi = constraint.lo, constraint.hi
         return np.sqrt(lo + g.random(shape[0]) * (hi - lo))
+
+    def taylor(self, model, query):
+        """``run_taylor_check`` of a leverage model at a checked query."""
+        A, M = model.A, model.direction()
+        s = np.asarray(query, dtype=np.float64)
+        lev, wnum, d = _w_parts(A, M, s)
+        deriv = 2.0 * wnum / d  # as leverage_pmf_derivative computes it
+        fd_eps = 1e-6
+        fd = (leverage_pmf(A + fd_eps * M, s).probs - leverage_pmf(A - fd_eps * M, s).probs) / (2.0 * fd_eps)
+        max_err, dsum = float(np.abs(deriv - fd).max()), float(deriv.sum())
+        ok = max_err <= 1e-4 and abs(dsum) <= 1e-10
+        report = TaylorReport("leverage", True, s, derivative_max_err=max_err, derivative_sum=dsum, derivative_ok=ok)
+        if float((wnum * wnum).sum()) == 0.0:
+            return report
+        P = leverage_pmf(A, s)
+        rows = tuple(
+            TaylorRow(eps, hellinger_sq(P, leverage_pmf(A + eps * M, s)), math.nan, math.nan, math.nan)
+            for eps in TAYLOR_EPS
+        )
+        p = lev / d
+        return replace(
+            report,
+            degenerate=False,
+            rows=rows,
+            coeff_empirical=rows[-1].h2 / rows[-1].eps ** 2,
+            coeff_w2=float((wnum * wnum / (2.0 * d * d * p)).sum()),
+            coeff_w_literal=float((wnum / p).sum()),
+        )
 
 
 FAMILIES = {"softmax": _Softmax(), "leverage": _Leverage()}
@@ -164,6 +270,15 @@ class ModelSpec:
     def _named(self, message):
         """``message`` prefixed with the spec's source file, if it has one."""
         return f"{self.source}: {message}" if self.source else message
+
+    @contextmanager
+    def locating(self, phase=None):
+        """Re-raise an optimizer error as its own class, its message prefixed
+        by the spec's file and ``phase``, if given: ``SPEC: phase: message``."""
+        try:
+            yield
+        except ASCENT_ERRORS as exc:
+            raise type(exc)(self._named(f"{phase}: {exc}" if phase else str(exc))) from None
 
     def pair(self):
         """(A, B) with B defaulting to A + M; ValueError naming A + M when an

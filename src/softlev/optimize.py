@@ -83,7 +83,6 @@ class OptResult:
     argmax: np.ndarray
     value: float
     iterations_used: int
-    restarts_used: int
     converged: bool
 
 
@@ -93,6 +92,7 @@ _STATUS_ERRORS = {
     _kernels.STATUS_ZERO_LEVERAGE: (ZeroLeverage, "a leverage score vanished inside the box"),
     _STATUS_NON_FINITE: (DomainError, "the objective is not finite in the energy ball; the matrix entries are too big"),
 }
+ASCENT_ERRORS = tuple(err for err, _ in _STATUS_ERRORS.values())  # what a failing ascent raises
 
 
 def _first_error(status):
@@ -251,9 +251,8 @@ class _Ball:
 
     clips = False  # the rescaling onto the ball is not monotone bitwise
 
-    def __init__(self, constraint, A, gap):
+    def __init__(self, constraint, A):
         self.limit = constraint.limit
-        self.gap = gap
 
     @staticmethod
     def objective(kernel, A, X):
@@ -273,24 +272,24 @@ class _Ball:
         outside = norms > self.limit
         return X * np.divide(self.limit, norms, out=np.ones_like(norms), where=outside)[:, None]
 
-    def starts(self, F, cfg):
+    def starts(self, F, cfg, gap):
         """First start: the boundary point aligned with the largest row of
-        the gap/direction matrix (distances between nearby softmax models
-        grow toward the boundary, and the largest row dominates).  Rest:
-        uniform in the ball, seeded per restart index."""
-        limit, d = self.limit, self.gap.shape[1]
+        the gap/direction matrix ``gap`` (distances between nearby softmax
+        models grow toward the boundary, and the largest row dominates).
+        Rest: uniform in the ball, seeded per restart index."""
+        limit, d = self.limit, gap.shape[1]
         with np.errstate(over="ignore"):
-            row_norms = (self.gap * self.gap).sum(axis=1)
-        top, top_sq = self.gap[int(row_norms.argmax())], row_norms.max()
+            row_norms = (gap * gap).sum(axis=1)
+        top, top_sq = gap[int(row_norms.argmax())], row_norms.max()
         big = ~np.isfinite(row_norms)
         if big.any():
             # A squared entry overflowed, so the largest rows are among
             # these: rank them by their norms from the rows scaled by their
             # largest |entry|, as _kernels._checked_qr does, and aim along
             # the scaled top row, which points the same way.
-            scale = np.abs(self.gap[big]).max(axis=1, keepdims=True)
+            scale = np.abs(gap[big]).max(axis=1, keepdims=True)
             with np.errstate(over="ignore", invalid="ignore"):  # an inf gap entry
-                rows = self.gap[big] / scale
+                rows = gap[big] / scale
                 sq = (rows * rows).sum(axis=1)
                 i = int((scale[:, 0] * np.sqrt(sq)).argmax())
             top, top_sq = rows[i], sq[i]
@@ -321,7 +320,7 @@ class _Box:
 
     clips = True  # project is a coordinatewise clip
 
-    def __init__(self, constraint, A, gap):
+    def __init__(self, constraint, A):
         require_tall(A)
         self.lo, self.hi = 1.0 / constraint.hi, 1.0 / constraint.lo
         self.n = A.shape[0]
@@ -334,7 +333,7 @@ class _Box:
     def project(self, U):
         return np.clip(U, self.lo, self.hi)
 
-    def starts(self, F, cfg):
+    def starts(self, F, cfg, gap):
         lo, hi, n = self.lo, self.hi, self.n
         # Corner spot-checks surface rank problems before the ascent loop runs.
         error = _first_error(F(np.array([np.full(n, lo), np.full(n, hi)]))[1])
@@ -378,14 +377,14 @@ def _maximize_each(feasible, constraint, kernel, A, Xs, name, config, seeds, hel
     rows = max(1, _MAX_ELEMENTS // A.size)
     F = _capped(lambda P, problems: feasible.objective(objective, A, own(problems))(P), rows)
     grad = _capped(lambda P, problems: gradient(A, own(problems), P), rows)
+    space = feasible(constraint, A)
     outcomes = [None] * len(Xs)
     starts, owners = [], []
     for i, (X, seed) in enumerate(zip(Xs, seeds)):
-        # The feasible set is the same for every problem; only the ball's
-        # first start depends on X.
-        space = feasible(constraint, A, A - X if hellinger else X)
+        with np.errstate(over="ignore"):  # only the ball's first start reads the gap, which may be inf
+            gap = A - X if hellinger else X
         try:
-            mine = list(space.starts(lambda P, i=i: F(P, np.full(len(P), i)), replace(config, seed=seed)))
+            mine = list(space.starts(lambda P, i=i: F(P, np.full(len(P), i)), replace(config, seed=seed), gap))
         except (RankDeficient, ZeroLeverage) as exc:  # a failed corner check
             outcomes[i] = exc
             continue
@@ -404,7 +403,6 @@ def _maximize_each(feasible, constraint, kernel, A, Xs, name, config, seeds, hel
                 argmax=space.query(x),
                 value=math.sqrt(max(value, 0.0)) if hellinger else value,
                 iterations_used=iters,
-                restarts_used=config.restarts,
                 converged=conv,
             )
     return outcomes

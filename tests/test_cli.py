@@ -241,9 +241,57 @@ def test_optimize_fails_where_the_ball_objective_overflows(tmp_path):
         "M": [[1e308, 0.0], [0.0, 1.0]],
         "constraint": {"E": 1.0},
     }
-    res = run_cli("optimize", _spec_file(tmp_path, doc), "--objective", "variance")
+    path = _spec_file(tmp_path, doc)
+    res = run_cli("optimize", path, "--objective", "variance")
     assert (res.returncode, res.stdout) == (2, "")
-    assert res.stderr == "error: the objective is not finite in the energy ball; the matrix entries are too big\n"
+    assert res.stderr == f"error: {path}: the objective is not finite in the energy ball; the matrix entries are too big\n"
+
+
+def test_optimize_forms_a_hellinger_gap_that_overflows_without_a_warning(tmp_path):
+    # A - B is inf in its first entry; the first start aims along that row
+    doc = {
+        "family": "softmax",
+        "A": [[1.7e308, 0.0], [0.0, 1.0]],
+        "B": [[-1.7e308, 0.0], [0.0, 1.0]],
+        "constraint": {"E": 1.0},
+    }
+    res = run_cli("optimize", _spec_file(tmp_path, doc))
+    assert (res.returncode, res.stdout, res.stderr) == (0, "1,32,32,1,1,0\n", "")
+
+
+def test_an_optimizer_error_names_the_spec_and_the_phase(tmp_path, capsys):
+    # the nu ascent is the first to meet the overflowing variance
+    doc = {
+        "family": "softmax",
+        "A": [[1.7e308, 0.0], [0.0, 1.0]],
+        "M": [[1e308, 0.0], [0.0, 1.0]],
+        "constraint": {"E": 1.0},
+    }
+    path = _spec_file(tmp_path, doc)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", path, "--trials", "10", "--out", str(out)]) == 2
+    message = "the objective is not finite in the energy ball; the matrix entries are too big"
+    assert capsys.readouterr().err == f"error: {path}: nu: {message}\n"
+    # A + 0.2 M has a zero second column, so grid point 0's corner check
+    # fails; nu and the other points are well posed, and their rows land
+    doc = {
+        "family": "leverage",
+        "A": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
+        "M": [[0.0, 0.0], [0.0, -5.0], [0.0, -5.0], [1.0, 5.0]],
+        "constraint": {"c": 0.5, "C": 2.0},
+    }
+    path = _spec_file(tmp_path, doc)
+    assert cli.main(["sweep", path, "--trials", "10", "--out", str(out)]) == 2
+    message = "scaled matrix became numerically rank-deficient"
+    assert capsys.readouterr().err == f"error: {path}: grid point 0 (eps = 0.2): {message}\n"
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in lines[1:] if not line.startswith("#")] == ["0.10000000000000001", "0.050000000000000003"]
+    # the pair A, A + 0.2 M alone: optimize and test name only the spec
+    del doc["M"]
+    path = _spec_file(tmp_path, dict(doc, B=[[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.2, 0.0]]))
+    for argv in (["optimize", path], ["test", path, "--m", "5", "--trials", "10"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_repeat_invocations_are_byte_identical():

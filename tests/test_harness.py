@@ -11,7 +11,13 @@ import pytest
 from softlev import _kernels, harness
 from softlev.bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
 from softlev.distributions import DiscreteDistribution, hellinger_sq, tv
-from softlev.errors import BudgetExceeded, IndistinguishableError, InputFormatError, RankDeficient
+from softlev.errors import (
+    BudgetExceeded,
+    ConstraintViolation,
+    IndistinguishableError,
+    InputFormatError,
+    RankDeficient,
+)
 from softlev.harness import (
     ExperimentSpec,
     ModelSpec,
@@ -101,8 +107,10 @@ def test_load_model_spec_unknown_fields(tmp_path):
 
 
 def test_load_model_spec_family_validation(tmp_path):
-    with pytest.raises(InputFormatError, match="'family'"):
-        load_model_spec(_write_spec(tmp_path, _valid_doc(family="gaussian")))
+    path = _write_spec(tmp_path, _valid_doc(family="gaussian"))
+    with pytest.raises(InputFormatError) as err:
+        load_model_spec(path)
+    assert str(err.value) == f"{path}: field 'family' must be 'softmax' or 'leverage', got 'gaussian'"
 
 
 def test_load_model_spec_matrix_diagnostics(tmp_path):
@@ -573,6 +581,16 @@ def test_taylor_default_query_is_admissible():
     rep = run_taylor_check(lev, 11)
     assert rep.query.shape == (5,)
     assert ((rep.query**2 >= 0.5 - 1e-12) & (rep.query**2 <= 2.0 + 1e-12)).all()
+
+
+@pytest.mark.parametrize(
+    "family, query, message",
+    [("softmax", [3.0, 0.0, 0.0], "energy"), ("leverage", [1.0, 1.0, 1.0, 1.0, 3.0], "box constraint violated")],
+)
+def test_taylor_rejects_an_explicit_query_outside_the_constraint(family, query, message):
+    model = gaussian_instance(family, 5, 3, seed=11)
+    with pytest.raises(ConstraintViolation, match=message):
+        run_taylor_check(model, 11, query=np.array(query))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Import hygiene of the package: no module imports a name it does not use,
 the public ``__all__`` lists each name once, every one of them real, and
-every exception class in ``errors`` is named by another module.
+every exception class in ``errors`` is named by another module.  Also the
+family rule: only ``model.py``, the family table, compares against a family.
 
 Parses each ``src/softlev/*.py`` with ``ast``; the whole file costs well
 under 0.1 s.
@@ -42,6 +43,26 @@ def test_every_imported_name_is_used_or_exported(path):
     exported = set(_all(tree))
     unused = [(name, line) for name, line in _imports(tree) if name not in used and name not in exported]
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def _family_comparisons(tree):
+    """Line of every comparison with a ``.family`` attribute or the string
+    'softmax' or 'leverage' in an operand."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for part in ast.walk(node):
+                if (isinstance(part, ast.Attribute) and part.attr == "family") or (
+                    isinstance(part, ast.Constant) and part.value in ("softmax", "leverage")
+                ):
+                    yield node.lineno
+                    break
+
+
+@pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "model.py"], ids=lambda p: p.name)
+def test_only_the_family_table_branches_on_the_family(path):
+    # a family difference belongs in a method of model.py's family objects
+    lines = list(_family_comparisons(ast.parse(path.read_text(encoding="utf-8"))))
+    assert lines == [], f"{path.name} compares against a family at lines {lines}"
 
 
 def test_public_names_are_listed_once_and_resolve():

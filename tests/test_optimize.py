@@ -356,17 +356,17 @@ def _kernel_pair(maximize, space, A, X):
 def _maximize_loop(maximize, A, X, constraint, cfg):
     """What ``maximize(A, X, constraint, cfg)`` returns, by the loop."""
     feasible, _, hellinger = _SETS[maximize]
-    space = feasible(constraint, A, A - X if hellinger else X)
+    space = feasible(constraint, A)
     objective, grad = _kernel_pair(maximize, space, A, X)
     F = _raising(objective)
     project = partial(_project_one, space)
-    x, _, iters, conv = _multistart_loop(F, grad, project, space.starts(objective, cfg), cfg)
+    starts = space.starts(objective, cfg, A - X if hellinger else X)
+    x, _, iters, conv = _multistart_loop(F, grad, project, starts, cfg)
     value = _at(F, x)
     return OptResult(
         argmax=space.query(x),
         value=math.sqrt(max(value, 0.0)) if hellinger else value,
         iterations_used=iters,
-        restarts_used=cfg.restarts,
         converged=conv,
     )
 
@@ -384,7 +384,7 @@ def _summary(r):
     """An OptResult bit for bit, or an error as its type and message."""
     if isinstance(r, Exception):
         return type(r), str(r)
-    return r.argmax.tobytes(), float(r.value).hex(), r.iterations_used, r.restarts_used, r.converged
+    return r.argmax.tobytes(), float(r.value).hex(), r.iterations_used, r.converged
 
 
 def _constraint(maximize):
@@ -538,7 +538,7 @@ def test_lockstep_equals_the_loop(maximize, n, d):
 
 def test_stacked_ball_projection_equals_one_point_at_a_time():
     g = generator(derive_seed(67, "project"))
-    space = _Ball(EnergyConstraint(1.5), None, np.ones((1, 1)))
+    space = _Ball(EnergyConstraint(1.5), None)
     for d in range(1, 65):
         X = g.standard_normal((64, d)) * g.uniform(0.01, 3.0, (64, 1))
         X[0] = 0.0
@@ -566,7 +566,7 @@ def _near_deficient_pair(maximize, n, rank_k, lev_k, seed):
 def _restart_failures(maximize, A, X, box, cfg):
     """For each start, None if its ascent alone succeeds, else the error it
     raises and the iteration it raises in (0: at the start point)."""
-    space = _SETS[maximize][0](box, A, A)
+    space = _SETS[maximize][0](box, A)
     objective, gradient = _kernel_pair(maximize, space, A, X)
     iteration = 0
 
@@ -576,7 +576,7 @@ def _restart_failures(maximize, A, X, box, cfg):
         return gradient(U)
 
     failures = []
-    for x0 in space.starts(objective, cfg):
+    for x0 in space.starts(objective, cfg, A):
         iteration = 0
         try:
             _ascend_loop(_raising(objective), grad, partial(_project_one, space), x0, cfg)
@@ -711,13 +711,13 @@ def test_lockstep_work_guard(monkeypatch):
 
     cfg = OptimizerConfig()
     lockstep = counts(max_hellinger_leverage, A, B, model.constraint, cfg)
-    space = _Box(model.constraint, A, A - B)
+    space = _Box(model.constraint, A)
     objective, grad = _kernel_pair(max_hellinger_leverage, space, A, B)
     iters = []
     loop = counts(
         lambda: iters.extend(
             _ascend_loop(_raising(objective), grad, partial(_project_one, space), x0, cfg)[2]
-            for x0 in space.starts(objective, cfg)
+            for x0 in space.starts(objective, cfg, A - B)
         )
     )
     assert len(iters) == cfg.restarts and loop["gradient"] == [1] * sum(iters)
@@ -939,6 +939,5 @@ def test_result_bookkeeping():
     B = A + 0.2 * g.standard_normal((3, 2))
     cfg = OptimizerConfig(restarts=2, max_iters=3)
     res = max_hellinger_softmax(A, B, BALL, cfg)
-    assert res.restarts_used == 2
-    assert res.iterations_used >= 2  # at least one ascent step per restart
+    assert 2 <= res.iterations_used <= 2 * 3  # at least one ascent step per restart, capped at 3 each
     assert isinstance(res.converged, bool)
