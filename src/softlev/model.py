@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .distributions import hellinger_sq, variance_under
-from .errors import InputFormatError, ShapeMismatch
+from .errors import DomainError, InputFormatError, ShapeMismatch
 from .leverage import BoxConstraint, _w_parts, leverage_pmf, require_tall
 from .numerics import as_matrix
 from .optimize import (
@@ -84,6 +84,11 @@ def _parse_positive(obj, key, path):
     return float(val)
 
 
+def _taylor_error(model, message):
+    """A ``DomainError`` located at the spec and the taylor suite."""
+    return DomainError(model._named(f"taylor: {message}"))
+
+
 class _Softmax:
     """Queries x with ||x||_2 <= E; the model answers softmax(A x)."""
 
@@ -129,18 +134,26 @@ class _Softmax:
         """``run_taylor_check`` of a softmax model at a checked query."""
         A, M = model.A, model.direction()
         P = softmax_pmf(A, query)
-        v = M @ query
-        var = variance_under(P, v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = M @ query
+            var = variance_under(P, v)
+        if not math.isfinite(var):
+            raise _taylor_error(model, "Var_P(Mx) is not finite; the matrix entries are too big")
         if var == 0.0:
             return TaylorReport(family="softmax", degenerate=True, query=np.asarray(query))
         rows = []
         for eps in TAYLOR_EPS:
             h2 = hellinger_sq(P, softmax_pmf(A + eps * M, query))
             ref = 0.5 * eps * eps * var
+            if 0.25 * ref == 0.0:
+                raise _taylor_error(model, f"(1/8) eps^2 Var_P(Mx) is 0 at eps = {eps}; the direction is too small")
             rows.append(TaylorRow(eps, h2, ref, h2 / ref, h2 / (0.25 * ref)))
         by_eps = {r.eps: r for r in rows}
         eps = 1e-4
-        zratio = float(P.probs @ np.exp(eps * v))  # Z_{A+eps M} / Z_A, exactly
+        with np.errstate(over="ignore", invalid="ignore"):
+            zratio = float(P.probs @ np.exp(eps * v))  # Z_{A+eps M} / Z_A, exactly
+        if not math.isfinite(zratio):
+            raise _taylor_error(model, "Z_{A+eps M} / Z_A is not finite; the matrix entries are too big")
         zdev = abs(zratio - (1.0 + eps * float(P.probs @ v)))
         return TaylorReport(
             family="softmax",

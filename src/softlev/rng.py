@@ -62,11 +62,12 @@ def derive_seeds(seed: int, *labels, indices, tail=None):
     prefix = (int(seed) & _MASK64).to_bytes(8, "little") + _encode(labels) + _INT_TAG
     suffix = None if tail is None else _encode(tail)
     for i in indices:
-        data = prefix + (operator.index(i) & _MASK64).to_bytes(8, "little")
-        sub = int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
+        digest = blake2b(prefix + (operator.index(i) & _MASK64).to_bytes(8, "little"), digest_size=8).digest()
         if suffix is not None:
-            sub = int.from_bytes(blake2b(sub.to_bytes(8, "little") + suffix, digest_size=8).digest(), "little")
-        yield sub
+            # the digest is the little-endian seed bytes that derive_seed
+            # would encode, so it feeds the second hash as it is
+            digest = blake2b(digest + suffix, digest_size=8).digest()
+        yield int.from_bytes(digest, "little")
 
 
 def generator(seed: int) -> np.random.Generator:

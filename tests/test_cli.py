@@ -501,6 +501,26 @@ def test_verify_taylor_reports_flags_for_both_demos():
     assert lines[-1] == "verdict: PASS"
 
 
+@pytest.mark.parametrize(
+    "a, m, message",
+    [
+        # the squared deviations of M x overflow, so Var_P(Mx) is nan
+        (1.7e308, 1e308, "taylor: Var_P(Mx) is not finite; the matrix entries are too big"),
+        # Var_P(Mx) is finite, but exp(1e-4 M x) overflows
+        (0.0, 1e100, "taylor: Z_{A+eps M} / Z_A is not finite; the matrix entries are too big"),
+        # Var_P(Mx) is about 1e-320, so (1/8) eps^2 Var underflows to 0
+        (0.0, 1e-160, "taylor: (1/8) eps^2 Var_P(Mx) is 0 at eps = 0.01; the direction is too small"),
+    ],
+    ids=["variance-overflows", "z-ratio-overflows", "variance-underflows"],
+)
+def test_verify_taylor_names_a_softmax_figure_out_of_range(tmp_path, capsys, a, m, message):
+    # one located line and exit 2; a numpy warning that leaked would raise here
+    doc = {"family": "softmax", "A": [[a, 0.0], [0.0, 1.0]], "M": [[m, 0.0], [0.0, 0.0]], "constraint": {"E": 1.0}}
+    path = _spec_file(tmp_path, doc)
+    assert cli.main(["verify", path, "--suite", "taylor"]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
 def test_verify_writes_suite_csvs(tmp_path):
     out = tmp_path / "report.csv"
     res = run_cli("verify", "--suite", "invariances", "--instances", "10", "--out", str(out))

@@ -316,3 +316,23 @@ def test_draw_clamps_to_last_index(monkeypatch):
     out = draw(_dist(0.25, 0.25, 0.5), 0, 3)
     assert out.tolist() == [0, 2, 2]
     assert out.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, distributions._COUNT_MAX, distributions._COUNT_MAX + 1, 256])
+def test_inverse_cdf_is_the_clamped_searchsorted(n):
+    g = generator(derive_seed(5, "inverse-cdf", n))
+    p = g.random(n) ** 4  # skewed, with every third outcome impossible
+    p[1::3] = 0.0
+    cdf = np.cumsum(p / p.sum())
+    low = cdf * (1.0 - 2.0**-20)  # the last entry well below 1.0
+    for c in (cdf, low):
+        # uniforms at, just below and just above every entry, and above the
+        # last one, as well as random ones
+        edges = np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), [0.0, np.nextafter(1.0, 0.0)]])
+        u = np.concatenate([edges[edges < 1.0], g.random(997)]).reshape(-1, 1)
+        for block in (u.ravel(), u):
+            want = np.minimum(np.searchsorted(c, block, side="right"), n - 1)
+            got = distributions._inverse_cdf(c, block)
+            assert got.shape == want.shape and np.array_equal(got, want), n
+            # the threshold count, into int8, up to _COUNT_MAX outcomes
+            assert got.dtype == (np.int8 if n <= distributions._COUNT_MAX else np.intp)

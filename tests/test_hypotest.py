@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softlev import hypotest
+from softlev import distributions, hypotest
 from softlev.distributions import DiscreteDistribution, draw, hellinger_sq, mean_under, variance_under
 from softlev.errors import BudgetExceeded, ConstraintViolation, IndistinguishableError, ShapeMismatch
 from softlev.hypotest import ModelOracle, estimate_sample_complexity, estimate_success, log_likelihood_ratio
 from softlev.leverage import BoxConstraint, leverage_pmf
-from softlev.harness import ExperimentSpec, load_model_spec
+from softlev.harness import ExperimentSpec, gaussian_instance, load_model_spec, padded_identity_instance
 from softlev.model import ModelSpec, get_family
 from softlev.rng import derive_seed, generator
 from softlev.softmax import EnergyConstraint, softmax_pmf
@@ -305,12 +305,28 @@ def _sweep_points(family):
     return points
 
 
-@pytest.mark.parametrize("family", ["softmax", "leverage"])
-def test_success_curve_equals_per_trial_oracle_reference(family):
-    model = _demo(family)
+def _curve_case(case):
+    """(pair, query) of a curve test: a demo pair at eps = 0.1; a softmax
+    pair whose support is above the threshold count's; or the padded
+    identity with two zero rows put in, whose zero-probability outcomes tie
+    entries of both laws' cdfs."""
+    if case == "softmax-large-support":
+        model = gaussian_instance("softmax", 3 * distributions._COUNT_MAX, 3, seed=2)
+    elif case == "leverage-zero-rows":
+        A = np.insert(padded_identity_instance(6, 2).A, [2, 4], 0.0, axis=0)
+        M = np.zeros_like(A)
+        M[0, 1] = 5.0
+        model = ModelSpec("leverage", A, None, M, BoxConstraint(0.5, 2.0))
+    else:
+        model = _demo(case)
     pair = _demo_pair(model, 0.1)
-    g = generator(derive_seed(3, "ref-query", family))
-    query = get_family(family).random_query(g, model.A.shape, model.constraint)
+    g = generator(derive_seed(3, "ref-query", case))
+    return pair, get_family(pair.family).random_query(g, model.A.shape, model.constraint)
+
+
+@pytest.mark.parametrize("case", ["softmax", "leverage", "softmax-large-support", "leverage-zero-rows"])
+def test_success_curve_equals_per_trial_oracle_reference(case):
+    pair, query = _curve_case(case)
     pmfs = (pair.pmf(0, query), pair.pmf(1, query))
     ratio = log_likelihood_ratio(*pmfs)
     # horizons below, at and above the row block, and one row per block

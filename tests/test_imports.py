@@ -1,7 +1,9 @@
 """Import hygiene of the package: no module imports a name it does not use,
 the public ``__all__`` lists each name once, every one of them real, and
 every exception class in ``errors`` is named by another module.  Also the
-family rule: only ``model.py``, the family table, compares against a family.
+family rule: only ``model.py``, the family table, compares against a family;
+and the sampling rule: only ``distributions.py``, whose ``_inverse_cdf``
+every sampler shares, calls ``searchsorted``.
 
 Parses each ``src/softlev/*.py`` with ``ast``; the whole file costs well
 under 0.1 s.
@@ -63,6 +65,23 @@ def test_only_the_family_table_branches_on_the_family(path):
     # a family difference belongs in a method of model.py's family objects
     lines = list(_family_comparisons(ast.parse(path.read_text(encoding="utf-8"))))
     assert lines == [], f"{path.name} compares against a family at lines {lines}"
+
+
+def _searchsorted_calls(tree):
+    """Line of every call of a function or method named ``searchsorted``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "searchsorted":
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "distributions.py"], ids=lambda p: p.name)
+def test_only_distributions_looks_outcomes_up_in_a_cdf(path):
+    # an inverse-CDF lookup belongs in distributions._inverse_cdf, so that
+    # every sampler draws the same outcome from the same uniform
+    lines = list(_searchsorted_calls(ast.parse(path.read_text(encoding="utf-8"))))
+    assert lines == [], f"{path.name} calls searchsorted at lines {lines}"
 
 
 def test_public_names_are_listed_once_and_resolve():
