@@ -12,11 +12,14 @@ from .rng import generator
 
 _NEG_TOL = 1e-12  # entries below -_NEG_TOL are rejected; above, clamped to 0
 _SUM_TOL = 1e-9  # |sum - 1| beyond this is rejected rather than renormalized
-# supports up to this size look up by counting thresholds (see _inverse_cdf):
-# on 800 x 315 uniforms the count took at most half searchsorted's time at
-# n = 64, on flat and skewed laws alike, and 1.3-4x its time at n = 192-256;
-# its int8 index could go no further than n = 128
-_COUNT_MAX = 64
+# _inverse_cdf counts thresholds where n <= _COUNT_MAX and there are at least
+# _COUNT_PASS uniforms per counting pass (per entry of cdf[:-1]).  Measured on
+# flat, skewed and one-point laws: at the m* search's blocks (8192 // horizon
+# rows by horizon) the count was faster at n <= 16 on every law, but up to
+# 1.3x slower at n = 20-28 on a law with one likely outcome; below about 512
+# uniforms per pass the fixed cost of a pass made it slower at every n
+_COUNT_MAX = 16
+_COUNT_PASS = 512
 
 
 def _reject(rows, low):
@@ -150,14 +153,16 @@ def _inverse_cdf(cdf, u) -> np.ndarray:
     side="right"), cdf.size - 1)``.
 
     Float noise can leave the cdf's last entry a hair below 1.0; the clamp
-    puts a u above it in the last bin.  Up to ``_COUNT_MAX`` outcomes the
-    index is the number of entries of ``cdf[:-1]`` at or below u, counted
-    into int8: the cdf is nondecreasing, so that is searchsorted's count
-    over the whole cdf with its last entry dropped, which is the clamp.
-    The count makes one pass per outcome, so larger supports keep
-    searchsorted's log n comparisons.
+    puts a u above it in the last bin.  On a small support and many
+    uniforms the index is the number of entries of ``cdf[:-1]`` at or
+    below u, counted into int8: the cdf is nondecreasing, so that is
+    searchsorted's count over the whole cdf with its last entry dropped,
+    which is the clamp.  The count makes one pass over ``u`` per outcome,
+    so larger supports, and fewer uniforms than pay for the passes, keep
+    searchsorted's log n comparisons.  The path depends on the sizes
+    alone, never on the values.
     """
-    if cdf.size > _COUNT_MAX:
+    if cdf.size > _COUNT_MAX or u.size < _COUNT_PASS * (cdf.size - 1):
         idx = np.searchsorted(cdf, u, side="right")
         return np.minimum(idx, cdf.size - 1, out=idx)
     idx = np.zeros(u.shape, dtype=np.int8)

@@ -30,7 +30,6 @@ import math
 import sys
 from dataclasses import astuple, dataclass, fields, replace
 from functools import reduce
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -63,19 +62,6 @@ def _parse_matrix(doc, field, path, required=False):
         return None
     if not (isinstance(val, list) and val and all(isinstance(r, list) for r in val)):
         raise InputFormatError(f"{path}: field '{field}' must be a non-empty list of rows")
-    # one scan accepts rows of one width holding floats and ints that fit a
-    # float; only a matrix that fails it walks the entries to name the fault
-    kinds = set(map(type, chain.from_iterable(val)))
-    fits = len(set(map(len, val))) == 1 and kinds <= {float, int}
-    if fits and int in kinds:
-        fits = max(map(abs, filter(int.__instancecheck__, chain.from_iterable(val)))) <= sys.float_info.max
-    if not fits:
-        _locate_entry(val, field, path)
-    return np.array(val, dtype=np.float64)
-
-
-def _locate_entry(val, field, path):
-    """Raise the error that names the first bad row or entry of a matrix."""
     width = len(val[0])
     for i, row in enumerate(val):
         if len(row) != width:
@@ -85,6 +71,7 @@ def _locate_entry(val, field, path):
                 raise InputFormatError(f"{path}: field '{field}' entry [{i}][{j}] is not a number")
             if isinstance(entry, int) and abs(entry) > sys.float_info.max:
                 raise InputFormatError(f"{path}: field '{field}' entry [{i}][{j}] is too large for a float")
+    return np.array(val, dtype=np.float64)
 
 
 def load_model_spec(path) -> ModelSpec:
@@ -404,7 +391,8 @@ def run_taylor_check(model: ModelSpec, seed: int, query=None) -> TaylorReport:
         g = generator(derive_seed(seed, "taylor-query"))
         query = law.random_query(g, model.A.shape, model.constraint)
     model.constraint.check(query)
-    return law.taylor(model, query)
+    with model.locating("taylor"):
+        return law.taylor(model, query)
 
 
 def write_taylor_csv(path, report: TaylorReport):

@@ -29,7 +29,7 @@ from .rng import Stream, derive_seed, derive_seeds, generators
 
 _LOG_FLOOR = 1e-300  # probabilities are clamped here before log
 _H_FLOOR = 1e-8  # Hellinger distance below this counts as indistinguishable
-# outcomes per block of rows in the m* search (uniforms, int8 indices,
+# outcomes per block of rows in the m* search (uniforms, their indices,
 # gathered ratios and their running sums): on perfbench, 2**13 ran mstar as
 # fast as 2**14, both 4% faster than 2**12, for half of 2**14's added peak
 # memory on optimize

@@ -84,11 +84,6 @@ def _parse_positive(obj, key, path):
     return float(val)
 
 
-def _taylor_error(model, message):
-    """A ``DomainError`` located at the spec and the taylor suite."""
-    return DomainError(model._named(f"taylor: {message}"))
-
-
 class _Softmax:
     """Queries x with ||x||_2 <= E; the model answers softmax(A x)."""
 
@@ -138,7 +133,7 @@ class _Softmax:
             v = M @ query
             var = variance_under(P, v)
         if not math.isfinite(var):
-            raise _taylor_error(model, "Var_P(Mx) is not finite; the matrix entries are too big")
+            raise DomainError("Var_P(Mx) is not finite; the matrix entries are too big")
         if var == 0.0:
             return TaylorReport(family="softmax", degenerate=True, query=np.asarray(query))
         rows = []
@@ -146,14 +141,14 @@ class _Softmax:
             h2 = hellinger_sq(P, softmax_pmf(A + eps * M, query))
             ref = 0.5 * eps * eps * var
             if 0.25 * ref == 0.0:
-                raise _taylor_error(model, f"(1/8) eps^2 Var_P(Mx) is 0 at eps = {eps}; the direction is too small")
+                raise DomainError(f"(1/8) eps^2 Var_P(Mx) is 0 at eps = {eps}; the direction is too small")
             rows.append(TaylorRow(eps, h2, ref, h2 / ref, h2 / (0.25 * ref)))
         by_eps = {r.eps: r for r in rows}
         eps = 1e-4
         with np.errstate(over="ignore", invalid="ignore"):
             zratio = float(P.probs @ np.exp(eps * v))  # Z_{A+eps M} / Z_A, exactly
         if not math.isfinite(zratio):
-            raise _taylor_error(model, "Z_{A+eps M} / Z_A is not finite; the matrix entries are too big")
+            raise DomainError("Z_{A+eps M} / Z_A is not finite; the matrix entries are too big")
         zdev = abs(zratio - (1.0 + eps * float(P.probs @ v)))
         return TaylorReport(
             family="softmax",
@@ -286,8 +281,9 @@ class ModelSpec:
 
     @contextmanager
     def locating(self, phase=None):
-        """Re-raise an optimizer error as its own class, its message prefixed
-        by the spec's file and ``phase``, if given: ``SPEC: phase: message``."""
+        """Re-raise an optimizer error (``ASCENT_ERRORS``, which a taylor
+        check raises too) as its own class, its message prefixed by the
+        spec's file and ``phase``, if given: ``SPEC: phase: message``."""
         try:
             yield
         except ASCENT_ERRORS as exc:

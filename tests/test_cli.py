@@ -521,6 +521,21 @@ def test_verify_taylor_names_a_softmax_figure_out_of_range(tmp_path, capsys, a, 
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
+def test_verify_taylor_names_the_spec_of_a_leverage_error(tmp_path, capsys):
+    # A + 1e-4 M keeps a 1e300 row beside O(1) ones, so its scaled matrix is
+    # rank-deficient in floating point
+    doc = {
+        "family": "leverage",
+        "A": [[1e300, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        "M": [[1e200, 0.0], [0.0, 1e-300], [1.0, -1.0]],
+        "constraint": {"c": 0.5, "C": 2.0},
+    }
+    path = _spec_file(tmp_path, doc)
+    assert cli.main(["verify", path, "--suite", "taylor"]) == 2
+    message = "taylor: scaled matrix diag(s)^{-1} A is numerically rank-deficient"
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
 def test_verify_writes_suite_csvs(tmp_path):
     out = tmp_path / "report.csv"
     res = run_cli("verify", "--suite", "invariances", "--instances", "10", "--out", str(out))

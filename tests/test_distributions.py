@@ -327,12 +327,14 @@ def test_inverse_cdf_is_the_clamped_searchsorted(n):
     low = cdf * (1.0 - 2.0**-20)  # the last entry well below 1.0
     for c in (cdf, low):
         # uniforms at, just below and just above every entry, and above the
-        # last one, as well as random ones
+        # last one; alone (too few to count) and with enough random ones
         edges = np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), [0.0, np.nextafter(1.0, 0.0)]])
-        u = np.concatenate([edges[edges < 1.0], g.random(997)]).reshape(-1, 1)
-        for block in (u.ravel(), u):
-            want = np.minimum(np.searchsorted(c, block, side="right"), n - 1)
-            got = distributions._inverse_cdf(c, block)
-            assert got.shape == want.shape and np.array_equal(got, want), n
-            # the threshold count, into int8, up to _COUNT_MAX outcomes
-            assert got.dtype == (np.int8 if n <= distributions._COUNT_MAX else np.intp)
+        few = edges[edges < 1.0]
+        for u in (few, np.concatenate([few, g.random(distributions._COUNT_PASS * n)])):
+            counted = n <= distributions._COUNT_MAX and u.size >= distributions._COUNT_PASS * (n - 1)
+            for block in (u, u.reshape(-1, 1)):
+                want = np.minimum(np.searchsorted(c, block, side="right"), n - 1)
+                got = distributions._inverse_cdf(c, block)
+                assert got.shape == want.shape and np.array_equal(got, want), n
+                # the threshold count is the path that fills int8
+                assert got.dtype == (np.int8 if counted else np.intp)

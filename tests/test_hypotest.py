@@ -307,11 +307,13 @@ def _sweep_points(family):
 
 def _curve_case(case):
     """(pair, query) of a curve test: a demo pair at eps = 0.1; a softmax
-    pair whose support is above the threshold count's; or the padded
-    identity with two zero rows put in, whose zero-probability outcomes tie
-    entries of both laws' cdfs."""
+    pair one outcome past the largest support the threshold count takes; or
+    the padded identity with two zero rows put in, whose zero-probability
+    outcomes tie entries of both laws' cdfs.  Small horizons and few trials
+    give blocks too small for the count, so each case below the size limit
+    runs both lookups."""
     if case == "softmax-large-support":
-        model = gaussian_instance("softmax", 3 * distributions._COUNT_MAX, 3, seed=2)
+        model = gaussian_instance("softmax", distributions._COUNT_MAX + 1, 3, seed=2)
     elif case == "leverage-zero-rows":
         A = np.insert(padded_identity_instance(6, 2).A, [2, 4], 0.0, axis=0)
         M = np.zeros_like(A)
