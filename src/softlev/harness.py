@@ -22,7 +22,9 @@ sign flips, normalizations, the perturbed models) is computed once per group
 of instances of equal shape, on the group's stack, with the same elementwise
 operations.  The kernels work along the last axes, so rows and deviations
 are bitwise those of the one-instance loop, and they come out in instance
-order.
+order.  One driver, ``_evaluated``, runs this for every family given a
+one-instance draw and a stacked evaluation; only the leverage envelope,
+which redraws rejected instances in rounds, keeps its own loop.
 """
 
 import json
@@ -308,28 +310,22 @@ def _fit_loglog(rows):
 
 
 def _gather_grid(spec, worker):
-    """Run worker(i) over the grid with the spec's thread budget; return
-    (results_by_index, first_error) with results in grid order."""
-    outcomes = [None] * len(spec.eps_grid)
-    if spec.threads == 1:
-        for i in range(len(spec.eps_grid)):
-            try:
-                outcomes[i] = ("ok", worker(i))
-            except Exception as exc:  # noqa: BLE001 - re-raised after flushing
-                outcomes[i] = ("err", exc)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # costs every CLI start a few ms
+    """Run worker(i) over the grid with the spec's thread budget; per point,
+    in grid order, its result or the error it raised."""
 
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            futures = [pool.submit(worker, i) for i in range(len(spec.eps_grid))]
-            for i, fut in enumerate(futures):
-                try:
-                    outcomes[i] = ("ok", fut.result())
-                except Exception as exc:  # noqa: BLE001
-                    outcomes[i] = ("err", exc)
-    rows = [payload for tag, payload in outcomes if tag == "ok"]
-    first_error = next((payload for tag, payload in outcomes if tag == "err"), None)
-    return rows, first_error
+    def outcome(i):
+        try:
+            return worker(i)
+        except Exception as exc:  # noqa: BLE001 - re-raised after flushing
+            return exc
+
+    points = range(len(spec.eps_grid))
+    if spec.threads == 1:
+        return list(map(outcome, points))
+    from concurrent.futures import ThreadPoolExecutor  # costs every CLI start a few ms
+
+    with ThreadPoolExecutor(max_workers=spec.threads) as pool:
+        return list(pool.map(outcome, points))
 
 
 def _write_sweep_csv(path, rows, slope, intercept):
@@ -356,12 +352,14 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """
     nu = _sweep_nu(spec.model, spec.opt, spec.seed)
     optima = _sweep_optima(spec)
-    rows, first_error = _gather_grid(spec, lambda i: sweep_point(spec, i, nu, optima[i]))
+    outcomes = _gather_grid(spec, lambda i: sweep_point(spec, i, nu, optima[i]))
+    rows = [row for row in outcomes if isinstance(row, SweepRow)]
     slope, intercept = _fit_loglog(rows)
     if spec.out_path:
         _write_sweep_csv(spec.out_path, rows, slope, intercept)
-    if first_error is not None:
-        raise first_error
+    errors = [error for error in outcomes if isinstance(error, Exception)]
+    if errors:
+        raise errors[0]
     return SweepResult(tuple(rows), slope, intercept, nu)
 
 
@@ -436,12 +434,6 @@ def _blocks(count):
     return [range(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
 
 
-def _streams(seed, label, indices):
-    """(k, generator(derive_seed(seed, label, k))) for each index k, from one
-    re-keyed stream: each generator is valid until the next is drawn."""
-    return zip(indices, generators(derive_seeds(seed, label, indices=indices)))
-
-
 def _stacked(evaluate, draws):
     """Run ``evaluate`` once per group of draws whose first arrays share a
     shape, on one stack per field of the group's draws (a field of floats
@@ -457,6 +449,18 @@ def _stacked(evaluate, draws):
         for i, values in zip(idx, zip(*(r.tolist() for r in results))):
             out[i] = values
     return out
+
+
+def _evaluated(seed, label, count, draw, evaluate):
+    """(k, draw, values) for each instance k in range(count), in instance
+    order.  The draw is ``draw(generator(derive_seed(seed, label, k)))``,
+    and an instance whose draw is None is skipped; ``values`` are
+    ``evaluate``'s results for the draw, from one ``_stacked`` call per
+    block of ``_blocks(count)``."""
+    for block in _blocks(count):
+        drawn = zip(block, map(draw, generators(derive_seeds(seed, label, indices=block))))
+        kept = {k: fields for k, fields in drawn if fields is not None}
+        yield from zip(kept, kept.values(), _stacked(evaluate, list(kept.values())))
 
 
 def _softmax_gaps(a, b):
@@ -480,19 +484,20 @@ def _logit_gaps(z, r, eps):
     return (*_softmax_gaps(a, a + eps[:, None] * mask), mask.sum(axis=-1))
 
 
+def _gap_draw(g):
+    """Logits z, uniforms r and a gap eps of one logit-gap or chain
+    instance on n outcomes."""
+    n = int(g.integers(2, 11))
+    eps = 2.0 * float(g.random())
+    return g.standard_normal(n), g.random(n), eps
+
+
 def _logit_pair_rows(seed, count):
     rows = []
-    for block in _blocks(count):
-        params, draws = [], []
-        for k, g in _streams(seed, "gap", block):
-            n = int(g.integers(2, 11))
-            eps = 2.0 * float(g.random())
-            draws.append((g.standard_normal(n), g.random(n), eps))
-            params.append((eps, n, k))
-        for (eps, n, k), (h2, t, m) in zip(params, _stacked(_logit_gaps, draws)):
-            p = {"eps": eps, "n": n, "m": m, "seed": k}
-            rows.append(BoundReport("logit_gap_h2", p, lemma_h2_bound(eps), h2))
-            rows.append(BoundReport("logit_gap_tv", p, lemma_tv_bound(eps), t))
+    for k, (z, _, eps), (h2, t, m) in _evaluated(seed, "gap", count, _gap_draw, _logit_gaps):
+        p = {"eps": eps, "n": len(z), "m": m, "seed": k}
+        rows.append(BoundReport("logit_gap_h2", p, lemma_h2_bound(eps), h2))
+        rows.append(BoundReport("logit_gap_tv", p, lemma_tv_bound(eps), t))
     return rows
 
 
@@ -505,16 +510,10 @@ def _chain_gaps(z, r, eps):
 
 def _chain_rows(seed, count):
     rows = []
-    for block in _blocks(count):
-        params, draws = [], []
-        for k, g in _streams(seed, "chain", block):
-            n = int(g.integers(2, 11))
-            eps = 2.0 * float(g.random())
-            draws.append((g.standard_normal(n), g.random(n), eps))
-            params.append({"eps": eps, "n": n, "seed": k})
-        for p, (h2, t) in zip(params, _stacked(_chain_gaps, draws)):
-            rows.append(BoundReport("infty_gap_h2_chain", p, lemma_h2_bound(2.0 * p["eps"]), h2))
-            rows.append(BoundReport("infty_gap_tv_chain", p, 2.0 * lemma_tv_bound(p["eps"]), t))
+    for k, (z, _, eps), (h2, t) in _evaluated(seed, "chain", count, _gap_draw, _chain_gaps):
+        p = {"eps": eps, "n": len(z), "seed": k}
+        rows.append(BoundReport("infty_gap_h2_chain", p, lemma_h2_bound(2.0 * eps), h2))
+        rows.append(BoundReport("infty_gap_tv_chain", p, 2.0 * lemma_tv_bound(eps), t))
     return rows
 
 
@@ -539,26 +538,28 @@ def _envelope_gaps(A, D, x, xnorm, rho):
     return _softmax_gaps(_kernels._matvec(A, x), _kernels._matvec(B, x))
 
 
+def _envelope_draw(g):
+    """A, D, x, ||x|| and rho of one softmax-envelope instance; None when
+    x is 0."""
+    n = int(g.integers(2, 11))
+    d = int(g.integers(1, 6))
+    A = g.standard_normal((n, d))
+    D = g.standard_normal((n, d))
+    x = g.standard_normal(d)
+    xnorm = math.sqrt(x.dot(x))  # np.linalg.norm(x), from the same dot product
+    if xnorm == 0.0:
+        return None
+    return A, D, x, xnorm, 0.5 * float(g.random())
+
+
 def _softmax_envelope_rows(seed, count):
     # H^2 <= 1.0 * (gap * ||x||)^2 whenever gap * ||x|| <= 1/2, with
     # gap the max row norm of B - A (measured envelope constant 1.0).
     rows = []
-    for block in _blocks(count):
-        params, draws = [], []
-        for k, g in _streams(seed, "softmax-env", block):
-            n = int(g.integers(2, 11))
-            d = int(g.integers(1, 6))
-            A = g.standard_normal((n, d))
-            D = g.standard_normal((n, d))
-            x = g.standard_normal(d)
-            xnorm = math.sqrt(x.dot(x))  # np.linalg.norm(x), from the same dot product
-            if xnorm == 0.0:
-                continue
-            rho = 0.5 * float(g.random())
-            draws.append((A, D, x, xnorm, rho))
-            params.append({"rho": rho, "n": n, "d": d, "seed": k})
-        for p, (h2, _) in zip(params, _stacked(_envelope_gaps, draws)):
-            rows.append(BoundReport("softmax_query_h2", p, p["rho"] * p["rho"], h2))
+    for k, (A, *_, rho), (h2, _) in _evaluated(seed, "softmax-env", count, _envelope_draw, _envelope_gaps):
+        n, d = A.shape
+        p = {"rho": rho, "n": n, "d": d, "seed": k}
+        rows.append(BoundReport("softmax_query_h2", p, rho * rho, h2))
     return rows
 
 
@@ -850,14 +851,6 @@ _INVARIANCES = (
 )
 
 
-def _deviations(seed, label, count, draw, deviation):
-    """The deviation of each instance, in instance order."""
-    devs = []
-    for block in _blocks(count):
-        devs += [dev for (dev,) in _stacked(deviation, [draw(g) for _, g in _streams(seed, label, block)])]
-    return devs
-
-
 def _random_distribution(g, n):
     """Weights and coins of a random distribution on n outcomes, which
     ``_distributions`` turns into the distribution.  An outcome whose coin
@@ -902,18 +895,17 @@ def _metric_axioms(seed, count):
     sym_viol = 0
     ident_dev = 0.0
     slack = 1e-12
-    for block in _blocks(count):
-        distances = _stacked(_metric_distances, [_metric_draw(g) for _, g in _streams(seed, "metric", block)])
-        for h2_pq, h2_qp, h2_pp, h2_pr, h2_qr, tv_pq, tv_qp, tv_pp, tv_pr, tv_qr in distances:
-            if not (h2_pq <= tv_pq + slack and tv_pq <= math.sqrt(2.0 * h2_pq) + slack):
-                sandwich_viol += 1
-            if tv_pq != tv_qp or h2_pq != h2_qp:
-                sym_viol += 1
-            ident_dev = max(ident_dev, tv_pp, h2_pp)
-            if tv_pr > tv_pq + tv_qr + slack:
-                triangle_viol += 1
-            if math.sqrt(h2_pr) > math.sqrt(h2_pq) + math.sqrt(h2_qr) + slack:
-                triangle_viol += 1
+    for _, _, distances in _evaluated(seed, "metric", count, _metric_draw, _metric_distances):
+        h2_pq, h2_qp, h2_pp, h2_pr, h2_qr, tv_pq, tv_qp, tv_pp, tv_pr, tv_qr = distances
+        if not (h2_pq <= tv_pq + slack and tv_pq <= math.sqrt(2.0 * h2_pq) + slack):
+            sandwich_viol += 1
+        if tv_pq != tv_qp or h2_pq != h2_qp:
+            sym_viol += 1
+        ident_dev = max(ident_dev, tv_pp, h2_pp)
+        if tv_pr > tv_pq + tv_qr + slack:
+            triangle_viol += 1
+        if math.sqrt(h2_pr) > math.sqrt(h2_pq) + math.sqrt(h2_qr) + slack:
+            triangle_viol += 1
     return sandwich_viol, triangle_viol, sym_viol, ident_dev
 
 
@@ -922,7 +914,7 @@ def run_invariance_suite(instances: int, seed: int) -> InvarianceReport:
     _check_instances(instances)
     props = []
     for name, label, tol, draw, deviation in _INVARIANCES:
-        dev = reduce(max, _deviations(seed, label, instances, draw, deviation), 0.0)
+        dev = reduce(max, (dev for _, _, (dev,) in _evaluated(seed, label, instances, draw, deviation)), 0.0)
         props.append(PropertyResult(name, instances, dev, int(dev > tol), dev <= tol))
     sandwich, triangle, sym, ident = _metric_axioms(seed, instances)
     props.append(PropertyResult("metric_sandwich", instances, float(ident), sandwich, sandwich == 0))

@@ -209,21 +209,27 @@ class _Leverage:
         max_err, dsum = float(np.abs(deriv - fd).max()), float(deriv.sum())
         ok = max_err <= 1e-4 and abs(dsum) <= 1e-10
         report = TaylorReport("leverage", True, s, derivative_max_err=max_err, derivative_sum=dsum, derivative_ok=ok)
-        if float((wnum * wnum).sum()) == 0.0:
+        p = lev / d
+        with np.errstate(all="ignore"):  # p_i is 0 on a zero row of A
+            w2 = float((wnum * wnum).sum())
+            coeff_w2 = float((wnum * wnum / (2.0 * d * d * p)).sum())
+            coeff_w_literal = float((wnum / p).sum())
+        if w2 == 0.0:
             return report
+        if not (math.isfinite(coeff_w2) and math.isfinite(coeff_w_literal)):
+            raise DomainError("the W_ii / p_i coefficients are not finite; a leverage score is 0 or an entry too big")
         P = leverage_pmf(A, s)
         rows = tuple(
             TaylorRow(eps, hellinger_sq(P, leverage_pmf(A + eps * M, s)), math.nan, math.nan, math.nan)
             for eps in TAYLOR_EPS
         )
-        p = lev / d
         return replace(
             report,
             degenerate=False,
             rows=rows,
             coeff_empirical=rows[-1].h2 / rows[-1].eps ** 2,
-            coeff_w2=float((wnum * wnum / (2.0 * d * d * p)).sum()),
-            coeff_w_literal=float((wnum / p).sum()),
+            coeff_w2=coeff_w2,
+            coeff_w_literal=coeff_w_literal,
         )
 
 

@@ -536,6 +536,25 @@ def test_verify_taylor_names_the_spec_of_a_leverage_error(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "a, m",
+    [
+        # W_ii is of order 1e308, so its square overflows
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[1e308, 0.0], [0.0, 1e308], [1e308, -1e308]]),
+        # the zero row of A has p_i = W_ii = 0, so W_ii / p_i is 0 / 0
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]], [[1.0, 2.0], [3.0, 1.0], [1.0, -1.0], [2.0, 2.0]]),
+    ],
+    ids=["w-squared-overflows", "zero-leverage-row"],
+)
+def test_verify_taylor_names_a_leverage_coefficient_out_of_range(tmp_path, capsys, a, m):
+    # one located line and exit 2; a numpy warning that leaked would raise here
+    doc = {"family": "leverage", "A": a, "M": m, "constraint": {"c": 0.5, "C": 2.0}}
+    path = _spec_file(tmp_path, doc)
+    assert cli.main(["verify", path, "--suite", "taylor"]) == 2
+    message = "taylor: the W_ii / p_i coefficients are not finite; a leverage score is 0 or an entry too big"
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
 def test_verify_writes_suite_csvs(tmp_path):
     out = tmp_path / "report.csv"
     res = run_cli("verify", "--suite", "invariances", "--instances", "10", "--out", str(out))

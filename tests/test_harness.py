@@ -895,7 +895,7 @@ def _assert_bound_rows_equal_reference(seed, count):
 def _assert_deviations_equal_reference(seed, count):
     rep = run_invariance_suite(count, seed)
     for name, label, _, draw, deviation in harness._INVARIANCES:
-        devs = harness._deviations(seed, label, count, draw, deviation)
+        devs = [dev for _, _, (dev,) in harness._evaluated(seed, label, count, draw, deviation)]
         reference = [_REF_DEVIATIONS[name](g) for g in _ref_streams(seed, label, count)]
         assert [_bits(v) for v in devs] == [_bits(v) for v in reference], (name, count)
         assert _bits(rep.by_name(name).max_deviation) == _bits(max(reference)), (name, count)
@@ -924,6 +924,35 @@ def test_bound_suite_rows_equal_per_pmf_reference_across_blocks():
 
 def test_invariance_suite_deviations_equal_per_pmf_reference_across_blocks():
     _assert_deviations_equal_reference(0, harness._BLOCK + 88)
+
+
+def _evaluated_fields(g):
+    return g.standard_normal(int(g.integers(1, 4))), float(g.random())
+
+
+def test_evaluated_skips_each_instance_whose_draw_is_none():
+    # Random normals never give the softmax envelope an x of 0, so no suite
+    # skips an instance.  Here the draw declines chosen instances on both
+    # sides of a block boundary; every other instance keeps the draw of its
+    # own stream, and its values are evaluate's on that draw.
+    seed, label, count = 3, "skip", harness._BLOCK + 5
+    skipped = {0, 7, harness._BLOCK - 1, harness._BLOCK, count - 1}
+    order = iter(range(count))
+
+    def draw(g):
+        k = next(order)  # instances draw in instance order
+        return None if k in skipped else _evaluated_fields(g)
+
+    def evaluate(z, c):
+        return (z[:, 0] * c,)
+
+    got = list(harness._evaluated(seed, label, count, draw, evaluate))
+    assert next(order, None) is None
+    assert [k for k, _, _ in got] == [k for k in range(count) if k not in skipped]
+    for k, (z, c), (value,) in got:
+        z_ref, c_ref = _evaluated_fields(generator(derive_seed(seed, label, k)))
+        assert (z.tobytes(), _bits(c)) == (z_ref.tobytes(), _bits(c_ref)), k
+        assert _bits(value) == _bits(z_ref[0] * c_ref), k
 
 
 def test_normalization_deviation_ignores_a_rank_deficient_leverage_model():

@@ -2,8 +2,10 @@
 the public ``__all__`` lists each name once, every one of them real, and
 every exception class in ``errors`` is named by another module.  Also the
 family rule: only ``model.py``, the family table, compares against a family;
-and the sampling rule: only ``distributions.py``, whose ``_inverse_cdf``
-every sampler shares, calls ``searchsorted``.
+the sampling rule: only ``distributions.py``, whose ``_inverse_cdf``
+every sampler shares, calls ``searchsorted``; and the instance rule: in
+``harness.py`` only ``_evaluated`` keys instance streams with
+``derive_seeds``.
 
 Parses each ``src/softlev/*.py`` with ``ast``; the whole file costs well
 under 0.1 s.
@@ -67,13 +69,27 @@ def test_only_the_family_table_branches_on_the_family(path):
     assert lines == [], f"{path.name} compares against a family at lines {lines}"
 
 
+def _called_name(call):
+    """The name of the function or method that ``call`` calls, if any."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _searchsorted_calls(tree):
     """Line of every call of a function or method named ``searchsorted``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "searchsorted":
-                yield node.lineno
+        if isinstance(node, ast.Call) and _called_name(node) == "searchsorted":
+            yield node.lineno
+
+
+def _callers(node, name, where="<module>"):
+    """The innermost function around each call of ``name`` under ``node``,
+    by its name ('<module>' outside every function)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _called_name(child) == name:
+            yield where
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _callers(child, name, inner)
 
 
 @pytest.mark.parametrize("path", [p for p in _MODULES if p.name != "distributions.py"], ids=lambda p: p.name)
@@ -82,6 +98,13 @@ def test_only_distributions_looks_outcomes_up_in_a_cdf(path):
     # every sampler draws the same outcome from the same uniform
     lines = list(_searchsorted_calls(ast.parse(path.read_text(encoding="utf-8"))))
     assert lines == [], f"{path.name} calls searchsorted at lines {lines}"
+
+
+def test_only_evaluated_keys_the_harness_instance_streams():
+    # a randomized family reads its instances through harness._evaluated,
+    # so that none brings back its own loop over blocks of streams
+    tree = ast.parse((Path(softlev.__file__).parent / "harness.py").read_text(encoding="utf-8"))
+    assert list(_callers(tree, "derive_seeds")) == ["_evaluated"]
 
 
 def test_public_names_are_listed_once_and_resolve():
