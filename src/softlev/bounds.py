@@ -19,11 +19,15 @@ def lemma_h2_bound(eps: float) -> float:
     logits by exactly ``eps``: (1 - e^{eps/4})^2 / (1 + e^{eps/2}).
 
     Computed via expm1 so small eps keeps full relative accuracy
-    (the value behaves like eps^2 / 32 near zero).
+    (the value behaves like eps^2 / 32 near zero); where that overflows
+    (eps > 1419.6 or so), as the equal (1 - e^{-eps/4})^2 / (1 + e^{-eps/2}).
     """
     if not (eps >= 0 and math.isfinite(eps)):
         raise DomainError(f"eps must be a finite nonnegative number, got {eps!r}")
-    return math.expm1(eps / 4.0) ** 2 / (1.0 + math.exp(eps / 2.0))
+    try:
+        return math.expm1(eps / 4.0) ** 2 / (1.0 + math.exp(eps / 2.0))
+    except OverflowError:
+        return math.expm1(-eps / 4.0) ** 2 / (1.0 + math.exp(-eps / 2.0))
 
 
 def lemma_tv_bound(eps: float) -> float:

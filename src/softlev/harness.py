@@ -369,20 +369,10 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
 
 
 def run_taylor_check(model: ModelSpec, seed: int, query=None) -> TaylorReport:
-    """Local expansion checks at a fixed admissible query.
-
-    softmax: tabulates r(eps) = H^2 / ((1/2) eps^2 Var_P(Mx)) at
-    eps in {1e-2, 1e-3, 1e-4}, and the same ratio normalized by
-    (1/8) eps^2 Var.  Since H^2 = (1/8) eps^2 Var + O(eps^3), r tends to 1/4
-    and the 1/8-normalized ratio to 1: flags whether r(1e-3) lands in
-    (1/4) [0.9, 1.1] and whether the deviation of the 1/8-normalized ratio
-    from 1 shrinks from eps = 1e-3 to 1e-4.  Also checks the
-    partition-function expansion Z_B/Z_A = 1 + eps <p, Mx> + O(eps^2) at
-    eps = 1e-4.
-
-    leverage: checks the derivative against central differences and reports
-    the empirical H^2/eps^2 coefficient next to the two closed-form
-    candidates, asserting neither.
+    """Local expansion checks at a fixed admissible query (the default one
+    drawn from ``seed``), run by the family's ``taylor``: H^2 against
+    (1/2) and (1/8) eps^2 Var_P(score) at each of ``TAYLOR_EPS``, plus the
+    softmax partition-function ratio or the leverage pmf derivative.
     """
     law = get_family(model.family)
     if query is None:
@@ -563,11 +553,11 @@ def _softmax_envelope_rows(seed, count):
     return rows
 
 
-_ENVELOPE_BOX = BoxConstraint(0.5, 2.0)
+_SUITE_BOX = BoxConstraint(0.5, 2.0)  # the scale box of the leverage envelope and invariances
 
 
 def _envelope_ratio(gap, delta):
-    box = _ENVELOPE_BOX
+    box = _SUITE_BOX
     return gap * box.hi / (box.lo * delta)
 
 
@@ -654,9 +644,8 @@ def _worst_tv(A, G, gamma, R):
     """Largest TV between the leverage laws of A and B = A + gamma G over
     each pair's query scales sqrt(c + R (C - c)), from one QR call per
     model."""
-    box = _ENVELOPE_BOX
     B = A + gamma[:, None, None] * G
-    S = np.sqrt(box.lo + R * (box.hi - box.lo))
+    S = _SUITE_BOX.scales(R)
     _, tvs = _kernels.h2_tv(leverage_pmfs(A[:, None], S), leverage_pmfs(B[:, None], S))
     return (tvs.max(axis=-1),)
 
@@ -795,11 +784,6 @@ def _shift_deviation(A, w, x):
     return (_max_gap(softmax_pmfs(np.stack([_kernels._matvec(A, x), _kernels._matvec(B, x)], axis=-2))),)
 
 
-def _scales(r):
-    """Leverage query scales sqrt(0.5 + 1.5 r) of uniform draws r."""
-    return np.sqrt(0.5 + r * 1.5)
-
-
 def _right_draw(g):
     # R has condition number kappa <= 1e3: random orthogonal factors
     # around a log-uniform singular spectrum.
@@ -814,7 +798,7 @@ def _right_deviation(A, log_kappa, U, V, r):
     sing = np.exp(np.linspace(-0.5, 0.5, d) * log_kappa[:, None]) if d > 1 else np.ones((len(A), 1))
     diag = sing[..., None] * np.eye(d)  # np.diag of each spectrum
     R = np.linalg.qr(U)[0] @ diag @ np.linalg.qr(V)[0]
-    return (_max_gap(leverage_pmfs(np.stack([A @ R, A], axis=-3), _scales(r)[..., None, :])),)
+    return (_max_gap(leverage_pmfs(np.stack([A @ R, A], axis=-3), _SUITE_BOX.scales(r)[..., None, :])),)
 
 
 def _sign_draw(g):
@@ -824,7 +808,7 @@ def _sign_draw(g):
 
 
 def _sign_deviation(A, r, coin):
-    s = _scales(r)
+    s = _SUITE_BOX.scales(r)
     flip = np.where(coin < 0.5, -1.0, 1.0)
     return (_max_gap(leverage_pmfs(A[..., None, :, :], np.stack([s * flip, s], axis=-2))),)
 

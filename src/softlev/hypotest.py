@@ -29,6 +29,7 @@ from .rng import Stream, derive_seed, derive_seeds, generators
 
 _LOG_FLOOR = 1e-300  # probabilities are clamped here before log
 _H_FLOOR = 1e-8  # Hellinger distance below this counts as indistinguishable
+_M_MAX = 2**63 - 1  # the largest sample count Generator.multinomial takes
 # outcomes per block of rows in the m* search (uniforms, their indices,
 # gathered ratios and their running sums): on perfbench, 2**13 ran mstar as
 # fast as 2**14, both 4% faster than 2**12, for half of 2**14's added peak
@@ -105,6 +106,8 @@ def estimate_success(spec: ModelSpec, m: int, trials: int, seed: int, query=None
     """
     if m < 1 or trials < 1:
         raise ValueError("m and trials must be at least 1")
+    if m > _M_MAX:
+        raise ValueError(f"m must be at most 2^63 - 1, got {m}")
     pmfs, ratio = _pmfs_and_ratio(spec, query)
     worst = 1.0
     for truth in (0, 1):

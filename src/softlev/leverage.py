@@ -49,6 +49,11 @@ class BoxConstraint:
             )
         return s
 
+    def scales(self, r):
+        """Scales sqrt(c + r (C - c)) of uniform draws r, whose squares are
+        uniform in [c, C]."""
+        return np.sqrt(self.lo + r * (self.hi - self.lo))
+
 
 def _scale_vector(query, stack=False) -> np.ndarray:
     s = as_vector(query, "scales", stack)

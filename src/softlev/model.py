@@ -37,9 +37,9 @@ TAYLOR_EPS = (1e-2, 1e-3, 1e-4)
 class TaylorRow:
     eps: float
     h2: float
-    reference: float  # (1/2) eps^2 Var_P(Mx): the half-normalized yardstick
+    reference: float  # (1/2) eps^2 Var_P(score): the half-normalized yardstick
     ratio_half: float  # h2 / reference
-    ratio_eighth: float  # h2 / ((1/8) eps^2 Var_P(Mx))
+    ratio_eighth: float  # h2 / ((1/8) eps^2 Var_P(score))
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,16 @@ class TaylorReport:
     degenerate: bool
     query: np.ndarray | None
     rows: tuple = ()
-    # softmax flags
+    # both families' flags
     band_ok: bool | None = None  # ratio_half at eps = 1e-3 within (1/4) [0.9, 1.1]
     converging_eighth: bool | None = None  # |ratio_eighth - 1| shrinks from 1e-3 to 1e-4
+    # softmax figures
     zratio_dev: float | None = None  # |Z ratio - (1 + eps <p, Mx>)| at eps = 1e-4
     zratio_ok: bool | None = None  # dev within 2 eps^2
     # leverage figures
     derivative_max_err: float | None = None
     derivative_sum: float | None = None
     derivative_ok: bool | None = None  # max err <= 1e-4 and |sum| <= 1e-10
-    coeff_empirical: float | None = None  # H^2 / eps^2 at the smallest eps
-    coeff_w2: float | None = None  # sum_i W_ii^2 / (2 d^2 p_i)
-    coeff_w_literal: float | None = None  # sum_i W_ii / p_i
 
     def figures(self):
         """(name, value) of every computed figure, in field order: the
@@ -74,6 +72,35 @@ class TaylorReport:
     def ok(self) -> bool:
         """Gate only exact-identity checks; measured-constant bands are reported."""
         return self.derivative_ok is not False
+
+
+def _expansion(family, query, P, pmf_at, score, name, cause="the matrix entries are too big"):
+    """The Taylor rows and flags of either family at ``query``.
+
+    ``P`` is the pmf at A, ``pmf_at(eps)`` the pmf at A + eps M, and
+    ``score`` the score d log p_i / d eps at eps = 0, called ``name`` in
+    errors.  H^2 = (1/8) eps^2 Var_P(score) + O(eps^3), so ratio_half tends
+    to 1/4 and ratio_eighth to 1.  The report is degenerate when the
+    variance is 0; a variance that is not finite is a DomainError ending in
+    ``cause``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = variance_under(P, score)
+    if not math.isfinite(var):
+        raise DomainError(f"Var_P({name}) is not finite; {cause}")
+    if var == 0.0:
+        return TaylorReport(family, True, np.asarray(query))
+    rows = []
+    for eps in TAYLOR_EPS:
+        h2 = hellinger_sq(P, pmf_at(eps))
+        ref = 0.5 * eps * eps * var
+        if 0.25 * ref == 0.0:
+            raise DomainError(f"(1/8) eps^2 Var_P({name}) is 0 at eps = {eps}; the direction is too small")
+        rows.append(TaylorRow(eps, h2, ref, h2 / ref, h2 / (0.25 * ref)))
+    by_eps = {r.eps: r for r in rows}
+    band = 0.25 * 0.9 <= by_eps[1e-3].ratio_half <= 0.25 * 1.1
+    converging = abs(by_eps[1e-4].ratio_eighth - 1.0) < abs(by_eps[1e-3].ratio_eighth - 1.0)
+    return TaylorReport(family, False, np.asarray(query), tuple(rows), band_ok=band, converging_eighth=converging)
 
 
 def _parse_positive(obj, key, path):
@@ -126,40 +153,22 @@ class _Softmax:
         return x * (constraint.limit / norm)
 
     def taylor(self, model, query):
-        """``run_taylor_check`` of a softmax model at a checked query."""
+        """``run_taylor_check`` of a softmax model at a checked query: the
+        score is Mx, plus the partition-function ratio at eps = 1e-4."""
         A, M = model.A, model.direction()
         P = softmax_pmf(A, query)
         with np.errstate(over="ignore", invalid="ignore"):
             v = M @ query
-            var = variance_under(P, v)
-        if not math.isfinite(var):
-            raise DomainError("Var_P(Mx) is not finite; the matrix entries are too big")
-        if var == 0.0:
-            return TaylorReport(family="softmax", degenerate=True, query=np.asarray(query))
-        rows = []
-        for eps in TAYLOR_EPS:
-            h2 = hellinger_sq(P, softmax_pmf(A + eps * M, query))
-            ref = 0.5 * eps * eps * var
-            if 0.25 * ref == 0.0:
-                raise DomainError(f"(1/8) eps^2 Var_P(Mx) is 0 at eps = {eps}; the direction is too small")
-            rows.append(TaylorRow(eps, h2, ref, h2 / ref, h2 / (0.25 * ref)))
-        by_eps = {r.eps: r for r in rows}
+        report = _expansion("softmax", query, P, lambda eps: softmax_pmf(A + eps * M, query), v, "Mx")
+        if report.degenerate:
+            return report
         eps = 1e-4
         with np.errstate(over="ignore", invalid="ignore"):
             zratio = float(P.probs @ np.exp(eps * v))  # Z_{A+eps M} / Z_A, exactly
         if not math.isfinite(zratio):
             raise DomainError("Z_{A+eps M} / Z_A is not finite; the matrix entries are too big")
         zdev = abs(zratio - (1.0 + eps * float(P.probs @ v)))
-        return TaylorReport(
-            family="softmax",
-            degenerate=False,
-            query=np.asarray(query),
-            rows=tuple(rows),
-            band_ok=0.25 * 0.9 <= by_eps[1e-3].ratio_half <= 0.25 * 1.1,
-            converging_eighth=abs(by_eps[1e-4].ratio_eighth - 1.0) < abs(by_eps[1e-3].ratio_eighth - 1.0),
-            zratio_dev=zdev,
-            zratio_ok=zdev <= 2.0 * eps * eps,
-        )
+        return replace(report, zratio_dev=zdev, zratio_ok=zdev <= 2.0 * eps * eps)
 
 
 class _Leverage:
@@ -195,11 +204,12 @@ class _Leverage:
 
     def random_query(self, g, shape, constraint):
         """Scales whose squares are uniform in [c, C]."""
-        lo, hi = constraint.lo, constraint.hi
-        return np.sqrt(lo + g.random(shape[0]) * (hi - lo))
+        return constraint.scales(g.random(shape[0]))
 
     def taylor(self, model, query):
-        """``run_taylor_check`` of a leverage model at a checked query."""
+        """``run_taylor_check`` of a leverage model at a checked query: the
+        score is 2 W_ii / lev_i, plus the pmf derivative against central
+        differences."""
         A, M = model.A, model.direction()
         s = np.asarray(query, dtype=np.float64)
         lev, wnum, d = _w_parts(A, M, s)
@@ -207,30 +217,13 @@ class _Leverage:
         fd_eps = 1e-6
         fd = (leverage_pmf(A + fd_eps * M, s).probs - leverage_pmf(A - fd_eps * M, s).probs) / (2.0 * fd_eps)
         max_err, dsum = float(np.abs(deriv - fd).max()), float(deriv.sum())
+        with np.errstate(all="ignore"):  # 0 / 0 on a zero row of A, unless the direction is degenerate
+            score = 2.0 * wnum / lev if wnum.any() else wnum
+        P, pmf_at = leverage_pmf(A, s), lambda eps: leverage_pmf(A + eps * M, s)
+        cause = "a leverage score is 0 or an entry too big"
+        report = _expansion("leverage", s, P, pmf_at, score, "2 W_ii / lev_i", cause)
         ok = max_err <= 1e-4 and abs(dsum) <= 1e-10
-        report = TaylorReport("leverage", True, s, derivative_max_err=max_err, derivative_sum=dsum, derivative_ok=ok)
-        p = lev / d
-        with np.errstate(all="ignore"):  # p_i is 0 on a zero row of A
-            w2 = float((wnum * wnum).sum())
-            coeff_w2 = float((wnum * wnum / (2.0 * d * d * p)).sum())
-            coeff_w_literal = float((wnum / p).sum())
-        if w2 == 0.0:
-            return report
-        if not (math.isfinite(coeff_w2) and math.isfinite(coeff_w_literal)):
-            raise DomainError("the W_ii / p_i coefficients are not finite; a leverage score is 0 or an entry too big")
-        P = leverage_pmf(A, s)
-        rows = tuple(
-            TaylorRow(eps, hellinger_sq(P, leverage_pmf(A + eps * M, s)), math.nan, math.nan, math.nan)
-            for eps in TAYLOR_EPS
-        )
-        return replace(
-            report,
-            degenerate=False,
-            rows=rows,
-            coeff_empirical=rows[-1].h2 / rows[-1].eps ** 2,
-            coeff_w2=coeff_w2,
-            coeff_w_literal=coeff_w_literal,
-        )
+        return replace(report, derivative_max_err=max_err, derivative_sum=dsum, derivative_ok=ok)
 
 
 FAMILIES = {"softmax": _Softmax(), "leverage": _Leverage()}

@@ -55,6 +55,15 @@ def test_bounds_are_monotone_in_eps():
     assert h[-1] < 1.0 and t[-1] < 1.0
 
 
+def test_h2_bound_past_the_overflow_of_e_to_the_eps_over_2():
+    # from eps of about 1419.6 the direct form overflows; the bound keeps
+    # rising to 1 through the switch and stays finite up to the float range
+    h = [lemma_h2_bound(e) for e in (1400.0, 1419.5, 1419.6, 1419.7, 1500.0, 1e308)]
+    assert all(x <= y <= 1.0 for x, y in zip(h, h[1:]))
+    assert h[-2:] == [1.0, 1.0]
+    assert lemma_h2_bound(3.0) == math.expm1(0.75) ** 2 / (1.0 + math.exp(1.5))
+
+
 # ---------------------------------------------------------------------------
 # extremal pairs
 # ---------------------------------------------------------------------------

@@ -180,6 +180,13 @@ def test_distance_extremal_pair_attains_both_bounds():
     assert abs(float(vals["h2"]) - float(vals["h2_bound"])) <= 1e-10
 
 
+def test_distance_lemma_bound_past_the_overflow_of_e_to_the_eps_over_2():
+    # from eps of about 1419.6, expm1(eps/4)^2 and exp(eps/2) overflow
+    res = run_cli("distance", "--lemma-a1", "--eps", "1500", "--n", "3", "--m", "1")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert "h2_bound=1" in res.stdout.splitlines()
+
+
 def test_distance_lemma_mode_requires_parameters():
     res = run_cli("distance", "--lemma-a1")
     assert res.returncode == 2
@@ -333,6 +340,17 @@ def test_lrt_success_and_require_gate(tmp_path):
     assert low <= 0.99
     above = run_cli(*few, "--require", str(low + 0.01))
     assert above.returncode == 1
+
+
+@pytest.mark.parametrize("m, code", [("9223372036854775807", 0), ("9223372036854775808", 2)])
+def test_test_takes_m_up_to_the_int64_limit(capsys, m, code):
+    # numpy's multinomial takes m up to 2^63 - 1; above it, one error line
+    assert cli.main(["test", "demo-softmax", "--m", m, "--trials", "2"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert (out, err) == ("success=1\n", "")
+    else:
+        assert (out, err) == ("", f"error: m must be at most 2^63 - 1, got {m}\n")
 
 
 @pytest.mark.parametrize("require", ["nan", "1.5", "-1", "inf"])
@@ -497,7 +515,7 @@ def test_verify_taylor_reports_flags_for_both_demos():
     # the half-normalized ratio sits in its band around the proven 1/4
     assert "band_ok=1" in soft and "converging_half" not in soft
     assert "converging_eighth=1" in soft and "zratio_ok=1" in soft
-    assert "derivative_ok=1" in lev
+    assert "band_ok=1" in lev and "converging_eighth=1" in lev and "derivative_ok=1" in lev
     assert lines[-1] == "verdict: PASS"
 
 
@@ -539,9 +557,9 @@ def test_verify_taylor_names_the_spec_of_a_leverage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "a, m",
     [
-        # W_ii is of order 1e308, so its square overflows
+        # W_ii is of order 1e308, so the score 2 W_ii / lev_i overflows
         ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[1e308, 0.0], [0.0, 1e308], [1e308, -1e308]]),
-        # the zero row of A has p_i = W_ii = 0, so W_ii / p_i is 0 / 0
+        # the zero row of A has lev_i = W_ii = 0, so its score is 0 / 0
         ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]], [[1.0, 2.0], [3.0, 1.0], [1.0, -1.0], [2.0, 2.0]]),
     ],
     ids=["w-squared-overflows", "zero-leverage-row"],
@@ -551,7 +569,7 @@ def test_verify_taylor_names_a_leverage_coefficient_out_of_range(tmp_path, capsy
     doc = {"family": "leverage", "A": a, "M": m, "constraint": {"c": 0.5, "C": 2.0}}
     path = _spec_file(tmp_path, doc)
     assert cli.main(["verify", path, "--suite", "taylor"]) == 2
-    message = "taylor: the W_ii / p_i coefficients are not finite; a leverage score is 0 or an entry too big"
+    message = "taylor: Var_P(2 W_ii / lev_i) is not finite; a leverage score is 0 or an entry too big"
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 

@@ -555,11 +555,29 @@ def test_taylor_leverage_demo_coefficients():
     assert rep.derivative_ok
     assert rep.derivative_max_err < 1e-8
     assert abs(rep.derivative_sum) < 1e-12
-    # the empirical quadratic coefficient tracks the w^2 candidate ...
-    assert rep.coeff_empirical == pytest.approx(rep.coeff_w2, rel=1e-3)
-    # ... and is nowhere near the literal first-order sum (a signed total
-    # that can even go negative, as it does for this instance)
-    assert abs(rep.coeff_w_literal - rep.coeff_empirical) > 10.0 * abs(rep.coeff_empirical)
+    # the score is 2w with w = W_ii / lev_i, and H^2 = (1/8) eps^2 Var_P(2w)
+    # + O(eps^3): the 1/8-normalized ratio tends to 1 with an O(eps) gap
+    by_eps = {r.eps: r for r in rep.rows}
+    for eps, gap in ((1e-2, 1e-2), (1e-3, 1e-3), (1e-4, 1e-4)):
+        assert abs(by_eps[eps].ratio_eighth - 1.0) < gap
+    assert rep.band_ok is True and rep.converging_eighth is True
+    assert not any(name.startswith("coeff_") for name, _ in rep.figures())
+
+
+def test_taylor_leverage_expansion_matches_the_score_variance():
+    # the leverage twin of acceptance 05: at each instance's default query,
+    # H^2 / ((1/8) eps^2 Var_P(2w)) lies in [0.9, 1.1] at eps = 1e-3, and
+    # its deviation from 1 shrinks towards eps = 1e-4
+    eighths = []
+    for k in range(20):
+        g = generator(derive_seed(0, "lev-expansion", k))
+        d = int(g.integers(1, 5))
+        n = int(g.integers(d + 1, 11))
+        rep = run_taylor_check(gaussian_instance("leverage", n, d, seed=k), k)
+        assert not rep.degenerate and rep.derivative_ok
+        assert rep.band_ok and rep.converging_eighth, (k, n, d)
+        eighths.append({r.eps: r for r in rep.rows}[1e-3].ratio_eighth)
+    assert 0.9 <= min(eighths) and max(eighths) <= 1.1, eighths
 
 
 def test_taylor_leverage_zero_direction_is_degenerate():
@@ -568,6 +586,14 @@ def test_taylor_leverage_zero_direction_is_degenerate():
     rep = run_taylor_check(zeroed, 4)
     assert rep.degenerate
     assert rep.derivative_ok  # the derivative of nothing is zero, exactly
+
+
+def test_taylor_leverage_zero_direction_on_a_zero_row_is_degenerate():
+    # the score 2 W_ii / lev_i is 0 / 0 on the zero row, but with no
+    # direction there is nothing to expand
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    rep = run_taylor_check(ModelSpec("leverage", A, None, np.zeros_like(A), BoxConstraint(0.5, 2.0)), 0)
+    assert rep.degenerate and rep.rows == () and rep.derivative_ok
 
 
 def test_taylor_default_query_is_admissible():
