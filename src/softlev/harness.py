@@ -32,6 +32,7 @@ import math
 import sys
 from dataclasses import astuple, dataclass, fields, replace
 from functools import reduce
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,10 @@ def _parse_matrix(doc, field, path, required=False):
     if not (isinstance(val, list) and val and all(isinstance(r, list) for r in val)):
         raise InputFormatError(f"{path}: field '{field}' must be a non-empty list of rows")
     width = len(val[0])
+    # One C-level pass over rows of floats alone; ints (which may lie past
+    # the float range), bools and the rest take the per-entry loop.
+    if all(len(row) == width for row in val) and set(map(type, chain.from_iterable(val))) <= {float}:
+        return np.array(val, dtype=np.float64)
     for i, row in enumerate(val):
         if len(row) != width:
             raise InputFormatError(f"{path}: field '{field}' row {i} has {len(row)} entries, expected {width}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .distributions import DiscreteDistribution, normalize_probs
-from .errors import ConstraintViolation, RankDeficient, ShapeMismatch, ZeroLeverage
+from .errors import ConstraintViolation, DomainError, RankDeficient, ShapeMismatch, ZeroLeverage
 from .numerics import as_matrix, as_vector
 
 _SLACK = 1e-12  # relative slack on the box bounds
@@ -78,7 +78,16 @@ def _scaled(A, query, stack=False):
     if s.shape[-1] != n:
         raise ShapeMismatch(f"scale length {s.shape[-1]} does not match rows {n}")
     require_tall(A)
-    return A / s[..., None], n, d
+    return _divided(A, s, "scaled matrix diag(s)^{-1} A"), n, d
+
+
+def _divided(A, s, name):
+    """diag(s)^{-1} A; DomainError naming ``name`` when an entry overflows."""
+    with np.errstate(over="ignore"):
+        As = A / s[..., None]
+    if not np.isfinite(As).all():
+        raise DomainError(f"{name} has non-finite entries")
+    return As
 
 
 def _leverage_probs(As):
@@ -113,7 +122,7 @@ def _w_parts(A, M, query):
     if M.shape != (n, d):
         raise ShapeMismatch(f"M must have shape {(n, d)}, got {M.shape}")
     s = _scale_vector(query)
-    lev, wnum, ok = _kernels.leverage_w_parts(As, M / s[:, None])
+    lev, wnum, ok = _kernels.leverage_w_parts(As, _divided(M, s, "scaled direction diag(s)^{-1} M"))
     if not ok:
         raise RankDeficient(_DEFICIENT)
     return lev, wnum, d

@@ -255,6 +255,10 @@ class _Ball:
         self.limit = constraint.limit
 
     @staticmethod
+    def admit(X, name):
+        """Every finite X: an objective value that overflows fails its row."""
+
+    @staticmethod
     def objective(kernel, A, X):
         """The stacked softmax objective, with an OK status for every row
         whose value is finite; a value that overflowed fails the row."""
@@ -323,7 +327,18 @@ class _Box:
     def __init__(self, constraint, A):
         require_tall(A)
         self.lo, self.hi = 1.0 / constraint.hi, 1.0 / constraint.lo
-        self.n = A.shape[0]
+        self.n, self.c = A.shape[0], constraint.lo
+        self.admit(A, "A")
+
+    def admit(self, X, name):
+        """DomainError unless 1/c, d/c and max|X| sqrt(1/c) are finite: then
+        no kernel overflows in X * sqrt(u) or d * u for u in the box, and no
+        kernel needs an errstate."""
+        big = float(np.abs(X).max()) * math.sqrt(self.hi)
+        if not (math.isfinite(X.shape[1] * self.hi) and math.isfinite(big)):
+            raise DomainError(
+                f"box bound c = {self.c!r} is too small for {name}: d/c or max|{name}| / sqrt(c) overflows"
+            )
 
     @staticmethod
     def objective(kernel, A, X):
@@ -384,8 +399,9 @@ def _maximize_each(feasible, constraint, kernel, A, Xs, name, config, seeds, hel
         with np.errstate(over="ignore"):  # only the ball's first start reads the gap, which may be inf
             gap = A - X if hellinger else X
         try:
+            space.admit(X, name)
             mine = list(space.starts(lambda P, i=i: F(P, np.full(len(P), i)), replace(config, seed=seed), gap))
-        except (RankDeficient, ZeroLeverage) as exc:  # a failed corner check
+        except (RankDeficient, ZeroLeverage, DomainError) as exc:  # X refused, or a failed corner check
             outcomes[i] = exc
             continue
         starts += mine

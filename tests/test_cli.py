@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via subprocesses."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -139,6 +140,52 @@ def test_a_scaled_matrix_whose_squares_overflow_gets_its_pmf(tmp_path):
         res = run_cli("pmf", path, "--query", "1,1,1")
         assert (res.returncode, res.stdout) == (2, "")
         assert res.stderr == "error: scaled matrix diag(s)^{-1} A is numerically rank-deficient\n"
+
+
+_ROWS = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+_ROWS_DIRECTION = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+
+
+def test_a_scaled_matrix_that_overflows_is_named_not_called_deficient(tmp_path, capsys):
+    # 1e300 over s_1 = 1e-10 is past the float range.  One line and exit 2;
+    # a numpy warning that leaked would raise here.
+    A = [[1e300, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    doc = {"family": "leverage", "A": A, "M": _ROWS_DIRECTION, "constraint": {"c": 1e-20, "C": 2.0}}
+    path = _spec_file(tmp_path, doc)
+    for command in ("pmf", "distance"):
+        assert cli.main([command, path, "--query", "1e-10,1,1"]) == 2
+        assert capsys.readouterr() == ("", "error: scaled matrix diag(s)^{-1} A has non-finite entries\n")
+    # likewise M over s, which the taylor check forms at its query
+    doc = {"family": "leverage", "A": _ROWS, "M": A, "constraint": {"c": 1e-20, "C": 1e-20}}
+    path = _spec_file(tmp_path, doc)
+    assert cli.main(["verify", path, "--suite", "taylor"]) == 2
+    message = "taylor: scaled direction diag(s)^{-1} M has non-finite entries"
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "A, c",
+    [
+        ([[1e300, 0.0], [0.0, 1.0], [1.0, 1.0]], 1e-20),  # max|A| / sqrt(c) overflows
+        (_ROWS, 5e-324),  # 1/c overflows
+        (_ROWS, 1e-308),  # d/c overflows, though 1/c does not
+    ],
+    ids=["A-over-sqrt-c", "one-over-c", "d-over-c"],
+)
+def test_a_box_too_small_for_the_ascent_is_one_located_line(tmp_path, capsys, A, c):
+    # The box is refused before any kernel runs.  One line and exit 2; a
+    # numpy warning that leaked would raise here.
+    doc = {"family": "leverage", "A": A, "M": _ROWS_DIRECTION, "constraint": {"c": c, "C": 2.0}}
+    path = _spec_file(tmp_path, doc)
+    message = f"box bound c = {c!r} is too small for A: d/c or max|A| / sqrt(c) overflows"
+    for argv, phase in (
+        (["optimize", path], ""),
+        (["optimize", path, "--objective", "variance"], ""),
+        (["test", path, "--m", "5", "--trials", "10"], ""),
+        (["sweep", path, "--trials", "10", "--out", str(tmp_path / "sweep.csv")], "nu: "),
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {phase}{message}\n")
 
 
 def test_malformed_spec_reports_line_and_column(tmp_path):
@@ -594,3 +641,44 @@ def test_help_exits_cleanly():
     res = run_cli("--help")
     assert res.returncode == 0
     assert "pmf" in res.stdout and "verify" in res.stdout
+
+
+def test_one_parser_serves_a_whole_process(capsys):
+    # The parser is built once per process; every call in that process,
+    # argparse's own refusal included, prints and exits as a fresh one does.
+    runs = [
+        ["pmf", "demo-softmax", "--query", "0.6,0,0.8"],
+        ["sweep", "demo-softmax"],  # no --out: argparse exits 2
+        ["optimize", "demo-softmax", "--seed", "3"],
+        ["optimize", "demo-softmax"],  # the spec's seed
+        ["verify", "--suite", "taylor"],
+    ]
+    seen = []
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        seen.append((code, *capsys.readouterr()))
+        fresh = run_cli(*argv)
+        assert seen[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert seen[1][0] == 2 and seen[1][2].startswith("usage: softlev sweep")
+    assert cli.main(["optimize", "demo-softmax", "--seed", "4"]) == 0  # demo-softmax's seed is 4
+    assert capsys.readouterr().out == seen[3][1] != seen[2][1]
+
+
+def test_two_calls_build_the_parser_once(monkeypatch, capsys):
+    # Counts, not timings: building the parser costs a call about 1.5 ms.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert cli.main(["pmf", "demo-softmax", "--query", "0.6,0,0.8"]) == 0
+    assert capsys.readouterr().out.count("\n") == 10
+    assert built.count("softlev") == 1

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from softlev import _kernels, cli, harness, optimize
 from softlev.distributions import hellinger_sq, variance_under
-from softlev.errors import RankDeficient, ShapeMismatch, ZeroLeverage
+from softlev.errors import DomainError, RankDeficient, ShapeMismatch, ZeroLeverage
 from softlev.harness import ExperimentSpec, load_model_spec, padded_identity_instance
 from softlev.leverage import BoxConstraint, leverage_pmf, leverage_w
 from softlev.optimize import (
@@ -375,7 +375,7 @@ def _outcome(run, *args):
     """The result of ``run(*args)`` bit for bit, or the error it raises."""
     try:
         r = run(*args)
-    except (RankDeficient, ZeroLeverage) as exc:
+    except (RankDeficient, ZeroLeverage, DomainError) as exc:
         return type(exc), str(exc)
     return _summary(r)
 
@@ -863,6 +863,25 @@ def test_a_failing_problem_leaves_the_others_alone(maximize):
         seen |= kinds
     assert mixed
     assert seen == ({None, RankDeficient} if _SETS[maximize][2] else {None, RankDeficient, ZeroLeverage})
+
+
+@pytest.mark.parametrize("maximize", [max_hellinger_leverage, max_variance_leverage], ids=lambda f: f.__name__)
+def test_a_matrix_too_big_for_the_box_fails_alone(maximize):
+    # max|X| / sqrt(c) overflows for the middle problem only: it is refused
+    # before its corner checks, and its neighbours ascend as on their own.
+    g = generator(derive_seed(70, "box", maximize.__name__))
+    A, M0, M2 = g.standard_normal((3, 5, 2))
+    big = A.copy()
+    big[3, 1] = -1e308
+    Xs = [A + 0.1 * M0, big, A + 0.1 * M2] if _SETS[maximize][2] else [M0, big, M2]
+    box = BoxConstraint(0.25, 4.0)
+    cfg, seeds = OptimizerConfig(restarts=4, max_iters=30), range(3)
+    expected = _alone(maximize, A, Xs, box, cfg, seeds)
+    assert _each(maximize, A, Xs, box, cfg, seeds) == expected
+    name = "B" if _SETS[maximize][2] else "M"
+    message = f"box bound c = 0.25 is too small for {name}: d/c or max|{name}| / sqrt(c) overflows"
+    assert expected[1] == (DomainError, message)
+    assert not isinstance(expected[0][0], type) and not isinstance(expected[2][0], type)
 
 
 @pytest.mark.parametrize(

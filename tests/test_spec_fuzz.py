@@ -3,17 +3,23 @@
 Every generated spec either loads, or raises ``InputFormatError`` whose
 message names the spec file exactly once, and then ``softlev pmf`` on it
 exits with code 2 and prints that message as its one line of stderr.
+
+Matrix oracle: the per-entry field check that the loader's one-pass check
+replaced, kept here verbatim; on every field value the loader must return
+bitwise its array or raise its message.
 """
 
 import contextlib
 import io
 import json
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softlev import cli
+from softlev import cli, harness
 from softlev.errors import InputFormatError
 from softlev.harness import load_model_spec
 from softlev.model import ModelSpec
@@ -132,3 +138,73 @@ def test_a_spec_loads_or_names_its_file_once(spec_path, doc):
         assert _pmf(spec_path, "1") == (2, f"error: {message}\n")
     else:
         assert isinstance(model, ModelSpec)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass matrix check against the per-entry loop
+# ---------------------------------------------------------------------------
+
+
+def _parse_matrix_per_entry(doc, field, path, required=False):
+    val = doc.get(field)
+    if val is None:
+        if required:
+            raise InputFormatError(f"{path}: missing required field '{field}'")
+        return None
+    if not (isinstance(val, list) and val and all(isinstance(r, list) for r in val)):
+        raise InputFormatError(f"{path}: field '{field}' must be a non-empty list of rows")
+    width = len(val[0])
+    for i, row in enumerate(val):
+        if len(row) != width:
+            raise InputFormatError(f"{path}: field '{field}' row {i} has {len(row)} entries, expected {width}")
+        for j, entry in enumerate(row):
+            if not isinstance(entry, (int, float)) or isinstance(entry, bool):
+                raise InputFormatError(f"{path}: field '{field}' entry [{i}][{j}] is not a number")
+            if isinstance(entry, int) and abs(entry) > sys.float_info.max:
+                raise InputFormatError(f"{path}: field '{field}' entry [{i}][{j}] is too large for a float")
+    return np.array(val, dtype=np.float64)
+
+
+PAST = int(sys.float_info.max) + 1  # the first integer the float range excludes; numpy rounds it down
+_ODD_ENTRIES = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([HUGE, -HUGE, PAST, -PAST, PAST - 1, True, False, None, "1", "", [1.0], [], {}]),
+)
+
+
+@st.composite
+def _field_values(draw):
+    """Mostly rectangular float matrices (NaN and +-inf included), some
+    broken by an int, bool, None, string or nested list entry, a ragged row
+    or a row that is not a list; and values that are not lists of rows."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(st.floats(), min_size=d, max_size=d), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["entry", "entry", "longer", "shorter", "not_a_row"]))
+        row = rows[i] if isinstance(rows[i], list) else None
+        if kind == "not_a_row":
+            rows[i] = draw(st.sampled_from([1.0, None, "row", {}]))
+        elif kind == "entry" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_ENTRIES)
+        elif kind == "longer" and row is not None:
+            row.append(draw(st.one_of(st.floats(), _ODD_ENTRIES)))
+        elif kind == "shorter" and row:
+            row.pop()
+    return draw(st.one_of(st.just(rows), st.sampled_from([None, [], 1.0, "rows", [1.0, 2.0], {}])))
+
+
+def _parsed(parse, value, required):
+    """The array ``parse`` returns, as its shape and bytes, or its error."""
+    try:
+        arr = parse({"A": value}, "A", "spec.json", required)
+    except InputFormatError as exc:
+        return "error", str(exc)
+    return arr if arr is None else (arr.dtype, arr.shape, arr.tobytes())
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=_field_values(), required=st.booleans())
+def test_the_one_pass_matrix_check_matches_the_per_entry_loop(value, required):
+    expected = _parsed(_parse_matrix_per_entry, value, required)
+    assert _parsed(harness._parse_matrix, value, required) == expected
