@@ -8,9 +8,10 @@ query that best separates a pair of models.  Around these: statistical
 distances with closed-form gap bounds, constrained query optimization,
 likelihood-ratio hypothesis testing with Monte-Carlo sample-complexity
 estimation, and a reproducible experiment harness.  Hot kernels are written
-in numpy; the optimizer objectives and their closed-form gradients take a
-stack of query points, so the gradients of every restart of a multi-start
-ascent are one kernel call.
+in numpy; each optimizer objective takes a stack of query points and
+returns its values with their closed-form gradients, so a line-search
+round of every restart of a multi-start ascent is one kernel call, and the
+gradient at each accepted point comes with it.
 """
 
 from ._kernels import BACKEND

@@ -3,21 +3,21 @@
 The four optimizer objectives (``softmax_h2_objective``,
 ``softmax_var_objective``, ``leverage_h2_objective``,
 ``leverage_var_objective``) take a stack of query points of shape
-``(k, dim)`` and return ``k`` values; the leverage objectives also return
-``k`` status codes.  Their closed-form gradients (``softmax_h2_gradient``,
-``softmax_var_gradient``, ``leverage_h2_gradient``,
-``leverage_var_gradient``) take the same arguments and return a ``(k, dim)``
-stack; they are meant for points whose objective status is OK, and build
-every sum over the n rows from d-by-d matrices.  A single point is the
-stack with ``k = 1``.  The second matrix (B or M) is either one ``(n, d)``
-matrix shared by every row or a ``(k, n, d)`` stack holding each row's own,
-so rows of different problems with the same A evaluate in one call.  Every
-row of a stack is bitwise equal to evaluating that point alone, because the
-stacked code keeps the single-point arithmetic: matvecs are written as
-``A @ X[:, :, None]``, dots as stacked matmuls, QR factorizations and solves
-run on ``(k, n, d)`` stacks, and sums run along the last axis.
-(``X @ A.T``, ``einsum`` and ``(p * v).sum(axis=1)`` in place of ``p @ v``
-reassociate and differ in the last bits.)
+``(k, dim)`` and return ``k`` values, then (the leverage objectives only)
+``k`` status codes, then the ``(k, dim)`` stack of their closed-form
+gradients.  A gradient row is built from the softmax or the QR factors that
+its value already computed, and every sum over the n rows comes from d-by-d
+matrices; it means something only where the row's status is OK.  A single
+point is the stack with ``k = 1``.  The second matrix (B or M) is either one
+``(n, d)`` matrix shared by every row or a ``(k, n, d)`` stack holding each
+row's own, so rows of different problems with the same A evaluate in one
+call.  Every row of a stack, gradient included, is bitwise equal to
+evaluating that point alone, because the stacked code keeps the
+single-point arithmetic: matvecs are written as ``A @ X[:, :, None]``, dots
+as stacked matmuls, QR factorizations and solves run on ``(k, n, d)``
+stacks, and sums run along the last axis.  (``X @ A.T``, ``einsum`` and
+``(p * v).sum(axis=1)`` in place of ``p @ v`` reassociate and differ in the
+last bits.)
 
 ``softmax_probs`` and ``h2_tv`` work along the last axis, ``row_gram_gap``
 sums along the last axis of a ``(..., n, d)`` stack of matrix pairs,
@@ -27,11 +27,13 @@ one QR call, so one vector or matrix is the stack of one and every row of a
 stack is bitwise equal to that row alone.  Each kernel has one
 implementation, and results are bitwise deterministic.
 
-Status codes returned by the leverage objectives:
+Status codes, as the leverage objectives return them (the optimizer gives
+the softmax objectives' rows codes 0 and 3 from their values):
 
 * 0 -- fine
 * 1 -- rank-deficient scaled matrix
 * 2 -- a leverage score needed as divisor is numerically zero
+* 3 -- a factor or the value is not finite: the entries are too big
 """
 
 import numpy as np
@@ -44,6 +46,7 @@ _LEV_FLOOR = 1e-12  # leverage scores at or below this cannot be divided by
 STATUS_OK = 0
 STATUS_RANK_DEFICIENT = 1
 STATUS_ZERO_LEVERAGE = 2
+STATUS_NON_FINITE = 3
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +164,10 @@ def _dot(p, v):
     return (p[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _variance(p, v):
-    mean = _dot(p, v)
-    d = v - mean[:, None]
-    return _dot(p, d * d)
-
-
 def _leverage_stack(As):
     """Leverage distribution and scores of each matrix in a stack, and
     whether it is numerically full rank.  Q is squared in place and freed on
-    return.  The leverage H^2 kernels factor A and B as one stack, so one of
-    their calls holds two matrices per row."""
+    return."""
     Q, _, ok = _checked_qr(As)
     lev = np.square(Q, out=Q).sum(axis=-1)
     return lev / As.shape[-1], lev, ok
@@ -214,69 +210,14 @@ def _w_stack(As, Ms):
 leverage_w_parts = _w_stack
 
 
-def softmax_h2_objective(A, B, X):
-    """H^2 between softmax(A x) and softmax(B x) for each row x of X."""
-    p, q = _softmax(np.stack((_matvec(A, X), _matvec(B, X))))
-    return _h2(p, q)
-
-
-def softmax_var_objective(A, M, X):
-    """Var_{softmax(A x)}(M x) for each row x of X."""
-    return _variance(_softmax(_matvec(A, X)), _matvec(M, X))
-
-
-def leverage_h2_objective(A, B, U):
-    """H^2 between the leverage distributions of diag(sqrt(u)) A and
-    diag(sqrt(u)) B for each row u of U, and a status code per row."""
-    r = np.sqrt(U)[:, :, None]
-    (pa, pb), _, (ok_a, ok_b) = _leverage_stack(np.stack((A * r, B * r)))
-    ok = ok_a & ok_b
-    return np.where(ok, _h2(pa, pb), 0.0), np.where(ok, STATUS_OK, STATUS_RANK_DEFICIENT)
-
-
-def leverage_var_objective(A, M, U):
-    """Variance of the response ratio w = wnum / lev (see leverage_w_parts)
-    under the leverage distribution of diag(sqrt(u)) A, toward M, for each
-    row u of U, and a status code per row."""
-    r = np.sqrt(U)[:, :, None]
-    lev, wnum, ok = _w_stack(A * r, M * r)
-    lev_ok = lev.min(axis=-1) > _LEV_FLOOR
-    good = ok & lev_ok
-    lev = np.where(good[:, None], lev, 1.0)
-    status = np.where(ok, np.where(lev_ok, STATUS_OK, STATUS_ZERO_LEVERAGE), STATUS_RANK_DEFICIENT)
-    return np.where(good, _variance(lev / A.shape[1], wnum / lev), 0.0), status
-
-
 # ---------------------------------------------------------------------------
-# stacked gradients: row j is the gradient of the objective at row j of X (or U)
+# gradient parts, from the factors that the objectives' values computed
 # ---------------------------------------------------------------------------
 
 
 def _softmax_pull(A, p, c):
     """sum_i c_i grad_x log p_i(x) = A^T c - (sum c) A^T p, with p = softmax(A x)."""
     return _vecmat(A, c) - c.sum(axis=-1)[:, None] * _vecmat(A, p)
-
-
-def softmax_h2_gradient(A, B, X):
-    """The gradient of ``softmax_h2_objective`` at each row x of X.
-
-    With p = softmax(A x), q = softmax(B x) and r = sqrt(p q), the partial
-    derivative of H^2 = (sum p + sum q)/2 - sum r in log p_i is (p_i - r_i)/2,
-    and likewise in log q_i.  Nothing is divided, so a p_i that underflows to
-    0 is harmless."""
-    p, q = _softmax(np.stack((_matvec(A, X), _matvec(B, X))))
-    r = np.sqrt(p * q)
-    return _softmax_pull(A, p, 0.5 * (p - r)) + _softmax_pull(B, q, 0.5 * (q - r))
-
-
-def softmax_var_gradient(A, M, X):
-    """The gradient of ``softmax_var_objective`` at each row x of X: with
-    v = M x and delta = v - p.v, it is sum_i p_i delta_i^2 grad log p_i
-    + 2 M^T (p delta)."""
-    p = _softmax(_matvec(A, X))
-    v = _matvec(M, X)
-    delta = v - _dot(p, v)[:, None]
-    return _softmax_pull(A, p, p * delta * delta) + 2.0 * _vecmat(M, p * delta)
 
 
 def _hat_weighted(Q, c):
@@ -295,22 +236,9 @@ def _leverage_h2_part(Q, tau, other):
     return c * tau - _hat_weighted(Q, c)
 
 
-def leverage_h2_gradient(A, B, U):
-    """The gradient of ``leverage_h2_objective`` at each row u of U.
-
-    The leverage scores tau of diag(sqrt(u)) A move as
-    d tau_i / d u_j = (delta_ij tau_i - P_ij^2) / u_j, with P the hat matrix
-    of diag(sqrt(u)) A; likewise for B.  Defined where the objective's
-    status is OK."""
-    r = np.sqrt(U)[:, :, None]
-    Qa, Qb = np.linalg.qr(np.stack((A * r, B * r)))[0]
-    ta = (Qa * Qa).sum(axis=-1)
-    tb = (Qb * Qb).sum(axis=-1)
-    return (_leverage_h2_part(Qa, ta, tb) + _leverage_h2_part(Qb, tb, ta)) / (A.shape[1] * U)
-
-
-def leverage_var_gradient(A, M, U):
-    """The gradient of ``leverage_var_objective`` at each row u of U.
+def _leverage_var_part(Q, F, S, lev, w, mu, delta):
+    """d u_j times the gradient of the leverage variance, from the factors
+    of ``_w_factors`` and the ratio w, its mean mu and delta = w - mu.
 
     With G = (A^T U A)^{-1} and S = A^T U M, the ratio is
     w_i = (m_i^T G a_i - a_i^T G S G a_i) / (a_i^T G a_i), and
@@ -318,22 +246,90 @@ def leverage_var_gradient(A, M, U):
     thin QR of diag(sqrt(u)) A, where G a_i = R^{-1} q_i / sqrt(u_i), every
     sum over i becomes a d-by-d matrix (Q^T diag(.) Q, Q^T diag(.) F, or
     S = Q^T F with F = diag(sqrt(u)) M R^{-1}), so a point costs O(n d^2).
-    With delta = w - mu under p = tau / d, the gradient is
+    Under p = tau / d, the gradient is
     (delta_j^2 tau_j + q_j^T T q_j - 2 q_j^T W f_j) / (d u_j), where q_j and
     f_j are rows of Q and F, W = Q^T diag(delta) Q and
-    T = Q^T diag(delta (w + mu)) Q + 2 (W (S + S^T) - Q^T diag(delta) F).
-    Defined where the objective's status is OK."""
-    d = A.shape[1]
-    r = np.sqrt(U)[:, :, None]
-    Q, F, S, lev, wnum, _ = _w_factors(A * r, M * r)
-    w = np.divide(wnum, lev, out=np.zeros_like(lev), where=lev > 0.0)
-    mu = _dot(lev / d, w)[:, None]
-    delta = w - mu
+    T = Q^T diag(delta (w + mu)) Q + 2 (W (S + S^T) - Q^T diag(delta) F)."""
     Qt = _t(Q)
     W = Qt @ (delta[..., None] * Q)
     T = Qt @ ((delta * (w + mu))[..., None] * Q) + 2.0 * (W @ (S + _t(S)) - Qt @ (delta[..., None] * F))
-    g = delta * delta * lev + ((Q @ T) * Q).sum(axis=-1) - 2.0 * ((Q @ W) * F).sum(axis=-1)
-    return g / (d * U)
+    return delta * delta * lev + ((Q @ T) * Q).sum(axis=-1) - 2.0 * ((Q @ W) * F).sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# stacked objectives: row j of X (or U) is one query point, and row j of the
+# gradient stack is the gradient there
+# ---------------------------------------------------------------------------
+
+
+def softmax_h2_objective(A, B, X):
+    """H^2 between softmax(A x) and softmax(B x) for each row x of X, and
+    its gradient.
+
+    With p = softmax(A x), q = softmax(B x) and r = sqrt(p q), the partial
+    derivative of H^2 = (sum p + sum q)/2 - sum r in log p_i is (p_i - r_i)/2,
+    and likewise in log q_i.  Nothing is divided, so a p_i that underflows to
+    0 is harmless."""
+    p, q = _softmax(np.stack((_matvec(A, X), _matvec(B, X))))
+    r = np.sqrt(p * q)
+    return _h2(p, q), _softmax_pull(A, p, 0.5 * (p - r)) + _softmax_pull(B, q, 0.5 * (q - r))
+
+
+def softmax_var_objective(A, M, X):
+    """Var_{softmax(A x)}(M x) for each row x of X, and its gradient: with
+    v = M x and delta = v - p.v, it is sum_i p_i delta_i^2 grad log p_i
+    + 2 M^T (p delta)."""
+    p = _softmax(_matvec(A, X))
+    v = _matvec(M, X)
+    delta = v - _dot(p, v)[:, None]
+    pd = p * delta
+    return _dot(p, delta * delta), _softmax_pull(A, p, pd * delta) + 2.0 * _vecmat(M, pd)
+
+
+def leverage_h2_objective(A, B, U):
+    """H^2 between the leverage distributions of diag(sqrt(u)) A and
+    diag(sqrt(u)) B for each row u of U, a status code per row, and the
+    gradient.
+
+    The leverage scores tau of diag(sqrt(u)) A move as
+    d tau_i / d u_j = (delta_ij tau_i - P_ij^2) / u_j, with P the hat matrix
+    of diag(sqrt(u)) A; likewise for B."""
+    d = A.shape[1]
+    r = np.sqrt(U)[:, :, None]
+    Q, _, (ok_a, ok_b) = _checked_qr(np.stack((A * r, B * r)))
+    # A QR that overflowed gives scores that are not finite (the row's
+    # status says so), and a u_j = 0, which no box holds, is divided by.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ta, tb = (Q * Q).sum(axis=-1)
+        h2 = _h2(ta / d, tb / d)
+        grad = (_leverage_h2_part(Q[0], ta, tb) + _leverage_h2_part(Q[1], tb, ta)) / (d * U)
+    finite = np.isfinite(ta).all(axis=-1) & np.isfinite(tb).all(axis=-1)
+    status = np.where(finite, np.where(ok_a & ok_b, STATUS_OK, STATUS_RANK_DEFICIENT), STATUS_NON_FINITE)
+    return np.where(status == STATUS_OK, h2, 0.0), status, grad
+
+
+def leverage_var_objective(A, M, U):
+    """Variance of the response ratio w = wnum / lev (see leverage_w_parts)
+    under the leverage distribution of diag(sqrt(u)) A, toward M, for each
+    row u of U, a status code per row, and the gradient (see
+    ``_leverage_var_part``)."""
+    d = A.shape[1]
+    r = np.sqrt(U)[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in leverage_h2_objective
+        Q, F, S, lev, wnum, ok = _w_factors(A * r, M * r)
+        finite = np.isfinite(lev).all(axis=-1) & np.isfinite(wnum).all(axis=-1)
+        lev_ok = lev.min(axis=-1) > _LEV_FLOOR
+        status = np.where(ok, np.where(lev_ok, STATUS_OK, STATUS_ZERO_LEVERAGE), STATUS_RANK_DEFICIENT)
+        status = np.where(finite, status, STATUS_NON_FINITE)
+        lev = np.where((status == STATUS_OK)[:, None], lev, 1.0)
+        p = lev / d
+        w = wnum / lev
+        mu = _dot(p, w)[:, None]
+        delta = w - mu
+        value = _dot(p, delta * delta)
+        grad = _leverage_var_part(Q, F, S, lev, w, mu, delta) / (d * U)
+    status = np.where(np.isfinite(value) | (status != STATUS_OK), status, STATUS_NON_FINITE)
+    return np.where(status == STATUS_OK, value, 0.0), status, grad
 
 
 def warmup():
@@ -353,7 +349,3 @@ def warmup():
     leverage_w_parts(A, B)
     leverage_h2_objective(A, B, u[None])
     leverage_var_objective(A, B, u[None])
-    softmax_h2_gradient(A, B, x[None])
-    softmax_var_gradient(A, B, x[None])
-    leverage_h2_gradient(A, B, u[None])
-    leverage_var_gradient(A, B, u[None])

@@ -7,27 +7,31 @@ multimodal, so many seeded restarts with a deterministic boundary-biased
 first start beat anything clever.  Results are certified lower bounds: the
 reported value is the objective re-evaluated at the reported point.
 
-All restarts ascend in lockstep.  Each iteration takes the gradient of
-every live restart in one stacked call of the objective's gradient kernel
-(``<name>_gradient`` beside ``<name>_objective`` in ``_kernels``).  The line
-search then runs in rounds: round r evaluates the next 2^r rungs s, s/2,
-s/4, ... of every restart still searching, all in one stack, and a restart
-stops searching at its first improving rung or once the step falls below
-``_MIN_STEP``.  On the box, a rung that the clip maps back onto its
+All restarts ascend in lockstep.  Each objective kernel
+(``<name>_objective`` in ``_kernels``) returns, with its values and status
+codes, the gradient at every row, so a restart keeps the gradient of its
+current point from the call that evaluated that point: the start
+evaluation, then the line-search row it accepted.  An iteration costs only
+its line search, which runs in rounds: round r evaluates the next 2^r rungs
+s, s/2, s/4, ... of every restart still searching, all in one stack, and a
+restart stops searching at its first improving rung or once the step falls
+below ``_MIN_STEP``.  On the box, a rung that the clip maps back onto its
 restart's point also ends the search, unevaluated: it and every smaller
 rung would come back to that point and improve nothing (``_multistart``
 has the proof).  The ball is exempt: its rescaling is not monotone
 bitwise, so its searches walk the whole ladder.  Each kernel call takes at
 most ``_MAX_ELEMENTS // A.size`` rows; larger stacks are split.  Every
-stacked row is bitwise equal to evaluating that point alone, so each
-restart follows exactly the path it follows on its own, and the result is
-the one restart-by-restart ascent gives.  Errors follow that order too: the
-optimizer raises for the lowest-index restart that fails, at its first
-failing evaluation; a rung evaluated beyond the accepted one is ignored.
+stacked row, gradient included, is bitwise equal to evaluating that point
+alone, so each restart follows exactly the path it follows on its own, and
+the result is the one restart-by-restart ascent gives.  Errors follow that
+order too: the optimizer raises for the lowest-index restart that fails, at
+its first failing evaluation; a rung evaluated beyond the accepted one is
+ignored.
 Failures surface only at evaluated points (the starts, the box's corner
-checks and the line-search rungs): the gradient is taken only at a point
-whose objective status was OK.  A skipped rung that comes back to its
-start is such a point, so skipping it hides no failure.
+checks and the line-search rungs), and a gradient is used only from a point
+whose objective status was OK: only such a point becomes a restart's
+current point.  A skipped rung that comes back to its start is such a
+point, so skipping it hides no failure.
 
 Several problems that share A and the feasible set but differ in B (or M),
 such as the grid points of a sweep, ascend as one lockstep run
@@ -41,7 +45,6 @@ one problem.
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -86,11 +89,10 @@ class OptResult:
     converged: bool
 
 
-_STATUS_NON_FINITE = 3  # a ball objective value is not finite (see _Ball.objective)
 _STATUS_ERRORS = {
     _kernels.STATUS_RANK_DEFICIENT: (RankDeficient, "scaled matrix became numerically rank-deficient"),
     _kernels.STATUS_ZERO_LEVERAGE: (ZeroLeverage, "a leverage score vanished inside the box"),
-    _STATUS_NON_FINITE: (DomainError, "the objective is not finite in the energy ball; the matrix entries are too big"),
+    _kernels.STATUS_NON_FINITE: (DomainError, "the objective is not finite; the matrix entries are too big"),
 }
 ASCENT_ERRORS = tuple(err for err, _ in _STATUS_ERRORS.values())  # what a failing ascent raises
 
@@ -126,25 +128,25 @@ def _norms(X):
     return np.sqrt(_kernels._dot(X, X))
 
 
-def _multistart(F, grad, project, starts, owners, cfg, clips=False):
+def _multistart(F, project, starts, owners, cfg, clips=False):
     """Projected gradient ascent from every start, all restarts in lockstep.
 
     Restart r belongs to problem ``owners[r]`` (non-decreasing).  F maps a
-    stack of points and the problem of each to (values, status codes), and
-    grad maps a stack of points whose status is OK, and their problems, to
-    their gradients.  With ``clips``, ``project`` must be a coordinatewise
-    clip onto a box, and a rung that it maps back onto its restart's point
-    ends that restart's line search unevaluated (see the proof below).
-    Returns a dict from each problem to (x, iterations summed over its
-    restarts, converged) of its best restart; strictly better wins, so ties
-    keep the earliest.  A problem with a failing restart maps instead to the
-    error that its lowest-index failing restart meets first.  No problem's
-    restarts affect another's.
+    stack of points and the problem of each to (values, status codes,
+    gradients); a gradient row is read only where its status is OK.  With
+    ``clips``, ``project`` must be a coordinatewise clip onto a box, and a
+    rung that it maps back onto its restart's point ends that restart's line
+    search unevaluated (see the proof below).  Returns a dict from each
+    problem to (x, iterations summed over its restarts, converged) of its
+    best restart; strictly better wins, so ties keep the earliest.  A
+    problem with a failing restart maps instead to the error that its
+    lowest-index failing restart meets first.  No problem's restarts affect
+    another's.
     """
     x = project(np.array(starts, dtype=np.float64))
     k = len(x)
     owners = np.asarray(owners)
-    fx, status = F(x, owners)
+    fx, status, grad = F(x, owners)  # grad[r] is the gradient at x[r]
     step = np.full(k, STEP_INIT)
     gain = np.zeros(k)
     direction = np.zeros_like(x)
@@ -156,19 +158,21 @@ def _multistart(F, grad, project, starts, owners, cfg, clips=False):
     def survivors(rows, codes):
         """Record each problem's lowest-index failure among ``rows``, whose
         status codes are ``codes``; mask of the rows before every failure
-        of their problem so far."""
+        of their problem so far, or None while no restart has failed."""
         for j in np.flatnonzero(codes != _kernels.STATUS_OK):
             r, q = rows[j], owners[rows[j]]
             if r < failed[q]:
                 failed[q], errors[q] = r, _first_error(codes[j : j + 1])
-        return rows < failed[owners[rows]]
+        return rows < failed[owners[rows]] if errors else None
 
     live = np.arange(k)
-    live = live[survivors(live, status)]
+    keep = survivors(live, status)
+    if keep is not None:
+        live = live[keep]
     for it in range(1, cfg.max_iters + 1):
         if not live.size:
             break
-        g = grad(x[live], owners[live])
+        g = grad[live]
         iters[live] = it
         gnorm = _norms(g)
         moving = gnorm != 0.0
@@ -185,7 +189,8 @@ def _multistart(F, grad, project, starts, owners, cfg, clips=False):
         while searching.size:
             rungs = s[searching, None] * 0.5 ** np.arange(width)
             valid = rungs >= _MIN_STEP
-            cand = project((x[searching, None] + rungs[:, :, None] * direction[searching, None])[valid])
+            held = searching[np.nonzero(valid)[0]]  # the restart of each valid rung
+            cand = project(x[held] + rungs[valid][:, None] * direction[held])
             if clips:
                 # A rung that the clip maps back onto its restart's point x
                 # has the value fx, bitwise (a stacked row equals the point
@@ -199,35 +204,40 @@ def _multistart(F, grad, project, starts, owners, cfg, clips=False):
                 # that face.  The loop walks all of them, finds none better
                 # and ends the search unaccepted; here the first returning
                 # rung ends it, and it and the rungs after it are dropped.
+                back = (cand == x[held]).all(axis=1)
                 home = np.zeros(rungs.shape, dtype=bool)
-                home[valid] = (cand == x[searching[np.nonzero(valid)[0]]]).all(axis=1)
-                cand = cand[~home[valid]]
+                home[valid] = back
+                cand, held = cand[~back], held[~back]
                 valid &= ~home
                 if not valid.any():  # every restart still searching came back
                     break
             at = np.full(rungs.shape, -1)  # the row of cand holding each valid rung
-            at[valid] = np.arange(valid.sum())
-            vals, status = F(cand, np.broadcast_to(owners[searching, None], rungs.shape)[valid])
+            at[valid] = np.arange(len(cand))
+            vals, status, G = F(cand, owners[held])
             ends = np.zeros(rungs.shape, dtype=bool)
-            better = vals > np.broadcast_to(fx[searching, None], rungs.shape)[valid]
-            ends[valid] = (status != _kernels.STATUS_OK) | better
+            ends[valid] = (status != _kernels.STATUS_OK) | (vals > fx[held])
             col = ends.argmax(axis=1)
             first = at[np.arange(searching.size), col]
             decided = ends.any(axis=1)
             codes = np.where(decided, status[first], _kernels.STATUS_OK)
             keep = survivors(searching, codes)
-            win = decided & keep & (codes == _kernels.STATUS_OK)
+            win = decided & (codes == _kernels.STATUS_OK)
+            more = ~decided
+            if keep is not None:
+                win &= keep
+                more &= keep
             r, j = searching[win], first[win]
             gain[r] = vals[j] - fx[r]
-            x[r], fx[r], step[r] = cand[j], vals[j], rungs[win, col[win]] * 2.0
+            x[r], fx[r], grad[r], step[r] = cand[j], vals[j], G[j], rungs[win, col[win]] * 2.0
             accepted[r] = True
             s[searching] = rungs[:, -1] * 0.5
             if clips:
-                decided |= home.any(axis=1)
-            searching = searching[keep & ~decided & (s[searching] >= _MIN_STEP)]
+                more &= ~home.any(axis=1)
+            searching = searching[more & (s[searching] >= _MIN_STEP)]
             width *= 2
 
-        live = live[live < failed[owners[live]]]
+        if errors:
+            live = live[live < failed[owners[live]]]
         stop = ~accepted[live] | (gain[live] < TOL)
         converged[live[stop]] = True
         live = live[~stop]
@@ -259,14 +269,15 @@ class _Ball:
         """Every finite X: an objective value that overflows fails its row."""
 
     @staticmethod
-    def objective(kernel, A, X):
-        """The stacked softmax objective, with an OK status for every row
-        whose value is finite; a value that overflowed fails the row."""
+    def objective(kernel):
+        """The stacked softmax objective (A, X, P) -> (values, status codes,
+        gradients), with an OK status for every row whose value is finite; a
+        value that overflowed fails the row."""
 
-        def F(P):
+        def F(A, X, P):
             with np.errstate(over="ignore", invalid="ignore"):
-                values = kernel(A, X, P)
-            return values, np.where(np.isfinite(values), _kernels.STATUS_OK, _STATUS_NON_FINITE)
+                values, grad = kernel(A, X, P)
+            return values, np.where(np.isfinite(values), _kernels.STATUS_OK, _kernels.STATUS_NON_FINITE), grad
 
         return F
 
@@ -341,9 +352,9 @@ class _Box:
             )
 
     @staticmethod
-    def objective(kernel, A, X):
-        """The stacked leverage objective, with its status code per row."""
-        return partial(kernel, A, X)
+    def objective(kernel):
+        """The stacked leverage objective, which returns its own status codes."""
+        return kernel
 
     def project(self, U):
         return np.clip(U, self.lo, self.hi)
@@ -367,21 +378,19 @@ class _Box:
 def _maximize_each(feasible, constraint, kernel, A, Xs, name, config, seeds, hellinger):
     """Maximize ``_kernels.<kernel>_objective(A, X, .)`` for each X in
     ``Xs``, problem i under ``config`` with seed ``seeds[i]``, over the
-    feasible set built from ``constraint``, ascending along
-    ``_kernels.<kernel>_gradient(A, X, .)``; with ``hellinger`` the
-    objective is H^2 and the value reported is H.  Every problem's restarts
-    climb in one lockstep ascent, each row of a kernel call with its own
-    problem's X.  Returns, per problem, its OptResult or the error its
-    corner checks or ascent raise; each is what that problem gets alone.
-    Both kernels are looked up at call time, so rebinding one in
-    ``_kernels`` reaches every call."""
+    feasible set built from ``constraint``, ascending along the gradient
+    that the kernel returns; with ``hellinger`` the objective is H^2 and the
+    value reported is H.  Every problem's restarts climb in one lockstep
+    ascent, each row of a kernel call with its own problem's X.  Returns,
+    per problem, its OptResult or the error its corner checks or ascent
+    raise; each is what that problem gets alone.  The kernel is looked up at
+    call time, so rebinding it in ``_kernels`` reaches every call."""
     A = as_matrix(A, "A")
     Xs = [as_matrix(X, name) for X in Xs]
     for X in Xs:
         if A.shape != X.shape:
             raise ShapeMismatch(f"A and {name} must share a shape, got {A.shape} vs {X.shape}")
-    objective = getattr(_kernels, f"{kernel}_objective")
-    gradient = getattr(_kernels, f"{kernel}_gradient")
+    objective = feasible.objective(getattr(_kernels, f"{kernel}_objective"))
     # One problem keeps its single X, which every row shares; several are
     # one (p, n, d) stack, indexed by each row's problem.
     stack = Xs[0] if len(Xs) == 1 else np.stack(Xs)
@@ -389,9 +398,7 @@ def _maximize_each(feasible, constraint, kernel, A, Xs, name, config, seeds, hel
     def own(problems):
         return stack if stack.ndim == 2 else stack[problems]
 
-    rows = max(1, _MAX_ELEMENTS // A.size)
-    F = _capped(lambda P, problems: feasible.objective(objective, A, own(problems))(P), rows)
-    grad = _capped(lambda P, problems: gradient(A, own(problems), P), rows)
+    F = _capped(lambda P, problems: objective(A, own(problems), P), max(1, _MAX_ELEMENTS // A.size))
     space = feasible(constraint, A)
     outcomes = [None] * len(Xs)
     starts, owners = [], []
@@ -406,7 +413,7 @@ def _maximize_each(feasible, constraint, kernel, A, Xs, name, config, seeds, hel
             continue
         starts += mine
         owners += [i] * len(mine)
-    found = _multistart(F, grad, space.project, starts, owners, config, space.clips) if starts else {}
+    found = _multistart(F, space.project, starts, owners, config, space.clips) if starts else {}
     for q, res in found.items():
         outcomes[q] = res
     done = [q for q, res in found.items() if not isinstance(res, Exception)]

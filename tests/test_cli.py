@@ -188,6 +188,31 @@ def test_a_box_too_small_for_the_ascent_is_one_located_line(tmp_path, capsys, A,
         assert capsys.readouterr() == ("", f"error: {path}: {phase}{message}\n")
 
 
+@pytest.mark.parametrize(
+    "M, argv, phase",
+    [
+        ([[6e307, 0.0], [0.0, 6e307], [1e307, 0.0]], ["optimize", "--objective", "variance"], ""),
+        ([[6e307, 0.0], [0.0, 6e307], [1e307, 0.0]], ["sweep", "--trials", "20"], "nu: "),
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], ["optimize"], ""),
+    ],
+    ids=["variance", "sweep-nu", "hellinger"],
+)
+def test_an_objective_whose_factors_overflow_is_one_located_line(tmp_path, capsys, M, argv, phase):
+    # The box admits A, but sqrt(1/c) A has columns whose norms pass the
+    # float range, so the QR of the scaled matrix is not finite at the
+    # corner u = 1/c.  That row fails as not finite, not as a vanished
+    # leverage score or a rank deficiency.  One line and exit 2; a numpy
+    # warning that leaked would raise here.
+    A = [[6e307, 0.0], [0.0, 6e307], [6e307, 6e307]]
+    path = _spec_file(tmp_path, {"family": "leverage", "A": A, "M": M, "constraint": {"c": 0.25, "C": 2.0}})
+    command, *rest = argv
+    if command == "sweep":
+        rest += ["--out", str(tmp_path / "sweep.csv")]
+    assert cli.main([command, path, *rest]) == 2
+    message = "the objective is not finite; the matrix entries are too big"
+    assert capsys.readouterr() == ("", f"error: {path}: {phase}{message}\n")
+
+
 def test_malformed_spec_reports_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ bad", encoding="utf-8")
@@ -298,7 +323,7 @@ def test_optimize_fails_where_the_ball_objective_overflows(tmp_path):
     path = _spec_file(tmp_path, doc)
     res = run_cli("optimize", path, "--objective", "variance")
     assert (res.returncode, res.stdout) == (2, "")
-    assert res.stderr == f"error: {path}: the objective is not finite in the energy ball; the matrix entries are too big\n"
+    assert res.stderr == f"error: {path}: the objective is not finite; the matrix entries are too big\n"
 
 
 def test_optimize_forms_a_hellinger_gap_that_overflows_without_a_warning(tmp_path):
@@ -324,7 +349,7 @@ def test_an_optimizer_error_names_the_spec_and_the_phase(tmp_path, capsys):
     path = _spec_file(tmp_path, doc)
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", path, "--trials", "10", "--out", str(out)]) == 2
-    message = "the objective is not finite in the energy ball; the matrix entries are too big"
+    message = "the objective is not finite; the matrix entries are too big"
     assert capsys.readouterr().err == f"error: {path}: nu: {message}\n"
     # A + 0.2 M has a zero second column, so grid point 0's corner check
     # fails; nu and the other points are well posed, and their rows land

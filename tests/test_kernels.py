@@ -4,7 +4,10 @@ references.
 The references below are the one-point objectives and the single-matrix W
 factorization that the stacked kernels replaced, kept verbatim as the
 oracle: every row of a stack must be bitwise equal to them, status codes
-included.
+included.  The gradients that the objectives return beside their values
+have no such reference here: their rows must be bitwise equal to each point
+alone, and ``tests/test_optimize.py`` checks them against central
+differences.
 """
 
 import numpy as np
@@ -87,19 +90,19 @@ LEVERAGE = [
 
 
 def _assert_rows_match(kernel, reference, A, B, Z):
-    """The stack, each row alone (k = 1) and the reference agree bitwise."""
+    """The stack, each row alone (k = 1) and the reference agree bitwise:
+    the values and status codes with the reference, the values, status
+    codes and gradients with each row alone."""
     stacked = kernel(A, B, Z)
     alone = [kernel(A, B, z[None]) for z in Z]
     ref = [reference(A, B, z) for z in Z]
-    if isinstance(stacked, tuple):
-        vals, status = stacked
-        assert np.array_equal(vals, [r[0] for r in ref])
-        assert np.array_equal(status, [r[1] for r in ref])
-        assert np.array_equal(vals, [a[0][0] for a in alone])
-        assert np.array_equal(status, [a[1][0] for a in alone])
+    if len(stacked) == 3:
+        assert np.array_equal(stacked[0], [r[0] for r in ref])
+        assert np.array_equal(stacked[1], [r[1] for r in ref])
     else:
-        assert np.array_equal(stacked, ref)
-        assert np.array_equal(stacked, [a[0] for a in alone])
+        assert np.array_equal(stacked[0], ref)
+    for i, part in enumerate(stacked):
+        assert part.tobytes() == np.concatenate([a[i] for a in alone]).tobytes()
 
 
 @pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (33, 7), (64, 8)])
@@ -116,26 +119,26 @@ def test_stacked_objectives_equal_single_point_references(n, d):
         _assert_rows_match(kernel, reference, A, B, U)
 
 
-GRADIENTS = ["softmax_h2_gradient", "softmax_var_gradient", "leverage_h2_gradient", "leverage_var_gradient"]
+OBJECTIVES = ["softmax_h2_objective", "softmax_var_objective", "leverage_h2_objective", "leverage_var_objective"]
 
 
 @pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (33, 7), (64, 8)])
 def test_stacked_gradients_equal_each_point_alone(n, d):
+    # The gradient is the last part an objective returns.  The optimizer
+    # keeps the row of an accepted rung, so that row must be bitwise what
+    # the point's own call returns.
     g = generator(derive_seed(314, "gradient-stack", n, d))
     A = g.standard_normal((n, d))
     B = A + 0.1 * g.standard_normal((n, d))
     k = 2 * max(n, d) + 1
     X = g.standard_normal((k, d))
     U = 0.5 + 1.5 * g.random((k, n))
-    for name, Z in zip(GRADIENTS, (X, X, U, U)):
+    for name, Z in zip(OBJECTIVES, (X, X, U, U)):
         kernel = getattr(_kernels, name)
-        stacked = kernel(A, B, Z)
+        stacked = kernel(A, B, Z)[-1]
         assert stacked.shape == Z.shape
         for row, z in zip(stacked, Z):
-            assert row.tobytes() == kernel(A, B, z[None])[0].tobytes(), name
-
-
-OBJECTIVES = ["softmax_h2_objective", "softmax_var_objective", "leverage_h2_objective", "leverage_var_objective"]
+            assert row.tobytes() == kernel(A, B, z[None])[-1][0].tobytes(), name
 
 
 @pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (33, 7), (64, 8)])
@@ -152,34 +155,34 @@ def test_per_row_matrix_stack_equals_each_problems_own_call(n, d):
     problems = g.integers(0, len(Bs), k)
     X = g.standard_normal((k, d))
     U = 0.5 + 1.5 * g.random((k, n))
-    for name, Z in zip(OBJECTIVES + GRADIENTS, (X, X, U, U) * 2):
+    for name, Z in zip(OBJECTIVES, (X, X, U, U)):
         kernel = getattr(_kernels, name)
         stacked = kernel(A, Bs[problems], Z)
         own = [kernel(A, Bs[q], z[None]) for q, z in zip(problems, Z)]
-        if isinstance(stacked, tuple):
-            for part, parts in zip(stacked, zip(*own)):
-                assert part.tobytes() == np.concatenate(parts).tobytes(), name
-        else:
-            assert stacked.tobytes() == np.concatenate(own).tobytes(), name
+        for part, parts in zip(stacked, zip(*own)):
+            assert part.tobytes() == np.concatenate(parts).tobytes(), name
     status = _kernels.leverage_h2_objective(A, Bs[problems], U)[1]
     assert set(status) == {_kernels.STATUS_OK, _kernels.STATUS_RANK_DEFICIENT}
 
 
 def test_warmup_calls_every_gradient_kernel(monkeypatch):
-    # perfbench's warm-up check covers only the kernels its tracer times,
-    # and it does not time the gradients: a gradient left out of warmup()
-    # would pay the lazy set-up of its qr and solve calls inside a timed run.
+    # The gradients come out of the objectives, so warmup() must call each
+    # objective, and each call must return its gradient stack: otherwise the
+    # lazy set-up of a gradient's matmul and solve calls would be paid
+    # inside a timed run.  No gradient-only kernel is left to warm up.
+    assert not [name for name in vars(_kernels) if name.endswith("_gradient")]
     called = []
-    for name in GRADIENTS:
+    for name in OBJECTIVES:
         kernel = getattr(_kernels, name)
 
-        def counted(*args, name=name, kernel=kernel):
-            called.append(name)
-            return kernel(*args)
+        def counted(A, X, Z, name=name, kernel=kernel):
+            out = kernel(A, X, Z)
+            called.append((name, out[-1].shape == Z.shape))
+            return out
 
         monkeypatch.setattr(_kernels, name, counted)
     _kernels.warmup()
-    assert sorted(called) == sorted(GRADIENTS)
+    assert sorted(called) == [(name, True) for name in sorted(OBJECTIVES)]
 
 
 def test_stacked_leverage_statuses_match_row_by_row():
@@ -192,7 +195,7 @@ def test_stacked_leverage_statuses_match_row_by_row():
     U[2, 3] = 0.0
     for kernel, reference in LEVERAGE:
         _assert_rows_match(kernel, reference, A, M, U)
-    _, status = _kernels.leverage_var_objective(A, M, U)
+    status = _kernels.leverage_var_objective(A, M, U)[1]
     assert status.tolist() == [
         _kernels.STATUS_OK,
         _kernels.STATUS_RANK_DEFICIENT,
@@ -297,9 +300,9 @@ def test_rank_deficient_status_from_objectives():
     A = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # rank 1
     ok = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     U = np.ones((1, 3))
-    _, status = _kernels.leverage_h2_objective(A, ok, U)
+    status = _kernels.leverage_h2_objective(A, ok, U)[1]
     assert status.tolist() == [_kernels.STATUS_RANK_DEFICIENT]
-    _, status = _kernels.leverage_var_objective(A, ok, U)
+    status = _kernels.leverage_var_objective(A, ok, U)[1]
     assert status.tolist() == [_kernels.STATUS_RANK_DEFICIENT]
 
 
@@ -307,7 +310,7 @@ def test_zero_leverage_status_from_variance_objective():
     # full column rank, but the zero row has leverage exactly 0
     A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     M = np.ones((3, 2))
-    val, status = _kernels.leverage_var_objective(A, M, np.ones((1, 3)))
+    val, status, _ = _kernels.leverage_var_objective(A, M, np.ones((1, 3)))
     assert status.tolist() == [_kernels.STATUS_ZERO_LEVERAGE]
     assert val.tolist() == [0.0]
 

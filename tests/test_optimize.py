@@ -6,18 +6,21 @@ w_i = m_i/a_i - tau/g), so a dense grid over the box is cheap and
 independent of the ascent code.
 
 Loop oracle: the restart-by-restart ascent that the lockstep ascent
-replaced, one point per objective and gradient call, kept here to check that
-lockstep returns bitwise the same result and raises the same error.
+replaced, one point per objective call, kept here to check that lockstep
+returns bitwise the same result and raises the same error.  Its gradient at
+each iterate comes from an objective call at that point alone, where
+lockstep keeps the gradient row of the call that evaluated the point.
 
-Gradient oracle: the central differences that the closed-form gradient
-kernels replaced, one stacked call of 2 * dim probes per point, and beside
-them the probe-by-probe loop that the stacked call replaced.
+Gradient oracle: the central differences that the closed-form gradients
+replaced, one stacked call of 2 * dim probes per point, and beside them the
+probe-by-probe loop that the stacked call replaced.
 
 Problem oracle: several problems with one A ascend as one lockstep run;
 each must get bitwise the result, or the error, of its own ``max_*`` call.
 """
 
 import importlib.resources as ir
+import inspect
 import itertools
 import json
 import math
@@ -211,14 +214,15 @@ def test_leverage_argmax_is_a_feasible_scale_vector():
 def test_tiny_lower_bound_evaluates_only_inside_the_domain(tmp_path, monkeypatch, capsys):
     # With C = 1e7 the box's lower bound 1/C = 1e-7 lies just above u = 0,
     # where sqrt(u) is NaN; the suite turns that RuntimeWarning into an
-    # error.  Every stack passed to a leverage objective or gradient kernel
-    # is recorded: no evaluated point may have a u_i <= 0.
+    # error.  Every stack passed to a leverage objective is recorded (its
+    # gradient comes from the same call): no evaluated point may have a
+    # u_i <= 0.
     doc = json.loads((ir.files("softlev") / "specs" / "demo_leverage.json").read_text(encoding="utf-8"))
     doc["constraint"] = {"c": 1.0, "C": 1e7}
     path = tmp_path / "wide_box.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     lowest = {}
-    for name in ("leverage_h2_objective", "leverage_h2_gradient", "leverage_var_objective", "leverage_var_gradient"):
+    for name in ("leverage_h2_objective", "leverage_var_objective"):
 
         def recorded(A, X, U, name=name, kernel=getattr(_kernels, name)):
             lowest.setdefault(name, []).append(U.min())
@@ -229,7 +233,7 @@ def test_tiny_lower_bound_evaluates_only_inside_the_domain(tmp_path, monkeypatch
     for objective, kernel in (("hellinger", "leverage_h2"), ("variance", "leverage_var")):
         lowest.clear()
         assert cli.main(["optimize", str(path), "--objective", objective]) == 0
-        assert sorted(lowest) == [f"{kernel}_gradient", f"{kernel}_objective"]
+        assert sorted(lowest) == [f"{kernel}_objective"]
         assert min(min(v) for v in lowest.values()) == 1.0 / 1e7  # the corner check sits on the bound
         value, _, _, _, *s = (float(v) for v in capsys.readouterr().out.split(","))
         assert value > 0.0
@@ -267,7 +271,7 @@ def _raising(F):
     """The objective F as values only, raising for its first failing row."""
 
     def G(X):
-        vals, status = F(X)
+        vals, status, _ = F(X)
         error = _first_error(status)
         if error is not None:
             raise error
@@ -346,11 +350,17 @@ _SETS = {
 
 
 def _kernel_pair(maximize, space, A, X):
-    """The objective and the gradient that ``maximize`` ascends, looked up in
-    ``_kernels`` now, as ``optimize._maximize`` does."""
+    """The objective that ``maximize`` ascends, looked up in ``_kernels`` now
+    as ``optimize._maximize`` does, and its gradient: the gradient part of
+    the objective's own call at the points given."""
     kernel = _SETS[maximize][1]
-    objective = space.objective(getattr(_kernels, f"{kernel}_objective"), A, X)
-    return objective, partial(getattr(_kernels, f"{kernel}_gradient"), A, X)
+    objective = partial(space.objective(getattr(_kernels, f"{kernel}_objective")), A, X)
+
+    def gradient(P):
+        return objective(P)[2]
+
+    gradient.__name__ = f"{kernel}_objective's gradient"
+    return objective, gradient
 
 
 def _maximize_loop(maximize, A, X, constraint, cfg):
@@ -437,8 +447,18 @@ def _fd_gradient_loop(F, x, h):
 _GRAD_SHAPES = [(6, 2), (5, 3), (33, 7), (64, 8)]
 
 
+def _random_shapes(count):
+    """``count`` seeded shapes n x d with 1 <= d <= 8 and max(d, 2) <= n <= 64."""
+    g = generator(derive_seed(62, "grad-shapes"))
+    shapes = []
+    for _ in range(count):
+        d = int(g.integers(1, 9))
+        shapes.append((int(g.integers(max(d, 2), 65)), d))
+    return shapes
+
+
 def _gradient_cases(n, d, seed=0):
-    """(objective as values only, gradient kernel, point) for each of the
+    """(objective as values only, its gradient, point) for each of the
     four objectives on one gaussian pair, at a point inside the ball or box."""
     g = generator(derive_seed(62, "grad", n, d, seed))
     A = g.standard_normal((n, d))
@@ -463,10 +483,10 @@ def _assert_close_to_central_differences(F, grad, point):
     expected = _fd_gradient(F, point.copy(), 1e-6)
     got = grad(point[None])[0]
     assert np.isfinite(got).all()
-    assert np.linalg.norm(got - expected) <= 1e-6 * np.linalg.norm(expected), grad.func.__name__
+    assert np.linalg.norm(got - expected) <= 1e-6 * np.linalg.norm(expected), grad.__name__
 
 
-@pytest.mark.parametrize("n,d", _GRAD_SHAPES)
+@pytest.mark.parametrize("n,d", _GRAD_SHAPES + _random_shapes(24))
 def test_gradient_kernels_match_central_differences(n, d):
     for seed in range(3):
         for F, grad, point in _gradient_cases(n, d, seed):
@@ -483,12 +503,13 @@ def test_leverage_gradients_are_finite_for_a_zero_row():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for X, Y in ((A, B), (B, A)):
-            F = _raising(partial(_kernels.leverage_h2_objective, X, Y))
-            _assert_close_to_central_differences(F, partial(_kernels.leverage_h2_gradient, X, Y), u)
+            objective, grad = _kernel_pair(max_hellinger_leverage, _Box, X, Y)
+            _assert_close_to_central_differences(_raising(objective), grad, u)
         # the variance objective fails here (zero leverage); its gradient
-        # is never taken at such a point, but stays finite all the same
-        assert np.isfinite(_kernels.leverage_var_gradient(A, B, u[None])).all()
-        assert _kernels.leverage_var_objective(A, B, u[None])[1][0] == _kernels.STATUS_ZERO_LEVERAGE
+        # is never used at such a point, but stays finite all the same
+        _, status, grad = _kernels.leverage_var_objective(A, B, u[None])
+        assert np.isfinite(grad).all()
+        assert status.tolist() == [_kernels.STATUS_ZERO_LEVERAGE]
 
 
 def test_softmax_gradients_are_finite_when_probabilities_underflow():
@@ -626,32 +647,42 @@ def test_lockstep_raises_the_first_restarts_error(maximize, n, rank_k, lev_k, bo
 
 @pytest.mark.parametrize("maximize", [max_hellinger_leverage, max_variance_leverage], ids=lambda f: f.__name__)
 def test_gradient_is_taken_only_where_the_objective_is_ok(maximize, monkeypatch):
-    # Failures surface only at evaluated points (starts, corner checks and
-    # line-search rungs).  On near-deficient pairs, some of whose ascents
-    # fail after they have taken gradients, every point passed to the
-    # gradient kernel has objective status OK.
+    # A gradient is used only from a point whose status is OK.  Every
+    # objective call returns a gradient row for each point, failing ones
+    # included.  With those rows overwritten by NaN, a step that read one
+    # would put NaN into the next points evaluated, and none may hold one;
+    # every near-deficient pair must end bitwise as it does unpatched.
+    # Some of them meet failing rows in their line searches, after the
+    # corner checks and the starts (the first two calls).
     kernel = _SETS[maximize][1]
-    objective, gradient = (getattr(_kernels, f"{kernel}_{kind}") for kind in ("objective", "gradient"))
-    points = []
+    original = getattr(_kernels, f"{kernel}_objective")
+    poisoned = []  # per case, the failing rows of each call
 
-    def recorded(A, X, U):
-        points.append(U)
-        return gradient(A, X, U)
+    def poisoning(A, X, U):
+        assert not np.isnan(U).any()
+        vals, status, grad = original(A, X, U)
+        bad = status != _kernels.STATUS_OK
+        poisoned[-1].append(int(bad.sum()))
+        grad[bad] = np.nan
+        return vals, status, grad
 
-    monkeypatch.setattr(_kernels, f"{kernel}_gradient", recorded)
-    raised = []
-    for n, rank_k, lev_k, seed in itertools.product((5, 6), (1.5, 2.5), (0, 5), range(2)):
-        A, X = _near_deficient_pair(maximize, n, rank_k, lev_k, seed)
-        points.clear()
-        try:
-            maximize(A, X, BoxConstraint(0.25, 4.0), OptimizerConfig(restarts=8, max_iters=60, seed=seed))
-        except (RankDeficient, ZeroLeverage) as exc:
-            raised.append((type(exc), bool(points)))
-        if points:
-            U = np.concatenate(points)
-            assert (objective(A, X, U)[1] == _kernels.STATUS_OK).all(), (n, rank_k, lev_k, seed)
+    box = BoxConstraint(0.25, 4.0)
+
+    def outcomes():
+        found = []
+        for n, rank_k, lev_k, seed in itertools.product((5, 6), (1.5, 2.5), (0, 5), range(2)):
+            poisoned.append([])
+            A, X = _near_deficient_pair(maximize, n, rank_k, lev_k, seed)
+            found.append(_outcome(maximize, A, X, box, OptimizerConfig(restarts=8, max_iters=60, seed=seed)))
+        return found
+
+    expected = outcomes()
+    monkeypatch.setattr(_kernels, f"{kernel}_objective", poisoning)
+    poisoned.clear()
+    assert outcomes() == expected
     failures = {RankDeficient} if _SETS[maximize][2] else {RankDeficient, ZeroLeverage}
-    assert {error for error, after_gradients in raised if after_gradients} == failures
+    assert {e[0] for e in expected if isinstance(e[0], type)} == failures
+    assert RankDeficient in {e[0] for e, rows in zip(expected, poisoned) if sum(rows[2:])}
 
 
 def test_failing_rung_beyond_the_accepted_one_is_ignored():
@@ -667,52 +698,58 @@ def test_failing_rung_beyond_the_accepted_one_is_ignored():
         u = U[:, 0]
         status = np.where((0.52 < u) & (u < 0.53), _kernels.STATUS_RANK_DEFICIENT, _kernels.STATUS_OK)
         statuses.extend(status)
-        return -((u - 0.54) ** 2), status
+        return -((u - 0.54) ** 2), status, -2.0 * (U - 0.54)
 
     def project(U):
         return np.clip(U, 0.0, 1.0)
 
-    def grad(U):
-        return -2.0 * (U - 0.54)
-
     cfg = OptimizerConfig(restarts=1, max_iters=1)
-    (x, iters, conv), = optimize._multistart(
-        lambda U, _: F(U), lambda U, _: grad(U), project, [np.array([0.5])], [0], cfg
-    ).values()
+    (x, iters, conv), = optimize._multistart(lambda U, _: F(U), project, [np.array([0.5])], [0], cfg).values()
     assert _kernels.STATUS_RANK_DEFICIENT in statuses
-    expected = _multistart_loop(_raising(F), grad, project, [np.array([0.5])], cfg)
+    expected = _multistart_loop(_raising(F), lambda U: F(U)[2], project, [np.array([0.5])], cfg)
     assert (x.tobytes(), iters, conv) == (expected[0].tobytes(), expected[2], expected[3])
     assert x[0] == 0.55
 
 
 def test_lockstep_work_guard(monkeypatch):
     # Counts, not timings.  On the leverage demo at the sweep's middle grid
-    # point, lockstep takes one gradient call per iteration, holding every
-    # restart still ascending, where the loop takes one per restart per
-    # iteration; it makes at most a tenth of the loop's objective calls for
-    # at most 2% more objective rows; and no call exceeds _MAX_ELEMENTS
-    # matrix elements.
+    # point, lockstep calls no kernel but the objective: each call returns
+    # the gradients of its rows, and a restart keeps the one of the point it
+    # accepts, where the loop takes one gradient per restart per iteration.
+    # The objective calls stay those lockstep made beside a gradient kernel:
+    # 12 calls of 287 rows (the corner checks, the starts, ten line-search
+    # rounds and the final value), at most a tenth of the loop's calls for at
+    # most 2% more rows; and no call exceeds _MAX_ELEMENTS matrix elements.
     model = load_model_spec(str(ir.files("softlev") / "specs" / "demo_leverage.json"))
     A, B = model.A, model.A + 0.1 * model.M
-    calls = {"objective": [], "gradient": []}
-    for kind, rows in calls.items():
+    original = _kernels.leverage_h2_objective
+    calls = []  # (kernel, rows) of every public kernel call
+    for name, kernel in list(vars(_kernels).items()):
+        if inspect.isfunction(kernel) and not name.startswith("_"):
 
-        def counted(A, B, U, rows=rows, kernel=getattr(_kernels, f"leverage_h2_{kind}")):
-            rows.append(len(U))
-            return kernel(A, B, U)
+            def counted(*args, name=name, kernel=kernel):
+                calls.append((name, len(args[-1])))
+                return kernel(*args)
 
-        monkeypatch.setattr(_kernels, f"leverage_h2_{kind}", counted)
+            monkeypatch.setattr(_kernels, name, counted)
 
     def counts(run, *args):
-        for rows in calls.values():
-            rows.clear()
+        calls.clear()
         run(*args)
-        return {kind: list(rows) for kind, rows in calls.items()}
+        assert {name for name, _ in calls} <= {"leverage_h2_objective"}  # no gradient-only call
+        return [rows for _, rows in calls]
 
     cfg = OptimizerConfig()
     lockstep = counts(max_hellinger_leverage, A, B, model.constraint, cfg)
+    assert (len(lockstep), sum(lockstep)) == (12, 287)
     space = _Box(model.constraint, A)
-    objective, grad = _kernel_pair(max_hellinger_leverage, space, A, B)
+    objective = _kernel_pair(max_hellinger_leverage, space, A, B)[0]
+    gradient_rows = []
+
+    def grad(U):  # the loop's gradient, from an uncounted objective call
+        gradient_rows.append(len(U))
+        return original(A, B, U)[2]
+
     iters = []
     loop = counts(
         lambda: iters.extend(
@@ -720,18 +757,17 @@ def test_lockstep_work_guard(monkeypatch):
             for x0 in space.starts(objective, cfg, A - B)
         )
     )
-    assert len(iters) == cfg.restarts and loop["gradient"] == [1] * sum(iters)
-    assert lockstep["gradient"] == [sum(i >= t for i in iters) for t in range(1, max(iters) + 1)]
-    assert 10 * len(lockstep["objective"]) <= len(loop["objective"])
-    assert sum(lockstep["objective"]) <= 1.02 * sum(loop["objective"])
+    assert len(iters) == cfg.restarts and gradient_rows == [1] * sum(iters) and sum(iters) == 284
+    assert 10 * len(lockstep) <= len(loop)
+    assert sum(lockstep) <= 1.02 * sum(loop)
     # the box's returning rungs end their searches unevaluated
-    assert 2 * sum(lockstep["objective"]) <= sum(loop["objective"])
-    assert max(max(rows) for rows in lockstep.values()) * A.size <= _MAX_ELEMENTS
+    assert 2 * sum(lockstep) <= sum(loop)
+    assert max(lockstep) * A.size <= _MAX_ELEMENTS
     # 32 restarts of a 256x16 model: 32 rows are twice the cap of 16.
     A, B = _gaussian_pair(max_hellinger_leverage, 256, 16, 0)
     capped = counts(max_hellinger_leverage, A, B, BOX, OptimizerConfig(max_iters=1))
-    assert capped["gradient"] == [16, 16]
-    assert max(capped["objective"]) * A.size == _MAX_ELEMENTS
+    assert capped == [2, 16, 16, 16, 16, 1]
+    assert max(capped) * A.size == _MAX_ELEMENTS
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -903,15 +939,14 @@ def test_capped_calls_split_across_problems(monkeypatch, each, maximize, n, d, r
     constraint = _constraint(maximize)
     expected = _alone(maximize, A, Bs, constraint, cfg, seeds)
     calls = []
-    for kind in ("objective", "gradient"):
-        original = getattr(_kernels, f"{kernel}_{kind}")
+    original = getattr(_kernels, f"{kernel}_objective")
 
-        def counted(A, B, Z, original=original):
-            mixed = B.ndim == 3 and any(not np.array_equal(B[0], b) for b in B[1:])
-            calls.append((len(Z), mixed))
-            return original(A, B, Z)
+    def counted(A, B, Z):
+        mixed = B.ndim == 3 and any(not np.array_equal(B[0], b) for b in B[1:])
+        calls.append((len(Z), mixed))
+        return original(A, B, Z)
 
-        monkeypatch.setattr(_kernels, f"{kernel}_{kind}", counted)
+    monkeypatch.setattr(_kernels, f"{kernel}_objective", counted)
     assert [_summary(r) for r in each(A, Bs, constraint, cfg, seeds)] == expected
     cap = _MAX_ELEMENTS // A.size
     assert max(rows for rows, _ in calls) == cap
