@@ -3,11 +3,11 @@
 The four optimizer objectives (``softmax_h2_objective``,
 ``softmax_var_objective``, ``leverage_h2_objective``,
 ``leverage_var_objective``) take a stack of query points of shape
-``(k, dim)`` and return ``k`` values, then (the leverage objectives only)
-``k`` status codes, then the ``(k, dim)`` stack of their closed-form
-gradients.  A gradient row is built from the softmax or the QR factors that
-its value already computed, and every sum over the n rows comes from d-by-d
-matrices; it means something only where the row's status is OK.  A single
+``(k, dim)`` and return ``k`` values, ``k`` status codes, and the
+``(k, dim)`` stack of their closed-form gradients.  A gradient row is built
+from the softmax or the QR factors that its value already computed, and
+every sum over the n rows comes from d-by-d matrices; it means something
+only where the row's status is OK.  A single
 point is the stack with ``k = 1``.  The second matrix (B or M) is either one
 ``(n, d)`` matrix shared by every row or a ``(k, n, d)`` stack holding each
 row's own, so rows of different problems with the same A evaluate in one
@@ -27,8 +27,7 @@ one QR call, so one vector or matrix is the stack of one and every row of a
 stack is bitwise equal to that row alone.  Each kernel has one
 implementation, and results are bitwise deterministic.
 
-Status codes, as the leverage objectives return them (the optimizer gives
-the softmax objectives' rows codes 0 and 3 from their values):
+Status codes, as the objectives return them (a softmax row gets 0 or 3):
 
 * 0 -- fine
 * 1 -- rank-deficient scaled matrix
@@ -124,18 +123,24 @@ def min_eigenvalue(S):
     return np.linalg.eigvalsh(S)[..., 0]
 
 
-def _checked_qr(As):
-    """Thin QR of each matrix in a stack, and whether it is numerically full rank."""
+def _max_row_norm(X):
+    """The largest Euclidean row norm of each matrix in a ``(..., n, d)`` stack."""
     with np.errstate(over="ignore"):
-        thresh = _RANK_RTOL * np.sqrt((As * As).sum(axis=-1).max(axis=-1))
-    if not np.isfinite(thresh).all():
+        norm = np.sqrt((X * X).sum(axis=-1).max(axis=-1))
+    if not np.isfinite(norm).all():
         # A squared entry overflowed: the same norm, from rows scaled by the
         # matrix's largest |entry| (at least tiny, so an all-zero matrix
         # divides no 0 by 0).  Matrices whose plain value is finite keep it.
-        scale = np.maximum(np.abs(As).max(axis=(-2, -1), keepdims=True), np.finfo(np.float64).tiny)
-        scaled = As / scale
-        norm = scale[..., 0, 0] * np.sqrt((scaled * scaled).sum(axis=-1).max(axis=-1))
-        thresh = np.where(np.isfinite(thresh), thresh, _RANK_RTOL * norm)
+        scale = np.maximum(np.abs(X).max(axis=(-2, -1), keepdims=True), np.finfo(np.float64).tiny)
+        scaled = X / scale
+        scaled_norm = scale[..., 0, 0] * np.sqrt((scaled * scaled).sum(axis=-1).max(axis=-1))
+        norm = np.where(np.isfinite(norm), norm, scaled_norm)
+    return norm
+
+
+def _checked_qr(As):
+    """Thin QR of each matrix in a stack, and whether it is numerically full rank."""
+    thresh = _RANK_RTOL * _max_row_norm(As)
     Q, R = np.linalg.qr(As)
     ok = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1) > thresh
     return Q, R, ok
@@ -269,21 +274,27 @@ def softmax_h2_objective(A, B, X):
     With p = softmax(A x), q = softmax(B x) and r = sqrt(p q), the partial
     derivative of H^2 = (sum p + sum q)/2 - sum r in log p_i is (p_i - r_i)/2,
     and likewise in log q_i.  Nothing is divided, so a p_i that underflows to
-    0 is harmless."""
-    p, q = _softmax(np.stack((_matvec(A, X), _matvec(B, X))))
-    r = np.sqrt(p * q)
-    return _h2(p, q), _softmax_pull(A, p, 0.5 * (p - r)) + _softmax_pull(B, q, 0.5 * (q - r))
+    0 is harmless; a row whose logits overflow fails, by its status code."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q = _softmax(np.stack((_matvec(A, X), _matvec(B, X))))
+        r = np.sqrt(p * q)
+        values = _h2(p, q)
+        grad = _softmax_pull(A, p, 0.5 * (p - r)) + _softmax_pull(B, q, 0.5 * (q - r))
+    return values, np.where(np.isfinite(values), STATUS_OK, STATUS_NON_FINITE), grad
 
 
 def softmax_var_objective(A, M, X):
     """Var_{softmax(A x)}(M x) for each row x of X, and its gradient: with
     v = M x and delta = v - p.v, it is sum_i p_i delta_i^2 grad log p_i
-    + 2 M^T (p delta)."""
-    p = _softmax(_matvec(A, X))
-    v = _matvec(M, X)
-    delta = v - _dot(p, v)[:, None]
-    pd = p * delta
-    return _dot(p, delta * delta), _softmax_pull(A, p, pd * delta) + 2.0 * _vecmat(M, pd)
+    + 2 M^T (p delta).  A row whose value overflows fails, by its status code."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _softmax(_matvec(A, X))
+        v = _matvec(M, X)
+        delta = v - _dot(p, v)[:, None]
+        pd = p * delta
+        values = _dot(p, delta * delta)
+        grad = _softmax_pull(A, p, pd * delta) + 2.0 * _vecmat(M, pd)
+    return values, np.where(np.isfinite(values), STATUS_OK, STATUS_NON_FINITE), grad
 
 
 def leverage_h2_objective(A, B, U):

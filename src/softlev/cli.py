@@ -7,14 +7,13 @@ invocations produce byte-identical stdout and output files.
 
 import argparse
 import functools
-import math
 import sys
 from importlib import resources
 
 import numpy as np
 
 from .bounds import extremal_pair, lemma_h2_bound, lemma_tv_bound
-from .distributions import hellinger_sq, tv
+from .distributions import hellinger_sq, sandwich_holds, tv
 from .errors import BudgetExceeded, IndistinguishableError
 from .harness import (
     ExperimentSpec,
@@ -69,10 +68,6 @@ def _cmd_pmf(args) -> int:
     return 0
 
 
-def _sandwich_holds(h2: float, t: float) -> bool:
-    return h2 <= t + 1e-12 and t <= math.sqrt(2.0 * h2) + 1e-12
-
-
 def _cmd_distance(args) -> int:
     if args.lemma_a1:
         if args.eps is None or args.n is None or args.m is None:
@@ -97,7 +92,7 @@ def _cmd_distance(args) -> int:
     query = model.constraint.check(args.query)
     P, Q = model.pmf(0, query), model.pmf(1, query)
     t_val, h2_val = tv(P, Q), hellinger_sq(P, Q)
-    if not _sandwich_holds(h2_val, t_val):
+    if not sandwich_holds(h2_val, t_val):
         print(
             f"error: internal distance sandwich violated (h2={h2_val!r}, tv={t_val!r})",
             file=sys.stderr,

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
-from .distributions import normalize_probs
+from .distributions import normalize_probs, sandwich_holds
 from .errors import InputFormatError
 from .hypotest import estimate_sample_complexity
 from .leverage import BoxConstraint, leverage_pmfs
@@ -528,7 +528,7 @@ def _extremal_rows():
 def _envelope_gaps(A, D, x, xnorm, rho):
     """H^2 and TV of each softmax-envelope instance: B = A + gap D with D
     scaled to unit 2->infinity norm and gap = rho / ||x||."""
-    D = D / np.sqrt((D * D).sum(axis=-1).max(axis=-1))[:, None, None]  # as two_to_infty_norm(D) of each
+    D = D / _kernels._max_row_norm(D)[:, None, None]  # as two_to_infty_norm(D) of each
     B = A + (rho / xnorm)[:, None, None] * D
     return _softmax_gaps(_kernels._matvec(A, x), _kernels._matvec(B, x))
 
@@ -886,7 +886,7 @@ def _metric_axioms(seed, count):
     slack = 1e-12
     for _, _, distances in _evaluated(seed, "metric", count, _metric_draw, _metric_distances):
         h2_pq, h2_qp, h2_pp, h2_pr, h2_qr, tv_pq, tv_qp, tv_pp, tv_pr, tv_qr = distances
-        if not (h2_pq <= tv_pq + slack and tv_pq <= math.sqrt(2.0 * h2_pq) + slack):
+        if not sandwich_holds(h2_pq, tv_pq):
             sandwich_viol += 1
         if tv_pq != tv_qp or h2_pq != h2_qp:
             sym_viol += 1

@@ -70,15 +70,15 @@ def require_tall(A, name="leverage model"):
 
 
 def _scaled(A, query, stack=False):
-    """diag(s)^{-1} A, validated; with ``stack``, A and s may be stacks that
-    broadcast against each other."""
+    """diag(s)^{-1} A and the scales s, validated; with ``stack``, A and s
+    may be stacks that broadcast against each other."""
     A = as_matrix(A, "A", stack)
     s = _scale_vector(query, stack)
     n, d = A.shape[-2:]
     if s.shape[-1] != n:
         raise ShapeMismatch(f"scale length {s.shape[-1]} does not match rows {n}")
     require_tall(A)
-    return _divided(A, s, "scaled matrix diag(s)^{-1} A"), n, d
+    return _divided(A, s, "scaled matrix diag(s)^{-1} A"), s
 
 
 def _divided(A, s, name):
@@ -99,7 +99,7 @@ def _leverage_probs(As):
 
 def leverage_pmf(A, query) -> DiscreteDistribution:
     """Exact output distribution: i-th leverage score of diag(s)^{-1} A over d."""
-    As, _, _ = _scaled(A, query)
+    As, _ = _scaled(A, query)
     return DiscreteDistribution(_leverage_probs(As))
 
 
@@ -112,20 +112,19 @@ def leverage_pmfs(A, S) -> np.ndarray:
     ``leverage_pmf(A[j], S[j]).probs``, and a rank-deficient matrix anywhere
     in the stack raises ``RankDeficient`` as ``leverage_pmf`` does.
     """
-    As, _, _ = _scaled(A, S, stack=True)
+    As, _ = _scaled(A, S, stack=True)
     return normalize_probs(_leverage_probs(As))
 
 
 def _w_parts(A, M, query):
-    As, n, d = _scaled(A, query)
+    As, s = _scaled(A, query)
     M = as_matrix(M, "M")
-    if M.shape != (n, d):
-        raise ShapeMismatch(f"M must have shape {(n, d)}, got {M.shape}")
-    s = _scale_vector(query)
+    if M.shape != As.shape:
+        raise ShapeMismatch(f"M must have shape {As.shape}, got {M.shape}")
     lev, wnum, ok = _kernels.leverage_w_parts(As, _divided(M, s, "scaled direction diag(s)^{-1} M"))
     if not ok:
         raise RankDeficient(_DEFICIENT)
-    return lev, wnum, d
+    return lev, wnum, As.shape[1]
 
 
 def leverage_w(A, M, query) -> np.ndarray:

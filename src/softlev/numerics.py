@@ -60,9 +60,9 @@ def min_eigenvalue(S) -> float:
 
 
 def two_to_infty_norm(A) -> float:
-    """Largest Euclidean row norm, max_i ||A_i||_2."""
-    A = as_matrix(A, "A")
-    return float(np.sqrt((A * A).sum(axis=1).max()))
+    """Largest Euclidean row norm, max_i ||A_i||_2, also where a squared
+    entry overflows."""
+    return float(_kernels._max_row_norm(as_matrix(A, "A")))
 
 
 def row_gram_gap(A, B) -> float:

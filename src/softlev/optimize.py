@@ -24,9 +24,9 @@ most ``_MAX_ELEMENTS // A.size`` rows; larger stacks are split.  Every
 stacked row, gradient included, is bitwise equal to evaluating that point
 alone, so each restart follows exactly the path it follows on its own, and
 the result is the one restart-by-restart ascent gives.  Errors follow that
-order too: the optimizer raises for the lowest-index restart that fails, at
-its first failing evaluation; a rung evaluated beyond the accepted one is
-ignored.
+order too: a restart's first failing evaluation (a rung beyond the accepted
+one is ignored) ends its climb and is its one failure code, and the
+optimizer raises the code of the lowest-index restart that fails.
 Failures surface only at evaluated points (the starts, the box's corner
 checks and the line-search rungs), and a gradient is used only from a point
 whose objective status was OK: only such a point becomes a restart's
@@ -108,16 +108,14 @@ def _first_error(status):
 
 def _capped(F, rows):
     """The stacked kernel F(X, problems), called on at most ``rows`` rows at
-    a time, each part of X with the same part of ``problems``; F returns one
-    array or a tuple of arrays, one entry per row."""
+    a time, each part of X with the same part of ``problems``; F returns a
+    tuple of arrays, each with one entry per row."""
 
     def G(X, problems):
         if len(X) <= rows:
             return F(X, problems)
         parts = [F(X[i : i + rows], problems[i : i + rows]) for i in range(0, len(X), rows)]
-        if isinstance(parts[0], tuple):
-            return tuple(np.concatenate(p) for p in zip(*parts))
-        return np.concatenate(parts)
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
     return G
 
@@ -136,39 +134,24 @@ def _multistart(F, project, starts, owners, cfg, clips=False):
     gradients); a gradient row is read only where its status is OK.  With
     ``clips``, ``project`` must be a coordinatewise clip onto a box, and a
     rung that it maps back onto its restart's point ends that restart's line
-    search unevaluated (see the proof below).  Returns a dict from each
-    problem to (x, iterations summed over its restarts, converged) of its
-    best restart; strictly better wins, so ties keep the earliest.  A
-    problem with a failing restart maps instead to the error that its
-    lowest-index failing restart meets first.  No problem's restarts affect
-    another's.
+    search unevaluated (see the proof below).  Each restart's first failing
+    evaluation ends its climb and is its failure code; the other restarts
+    climb on.  Returns a dict from each problem to (x, iterations summed
+    over its restarts, converged) of its best restart; strictly better wins,
+    so ties keep the earliest.  A problem with a failing restart maps
+    instead to the error of its lowest-index failing restart's code.  No
+    problem's restarts affect another's.
     """
     x = project(np.array(starts, dtype=np.float64))
     k = len(x)
     owners = np.asarray(owners)
-    fx, status, grad = F(x, owners)  # grad[r] is the gradient at x[r]
+    fx, code, grad = F(x, owners)  # grad[r] is the gradient at x[r]; code[r] is restart r's status
     step = np.full(k, STEP_INIT)
     gain = np.zeros(k)
     direction = np.zeros_like(x)
     iters = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
-    failed = np.full(owners[-1] + 1, k)  # each problem's lowest-index failing restart
-    errors = {}  # and its error
-
-    def survivors(rows, codes):
-        """Record each problem's lowest-index failure among ``rows``, whose
-        status codes are ``codes``; mask of the rows before every failure
-        of their problem so far, or None while no restart has failed."""
-        for j in np.flatnonzero(codes != _kernels.STATUS_OK):
-            r, q = rows[j], owners[rows[j]]
-            if r < failed[q]:
-                failed[q], errors[q] = r, _first_error(codes[j : j + 1])
-        return rows < failed[owners[rows]] if errors else None
-
-    live = np.arange(k)
-    keep = survivors(live, status)
-    if keep is not None:
-        live = live[keep]
+    live = np.flatnonzero(code == _kernels.STATUS_OK)
     for it in range(1, cfg.max_iters + 1):
         if not live.size:
             break
@@ -219,13 +202,9 @@ def _multistart(F, project, starts, owners, cfg, clips=False):
             col = ends.argmax(axis=1)
             first = at[np.arange(searching.size), col]
             decided = ends.any(axis=1)
-            codes = np.where(decided, status[first], _kernels.STATUS_OK)
-            keep = survivors(searching, codes)
-            win = decided & (codes == _kernels.STATUS_OK)
+            code[searching[decided]] = status[first[decided]]
+            win = decided & (code[searching] == _kernels.STATUS_OK)
             more = ~decided
-            if keep is not None:
-                win &= keep
-                more &= keep
             r, j = searching[win], first[win]
             gain[r] = vals[j] - fx[r]
             x[r], fx[r], grad[r], step[r] = cand[j], vals[j], G[j], rungs[win, col[win]] * 2.0
@@ -236,23 +215,27 @@ def _multistart(F, project, starts, owners, cfg, clips=False):
             searching = searching[more & (s[searching] >= _MIN_STEP)]
             width *= 2
 
-        if errors:
-            live = live[live < failed[owners[live]]]
+        live = live[code[live] == _kernels.STATUS_OK]
         stop = ~accepted[live] | (gain[live] < TOL)
         converged[live[stop]] = True
         live = live[~stop]
-    best, total = {}, {}
+    best, total, failing = {}, {}, {}
     for r in range(k):
         q = int(owners[r])
         total[q] = total.get(q, 0) + int(iters[r])
+        if code[r] != _kernels.STATUS_OK:
+            failing.setdefault(q, r)
         if q not in best or fx[r] > fx[best[q]]:
             best[q] = r
-    return {q: errors[q] if q in errors else (x[r], total[q], bool(converged[r])) for q, r in best.items()}
+    return {
+        q: _first_error(code[failing[q], None]) if q in failing else (x[r], total[q], bool(converged[r]))
+        for q, r in best.items()
+    }
 
 
 # ---------------------------------------------------------------------------
-# feasible sets: objective wrapper, projector, starts, and the map from the
-# point ascended to the model's query
+# feasible sets: projector, starts, and the map from the point ascended to
+# the model's query
 # ---------------------------------------------------------------------------
 
 
@@ -267,19 +250,6 @@ class _Ball:
     @staticmethod
     def admit(X, name):
         """Every finite X: an objective value that overflows fails its row."""
-
-    @staticmethod
-    def objective(kernel):
-        """The stacked softmax objective (A, X, P) -> (values, status codes,
-        gradients), with an OK status for every row whose value is finite; a
-        value that overflowed fails the row."""
-
-        def F(A, X, P):
-            with np.errstate(over="ignore", invalid="ignore"):
-                values, grad = kernel(A, X, P)
-            return values, np.where(np.isfinite(values), _kernels.STATUS_OK, _kernels.STATUS_NON_FINITE), grad
-
-        return F
 
     def project(self, X):
         """Each row of X, scaled back onto the ball if it lies outside."""
@@ -300,7 +270,7 @@ class _Ball:
         if big.any():
             # A squared entry overflowed, so the largest rows are among
             # these: rank them by their norms from the rows scaled by their
-            # largest |entry|, as _kernels._checked_qr does, and aim along
+            # largest |entry|, as _kernels._max_row_norm does, and aim along
             # the scaled top row, which points the same way.
             scale = np.abs(gap[big]).max(axis=1, keepdims=True)
             with np.errstate(over="ignore", invalid="ignore"):  # an inf gap entry
@@ -351,11 +321,6 @@ class _Box:
                 f"box bound c = {self.c!r} is too small for {name}: d/c or max|{name}| / sqrt(c) overflows"
             )
 
-    @staticmethod
-    def objective(kernel):
-        """The stacked leverage objective, which returns its own status codes."""
-        return kernel
-
     def project(self, U):
         return np.clip(U, self.lo, self.hi)
 
@@ -375,22 +340,24 @@ class _Box:
         return 1.0 / np.sqrt(u)
 
 
-def _maximize_each(feasible, constraint, kernel, A, Xs, name, config, seeds, hellinger):
+def _maximize_each(feasible, constraint, kernel, A, Xs, config, seeds):
     """Maximize ``_kernels.<kernel>_objective(A, X, .)`` for each X in
-    ``Xs``, problem i under ``config`` with seed ``seeds[i]``, over the
-    feasible set built from ``constraint``, ascending along the gradient
-    that the kernel returns; with ``hellinger`` the objective is H^2 and the
-    value reported is H.  Every problem's restarts climb in one lockstep
-    ascent, each row of a kernel call with its own problem's X.  Returns,
-    per problem, its OptResult or the error its corner checks or ascent
-    raise; each is what that problem gets alone.  The kernel is looked up at
-    call time, so rebinding it in ``_kernels`` reaches every call."""
+    ``Xs`` (B for an ``_h2`` kernel, whose H^2 is reported as H; else the
+    direction M), problem i under ``config`` with seed ``seeds[i]``, over
+    the feasible set built from ``constraint``, along the gradient that the
+    kernel returns.  Every problem's restarts climb in one lockstep ascent,
+    each row of a kernel call with its own problem's X.  Returns, per
+    problem, its OptResult or the error its corner checks or ascent raise;
+    each is what that problem gets alone.  The kernel is looked up at call
+    time, so rebinding it in ``_kernels`` reaches every call."""
+    hellinger = kernel.endswith("_h2")
+    name = "B" if hellinger else "M"
     A = as_matrix(A, "A")
     Xs = [as_matrix(X, name) for X in Xs]
     for X in Xs:
         if A.shape != X.shape:
             raise ShapeMismatch(f"A and {name} must share a shape, got {A.shape} vs {X.shape}")
-    objective = feasible.objective(getattr(_kernels, f"{kernel}_objective"))
+    objective = getattr(_kernels, f"{kernel}_objective")
     # One problem keeps its single X, which every row shares; several are
     # one (p, n, d) stack, indexed by each row's problem.
     stack = Xs[0] if len(Xs) == 1 else np.stack(Xs)
@@ -431,10 +398,10 @@ def _maximize_each(feasible, constraint, kernel, A, Xs, name, config, seeds, hel
     return outcomes
 
 
-def _maximize(feasible, constraint, kernel, A, X, name, config, hellinger):
+def _maximize(feasible, constraint, kernel, A, X, config):
     """``_maximize_each`` on the one problem X: its OptResult, or its error raised."""
     config = config or OptimizerConfig()
-    (result,) = _maximize_each(feasible, constraint, kernel, A, [X], name, config, [config.seed], hellinger)
+    (result,) = _maximize_each(feasible, constraint, kernel, A, [X], config, [config.seed])
     if isinstance(result, Exception):
         raise result
     return result
@@ -443,36 +410,36 @@ def _maximize(feasible, constraint, kernel, A, X, name, config, hellinger):
 def max_hellinger_softmax(A, B, constraint, config=None) -> OptResult:
     """Maximize the Hellinger distance between softmax(A x) and softmax(B x)
     over the energy ball.  The reported value is H (not H^2)."""
-    return _maximize(_Ball, constraint, "softmax_h2", A, B, "B", config, hellinger=True)
+    return _maximize(_Ball, constraint, "softmax_h2", A, B, config)
 
 
 def max_hellinger_softmax_each(A, Bs, constraint, config, seeds) -> list:
     """``max_hellinger_softmax(A, B, constraint, replace(config, seed=seed))``
     for each B in Bs and seed in seeds, all in one lockstep ascent: per B,
     the OptResult or the error that call raises."""
-    return _maximize_each(_Ball, constraint, "softmax_h2", A, Bs, "B", config, seeds, hellinger=True)
+    return _maximize_each(_Ball, constraint, "softmax_h2", A, Bs, config, seeds)
 
 
 def max_variance_softmax(A, M, constraint, config=None) -> OptResult:
     """Maximize Var_{softmax(A x)}(M x) over the energy ball."""
-    return _maximize(_Ball, constraint, "softmax_var", A, M, "M", config, hellinger=False)
+    return _maximize(_Ball, constraint, "softmax_var", A, M, config)
 
 
 def max_hellinger_leverage(A, B, box, config=None) -> OptResult:
     """Maximize the Hellinger distance between the leverage distributions of
     A and B over scale vectors in the box.  ``argmax`` is the scale vector s
     (positive branch); the value is H."""
-    return _maximize(_Box, box, "leverage_h2", A, B, "B", config, hellinger=True)
+    return _maximize(_Box, box, "leverage_h2", A, B, config)
 
 
 def max_hellinger_leverage_each(A, Bs, box, config, seeds) -> list:
     """``max_hellinger_leverage(A, B, box, replace(config, seed=seed))`` for
     each B in Bs and seed in seeds, all in one lockstep ascent: per B, the
     OptResult or the error that call raises."""
-    return _maximize_each(_Box, box, "leverage_h2", A, Bs, "B", config, seeds, hellinger=True)
+    return _maximize_each(_Box, box, "leverage_h2", A, Bs, config, seeds)
 
 
 def max_variance_leverage(A, M, box, config=None) -> OptResult:
     """Maximize the variance of the first-order response ratio w under the
     leverage distribution, over scale vectors in the box.  ``argmax`` is s."""
-    return _maximize(_Box, box, "leverage_var", A, M, "M", config, hellinger=False)
+    return _maximize(_Box, box, "leverage_var", A, M, config)

@@ -26,7 +26,7 @@ def _ref_softmax_h2(A, B, x):
     pa = _kernels.softmax_probs(A @ x)
     pb = _kernels.softmax_probs(B @ x)
     h2, _ = _kernels.h2_tv(pa, pb)
-    return h2
+    return h2, _kernels.STATUS_OK
 
 
 def _weighted_variance(p, v):
@@ -37,7 +37,7 @@ def _weighted_variance(p, v):
 
 def _ref_softmax_var(A, M, x):
     p = _kernels.softmax_probs(A @ x)
-    return _weighted_variance(p, M @ x)
+    return _weighted_variance(p, M @ x), _kernels.STATUS_OK
 
 
 def _ref_leverage_h2(A, B, u):
@@ -96,11 +96,8 @@ def _assert_rows_match(kernel, reference, A, B, Z):
     stacked = kernel(A, B, Z)
     alone = [kernel(A, B, z[None]) for z in Z]
     ref = [reference(A, B, z) for z in Z]
-    if len(stacked) == 3:
-        assert np.array_equal(stacked[0], [r[0] for r in ref])
-        assert np.array_equal(stacked[1], [r[1] for r in ref])
-    else:
-        assert np.array_equal(stacked[0], ref)
+    assert np.array_equal(stacked[0], [r[0] for r in ref])
+    assert np.array_equal(stacked[1], [r[1] for r in ref])
     for i, part in enumerate(stacked):
         assert part.tobytes() == np.concatenate([a[i] for a in alone]).tobytes()
 
@@ -120,6 +117,23 @@ def test_stacked_objectives_equal_single_point_references(n, d):
 
 
 OBJECTIVES = ["softmax_h2_objective", "softmax_var_objective", "leverage_h2_objective", "leverage_var_objective"]
+
+
+def test_every_objective_returns_values_codes_and_gradients():
+    # One contract for all four: (k,) values, (k,) status codes and a
+    # (k, dim) gradient stack.  A softmax row whose logits overflow gets
+    # STATUS_NON_FINITE from the kernel itself, with no RuntimeWarning.
+    g = generator(derive_seed(314, "contract"))
+    A = np.array([[1.0, 1.0], [-1.0, 0.5], [0.3, -2.0]])
+    B = A + 0.1 * g.standard_normal(A.shape)
+    X = np.array([[0.6, -0.8], [1e308, 1e308]])
+    U = 0.5 + 1.5 * g.random((2, 3))
+    for name, Z in zip(OBJECTIVES, (X, X, U, U)):
+        values, codes, grad = getattr(_kernels, name)(A, B, Z)
+        assert values.shape == codes.shape == (2,) and grad.shape == Z.shape, name
+        overflows = name.startswith("softmax")  # A x overflows at the second x; no u overflows
+        second = _kernels.STATUS_NON_FINITE if overflows else _kernels.STATUS_OK
+        assert codes.tolist() == [_kernels.STATUS_OK, second], name
 
 
 @pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (33, 7), (64, 8)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from softlev import _kernels
+from softlev.bounds import softmax_lb_quantity
 from softlev.errors import ShapeMismatch
 from softlev.leverage import leverage_pmf, require_tall
 from softlev.numerics import gram, min_eigenvalue, row_gram_gap, two_to_infty_norm
@@ -103,6 +104,18 @@ def test_two_to_infty_norm_axioms():
         assert two_to_infty_norm(2.0 * A) == 2.0 * two_to_infty_norm(A)
         c = 0.7318906251
         assert two_to_infty_norm(c * A) == pytest.approx(c * two_to_infty_norm(A), rel=1e-15)
+
+
+def test_two_to_infty_norm_where_squares_overflow():
+    # 1e200 squared overflows, the norm does not, and nothing warns.  A
+    # matrix whose squares are finite keeps the plain formula's bits, also
+    # beside an overflowing one in a stack.
+    big = np.array([[1e200, 0.0], [0.0, 1.0]])
+    assert two_to_infty_norm(big) == 1e200
+    assert 0.99e-320 < softmax_lb_quantity([[1e160, 0.0], [0.0, 1.0]], np.zeros((2, 2)), 1.0) < 1.01e-320
+    A = generator(derive_seed(6, "overflow")).standard_normal((2, 2))
+    norms = _kernels._max_row_norm(np.stack([A, big]))
+    assert norms[0].tobytes() == np.sqrt((A * A).sum(axis=-1).max()).tobytes() and norms[1] == 1e200
 
 
 # ---------------------------------------------------------------------------

@@ -349,12 +349,12 @@ _SETS = {
 }
 
 
-def _kernel_pair(maximize, space, A, X):
+def _kernel_pair(maximize, A, X):
     """The objective that ``maximize`` ascends, looked up in ``_kernels`` now
     as ``optimize._maximize`` does, and its gradient: the gradient part of
     the objective's own call at the points given."""
     kernel = _SETS[maximize][1]
-    objective = partial(space.objective(getattr(_kernels, f"{kernel}_objective")), A, X)
+    objective = partial(getattr(_kernels, f"{kernel}_objective"), A, X)
 
     def gradient(P):
         return objective(P)[2]
@@ -367,7 +367,7 @@ def _maximize_loop(maximize, A, X, constraint, cfg):
     """What ``maximize(A, X, constraint, cfg)`` returns, by the loop."""
     feasible, _, hellinger = _SETS[maximize]
     space = feasible(constraint, A)
-    objective, grad = _kernel_pair(maximize, space, A, X)
+    objective, grad = _kernel_pair(maximize, A, X)
     F = _raising(objective)
     project = partial(_project_one, space)
     starts = space.starts(objective, cfg, A - X if hellinger else X)
@@ -468,7 +468,7 @@ def _gradient_cases(n, d, seed=0):
     u = 0.5 + 1.5 * g.random(n)
     cases = []
     for maximize, point in zip(_SETS, (x, x, u, u)):
-        objective, grad = _kernel_pair(maximize, _SETS[maximize][0], A, B)
+        objective, grad = _kernel_pair(maximize, A, B)
         cases.append((_raising(objective), grad, point))
     return cases
 
@@ -503,7 +503,7 @@ def test_leverage_gradients_are_finite_for_a_zero_row():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for X, Y in ((A, B), (B, A)):
-            objective, grad = _kernel_pair(max_hellinger_leverage, _Box, X, Y)
+            objective, grad = _kernel_pair(max_hellinger_leverage, X, Y)
             _assert_close_to_central_differences(_raising(objective), grad, u)
         # the variance objective fails here (zero leverage); its gradient
         # is never used at such a point, but stays finite all the same
@@ -522,7 +522,7 @@ def test_softmax_gradients_are_finite_when_probabilities_underflow():
         warnings.simplefilter("error")
         for maximize in (max_hellinger_softmax, max_variance_softmax):
             for X, Y in ((A, B), (B, A)):
-                objective, grad = _kernel_pair(maximize, _Ball, X, Y)
+                objective, grad = _kernel_pair(maximize, X, Y)
                 _assert_close_to_central_differences(_raising(objective), grad, x)
 
 
@@ -588,7 +588,7 @@ def _restart_failures(maximize, A, X, box, cfg):
     """For each start, None if its ascent alone succeeds, else the error it
     raises and the iteration it raises in (0: at the start point)."""
     space = _SETS[maximize][0](box, A)
-    objective, gradient = _kernel_pair(maximize, space, A, X)
+    objective, gradient = _kernel_pair(maximize, A, X)
     iteration = 0
 
     def grad(U):
@@ -711,6 +711,41 @@ def test_failing_rung_beyond_the_accepted_one_is_ignored():
     assert x[0] == 0.55
 
 
+def test_a_later_failure_of_a_higher_restart_keeps_the_first_restarts_error():
+    # f(u) = u on [0, 1].  Restart 0 starts at 0.5, and its first rung 0.6
+    # is rank-deficient: it fails at iteration 1.  Restart 1 climbs on from
+    # 0 through 0.1 and 0.3, and its rung 0.7 has zero leverage: it fails
+    # at iteration 3, with another code.  Their problem reports restart 0's
+    # error, as the loop raises it; problem 1's restart from 0.9 is alone.
+    statuses = []
+
+    def F(U):
+        u = U[:, 0]
+        status = np.select(
+            [(0.55 < u) & (u < 0.65), (0.65 < u) & (u < 0.8)],
+            [_kernels.STATUS_RANK_DEFICIENT, _kernels.STATUS_ZERO_LEVERAGE],
+            _kernels.STATUS_OK,
+        )
+        statuses.extend(status)
+        return u.copy(), status, np.ones_like(U)
+
+    def project(U):
+        return np.clip(U, 0.0, 1.0)
+
+    def grad(U):
+        return F(U)[2]
+
+    cfg = OptimizerConfig(restarts=2, max_iters=10)
+    starts = [np.array([0.5]), np.array([0.0]), np.array([0.9])]
+    found = optimize._multistart(lambda U, _: F(U), project, starts, [0, 0, 1], cfg)
+    assert _kernels.STATUS_ZERO_LEVERAGE in statuses
+    with pytest.raises(RankDeficient) as raised:
+        _multistart_loop(_raising(F), grad, project, starts[:2], cfg)
+    assert (type(found[0]), str(found[0])) == (RankDeficient, str(raised.value))
+    x, _, iters, conv = _multistart_loop(_raising(F), grad, project, starts[2:], cfg)
+    assert (found[1][0].tobytes(), found[1][1], found[1][2]) == (x.tobytes(), iters, conv)
+
+
 def test_lockstep_work_guard(monkeypatch):
     # Counts, not timings.  On the leverage demo at the sweep's middle grid
     # point, lockstep calls no kernel but the objective: each call returns
@@ -743,7 +778,7 @@ def test_lockstep_work_guard(monkeypatch):
     lockstep = counts(max_hellinger_leverage, A, B, model.constraint, cfg)
     assert (len(lockstep), sum(lockstep)) == (12, 287)
     space = _Box(model.constraint, A)
-    objective = _kernel_pair(max_hellinger_leverage, space, A, B)[0]
+    objective = _kernel_pair(max_hellinger_leverage, A, B)[0]
     gradient_rows = []
 
     def grad(U):  # the loop's gradient, from an uncounted objective call
@@ -855,9 +890,8 @@ def test_every_rung_below_one_the_clip_returns_comes_back_too(ray):
 
 def _each(maximize, A, Xs, constraint, cfg, seeds):
     """Each X's outcome when every problem ascends in one run."""
-    feasible, kernel, hellinger = _SETS[maximize]
-    name = "B" if hellinger else "M"
-    return [_summary(r) for r in _maximize_each(feasible, constraint, kernel, A, Xs, name, cfg, seeds, hellinger)]
+    feasible, kernel, _ = _SETS[maximize]
+    return [_summary(r) for r in _maximize_each(feasible, constraint, kernel, A, Xs, cfg, seeds)]
 
 
 def _alone(maximize, A, Xs, constraint, cfg, seeds):
