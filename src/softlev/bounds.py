@@ -65,7 +65,8 @@ def softmax_lb_quantity(A, B, energy: float):
 
     This is the order of the number of queries any tester needs to separate
     the two softmax models under energy limit E.  Returns the
-    ``INDISTINGUISHABLE`` marker when A == B exactly.
+    ``INDISTINGUISHABLE`` marker when A == B exactly, and inf where the
+    quantity passes the float range.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -73,10 +74,14 @@ def softmax_lb_quantity(A, B, energy: float):
         raise ShapeMismatch(f"A and B must share a shape, got {A.shape} vs {B.shape}")
     if not (energy > 0 and math.isfinite(energy)):
         raise DomainError(f"energy must be positive and finite, got {energy!r}")
-    gap = two_to_infty_norm(A - B)
-    if gap == 0.0:
+    if np.array_equal(A, B):
         return INDISTINGUISHABLE
-    return (gap * energy) ** -2.0
+    # A/2 - B/2 cannot overflow; with no subnormal in A - B, x is gap * E bitwise
+    x = two_to_infty_norm(A / 2.0 - B / 2.0) * energy * 2.0
+    try:
+        return x**-2.0
+    except (OverflowError, ZeroDivisionError):  # past the float range
+        return math.inf
 
 
 def leverage_lb_quantity(A, B, box):

@@ -66,6 +66,17 @@ class ModelOracle:
         return out
 
 
+def _first_call_seeds(seed: int, truth: int, trials: int):
+    """The seed of the first ``sample`` call of each trial's oracle,
+    ``ModelOracle(spec, truth, derive_seed(seed, truth, k))`` for trial k."""
+    return derive_seeds(seed, truth, indices=range(trials), tail=("call", 0))
+
+
+def _correct(llr, truth: int):
+    """Whether the test decides ``truth`` at a float or array ``llr``: ties go to 0."""
+    return llr >= 0.0 if truth == 0 else llr < 0.0
+
+
 def log_likelihood_ratio(P0: DiscreteDistribution, P1: DiscreteDistribution) -> np.ndarray:
     """Per-outcome log(p0 / p1), with probabilities clamped at 1e-300.
 
@@ -98,11 +109,9 @@ def estimate_success(spec: ModelSpec, m: int, trials: int, seed: int, query=None
     """Worst-case (over the two truths) empirical success rate of the
     likelihood-ratio test with m samples at one query.
 
-    Runs ``trials`` independent tests per truth with subseeds derived as
-    (seed, truth, trial), each keyed as the first ``ModelOracle.sample``
-    call of that trial's oracle.  A test sees the multinomial counts of its
-    m samples, O(n) per trial instead of O(m), and decides 0 exactly when
-    the summed log-likelihood ratio is >= 0 (ties go to 0).
+    Runs ``trials`` tests per truth, each from its oracle's first-call seed
+    (``_first_call_seeds``).  A test sees the multinomial counts of its m
+    samples, O(n) per trial instead of O(m).
     """
     if m < 1 or trials < 1:
         raise ValueError("m and trials must be at least 1")
@@ -112,15 +121,10 @@ def estimate_success(spec: ModelSpec, m: int, trials: int, seed: int, query=None
     worst = 1.0
     for truth in (0, 1):
         correct, probs = 0, pmfs[truth].probs
-        # mirrors ModelOracle.sample's first call, per trial
-        seeds = derive_seeds(seed, truth, indices=range(trials), tail=("call", 0))
-        for g in generators(seeds):
-            counts = g.multinomial(m, probs)
+        for g in generators(_first_call_seeds(seed, truth, trials)):
             # one dot per trial: a tie at llr = 0 decides it, so keep the
             # arithmetic exact
-            llr = float(counts @ ratio)
-            decision = 0 if llr >= 0.0 else 1
-            correct += decision == truth
+            correct += _correct(float(g.multinomial(m, probs) @ ratio), truth)
         worst = min(worst, correct / trials)
     return worst
 
@@ -162,16 +166,14 @@ def _success_curve(pmfs, ratio, trials: int, seed: int, horizon: int) -> np.ndar
     for truth in (0, 1):
         cdf = np.cumsum(pmfs[truth].probs)
         counts = np.zeros(horizon, dtype=np.int64)
-        # mirrors ModelOracle.sample's first call, per trial
-        seeds = list(derive_seeds(seed, truth, indices=range(trials), tail=("call", 0)))
+        seeds = list(_first_call_seeds(seed, truth, trials))
         keyed = Stream().keyed
         for start in range(0, trials, rows):
             u = block[: min(rows, trials - start)]
             for row, s in zip(u, seeds[start : start + rows]):
                 keyed(s).random(out=row)
             llr = np.cumsum(ratio[_inverse_cdf(cdf, u)], axis=1)
-            # a tie at llr = 0 decides for truth 0, as in estimate_success
-            counts += np.count_nonzero(llr >= 0.0 if truth == 0 else llr < 0.0, axis=0)
+            counts += np.count_nonzero(_correct(llr, truth), axis=0)
         correct.append(counts)
     return np.minimum(*correct) / trials
 

@@ -60,8 +60,7 @@ def min_eigenvalue(S) -> float:
 
 
 def two_to_infty_norm(A) -> float:
-    """Largest Euclidean row norm, max_i ||A_i||_2, also where a squared
-    entry overflows."""
+    """Largest Euclidean row norm, max_i ||A_i||_2, exact at any scale."""
     return float(_kernels._max_row_norm(as_matrix(A, "A")))
 
 

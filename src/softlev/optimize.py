@@ -5,7 +5,7 @@ queries, worked in u = s^{-2} coordinates where the feasible set is a box).
 The objectives are cheap, low-dimensional, and smooth almost everywhere but
 multimodal, so many seeded restarts with a deterministic boundary-biased
 first start beat anything clever.  Results are certified lower bounds: the
-reported value is the objective re-evaluated at the reported point.
+reported value is the objective's value from the call that accepted the point.
 
 All restarts ascend in lockstep.  Each objective kernel
 (``<name>_objective`` in ``_kernels``) returns, with its values and status
@@ -77,10 +77,10 @@ class OptimizerConfig:
 class OptResult:
     """Outcome of one multi-start run.
 
-    ``value`` is the objective at ``argmax`` (recomputed, not the running
-    best); ``iterations_used`` counts ascent iterations summed over all
-    restarts; ``converged`` reports whether the winning restart stopped on
-    its own rather than hitting the iteration cap.
+    ``value`` is the objective at ``argmax``, from the kernel call that
+    accepted it; ``iterations_used`` counts ascent iterations summed over
+    all restarts; ``converged`` reports whether the winning restart stopped
+    on its own rather than hitting the iteration cap.
     """
 
     argmax: np.ndarray
@@ -136,11 +136,11 @@ def _multistart(F, project, starts, owners, cfg, clips=False):
     rung that it maps back onto its restart's point ends that restart's line
     search unevaluated (see the proof below).  Each restart's first failing
     evaluation ends its climb and is its failure code; the other restarts
-    climb on.  Returns a dict from each problem to (x, iterations summed
-    over its restarts, converged) of its best restart; strictly better wins,
-    so ties keep the earliest.  A problem with a failing restart maps
-    instead to the error of its lowest-index failing restart's code.  No
-    problem's restarts affect another's.
+    climb on.  Returns a dict from each problem to (x, value at x,
+    iterations summed over its restarts, converged) of its best restart;
+    strictly better wins, so ties keep the earliest.  A problem with a
+    failing restart maps instead to the error of its lowest-index failing
+    restart's code.  No problem's restarts affect another's.
     """
     x = project(np.array(starts, dtype=np.float64))
     k = len(x)
@@ -228,7 +228,7 @@ def _multistart(F, project, starts, owners, cfg, clips=False):
         if q not in best or fx[r] > fx[best[q]]:
             best[q] = r
     return {
-        q: _first_error(code[failing[q], None]) if q in failing else (x[r], total[q], bool(converged[r]))
+        q: _first_error(code[failing[q], None]) if q in failing else (x[r], float(fx[r]), total[q], bool(converged[r]))
         for q, r in best.items()
     }
 
@@ -261,25 +261,15 @@ class _Ball:
         """First start: the boundary point aligned with the largest row of
         the gap/direction matrix ``gap`` (distances between nearby softmax
         models grow toward the boundary, and the largest row dominates).
+        Rows are ranked by norm through ``_kernels._pow2_rows``, which a
+        squared-norm ranking matches unless two squares are one ulp apart.
+        A zero gap, or one with an infinite entry, starts on the first axis.
         Rest: uniform in the ball, seeded per restart index."""
         limit, d = self.limit, gap.shape[1]
-        with np.errstate(over="ignore"):
-            row_norms = (gap * gap).sum(axis=1)
-        top, top_sq = gap[int(row_norms.argmax())], row_norms.max()
-        big = ~np.isfinite(row_norms)
-        if big.any():
-            # A squared entry overflowed, so the largest rows are among
-            # these: rank them by their norms from the rows scaled by their
-            # largest |entry|, as _kernels._max_row_norm does, and aim along
-            # the scaled top row, which points the same way.
-            scale = np.abs(gap[big]).max(axis=1, keepdims=True)
-            with np.errstate(over="ignore", invalid="ignore"):  # an inf gap entry
-                rows = gap[big] / scale
-                sq = (rows * rows).sum(axis=1)
-                i = int((scale[:, 0] * np.sqrt(sq)).argmax())
-            top, top_sq = rows[i], sq[i]
-        if top_sq > 0:
-            yield top * (limit / math.sqrt(top_sq))
+        Y, sq, norms = _kernels._pow2_rows(gap)
+        i = int(norms.argmax())
+        if 0.0 < sq[i] < math.inf:
+            yield Y[i] * (limit / math.sqrt(sq[i]))
         else:
             e0 = np.zeros(d)
             e0[0] = limit
@@ -313,8 +303,9 @@ class _Box:
 
     def admit(self, X, name):
         """DomainError unless 1/c, d/c and max|X| sqrt(1/c) are finite: then
-        no kernel overflows in X * sqrt(u) or d * u for u in the box, and no
-        kernel needs an errstate."""
+        X * sqrt(u) and d * u are finite for every u in the box.  A QR factor
+        of such a matrix may still overflow; the leverage objectives mark
+        that row ``STATUS_NON_FINITE``."""
         big = float(np.abs(X).max()) * math.sqrt(self.hi)
         if not (math.isfinite(X.shape[1] * self.hi) and math.isfinite(big)):
             raise DomainError(
@@ -382,19 +373,10 @@ def _maximize_each(feasible, constraint, kernel, A, Xs, config, seeds):
         owners += [i] * len(mine)
     found = _multistart(F, space.project, starts, owners, config, space.clips) if starts else {}
     for q, res in found.items():
+        if not isinstance(res, Exception):
+            x, value, iters, conv = res
+            res = OptResult(space.query(x), math.sqrt(max(value, 0.0)) if hellinger else value, iters, conv)
         outcomes[q] = res
-    done = [q for q, res in found.items() if not isinstance(res, Exception)]
-    if done:
-        # each reported value is the objective re-evaluated at the argmax
-        values = F(np.array([found[q][0] for q in done]), np.array(done))[0]
-        for q, value in zip(done, values.tolist()):
-            x, iters, conv = found[q]
-            outcomes[q] = OptResult(
-                argmax=space.query(x),
-                value=math.sqrt(max(value, 0.0)) if hellinger else value,
-                iterations_used=iters,
-                converged=conv,
-            )
     return outcomes
 
 

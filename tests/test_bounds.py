@@ -143,6 +143,23 @@ def test_softmax_lb_quantity_identical_models():
         out + 1.0
 
 
+def test_softmax_lb_quantity_past_the_float_range_is_inf():
+    # (gap * E)^-2 overflows for a gap of 1e-160; at 1e-200 the gap's
+    # squares underflow, and the models still differ, so neither pair is
+    # INDISTINGUISHABLE.
+    for tiny in (1e-160, 1e-200, 5e-324):
+        assert softmax_lb_quantity(tiny * np.eye(2), np.zeros((2, 2)), 1.0) == math.inf
+
+
+def test_softmax_lb_quantity_of_a_difference_that_overflows():
+    # A - B overflows although both are finite; the gap 3.4e308 still
+    # counts, with no warning.
+    A = np.array([[1.7e308, 0.0], [0.0, 1.0]])
+    B = np.array([[-1.7e308, 0.0], [0.0, 1.0]])
+    assert softmax_lb_quantity(A, B, 1.0) == 0.0
+    assert softmax_lb_quantity(A, B, 1e-300) == (1.7e308 * 1e-300 * 2.0) ** -2.0
+
+
 def test_softmax_lb_quantity_validation():
     A = np.zeros((2, 1))
     B = np.ones((2, 1))

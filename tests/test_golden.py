@@ -1,0 +1,79 @@
+"""Golden outputs: the sha256 of the stdout and of every CSV of a few CLI runs.
+
+The CLI promises byte-identical output for identical invocations, and a
+change that only simplifies code or makes it faster must keep every output.
+These runs pin that: each calls ``cli.main`` in-process and compares the
+digests of what it printed and wrote with the recorded ones.  Output paths
+are printed as ``<out>``, so the digests do not depend on the temporary
+directory.
+
+A change that alters one of these outputs on purpose updates its digest
+here and restates the determinism contract (what changed, and why the new
+output is the right one) in the same commit.
+"""
+
+import hashlib
+
+import pytest
+
+from softlev import cli
+
+_OUT = "<out>"
+
+# argv (with _OUT where an output path goes) -> {"stdout" or a CSV suffix: sha256}
+_GOLDEN = {
+    ("optimize", "demo-softmax", "--objective", "hellinger"): {
+        "stdout": "3575187db15dab26e9a92eb2dec02567c2a34d56f1f464de09c6895d0b1d00d9",
+    },
+    ("optimize", "demo-softmax", "--objective", "variance"): {
+        "stdout": "713c2ef51a980cda016ecc6ee40073846a8144cee1ae613bd2fded79bf55f79b",
+    },
+    ("optimize", "demo-leverage", "--objective", "hellinger"): {
+        "stdout": "5d3b1ca24ffe2e2e351c613f997a9f9f25ddb55c2e7bd9cee5fa9ba4023d244c",
+    },
+    ("optimize", "demo-leverage", "--objective", "variance"): {
+        "stdout": "5bc17f75520d76418cf4458216d5ec32edce018afc87658ca75334d684fcaf8e",
+    },
+    ("sweep", "demo-softmax", "--trials", "100", "--out", "<out>"): {
+        "stdout": "170e6177059de70aaa0b35f3a3ca3b77142a383e01b98fb077ade6285b264a4f",
+        "csv": "2e8d93e6fb908b6ce9ab4a272da7a80b6e3784617cae3e6198b78050e8240795",
+    },
+    ("sweep", "demo-leverage", "--trials", "100", "--out", "<out>"): {
+        "stdout": "f6e14c1d8a07527c166b2adbf1ac6eb588ab7b3a7ed2fcf97b5da1962ca02c08",
+        "csv": "2ee2324fbdf692a60412a2fc62a0e5158db4d77313869d27bd653ca692247a3e",
+    },
+    ("test", "demo-leverage", "--m", "20"): {
+        "stdout": "80762e7f5d68e7db644ed4ba29f808be305c4a03de91385aa571605d9c52ac4e",
+    },
+    ("verify", "--instances", "200", "--seed", "0", "--out", "<out>"): {
+        "stdout": "998361b3264a1ee9b77949c2a421efe2bea49f7162c84cbbf0ed80940fc1924f",
+        "-bounds.csv": "4bf19d7edcf7ad6cfe29af046b3e5f1a575b2d615448348a595456e1dbc44c3f",
+        "-invariances.csv": "cbcee770a44c5d5534053c2ea785fa505f056bebe86314bbeb0032b8c172663e",
+        "-taylor-leverage.csv": "bbed8789b5fc445fdb8ecabb5b21c7924949786ce6809b8a6715d794db22cabb",
+        "-taylor-softmax.csv": "ba70c4ca9231db2402988357ca5f12228fe40504cbb440987b56533b90051cb6",
+    },
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv, tmp_path, capsys):
+    """Exit code, stdout digest and the digest of each file written under
+    the output path, keyed by the suffix after it."""
+    out = tmp_path / "run"
+    code = cli.main([str(out) if a == _OUT else a for a in argv])
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    digests = {"stdout": _digest(printed.out.replace(str(out), _OUT).encode())}
+    for path in sorted(tmp_path.iterdir()):
+        digests[path.name[len(out.name) :] or "csv"] = _digest(path.read_bytes())
+    return code, digests
+
+
+@pytest.mark.parametrize("argv", list(_GOLDEN), ids=" ".join)
+def test_golden_output(argv, tmp_path, capsys):
+    code, digests = _run(argv, tmp_path, capsys)
+    assert code == 0
+    assert digests == _GOLDEN[argv]

@@ -104,6 +104,16 @@ def test_pmf_of_a_matrix_whose_squared_entries_overflow():
             leverage_pmf(np.array([[top, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(3))
 
 
+def test_rank_verdict_of_a_matrix_whose_squares_underflow():
+    # At 1e-200 every square underflows to 0, and the rank threshold, taken
+    # from the largest row norm, must not: the rank-1 matrix is deficient,
+    # and a full-rank one keeps its pmf.
+    with pytest.raises(RankDeficient):
+        leverage_pmf(1e-200 * np.array([[1.0, 2.0], [2.0, 4.0], [1.0, 2.0]]), np.ones(3))
+    A = generator(derive_seed(45, "tiny")).standard_normal((6, 3))
+    np.testing.assert_allclose(leverage_pmf(1e-200 * A, np.ones(6)).probs, leverage_pmf(A, np.ones(6)).probs, rtol=1e-12)
+
+
 def test_pmf_shape_requirements():
     with pytest.raises(ShapeMismatch):
         leverage_pmf(np.eye(2), [1.0, 1.0, 1.0])

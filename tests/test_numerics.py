@@ -1,6 +1,8 @@
 """Dense-matrix helpers: gram, extremal eigenvalues, norms, row-gram gap,
 and the thin-QR rank and shape checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -107,15 +109,32 @@ def test_two_to_infty_norm_axioms():
 
 
 def test_two_to_infty_norm_where_squares_overflow():
-    # 1e200 squared overflows, the norm does not, and nothing warns.  A
-    # matrix whose squares are finite keeps the plain formula's bits, also
-    # beside an overflowing one in a stack.
+    # 1e200 squared overflows, the norm does not, and nothing warns; past the
+    # float range the norm is inf, again without a warning.  A matrix whose
+    # squares are finite keeps the plain formula's bits, also beside an
+    # overflowing one in a stack, and so do seeded stacks at every scale
+    # from 1e-150 to 1e150, including those below 2^-480 that take the
+    # scaled rows.
     big = np.array([[1e200, 0.0], [0.0, 1.0]])
     assert two_to_infty_norm(big) == 1e200
+    assert two_to_infty_norm([[1.7e308, 1.7e308]]) == math.inf
     assert 0.99e-320 < softmax_lb_quantity([[1e160, 0.0], [0.0, 1.0]], np.zeros((2, 2)), 1.0) < 1.01e-320
-    A = generator(derive_seed(6, "overflow")).standard_normal((2, 2))
+    g = generator(derive_seed(6, "overflow"))
+    A = g.standard_normal((2, 2))
     norms = _kernels._max_row_norm(np.stack([A, big]))
     assert norms[0].tobytes() == np.sqrt((A * A).sum(axis=-1).max()).tobytes() and norms[1] == 1e200
+    for scale in (1e-150, 1e-100, 1e-50, 1.0, 1e50, 1e100, 1e150):
+        X = g.standard_normal((16, 7, 5)) * scale
+        plain = np.sqrt((X * X).sum(axis=-1).max(axis=-1))
+        assert _kernels._max_row_norm(X).tobytes() == plain.tobytes(), scale
+
+
+def test_two_to_infty_norm_where_squares_underflow():
+    # Below about 1e-154 squares lose bits and below about 1e-162 they
+    # vanish; the norm is still exact, down to the smallest subnormal.
+    for tiny in (1e-160, 1e-200, 5e-324):
+        assert two_to_infty_norm([[tiny, 0.0], [0.0, tiny]]) == tiny
+        assert two_to_infty_norm([[0.0, -tiny]]) == tiny
 
 
 # ---------------------------------------------------------------------------

@@ -568,6 +568,14 @@ def test_stacked_ball_projection_equals_one_point_at_a_time():
             assert p.tobytes() == _project_one(space, x).tobytes()
 
 
+def test_ball_first_start_aims_along_a_gap_whose_squares_underflow():
+    # Every square of this gap underflows to 0; its top row is still
+    # [0, 1e-200], and the first start aims along it, not along the first axis.
+    gap = np.array([[0.0, 1e-200], [3e-201, 3e-201]])
+    first = next(_Ball(EnergyConstraint(1.0), None).starts(None, OptimizerConfig(), gap))
+    assert first.tolist() == [0.0, 1.0]
+
+
 def _near_deficient_pair(maximize, n, rank_k, lev_k, seed):
     """The padded identity [e0; e1; e0; ...] with its e1 row scaled to
     ``rank_k * 1e-12``, so that the scaled matrix is rank-deficient once u_1
@@ -704,10 +712,10 @@ def test_failing_rung_beyond_the_accepted_one_is_ignored():
         return np.clip(U, 0.0, 1.0)
 
     cfg = OptimizerConfig(restarts=1, max_iters=1)
-    (x, iters, conv), = optimize._multistart(lambda U, _: F(U), project, [np.array([0.5])], [0], cfg).values()
+    (x, value, iters, conv), = optimize._multistart(lambda U, _: F(U), project, [np.array([0.5])], [0], cfg).values()
     assert _kernels.STATUS_RANK_DEFICIENT in statuses
     expected = _multistart_loop(_raising(F), lambda U: F(U)[2], project, [np.array([0.5])], cfg)
-    assert (x.tobytes(), iters, conv) == (expected[0].tobytes(), expected[2], expected[3])
+    assert (x.tobytes(), value, iters, conv) == (expected[0].tobytes(), *expected[1:])
     assert x[0] == 0.55
 
 
@@ -742,8 +750,8 @@ def test_a_later_failure_of_a_higher_restart_keeps_the_first_restarts_error():
     with pytest.raises(RankDeficient) as raised:
         _multistart_loop(_raising(F), grad, project, starts[:2], cfg)
     assert (type(found[0]), str(found[0])) == (RankDeficient, str(raised.value))
-    x, _, iters, conv = _multistart_loop(_raising(F), grad, project, starts[2:], cfg)
-    assert (found[1][0].tobytes(), found[1][1], found[1][2]) == (x.tobytes(), iters, conv)
+    x, value, iters, conv = _multistart_loop(_raising(F), grad, project, starts[2:], cfg)
+    assert (found[1][0].tobytes(), *found[1][1:]) == (x.tobytes(), value, iters, conv)
 
 
 def test_lockstep_work_guard(monkeypatch):
@@ -752,8 +760,8 @@ def test_lockstep_work_guard(monkeypatch):
     # the gradients of its rows, and a restart keeps the one of the point it
     # accepts, where the loop takes one gradient per restart per iteration.
     # The objective calls stay those lockstep made beside a gradient kernel:
-    # 12 calls of 287 rows (the corner checks, the starts, ten line-search
-    # rounds and the final value), at most a tenth of the loop's calls for at
+    # 11 calls of 286 rows (the corner checks, the starts and ten line-search
+    # rounds), at most a tenth of the loop's calls for at
     # most 2% more rows; and no call exceeds _MAX_ELEMENTS matrix elements.
     model = load_model_spec(str(ir.files("softlev") / "specs" / "demo_leverage.json"))
     A, B = model.A, model.A + 0.1 * model.M
@@ -776,7 +784,7 @@ def test_lockstep_work_guard(monkeypatch):
 
     cfg = OptimizerConfig()
     lockstep = counts(max_hellinger_leverage, A, B, model.constraint, cfg)
-    assert (len(lockstep), sum(lockstep)) == (12, 287)
+    assert (len(lockstep), sum(lockstep)) == (11, 286)
     space = _Box(model.constraint, A)
     objective = _kernel_pair(max_hellinger_leverage, A, B)[0]
     gradient_rows = []
@@ -801,7 +809,7 @@ def test_lockstep_work_guard(monkeypatch):
     # 32 restarts of a 256x16 model: 32 rows are twice the cap of 16.
     A, B = _gaussian_pair(max_hellinger_leverage, 256, 16, 0)
     capped = counts(max_hellinger_leverage, A, B, BOX, OptimizerConfig(max_iters=1))
-    assert capped == [2, 16, 16, 16, 16, 1]
+    assert capped == [2, 16, 16, 16, 16]
     assert max(capped) * A.size == _MAX_ELEMENTS
 
 
