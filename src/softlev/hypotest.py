@@ -172,7 +172,7 @@ def _success_curve(pmfs, ratio, trials: int, seed: int, horizon: int) -> np.ndar
             u = block[: min(rows, trials - start)]
             for row, s in zip(u, seeds[start : start + rows]):
                 keyed(s).random(out=row)
-            llr = np.cumsum(ratio[_inverse_cdf(cdf, u)], axis=1)
+            llr = np.cumsum(np.take(ratio, _inverse_cdf(cdf, u)), axis=1)
             counts += np.count_nonzero(_correct(llr, truth), axis=0)
         correct.append(counts)
     return np.minimum(*correct) / trials

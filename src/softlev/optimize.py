@@ -12,26 +12,29 @@ All restarts ascend in lockstep.  Each objective kernel
 codes, the gradient at every row, so a restart keeps the gradient of its
 current point from the call that evaluated that point: the start
 evaluation, then the line-search row it accepted.  An iteration costs only
-its line search, which runs in rounds: round r evaluates the next 2^r rungs
-s, s/2, s/4, ... of every restart still searching, all in one stack, and a
-restart stops searching at its first improving rung or once the step falls
-below ``_MIN_STEP``.  On the box, a rung that the clip maps back onto its
-restart's point also ends the search, unevaluated: it and every smaller
-rung would come back to that point and improve nothing (``_multistart``
-has the proof).  The ball is exempt: its rescaling is not monotone
-bitwise, so its searches walk the whole ladder.  Each kernel call takes at
-most ``_MAX_ELEMENTS // A.size`` rows; larger stacks are split.  Every
-stacked row, gradient included, is bitwise equal to evaluating that point
-alone, so each restart follows exactly the path it follows on its own, and
-the result is the one restart-by-restart ascent gives.  Errors follow that
-order too: a restart's first failing evaluation (a rung beyond the accepted
-one is ignored) ends its climb and is its one failure code, and the
-optimizer raises the code of the lowest-index restart that fails.
-Failures surface only at evaluated points (the starts, the box's corner
-checks and the line-search rungs), and a gradient is used only from a point
-whose objective status was OK: only such a point becomes a restart's
-current point.  A skipped rung that comes back to its start is such a
-point, so skipping it hides no failure.
+its line search, which runs in rounds.  The first round evaluates one rung
+per climbing restart, its own step s, all in one stack; on the ball nearly
+every restart is decided there.  Only the restarts it leaves undecided walk
+the doubling ladder: each further round evaluates their next 2, 4, 8, ...
+rungs s/2, s/4, ..., in one stack, and a restart stops searching at its
+first improving rung or once the step falls below ``_MIN_STEP``.  A round
+with no row to evaluate makes no kernel call.  On the box, a rung that the
+clip maps back onto its restart's point also ends the search, unevaluated:
+it and every smaller rung would come back to that point and improve
+nothing (``_multistart`` has the proof).  The ball is exempt: its
+rescaling is not monotone bitwise, so its searches walk the whole ladder.
+Each kernel call takes at most ``_MAX_ELEMENTS // A.size`` rows; larger
+stacks are split.  Every stacked row, gradient included, is bitwise equal
+to evaluating that point alone, so each restart follows exactly the path
+it follows on its own, and the result is the one restart-by-restart ascent
+gives.  Errors follow that order too: a restart's first failing evaluation
+(a rung beyond the accepted one is ignored) ends its climb and is its one
+failure code, and the optimizer raises the code of the lowest-index
+restart that fails.  Failures surface only at evaluated points (the
+starts, the box's corner checks and the line-search rungs), and a gradient
+is used only from a point whose objective status was OK: only such a point
+becomes a restart's current point.  A skipped rung that comes back to its
+start is such a point, so skipping it hides no failure.
 
 Several problems that share A and the feasible set but differ in B (or M),
 such as the grid points of a sweep, ascend as one lockstep run
@@ -59,6 +62,9 @@ _MIN_STEP = 1e-14
 # call of theirs holds up to twice this many matrix elements.
 _MAX_ELEMENTS = 2**16
 STEP_INIT = 0.1  # first line-search step of each restart
+# s * _LADDER[:w] is the rungs s, s/2, ..., s/2^(w-1), exactly; a round
+# wider than 64 rungs (a step of at least 2^127 _MIN_STEP) builds its own.
+_LADDER = 0.5 ** np.arange(64)
 TOL = 1e-9  # stop when an accepted step improves by less
 
 
@@ -130,64 +136,121 @@ def _multistart(F, project, starts, owners, cfg, clips=False):
     """Projected gradient ascent from every start, all restarts in lockstep.
 
     Restart r belongs to problem ``owners[r]`` (non-decreasing).  F maps a
-    stack of points and the problem of each to (values, status codes,
-    gradients); a gradient row is read only where its status is OK.  With
-    ``clips``, ``project`` must be a coordinatewise clip onto a box, and a
-    rung that it maps back onto its restart's point ends that restart's line
-    search unevaluated (see the proof below).  Each restart's first failing
-    evaluation ends its climb and is its failure code; the other restarts
-    climb on.  Returns a dict from each problem to (x, value at x,
-    iterations summed over its restarts, converged) of its best restart;
-    strictly better wins, so ties keep the earliest.  A problem with a
-    failing restart maps instead to the error of its lowest-index failing
-    restart's code.  No problem's restarts affect another's.
+    stack of points and the problem of each to new arrays of (values,
+    status codes, gradients), which the ascent may write into; a gradient
+    row is read only where its status is OK.  With ``clips``, ``project``
+    must be a coordinatewise clip onto a box, and a rung that it maps back
+    onto its restart's point ends that restart's line search unevaluated
+    (see the proof below).  Each restart's first failing evaluation ends
+    its climb and is its failure code; the other restarts climb on.
+    Returns a dict from each problem to (x, value at x, iterations summed
+    over its restarts, converged) of its best restart; strictly better
+    wins, so ties keep the earliest.  A problem with a failing restart maps
+    instead to the error of its lowest-index failing restart's code.  No
+    problem's restarts affect another's.
+
+    The restarts still climbing are kept in compact arrays, by their place
+    among them; a restart's point and value go back to the full arrays
+    when it stops.  An iteration's line search runs in rounds.  The first
+    evaluates one rung per restart, its own step s, which is at least
+    2 _MIN_STEP; when every restart accepts it, its rows are the next
+    iteration's state as they stand.  The restarts that it leaves undecided
+    walk the doubling ladder: round r evaluates their next 2^r rungs s/2,
+    s/4, ..., down to _MIN_STEP, in one stack.  A restart climbs on only if
+    it accepted a rung that improved by at least TOL; one that stopped
+    otherwise, or at a zero gradient, has converged.
     """
     x = project(np.array(starts, dtype=np.float64))
     k = len(x)
     owners = np.asarray(owners)
-    fx, code, grad = F(x, owners)  # grad[r] is the gradient at x[r]; code[r] is restart r's status
-    step = np.full(k, STEP_INIT)
-    gain = np.zeros(k)
-    direction = np.zeros_like(x)
+    fx, code, grad = F(x, owners)  # code[r] is restart r's status
     iters = np.zeros(k, dtype=np.int64)
-    converged = np.zeros(k, dtype=bool)
-    live = np.flatnonzero(code == _kernels.STATUS_OK)
+    # Restart live[p] is at X[p], with value FX[p], gradient G[p] there
+    # (from the call that evaluated X[p]) and next step S[p].
+    live = (code == _kernels.STATUS_OK).nonzero()[0]
+    X, FX, G, own = x.take(live, 0), fx.take(live), grad.take(live, 0), owners.take(live)
+    S = np.full(live.size, STEP_INIT)
+
+    def stop(places, it):
+        """The restarts at ``places`` stop climbing in iteration it."""
+        gone = live.take(places)
+        x[gone], fx[gone], iters[gone] = X.take(places, 0), FX.take(places), it
+
+    def settle(p, j, rung, vals, status, Gj, cand):
+        """The restarts at places p ended their searches at row j of this
+        round, on rungs ``rung``: a failing row ends the climb with its
+        code, an improving one is accepted."""
+        bad = status[j] != _kernels.STATUS_OK
+        if np.count_nonzero(bad):
+            code[live[p[bad]]] = status[j[bad]]
+            p, j, rung = p[~bad], j[~bad], rung[~bad]
+        v = vals[j]
+        climbs[p] = v - FX[p] >= TOL
+        X[p], FX[p], G[p], S[p] = cand[j], v, Gj[j], rung * 2.0
+
     for it in range(1, cfg.max_iters + 1):
         if not live.size:
             break
-        g = grad[live]
-        iters[live] = it
-        gnorm = _norms(g)
+        gnorm = _norms(G)
         moving = gnorm != 0.0
-        converged[live[~moving]] = True
-        live = live[moving]
-        direction[live] = g[moving] / gnorm[moving, None]
+        if np.count_nonzero(moving) < live.size:  # a zero gradient has converged
+            stop((~moving).nonzero()[0], it)
+            keep = moving.nonzero()[0]
+            live, X, FX, G, S, own, gnorm = (a.take(keep, 0) for a in (live, X, FX, G, S, own, gnorm))
+            if not live.size:
+                break
+        d = G / gnorm[:, None]
+        climbs = np.zeros(live.size, dtype=bool)
 
-        # Line search: each round evaluates the next ``width`` rungs s, s/2,
-        # ... of every searching restart, down to _MIN_STEP, in one stack;
-        # a restart's first rung that fails or improves ends its search.
-        accepted = np.zeros(k, dtype=bool)
-        s = step.copy()  # each restart's next rung
-        searching, width = live, 1
+        # First round: each restart's own step.
+        cand = project(X + S[:, None] * d)
+        if clips:
+            # A rung that the clip maps back onto its restart's point x
+            # has the value fx, bitwise (a stacked row equals the point
+            # alone), and status OK (only OK restarts climb), so it
+            # neither improves nor fails.  So does every smaller rung:
+            # the rungs are s * 2^-k, exactly, so |fl(s' d_i)| shrinks
+            # with s' and keeps its sign, fl(x_i + t) is monotone in t,
+            # and the clip is monotone.  If fl(x_i + t) == x_i, every
+            # smaller t of the same sign rounds to x_i too; if the clip
+            # took it back to a face, every smaller t still lies beyond
+            # that face.  Walking them would find none better and end the
+            # search unaccepted; the first returning rung ends it here,
+            # and it and the rungs after it are never evaluated.
+            held = (cand != X).any(axis=1).nonzero()[0]
+            cand = cand.take(held, 0)
+        else:
+            held = np.arange(live.size)
+        searching = held[:0]  # the restarts whose first round leaves them undecided
+        if held.size:
+            vals, status, Gj = F(cand, own.take(held))
+            ok = status == _kernels.STATUS_OK
+            up = vals > FX.take(held)
+            if held.size == live.size and np.count_nonzero(ok & up) == live.size:
+                # every restart accepted its first rung: the round's rows are the next state
+                climbs = vals - FX >= TOL
+                X, FX, G, S = cand, vals, Gj, S * 2.0
+            else:
+                ends = ~ok | up
+                j = ends.nonzero()[0]
+                settle(held[j], j, S[held[j]], vals, status, Gj, cand)
+                searching = held[~ends]
+
+        # The doubling ladder: round r evaluates the next 2^r rungs s/2,
+        # s/4, ... of every restart still searching, down to _MIN_STEP, in
+        # one stack; a restart's first rung that fails or improves ends its
+        # search.  Only the rows of restarts still searching are read, and
+        # settle writes none of them.
+        s = S[searching] * 0.5  # each searching restart's next rung
+        width = 2
         while searching.size:
-            rungs = s[searching, None] * 0.5 ** np.arange(width)
+            ladder = _LADDER[:width] if width <= _LADDER.size else 0.5 ** np.arange(width)
+            rungs = s[:, None] * ladder
             valid = rungs >= _MIN_STEP
-            held = searching[np.nonzero(valid)[0]]  # the restart of each valid rung
-            cand = project(x[held] + rungs[valid][:, None] * direction[held])
+            held = searching[valid.nonzero()[0]]  # the restart of each valid rung
+            cand = project(X.take(held, 0) + rungs[valid][:, None] * d.take(held, 0))
             if clips:
-                # A rung that the clip maps back onto its restart's point x
-                # has the value fx, bitwise (a stacked row equals the point
-                # alone), and status OK (only OK restarts are live), so it
-                # neither improves nor fails.  So does every smaller rung:
-                # the rungs are s * 2^-k, exactly, so |fl(s' d_i)| shrinks
-                # with s' and keeps its sign, fl(x_i + t) is monotone in t,
-                # and the clip is monotone.  If fl(x_i + t) == x_i, every
-                # smaller t of the same sign rounds to x_i too; if the clip
-                # took it back to a face, every smaller t still lies beyond
-                # that face.  The loop walks all of them, finds none better
-                # and ends the search unaccepted; here the first returning
-                # rung ends it, and it and the rungs after it are dropped.
-                back = (cand == x[held]).all(axis=1)
+                back = (cand == X.take(held, 0)).all(axis=1)
                 home = np.zeros(rungs.shape, dtype=bool)
                 home[valid] = back
                 cand, held = cand[~back], held[~back]
@@ -196,39 +259,37 @@ def _multistart(F, project, starts, owners, cfg, clips=False):
                     break
             at = np.full(rungs.shape, -1)  # the row of cand holding each valid rung
             at[valid] = np.arange(len(cand))
-            vals, status, G = F(cand, owners[held])
+            vals, status, Gj = F(cand, own.take(held))
             ends = np.zeros(rungs.shape, dtype=bool)
-            ends[valid] = (status != _kernels.STATUS_OK) | (vals > fx[held])
+            ends[valid] = (status != _kernels.STATUS_OK) | (vals > FX.take(held))
             col = ends.argmax(axis=1)
-            first = at[np.arange(searching.size), col]
             decided = ends.any(axis=1)
-            code[searching[decided]] = status[first[decided]]
-            win = decided & (code[searching] == _kernels.STATUS_OK)
+            i = decided.nonzero()[0]
+            settle(searching[i], at[i, col[i]], rungs[i, col[i]], vals, status, Gj, cand)
             more = ~decided
-            r, j = searching[win], first[win]
-            gain[r] = vals[j] - fx[r]
-            x[r], fx[r], grad[r], step[r] = cand[j], vals[j], G[j], rungs[win, col[win]] * 2.0
-            accepted[r] = True
-            s[searching] = rungs[:, -1] * 0.5
             if clips:
                 more &= ~home.any(axis=1)
-            searching = searching[more & (s[searching] >= _MIN_STEP)]
+            s = rungs[:, -1] * 0.5
+            more &= s >= _MIN_STEP
+            searching, s = searching[more], s[more]
             width *= 2
-
-        live = live[code[live] == _kernels.STATUS_OK]
-        stop = ~accepted[live] | (gain[live] < TOL)
-        converged[live[stop]] = True
-        live = live[~stop]
+        if np.count_nonzero(climbs) < live.size:
+            stop((~climbs).nonzero()[0], it)
+            keep = climbs.nonzero()[0]
+            live, X, FX, G, S, own = (a.take(keep, 0) for a in (live, X, FX, G, S, own))
+    x[live], fx[live], iters[live] = X, FX, cfg.max_iters  # still climbing at the iteration cap
+    converged = np.ones(k, dtype=bool)  # read only for restarts that never failed
+    converged[live] = False
     best, total, failing = {}, {}, {}
-    for r in range(k):
-        q = int(owners[r])
-        total[q] = total.get(q, 0) + int(iters[r])
-        if code[r] != _kernels.STATUS_OK:
+    values = fx.tolist()
+    for r, (q, n, c) in enumerate(zip(owners.tolist(), iters.tolist(), code.tolist())):
+        total[q] = total.get(q, 0) + n
+        if c != _kernels.STATUS_OK:
             failing.setdefault(q, r)
-        if q not in best or fx[r] > fx[best[q]]:
+        if q not in best or values[r] > values[best[q]]:
             best[q] = r
     return {
-        q: _first_error(code[failing[q], None]) if q in failing else (x[r], float(fx[r]), total[q], bool(converged[r]))
+        q: _first_error(code[failing[q], None]) if q in failing else (x[r], values[r], total[q], bool(converged[r]))
         for q, r in best.items()
     }
 
@@ -252,10 +313,10 @@ class _Ball:
         """Every finite X: an objective value that overflows fails its row."""
 
     def project(self, X):
-        """Each row of X, scaled back onto the ball if it lies outside."""
-        norms = _norms(X)
-        outside = norms > self.limit
-        return X * np.divide(self.limit, norms, out=np.ones_like(norms), where=outside)[:, None]
+        """Each row of X, scaled back onto the ball if it lies outside: by
+        limit / norm where the norm exceeds the limit, else by limit / limit,
+        which is exactly 1 (a NaN norm, which fmax skips, too)."""
+        return X * (self.limit / np.fmax(_norms(X), self.limit))[:, None]
 
     def starts(self, F, cfg, gap):
         """First start: the boundary point aligned with the largest row of
@@ -276,7 +337,7 @@ class _Ball:
             yield e0
         for gen in generators(derive_seeds(cfg.seed, "restart", indices=range(1, cfg.restarts))):
             g = gen.standard_normal(d)
-            gn = float(np.linalg.norm(g))
+            gn = math.sqrt(g.dot(g))  # np.linalg.norm(g), from the same dot product
             if gn == 0.0:
                 g = np.zeros(d)
                 g[0] = 1.0

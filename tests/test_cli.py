@@ -37,16 +37,6 @@ def _uniform_softmax_spec(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_importing_the_cli_leaves_statistics_unloaded():
-    # statistics costs every CLI start a few ms; hypotest imports it only
-    # when an m* search runs.  Likewise concurrent.futures (which loads
-    # logging): harness imports it only when a sweep runs on threads.
-    code = "import sys, softlev.cli; print('statistics' in sys.modules, 'concurrent.futures' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
-
-
 def test_pmf_uniform_softmax(tmp_path):
     res = run_cli("pmf", _uniform_softmax_spec(tmp_path), "--query", "0")
     assert res.returncode == 0

@@ -7,11 +7,13 @@ every sampler shares, calls ``searchsorted``; and the instance rule: in
 ``harness.py`` only ``_evaluated`` keys instance streams with
 ``derive_seeds``.
 
-Parses each ``src/softlev/*.py`` with ``ast``; the whole file costs well
-under 0.1 s.
+Parses each ``src/softlev/*.py`` with ``ast``, well under 0.1 s.  The
+start-up guard runs one fresh interpreter, about 0.2 s.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,3 +131,24 @@ def test_every_exception_class_is_raised_or_caught_somewhere():
             tree = ast.parse(path.read_text(encoding="utf-8"))
             named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(classes - named) == []
+
+
+def test_start_up_leaves_the_deferred_modules_unloaded():
+    # What every CLI call pays before its first result: a fresh interpreter
+    # imports the CLI, loads the specs and warms the kernels, as perfbench's
+    # set-up does.  statistics costs that a few ms and concurrent.futures
+    # (which loads logging) more; hypotest imports the first only when an
+    # m* search runs and harness the second only when a sweep runs on
+    # threads.  Neither scipy nor numba is a dependency.
+    code = """
+import sys
+from softlev import _kernels, cli
+from softlev.harness import load_model_spec
+for name in ("demo-softmax", "demo-leverage"):
+    load_model_spec(cli._resolve_spec_path(name))
+_kernels.warmup()
+print(sorted(m for m in ("scipy", "statistics", "concurrent.futures", "numba") if m in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -563,9 +563,12 @@ def test_stacked_ball_projection_equals_one_point_at_a_time():
     for d in range(1, 65):
         X = g.standard_normal((64, d)) * g.uniform(0.01, 3.0, (64, 1))
         X[0] = 0.0
-        projected = space.project(X)
-        for x, p in zip(X, projected):
-            assert p.tobytes() == _project_one(space, x).tobytes()
+        X[1] = 1e200  # a norm that overflows scales the row to 0
+        X[2, 0] = np.nan  # a NaN norm leaves the row as it is
+        with np.errstate(over="ignore"):
+            projected = space.project(X)
+            for x, p in zip(X, projected):
+                assert p.tobytes() == _project_one(space, x).tobytes()
 
 
 def test_ball_first_start_aims_along_a_gap_whose_squares_underflow():
@@ -754,6 +757,21 @@ def test_a_later_failure_of_a_higher_restart_keeps_the_first_restarts_error():
     assert (found[1][0].tobytes(), *found[1][1:]) == (x.tobytes(), value, iters, conv)
 
 
+def _counted_kernels(monkeypatch):
+    """The list that every public kernel of ``_kernels``, patched, appends
+    (kernel, rows) of each of its calls to."""
+    calls = []
+    for name, kernel in list(vars(_kernels).items()):
+        if inspect.isfunction(kernel) and not name.startswith("_"):
+
+            def counted(*args, name=name, kernel=kernel):
+                calls.append((name, len(args[-1])))
+                return kernel(*args)
+
+            monkeypatch.setattr(_kernels, name, counted)
+    return calls
+
+
 def test_lockstep_work_guard(monkeypatch):
     # Counts, not timings.  On the leverage demo at the sweep's middle grid
     # point, lockstep calls no kernel but the objective: each call returns
@@ -766,15 +784,7 @@ def test_lockstep_work_guard(monkeypatch):
     model = load_model_spec(str(ir.files("softlev") / "specs" / "demo_leverage.json"))
     A, B = model.A, model.A + 0.1 * model.M
     original = _kernels.leverage_h2_objective
-    calls = []  # (kernel, rows) of every public kernel call
-    for name, kernel in list(vars(_kernels).items()):
-        if inspect.isfunction(kernel) and not name.startswith("_"):
-
-            def counted(*args, name=name, kernel=kernel):
-                calls.append((name, len(args[-1])))
-                return kernel(*args)
-
-            monkeypatch.setattr(_kernels, name, counted)
+    calls = _counted_kernels(monkeypatch)
 
     def counts(run, *args):
         calls.clear()
@@ -811,6 +821,67 @@ def test_lockstep_work_guard(monkeypatch):
     capped = counts(max_hellinger_leverage, A, B, BOX, OptimizerConfig(max_iters=1))
     assert capped == [2, 16, 16, 16, 16]
     assert max(capped) * A.size == _MAX_ELEMENTS
+
+
+@pytest.mark.parametrize(
+    "maximize,calls,rows,iterations",
+    [(max_hellinger_softmax, 29, 436, 404), (max_variance_softmax, 36, 591, 559)],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_ball_lockstep_work_guard(monkeypatch, maximize, calls, rows, iterations):
+    # Counts, not timings, on the ball: the softmax demo at the default
+    # config, B = A + 0.1 M for the Hellinger ascent and M itself for the
+    # variance.  One call evaluates the starts and one each line-search
+    # round; nearly every iteration is decided in its first round, so a
+    # round added or dropped moves the call count.
+    model = load_model_spec(str(ir.files("softlev") / "specs" / "demo_softmax.json"))
+    X = model.A + 0.1 * model.M if _SETS[maximize][2] else model.M
+    made = _counted_kernels(monkeypatch)
+    result = maximize(model.A, X, model.constraint, OptimizerConfig())
+    assert {name for name, _ in made} == {f"{_SETS[maximize][1]}_objective"}
+    assert (len(made), sum(n for _, n in made), result.iterations_used) == (calls, rows, iterations)
+
+
+@pytest.mark.parametrize(
+    "clips,first_rounds",
+    [(True, [[0.6, 0.1, 0.3], [0.25, 0.225]]), (False, [[0.6, 0.1, 1.0, 0.3], [1.0, 1.0, 0.25, 0.225]])],
+    ids=["box", "ball"],
+)
+def test_every_first_round_outcome_equals_the_loop(clips, first_rounds):
+    # Four restarts, each its own problem, climb f(u) = -(u - 0.24)^2 along
+    # +1 on [0, 1] (the box) or |u| <= 1 (the ball); 0.55 < u < 0.65 is
+    # rank-deficient.  In the first iteration the restart from 0.5 fails at
+    # its first rung 0.6, the one from 0 accepts its first rung 0.1, and the
+    # one from 0.2 finds 0.3 no better and accepts 0.25 in the ladder's
+    # first round.  The rung from 1 comes back onto 1: the box ends that
+    # search unevaluated, the ball evaluates it and walks the ladder.
+    points = []
+
+    def F(U, _=None):
+        u = U[:, 0]
+        points.append(u.tolist())
+        status = np.where((0.55 < u) & (u < 0.65), _kernels.STATUS_RANK_DEFICIENT, _kernels.STATUS_OK)
+        return -((u - 0.24) ** 2), status, np.ones_like(U)
+
+    if clips:
+        project = project_one = partial(np.clip, a_min=0.0, a_max=1.0)
+    else:
+        ball = _Ball(EnergyConstraint(1.0), None)
+        project, project_one = ball.project, partial(_project_one, ball)
+    starts = [np.array([u]) for u in (0.5, 0.0, 1.0, 0.2)]
+    cfg = OptimizerConfig(restarts=1, max_iters=10)
+    found = optimize._multistart(F, project, starts, range(4), cfg, clips)
+    assert points[0] == [0.5, 0.0, 1.0, 0.2]
+    assert [len(p) for p in points[1:3]] == [len(r) for r in first_rounds]
+    assert all(np.allclose(p, r) for p, r in zip(points[1:3], first_rounds))
+    for q, x0 in enumerate(starts):
+        try:
+            expected = _multistart_loop(_raising(F), lambda U: F(U)[2], project_one, [x0], cfg)
+        except RankDeficient as exc:
+            assert (type(found[q]), str(found[q])) == (RankDeficient, str(exc)), q
+        else:
+            x, value, iters, conv = found[q]
+            assert (x.tobytes(), value, iters, conv) == (expected[0].tobytes(), *expected[1:]), q
 
 
 @pytest.mark.parametrize("seed", range(4))
