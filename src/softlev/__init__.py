@@ -14,7 +14,6 @@ round of every restart of a multi-start ascent is one kernel call, and the
 gradient at each accepted point comes with it.
 """
 
-from ._kernels import BACKEND
 from .bounds import (
     BoundReport,
     extremal_pair,
@@ -83,7 +82,6 @@ from .softmax import EnergyConstraint, softmax_pmf
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BoundReport",
     "BoxConstraint",
     "BudgetExceeded",

@@ -26,7 +26,8 @@ sums along the last axis of a ``(..., n, d)`` stack of matrix pairs,
 one QR call, so one vector or matrix is the stack of one and every row of a
 stack is bitwise equal to that row alone.  Each kernel has one
 implementation, and results are bitwise deterministic.  ``_pow2_rows`` owns
-the row norm that survives overflow and underflow.
+the row norm that survives overflow and underflow.  ``BACKEND`` and
+``warmup`` serve the benchmark's report and timing.
 
 Status codes, as the objectives return them (a softmax row gets 0 or 3):
 
@@ -77,8 +78,8 @@ def _h2(P, Q):
     return _at_most_one(0.5 * np.add.reduce(r * r, axis=-1))
 
 
-# The objectives call the private names, so a caller that rebinds the public
-# kernel sees only the calls made from outside this module.
+# The objectives call _softmax, so a caller that rebinds softmax_probs sees
+# only the calls made from outside this module.
 softmax_probs = _softmax
 
 
@@ -180,7 +181,7 @@ def _dot(p, v):
     return (p[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _leverage_stack(As):
+def leverage_probs(As):
     """Leverage distribution and scores of each matrix in a stack, and
     whether it is numerically full rank.  Q is squared in place and freed on
     return."""
@@ -189,13 +190,10 @@ def _leverage_stack(As):
     return lev / As.shape[-1], lev, ok
 
 
-leverage_probs = _leverage_stack
-
-
 def _w_factors(As, Ms):
-    """The parts of ``_w_stack`` and the factors they come from: the thin Q
-    of each As, F = Ms R^{-1} and S = Q^T F, then the leverage scores, wnum
-    and ok.
+    """The parts of ``leverage_w_parts`` and the factors they come from: the
+    thin Q of each As, F = Ms R^{-1} and S = Q^T F, then the leverage
+    scores, wnum and ok.
 
     Pi = Q Q^T is the orthogonal projector onto the column space of As, so
     wnum = diag((I - Pi) Ms (As^T As)^{-1} As^T) = rowsum(F Q) - rowsum(Q S Q).
@@ -211,7 +209,7 @@ def _w_factors(As, Ms):
     return Q, F, S, (Q * Q).sum(axis=-1), wnum, ok
 
 
-def _w_stack(As, Ms):
+def leverage_w_parts(As, Ms):
     """Leverage scores and diag((I - Pi) Ms (As^T As)^{-1} As^T) of each
     (As, Ms) pair in a ``(..., n, d)`` stack via one QR call, and whether
     each As is numerically full rank.
@@ -221,9 +219,6 @@ def _w_stack(As, Ms):
     A deficient pair's scores mean nothing.
     """
     return _w_factors(As, Ms)[3:]
-
-
-leverage_w_parts = _w_stack
 
 
 # ---------------------------------------------------------------------------

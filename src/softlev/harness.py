@@ -119,12 +119,12 @@ def load_model_spec(path) -> ModelSpec:
         raise InputFormatError(f"{path}: {exc}") from exc
 
 
-def gaussian_instance(family, n, d, seed=0, energy=1.0, box=(0.5, 2.0)) -> ModelSpec:
-    """Standard-normal A and M with the default constraint for the family."""
+def gaussian_instance(family, n, d, seed=0) -> ModelSpec:
+    """Standard-normal A and M with the family's default constraint."""
     g = generator(derive_seed(seed, "gaussian", family, n, d))
     A = g.standard_normal((n, d))
     M = g.standard_normal((n, d))
-    return ModelSpec(family, A, None, M, get_family(family).default_constraint(energy, box), seed)
+    return ModelSpec(family, A, None, M, get_family(family).default_constraint(), seed)
 
 
 def low_mass_row_instance(n, d=2, energy=1.0) -> ModelSpec:
@@ -136,15 +136,15 @@ def low_mass_row_instance(n, d=2, energy=1.0) -> ModelSpec:
     return ModelSpec("softmax", A, None, M, EnergyConstraint(energy), 0)
 
 
-def padded_identity_instance(n, d, box=(0.5, 2.0)) -> ModelSpec:
-    """Identity block over repeated first-basis rows: the leverage instance
-    whose distinguishing power survives arbitrary scale queries."""
+def padded_identity_instance(n, d) -> ModelSpec:
+    """Identity block over repeated first-basis rows, in the default box: the
+    leverage instance whose distinguishing power survives any scale query."""
     if n < d + 1:
         raise ValueError("padded identity needs n > d")
     A = np.zeros((n, d))
     A[:d] = np.eye(d)
     A[d:, 0] = 1.0
-    return ModelSpec("leverage", A, None, None, BoxConstraint(*box), 0)
+    return ModelSpec("leverage", A, None, None, get_family("leverage").default_constraint(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +174,8 @@ class ExperimentSpec:
             raise ValueError(f"eps grid must be strictly decreasing, got {grid}")
         if self.trials < 1 or self.threads < 1:
             raise ValueError("trials and threads must be at least 1")
+        if self.opt.seed != 0:  # every ascent's seed derives from self.seed
+            raise ValueError(f"opt.seed must be 0, got {self.opt.seed}; set ExperimentSpec.seed instead")
         object.__setattr__(self, "eps_grid", grid)
 
 
@@ -559,6 +561,7 @@ def _softmax_envelope_rows(seed, count):
 
 
 _SUITE_BOX = BoxConstraint(0.5, 2.0)  # the scale box of the leverage envelope and invariances
+_ENVELOPE_QUERIES = 10  # query scales drawn per leverage envelope pair
 
 
 def _envelope_ratio(gap, delta):
@@ -600,7 +603,7 @@ def _conditioning(A):
     return _kernels.min_eigenvalue(np.triu(G) + np.swapaxes(np.triu(G, 1), -1, -2))
 
 
-def _leverage_envelope_pairs(seed, block, queries):
+def _leverage_envelope_pairs(seed, block):
     """(A, G, gamma, R, ratio) for each index k of the block: the first of
     k's attempts that draws a well-conditioned A (lambda_min(A^T A) >= 0.05)
     and whose gamma search lands the gap ratio eps*C/(c*delta) of A and
@@ -626,7 +629,7 @@ def _leverage_envelope_pairs(seed, block, queries):
             A = g.standard_normal((n, d))
             target = 0.1 * (0.1 + 0.9 * float(g.random()))
             G = g.standard_normal((n, d))
-            drawn.append((k, attempt, A, G, target, g.random((queries, n))))
+            drawn.append((k, attempt, A, G, target, g.random((_ENVELOPE_QUERIES, n))))
         deltas = _stacked(lambda A: (_conditioning(A),), [(A,) for _, _, A, *_ in drawn])
         accepted, searches, pending = [], [], {}
         for (k, attempt, A, G, target, R), (delta,) in zip(drawn, deltas):
@@ -655,12 +658,12 @@ def _worst_tv(A, G, gamma, R):
     return (tvs.max(axis=-1),)
 
 
-def _leverage_envelope_rows(seed, count, queries_per_pair=10):
+def _leverage_envelope_rows(seed, count):
     # TV <= 4 * eps C / (c delta) whenever eps C / (c delta) <= 0.1, with
     # eps the row-gram gap and delta = lambda_min(A^T A).
     rows = []
     for block in _blocks(count):
-        pairs = _leverage_envelope_pairs(seed, block, queries_per_pair)
+        pairs = _leverage_envelope_pairs(seed, block)
         worst = _stacked(_worst_tv, [draw for *draw, _ in pairs])
         for k, (A, *_, ratio), (tv_max,) in zip(block, pairs, worst):
             n, d = A.shape
@@ -669,7 +672,8 @@ def _leverage_envelope_rows(seed, count, queries_per_pair=10):
     return rows
 
 
-def _low_mass_rows(eps=0.1, energy=1.0):
+def _low_mass_rows():
+    eps, energy = 0.1, 1.0
     rows = []
     for n in (10, 100, 1000):
         model = low_mass_row_instance(n, d=2, energy=energy)

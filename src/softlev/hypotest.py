@@ -11,10 +11,12 @@ that test:
 * ``estimate_sample_complexity`` draws one common block of sample sequences
   per truth, the ones ``ModelOracle.sample`` would draw, and reads the
   worst-case success at every m off their running log-likelihood ratios;
-  m* is where that curve crosses the target for the last time.  The block
+  m* is where that curve crosses 2/3 for the last time.  The block
   starts three times as long as the central-limit prediction of m* (at most
   as long as the Bhattacharyya bound) and doubles while the curve is still
-  below the target at its end.
+  below 2/3 at its end.
+
+Both refuse a query, optimal or given, at which the two laws coincide.
 """
 
 import math
@@ -36,6 +38,11 @@ _M_MAX = 2**63 - 1  # the largest sample count Generator.multinomial takes
 # memory on optimize
 _BLOCK = 1 << 13
 _Z95 = 1.9599639845400536  # standard normal 97.5% quantile, for 95% intervals
+_TARGET = 2.0 / 3.0  # the worst-case success that defines m*
+# Phi^-1(_TARGET), bitwise statistics.NormalDist().inv_cdf(2 / 3): importing
+# statistics would cost every sweep about 4 ms
+_Z_TARGET = 0.43072729929545733
+_CAP = 10_000_000  # the most samples per trial the m* search draws
 
 
 class ModelOracle:
@@ -89,20 +96,22 @@ def log_likelihood_ratio(P0: DiscreteDistribution, P1: DiscreteDistribution) -> 
 
 
 def _pmfs_and_ratio(spec: ModelSpec, query):
-    """The two models' pmfs at the query and their per-outcome
-    log-likelihood ratio.  With ``query=None`` the query is the
-    Hellinger-optimal one, and models that coincide there raise
-    ``IndistinguishableError``; a given query must satisfy the constraint."""
+    """The two models' pmfs at the query, their per-outcome log-likelihood
+    ratio and their H^2.  With ``query=None`` the query is the
+    Hellinger-optimal one; a given query must satisfy the constraint.
+    Models whose Hellinger distance at the query is at most ``_H_FLOOR``
+    raise ``IndistinguishableError``."""
+    where = "optimal" if query is None else "given"
     if query is None:
-        res = spec.max_hellinger()
-        if res.value <= _H_FLOOR:
-            raise IndistinguishableError(
-                f"models coincide at the optimal query (H = {res.value:.3e}); no test can separate them"
-            )
-        query = res.argmax
+        query = spec.max_hellinger().argmax
     spec.constraint.check(query)
     pmfs = (spec.pmf(0, query), spec.pmf(1, query))
-    return pmfs, log_likelihood_ratio(*pmfs)
+    h2 = hellinger_sq(*pmfs)
+    if math.sqrt(max(h2, 0.0)) <= _H_FLOOR:
+        raise IndistinguishableError(
+            f"models coincide at the {where} query (H^2 = {h2:.3e}); no test can separate them"
+        )
+    return pmfs, log_likelihood_ratio(*pmfs), h2
 
 
 def estimate_success(spec: ModelSpec, m: int, trials: int, seed: int, query=None) -> float:
@@ -117,7 +126,7 @@ def estimate_success(spec: ModelSpec, m: int, trials: int, seed: int, query=None
         raise ValueError("m and trials must be at least 1")
     if m > _M_MAX:
         raise ValueError(f"m must be at most 2^63 - 1, got {m}")
-    pmfs, ratio = _pmfs_and_ratio(spec, query)
+    pmfs, ratio, _ = _pmfs_and_ratio(spec, query)
     worst = 1.0
     for truth in (0, 1):
         correct, probs = 0, pmfs[truth].probs
@@ -134,10 +143,10 @@ class SampleComplexity:
     """The result of :func:`estimate_sample_complexity`.
 
     ``m_star`` is the smallest m from which the worst-case success curve of
-    the common block stays at or above the target up to the horizon,
+    the common block stays at or above 2/3 up to the horizon,
     ``success`` that curve at ``m_star``, ``horizon`` the number of samples
     per trial the block held (the start horizon, doubled as often as the
-    curve was still below the target at the end), and ``m_star_ci`` the
+    curve was still below 2/3 at the end), and ``m_star_ci`` the
     same crossing read off the curve's 95% Wilson upper and lower bounds.
     """
 
@@ -178,26 +187,22 @@ def _success_curve(pmfs, ratio, trials: int, seed: int, horizon: int) -> np.ndar
     return np.minimum(*correct) / trials
 
 
-def _last_below(curve, target: float) -> int:
-    """The last m (1-based) whose curve value is below target; 0 if none."""
-    below = np.flatnonzero(curve < target)
+def _last_below(curve) -> int:
+    """The last m (1-based) whose curve value is below 2/3; 0 if none."""
+    below = np.flatnonzero(curve < _TARGET)
     return int(below[-1]) + 1 if below.size else 0
 
 
-def _clt_m_star(pmfs, ratio, target: float) -> float:
+def _clt_m_star(pmfs, ratio) -> float:
     """The central-limit prediction of m*: the m at which a normal
-    approximation of the summed log-likelihood ratio reaches ``target``,
-    max over the two truths of (z sigma_t / mu_t)^2 with z = Phi^-1(target)."""
-    # imported here: statistics costs every CLI start about 4 ms
-    from statistics import NormalDist
-
-    z = NormalDist().inv_cdf(target)
+    approximation of the summed log-likelihood ratio reaches 2/3, max over
+    the two truths of (z sigma_t / mu_t)^2 with z = Phi^-1(2/3)."""
     worst = 0.0
     for p in pmfs:
         mean = mean_under(p, ratio)
         if mean == 0.0:
             return math.inf
-        worst = max(worst, (z * math.sqrt(variance_under(p, ratio)) / mean) ** 2)
+        worst = max(worst, (_Z_TARGET * math.sqrt(variance_under(p, ratio)) / mean) ** 2)
     return worst
 
 
@@ -209,54 +214,40 @@ def _wilson(p, n: int):
     return center - half, center + half
 
 
-def estimate_sample_complexity(
-    spec: ModelSpec,
-    target: float = 2.0 / 3.0,
-    trials: int = 400,
-    seed: int = 0,
-    query=None,
-    cap: int = 10_000_000,
-) -> SampleComplexity:
-    """The sample size m* at which the worst-case success reaches target.
+def estimate_sample_complexity(spec: ModelSpec, trials: int = 400, seed: int = 0, query=None) -> SampleComplexity:
+    """The sample size m* at which the worst-case success reaches 2/3.
 
     Draws one common ``trials`` x horizon block of outcomes per truth (see
     :func:`_success_curve`) and reads the worst-case success at every m off
-    it.  m* is one past the last m whose success is below target, so the
-    success stays at or above target from m* up to the horizon.  The
-    horizon starts at ceil(3 m_gauss), with m_gauss the central-limit
-    prediction of m* (see :func:`_clt_m_star`), but never above the
-    Bhattacharyya bound ceil(ln 3 / -ln(1 - H^2)), where the test's true
-    success already exceeds 2/3, nor above ``cap``; while the curve is
-    still below target at the horizon, the horizon doubles.  A trial's
-    draws are a prefix of longer ones, so the curve up to the horizon
-    does not depend on where the horizon started; m* can only come out
-    lower than a longer block would give, where the curve dips below
-    target again past the horizon.  Raises ``BudgetExceeded`` when the
-    doubling would pass ``cap`` and ``IndistinguishableError`` when the
-    models coincide at the query.
+    it.  m* is one past the last m whose success is below 2/3, so the
+    success stays at or above 2/3 from m* up to the horizon.  The horizon
+    starts at ceil(3 m_gauss), with m_gauss the central-limit prediction of
+    m* (see :func:`_clt_m_star`), but never above the Bhattacharyya bound
+    ceil(ln 3 / -ln(1 - H^2)), where the test's true success already
+    exceeds 2/3, nor above 10,000,000 samples per trial; while the curve
+    is still below 2/3 at the horizon, the horizon doubles.  A trial's
+    draws are a prefix of longer ones, so the curve up to the horizon does
+    not depend on where the horizon started; m* can only come out lower
+    than a longer block would give, where the curve dips below 2/3 again
+    past the horizon.  Raises ``BudgetExceeded`` when the doubling would
+    pass 10,000,000 and ``IndistinguishableError`` when the models
+    coincide at the query.
     """
-    if not (0.5 < target < 1.0):
-        raise ValueError(f"target must be in (0.5, 1), got {target!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    pmfs, ratio = _pmfs_and_ratio(spec, query)
-    h2 = hellinger_sq(*pmfs)
-    if math.sqrt(max(h2, 0.0)) <= _H_FLOOR:
-        raise IndistinguishableError(
-            f"models coincide at the chosen query (H^2 = {h2:.3e}); no sample size suffices"
-        )
+    pmfs, ratio, h2 = _pmfs_and_ratio(spec, query)
     rate = -math.log1p(-h2) if h2 < 1.0 else math.inf
     bhattacharyya = math.log(3.0) / rate
-    start = min(3.0 * _clt_m_star(pmfs, ratio, target), bhattacharyya)
-    horizon = max(1, min(cap, math.ceil(start)))
+    start = min(3.0 * _clt_m_star(pmfs, ratio), bhattacharyya)
+    horizon = max(1, min(_CAP, math.ceil(start)))
     while True:
         curve = _success_curve(pmfs, ratio, trials, seed, horizon)
-        last = _last_below(curve, target)
+        last = _last_below(curve)
         if last < horizon:
             break
-        if horizon >= cap:
-            raise BudgetExceeded(f"sample-size search passed the cap {cap} without reaching {target}")
-        horizon = min(2 * horizon, cap)
+        if horizon >= _CAP:
+            raise BudgetExceeded(f"sample-size search passed the cap {_CAP} without reaching {_TARGET}")
+        horizon = min(2 * horizon, _CAP)
     lower, upper = _wilson(curve, trials)
-    ci = (_last_below(upper, target) + 1, _last_below(lower, target) + 1)
+    ci = (_last_below(upper) + 1, _last_below(lower) + 1)
     return SampleComplexity(m_star=last + 1, success=float(curve[last]), horizon=horizon, m_star_ci=ci)

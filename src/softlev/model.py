@@ -126,8 +126,8 @@ class _Softmax:
         except ValueError as exc:  # a limit whose square overflows
             raise InputFormatError(f"{path}: constraint field 'E': {exc}") from None
 
-    def default_constraint(self, energy, box):
-        return EnergyConstraint(energy)
+    def default_constraint(self):
+        return EnergyConstraint(1.0)
 
     def pmf(self, A, query):
         return softmax_pmf(A, query)
@@ -187,8 +187,8 @@ class _Leverage:
             raise InputFormatError(f"{path}: constraint needs c <= C, got c={lo!r} C={hi!r}")
         return BoxConstraint(lo, hi)
 
-    def default_constraint(self, energy, box):
-        return BoxConstraint(*box)
+    def default_constraint(self):
+        return BoxConstraint(0.5, 2.0)
 
     def pmf(self, A, query):
         return leverage_pmf(A, query)

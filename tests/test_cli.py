@@ -447,6 +447,15 @@ def test_lrt_identical_pair_exits_1(tmp_path):
     assert "indistinguishable" in res.stderr
 
 
+def test_test_refuses_a_query_where_the_laws_coincide(capsys):
+    # x = 0 gives both models of demo-softmax the uniform law, so no m
+    # separates them there, as the m* search already refuses
+    assert cli.main(["test", "demo-softmax", "--m", "5", "--query", "0,0,0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: indistinguishable models: models coincide at the given query (H^2 = 0.000e+00); no test can separate them\n"
+
+
 def test_box_violation_prints_plain_floats():
     res = run_cli("test", "demo-leverage", "--m", "5", "--query", "0,1,1,1,1,1")
     assert res.returncode == 2

@@ -223,8 +223,8 @@ def test_gaussian_instance_is_deterministic_per_arguments():
     assert np.array_equal(a.A, b.A) and np.array_equal(a.M, b.M)
     assert not np.array_equal(a.A, gaussian_instance("softmax", 5, 3, seed=3).A)
     assert not np.array_equal(a.A, a.M)
-    lev = gaussian_instance("leverage", 5, 3, box=(0.25, 4.0))
-    assert isinstance(lev.constraint, BoxConstraint) and lev.constraint.hi == 4.0
+    lev = gaussian_instance("leverage", 5, 3)
+    assert isinstance(lev.constraint, BoxConstraint) and lev.constraint.hi == 2.0
 
 
 def test_named_instances():
@@ -254,6 +254,11 @@ def test_experiment_spec_validation():
         ExperimentSpec(model=model, trials=0)
     with pytest.raises(ValueError):
         ExperimentSpec(model=model, threads=0)
+    # the sweep derives every ascent's seed from spec.seed, so a seed in
+    # the optimizer config would be silently ignored
+    with pytest.raises(ValueError, match=r"ExperimentSpec\.seed"):
+        ExperimentSpec(model=model, opt=OptimizerConfig(seed=7))
+    assert ExperimentSpec(model=model, opt=OptimizerConfig(restarts=4)).opt.restarts == 4
     spec = ExperimentSpec(model=model, eps_grid=[0.2, 0.1])
     assert spec.eps_grid == (0.2, 0.1)
 

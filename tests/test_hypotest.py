@@ -179,11 +179,12 @@ def test_lrt_hand_computed_value():
 
 def test_lrt_tie_goes_to_zero():
     # identical models give a zero ratio, so every test ties at llr = 0 and
-    # decides for truth 0: truth 1 is never detected, at any m
+    # decides for truth 0: truth 1 is never detected, at any m (both
+    # estimators refuse such a query, so the curve is read directly)
+    assert hypotest._correct(0.0, 0) and not hypotest._correct(0.0, 1)
     A = np.array([[1.0], [0.0]])
     spec = ModelSpec("softmax", A, A.copy(), None, BALL)
     query = np.array([0.5])
-    assert estimate_success(spec, 1, 50, 0, query=query) == 0.0
     pmfs = (spec.pmf(0, query), spec.pmf(1, query))
     ratio = log_likelihood_ratio(*pmfs)
     assert not ratio.any()
@@ -192,7 +193,8 @@ def test_lrt_tie_goes_to_zero():
 
 def test_run_test_identical_models_explicit_query():
     # a test run at a given query on identical models: the oracle's m draws
-    # sum to llr = 0 exactly, the tie decides 0, and so truth 1 is missed
+    # sum to llr = 0 exactly, the tie would decide 0 and miss truth 1, so
+    # estimate_success refuses the query
     A = np.array([[1.0], [0.0]])
     spec = ModelSpec("softmax", A, A.copy(), None, BALL)
     query = np.array([0.5])
@@ -201,7 +203,8 @@ def test_run_test_identical_models_explicit_query():
         oracle = ModelOracle(spec, truth, seed=0)
         assert ratio[oracle.sample(query, 10)].sum() == 0.0
         assert oracle.queries_used == 10
-    assert estimate_success(spec, 10, 50, 0, query=query) == 0.0
+    with pytest.raises(IndistinguishableError, match="given query"):
+        estimate_success(spec, 10, 50, 0, query=query)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +223,19 @@ def test_estimate_success_validation():
 def test_estimate_success_identical_models_auto_query_refuses():
     A = np.array([[1.0], [0.0]])
     spec = ModelSpec("softmax", A, A.copy(), None, BALL)
-    with pytest.raises(IndistinguishableError):
+    with pytest.raises(IndistinguishableError, match="optimal query"):
         estimate_success(spec, 10, 20, 0)
+
+
+def test_estimate_success_refuses_a_given_query_where_the_laws_coincide():
+    # x = 0 makes both softmax laws uniform, though the models differ
+    # elsewhere; the m* search refuses the same query
+    spec = _wide_pair()
+    with pytest.raises(IndistinguishableError, match="given query"):
+        estimate_success(spec, 5, 20, 0, query=np.array([0.0]))
+    with pytest.raises(IndistinguishableError, match="given query"):
+        estimate_sample_complexity(spec, trials=20, query=np.array([0.0]))
+    assert estimate_success(spec, 5, 20, 0, query=np.array([1.0])) > 0.5
 
 
 def test_estimate_success_at_large_m_is_near_one():
@@ -242,7 +256,7 @@ def _ref_estimate_success(spec, m, trials, seed, query=None):
     and a new generator for every trial."""
     if m < 1 or trials < 1:
         raise ValueError("m and trials must be at least 1")
-    pmfs, ratio = hypotest._pmfs_and_ratio(spec, query)
+    pmfs, ratio, _ = hypotest._pmfs_and_ratio(spec, query)
     worst = 1.0
     for truth in (0, 1):
         correct = 0
@@ -382,12 +396,12 @@ def test_sample_complexity_doubles_the_horizon_past_a_late_crossing():
     assert all(long[h - 1] < 2.0 / 3.0 for h in (3, 6, 12, 24))
 
 
-def _m_gauss(pair, query, target=2.0 / 3.0):
+def _m_gauss(pair, query):
     """The CLT prediction of m*: the m at which a normal approximation of the
-    summed log-likelihood ratio reaches target, worst over the two truths."""
+    summed log-likelihood ratio reaches 2/3, worst over the two truths."""
     pmfs = (pair.pmf(0, query), pair.pmf(1, query))
     ratio = log_likelihood_ratio(*pmfs)
-    z = NormalDist().inv_cdf(target)
+    z = NormalDist().inv_cdf(2.0 / 3.0)
     return max(
         (z * math.sqrt(variance_under(p, ratio)) / mean_under(p, ratio)) ** 2 for p in pmfs
     )
@@ -414,10 +428,15 @@ def test_clt_prediction_equals_the_oracle(family):
     points += [(_wide_pair(), np.array([-1.0])), _clamped_pair()]
     for pair, query in points:
         pmfs = (pair.pmf(0, query), pair.pmf(1, query))
-        for target in (0.55, 2.0 / 3.0, 0.9, 0.99):
-            got = hypotest._clt_m_star(pmfs, log_likelihood_ratio(*pmfs), target)
-            want = _m_gauss(pair, query, target)
-            assert abs(got - want) <= 1e-12 * want, (target, got, want)
+        got = hypotest._clt_m_star(pmfs, log_likelihood_ratio(*pmfs))
+        want = _m_gauss(pair, query)
+        assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+def test_the_clt_quantile_is_the_normal_quantile_of_two_thirds():
+    # a literal, so that no m* search imports statistics
+    z = NormalDist().inv_cdf(2.0 / 3.0)
+    assert np.float64(hypotest._Z_TARGET).tobytes() == np.float64(z).tobytes()
 
 
 @pytest.mark.parametrize("family", ["softmax", "leverage"])
@@ -492,30 +511,24 @@ def test_estimate_success_is_monotone_in_m_up_to_noise():
 # ---------------------------------------------------------------------------
 
 
-def test_sample_complexity_target_validation():
-    spec = _wide_pair()
-    for bad in (0.5, 1.0, 0.3):
-        with pytest.raises(ValueError):
-            estimate_sample_complexity(spec, target=bad, trials=10)
-
-
 def test_sample_complexity_identical_models_refuse():
     A = np.array([[1.0], [0.0]])
     spec = ModelSpec("softmax", A, A.copy(), None, BALL)
     with pytest.raises(IndistinguishableError):
         estimate_sample_complexity(spec, trials=10)
-    # the explicit-query path has its own Hellinger gate
-    with pytest.raises(IndistinguishableError):
+    # a given query passes the same Hellinger gate
+    with pytest.raises(IndistinguishableError, match="given query"):
         estimate_sample_complexity(spec, trials=10, query=np.array([0.5]))
 
 
-def test_sample_complexity_budget_cap():
+def test_sample_complexity_budget_cap(monkeypatch):
     # a hairline gap needs far more than 8 samples
     A = np.array([[0.0], [0.0]])
     B = np.array([[1e-4], [0.0]])
     spec = ModelSpec("softmax", A, B, None, BALL)
-    with pytest.raises(BudgetExceeded):
-        estimate_sample_complexity(spec, trials=50, cap=8)
+    monkeypatch.setattr(hypotest, "_CAP", 8)
+    with pytest.raises(BudgetExceeded, match="cap 8"):
+        estimate_sample_complexity(spec, trials=50)
 
 
 def test_sample_complexity_quarters_when_eps_halves():

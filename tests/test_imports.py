@@ -8,7 +8,8 @@ every sampler shares, calls ``searchsorted``; and the instance rule: in
 ``derive_seeds``.
 
 Parses each ``src/softlev/*.py`` with ``ast``, well under 0.1 s.  The
-start-up guard runs one fresh interpreter, about 0.2 s.
+start-up guard and the sweep guard each run one fresh interpreter, about
+0.25 s each (2 cores, Python 3.11).
 """
 
 import ast
@@ -137,9 +138,9 @@ def test_start_up_leaves_the_deferred_modules_unloaded():
     # What every CLI call pays before its first result: a fresh interpreter
     # imports the CLI, loads the specs and warms the kernels, as perfbench's
     # set-up does.  statistics costs that a few ms and concurrent.futures
-    # (which loads logging) more; hypotest imports the first only when an
-    # m* search runs and harness the second only when a sweep runs on
-    # threads.  Neither scipy nor numba is a dependency.
+    # (which loads logging) more; the package never imports the first, and
+    # harness imports the second only when a sweep runs on threads.  Neither
+    # scipy nor numba is a dependency.
     code = """
 import sys
 from softlev import _kernels, cli
@@ -152,3 +153,17 @@ print(sorted(m for m in ("scipy", "statistics", "concurrent.futures", "numba") i
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_sweep_leaves_statistics_unloaded(tmp_path):
+    # The m* search reads Phi^-1(2/3) as a literal, so a process that runs
+    # a sweep never pays statistics' import (about 4 ms).
+    code = f"""
+import sys
+from softlev import cli
+assert cli.main(["sweep", "demo-softmax", "--trials", "20", "--out", {str(tmp_path / "s.csv")!r}]) == 0
+print("statistics" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
