@@ -4,8 +4,6 @@ Indices are 0-based throughout: a distribution on n outcomes is supported on
 {0, ..., n-1}.
 """
 
-import math
-
 import numpy as np
 
 from . import _kernels
@@ -132,10 +130,11 @@ def hellinger_sq(P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
     return float(h2)
 
 
-def sandwich_holds(h2, t) -> bool:
+def sandwich_holds(h2, t):
     """Whether H^2 <= TV <= sqrt(2 H^2) holds for a pair's squared Hellinger
-    distance ``h2`` and total variation ``t``, each side up to 1e-12."""
-    return h2 <= t + 1e-12 and t <= math.sqrt(2.0 * h2) + 1e-12
+    distance ``h2`` and total variation ``t``, each side up to 1e-12; for
+    arrays, for each pair.  A NaN fails."""
+    return (h2 <= t + 1e-12) & (t <= np.sqrt(2.0 * h2) + 1e-12)
 
 
 def mean_under(P: DiscreteDistribution, values) -> float:

@@ -22,17 +22,20 @@ sign flips, normalizations, the perturbed models) is computed once per group
 of instances of equal shape, on the group's stack, with the same elementwise
 operations.  The kernels work along the last axes, so rows and deviations
 are bitwise those of the one-instance loop, and they come out in instance
-order.  One driver, ``_evaluated``, runs this for every family given a
-one-instance draw and a stacked evaluation; only the leverage envelope,
-which redraws rejected instances in rounds, keeps its own loop.
+order.  One driver, ``_grouped``, runs this for every family given a
+one-instance draw and a stacked evaluation, and yields each shape group's
+results: the invariances and metric axioms reduce those arrays, and
+``_evaluated`` gives the row families each instance's values in instance
+order.  Only the leverage envelope, which redraws rejected instances in
+rounds, keeps its own loop.
 """
 
 import json
 import math
 import sys
 from dataclasses import astuple, dataclass, fields, replace
-from functools import reduce
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -431,33 +434,48 @@ def _blocks(count):
     return [range(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
 
 
-def _stacked(evaluate, draws):
-    """Run ``evaluate`` once per group of draws whose first arrays share a
-    shape, on one stack per field of the group's draws (a field of floats
-    stacks to a vector).  ``evaluate`` returns a tuple of arrays with one
-    value per draw; the result is one tuple of Python scalars per draw, in
-    draw order."""
+def _by_shape(evaluate, draws):
+    """Group ``draws``, a dict from key to draw, by the shape of each draw's
+    first array, and yield each group's keys, draws and ``evaluate``'s
+    results on one stack per field of its draws (a field of floats stacks
+    to a vector): a tuple of arrays with one value per draw.  Groups come
+    in order of their first key."""
     groups = {}
-    for i, draw in enumerate(draws):
-        groups.setdefault(draw[0].shape, []).append(i)
+    for key, draw in draws.items():
+        groups.setdefault(draw[0].shape, []).append(key)
+    for keys in groups.values():
+        group = [draws[key] for key in keys]
+        yield keys, group, evaluate(*(np.array(field) for field in zip(*group)))
+
+
+def _stacked(evaluate, draws):
+    """``evaluate``'s values for each draw, as one tuple of Python scalars
+    per draw, in draw order, from one call per group of ``_by_shape``."""
     out = [None] * len(draws)
-    for idx in groups.values():
-        results = evaluate(*(np.array(field) for field in zip(*(draws[i] for i in idx))))
+    for idx, _, results in _by_shape(evaluate, dict(enumerate(draws))):
         for i, values in zip(idx, zip(*(r.tolist() for r in results))):
             out[i] = values
     return out
 
 
-def _evaluated(seed, label, count, draw, evaluate):
-    """(k, draw, values) for each instance k in range(count), in instance
-    order.  The draw is ``draw(generator(derive_seed(seed, label, k)))``,
-    and an instance whose draw is None is skipped; ``values`` are
-    ``evaluate``'s results for the draw, from one ``_stacked`` call per
-    block of ``_blocks(count)``."""
+def _grouped(seed, label, count, draw, evaluate):
+    """``_by_shape`` of the draws of each block of ``_blocks(count)``, keyed
+    by instance index: the draw of instance k is
+    ``draw(generator(derive_seed(seed, label, k)))``, and an instance whose
+    draw is None is skipped."""
     for block in _blocks(count):
         drawn = zip(block, map(draw, generators(derive_seeds(seed, label, indices=block))))
-        kept = {k: fields for k, fields in drawn if fields is not None}
-        yield from zip(kept, kept.values(), _stacked(evaluate, list(kept.values())))
+        yield from _by_shape(evaluate, {k: fields for k, fields in drawn if fields is not None})
+
+
+def _evaluated(seed, label, count, draw, evaluate):
+    """(k, draw, values) for each kept instance k of ``_grouped``, in
+    instance order, with its values as a tuple of Python scalars."""
+    out = []
+    for keys, draws, results in _grouped(seed, label, count, draw, evaluate):
+        out += zip(keys, draws, zip(*(r.tolist() for r in results)))
+    out.sort(key=itemgetter(0))
+    return out
 
 
 def _softmax_gaps(a, b):
@@ -540,9 +558,8 @@ def _envelope_draw(g):
     x is 0."""
     n = int(g.integers(2, 11))
     d = int(g.integers(1, 6))
-    A = g.standard_normal((n, d))
-    D = g.standard_normal((n, d))
-    x = g.standard_normal(d)
+    z = g.standard_normal((2 * n + 1, d))  # the rows of A, then of D, then x
+    A, D, x = z[:n], z[n:-1], z[-1]
     xnorm = math.sqrt(x.dot(x))  # np.linalg.norm(x), from the same dot product
     if xnorm == 0.0:
         return None
@@ -564,36 +581,36 @@ _SUITE_BOX = BoxConstraint(0.5, 2.0)  # the scale box of the leverage envelope a
 _ENVELOPE_QUERIES = 10  # query scales drawn per leverage envelope pair
 
 
-def _envelope_ratio(gap, delta):
-    box = _SUITE_BOX
-    return gap * box.hi / (box.lo * delta)
-
-
 def _gamma_search(A, G, delta, target):
     """gamma of each (A, G) pair in a stack such that B = A + gamma G puts
     the gap ratio (row-gram gap of A and B) C / (c delta) within 5% of the
     target, from up to 30 square-root steps starting at 1e-3; returns gamma
-    and the ratio at gamma.  Every pair steps in lockstep while its search
-    is live, so each takes exactly the steps it would take alone."""
-    delta, target = delta.tolist(), target.tolist()
-    gamma = [1e-3] * len(delta)
-    live = list(range(len(delta)))
+    and the ratio at gamma.  The live pairs step together, as arrays, so
+    each takes exactly the steps it would take alone: ``row_gram_gap`` is
+    bitwise the same for a pair in any stack, and each step's square root
+    is Python's, since numpy's does not always agree in the last bit.  A
+    pair keeps the ratio it stopped at; one that used all 30 steps is
+    evaluated once more at its last gamma."""
+    box = _SUITE_BOX
+
+    def ratios(live):
+        gaps = _kernels.row_gram_gap(A[live], A[live] + gamma[live, None, None] * G[live])
+        return gaps * box.hi / (box.lo * delta[live])
+
+    gamma = np.full(len(delta), 1e-3)
+    ratio = np.empty(len(delta))
+    live = np.arange(len(delta))
     for _ in range(30):
-        if not live:
-            break
-        steps = np.array([gamma[i] for i in live])[:, None, None]
-        gaps = _kernels.row_gram_gap(A[live], A[live] + steps * G[live])
-        searching = []
-        for i, gap in zip(live, gaps.tolist()):
-            ratio = _envelope_ratio(gap, delta[i])
-            if ratio <= 0.0 or abs(ratio - target[i]) <= 0.05 * target[i]:
-                continue
-            gamma[i] *= (target[i] / ratio) ** 0.5
-            searching.append(i)
-        live = searching
-    gamma = np.array(gamma)
-    gaps = _kernels.row_gram_gap(A, A + gamma[:, None, None] * G).tolist()
-    return gamma, np.array([_envelope_ratio(gap, dl) for gap, dl in zip(gaps, delta)])
+        if not live.size:
+            return gamma, ratio
+        ratio[live] = r = ratios(live)
+        t = target[live]
+        step = ~((r <= 0.0) | (np.abs(r - t) <= 0.05 * t))  # not stopped
+        live, t, r = live[step], t[step], r[step]
+        gamma[live] *= [q**0.5 for q in (t / r).tolist()]
+    if live.size:
+        ratio[live] = ratios(live)
+    return gamma, ratio
 
 
 def _conditioning(A):
@@ -714,7 +731,7 @@ def run_bound_suite(instances: int, seed: int) -> BoundSuiteResult:
     max_ratios = {}
     for fam in _ENVELOPE_FAMILIES:
         ratios = [r.ratio for r in rows if r.bound_name == fam]
-        max_ratios[fam] = max(ratios) if ratios else math.nan
+        max_ratios[fam] = float(np.max(ratios)) if ratios else math.nan  # a NaN ratio is the max
     grid = np.linspace(0.01, 4.0, 50)
     h2_vals = [lemma_h2_bound(e) for e in grid]
     tv_vals = [lemma_tv_bound(e) for e in grid]
@@ -769,10 +786,13 @@ class InvarianceReport:
         raise KeyError(name)
 
 
-def _tall_matrix(g):
+def _tall_shape(g):
     d = int(g.integers(1, 5))
-    n = int(g.integers(d + 1, 10))
-    return g.standard_normal((n, d))
+    return int(g.integers(d + 1, 10)), d
+
+
+def _tall_matrix(g):
+    return g.standard_normal(_tall_shape(g))
 
 
 def _max_gap(P):
@@ -782,10 +802,8 @@ def _max_gap(P):
 
 def _shift_draw(g):
     n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
-    A = g.standard_normal((n, d))
-    w = g.standard_normal(d)
-    x = g.standard_normal(d)
-    return A, w, x
+    z = g.standard_normal((n + 2, d))  # the rows of A, then w and x
+    return z[:n], z[n], z[n + 1]
 
 
 def _shift_deviation(A, w, x):
@@ -797,9 +815,10 @@ def _right_draw(g):
     # R has condition number kappa <= 1e3: random orthogonal factors
     # around a log-uniform singular spectrum.
     A = _tall_matrix(g)
-    d = A.shape[1]
+    n, d = A.shape
     log_kappa = math.log(10.0 ** (3.0 * float(g.random())))
-    return A, log_kappa, g.standard_normal((d, d)), g.standard_normal((d, d)), g.random(A.shape[0])
+    UV = g.standard_normal((2, d, d))
+    return A, log_kappa, UV[0], UV[1], g.random(n)
 
 
 def _right_deviation(A, log_kappa, U, V, r):
@@ -812,8 +831,8 @@ def _right_deviation(A, log_kappa, U, V, r):
 
 def _sign_draw(g):
     A = _tall_matrix(g)
-    n = A.shape[0]
-    return A, g.random(n), g.random(n)
+    r = g.random((2, A.shape[0]))  # uniforms for the scales, then the coins
+    return A, r[0], r[1]
 
 
 def _sign_deviation(A, r, coin):
@@ -823,8 +842,9 @@ def _sign_deviation(A, r, coin):
 
 
 def _normalization_draw(g):
-    A = _tall_matrix(g)
-    return A, g.standard_normal(A.shape[1])
+    n, d = _tall_shape(g)
+    z = g.standard_normal((n + 1, d))  # the rows of A, then x
+    return z[:n], z[n]
 
 
 def _normalization_deviation(A, x):
@@ -849,8 +869,8 @@ def _random_distribution(g, n):
     ``_distributions`` turns into the distribution.  An outcome whose coin
     falls below 0.15 is masked; if all are, one drawn at random keeps its
     weight (its coin is set to 1)."""
-    weights = g.random(n)
-    coins = g.random(n)
+    u = g.random((2, n))
+    weights, coins = u[0], u[1]
     if max(coins.tolist()) < 0.15:
         coins[int(g.integers(n))] = 1.0
     return weights, coins
@@ -883,35 +903,37 @@ def _metric_distances(*draws):
 
 
 def _metric_axioms(seed, count):
-    sandwich_viol = 0
-    triangle_viol = 0
-    sym_viol = 0
-    ident_dev = 0.0
+    """Counts of instances that break the sandwich, of triangle
+    inequalities broken (two per instance: TV and Hellinger) and of
+    instances that break symmetry, and the largest identity distance
+    d(P, P); a NaN distance breaks every test that reads it and is the
+    largest identity distance."""
+    sandwich = triangle = sym = 0
+    ident = [0.0]
     slack = 1e-12
-    for _, _, distances in _evaluated(seed, "metric", count, _metric_draw, _metric_distances):
+    for *_, distances in _grouped(seed, "metric", count, _metric_draw, _metric_distances):
         h2_pq, h2_qp, h2_pp, h2_pr, h2_qr, tv_pq, tv_qp, tv_pp, tv_pr, tv_qr = distances
-        if not sandwich_holds(h2_pq, tv_pq):
-            sandwich_viol += 1
-        if tv_pq != tv_qp or h2_pq != h2_qp:
-            sym_viol += 1
-        ident_dev = max(ident_dev, tv_pp, h2_pp)
-        if tv_pr > tv_pq + tv_qr + slack:
-            triangle_viol += 1
-        if math.sqrt(h2_pr) > math.sqrt(h2_pq) + math.sqrt(h2_qr) + slack:
-            triangle_viol += 1
-    return sandwich_viol, triangle_viol, sym_viol, ident_dev
+        sandwich += np.count_nonzero(~sandwich_holds(h2_pq, tv_pq))
+        sym += np.count_nonzero((tv_pq != tv_qp) | (h2_pq != h2_qp))
+        ident += (tv_pp, h2_pp)
+        triangle += np.count_nonzero(~(tv_pr <= tv_pq + tv_qr + slack))
+        triangle += np.count_nonzero(~(np.sqrt(h2_pr) <= np.sqrt(h2_pq) + np.sqrt(h2_qr) + slack))
+    return int(sandwich), int(triangle), int(sym), float(np.max(np.hstack(ident)))
 
 
 def run_invariance_suite(instances: int, seed: int) -> InvarianceReport:
-    """Model symmetries and metric axioms over randomized instances."""
+    """Model symmetries and metric axioms over randomized instances.  An
+    instance violates a symmetry unless its deviation is at most the
+    tolerance, so a NaN deviation counts, and it is the maximum reported."""
     _check_instances(instances)
     props = []
     for name, label, tol, draw, deviation in _INVARIANCES:
-        dev = reduce(max, (dev for _, _, (dev,) in _evaluated(seed, label, instances, draw, deviation)), 0.0)
-        props.append(PropertyResult(name, instances, dev, int(dev > tol), dev <= tol))
+        dev = np.hstack([dev for *_, (dev,) in _grouped(seed, label, instances, draw, deviation)])
+        violations = int(np.count_nonzero(~(dev <= tol)))
+        props.append(PropertyResult(name, instances, float(dev.max()), violations, violations == 0))
     sandwich, triangle, sym, ident = _metric_axioms(seed, instances)
-    props.append(PropertyResult("metric_sandwich", instances, float(ident), sandwich, sandwich == 0))
-    props.append(PropertyResult("metric_triangle", instances, float(ident), triangle, triangle == 0))
+    props.append(PropertyResult("metric_sandwich", instances, ident, sandwich, sandwich == 0))
+    props.append(PropertyResult("metric_triangle", instances, ident, triangle, triangle == 0))
     props.append(PropertyResult("metric_symmetry", instances, 0.0, sym, sym == 0))
     return InvarianceReport(tuple(props), all(p.ok for p in props))
 

@@ -52,6 +52,14 @@ _GOLDEN = {
         "-taylor-leverage.csv": "bbed8789b5fc445fdb8ecabb5b21c7924949786ce6809b8a6715d794db22cabb",
         "-taylor-softmax.csv": "ba70c4ca9231db2402988357ca5f12228fe40504cbb440987b56533b90051cb6",
     },
+    # Two 1,024-instance blocks, so the second block's keys and groups are pinned too.
+    ("verify", "--instances", "1100", "--seed", "1", "--out", "<out>"): {
+        "stdout": "48ea78c706abdd2b93926e15c4811e83240bb0866c03fa9bfc352540a7eae86e",
+        "-bounds.csv": "dbc93f87fd7fcf190692d56bac6417efbda547bb3829f16f4f50d31f7bd3cd0a",
+        "-invariances.csv": "2c49a3de92a9ab832ba205ebd45f68add5784eb31bce2dd09b455d741817a4b8",
+        "-taylor-leverage.csv": "65a153c6bf0c0893d0deb9ebc7b359335fa71df792055db377984f12945497f9",
+        "-taylor-softmax.csv": "32e1873ff5724787309e2d0b299a38fc7b39b7239643bb1265a5e6de3acb952c",
+    },
 }
 
 

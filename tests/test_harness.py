@@ -1102,6 +1102,313 @@ def test_stacked_conditioning_equals_min_eigenvalue_of_each_gram():
 
 
 # ---------------------------------------------------------------------------
+# merged draws and the array gamma search against their scalar references
+# ---------------------------------------------------------------------------
+#
+# A draw function takes a run of consecutive draws of one kind from one
+# generator call, and numpy fills a call of size a + b with bitwise the
+# values of two calls of sizes a and b.  The references below make one call
+# per array, as the suites once did; each draw must give their values and
+# leave its stream where they leave theirs.
+
+
+def _ref_envelope_draw(g):
+    n = int(g.integers(2, 11))
+    d = int(g.integers(1, 6))
+    A = g.standard_normal((n, d))
+    D = g.standard_normal((n, d))
+    x = g.standard_normal(d)
+    xnorm = math.sqrt(x.dot(x))
+    if xnorm == 0.0:
+        return None
+    return A, D, x, xnorm, 0.5 * float(g.random())
+
+
+def _ref_shift_draw(g):
+    n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
+    A = g.standard_normal((n, d))
+    w = g.standard_normal(d)
+    x = g.standard_normal(d)
+    return A, w, x
+
+
+def _ref_tall_matrix(g):
+    d = int(g.integers(1, 5))
+    n = int(g.integers(d + 1, 10))
+    return g.standard_normal((n, d))
+
+
+def _ref_right_draw(g):
+    A = _ref_tall_matrix(g)
+    d = A.shape[1]
+    log_kappa = math.log(10.0 ** (3.0 * float(g.random())))
+    return A, log_kappa, g.standard_normal((d, d)), g.standard_normal((d, d)), g.random(A.shape[0])
+
+
+def _ref_sign_draw(g):
+    A = _ref_tall_matrix(g)
+    n = A.shape[0]
+    return A, g.random(n), g.random(n)
+
+
+def _ref_normalization_draw(g):
+    A = _ref_tall_matrix(g)
+    return A, g.standard_normal(A.shape[1])
+
+
+def _ref_random_distribution_draw(g, n):
+    weights = g.random(n)
+    coins = g.random(n)
+    if max(coins.tolist()) < 0.15:
+        coins[int(g.integers(n))] = 1.0
+    return weights, coins
+
+
+def _ref_metric_draw(g):
+    n = int(g.integers(2, 12))
+    return tuple(field for _ in range(3) for field in _ref_random_distribution_draw(g, n))
+
+
+def _field_bits(fields):
+    """Shape, dtype and bytes of each field of a draw (None stays None)."""
+    if fields is None:
+        return None
+    return [(np.shape(f), np.asarray(f).dtype.str, np.asarray(f).tobytes()) for f in fields]
+
+
+def _stream_position(g):
+    """Philox counter, buffer position and cached 32-bit half of a stream."""
+    state = g.bit_generator.state
+    return state["state"]["counter"].tobytes(), state["buffer_pos"], state["has_uint32"], state["uinteger"]
+
+
+def _assert_same_draws(draw, reference, streams):
+    """draw and reference give bitwise the same fields on each pair of equal
+    streams and leave both streams in the same state."""
+    for k, (g, g_ref) in enumerate(streams):
+        assert _field_bits(draw(g)) == _field_bits(reference(g_ref)), k
+        assert _stream_position(g) == _stream_position(g_ref), k
+
+
+def _twin_streams(label, count, seed=0):
+    return [(generator(derive_seed(seed, label, k)), generator(derive_seed(seed, label, k))) for k in range(count)]
+
+
+@pytest.mark.parametrize(
+    "label, draw, reference",
+    [
+        ("softmax-env", harness._envelope_draw, _ref_envelope_draw),
+        ("shift", harness._shift_draw, _ref_shift_draw),
+        ("right", harness._right_draw, _ref_right_draw),
+        ("sign", harness._sign_draw, _ref_sign_draw),
+        ("norm", harness._normalization_draw, _ref_normalization_draw),
+        ("metric", harness._metric_draw, _ref_metric_draw),
+    ],
+)
+def test_merged_draws_equal_one_generator_call_per_array(label, draw, reference):
+    # 600 instances of the family's own streams at each of two seeds: about
+    # 70 ms per family.
+    for seed in (0, 5):
+        _assert_same_draws(draw, reference, _twin_streams(label, 600, seed))
+
+
+def _all_masked(g, n):
+    g.random(n)  # the weights
+    return bool((g.random(n) < 0.15).all())
+
+
+def test_random_distribution_draw_equals_two_calls_including_the_all_masked_branch():
+    # Two outcomes are all masked with probability 0.15^2, so 600 streams
+    # take the branch that draws the index to keep about 13 times.  About
+    # 90 ms.
+    masked = [k for k in range(600) if _all_masked(generator(derive_seed(0, "distribution-2", k)), 2)]
+    assert len(masked) > 5
+    for n in (2, 3, 11):
+        _assert_same_draws(
+            lambda g: harness._random_distribution(g, n),
+            lambda g: _ref_random_distribution_draw(g, n),
+            _twin_streams(f"distribution-{n}", 600),
+        )
+
+
+def _ref_gamma_search(A, G, delta, target):
+    """The per-pair loop the array search replaced, and the number of pairs
+    that used all 30 steps."""
+    box = BoxConstraint(0.5, 2.0)
+    delta, target = delta.tolist(), target.tolist()
+    gamma = [1e-3] * len(delta)
+    live = list(range(len(delta)))
+    for _ in range(30):
+        if not live:
+            break
+        steps = np.array([gamma[i] for i in live])[:, None, None]
+        gaps = _kernels.row_gram_gap(A[live], A[live] + steps * G[live])
+        searching = []
+        for i, gap in zip(live, gaps.tolist()):
+            ratio = gap * box.hi / (box.lo * delta[i])
+            if ratio <= 0.0 or abs(ratio - target[i]) <= 0.05 * target[i]:
+                continue
+            gamma[i] *= (target[i] / ratio) ** 0.5
+            searching.append(i)
+        live = searching
+    gamma = np.array(gamma)
+    gaps = _kernels.row_gram_gap(A, A + gamma[:, None, None] * G).tolist()
+    return gamma, np.array([gap * box.hi / (box.lo * dl) for gap, dl in zip(gaps, delta)]), len(live)
+
+
+def test_array_gamma_search_equals_the_per_pair_loop():
+    # Envelope-like pairs stop within a few steps.  Pairs with G close to
+    # c A for c < 0 have a gap that is not monotone in gamma, and with a
+    # target past its first peak many of them use all 30 steps without
+    # landing.  Zero directions stop at once on a zero ratio.  About 20 ms.
+    g = generator(derive_seed(0, "gamma-search"))
+    exhausted = 0
+    for n, d in ((2, 1), (4, 2), (8, 3)):
+        A = g.standard_normal((300, n, d))
+        G = g.standard_normal((300, n, d))
+        G[100:200] = g.uniform(-3.0, 0.0, (100, 1, 1)) * A[100:200] + 0.01 * G[100:200]
+        G[200:210] = 0.0
+        delta = harness._conditioning(A) + 0.05
+        target = np.where(np.arange(300) < 100, 0.1 * (0.1 + 0.9 * g.random(300)), g.uniform(0.01, 50.0, 300))
+        gamma, ratio = harness._gamma_search(A, G, delta, target)
+        ref_gamma, ref_ratio, ref_exhausted = _ref_gamma_search(A, G, delta, target)
+        assert gamma.tobytes() == ref_gamma.tobytes(), (n, d)
+        assert ratio.tobytes() == ref_ratio.tobytes(), (n, d)
+        exhausted += ref_exhausted
+    assert exhausted > 50
+
+
+# ---------------------------------------------------------------------------
+# NaN and violation counts in the suites' verdicts
+# ---------------------------------------------------------------------------
+
+
+def _nan_in_first_of_each_group(deviation):
+    """deviation, with the first instance of each stack it evaluates set to
+    NaN; ``patched.stacks`` counts the stacks."""
+
+    def patched(*stacks):
+        (dev,) = deviation(*stacks)
+        dev[0] = math.nan
+        patched.stacks += 1
+        return (dev,)
+
+    patched.stacks = 0
+    return patched
+
+
+def _patched_invariance(monkeypatch, name, wrap):
+    """Replace the deviation of invariance ``name`` by ``wrap`` of it;
+    returns the replacement."""
+    table, patched = [], None
+    for prop, label, tol, draw, deviation in harness._INVARIANCES:
+        if prop == name:
+            deviation = patched = wrap(deviation)
+        table.append((prop, label, tol, draw, deviation))
+    monkeypatch.setattr(harness, "_INVARIANCES", tuple(table))
+    return patched
+
+
+def test_a_nan_deviation_is_a_violation_and_the_maximum(monkeypatch):
+    # One NaN per shape group: Python's max(x, nan) keeps x, so a running
+    # max would drop every one of them and report the finite maximum.
+    patched = _patched_invariance(monkeypatch, "shift_invariance", _nan_in_first_of_each_group)
+    rep = run_invariance_suite(200, 0)
+    prop = rep.by_name("shift_invariance")
+    assert math.isnan(prop.max_deviation)
+    assert prop.violations == patched.stacks > 1
+    assert not prop.ok and not rep.all_ok
+    assert all(p.ok for p in rep.properties if p.name != "shift_invariance")
+
+
+def test_violations_count_the_instances_past_the_tolerance(monkeypatch):
+    # Two instances of the first stack deviate by 1; the others stay exact.
+    def two_violators(deviation):
+        def patched(*stacks):
+            (dev,) = deviation(*stacks)
+            if patched.first:
+                dev[:2] += 1.0
+                patched.first = False
+            return (dev,)
+
+        patched.first = True
+        return patched
+
+    _patched_invariance(monkeypatch, "sign_invariance", two_violators)
+    prop = run_invariance_suite(100, 0).by_name("sign_invariance")
+    assert prop.violations == 2 and type(prop.violations) is int
+    assert prop.ok is False
+    assert 1.0 <= prop.max_deviation < 1.0 + 1e-12
+
+
+def test_a_nan_distance_breaks_every_metric_test_that_reads_it(monkeypatch):
+    # Instance 0's ten distances are NaN: it breaks the sandwich, both
+    # triangle inequalities and symmetry, and its identity distances are the
+    # largest.
+    real = harness._metric_distances
+
+    def patched(*draws):
+        distances = real(*draws)
+        if patched.first:
+            for d in distances:
+                d[0] = math.nan
+            patched.first = False
+        return distances
+
+    patched.first = True
+    monkeypatch.setattr(harness, "_metric_distances", patched)
+    rep = run_invariance_suite(100, 0)
+    assert [rep.by_name(f"metric_{p}").violations for p in ("sandwich", "triangle", "symmetry")] == [1, 2, 1]
+    assert math.isnan(rep.by_name("metric_sandwich").max_deviation)
+    assert math.isnan(rep.by_name("metric_triangle").max_deviation)
+    assert not rep.all_ok
+
+
+def test_a_nan_triangle_side_is_a_violation(monkeypatch):
+    # Only TV(P, R) of instance 0 is NaN: `tv_pr > bound` reads False on it.
+    real = harness._metric_distances
+
+    def patched(*draws):
+        distances = real(*draws)
+        if patched.first:
+            distances[8][0] = math.nan  # tv_pr
+            patched.first = False
+        return distances
+
+    patched.first = True
+    monkeypatch.setattr(harness, "_metric_distances", patched)
+    rep = run_invariance_suite(100, 0)
+    assert rep.by_name("metric_triangle").violations == 1
+    assert rep.by_name("metric_sandwich").ok and rep.by_name("metric_symmetry").ok
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_a_nan_envelope_ratio_is_the_max_ratio(monkeypatch, where):
+    # max([nan, 1.0]) is nan but max([1.0, nan]) is 1.0: a NaN observed
+    # value must be the family's max ratio whether its row is the family's
+    # first (instance 0, first of the first stack) or a later one (the last
+    # of that stack).
+    clean = run_bound_suite(60, 0)
+    real = harness._envelope_gaps
+
+    def patched(*fields):
+        h2, t = real(*fields)
+        if patched.first:
+            assert len(h2) > 1
+            h2[where] = math.nan
+            patched.first = False
+        return h2, t
+
+    patched.first = True
+    monkeypatch.setattr(harness, "_envelope_gaps", patched)
+    res = run_bound_suite(60, 0)
+    assert math.isnan(res.max_ratios["softmax_query_h2"])
+    assert [r.bound_name for r in res.rows if not r.satisfied] == ["softmax_query_h2"]
+    assert res.strict_violations == clean.strict_violations == 0
+    assert res.max_ratios["leverage_tv_envelope"] == clean.max_ratios["leverage_tv_envelope"]
+
+
+# ---------------------------------------------------------------------------
 # report CSVs
 # ---------------------------------------------------------------------------
 

@@ -103,11 +103,12 @@ def test_only_distributions_looks_outcomes_up_in_a_cdf(path):
     assert lines == [], f"{path.name} calls searchsorted at lines {lines}"
 
 
-def test_only_evaluated_keys_the_harness_instance_streams():
-    # a randomized family reads its instances through harness._evaluated,
-    # so that none brings back its own loop over blocks of streams
+def test_only_grouped_keys_the_harness_instance_streams():
+    # a randomized family reads its instances through harness._grouped,
+    # per shape group or per instance (_evaluated sits on it), so that none
+    # brings back its own loop over blocks of streams
     tree = ast.parse((Path(softlev.__file__).parent / "harness.py").read_text(encoding="utf-8"))
-    assert list(_callers(tree, "derive_seeds")) == ["_evaluated"]
+    assert list(_callers(tree, "derive_seeds")) == ["_grouped"]
 
 
 def test_public_names_are_listed_once_and_resolve():
