@@ -14,27 +14,20 @@ run, one per grid point, on ``threads`` threads; they may finish in any
 order, but rows are buffered and written in grid order.
 
 The randomized bound and invariance suites run in lockstep, a fixed block
-of instances at a time.  The loop over instances only draws: each instance
-takes its raw numbers from its own keyed stream, in the order a one-instance
-loop would, and branches only where the draws decide whether more draws
-follow.  Everything derived from the draws (scalings, masks, square roots,
-sign flips, normalizations, the perturbed models) is computed once per group
-of instances of equal shape, on the group's stack, with the same elementwise
-operations.  The kernels work along the last axes, so rows and deviations
-are bitwise those of the one-instance loop, and they come out in instance
-order.  One driver, ``_grouped``, runs this for every family given a
-one-instance draw and a stacked evaluation, and yields each shape group's
-results: the invariances and metric axioms reduce those arrays, and
-``_evaluated`` gives the row families each instance's values in instance
-order.  Only the leverage envelope, which redraws rejected instances in
-rounds, keeps its own loop.
+of instances at a time.  Instance k of a family makes two generator calls
+on its own keyed stream: it fills a fixed-width row of uniforms, then one
+of normals.  Its shape, fields and branches are decoded from those rows by
+array operations: a shape is lo + floor(span u), a field is a prefix, a
+branch is a mask.  ``_grouped`` runs this for every family and evaluates
+each group of equal shape as one stack; the kernels work along the last
+axes, so every instance's values are bitwise those it has alone.
 """
 
 import json
 import math
 import sys
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -434,46 +427,50 @@ def _blocks(count):
     return [range(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
 
 
-def _by_shape(evaluate, draws):
-    """Group ``draws``, a dict from key to draw, by the shape of each draw's
-    first array, and yield each group's keys, draws and ``evaluate``'s
-    results on one stack per field of its draws (a field of floats stacks
-    to a vector): a tuple of arrays with one value per draw.  Groups come
-    in order of their first key."""
-    groups = {}
-    for key, draw in draws.items():
-        groups.setdefault(draw[0].shape, []).append(key)
-    for keys in groups.values():
-        group = [draws[key] for key in keys]
-        yield keys, group, evaluate(*(np.array(field) for field in zip(*group)))
+def _uniform_int(u, lo, hi):
+    """The integer in [lo, hi) that each uniform u picks, lo + floor((hi -
+    lo) u), clamped to hi - 1 so that no rounding can reach hi (for integer
+    spans below 2^53 none does).  ``lo`` and ``hi`` may be arrays."""
+    span = hi - lo
+    return lo + np.minimum((span * u).astype(np.intp), span - 1)
 
 
-def _stacked(evaluate, draws):
-    """``evaluate``'s values for each draw, as one tuple of Python scalars
-    per draw, in draw order, from one call per group of ``_by_shape``."""
-    out = [None] * len(draws)
-    for idx, _, results in _by_shape(evaluate, dict(enumerate(draws))):
-        for i, values in zip(idx, zip(*(r.tolist() for r in results))):
-            out[i] = values
-    return out
+def _shape_groups(S):
+    """(indices, shape) of each group of equal rows of S, a ``(k, s)`` array
+    of shape columns below 16, with each group's indices in order and the
+    groups in order of their first index; a row holding a 0 is in none."""
+    kept = np.flatnonzero(S.all(axis=-1))
+    _, first, inverse = np.unique(S[kept] @ 16 ** np.arange(S.shape[1]), return_index=True, return_inverse=True)
+    groups = np.split(kept[np.argsort(inverse, kind="stable")], np.cumsum(np.bincount(inverse))[:-1])
+    return [(groups[j], tuple(S[kept[first[j]]].tolist())) for j in np.argsort(first)]
 
 
-def _grouped(seed, label, count, draw, evaluate):
-    """``_by_shape`` of the draws of each block of ``_blocks(count)``, keyed
-    by instance index: the draw of instance k is
-    ``draw(generator(derive_seed(seed, label, k)))``, and an instance whose
-    draw is None is skipped."""
+def _grouped(seed, label, count, family, evaluate):
+    """Per shape group of each block of ``_blocks(count)``: the indices,
+    shape, fields and ``evaluate``'s values (one array per value) of its
+    instances.  ``family`` is (wu, wn, shape, draw): instance k fills row k
+    of U with wu uniforms, then of Z with wn normals, from the stream keyed
+    (label, k); ``shape(U, Z)`` gives each instance's shape columns (a 0
+    skips it) and ``draw(U, Z, idx, *shape)`` the fields of instances idx."""
+    wu, wn, shape, draw = family
     for block in _blocks(count):
-        drawn = zip(block, map(draw, generators(derive_seeds(seed, label, indices=block))))
-        yield from _by_shape(evaluate, {k: fields for k, fields in drawn if fields is not None})
+        U, Z = np.empty((len(block), wu)), np.empty((len(block), wn))
+        for g, u, z in zip(generators(derive_seeds(seed, label, indices=block)), U, Z):
+            g.random(out=u)
+            g.standard_normal(out=z)
+        for idx, s in _shape_groups(shape(U, Z)):
+            fields = draw(U, Z, idx, *s)
+            yield block.start + idx, s, fields, evaluate(*fields)
 
 
-def _evaluated(seed, label, count, draw, evaluate):
-    """(k, draw, values) for each kept instance k of ``_grouped``, in
-    instance order, with its values as a tuple of Python scalars."""
+def _evaluated(seed, label, count, family, evaluate):
+    """(k, shape, numbers) of each kept instance k of ``_grouped``, in
+    instance order: its shape, then its fields that hold one number per
+    instance and its values, as Python scalars."""
     out = []
-    for keys, draws, results in _grouped(seed, label, count, draw, evaluate):
-        out += zip(keys, draws, zip(*(r.tolist() for r in results)))
+    for idx, s, fields, results in _grouped(seed, label, count, family, evaluate):
+        numbers = [f.tolist() for f in fields if f.ndim == 1] + [r.tolist() for r in results]
+        out += zip(idx.tolist(), repeat(s), zip(*numbers))
     out.sort(key=itemgetter(0))
     return out
 
@@ -499,18 +496,23 @@ def _logit_gaps(z, r, eps):
     return (*_softmax_gaps(a, a + eps[:, None] * mask), mask.sum(axis=-1))
 
 
-def _gap_draw(g):
-    """Logits z, uniforms r and a gap eps of one logit-gap or chain
-    instance on n outcomes."""
-    n = int(g.integers(2, 11))
-    eps = 2.0 * float(g.random())
-    return g.standard_normal(n), g.random(n), eps
+def _gap_shape(U, Z):
+    return _uniform_int(U[:, :1], 2, 11)  # n in [2, 10]
+
+
+def _gap_draw(U, Z, idx, n):
+    """Logits z, uniforms r and gaps eps of logit-gap or chain instances on
+    n outcomes: uniforms for n, eps and then r, normals for z."""
+    return Z[idx, :n], U[idx, 2 : 2 + n], 2.0 * U[idx, 1]
+
+
+_GAP = (12, 10, _gap_shape, _gap_draw)
 
 
 def _logit_pair_rows(seed, count):
     rows = []
-    for k, (z, _, eps), (h2, t, m) in _evaluated(seed, "gap", count, _gap_draw, _logit_gaps):
-        p = {"eps": eps, "n": len(z), "m": m, "seed": k}
+    for k, (n,), (eps, h2, t, m) in _evaluated(seed, "gap", count, _GAP, _logit_gaps):
+        p = {"eps": eps, "n": n, "m": m, "seed": k}
         rows.append(BoundReport("logit_gap_h2", p, lemma_h2_bound(eps), h2))
         rows.append(BoundReport("logit_gap_tv", p, lemma_tv_bound(eps), t))
     return rows
@@ -525,8 +527,8 @@ def _chain_gaps(z, r, eps):
 
 def _chain_rows(seed, count):
     rows = []
-    for k, (z, _, eps), (h2, t) in _evaluated(seed, "chain", count, _gap_draw, _chain_gaps):
-        p = {"eps": eps, "n": len(z), "seed": k}
+    for k, (n,), (eps, h2, t) in _evaluated(seed, "chain", count, _GAP, _chain_gaps):
+        p = {"eps": eps, "n": n, "seed": k}
         rows.append(BoundReport("infty_gap_h2_chain", p, lemma_h2_bound(2.0 * eps), h2))
         rows.append(BoundReport("infty_gap_tv_chain", p, 2.0 * lemma_tv_bound(eps), t))
     return rows
@@ -553,25 +555,30 @@ def _envelope_gaps(A, D, x, xnorm, rho):
     return _softmax_gaps(_kernels._matvec(A, x), _kernels._matvec(B, x))
 
 
-def _envelope_draw(g):
-    """A, D, x, ||x|| and rho of one softmax-envelope instance; None when
-    x is 0."""
-    n = int(g.integers(2, 11))
-    d = int(g.integers(1, 6))
-    z = g.standard_normal((2 * n + 1, d))  # the rows of A, then of D, then x
-    A, D, x = z[:n], z[n:-1], z[-1]
-    xnorm = math.sqrt(x.dot(x))  # np.linalg.norm(x), from the same dot product
-    if xnorm == 0.0:
-        return None
-    return A, D, x, xnorm, 0.5 * float(g.random())
+def _envelope_shape(U, Z):
+    """n in [2, 10] and d in [1, 5] of each softmax-envelope instance; n is
+    0, which skips the instance, where x, its first d normals, is 0."""
+    n, d = _uniform_int(U[:, 0], 2, 11), _uniform_int(U[:, 1], 1, 6)
+    x_nonzero = ((Z[:, :5] != 0.0) & (np.arange(5) < d[:, None])).any(axis=-1)
+    return np.stack([n * x_nonzero, d], axis=-1)
+
+
+def _envelope_draw(U, Z, idx, n, d):
+    """A, D, x, ||x|| and rho of softmax-envelope instances: normals for x,
+    the rows of A and then those of D."""
+    x = Z[idx, :d]
+    AD = Z[idx, d : (2 * n + 1) * d].reshape(-1, 2, n, d)
+    return AD[:, 0], AD[:, 1], x, np.sqrt((x * x).sum(axis=-1)), 0.5 * U[idx, 2]
+
+
+_ENVELOPE = (3, (2 * 10 + 1) * 5, _envelope_shape, _envelope_draw)
 
 
 def _softmax_envelope_rows(seed, count):
     # H^2 <= 1.0 * (gap * ||x||)^2 whenever gap * ||x|| <= 1/2, with
     # gap the max row norm of B - A (measured envelope constant 1.0).
     rows = []
-    for k, (A, *_, rho), (h2, _) in _evaluated(seed, "softmax-env", count, _envelope_draw, _envelope_gaps):
-        n, d = A.shape
+    for k, (n, d), (_, rho, h2, _) in _evaluated(seed, "softmax-env", count, _ENVELOPE, _envelope_gaps):
         p = {"rho": rho, "n": n, "d": d, "seed": k}
         rows.append(BoundReport("softmax_query_h2", p, rho * rho, h2))
     return rows
@@ -620,49 +627,52 @@ def _conditioning(A):
     return _kernels.min_eigenvalue(np.triu(G) + np.swapaxes(np.triu(G, 1), -1, -2))
 
 
+def _tall_shape(U, Z, d_hi=5, n_hi=10):
+    """n and d of a tall matrix: d in [1, d_hi), then n in [d + 1, n_hi)."""
+    d = _uniform_int(U[:, 0], 1, d_hi)
+    return np.stack([_uniform_int(U[:, 1], d + 1, n_hi), d], axis=-1)
+
+
+def _attempt_draw(U, Z, idx, n, d):
+    """A, G, the gap-ratio target and the uniforms R of the query scales of
+    leverage-envelope attempts: uniforms for d, n, the target and then R,
+    normals for the rows of A and then those of G."""
+    AG = Z[idx, : 2 * n * d].reshape(-1, 2, n, d)
+    R = U[idx, 3 : 3 + _ENVELOPE_QUERIES * n].reshape(-1, _ENVELOPE_QUERIES, n)
+    return AG[:, 0], AG[:, 1], 0.1 * (0.1 + 0.9 * U[idx, 2]), R
+
+
+_ATTEMPT = (3 + _ENVELOPE_QUERIES * 8, 2 * 8 * 3, lambda U, Z: _tall_shape(U, Z, 4, 9), _attempt_draw)  # d <= 3, n <= 8
+
+
 def _leverage_envelope_pairs(seed, block):
-    """(A, G, gamma, R, ratio) for each index k of the block: the first of
-    k's attempts that draws a well-conditioned A (lambda_min(A^T A) >= 0.05)
-    and whose gamma search lands the gap ratio eps*C/(c*delta) of A and
-    B = A + gamma G in (0, 0.1], with R the uniform draws of that attempt's
-    query scales.  Each round draws the next attempt of every pending index
-    in full (d, n, A, target, G, then R), tests the conditioning of each
-    shape group as one stack, and runs the gamma searches of the accepted
-    attempts in lockstep; an index whose attempt fails either test is
-    redrawn at its next attempt in the next round.  Every attempt has its
-    own key, so the draws a rejected attempt did not need change nothing."""
+    """U and Z rows, gamma and gap ratio of each index k's accepted attempt:
+    its first attempt a, filled from the stream keyed (k, a), whose A is
+    well-conditioned (lambda_min(A^T A) >= 0.05) and whose gamma search puts
+    the ratio eps*C/(c*delta) of A and A + gamma G in (0, 0.1].  Each round
+    fills every pending index's next attempt, then tests each shape group
+    as one stack; a failed index is redrawn in the next round."""
+    wu, wn, shape, draw = _ATTEMPT
+    U, Z = np.empty((len(block), wu)), np.empty((len(block), wn))
+    gamma, ratio = np.empty(len(block)), np.empty(len(block))
     stream = Stream()
-    pending = dict.fromkeys(block, 0)  # index -> its next attempt
-    pairs, failed = {}, []
-    while pending:
-        drawn = []
-        for k, attempt in pending.items():
-            if attempt == 50:
-                failed.append(k)
-                continue
-            g = stream.keyed(derive_seed(seed, "lev-env", k, attempt))
-            d = int(g.integers(1, 4))
-            n = int(g.integers(d + 1, 9))
-            A = g.standard_normal((n, d))
-            target = 0.1 * (0.1 + 0.9 * float(g.random()))
-            G = g.standard_normal((n, d))
-            drawn.append((k, attempt, A, G, target, g.random((_ENVELOPE_QUERIES, n))))
-        deltas = _stacked(lambda A: (_conditioning(A),), [(A,) for _, _, A, *_ in drawn])
-        accepted, searches, pending = [], [], {}
-        for (k, attempt, A, G, target, R), (delta,) in zip(drawn, deltas):
-            if delta < 0.05:
-                pending[k] = attempt + 1
-            else:
-                accepted.append((k, attempt, A, G, R))
-                searches.append((A, G, delta, target))
-        for (k, attempt, A, G, R), (gamma, ratio) in zip(accepted, _stacked(_gamma_search, searches)):
-            if 0.0 < ratio <= 0.1:
-                pairs[k] = (A, G, gamma, R, ratio)
-            else:
-                pending[k] = attempt + 1
-    if failed:
-        raise RuntimeError(f"could not draw a well-conditioned leverage pair for index {min(failed)}")
-    return [pairs[k] for k in block]
+    pending = np.arange(len(block))
+    for attempt in range(50):
+        for i in pending.tolist():
+            g = stream.keyed(derive_seed(seed, "lev-env", block[i], attempt))
+            g.random(out=U[i])
+            g.standard_normal(out=Z[i])
+        for idx, s in _shape_groups(shape(U[pending], None)):
+            idx = pending[idx]
+            A, G, target, _ = draw(U, Z, idx, *s)
+            delta = _conditioning(A)
+            ok = delta >= 0.05
+            ratio[idx] = math.nan  # a failed conditioning test
+            gamma[idx[ok]], ratio[idx[ok]] = _gamma_search(A[ok], G[ok], delta[ok], target[ok])
+        pending = pending[~((0.0 < ratio[pending]) & (ratio[pending] <= 0.1))]
+        if not pending.size:
+            return U, Z, gamma, ratio
+    raise RuntimeError(f"could not draw a well-conditioned leverage pair for index {block[pending[0]]}")
 
 
 def _worst_tv(A, G, gamma, R):
@@ -672,7 +682,7 @@ def _worst_tv(A, G, gamma, R):
     B = A + gamma[:, None, None] * G
     S = _SUITE_BOX.scales(R)
     _, tvs = _kernels.h2_tv(leverage_pmfs(A[:, None], S), leverage_pmfs(B[:, None], S))
-    return (tvs.max(axis=-1),)
+    return tvs.max(axis=-1)
 
 
 def _leverage_envelope_rows(seed, count):
@@ -680,12 +690,15 @@ def _leverage_envelope_rows(seed, count):
     # eps the row-gram gap and delta = lambda_min(A^T A).
     rows = []
     for block in _blocks(count):
-        pairs = _leverage_envelope_pairs(seed, block)
-        worst = _stacked(_worst_tv, [draw for *draw, _ in pairs])
-        for k, (A, *_, ratio), (tv_max,) in zip(block, pairs, worst):
-            n, d = A.shape
-            params = {"n": n, "d": d, "ratio": ratio, "seed": k}
-            rows.append(BoundReport("leverage_tv_envelope", params, 4.0 * ratio, tv_max))
+        U, Z, gamma, ratio = _leverage_envelope_pairs(seed, block)
+        shapes = _ATTEMPT[2](U, Z)
+        worst = np.empty(len(block))
+        for idx, s in _shape_groups(shapes):
+            A, G, _, R = _attempt_draw(U, Z, idx, *s)
+            worst[idx] = _worst_tv(A, G, gamma[idx], R)
+        for k, (n, d), r, tv_max in zip(block, shapes.tolist(), ratio.tolist(), worst.tolist()):
+            params = {"n": n, "d": d, "ratio": r, "seed": k}
+            rows.append(BoundReport("leverage_tv_envelope", params, 4.0 * r, tv_max))
     return rows
 
 
@@ -701,8 +714,6 @@ def _low_mass_rows():
     return rows
 
 
-_STRICT_FAMILIES = ("logit_gap_h2", "logit_gap_tv", "infty_gap_h2_chain", "infty_gap_tv_chain")
-_ENVELOPE_FAMILIES = ("softmax_query_h2", "leverage_tv_envelope", "low_mass_h2")
 _TIGHT_TOL = 1e-9
 
 
@@ -713,33 +724,33 @@ def _check_instances(instances):
 
 def run_bound_suite(instances: int, seed: int) -> BoundSuiteResult:
     """Randomized falsification of every closed-form bound plus the two
-    model-level envelopes and the low-mass construction."""
+    model-level envelopes and the low-mass construction.  The rows come in
+    families, strict ones first, so each verdict reads only its families'
+    rows, once."""
     _check_instances(instances)
-    rows = []
-    rows += _logit_pair_rows(seed, instances)
-    rows += _chain_rows(seed, instances)
-    rows += _extremal_rows()
-    rows += _softmax_envelope_rows(seed, instances)
-    rows += _leverage_envelope_rows(seed, instances)
-    rows += _low_mass_rows()
-
-    strict = tuple(r.bound_name in _STRICT_FAMILIES for r in rows)
-    tight = tuple(
-        (abs(r.ratio - 1.0) <= _TIGHT_TOL) if r.bound_name.startswith("extremal_") else None for r in rows
-    )
-    violations = sum(1 for r, st in zip(rows, strict) if st and not r.satisfied)
-    max_ratios = {}
-    for fam in _ENVELOPE_FAMILIES:
-        ratios = [r.ratio for r in rows if r.bound_name == fam]
-        max_ratios[fam] = float(np.max(ratios)) if ratios else math.nan  # a NaN ratio is the max
+    strict = _logit_pair_rows(seed, instances) + _chain_rows(seed, instances)
+    extremal = _extremal_rows()
+    envelopes = {
+        "softmax_query_h2": _softmax_envelope_rows(seed, instances),
+        "leverage_tv_envelope": _leverage_envelope_rows(seed, instances),
+        "low_mass_h2": _low_mass_rows(),
+    }
+    rows = (*strict, *extremal, *chain.from_iterable(envelopes.values()))
+    tight = [abs(r.ratio - 1.0) <= _TIGHT_TOL for r in extremal]
+    others = len(rows) - len(strict) - len(extremal)
+    violations = sum(not r.satisfied for r in strict)
+    max_ratios = {  # a NaN ratio is the max
+        fam: float(np.max([r.ratio for r in fam_rows])) if fam_rows else math.nan for fam, fam_rows in envelopes.items()
+    }
     grid = np.linspace(0.01, 4.0, 50)
     h2_vals = [lemma_h2_bound(e) for e in grid]
     tv_vals = [lemma_tv_bound(e) for e in grid]
     monotone_ok = all(x < y for x, y in zip(h2_vals, h2_vals[1:])) and all(
         x < y for x, y in zip(tv_vals, tv_vals[1:])
     )
-    all_tight = all(t for t in tight if t is not None)
-    return BoundSuiteResult(tuple(rows), strict, tight, violations, max_ratios, monotone_ok, all_tight)
+    strict_flags = (True,) * len(strict) + (False,) * (len(extremal) + others)
+    tight_flags = (None,) * len(strict) + tuple(tight) + (None,) * others
+    return BoundSuiteResult(rows, strict_flags, tight_flags, violations, max_ratios, monotone_ok, all(tight))
 
 
 def write_bounds_csv(path, result: BoundSuiteResult):
@@ -786,24 +797,18 @@ class InvarianceReport:
         raise KeyError(name)
 
 
-def _tall_shape(g):
-    d = int(g.integers(1, 5))
-    return int(g.integers(d + 1, 10)), d
-
-
-def _tall_matrix(g):
-    return g.standard_normal(_tall_shape(g))
-
-
 def _max_gap(P):
     """max_i |P[..., 0, i] - P[..., 1, i]| of each pair in a pmf stack."""
     return np.abs(P[..., 0, :] - P[..., 1, :]).max(axis=-1)
 
 
-def _shift_draw(g):
-    n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
-    z = g.standard_normal((n + 2, d))  # the rows of A, then w and x
-    return z[:n], z[n], z[n + 1]
+def _shift_shape(U, Z):
+    return np.stack([_uniform_int(U[:, 0], 2, 9), _uniform_int(U[:, 1], 1, 6)], axis=-1)  # n in [2, 8], d in [1, 5]
+
+
+def _shift_draw(U, Z, idx, n, d):
+    z = Z[idx, : (n + 2) * d].reshape(-1, n + 2, d)  # the rows of A, then w and x
+    return z[:, :n], z[:, n], z[:, n + 1]
 
 
 def _shift_deviation(A, w, x):
@@ -811,14 +816,12 @@ def _shift_deviation(A, w, x):
     return (_max_gap(softmax_pmfs(np.stack([_kernels._matvec(A, x), _kernels._matvec(B, x)], axis=-2))),)
 
 
-def _right_draw(g):
-    # R has condition number kappa <= 1e3: random orthogonal factors
-    # around a log-uniform singular spectrum.
-    A = _tall_matrix(g)
-    n, d = A.shape
-    log_kappa = math.log(10.0 ** (3.0 * float(g.random())))
-    UV = g.standard_normal((2, d, d))
-    return A, log_kappa, UV[0], UV[1], g.random(n)
+def _right_draw(U, Z, idx, n, d):
+    # R has condition number kappa = 10^(3 u) <= 1e3: random orthogonal
+    # factors around a log-uniform singular spectrum.  Uniforms for d, n,
+    # kappa and then the scales, normals for the rows of A, U and V.
+    z = Z[idx, : (n + 2 * d) * d].reshape(-1, n + 2 * d, d)
+    return z[:, :n], math.log(1e3) * U[idx, 2], z[:, n : n + d], z[:, n + d :], U[idx, 3 : 3 + n]
 
 
 def _right_deviation(A, log_kappa, U, V, r):
@@ -829,10 +832,9 @@ def _right_deviation(A, log_kappa, U, V, r):
     return (_max_gap(leverage_pmfs(np.stack([A @ R, A], axis=-3), _SUITE_BOX.scales(r)[..., None, :])),)
 
 
-def _sign_draw(g):
-    A = _tall_matrix(g)
-    r = g.random((2, A.shape[0]))  # uniforms for the scales, then the coins
-    return A, r[0], r[1]
+def _sign_draw(U, Z, idx, n, d):
+    r = U[idx, 2 : 2 + 2 * n].reshape(-1, 2, n)  # uniforms for d, n, the scales and then the coins
+    return Z[idx, : n * d].reshape(-1, n, d), r[:, 0], r[:, 1]
 
 
 def _sign_deviation(A, r, coin):
@@ -841,10 +843,9 @@ def _sign_deviation(A, r, coin):
     return (_max_gap(leverage_pmfs(A[..., None, :, :], np.stack([s * flip, s], axis=-2))),)
 
 
-def _normalization_draw(g):
-    n, d = _tall_shape(g)
-    z = g.standard_normal((n + 1, d))  # the rows of A, then x
-    return z[:n], z[n]
+def _normalization_draw(U, Z, idx, n, d):
+    z = Z[idx, : (n + 1) * d].reshape(-1, n + 1, d)  # the rows of A, then x
+    return z[:, :n], z[:, n]
 
 
 def _normalization_deviation(A, x):
@@ -854,49 +855,44 @@ def _normalization_deviation(A, x):
     return (np.where(ok & (lev_dev > dev), lev_dev, dev),)  # max(dev, lev_dev) if ok else dev
 
 
-# (property, stream label, tolerance, draw of one instance from its stream,
-# deviation of each instance in a stack of draws)
+# (property, stream label, tolerance, family of ``_grouped``, deviation of
+# each instance in a stack of fields); a tall matrix has d in [1, 4] and n
+# in [d + 1, 9]
 _INVARIANCES = (
-    ("shift_invariance", "shift", 1e-12, _shift_draw, _shift_deviation),
-    ("right_invariance", "right", 1e-8, _right_draw, _right_deviation),
-    ("sign_invariance", "sign", 1e-12, _sign_draw, _sign_deviation),
-    ("normalization", "norm", 1e-9, _normalization_draw, _normalization_deviation),
+    ("shift_invariance", "shift", 1e-12, (2, (8 + 2) * 5, _shift_shape, _shift_draw), _shift_deviation),
+    ("right_invariance", "right", 1e-8, (3 + 9, (9 + 8) * 4, _tall_shape, _right_draw), _right_deviation),
+    ("sign_invariance", "sign", 1e-12, (2 + 2 * 9, 9 * 4, _tall_shape, _sign_draw), _sign_deviation),
+    ("normalization", "norm", 1e-9, (2, (9 + 1) * 4, _tall_shape, _normalization_draw), _normalization_deviation),
 )
 
 
-def _random_distribution(g, n):
-    """Weights and coins of a random distribution on n outcomes, which
-    ``_distributions`` turns into the distribution.  An outcome whose coin
-    falls below 0.15 is masked; if all are, one drawn at random keeps its
-    weight (its coin is set to 1)."""
-    u = g.random((2, n))
-    weights, coins = u[0], u[1]
-    if max(coins.tolist()) < 0.15:
-        coins[int(g.integers(n))] = 1.0
-    return weights, coins
+def _metric_shape(U, Z):
+    return _uniform_int(U[:, :1], 2, 12)  # n in [2, 11]
 
 
-def _distributions(weights, coins):
-    """weights + 1e-12, zero where the coin is below 0.15, normalized to sum
-    to one along the last axis."""
-    p = np.where(coins < 0.15, 0.0, weights + 1e-12)
-    return p / p.sum(axis=-1, keepdims=True)
+def _metric_draw(U, Z, idx, n):
+    """Weights and masks of P, Q and R of metric instances, as ``(k, 3, n)``
+    stacks, from uniforms for n, the weights and coins of P, Q and R, and
+    three to keep.  An outcome whose coin falls below 0.15 is masked; where
+    all of a distribution's are, the one its keep uniform u picks,
+    floor(n u), is not."""
+    wc = U[idx, 1 : 1 + 6 * n].reshape(-1, 3, 2, n)
+    masked = wc[:, :, 1] < 0.15
+    keep = _uniform_int(U[idx, 1 + 6 * n : 4 + 6 * n], 0, n)
+    masked &= ~(masked.all(axis=-1, keepdims=True) & (np.arange(n) == keep[..., None]))
+    return wc[:, :, 0], masked
 
 
-def _metric_draw(g):
-    n = int(g.integers(2, 12))
-    P = _random_distribution(g, n)
-    Q = _random_distribution(g, n)
-    R = _random_distribution(g, n)
-    return (*P, *Q, *R)
+_METRIC = (1 + 6 * 11 + 3, 0, _metric_shape, _metric_draw)
 
 
-def _metric_distances(*draws):
+def _metric_distances(weights, masked):
     """H^2 of the five distinct ordered pairs (P, Q), (Q, P), (P, P),
     (P, R) and (Q, R) of each instance, then their TV, from one kernel call;
-    ``draws`` are the weights and coins of P, Q and R."""
-    weights, coins = np.stack(draws[::2], axis=1), np.stack(draws[1::2], axis=1)
-    probs = normalize_probs(_distributions(weights, coins))
+    each distribution is its weights + 1e-12, zero where masked,
+    normalized."""
+    p = np.where(masked, 0.0, weights + 1e-12)
+    probs = normalize_probs(p / p.sum(axis=-1, keepdims=True))
     P, Q, R = probs[:, 0], probs[:, 1], probs[:, 2]
     h2, t = _kernels.h2_tv(np.stack([P, Q, P, P, Q], axis=1), np.stack([Q, P, P, R, R], axis=1))
     return (*h2.T, *t.T)
@@ -904,21 +900,23 @@ def _metric_distances(*draws):
 
 def _metric_axioms(seed, count):
     """Counts of instances that break the sandwich, of triangle
-    inequalities broken (two per instance: TV and Hellinger) and of
-    instances that break symmetry, and the largest identity distance
-    d(P, P); a NaN distance breaks every test that reads it and is the
-    largest identity distance."""
-    sandwich = triangle = sym = 0
+    inequalities broken (two per instance: TV and Hellinger), of instances
+    that break symmetry and of those whose identity distances d(P, P) are
+    not both within the slack, and the largest identity distance; a NaN
+    distance breaks every test that reads it and is the largest identity
+    distance."""
+    sandwich = triangle = sym = identity = 0
     ident = [0.0]
     slack = 1e-12
-    for *_, distances in _grouped(seed, "metric", count, _metric_draw, _metric_distances):
+    for *_, distances in _grouped(seed, "metric", count, _METRIC, _metric_distances):
         h2_pq, h2_qp, h2_pp, h2_pr, h2_qr, tv_pq, tv_qp, tv_pp, tv_pr, tv_qr = distances
         sandwich += np.count_nonzero(~sandwich_holds(h2_pq, tv_pq))
         sym += np.count_nonzero((tv_pq != tv_qp) | (h2_pq != h2_qp))
+        identity += np.count_nonzero(~((tv_pp <= slack) & (h2_pp <= slack)))
         ident += (tv_pp, h2_pp)
         triangle += np.count_nonzero(~(tv_pr <= tv_pq + tv_qr + slack))
         triangle += np.count_nonzero(~(np.sqrt(h2_pr) <= np.sqrt(h2_pq) + np.sqrt(h2_qr) + slack))
-    return int(sandwich), int(triangle), int(sym), float(np.max(np.hstack(ident)))
+    return int(sandwich), int(triangle), int(sym), int(identity), float(np.max(np.hstack(ident)))
 
 
 def run_invariance_suite(instances: int, seed: int) -> InvarianceReport:
@@ -927,14 +925,15 @@ def run_invariance_suite(instances: int, seed: int) -> InvarianceReport:
     tolerance, so a NaN deviation counts, and it is the maximum reported."""
     _check_instances(instances)
     props = []
-    for name, label, tol, draw, deviation in _INVARIANCES:
-        dev = np.hstack([dev for *_, (dev,) in _grouped(seed, label, instances, draw, deviation)])
+    for name, label, tol, family, deviation in _INVARIANCES:
+        dev = np.hstack([dev for *_, (dev,) in _grouped(seed, label, instances, family, deviation)])
         violations = int(np.count_nonzero(~(dev <= tol)))
         props.append(PropertyResult(name, instances, float(dev.max()), violations, violations == 0))
-    sandwich, triangle, sym, ident = _metric_axioms(seed, instances)
+    sandwich, triangle, sym, identity, ident = _metric_axioms(seed, instances)
     props.append(PropertyResult("metric_sandwich", instances, ident, sandwich, sandwich == 0))
     props.append(PropertyResult("metric_triangle", instances, ident, triangle, triangle == 0))
     props.append(PropertyResult("metric_symmetry", instances, 0.0, sym, sym == 0))
+    props.append(PropertyResult("metric_identity", instances, ident, identity, identity == 0))
     return InvarianceReport(tuple(props), all(p.ok for p in props))
 
 

@@ -572,7 +572,7 @@ def test_verify_invariances_suite_passes():
     res = run_cli("verify", "--suite", "invariances", "--instances", "25")
     assert res.returncode == 0
     lines = res.stdout.splitlines()
-    assert len([ln for ln in lines if ln.startswith("invariances: ")]) == 7
+    assert len([ln for ln in lines if ln.startswith("invariances: ")]) == 8
     assert all("ok=1" in ln for ln in lines if ln.startswith("invariances: "))
     assert lines[-1] == "verdict: PASS"
 

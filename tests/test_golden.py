@@ -45,18 +45,24 @@ _GOLDEN = {
     ("test", "demo-leverage", "--m", "20"): {
         "stdout": "80762e7f5d68e7db644ed4ba29f808be305c4a03de91385aa571605d9c52ac4e",
     },
+    # verify's randomized instances: instance k of a family (attempt a of
+    # leverage-envelope pair k) fills a fixed-width row of uniforms and then
+    # one of normals from the stream keyed (label, k) (or (k, a)), and its
+    # shape, fields and branches are decoded from those rows.  Each instance
+    # still replays alone from its own stream, and each family keeps its law;
+    # metric_identity counts instances whose d(P, P) passes the slack.
     ("verify", "--instances", "200", "--seed", "0", "--out", "<out>"): {
-        "stdout": "998361b3264a1ee9b77949c2a421efe2bea49f7162c84cbbf0ed80940fc1924f",
-        "-bounds.csv": "4bf19d7edcf7ad6cfe29af046b3e5f1a575b2d615448348a595456e1dbc44c3f",
-        "-invariances.csv": "cbcee770a44c5d5534053c2ea785fa505f056bebe86314bbeb0032b8c172663e",
+        "stdout": "991f679aeb0c101313665ea013cd1892c33e895e16fada6f25252012f831e2b6",
+        "-bounds.csv": "8a2f4ef1718f58f38e0c6f04751627901f56e95505dcae248f9b34f4153e1324",
+        "-invariances.csv": "e6c8f035c61691cf0b019789a1c5f84d294abcc697df5ea897f6e394a6ff112d",
         "-taylor-leverage.csv": "bbed8789b5fc445fdb8ecabb5b21c7924949786ce6809b8a6715d794db22cabb",
         "-taylor-softmax.csv": "ba70c4ca9231db2402988357ca5f12228fe40504cbb440987b56533b90051cb6",
     },
     # Two 1,024-instance blocks, so the second block's keys and groups are pinned too.
     ("verify", "--instances", "1100", "--seed", "1", "--out", "<out>"): {
-        "stdout": "48ea78c706abdd2b93926e15c4811e83240bb0866c03fa9bfc352540a7eae86e",
-        "-bounds.csv": "dbc93f87fd7fcf190692d56bac6417efbda547bb3829f16f4f50d31f7bd3cd0a",
-        "-invariances.csv": "2c49a3de92a9ab832ba205ebd45f68add5784eb31bce2dd09b455d741817a4b8",
+        "stdout": "a1c36a0d575f879d615988d1f7eaafb7bff99b66c00e5ce7c43cf90940507922",
+        "-bounds.csv": "e687c8fbd4b34c031b4bfad19cd1d01517e7ad20a46221c2d5a5ac56fbe3477a",
+        "-invariances.csv": "4da9ec6d0301799d0a78e8a074f267d94dd2d7c293962d6f33c28e1d60dd74fb",
         "-taylor-leverage.csv": "65a153c6bf0c0893d0deb9ebc7b359335fa71df792055db377984f12945497f9",
         "-taylor-softmax.csv": "32e1873ff5724787309e2d0b299a38fc7b39b7239643bb1265a5e6de3acb952c",
     },

@@ -8,7 +8,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from softlev import _kernels, harness
+from softlev import _kernels, cli, harness
 from softlev.bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
 from softlev.distributions import DiscreteDistribution, hellinger_sq, tv
 from softlev.errors import (
@@ -659,6 +659,7 @@ def test_invariance_suite_clean():
         "metric_sandwich",
         "metric_triangle",
         "metric_symmetry",
+        "metric_identity",
     }
     assert rep.by_name("shift_invariance").max_deviation <= 1e-12
     assert rep.by_name("right_invariance").max_deviation <= 1e-8
@@ -672,11 +673,39 @@ def test_invariance_suite_clean():
 # lockstep suites against their one-instance-at-a-time references
 # ---------------------------------------------------------------------------
 #
-# The suites draw a block of instances, then evaluate each group of equal
-# shape as one stack.  The loops below are what they replaced, kept as the
-# oracle: a new generator per instance (per attempt for the leverage
-# envelope), and one softmax_pmf, leverage_pmf, row_gram_gap or
-# DiscreteDistribution per model, in instance order.
+# The suites fill a block of instances, then decode and evaluate each group
+# of equal shape as one stack.  The references below read one instance at a
+# time from its own generator (per attempt for the leverage envelope), with
+# one generator call per field and a shape decoded by scalar arithmetic, and
+# evaluate it with one softmax_pmf, leverage_pmf, row_gram_gap or
+# DiscreteDistribution per model, in instance order.  numpy fills
+# random(a + b) and standard_normal(a + b) with bitwise the values of two
+# calls of sizes a and b, so the fields equal the suites' decoded prefixes.
+
+
+class _RefDraws:
+    """One instance's draws in the layout of a suite's fills: its uniform
+    fields first, each from its own call, then the unused rest of its
+    ``wu`` uniforms, then its normal fields, each from its own call."""
+
+    def __init__(self, g, wu):
+        self.g, self.left = g, wu
+
+    def uniforms(self, shape):
+        self.left -= math.prod(np.atleast_1d(shape))
+        return self.g.random(shape)
+
+    def uniform(self):
+        return float(self.uniforms(1)[0])
+
+    def integer(self, lo, hi):
+        span = hi - lo
+        return lo + min(int(span * self.uniform()), span - 1)
+
+    def normals(self, shape):
+        self.g.random(self.left)
+        self.left = 0
+        return self.g.standard_normal(shape)
 
 
 def _ref_softmax_pair(A, B, x):
@@ -688,16 +717,23 @@ def _ref_streams(seed, label, count):
     return (generator(derive_seed(seed, label, k)) for k in range(count))
 
 
+def _ref_gap_draw(g):
+    r = _RefDraws(g, 12)
+    n = r.integer(2, 11)
+    eps = 2.0 * r.uniform()
+    u = r.uniforms(n)
+    return r.normals(n), u, eps
+
+
 def _ref_logit_pair_rows(seed, count):
     rows = []
     for k, g in enumerate(_ref_streams(seed, "gap", count)):
-        n = int(g.integers(2, 11))
-        eps = 2.0 * float(g.random())
-        a = 2.0 * g.standard_normal(n)
-        mask = g.random(n) < 0.5
+        z, u, eps = _ref_gap_draw(g)
+        a = 2.0 * z
+        mask = u < 0.5
         b = a + eps * mask
         h2, t = _ref_softmax_pair(a[:, None], b[:, None], np.ones(1))
-        params = {"eps": eps, "n": n, "m": int(mask.sum()), "seed": k}
+        params = {"eps": eps, "n": len(z), "m": int(mask.sum()), "seed": k}
         rows.append(BoundReport("logit_gap_h2", params, lemma_h2_bound(eps), h2))
         rows.append(BoundReport("logit_gap_tv", params, lemma_tv_bound(eps), t))
     return rows
@@ -706,79 +742,94 @@ def _ref_logit_pair_rows(seed, count):
 def _ref_chain_rows(seed, count):
     rows = []
     for k, g in enumerate(_ref_streams(seed, "chain", count)):
-        n = int(g.integers(2, 11))
-        eps = 2.0 * float(g.random())
-        a = 2.0 * g.standard_normal(n)
-        b = a + eps * (2.0 * g.random(n) - 1.0)
+        z, u, eps = _ref_gap_draw(g)
+        a = 2.0 * z
+        b = a + eps * (2.0 * u - 1.0)
         h2, t = _ref_softmax_pair(a[:, None], b[:, None], np.ones(1))
-        params = {"eps": eps, "n": n, "seed": k}
+        params = {"eps": eps, "n": len(z), "seed": k}
         rows.append(BoundReport("infty_gap_h2_chain", params, lemma_h2_bound(2.0 * eps), h2))
         rows.append(BoundReport("infty_gap_tv_chain", params, 2.0 * lemma_tv_bound(eps), t))
     return rows
 
 
+def _ref_envelope_draw(g):
+    r = _RefDraws(g, 3)
+    n, d = r.integer(2, 11), r.integer(1, 6)
+    rho = 0.5 * r.uniform()
+    x = r.normals(d)
+    A, D = r.normals((n, d)), r.normals((n, d))
+    if not x.any():
+        return None
+    return A, D, x, np.sqrt((x * x).sum()), rho
+
+
 def _ref_softmax_envelope_rows(seed, count):
     rows = []
     for k, g in enumerate(_ref_streams(seed, "softmax-env", count)):
-        n = int(g.integers(2, 11))
-        d = int(g.integers(1, 6))
-        A = g.standard_normal((n, d))
-        D = g.standard_normal((n, d))
-        D /= two_to_infty_norm(D)
-        x = g.standard_normal(d)
-        xnorm = float(np.linalg.norm(x))
-        if xnorm == 0.0:
+        drawn = _ref_envelope_draw(g)
+        if drawn is None:
             continue
-        rho = 0.5 * float(g.random())
+        A, D, x, xnorm, rho = drawn
+        n, d = A.shape
         gap = rho / xnorm
-        B = A + gap * D
+        B = A + gap * (D / two_to_infty_norm(D))
         h2, _ = _ref_softmax_pair(A, B, x)
         params = {"rho": rho, "n": n, "d": d, "seed": k}
         rows.append(BoundReport("softmax_query_h2", params, rho * rho, h2))
     return rows
 
 
-def _ref_leverage_envelope_pair(seed, k, box, rejected=None):
-    """The accepted attempt's generator, A, B, n, d and ratio; each rejected
+def _ref_attempt_draw(g):
+    r = _RefDraws(g, 83)
+    d = r.integer(1, 4)
+    n = r.integer(d + 1, 9)
+    target = 0.1 * (0.1 + 0.9 * r.uniform())
+    R = r.uniforms((10, n))
+    return r.normals((n, d)), r.normals((n, d)), target, R
+
+
+def _ref_attempt(seed, k, attempt, box=BoxConstraint(0.5, 2.0)):
+    """A, B, ratio and R of attempt (k, attempt) of the leverage envelope,
+    or the test it fails: 'conditioning' or 'gamma'."""
+    A, G, target, R = _ref_attempt_draw(generator(derive_seed(seed, "lev-env", k, attempt)))
+    delta = min_eigenvalue(gram(A))
+    if delta < 0.05:
+        return "conditioning"
+    gamma = 1e-3
+    for _ in range(30):
+        ratio = row_gram_gap(A, A + gamma * G) * box.hi / (box.lo * delta)
+        if ratio <= 0.0:
+            break
+        if abs(ratio - target) <= 0.05 * target:
+            break
+        gamma *= (target / ratio) ** 0.5
+    B = A + gamma * G
+    ratio = row_gram_gap(A, B) * box.hi / (box.lo * delta)
+    return (A, B, ratio, R) if 0.0 < ratio <= 0.1 else "gamma"
+
+
+def _ref_leverage_envelope_pair(seed, k, rejected=None):
+    """The accepted attempt's number, A, B, ratio and R; each rejected
     attempt is appended to ``rejected`` as (k, attempt, reason)."""
     for attempt in range(50):
-        g = generator(derive_seed(seed, "lev-env", k, attempt))
-        d = int(g.integers(1, 4))
-        n = int(g.integers(d + 1, 9))
-        A = g.standard_normal((n, d))
-        delta = min_eigenvalue(gram(A))
-        if delta < 0.05:
-            if rejected is not None:
-                rejected.append((k, attempt, "conditioning"))
-            continue
-        target = 0.1 * (0.1 + 0.9 * float(g.random()))
-        G = g.standard_normal((n, d))
-        gamma = 1e-3
-        for _ in range(30):
-            ratio = row_gram_gap(A, A + gamma * G) * box.hi / (box.lo * delta)
-            if ratio <= 0.0:
-                break
-            if abs(ratio - target) <= 0.05 * target:
-                break
-            gamma *= (target / ratio) ** 0.5
-        B = A + gamma * G
-        ratio = row_gram_gap(A, B) * box.hi / (box.lo * delta)
-        if 0.0 < ratio <= 0.1:
-            return g, A, B, n, d, ratio
+        found = _ref_attempt(seed, k, attempt)
+        if not isinstance(found, str):
+            return (attempt, *found)
         if rejected is not None:
-            rejected.append((k, attempt, "gamma"))
+            rejected.append((k, attempt, found))
     raise RuntimeError(f"could not draw a well-conditioned leverage pair for index {k}")
 
 
-def _ref_leverage_envelope_rows(seed, count, queries_per_pair=10, rejected=None):
+def _ref_leverage_envelope_rows(seed, count, rejected=None):
     box = BoxConstraint(0.5, 2.0)
     rows = []
     for k in range(count):
-        g, A, B, n, d, ratio = _ref_leverage_envelope_pair(seed, k, box, rejected)
+        _, A, B, ratio, R = _ref_leverage_envelope_pair(seed, k, rejected)
         worst = 0.0
-        for _ in range(queries_per_pair):
-            s = np.sqrt(box.lo + g.random(n) * (box.hi - box.lo))
+        for r in R:
+            s = np.sqrt(box.lo + r * (box.hi - box.lo))
             worst = max(worst, tv(leverage_pmf(A, s), leverage_pmf(B, s)))
+        n, d = A.shape
         params = {"n": n, "d": d, "ratio": ratio, "seed": k}
         rows.append(BoundReport("leverage_tv_envelope", params, 4.0 * ratio, worst))
     return rows
@@ -819,43 +870,62 @@ def _ref_bound_rows(seed, count):
     )
 
 
+def _ref_shift_draw(g):
+    r = _RefDraws(g, 2)
+    n, d = r.integer(2, 9), r.integer(1, 6)
+    return r.normals((n, d)), r.normals(d), r.normals(d)
+
+
+def _ref_tall(r):
+    d = r.integer(1, 5)
+    return r.integer(d + 1, 10), d
+
+
+def _ref_right_draw(g):
+    r = _RefDraws(g, 12)
+    n, d = _ref_tall(r)
+    log_kappa = math.log(1e3) * r.uniform()
+    u = r.uniforms(n)
+    return r.normals((n, d)), log_kappa, r.normals((d, d)), r.normals((d, d)), u
+
+
+def _ref_sign_draw(g):
+    r = _RefDraws(g, 20)
+    n, d = _ref_tall(r)
+    u, coins = r.uniforms(n), r.uniforms(n)
+    return r.normals((n, d)), u, coins
+
+
+def _ref_normalization_draw(g):
+    r = _RefDraws(g, 2)
+    n, d = _ref_tall(r)
+    return r.normals((n, d)), r.normals(d)
+
+
 def _ref_shift_deviation(g):
-    n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
-    A = g.standard_normal((n, d))
-    w = g.standard_normal(d)
-    x = g.standard_normal(d)
-    B = A + np.outer(np.ones(n), w)
+    A, w, x = _ref_shift_draw(g)
+    B = A + np.outer(np.ones(len(A)), w)
     return float(np.abs(softmax_pmf(A, x).probs - softmax_pmf(B, x).probs).max())
 
 
 def _ref_right_deviation(g):
-    d = int(g.integers(1, 5))
-    n = int(g.integers(d + 1, 10))
-    A = g.standard_normal((n, d))
-    kappa = 10.0 ** (3.0 * float(g.random()))
-    sing = np.exp(np.linspace(-0.5, 0.5, d) * math.log(kappa)) if d > 1 else np.ones(1)
-    U = np.linalg.qr(g.standard_normal((d, d)))[0]
-    V = np.linalg.qr(g.standard_normal((d, d)))[0]
-    R = U @ np.diag(sing) @ V
-    s = np.sqrt(0.5 + g.random(n) * 1.5)
+    A, log_kappa, U, V, u = _ref_right_draw(g)
+    d = A.shape[1]
+    sing = np.exp(np.linspace(-0.5, 0.5, d) * log_kappa) if d > 1 else np.ones(1)
+    R = np.linalg.qr(U)[0] @ np.diag(sing) @ np.linalg.qr(V)[0]
+    s = np.sqrt(0.5 + u * 1.5)
     return float(np.abs(leverage_pmf(A @ R, s).probs - leverage_pmf(A, s).probs).max())
 
 
 def _ref_sign_deviation(g):
-    d = int(g.integers(1, 5))
-    n = int(g.integers(d + 1, 10))
-    A = g.standard_normal((n, d))
-    s = np.sqrt(0.5 + g.random(n) * 1.5)
-    flip = np.where(g.random(n) < 0.5, -1.0, 1.0)
+    A, u, coins = _ref_sign_draw(g)
+    s = np.sqrt(0.5 + u * 1.5)
+    flip = np.where(coins < 0.5, -1.0, 1.0)
     return float(np.abs(leverage_pmf(A, s * flip).probs - leverage_pmf(A, s).probs).max())
 
 
 def _ref_normalization_deviation(g):
-    d = int(g.integers(1, 5))
-    n = int(g.integers(d + 1, 10))
-    A = g.standard_normal((n, d))
-    x = g.standard_normal(d)
-    return _ref_normalization(A, x)
+    return _ref_normalization(*_ref_normalization_draw(g))
 
 
 def _ref_normalization(A, x):
@@ -873,24 +943,43 @@ _REF_DEVIATIONS = {
 }
 
 
-def _ref_random_distribution(g, n):
-    p = g.random(n) + 1e-12
-    mask = g.random(n) < 0.15
+def _ref_masks(coins, keep):
+    """The coin rule: an outcome whose coin is below 0.15 is masked; where
+    all are, the outcome ``keep`` is not."""
+    mask = coins < 0.15
     if mask.all():
-        mask[int(g.integers(n))] = False
-    p[mask] = 0.0
-    return DiscreteDistribution(p / p.sum())
+        mask[keep] = False
+    return mask
+
+
+def _ref_metric_fields(r, n):
+    """Weights and masks of P, Q and R on n outcomes, each a (3, n) array."""
+    drawn = [(r.uniforms(n), r.uniforms(n)) for _ in "PQR"]
+    keep = [r.integer(0, n) for _ in "PQR"]
+    return np.array([w for w, _ in drawn]), np.array([_ref_masks(c, i) for (_, c), i in zip(drawn, keep)])
+
+
+def _ref_metric_draw(g):
+    r = _RefDraws(g, 70)
+    return _ref_metric_fields(r, r.integer(2, 12))
+
+
+def _ref_distributions(g):
+    weights, masks = _ref_metric_draw(g)
+    out = []
+    for w, mask in zip(weights, masks):
+        p = w + 1e-12
+        p[mask] = 0.0
+        out.append(DiscreteDistribution(p / p.sum()))
+    return out
 
 
 def _ref_metric_axioms(seed, count):
-    sandwich_viol = triangle_viol = sym_viol = 0
+    sandwich_viol = triangle_viol = sym_viol = ident_viol = 0
     ident_dev = 0.0
     slack = 1e-12
     for g in _ref_streams(seed, "metric", count):
-        n = int(g.integers(2, 12))
-        P = _ref_random_distribution(g, n)
-        Q = _ref_random_distribution(g, n)
-        R = _ref_random_distribution(g, n)
+        P, Q, R = _ref_distributions(g)
         h2_pq, tv_pq = hellinger_sq(P, Q), tv(P, Q)
         h2_qp, tv_qp = hellinger_sq(Q, P), tv(Q, P)
         h2_pr, tv_pr = hellinger_sq(P, R), tv(P, R)
@@ -899,12 +988,14 @@ def _ref_metric_axioms(seed, count):
             sandwich_viol += 1
         if tv_pq != tv_qp or h2_pq != h2_qp:
             sym_viol += 1
+        if max(tv(P, P), hellinger_sq(P, P)) > slack:
+            ident_viol += 1
         ident_dev = max(ident_dev, tv(P, P), hellinger_sq(P, P))
         if tv_pr > tv_pq + tv_qr + slack:
             triangle_viol += 1
         if math.sqrt(h2_pr) > math.sqrt(h2_pq) + math.sqrt(h2_qr) + slack:
             triangle_viol += 1
-    return sandwich_viol, triangle_viol, sym_viol, ident_dev
+    return sandwich_viol, triangle_viol, sym_viol, ident_viol, ident_dev
 
 
 def _bits(x):
@@ -925,15 +1016,15 @@ def _assert_bound_rows_equal_reference(seed, count):
 
 def _assert_deviations_equal_reference(seed, count):
     rep = run_invariance_suite(count, seed)
-    for name, label, _, draw, deviation in harness._INVARIANCES:
-        devs = [dev for _, _, (dev,) in harness._evaluated(seed, label, count, draw, deviation)]
+    for name, label, _, family, deviation in harness._INVARIANCES:
+        devs = [numbers[-1] for _, _, numbers in harness._evaluated(seed, label, count, family, deviation)]
         reference = [_REF_DEVIATIONS[name](g) for g in _ref_streams(seed, label, count)]
         assert [_bits(v) for v in devs] == [_bits(v) for v in reference], (name, count)
         assert _bits(rep.by_name(name).max_deviation) == _bits(max(reference)), (name, count)
     metric = harness._metric_axioms(seed, count)
     reference = _ref_metric_axioms(seed, count)
-    assert metric[:3] == reference[:3], count
-    assert _bits(metric[3]) == _bits(reference[3]), count
+    assert metric[:4] == reference[:4], count
+    assert _bits(metric[4]) == _bits(reference[4]), count
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -957,33 +1048,36 @@ def test_invariance_suite_deviations_equal_per_pmf_reference_across_blocks():
     _assert_deviations_equal_reference(0, harness._BLOCK + 88)
 
 
-def _evaluated_fields(g):
-    return g.standard_normal(int(g.integers(1, 4))), float(g.random())
-
-
 def test_evaluated_skips_each_instance_whose_draw_is_none():
     # Random normals never give the softmax envelope an x of 0, so no suite
-    # skips an instance.  Here the draw declines chosen instances on both
-    # sides of a block boundary; every other instance keeps the draw of its
-    # own stream, and its values are evaluate's on that draw.
+    # skips an instance.  Here the shape decoder gives chosen instances on
+    # both sides of a block boundary a shape of 0, so they have no draw;
+    # every other instance keeps the fields of its own stream, and its
+    # values are evaluate's on them.
     seed, label, count = 3, "skip", harness._BLOCK + 5
-    skipped = {0, 7, harness._BLOCK - 1, harness._BLOCK, count - 1}
-    order = iter(range(count))
+    skipped = [0, 7, harness._BLOCK - 1, harness._BLOCK, count - 1]
+    starts = iter(range(0, count, harness._BLOCK))  # the shape decoder sees the blocks in order
 
-    def draw(g):
-        k = next(order)  # instances draw in instance order
-        return None if k in skipped else _evaluated_fields(g)
+    def shape(U, Z):
+        start = next(starts)
+        S = harness._uniform_int(U[:, :1], 1, 4)
+        S[[k - start for k in skipped if 0 <= k - start < len(U)]] = 0
+        return S
+
+    def draw(U, Z, idx, n):
+        return Z[idx, :n], U[idx, 1]
 
     def evaluate(z, c):
         return (z[:, 0] * c,)
 
-    got = list(harness._evaluated(seed, label, count, draw, evaluate))
-    assert next(order, None) is None
+    got = harness._evaluated(seed, label, count, (2, 3, shape, draw), evaluate)
+    assert next(starts, None) is None
     assert [k for k, _, _ in got] == [k for k in range(count) if k not in skipped]
-    for k, (z, c), (value,) in got:
-        z_ref, c_ref = _evaluated_fields(generator(derive_seed(seed, label, k)))
-        assert (z.tobytes(), _bits(c)) == (z_ref.tobytes(), _bits(c_ref)), k
-        assert _bits(value) == _bits(z_ref[0] * c_ref), k
+    for k, (n,), (c, value) in got:
+        g = generator(derive_seed(seed, label, k))
+        u, z = g.random(2), g.standard_normal(3)
+        assert n == 1 + min(int(3 * u[0]), 2), k
+        assert (_bits(c), _bits(value)) == (_bits(u[1]), _bits(z[0] * u[1])), k
 
 
 def test_normalization_deviation_ignores_a_rank_deficient_leverage_model():
@@ -1001,31 +1095,27 @@ def test_normalization_deviation_ignores_a_rank_deficient_leverage_model():
 
 def _masked_draws(seed, k):
     """The distributions of metric instance k, in order, whose coins all
-    fell below 0.15, so that it drew one more index to keep unmasked."""
+    fell below 0.15, so that its keep uniform picks the outcome to keep."""
     g = generator(derive_seed(seed, "metric", k))
-    n = int(g.integers(2, 12))
-    masked = []
-    for name in "PQR":
-        g.random(n)
-        if (g.random(n) < 0.15).all():
-            masked.append(name)
-            g.integers(n)
-    return masked
+    u = g.random(70)
+    n = 2 + min(int(10 * u[0]), 9)
+    coins = u[1 : 1 + 6 * n].reshape(3, 2, n)[:, 1]
+    return [name for name, c in zip("PQR", coins) if (c < 0.15).all()]
 
 
 def test_metric_instance_whose_coins_all_mask_draws_the_index_to_keep():
-    # At seed 0, instance 545's P masks both of its two outcomes, so P
-    # draws the index it keeps, and Q and R follow that extra draw.  Every
-    # instance's ten distances, evaluated as one stack with the others,
-    # equal the one-distribution-at-a-time reference bitwise.
-    seed, count = 0, 546
-    assert [k for k in range(count) if _masked_draws(seed, k)] == [290, 478, 481, 545]
-    assert _masked_draws(seed, 545) == ["P"]
-    streams = _ref_streams(seed, "metric", count)
-    got = harness._stacked(harness._metric_distances, [harness._metric_draw(g) for g in streams])
+    # At seed 0, instance 394's coins of P all fall below 0.15, so the
+    # outcome its keep uniform picks stays.  Every instance's ten distances,
+    # evaluated as one stack with the others, equal the
+    # one-distribution-at-a-time reference bitwise.
+    seed, count = 0, 395
+    assert [k for k in range(count) if _masked_draws(seed, k)] == [122, 318, 394]
+    assert _masked_draws(seed, count - 1) == ["P"]
+    got = {}
+    for idx, _, _, distances in harness._grouped(seed, "metric", count, harness._METRIC, harness._metric_distances):
+        got.update(zip(idx.tolist(), zip(*(d.tolist() for d in distances))))
     for k, g in enumerate(_ref_streams(seed, "metric", count)):
-        n = int(g.integers(2, 12))
-        P, Q, R = (_ref_random_distribution(g, n) for _ in range(3))
+        P, Q, R = _ref_distributions(g)
         pairs = ((P, Q), (Q, P), (P, P), (P, R), (Q, R))
         want = [hellinger_sq(a, b) for a, b in pairs] + [tv(a, b) for a, b in pairs]
         assert [_bits(v) for v in got[k]] == [_bits(v) for v in want], k
@@ -1034,30 +1124,29 @@ def test_metric_instance_whose_coins_all_mask_draws_the_index_to_keep():
 
 def test_right_invariance_stacks_a_group_with_one_column():
     # d = 1 takes a spectrum of ones, not exp(linspace * log kappa).  At
-    # seed 1 the first 50 instances hold five groups of shape (n, 1) with
-    # two instances each; each group, as one stack, gives the reference.
+    # seed 1 the first 50 instances hold four groups of shape (n, 1) with
+    # two or more instances each; each group, as one stack, gives the
+    # reference.
     seed, count = 1, 50
-    _, label, _, draw, deviation = harness._INVARIANCES[1]
-    by_shape = {}
-    for k, g in enumerate(_ref_streams(seed, label, count)):
-        fields = draw(g)
-        if fields[0].shape[1] == 1:
-            by_shape.setdefault(fields[0].shape, []).append((k, fields))
-    pairs = [group for group in by_shape.values() if len(group) == 2]
-    assert len(pairs) == 5
-    for group in pairs:
-        (devs,) = deviation(*(np.array(field) for field in zip(*(fields for _, fields in group))))
-        reference = [_ref_right_deviation(generator(derive_seed(seed, label, k))) for k, _ in group]
+    _, label, _, family, deviation = harness._INVARIANCES[1]
+    groups = [
+        (idx, devs)
+        for idx, (_, d), _, (devs,) in harness._grouped(seed, label, count, family, deviation)
+        if d == 1 and len(idx) > 1
+    ]
+    assert len(groups) == 4
+    for idx, devs in groups:
+        reference = [_ref_right_deviation(generator(derive_seed(seed, label, k))) for k in idx.tolist()]
         assert [_bits(v) for v in devs.tolist()] == [_bits(v) for v in reference]
 
 
 def test_leverage_envelope_redraws_a_missed_gamma_search_at_the_next_attempt():
-    # At seed 2, pair 134's first gamma search lands outside (0, 0.1], so the
+    # At seed 2, pair 76's first gamma search lands outside (0, 0.1], so the
     # pair is redrawn at its next attempt in a later round; every row still
     # equals the loop's.
     rejected = []
     reference = _ref_leverage_envelope_rows(2, 150, rejected=rejected)
-    assert [(k, attempt) for k, attempt, reason in rejected if reason == "gamma"] == [(134, 0)]
+    assert [(k, attempt) for k, attempt, reason in rejected if reason == "gamma"] == [(76, 0)]
     rows = harness._leverage_envelope_rows(2, 150)
     assert [_row_key(r) for r in rows] == [_row_key(r) for r in reference]
 
@@ -1066,7 +1155,7 @@ def test_leverage_envelope_gives_up_after_fifty_attempts(monkeypatch):
     # Reject every conditioning test after the first: index 0 keeps its
     # first attempt at seed 0, and index 1 runs out of attempts.
     rejected = []
-    _ref_leverage_envelope_pair(0, 0, BoxConstraint(0.5, 2.0), rejected)
+    _ref_leverage_envelope_pair(0, 0, rejected)
     assert rejected == []
     real, tested = harness._conditioning, []
 
@@ -1102,71 +1191,19 @@ def test_stacked_conditioning_equals_min_eigenvalue_of_each_gram():
 
 
 # ---------------------------------------------------------------------------
-# merged draws and the array gamma search against their scalar references
+# decoded fills and the array gamma search against their scalar references
 # ---------------------------------------------------------------------------
 #
-# A draw function takes a run of consecutive draws of one kind from one
-# generator call, and numpy fills a call of size a + b with bitwise the
-# values of two calls of sizes a and b.  The references below make one call
-# per array, as the suites once did; each draw must give their values and
-# leave its stream where they leave theirs.
+# Each instance fills one row of uniforms and one row of normals, one
+# generator call each, and a suite decodes every field from those rows.
+# The references above make one call per field; each decoded field must be
+# bitwise theirs.
 
-
-def _ref_envelope_draw(g):
-    n = int(g.integers(2, 11))
-    d = int(g.integers(1, 6))
-    A = g.standard_normal((n, d))
-    D = g.standard_normal((n, d))
-    x = g.standard_normal(d)
-    xnorm = math.sqrt(x.dot(x))
-    if xnorm == 0.0:
-        return None
-    return A, D, x, xnorm, 0.5 * float(g.random())
-
-
-def _ref_shift_draw(g):
-    n, d = int(g.integers(2, 9)), int(g.integers(1, 6))
-    A = g.standard_normal((n, d))
-    w = g.standard_normal(d)
-    x = g.standard_normal(d)
-    return A, w, x
-
-
-def _ref_tall_matrix(g):
-    d = int(g.integers(1, 5))
-    n = int(g.integers(d + 1, 10))
-    return g.standard_normal((n, d))
-
-
-def _ref_right_draw(g):
-    A = _ref_tall_matrix(g)
-    d = A.shape[1]
-    log_kappa = math.log(10.0 ** (3.0 * float(g.random())))
-    return A, log_kappa, g.standard_normal((d, d)), g.standard_normal((d, d)), g.random(A.shape[0])
-
-
-def _ref_sign_draw(g):
-    A = _ref_tall_matrix(g)
-    n = A.shape[0]
-    return A, g.random(n), g.random(n)
-
-
-def _ref_normalization_draw(g):
-    A = _ref_tall_matrix(g)
-    return A, g.standard_normal(A.shape[1])
-
-
-def _ref_random_distribution_draw(g, n):
-    weights = g.random(n)
-    coins = g.random(n)
-    if max(coins.tolist()) < 0.15:
-        coins[int(g.integers(n))] = 1.0
-    return weights, coins
-
-
-def _ref_metric_draw(g):
-    n = int(g.integers(2, 12))
-    return tuple(field for _ in range(3) for field in _ref_random_distribution_draw(g, n))
+_FAMILIES = {
+    family[3]: family
+    for family in (harness._GAP, harness._ENVELOPE, harness._ATTEMPT, harness._METRIC)
+    + tuple(row[3] for row in harness._INVARIANCES)
+}
 
 
 def _field_bits(fields):
@@ -1176,22 +1213,13 @@ def _field_bits(fields):
     return [(np.shape(f), np.asarray(f).dtype.str, np.asarray(f).tobytes()) for f in fields]
 
 
-def _stream_position(g):
-    """Philox counter, buffer position and cached 32-bit half of a stream."""
-    state = g.bit_generator.state
-    return state["state"]["counter"].tobytes(), state["buffer_pos"], state["has_uint32"], state["uinteger"]
-
-
-def _assert_same_draws(draw, reference, streams):
-    """draw and reference give bitwise the same fields on each pair of equal
-    streams and leave both streams in the same state."""
-    for k, (g, g_ref) in enumerate(streams):
-        assert _field_bits(draw(g)) == _field_bits(reference(g_ref)), k
-        assert _stream_position(g) == _stream_position(g_ref), k
-
-
-def _twin_streams(label, count, seed=0):
-    return [(generator(derive_seed(seed, label, k)), generator(derive_seed(seed, label, k))) for k in range(count)]
+def _decoded(seed, label, count, draw):
+    """Each kept instance's fields, by index, as ``_grouped`` decodes them
+    for the family whose draw is ``draw``."""
+    out = {}
+    for idx, _, fields, _ in harness._grouped(seed, label, count, _FAMILIES[draw], lambda *fields: ()):
+        out.update((k, [f[j] for f in fields]) for j, k in enumerate(idx.tolist()))
+    return out
 
 
 @pytest.mark.parametrize(
@@ -1203,32 +1231,37 @@ def _twin_streams(label, count, seed=0):
         ("sign", harness._sign_draw, _ref_sign_draw),
         ("norm", harness._normalization_draw, _ref_normalization_draw),
         ("metric", harness._metric_draw, _ref_metric_draw),
+        ("gap", harness._gap_draw, _ref_gap_draw),
+        ("lev-env", harness._attempt_draw, _ref_attempt_draw),
     ],
 )
 def test_merged_draws_equal_one_generator_call_per_array(label, draw, reference):
     # 600 instances of the family's own streams at each of two seeds: about
-    # 70 ms per family.
+    # 30 ms per family.
     for seed in (0, 5):
-        _assert_same_draws(draw, reference, _twin_streams(label, 600, seed))
-
-
-def _all_masked(g, n):
-    g.random(n)  # the weights
-    return bool((g.random(n) < 0.15).all())
+        got = _decoded(seed, label, 600, draw)
+        for k, g in enumerate(_ref_streams(seed, label, 600)):
+            assert _field_bits(got.get(k)) == _field_bits(reference(g)), k
 
 
 def test_random_distribution_draw_equals_two_calls_including_the_all_masked_branch():
-    # Two outcomes are all masked with probability 0.15^2, so 600 streams
-    # take the branch that draws the index to keep about 13 times.  About
-    # 90 ms.
-    masked = [k for k in range(600) if _all_masked(generator(derive_seed(0, "distribution-2", k)), 2)]
-    assert len(masked) > 5
+    # The metric decoder at a fixed n against two calls per distribution
+    # (weights, then coins) and the keep uniforms.  Two outcomes are all
+    # masked with probability 0.15^2, so at n = 2 the 600 streams take the
+    # keep branch about 40 times.  About 60 ms.
     for n in (2, 3, 11):
-        _assert_same_draws(
-            lambda g: harness._random_distribution(g, n),
-            lambda g: _ref_random_distribution_draw(g, n),
-            _twin_streams(f"distribution-{n}", 600),
-        )
+        U = np.array([g.random(70) for g in _ref_streams(0, f"distribution-{n}", 600)])
+        weights, masked = harness._metric_draw(U, None, np.arange(600), n)
+        kept = 0
+        for k, g in enumerate(_ref_streams(0, f"distribution-{n}", 600)):
+            r = _RefDraws(g, 70)
+            r.uniform()  # n's
+            ref_weights, ref_masked = _ref_metric_fields(r, n)
+            assert _field_bits((weights[k], masked[k])) == _field_bits((ref_weights, ref_masked)), (n, k)
+            kept += sum(int(c.all()) for c in U[k, 1 : 1 + 6 * n].reshape(3, 2, n)[:, 1] < 0.15)
+        if n == 2:
+            assert kept > 20
+        assert (masked.sum(axis=-1) < n).all()
 
 
 def _ref_gamma_search(A, G, delta, target):
@@ -1276,6 +1309,115 @@ def test_array_gamma_search_equals_the_per_pair_loop():
         assert ratio.tobytes() == ref_ratio.tobytes(), (n, d)
         exhausted += ref_exhausted
     assert exhausted > 50
+
+
+# ---------------------------------------------------------------------------
+# each instance alone, and the shape decoders
+# ---------------------------------------------------------------------------
+
+
+def _fill(g, family):
+    """A one-row fill of ``family`` from generator g: its U and Z."""
+    wu, wn, *_ = family
+    return g.random((1, wu)), g.standard_normal((1, wn))
+
+
+def _alone(seed, label, k, family, evaluate):
+    """Instance k decoded and evaluated alone, from a one-row fill of its
+    own generator: its shape, fields and values."""
+    _, _, shape, draw = family
+    U, Z = _fill(generator(derive_seed(seed, label, k)), family)
+    s = tuple(shape(U, Z)[0].tolist())
+    fields = draw(U, Z, np.zeros(1, dtype=np.intp), *s)
+    return s, fields, evaluate(*fields)
+
+
+_SUITE_FAMILIES = [
+    ("gap", harness._GAP, harness._logit_gaps),
+    ("chain", harness._GAP, harness._chain_gaps),
+    ("softmax-env", harness._ENVELOPE, harness._envelope_gaps),
+    *((label, family, deviation) for _, label, _, family, deviation in harness._INVARIANCES),
+    ("metric", harness._METRIC, harness._metric_distances),
+]
+
+
+@pytest.mark.parametrize("label, family, evaluate", _SUITE_FAMILIES, ids=[row[0] for row in _SUITE_FAMILIES])
+def test_each_instance_replays_alone_bitwise(label, family, evaluate):
+    # Every instance of a 1,100-instance run, whose second block holds 76,
+    # decodes and evaluates alone to bitwise the shape, fields and values
+    # it has in its group.  About 0.1 s per family.
+    seen = 0
+    for idx, s, fields, values in harness._grouped(4, label, 1100, family, evaluate):
+        for j, k in enumerate(idx.tolist()):
+            shape, alone_fields, alone_values = _alone(4, label, k, family, evaluate)
+            assert shape == s, k
+            assert _field_bits([f[j] for f in fields]) == _field_bits([f[0] for f in alone_fields]), k
+            assert _field_bits([v[j] for v in values]) == _field_bits([v[0] for v in alone_values]), k
+            seen += 1
+    assert seen == 1100
+
+
+def test_each_leverage_envelope_attempt_replays_alone_bitwise():
+    # Each index's accepted attempt (k, attempt), found by replaying its
+    # attempts alone, fills bitwise the rows the 1,100-instance run kept for
+    # it, and alone gives its gamma, ratio and row.  About 0.5 s.
+    seed, count = 4, 1100
+    _, _, shape, draw = harness._ATTEMPT
+    rows = harness._leverage_envelope_rows(seed, count)
+    for block in harness._blocks(count):
+        U, Z, gamma, ratio = harness._leverage_envelope_pairs(seed, block)
+        for i, k in enumerate(block):
+            for attempt in range(50):
+                U1, Z1 = _fill(generator(derive_seed(seed, "lev-env", k, attempt)), harness._ATTEMPT)
+                n, d = shape(U1, Z1)[0].tolist()
+                A, G, target, R = draw(U1, Z1, np.zeros(1, dtype=np.intp), n, d)
+                delta = harness._conditioning(A)
+                if delta[0] >= 0.05:
+                    gamma1, ratio1 = harness._gamma_search(A, G, delta, target)
+                    if 0.0 < ratio1[0] <= 0.1:
+                        break
+            assert (U1.tobytes(), Z1.tobytes()) == (U[i].tobytes(), Z[i].tobytes()), k
+            assert (_bits(gamma1[0]), _bits(ratio1[0])) == (_bits(gamma[i]), _bits(ratio[i])), k
+            (worst,) = harness._worst_tv(A, G, gamma1, R)
+            r = ratio1[0].item()
+            row = BoundReport("leverage_tv_envelope", {"n": n, "d": d, "ratio": r, "seed": k}, 4.0 * r, worst.item())
+            assert _row_key(rows[k]) == _row_key(row), k
+
+
+_TOP = 1.0 - 2.0**-53  # the largest uniform numpy draws
+_TALL = {(n, d) for d in range(1, 5) for n in range(d + 1, 10)}
+
+# label, family and every shape it may take; a shape's columns are n, d
+_SHAPES = [
+    ("gap", harness._GAP, {(n,) for n in range(2, 11)}),
+    ("softmax-env", harness._ENVELOPE, {(n, d) for n in range(2, 11) for d in range(1, 6)}),
+    ("lev-env", harness._ATTEMPT, {(n, d) for d in range(1, 4) for n in range(d + 1, 9)}),
+    ("shift", harness._INVARIANCES[0][3], {(n, d) for n in range(2, 9) for d in range(1, 6)}),
+    ("right", harness._INVARIANCES[1][3], _TALL),
+    ("sign", harness._INVARIANCES[2][3], _TALL),
+    ("norm", harness._INVARIANCES[3][3], _TALL),
+    ("metric", harness._METRIC, {(n,) for n in range(2, 12)}),
+]
+
+
+def test_shape_decoders_map_the_ends_of_the_unit_interval_to_the_ends_of_their_ranges():
+    assert int(9.0 * _TOP) == 8  # (1 - 2^-53) s rounds below s for every integer span s < 2^53
+    for lo, hi in ((0, 2), (2, 11), (1, 6), (3, 12)):
+        assert harness._uniform_int(np.array([0.0, _TOP]), lo, hi).tolist() == [lo, hi - 1]
+    for label, (wu, wn, shape, _), shapes in _SHAPES:
+        U = np.array([[0.0] * wu, [_TOP] * wu])
+        assert [tuple(s) for s in shape(U, np.ones((2, wn))).tolist()] == [min(shapes), max(shapes)], label
+
+
+def test_every_shape_of_each_family_appears_in_a_thousand_instances():
+    # At seed 0; the leverage envelope's shapes are those of first attempts.
+    for label, family, shapes in _SHAPES:
+        if family is harness._ATTEMPT:
+            fills = [_fill(generator(derive_seed(0, label, k, 0)), family) for k in range(1000)]
+            seen = set(map(tuple, family[2](np.vstack([U for U, _ in fills]), None).tolist()))
+        else:
+            seen = {s for _, s, _, _ in harness._grouped(0, label, 1000, family, lambda *fields: ())}
+        assert seen == shapes, label
 
 
 # ---------------------------------------------------------------------------
@@ -1343,8 +1485,8 @@ def test_violations_count_the_instances_past_the_tolerance(monkeypatch):
 
 def test_a_nan_distance_breaks_every_metric_test_that_reads_it(monkeypatch):
     # Instance 0's ten distances are NaN: it breaks the sandwich, both
-    # triangle inequalities and symmetry, and its identity distances are the
-    # largest.
+    # triangle inequalities, symmetry and identity, and its identity
+    # distances are the largest.
     real = harness._metric_distances
 
     def patched(*draws):
@@ -1358,10 +1500,37 @@ def test_a_nan_distance_breaks_every_metric_test_that_reads_it(monkeypatch):
     patched.first = True
     monkeypatch.setattr(harness, "_metric_distances", patched)
     rep = run_invariance_suite(100, 0)
-    assert [rep.by_name(f"metric_{p}").violations for p in ("sandwich", "triangle", "symmetry")] == [1, 2, 1]
+    names = ("sandwich", "triangle", "symmetry", "identity")
+    assert [rep.by_name(f"metric_{p}").violations for p in names] == [1, 2, 1, 1]
     assert math.isnan(rep.by_name("metric_sandwich").max_deviation)
     assert math.isnan(rep.by_name("metric_triangle").max_deviation)
     assert not rep.all_ok
+
+
+def test_a_nan_identity_distance_fails_verify(monkeypatch, capsys):
+    # Only H^2(P, P) of instance 0 is NaN: the identity property counts it,
+    # reports the NaN as its largest identity distance, and verify fails.
+    real = harness._metric_distances
+
+    def patched(*fields):
+        distances = real(*fields)
+        if patched.first:
+            distances[2][0] = math.nan  # h2_pp
+            patched.first = False
+        return distances
+
+    patched.first = True
+    monkeypatch.setattr(harness, "_metric_distances", patched)
+    rep = run_invariance_suite(100, 0)
+    identity = rep.by_name("metric_identity")
+    assert (identity.violations, identity.ok, rep.all_ok) == (1, False, False)
+    assert math.isnan(identity.max_deviation)
+    assert all(p.ok for p in rep.properties if p.name != "metric_identity")
+    patched.first = True
+    assert cli.main(["verify", "--suite", "invariances", "--instances", "100"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "invariances: metric_identity max_deviation=nan violations=1 ok=0" in out
+    assert out[-1] == "verdict: FAIL"
 
 
 def test_a_nan_triangle_side_is_a_violation(monkeypatch):
@@ -1447,4 +1616,4 @@ def test_invariance_csv_smoke(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "property,instances,max_deviation,violations,ok"
     assert lines[-1] == "# all_ok 1"
-    assert len(lines) == 1 + 7 + 1
+    assert len(lines) == 1 + 8 + 1

@@ -3,9 +3,11 @@ the public ``__all__`` lists each name once, every one of them real, and
 every exception class in ``errors`` is named by another module.  Also the
 family rule: only ``model.py``, the family table, compares against a family;
 the sampling rule: only ``distributions.py``, whose ``_inverse_cdf``
-every sampler shares, calls ``searchsorted``; and the instance rule: in
-``harness.py`` only ``_evaluated`` keys instance streams with
-``derive_seeds``.
+every sampler shares, calls ``searchsorted``; and the instance rules: in
+``harness.py`` only ``_grouped`` keys instance streams with
+``derive_seeds``, nothing calls ``integers``, and only ``_grouped`` and
+the leverage envelope's attempt loop draw, each instance one ``random`` and
+one ``standard_normal`` fill.
 
 Parses each ``src/softlev/*.py`` with ``ast``, well under 0.1 s.  The
 start-up guard and the sweep guard each run one fresh interpreter, about
@@ -103,12 +105,27 @@ def test_only_distributions_looks_outcomes_up_in_a_cdf(path):
     assert lines == [], f"{path.name} calls searchsorted at lines {lines}"
 
 
+def _harness_tree():
+    return ast.parse((Path(softlev.__file__).parent / "harness.py").read_text(encoding="utf-8"))
+
+
 def test_only_grouped_keys_the_harness_instance_streams():
     # a randomized family reads its instances through harness._grouped,
     # per shape group or per instance (_evaluated sits on it), so that none
     # brings back its own loop over blocks of streams
-    tree = ast.parse((Path(softlev.__file__).parent / "harness.py").read_text(encoding="utf-8"))
-    assert list(_callers(tree, "derive_seeds")) == ["_grouped"]
+    assert list(_callers(_harness_tree(), "derive_seeds")) == ["_grouped"]
+
+
+def test_verify_instances_draw_only_their_two_fills():
+    # Each verify instance (and each leverage-envelope attempt) takes one
+    # row of uniforms and one of normals from its stream, and decodes its
+    # shape, fields and branches from them; gaussian_instance draws a model
+    # spec, not a verify instance.
+    tree = _harness_tree()
+    fills = ["_grouped", "_leverage_envelope_pairs"]
+    assert list(_callers(tree, "integers")) == []
+    assert list(_callers(tree, "random")) == fills
+    assert [name for name in _callers(tree, "standard_normal") if name != "gaussian_instance"] == fills
 
 
 def test_public_names_are_listed_once_and_resolve():
