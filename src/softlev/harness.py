@@ -14,11 +14,11 @@ run, one per grid point, on ``threads`` threads; they may finish in any
 order, but rows are buffered and written in grid order.
 
 The randomized bound and invariance suites run in lockstep, a fixed block
-of instances at a time.  Instance k of a family makes two generator calls
-on its own keyed stream: it fills a fixed-width row of uniforms, then one
-of normals.  Its shape, fields and branches are decoded from those rows by
-array operations: a shape is lo + floor(span u), a field is a prefix, a
-branch is a mask.  ``_grouped`` runs this for every family and evaluates
+of instances at a time.  Instance k of a family is the row of uniforms at
+Philox counter row k of the family's key (``rng.uniform_rows``): its U,
+then Box-Muller pairs for the normals that its shape group reads.  Shapes,
+fields and branches are decoded by array operations: a shape is lo +
+floor(span u), a field a prefix, a branch a mask.  ``_grouped`` evaluates
 each group of equal shape as one stack; the kernels work along the last
 axes, so every instance's values are bitwise those it has alone.
 """
@@ -42,7 +42,7 @@ from .leverage import BoxConstraint, leverage_pmfs
 from .model import FAMILIES, ModelSpec, TaylorReport, get_family
 from .numerics import as_matrix
 from .optimize import OptimizerConfig
-from .rng import Stream, derive_seed, derive_seeds, generator, generators
+from .rng import box_muller, derive_seed, generator, uniform_rows
 from .softmax import EnergyConstraint, softmax_pmfs
 
 # ---------------------------------------------------------------------------
@@ -445,19 +445,23 @@ def _shape_groups(S):
     return [(groups[j], tuple(S[kept[first[j]]].tolist())) for j in np.argsort(first)]
 
 
+def _split(V, wu):
+    """U, the first wu uniforms of each row of V, and Z, where Z(idx, m) is
+    the first m normals of rows idx, from V's next 2 ceil(m / 2) uniforms."""
+    return V[:, :wu], lambda idx, m: box_muller(V[idx, wu : wu + m + m % 2])[:, :m]
+
+
 def _grouped(seed, label, count, family, evaluate):
     """Per shape group of each block of ``_blocks(count)``: the indices,
     shape, fields and ``evaluate``'s values (one array per value) of its
-    instances.  ``family`` is (wu, wn, shape, draw): instance k fills row k
-    of U with wu uniforms, then of Z with wn normals, from the stream keyed
-    (label, k); ``shape(U, Z)`` gives each instance's shape columns (a 0
-    skips it) and ``draw(U, Z, idx, *shape)`` the fields of instances idx."""
+    instances.  ``family`` is (wu, wn, shape, draw): instance k is counter
+    row k of derive_seed(seed, label), split by ``_split``; ``shape(U, Z)``
+    gives its shape columns (a 0 skips it) and ``draw(U, Z, idx, *shape)``
+    the fields of instances idx."""
     wu, wn, shape, draw = family
+    key = derive_seed(seed, label)
     for block in _blocks(count):
-        U, Z = np.empty((len(block), wu)), np.empty((len(block), wn))
-        for g, u, z in zip(generators(derive_seeds(seed, label, indices=block)), U, Z):
-            g.random(out=u)
-            g.standard_normal(out=z)
+        U, Z = _split(uniform_rows(key, block, wu + wn + wn % 2), wu)
         for idx, s in _shape_groups(shape(U, Z)):
             fields = draw(U, Z, idx, *s)
             yield block.start + idx, s, fields, evaluate(*fields)
@@ -503,7 +507,7 @@ def _gap_shape(U, Z):
 def _gap_draw(U, Z, idx, n):
     """Logits z, uniforms r and gaps eps of logit-gap or chain instances on
     n outcomes: uniforms for n, eps and then r, normals for z."""
-    return Z[idx, :n], U[idx, 2 : 2 + n], 2.0 * U[idx, 1]
+    return Z(idx, n), U[idx, 2 : 2 + n], 2.0 * U[idx, 1]
 
 
 _GAP = (12, 10, _gap_shape, _gap_draw)
@@ -559,15 +563,15 @@ def _envelope_shape(U, Z):
     """n in [2, 10] and d in [1, 5] of each softmax-envelope instance; n is
     0, which skips the instance, where x, its first d normals, is 0."""
     n, d = _uniform_int(U[:, 0], 2, 11), _uniform_int(U[:, 1], 1, 6)
-    x_nonzero = ((Z[:, :5] != 0.0) & (np.arange(5) < d[:, None])).any(axis=-1)
+    x_nonzero = ((Z(slice(None), 5) != 0.0) & (np.arange(5) < d[:, None])).any(axis=-1)
     return np.stack([n * x_nonzero, d], axis=-1)
 
 
 def _envelope_draw(U, Z, idx, n, d):
     """A, D, x, ||x|| and rho of softmax-envelope instances: normals for x,
     the rows of A and then those of D."""
-    x = Z[idx, :d]
-    AD = Z[idx, d : (2 * n + 1) * d].reshape(-1, 2, n, d)
+    z = Z(idx, (2 * n + 1) * d)
+    x, AD = z[:, :d], z[:, d:].reshape(-1, 2, n, d)
     return AD[:, 0], AD[:, 1], x, np.sqrt((x * x).sum(axis=-1)), 0.5 * U[idx, 2]
 
 
@@ -637,7 +641,7 @@ def _attempt_draw(U, Z, idx, n, d):
     """A, G, the gap-ratio target and the uniforms R of the query scales of
     leverage-envelope attempts: uniforms for d, n, the target and then R,
     normals for the rows of A and then those of G."""
-    AG = Z[idx, : 2 * n * d].reshape(-1, 2, n, d)
+    AG = Z(idx, 2 * n * d).reshape(-1, 2, n, d)
     R = U[idx, 3 : 3 + _ENVELOPE_QUERIES * n].reshape(-1, _ENVELOPE_QUERIES, n)
     return AG[:, 0], AG[:, 1], 0.1 * (0.1 + 0.9 * U[idx, 2]), R
 
@@ -646,22 +650,19 @@ _ATTEMPT = (3 + _ENVELOPE_QUERIES * 8, 2 * 8 * 3, lambda U, Z: _tall_shape(U, Z,
 
 
 def _leverage_envelope_pairs(seed, block):
-    """U and Z rows, gamma and gap ratio of each index k's accepted attempt:
-    its first attempt a, filled from the stream keyed (k, a), whose A is
+    """U, Z, gamma and gap ratio of each index k's accepted attempt: its
+    first attempt a, counter row k at counter word 1 = a, whose A is
     well-conditioned (lambda_min(A^T A) >= 0.05) and whose gamma search puts
-    the ratio eps*C/(c*delta) of A and A + gamma G in (0, 0.1].  Each round
-    fills every pending index's next attempt, then tests each shape group
-    as one stack; a failed index is redrawn in the next round."""
+    the ratio eps*C/(c*delta) of A and A + gamma G in (0, 0.1].  Round 0
+    fills the block; later rounds refill only the pending indices."""
     wu, wn, shape, draw = _ATTEMPT
-    U, Z = np.empty((len(block), wu)), np.empty((len(block), wn))
-    gamma, ratio = np.empty(len(block)), np.empty(len(block))
-    stream = Stream()
-    pending = np.arange(len(block))
+    key = derive_seed(seed, "lev-env")
+    V = uniform_rows(key, block, wu + wn)  # wn is even
+    U, Z = _split(V, wu)
+    gamma, ratio, pending = np.empty(len(block)), np.empty(len(block)), np.arange(len(block))
     for attempt in range(50):
-        for i in pending.tolist():
-            g = stream.keyed(derive_seed(seed, "lev-env", block[i], attempt))
-            g.random(out=U[i])
-            g.standard_normal(out=Z[i])
+        if attempt:
+            V[pending] = uniform_rows(key, pending + block.start, wu + wn, attempt)
         for idx, s in _shape_groups(shape(U[pending], None)):
             idx = pending[idx]
             A, G, target, _ = draw(U, Z, idx, *s)
@@ -743,11 +744,8 @@ def run_bound_suite(instances: int, seed: int) -> BoundSuiteResult:
         fam: float(np.max([r.ratio for r in fam_rows])) if fam_rows else math.nan for fam, fam_rows in envelopes.items()
     }
     grid = np.linspace(0.01, 4.0, 50)
-    h2_vals = [lemma_h2_bound(e) for e in grid]
-    tv_vals = [lemma_tv_bound(e) for e in grid]
-    monotone_ok = all(x < y for x, y in zip(h2_vals, h2_vals[1:])) and all(
-        x < y for x, y in zip(tv_vals, tv_vals[1:])
-    )
+    curves = [[bound(e) for e in grid] for bound in (lemma_h2_bound, lemma_tv_bound)]
+    monotone_ok = all(x < y for v in curves for x, y in zip(v, v[1:]))
     strict_flags = (True,) * len(strict) + (False,) * (len(extremal) + others)
     tight_flags = (None,) * len(strict) + tuple(tight) + (None,) * others
     return BoundSuiteResult(rows, strict_flags, tight_flags, violations, max_ratios, monotone_ok, all(tight))
@@ -807,7 +805,7 @@ def _shift_shape(U, Z):
 
 
 def _shift_draw(U, Z, idx, n, d):
-    z = Z[idx, : (n + 2) * d].reshape(-1, n + 2, d)  # the rows of A, then w and x
+    z = Z(idx, (n + 2) * d).reshape(-1, n + 2, d)  # the rows of A, then w and x
     return z[:, :n], z[:, n], z[:, n + 1]
 
 
@@ -820,7 +818,7 @@ def _right_draw(U, Z, idx, n, d):
     # R has condition number kappa = 10^(3 u) <= 1e3: random orthogonal
     # factors around a log-uniform singular spectrum.  Uniforms for d, n,
     # kappa and then the scales, normals for the rows of A, U and V.
-    z = Z[idx, : (n + 2 * d) * d].reshape(-1, n + 2 * d, d)
+    z = Z(idx, (n + 2 * d) * d).reshape(-1, n + 2 * d, d)
     return z[:, :n], math.log(1e3) * U[idx, 2], z[:, n : n + d], z[:, n + d :], U[idx, 3 : 3 + n]
 
 
@@ -834,7 +832,7 @@ def _right_deviation(A, log_kappa, U, V, r):
 
 def _sign_draw(U, Z, idx, n, d):
     r = U[idx, 2 : 2 + 2 * n].reshape(-1, 2, n)  # uniforms for d, n, the scales and then the coins
-    return Z[idx, : n * d].reshape(-1, n, d), r[:, 0], r[:, 1]
+    return Z(idx, n * d).reshape(-1, n, d), r[:, 0], r[:, 1]
 
 
 def _sign_deviation(A, r, coin):
@@ -844,7 +842,7 @@ def _sign_deviation(A, r, coin):
 
 
 def _normalization_draw(U, Z, idx, n, d):
-    z = Z[idx, : (n + 1) * d].reshape(-1, n + 1, d)  # the rows of A, then x
+    z = Z(idx, (n + 1) * d).reshape(-1, n + 1, d)  # the rows of A, then x
     return z[:, :n], z[:, n]
 
 
@@ -902,21 +900,23 @@ def _metric_axioms(seed, count):
     """Counts of instances that break the sandwich, of triangle
     inequalities broken (two per instance: TV and Hellinger), of instances
     that break symmetry and of those whose identity distances d(P, P) are
-    not both within the slack, and the largest identity distance; a NaN
-    distance breaks every test that reads it and is the largest identity
-    distance."""
+    not both within the slack; then the largest excess lhs - rhs of the
+    sandwich's sides and of the triangle inequalities, and the largest
+    identity distance.  A NaN distance fails each test and figure it enters."""
     sandwich = triangle = sym = identity = 0
-    ident = [0.0]
-    slack = 1e-12
+    slack, sides, triangles, ident = 1e-12, [], [], []
     for *_, distances in _grouped(seed, "metric", count, _METRIC, _metric_distances):
         h2_pq, h2_qp, h2_pp, h2_pr, h2_qr, tv_pq, tv_qp, tv_pp, tv_pr, tv_qr = distances
+        tv_sum, h_sum = tv_pq + tv_qr, np.sqrt(h2_pq) + np.sqrt(h2_qr)
         sandwich += np.count_nonzero(~sandwich_holds(h2_pq, tv_pq))
+        triangle += np.count_nonzero(~(tv_pr <= tv_sum + slack)) + np.count_nonzero(~(np.sqrt(h2_pr) <= h_sum + slack))
         sym += np.count_nonzero((tv_pq != tv_qp) | (h2_pq != h2_qp))
         identity += np.count_nonzero(~((tv_pp <= slack) & (h2_pp <= slack)))
+        sides += (h2_pq - tv_pq, tv_pq - np.sqrt(2.0 * h2_pq))
+        triangles += (tv_pr - tv_sum, np.sqrt(h2_pr) - h_sum)
         ident += (tv_pp, h2_pp)
-        triangle += np.count_nonzero(~(tv_pr <= tv_pq + tv_qr + slack))
-        triangle += np.count_nonzero(~(np.sqrt(h2_pr) <= np.sqrt(h2_pq) + np.sqrt(h2_qr) + slack))
-    return int(sandwich), int(triangle), int(sym), int(identity), float(np.max(np.hstack(ident)))
+    worst = (float(np.max(np.hstack(e))) for e in (sides, triangles, ident))
+    return int(sandwich), int(triangle), int(sym), int(identity), *worst
 
 
 def run_invariance_suite(instances: int, seed: int) -> InvarianceReport:
@@ -929,9 +929,9 @@ def run_invariance_suite(instances: int, seed: int) -> InvarianceReport:
         dev = np.hstack([dev for *_, (dev,) in _grouped(seed, label, instances, family, deviation)])
         violations = int(np.count_nonzero(~(dev <= tol)))
         props.append(PropertyResult(name, instances, float(dev.max()), violations, violations == 0))
-    sandwich, triangle, sym, identity, ident = _metric_axioms(seed, instances)
-    props.append(PropertyResult("metric_sandwich", instances, ident, sandwich, sandwich == 0))
-    props.append(PropertyResult("metric_triangle", instances, ident, triangle, triangle == 0))
+    sandwich, triangle, sym, identity, sandwich_dev, triangle_dev, ident = _metric_axioms(seed, instances)
+    props.append(PropertyResult("metric_sandwich", instances, sandwich_dev, sandwich, sandwich == 0))
+    props.append(PropertyResult("metric_triangle", instances, triangle_dev, triangle, triangle == 0))
     props.append(PropertyResult("metric_symmetry", instances, 0.0, sym, sym == 0))
     props.append(PropertyResult("metric_identity", instances, ident, identity, identity == 0))
     return InvarianceReport(tuple(props), all(p.ok for p in props))

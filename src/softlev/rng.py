@@ -12,6 +12,14 @@ A loop that needs one stream per index uses :func:`derive_seeds` and
 generator in place for each seed, so a yielded generator is valid only until
 the next one is requested.  Each loop owns its stream: never keep one in a
 module global or share it between threads.
+
+A family of indexed units can instead share one key and address unit k by
+the Philox counter: :func:`uniform_rows` fills row k of W uniforms (W a
+multiple of 4) from counter ``[k * W / 4, word, 0, 0]``, so one call fills
+a run of consecutive rows bitwise as each row's own fill would, and any row
+replays alone in O(1).  :func:`box_muller` turns pairs of those uniforms
+into standard normals, elementwise, so the first m normals of a row do not
+depend on how many more are computed.
 """
 
 import operator
@@ -107,3 +115,34 @@ def generators(seeds):
     """``generator(seed)`` for each seed, as one :class:`Stream` re-keyed
     per item: each item is valid only until the next is requested."""
     return map(Stream().keyed, seeds)
+
+
+def uniform_rows(key: int, rows, width: int, word: int = 0) -> np.ndarray:
+    """Row i holds the uniforms in [0, 1) of counter row ``rows[i]`` under
+    ``key``: W of them, ``width`` rounded up to a multiple of 4, from a
+    Philox keyed by ``key`` whose counter starts at ``[rows[i] * W / 4,
+    word, 0, 0]``.  A Philox block holds 4 uniforms, so consecutive rows are
+    consecutive blocks: each run of consecutive ``rows`` (increasing ints)
+    is one fill."""
+    stride = -(-width // 4)
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.empty((len(rows), 4 * stride))
+    cuts = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        counter = (int(rows[lo]) * stride, word, 0, 0)
+        np.random.Generator(np.random.Philox(key=int(key) & _MASK64, counter=counter)).random(out=out[lo:hi])
+    return out
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from adjacent pairs of uniforms in [0, 1) along the
+    last axis, which has even length: normals 2p and 2p + 1 are r cos t and
+    r sin t, with r = sqrt(-2 log(1 - u_2p)) and t = 2 pi u_2p+1.  Each is
+    finite (|z| <= sqrt(106 ln 2), about 8.57) and depends only on its own
+    pair."""
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
+    t = 2.0 * np.pi * u[..., 1::2]
+    z = np.empty(u.shape)
+    z[..., 0::2] = r * np.cos(t)
+    z[..., 1::2] = r * np.sin(t)
+    return z

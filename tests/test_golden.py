@@ -45,24 +45,26 @@ _GOLDEN = {
     ("test", "demo-leverage", "--m", "20"): {
         "stdout": "80762e7f5d68e7db644ed4ba29f808be305c4a03de91385aa571605d9c52ac4e",
     },
-    # verify's randomized instances: instance k of a family (attempt a of
-    # leverage-envelope pair k) fills a fixed-width row of uniforms and then
-    # one of normals from the stream keyed (label, k) (or (k, a)), and its
-    # shape, fields and branches are decoded from those rows.  Each instance
-    # still replays alone from its own stream, and each family keeps its law;
-    # metric_identity counts instances whose d(P, P) passes the slack.
+    # verify's randomized instances: a family is keyed once, by
+    # derive_seed(seed, label), and instance k (attempt a of leverage-envelope
+    # pair k) is the row of uniforms at Philox counter [k * stride, a, 0, 0]:
+    # its uniforms first, then Box-Muller pairs for its normals.  Its shape,
+    # fields and branches are decoded from that row, so each instance still
+    # replays alone, in O(1), and each family keeps its law (Gaussian up to
+    # Box-Muller's |z| <= 8.57).  metric_sandwich and metric_triangle report
+    # the largest excess lhs - rhs of their own inequalities.
     ("verify", "--instances", "200", "--seed", "0", "--out", "<out>"): {
-        "stdout": "991f679aeb0c101313665ea013cd1892c33e895e16fada6f25252012f831e2b6",
-        "-bounds.csv": "8a2f4ef1718f58f38e0c6f04751627901f56e95505dcae248f9b34f4153e1324",
-        "-invariances.csv": "e6c8f035c61691cf0b019789a1c5f84d294abcc697df5ea897f6e394a6ff112d",
+        "stdout": "e2187f4679abacba5d2008ae75d43379aa3ee6b5504a9d7d7eb344eb7bae5249",
+        "-bounds.csv": "683adbac8c403f1936ed9f68b5fee9ae3c65dead42ae8d47357f548065f94d4c",
+        "-invariances.csv": "67646a9e741a5c7ead2512f909ffec8177aed9bde31865e21dc7518bc714e99f",
         "-taylor-leverage.csv": "bbed8789b5fc445fdb8ecabb5b21c7924949786ce6809b8a6715d794db22cabb",
         "-taylor-softmax.csv": "ba70c4ca9231db2402988357ca5f12228fe40504cbb440987b56533b90051cb6",
     },
     # Two 1,024-instance blocks, so the second block's keys and groups are pinned too.
     ("verify", "--instances", "1100", "--seed", "1", "--out", "<out>"): {
-        "stdout": "a1c36a0d575f879d615988d1f7eaafb7bff99b66c00e5ce7c43cf90940507922",
-        "-bounds.csv": "e687c8fbd4b34c031b4bfad19cd1d01517e7ad20a46221c2d5a5ac56fbe3477a",
-        "-invariances.csv": "4da9ec6d0301799d0a78e8a074f267d94dd2d7c293962d6f33c28e1d60dd74fb",
+        "stdout": "5e7e3fc195d9c44f2e97ed244e12851b444efe5b9ed04873c6d0d2adc7a42db5",
+        "-bounds.csv": "ebaa2972a2833564c0f8426d19265cc727ff76544376e80321cecc316ec08a28",
+        "-invariances.csv": "7aacc2219287dd17aa4a7d231a43dd313ff287ecb336067d78bee22b7880f279",
         "-taylor-leverage.csv": "65a153c6bf0c0893d0deb9ebc7b359335fa71df792055db377984f12945497f9",
         "-taylor-softmax.csv": "32e1873ff5724787309e2d0b299a38fc7b39b7239643bb1265a5e6de3acb952c",
     },

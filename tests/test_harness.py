@@ -675,21 +675,46 @@ def test_invariance_suite_clean():
 #
 # The suites fill a block of instances, then decode and evaluate each group
 # of equal shape as one stack.  The references below read one instance at a
-# time from its own generator (per attempt for the leverage envelope), with
-# one generator call per field and a shape decoded by scalar arithmetic, and
-# evaluate it with one softmax_pmf, leverage_pmf, row_gram_gap or
-# DiscreteDistribution per model, in instance order.  numpy fills
-# random(a + b) and standard_normal(a + b) with bitwise the values of two
-# calls of sizes a and b, so the fields equal the suites' decoded prefixes.
+# time from its own generator: a Philox keyed derive_seed(seed, label) whose
+# counter starts at the instance's row, [k * stride, attempt, 0, 0], built
+# here and not by rng.uniform_rows.  They make one generator call per field,
+# turn uniforms into normals by their own Box-Muller, decode a shape by
+# scalar arithmetic, and evaluate an instance with one softmax_pmf,
+# leverage_pmf, row_gram_gap or DiscreteDistribution per model, in instance
+# order.  numpy fills random(a + b) with bitwise the values of two calls of
+# sizes a and b, so the fields equal the suites' decoded prefixes.
+
+
+def _ref_box_muller(u):
+    """Normals 2p and 2p + 1 from uniforms 2p and 2p + 1 along the last axis:
+    r cos t and r sin t, with r = sqrt(-2 log(1 - u_2p)), t = 2 pi u_2p+1."""
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
+    t = 2.0 * np.pi * u[..., 1::2]
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(u.shape)
+
+
+def _ref_stream(seed, label, k, family, attempt=0):
+    """Instance k's own generator (attempt ``attempt``'s for the leverage
+    envelope): its row holds the family's wu uniforms and a pair per two of
+    its wn normals, padded to whole Philox blocks of 4 uniforms."""
+    wu, wn = family[:2]
+    stride = -(-(wu + wn + wn % 2) // 4)
+    counter = [k * stride, attempt, 0, 0]
+    return np.random.Generator(np.random.Philox(key=derive_seed(seed, label), counter=counter))
+
+
+def _ref_streams(seed, label, count, family):
+    return (_ref_stream(seed, label, k, family) for k in range(count))
 
 
 class _RefDraws:
-    """One instance's draws in the layout of a suite's fills: its uniform
+    """One instance's draws in the layout of its counter row: its uniform
     fields first, each from its own call, then the unused rest of its
-    ``wu`` uniforms, then its normal fields, each from its own call."""
+    ``wu`` uniforms, then its normal fields, each from the Box-Muller pairs
+    it needs beyond the normal a previous field left over."""
 
     def __init__(self, g, wu):
-        self.g, self.left = g, wu
+        self.g, self.left, self.spare = g, wu, np.empty(0)
 
     def uniforms(self, shape):
         self.left -= math.prod(np.atleast_1d(shape))
@@ -705,16 +730,16 @@ class _RefDraws:
     def normals(self, shape):
         self.g.random(self.left)
         self.left = 0
-        return self.g.standard_normal(shape)
+        m = math.prod(np.atleast_1d(shape))
+        need = max(m - len(self.spare), 0)
+        z = np.concatenate([self.spare, _ref_box_muller(self.g.random(need + need % 2))])
+        self.spare = z[m:]
+        return z[:m].reshape(shape)
 
 
 def _ref_softmax_pair(A, B, x):
     P, Q = softmax_pmf(A, x), softmax_pmf(B, x)
     return hellinger_sq(P, Q), tv(P, Q)
-
-
-def _ref_streams(seed, label, count):
-    return (generator(derive_seed(seed, label, k)) for k in range(count))
 
 
 def _ref_gap_draw(g):
@@ -727,7 +752,7 @@ def _ref_gap_draw(g):
 
 def _ref_logit_pair_rows(seed, count):
     rows = []
-    for k, g in enumerate(_ref_streams(seed, "gap", count)):
+    for k, g in enumerate(_ref_streams(seed, "gap", count, harness._GAP)):
         z, u, eps = _ref_gap_draw(g)
         a = 2.0 * z
         mask = u < 0.5
@@ -741,7 +766,7 @@ def _ref_logit_pair_rows(seed, count):
 
 def _ref_chain_rows(seed, count):
     rows = []
-    for k, g in enumerate(_ref_streams(seed, "chain", count)):
+    for k, g in enumerate(_ref_streams(seed, "chain", count, harness._GAP)):
         z, u, eps = _ref_gap_draw(g)
         a = 2.0 * z
         b = a + eps * (2.0 * u - 1.0)
@@ -765,7 +790,7 @@ def _ref_envelope_draw(g):
 
 def _ref_softmax_envelope_rows(seed, count):
     rows = []
-    for k, g in enumerate(_ref_streams(seed, "softmax-env", count)):
+    for k, g in enumerate(_ref_streams(seed, "softmax-env", count, harness._ENVELOPE)):
         drawn = _ref_envelope_draw(g)
         if drawn is None:
             continue
@@ -791,7 +816,7 @@ def _ref_attempt_draw(g):
 def _ref_attempt(seed, k, attempt, box=BoxConstraint(0.5, 2.0)):
     """A, B, ratio and R of attempt (k, attempt) of the leverage envelope,
     or the test it fails: 'conditioning' or 'gamma'."""
-    A, G, target, R = _ref_attempt_draw(generator(derive_seed(seed, "lev-env", k, attempt)))
+    A, G, target, R = _ref_attempt_draw(_ref_stream(seed, "lev-env", k, harness._ATTEMPT, attempt))
     delta = min_eigenvalue(gram(A))
     if delta < 0.05:
         return "conditioning"
@@ -976,14 +1001,19 @@ def _ref_distributions(g):
 
 def _ref_metric_axioms(seed, count):
     sandwich_viol = triangle_viol = sym_viol = ident_viol = 0
+    sandwich_dev = triangle_dev = -math.inf
     ident_dev = 0.0
     slack = 1e-12
-    for g in _ref_streams(seed, "metric", count):
+    for g in _ref_streams(seed, "metric", count, harness._METRIC):
         P, Q, R = _ref_distributions(g)
         h2_pq, tv_pq = hellinger_sq(P, Q), tv(P, Q)
         h2_qp, tv_qp = hellinger_sq(Q, P), tv(Q, P)
         h2_pr, tv_pr = hellinger_sq(P, R), tv(P, R)
         h2_qr, tv_qr = hellinger_sq(Q, R), tv(Q, R)
+        sandwich_dev = max(sandwich_dev, h2_pq - tv_pq, tv_pq - math.sqrt(2.0 * h2_pq))
+        triangle_dev = max(
+            triangle_dev, tv_pr - (tv_pq + tv_qr), math.sqrt(h2_pr) - (math.sqrt(h2_pq) + math.sqrt(h2_qr))
+        )
         if not (h2_pq <= tv_pq + slack and tv_pq <= math.sqrt(2.0 * h2_pq) + slack):
             sandwich_viol += 1
         if tv_pq != tv_qp or h2_pq != h2_qp:
@@ -995,7 +1025,7 @@ def _ref_metric_axioms(seed, count):
             triangle_viol += 1
         if math.sqrt(h2_pr) > math.sqrt(h2_pq) + math.sqrt(h2_qr) + slack:
             triangle_viol += 1
-    return sandwich_viol, triangle_viol, sym_viol, ident_viol, ident_dev
+    return sandwich_viol, triangle_viol, sym_viol, ident_viol, sandwich_dev, triangle_dev, ident_dev
 
 
 def _bits(x):
@@ -1018,13 +1048,15 @@ def _assert_deviations_equal_reference(seed, count):
     rep = run_invariance_suite(count, seed)
     for name, label, _, family, deviation in harness._INVARIANCES:
         devs = [numbers[-1] for _, _, numbers in harness._evaluated(seed, label, count, family, deviation)]
-        reference = [_REF_DEVIATIONS[name](g) for g in _ref_streams(seed, label, count)]
+        reference = [_REF_DEVIATIONS[name](g) for g in _ref_streams(seed, label, count, family)]
         assert [_bits(v) for v in devs] == [_bits(v) for v in reference], (name, count)
         assert _bits(rep.by_name(name).max_deviation) == _bits(max(reference)), (name, count)
     metric = harness._metric_axioms(seed, count)
     reference = _ref_metric_axioms(seed, count)
     assert metric[:4] == reference[:4], count
-    assert _bits(metric[4]) == _bits(reference[4]), count
+    assert [_bits(v) for v in metric[4:]] == [_bits(v) for v in reference[4:]], count
+    reported = [rep.by_name(f"metric_{name}").max_deviation for name in ("sandwich", "triangle", "identity")]
+    assert [_bits(v) for v in reported] == [_bits(v) for v in reference[4:]], count
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -1065,17 +1097,18 @@ def test_evaluated_skips_each_instance_whose_draw_is_none():
         return S
 
     def draw(U, Z, idx, n):
-        return Z[idx, :n], U[idx, 1]
+        return Z(idx, n), U[idx, 1]
 
     def evaluate(z, c):
         return (z[:, 0] * c,)
 
-    got = harness._evaluated(seed, label, count, (2, 3, shape, draw), evaluate)
+    family = (2, 3, shape, draw)
+    got = harness._evaluated(seed, label, count, family, evaluate)
     assert next(starts, None) is None
     assert [k for k, _, _ in got] == [k for k in range(count) if k not in skipped]
     for k, (n,), (c, value) in got:
-        g = generator(derive_seed(seed, label, k))
-        u, z = g.random(2), g.standard_normal(3)
+        g = _ref_stream(seed, label, k, family)
+        u, z = g.random(2), _ref_box_muller(g.random(4))
         assert n == 1 + min(int(3 * u[0]), 2), k
         assert (_bits(c), _bits(value)) == (_bits(u[1]), _bits(z[0] * u[1])), k
 
@@ -1096,25 +1129,24 @@ def test_normalization_deviation_ignores_a_rank_deficient_leverage_model():
 def _masked_draws(seed, k):
     """The distributions of metric instance k, in order, whose coins all
     fell below 0.15, so that its keep uniform picks the outcome to keep."""
-    g = generator(derive_seed(seed, "metric", k))
-    u = g.random(70)
+    u = _ref_stream(seed, "metric", k, harness._METRIC).random(70)
     n = 2 + min(int(10 * u[0]), 9)
     coins = u[1 : 1 + 6 * n].reshape(3, 2, n)[:, 1]
     return [name for name, c in zip("PQR", coins) if (c < 0.15).all()]
 
 
 def test_metric_instance_whose_coins_all_mask_draws_the_index_to_keep():
-    # At seed 0, instance 394's coins of P all fall below 0.15, so the
+    # At seed 0, instance 148's coins of Q all fall below 0.15, so the
     # outcome its keep uniform picks stays.  Every instance's ten distances,
     # evaluated as one stack with the others, equal the
     # one-distribution-at-a-time reference bitwise.
-    seed, count = 0, 395
-    assert [k for k in range(count) if _masked_draws(seed, k)] == [122, 318, 394]
-    assert _masked_draws(seed, count - 1) == ["P"]
+    seed, count = 0, 149
+    assert [k for k in range(count) if _masked_draws(seed, k)] == [77, 113, 148]
+    assert _masked_draws(seed, count - 1) == ["Q"]
     got = {}
     for idx, _, _, distances in harness._grouped(seed, "metric", count, harness._METRIC, harness._metric_distances):
         got.update(zip(idx.tolist(), zip(*(d.tolist() for d in distances))))
-    for k, g in enumerate(_ref_streams(seed, "metric", count)):
+    for k, g in enumerate(_ref_streams(seed, "metric", count, harness._METRIC)):
         P, Q, R = _ref_distributions(g)
         pairs = ((P, Q), (Q, P), (P, P), (P, R), (Q, R))
         want = [hellinger_sq(a, b) for a, b in pairs] + [tv(a, b) for a, b in pairs]
@@ -1124,7 +1156,7 @@ def test_metric_instance_whose_coins_all_mask_draws_the_index_to_keep():
 
 def test_right_invariance_stacks_a_group_with_one_column():
     # d = 1 takes a spectrum of ones, not exp(linspace * log kappa).  At
-    # seed 1 the first 50 instances hold four groups of shape (n, 1) with
+    # seed 1 the first 50 instances hold six groups of shape (n, 1) with
     # two or more instances each; each group, as one stack, gives the
     # reference.
     seed, count = 1, 50
@@ -1134,20 +1166,20 @@ def test_right_invariance_stacks_a_group_with_one_column():
         for idx, (_, d), _, (devs,) in harness._grouped(seed, label, count, family, deviation)
         if d == 1 and len(idx) > 1
     ]
-    assert len(groups) == 4
+    assert len(groups) == 6
     for idx, devs in groups:
-        reference = [_ref_right_deviation(generator(derive_seed(seed, label, k))) for k in idx.tolist()]
+        reference = [_ref_right_deviation(_ref_stream(seed, label, k, family)) for k in idx.tolist()]
         assert [_bits(v) for v in devs.tolist()] == [_bits(v) for v in reference]
 
 
 def test_leverage_envelope_redraws_a_missed_gamma_search_at_the_next_attempt():
-    # At seed 2, pair 76's first gamma search lands outside (0, 0.1], so the
+    # At seed 4, pair 63's first gamma search lands outside (0, 0.1], so the
     # pair is redrawn at its next attempt in a later round; every row still
     # equals the loop's.
     rejected = []
-    reference = _ref_leverage_envelope_rows(2, 150, rejected=rejected)
-    assert [(k, attempt) for k, attempt, reason in rejected if reason == "gamma"] == [(76, 0)]
-    rows = harness._leverage_envelope_rows(2, 150)
+    reference = _ref_leverage_envelope_rows(4, 150, rejected=rejected)
+    assert [(k, attempt) for k, attempt, reason in rejected if reason == "gamma"] == [(63, 0)]
+    rows = harness._leverage_envelope_rows(4, 150)
     assert [_row_key(r) for r in rows] == [_row_key(r) for r in reference]
 
 
@@ -1240,7 +1272,7 @@ def test_merged_draws_equal_one_generator_call_per_array(label, draw, reference)
     # 30 ms per family.
     for seed in (0, 5):
         got = _decoded(seed, label, 600, draw)
-        for k, g in enumerate(_ref_streams(seed, label, 600)):
+        for k, g in enumerate(_ref_streams(seed, label, 600, _FAMILIES[draw])):
             assert _field_bits(got.get(k)) == _field_bits(reference(g)), k
 
 
@@ -1250,10 +1282,10 @@ def test_random_distribution_draw_equals_two_calls_including_the_all_masked_bran
     # masked with probability 0.15^2, so at n = 2 the 600 streams take the
     # keep branch about 40 times.  About 60 ms.
     for n in (2, 3, 11):
-        U = np.array([g.random(70) for g in _ref_streams(0, f"distribution-{n}", 600)])
+        U = np.array([g.random(70) for g in _ref_streams(0, f"distribution-{n}", 600, harness._METRIC)])
         weights, masked = harness._metric_draw(U, None, np.arange(600), n)
         kept = 0
-        for k, g in enumerate(_ref_streams(0, f"distribution-{n}", 600)):
+        for k, g in enumerate(_ref_streams(0, f"distribution-{n}", 600, harness._METRIC)):
             r = _RefDraws(g, 70)
             r.uniform()  # n's
             ref_weights, ref_masked = _ref_metric_fields(r, n)
@@ -1316,17 +1348,20 @@ def test_array_gamma_search_equals_the_per_pair_loop():
 # ---------------------------------------------------------------------------
 
 
-def _fill(g, family):
-    """A one-row fill of ``family`` from generator g: its U and Z."""
-    wu, wn, *_ = family
-    return g.random((1, wu)), g.standard_normal((1, wn))
+def _alone_row(seed, label, k, family, attempt=0):
+    """Instance k's row (attempt's, for the leverage envelope) filled alone
+    from its own generator, as the suites' U and Z: U holds its wu
+    uniforms, and Z(idx, m) the first m normals of the rows idx."""
+    wu, wn = family[:2]
+    V = _ref_stream(seed, label, k, family, attempt).random((1, wu + wn + wn % 2))
+    return V[:, :wu], lambda idx, m: _ref_box_muller(V[idx, wu : wu + m + m % 2])[:, :m]
 
 
 def _alone(seed, label, k, family, evaluate):
-    """Instance k decoded and evaluated alone, from a one-row fill of its
-    own generator: its shape, fields and values."""
+    """Instance k decoded and evaluated alone, from its row filled alone:
+    its shape, fields and values."""
     _, _, shape, draw = family
-    U, Z = _fill(generator(derive_seed(seed, label, k)), family)
+    U, Z = _alone_row(seed, label, k, family)
     s = tuple(shape(U, Z)[0].tolist())
     fields = draw(U, Z, np.zeros(1, dtype=np.intp), *s)
     return s, fields, evaluate(*fields)
@@ -1359,16 +1394,18 @@ def test_each_instance_replays_alone_bitwise(label, family, evaluate):
 
 def test_each_leverage_envelope_attempt_replays_alone_bitwise():
     # Each index's accepted attempt (k, attempt), found by replaying its
-    # attempts alone, fills bitwise the rows the 1,100-instance run kept for
-    # it, and alone gives its gamma, ratio and row.  About 0.5 s.
+    # attempts alone, fills bitwise the row the 1,100-instance run kept for
+    # it, and alone gives its gamma, ratio and row; some indices are
+    # accepted only at a later attempt.  About 0.5 s.
     seed, count = 4, 1100
-    _, _, shape, draw = harness._ATTEMPT
+    _, wn, shape, draw = harness._ATTEMPT
     rows = harness._leverage_envelope_rows(seed, count)
+    redrawn = 0
     for block in harness._blocks(count):
         U, Z, gamma, ratio = harness._leverage_envelope_pairs(seed, block)
         for i, k in enumerate(block):
             for attempt in range(50):
-                U1, Z1 = _fill(generator(derive_seed(seed, "lev-env", k, attempt)), harness._ATTEMPT)
+                U1, Z1 = _alone_row(seed, "lev-env", k, harness._ATTEMPT, attempt)
                 n, d = shape(U1, Z1)[0].tolist()
                 A, G, target, R = draw(U1, Z1, np.zeros(1, dtype=np.intp), n, d)
                 delta = harness._conditioning(A)
@@ -1376,12 +1413,14 @@ def test_each_leverage_envelope_attempt_replays_alone_bitwise():
                     gamma1, ratio1 = harness._gamma_search(A, G, delta, target)
                     if 0.0 < ratio1[0] <= 0.1:
                         break
-            assert (U1.tobytes(), Z1.tobytes()) == (U[i].tobytes(), Z[i].tobytes()), k
+            redrawn += attempt > 0
+            assert (U1.tobytes(), Z1([0], wn).tobytes()) == (U[i].tobytes(), Z([i], wn).tobytes()), k
             assert (_bits(gamma1[0]), _bits(ratio1[0])) == (_bits(gamma[i]), _bits(ratio[i])), k
             (worst,) = harness._worst_tv(A, G, gamma1, R)
             r = ratio1[0].item()
             row = BoundReport("leverage_tv_envelope", {"n": n, "d": d, "ratio": r, "seed": k}, 4.0 * r, worst.item())
             assert _row_key(rows[k]) == _row_key(row), k
+    assert redrawn > 5
 
 
 _TOP = 1.0 - 2.0**-53  # the largest uniform numpy draws
@@ -1404,17 +1443,18 @@ def test_shape_decoders_map_the_ends_of_the_unit_interval_to_the_ends_of_their_r
     assert int(9.0 * _TOP) == 8  # (1 - 2^-53) s rounds below s for every integer span s < 2^53
     for lo, hi in ((0, 2), (2, 11), (1, 6), (3, 12)):
         assert harness._uniform_int(np.array([0.0, _TOP]), lo, hi).tolist() == [lo, hi - 1]
-    for label, (wu, wn, shape, _), shapes in _SHAPES:
+    for label, (wu, _, shape, _), shapes in _SHAPES:
         U = np.array([[0.0] * wu, [_TOP] * wu])
-        assert [tuple(s) for s in shape(U, np.ones((2, wn))).tolist()] == [min(shapes), max(shapes)], label
+        Z = lambda idx, m: np.ones((2, m))[idx]  # noqa: E731
+        assert [tuple(s) for s in shape(U, Z).tolist()] == [min(shapes), max(shapes)], label
 
 
 def test_every_shape_of_each_family_appears_in_a_thousand_instances():
     # At seed 0; the leverage envelope's shapes are those of first attempts.
     for label, family, shapes in _SHAPES:
         if family is harness._ATTEMPT:
-            fills = [_fill(generator(derive_seed(0, label, k, 0)), family) for k in range(1000)]
-            seen = set(map(tuple, family[2](np.vstack([U for U, _ in fills]), None).tolist()))
+            U = np.vstack([_alone_row(0, label, k, family)[0] for k in range(1000)])
+            seen = set(map(tuple, family[2](U, None).tolist()))
         else:
             seen = {s for _, s, _, _ in harness._grouped(0, label, 1000, family, lambda *fields: ())}
         assert seen == shapes, label

@@ -3,11 +3,12 @@ the public ``__all__`` lists each name once, every one of them real, and
 every exception class in ``errors`` is named by another module.  Also the
 family rule: only ``model.py``, the family table, compares against a family;
 the sampling rule: only ``distributions.py``, whose ``_inverse_cdf``
-every sampler shares, calls ``searchsorted``; and the instance rules: in
-``harness.py`` only ``_grouped`` keys instance streams with
-``derive_seeds``, nothing calls ``integers``, and only ``_grouped`` and
-the leverage envelope's attempt loop draw, each instance one ``random`` and
-one ``standard_normal`` fill.
+every sampler shares, calls ``searchsorted``; and the instance rules:
+``harness.py`` calls no ``derive_seeds``, ``Stream``, ``generators``,
+``integers`` or ``random``, only ``gaussian_instance`` calls
+``standard_normal``, only ``_grouped`` and the leverage envelope's attempt
+loop fill counter rows, and only ``rng``'s counter fill builds a Philox at
+a counter.
 
 Parses each ``src/softlev/*.py`` with ``ast``, well under 0.1 s.  The
 start-up guard and the sweep guard each run one fresh interpreter, about
@@ -109,23 +110,49 @@ def _harness_tree():
     return ast.parse((Path(softlev.__file__).parent / "harness.py").read_text(encoding="utf-8"))
 
 
-def test_only_grouped_keys_the_harness_instance_streams():
+def test_only_grouped_and_the_envelope_attempts_fill_counter_rows():
     # a randomized family reads its instances through harness._grouped,
     # per shape group or per instance (_evaluated sits on it), so that none
-    # brings back its own loop over blocks of streams
-    assert list(_callers(_harness_tree(), "derive_seeds")) == ["_grouped"]
+    # brings back its own loop over blocks of rows
+    assert sorted(set(_callers(_harness_tree(), "uniform_rows"))) == ["_grouped", "_leverage_envelope_pairs"]
 
 
-def test_verify_instances_draw_only_their_two_fills():
-    # Each verify instance (and each leverage-envelope attempt) takes one
-    # row of uniforms and one of normals from its stream, and decodes its
-    # shape, fields and branches from them; gaussian_instance draws a model
-    # spec, not a verify instance.
+def test_harness_keys_and_draws_no_stream_of_its_own():
+    # Each verify instance (and each leverage-envelope attempt) is one
+    # counter row of its family's key, and decodes its shape, fields and
+    # branches from it: no per-instance seeds, re-keyed streams or draws.
     tree = _harness_tree()
-    fills = ["_grouped", "_leverage_envelope_pairs"]
-    assert list(_callers(tree, "integers")) == []
-    assert list(_callers(tree, "random")) == fills
-    assert [name for name in _callers(tree, "standard_normal") if name != "gaussian_instance"] == fills
+    for name in ("derive_seeds", "Stream", "generators", "integers", "random"):
+        assert list(_callers(tree, name)) == [], name
+
+
+def test_only_gaussian_instance_draws_normals_in_the_harness():
+    # verify instances take Box-Muller normals from their counter rows;
+    # gaussian_instance draws a model spec, not a verify instance
+    assert set(_callers(_harness_tree(), "standard_normal")) == {"gaussian_instance"}
+
+
+def _philox_builds(node, where="<module>"):
+    """(innermost function, whether it sets ``counter``) of each Philox
+    construction under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _called_name(child) == "Philox":
+            yield where, any(kw.arg == "counter" for kw in child.keywords)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _philox_builds(child, inner)
+
+
+def test_only_the_counter_fill_builds_a_philox_at_a_counter():
+    # generator and Stream key theirs at counter 0; an instance's row is
+    # addressed through rng.uniform_rows alone
+    builds = []
+    for path in _MODULES:
+        builds += [(path.name, *build) for build in _philox_builds(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sorted(builds) == [
+        ("rng.py", "__init__", False),
+        ("rng.py", "generator", False),
+        ("rng.py", "uniform_rows", True),
+    ]
 
 
 def test_public_names_are_listed_once_and_resolve():

@@ -1,12 +1,14 @@
-"""Seed derivation and the re-keyed Philox streams."""
+"""Seed derivation, the re-keyed Philox streams, counter rows and the
+Box-Muller normals."""
 
+import math
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from softlev.rng import Stream, derive_seed, derive_seeds, generator, generators
+from softlev.rng import Stream, box_muller, derive_seed, derive_seeds, generator, generators, uniform_rows
 
 # ---------------------------------------------------------------------------
 # derive_seed: the cross-platform contract
@@ -239,3 +241,66 @@ def test_threads_with_their_own_generators_reproduce_generator_streams():
     assert sorted(results) == [0, 1, 2, 3]
     for out in results.values():
         assert out == expected
+
+
+# ---------------------------------------------------------------------------
+# counter rows and the normal transform
+# ---------------------------------------------------------------------------
+
+_TOP = 1.0 - 2.0**-53  # the largest uniform numpy draws
+
+
+def _philox_row(key, k, width, word=0):
+    """Row k of ``width`` uniforms (a multiple of 4) from its own Philox."""
+    bitgen = np.random.Philox(key=key, counter=[k * (width // 4), word, 0, 0])
+    return np.random.Generator(bitgen).random(width)
+
+
+def test_uniform_rows_fill_each_row_as_its_own_philox():
+    # runs of consecutive rows (one fill each) and lone rows, at two words
+    key = derive_seed(3, "rows")
+    rows = [0, 1, 2, 7, 8, 40, 2**40]
+    for width, word in ((4, 0), (12, 0), (112, 3)):
+        got = uniform_rows(key, rows, width, word)
+        assert got.shape == (len(rows), width)
+        for row, k in zip(got, rows):
+            assert row.tobytes() == _philox_row(key, k, width, word).tobytes(), (width, word, k)
+
+
+def test_a_block_of_rows_is_one_philox_fill_of_its_width_rounded_up():
+    key = derive_seed(3, "rows")
+    block = np.random.Generator(np.random.Philox(key=key, counter=[5 * 3, 0, 0, 0])).random((4, 12))
+    assert uniform_rows(key, range(5, 9), 12).tobytes() == block.tobytes()
+    assert uniform_rows(key, np.arange(5, 9), 9).tobytes() == block.tobytes()
+    assert not np.array_equal(uniform_rows(key, [5], 12, 1), block[:1])
+
+
+def test_box_muller_computes_each_pair_alone():
+    # The first m normals of a row, computed alone (m odd takes its pair's
+    # second normal and drops it), equal bitwise the prefix of the full
+    # transform, for one row and for a stack.
+    U = uniform_rows(derive_seed(4, "pairs"), range(64), 108)
+    full = box_muller(U)
+    for m in range(1, 109):
+        part = box_muller(U[:, : m + m % 2])[:, :m]
+        assert part.tobytes() == np.ascontiguousarray(full[:, :m]).tobytes(), m
+        assert box_muller(U[7, : m + m % 2])[:m].tobytes() == full[7, :m].tobytes(), m
+
+
+def test_box_muller_is_finite_at_the_ends_of_the_unit_interval():
+    u = np.array([0.0, 0.0, 0.0, _TOP, _TOP, 0.0, _TOP, 0.25, _TOP, _TOP])
+    z = box_muller(u)
+    assert np.isfinite(z).all()
+    assert (z[:4] == 0.0).all()  # r = 0 where u_2p = 0
+    largest = math.sqrt(-2.0 * math.log(2.0**-53))  # about 8.57
+    assert abs(z[4]) == pytest.approx(largest, rel=1e-12)
+    assert np.abs(z).max() <= largest * (1.0 + 1e-12)
+
+
+def test_box_muller_normals_have_mean_zero_and_variance_one():
+    # 2^17 normals at a fixed key; the band was fixed once, about 5 standard
+    # errors wide (1 / 362 for the mean, sqrt(2) / 362 for the variance).
+    z = box_muller(uniform_rows(derive_seed(0, "normal-band"), range(2**15), 4)).ravel()
+    assert z.size == 2**17
+    assert abs(z.mean()) <= 0.014
+    assert abs(z.var() - 1.0) <= 0.02
