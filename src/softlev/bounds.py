@@ -38,23 +38,20 @@ def lemma_tv_bound(eps: float) -> float:
     return math.tanh(eps / 4.0)
 
 
-def extremal_pair(n: int, m: int, eps: float, t: float = 1.0):
+def extremal_pair(n: int, m: int, eps: float):
     """Logit vectors (a, b) whose softmax laws attain both gap bounds exactly.
 
-    The first ``m`` coordinates carry total unnormalized mass t e^{-eps/2}
-    under a, the remaining n - m carry total mass t; b raises the first m
-    logits by eps.  Both distances are invariant in t (it cancels in the
-    softmax), which makes the free parameter a cheap consistency probe.
+    The first ``m`` coordinates carry total unnormalized mass e^{-eps/2}
+    under a, the remaining n - m carry total mass 1; b raises the first m
+    logits by eps.
     """
     if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer)) and 1 <= m < n):
         raise DomainError(f"need integers 1 <= m < n, got m={m!r}, n={n!r}")
     if not (eps > 0 and math.isfinite(eps)):
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError(f"t must be positive and finite, got {t!r}")
     a = np.empty(n)
-    a[:m] = math.log(t) - eps / 2.0 - math.log(m)
-    a[m:] = math.log(t) - math.log(n - m)
+    a[:m] = 0.0 - eps / 2.0 - math.log(m)  # 0.0 - x: a zero logit is +0.0
+    a[m:] = 0.0 - math.log(n - m)
     b = a.copy()
     b[:m] += eps
     return a, b

@@ -69,6 +69,10 @@ def _cmd_pmf(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    other_mode = (args.spec, args.query) if args.lemma_a1 else (args.eps, args.n, args.m)
+    if any(opt is not None for opt in other_mode):
+        print("error: distance takes a spec with --query, or --lemma-a1 with --eps, --n and --m", file=sys.stderr)
+        return 2
     if args.lemma_a1:
         if args.eps is None or args.n is None or args.m is None:
             print("error: --lemma-a1 needs --eps, --n, and --m", file=sys.stderr)
@@ -138,7 +142,7 @@ def _cmd_sweep(args) -> int:
         model=model,
         eps_grid=args.grid,
         trials=args.trials,
-        opt=OptimizerConfig(restarts=args.restarts),
+        restarts=args.restarts,
         seed=args.seed if args.seed is not None else model.seed,
         threads=args.threads,
         out_path=args.out,

@@ -14,19 +14,23 @@ run, one per grid point, on ``threads`` threads; they may finish in any
 order, but rows are buffered and written in grid order.
 
 The randomized bound and invariance suites run in lockstep, a fixed block
-of instances at a time.  Instance k of a family is the row of uniforms at
-Philox counter row k of the family's key (``rng.uniform_rows``): its U,
-then Box-Muller pairs for the normals that its shape group reads.  Shapes,
-fields and branches are decoded by array operations: a shape is lo +
-floor(span u), a field a prefix, a branch a mask.  ``_grouped`` evaluates
-each group of equal shape as one stack; the kernels work along the last
-axes, so every instance's values are bitwise those it has alone.
+of instances at a time, through one driver, ``_grouped``.  Instance k of a
+family is the row of uniforms at Philox counter row k, counter word w, of
+the family's key (``rng.uniform_rows``): its U, then Box-Muller pairs for
+the normals that its shape group reads.  The word is 0, except for the
+leverage envelope, whose attempt a is word a: each round is one pass over
+the pending pairs at the next word, and a last pass reads every pair at its
+accepted word.  Shapes, fields and branches are decoded by array
+operations: a shape is lo + floor(span u), a field a prefix, a branch a
+mask.  ``_grouped`` evaluates each group of equal shape as one stack; the
+kernels work along the last axes, so every instance's values are bitwise
+those it has alone.
 """
 
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -38,9 +42,9 @@ from .bounds import BoundReport, extremal_pair, lemma_h2_bound, lemma_tv_bound
 from .distributions import normalize_probs, sandwich_holds
 from .errors import InputFormatError
 from .hypotest import estimate_sample_complexity
-from .leverage import BoxConstraint, leverage_pmfs
+from .leverage import leverage_pmfs
 from .model import FAMILIES, ModelSpec, TaylorReport, get_family
-from .numerics import as_matrix
+from .numerics import as_matrix, gram
 from .optimize import OptimizerConfig
 from .rng import box_muller, derive_seed, generator, uniform_rows
 from .softmax import EnergyConstraint, softmax_pmfs
@@ -123,13 +127,14 @@ def gaussian_instance(family, n, d, seed=0) -> ModelSpec:
     return ModelSpec(family, A, None, M, get_family(family).default_constraint(), seed)
 
 
-def low_mass_row_instance(n, d=2, energy=1.0) -> ModelSpec:
-    """Zero logits perturbed in a single row: the n-dependent construction
-    whose optimal-query H^2 decays like 1/n despite a unit row gap."""
-    A = np.zeros((n, d))
-    M = np.zeros((n, d))
+def low_mass_row_instance(n) -> ModelSpec:
+    """Zero logits in two columns perturbed in a single row, under the unit
+    energy limit: the n-dependent construction whose optimal-query H^2
+    decays like 1/n despite a unit row gap."""
+    A = np.zeros((n, 2))
+    M = np.zeros((n, 2))
     M[0, 0] = 1.0
-    return ModelSpec("softmax", A, None, M, EnergyConstraint(energy), 0)
+    return ModelSpec("softmax", A, None, M, EnergyConstraint(1.0), 0)
 
 
 def padded_identity_instance(n, d) -> ModelSpec:
@@ -155,7 +160,7 @@ class ExperimentSpec:
     model: ModelSpec
     eps_grid: tuple = (0.2, 0.1, 0.05)
     trials: int = 400
-    opt: OptimizerConfig = OptimizerConfig()
+    restarts: int = 32  # of each ascent, whose seed derives from ``seed``
     seed: int = 0
     threads: int = 1
     out_path: str | None = None
@@ -168,10 +173,8 @@ class ExperimentSpec:
             raise ValueError(f"eps grid must be non-empty with positive finite entries, got {grid}")
         if any(a <= b for a, b in zip(grid, grid[1:])):
             raise ValueError(f"eps grid must be strictly decreasing, got {grid}")
-        if self.trials < 1 or self.threads < 1:
-            raise ValueError("trials and threads must be at least 1")
-        if self.opt.seed != 0:  # every ascent's seed derives from self.seed
-            raise ValueError(f"opt.seed must be 0, got {self.opt.seed}; set ExperimentSpec.seed instead")
+        if self.trials < 1 or self.restarts < 1 or self.threads < 1:
+            raise ValueError("trials, restarts and threads must be at least 1")
         object.__setattr__(self, "eps_grid", grid)
 
 
@@ -233,9 +236,9 @@ class SweepResult:
     nu: float
 
 
-def _sweep_nu(model: ModelSpec, opt: OptimizerConfig, seed: int) -> float:
-    with model.locating("nu"):
-        return model.max_variance(replace(opt, seed=derive_seed(seed, "nu"))).value
+def _sweep_nu(spec: ExperimentSpec) -> float:
+    with spec.model.locating("nu"):
+        return spec.model.max_variance(OptimizerConfig(spec.restarts, seed=derive_seed(spec.seed, "nu"))).value
 
 
 def _point_name(spec: ExperimentSpec, index: int) -> str:
@@ -271,7 +274,7 @@ def _sweep_optima(spec: ExperimentSpec) -> list:
     if points:
         seeds = [_point_seed(spec, i) for i, _ in points]
         found = get_family(model.family).max_hellinger_each(
-            model.A, [B for _, B in points], model.constraint, spec.opt, seeds
+            model.A, [B for _, B in points], model.constraint, OptimizerConfig(spec.restarts), seeds
         )
         for (i, _), optimum in zip(points, found):
             optima[i] = optimum
@@ -292,7 +295,7 @@ def sweep_point(spec: ExperimentSpec, index: int, nu: float, optimum=None) -> Sw
             raise optimum
         pair = _point_pair(spec, index)
         if optimum is None:
-            optimum = pair.max_hellinger(replace(spec.opt, seed=_point_seed(spec, index)))
+            optimum = pair.max_hellinger(OptimizerConfig(spec.restarts, seed=_point_seed(spec, index)))
     eps = spec.eps_grid[index]
     row_seed = derive_seed(spec.seed, "grid", index)
     found = estimate_sample_complexity(
@@ -353,7 +356,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     rows that completed are flushed to ``spec.out_path`` (when set) before
     the first error in grid order re-raises.
     """
-    nu = _sweep_nu(spec.model, spec.opt, spec.seed)
+    nu = _sweep_nu(spec)
     optima = _sweep_optima(spec)
     outcomes = _gather_grid(spec, lambda i: sweep_point(spec, i, nu, optima[i]))
     rows = [row for row in outcomes if isinstance(row, SweepRow)]
@@ -422,11 +425,6 @@ class BoundSuiteResult:
 _BLOCK = 1024
 
 
-def _blocks(count):
-    """range(count) as consecutive ranges of at most _BLOCK indices."""
-    return [range(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
-
-
 def _uniform_int(u, lo, hi):
     """The integer in [lo, hi) that each uniform u picks, lo + floor((hi -
     lo) u), clamped to hi - 1 so that no rounding can reach hi (for integer
@@ -451,20 +449,25 @@ def _split(V, wu):
     return V[:, :wu], lambda idx, m: box_muller(V[idx, wu : wu + m + m % 2])[:, :m]
 
 
-def _grouped(seed, label, count, family, evaluate):
-    """Per shape group of each block of ``_blocks(count)``: the indices,
-    shape, fields and ``evaluate``'s values (one array per value) of its
-    instances.  ``family`` is (wu, wn, shape, draw): instance k is counter
-    row k of derive_seed(seed, label), split by ``_split``; ``shape(U, Z)``
-    gives its shape columns (a 0 skips it) and ``draw(U, Z, idx, *shape)``
-    the fields of instances idx."""
+def _grouped(seed, label, rows, family, evaluate, word=0):
+    """Per shape group of each block of at most ``_BLOCK`` of the instance
+    indices ``rows`` (increasing ints): the indices, shape, fields and
+    ``evaluate``'s values (one array per value) of its instances.
+    ``family`` is (wu, wn, shape, draw): instance k is counter row k at
+    counter word ``word`` (one int, or one per row) of derive_seed(seed,
+    label), split by ``_split``; ``shape(U, Z)`` gives its shape columns (a
+    0 skips it) and ``draw(U, Z, idx, *shape)`` the fields of instances
+    idx."""
     wu, wn, shape, draw = family
     key = derive_seed(seed, label)
-    for block in _blocks(count):
-        U, Z = _split(uniform_rows(key, block, wu + wn + wn % 2), wu)
+    rows = np.asarray(rows, dtype=np.intp)
+    words = np.broadcast_to(word, rows.shape)
+    for lo in range(0, len(rows), _BLOCK):
+        block = rows[lo : lo + _BLOCK]
+        U, Z = _split(uniform_rows(key, block, wu + wn + wn % 2, words[lo : lo + _BLOCK]), wu)
         for idx, s in _shape_groups(shape(U, Z)):
             fields = draw(U, Z, idx, *s)
-            yield block.start + idx, s, fields, evaluate(*fields)
+            yield block[idx], s, fields, evaluate(*fields)
 
 
 def _evaluated(seed, label, count, family, evaluate):
@@ -472,7 +475,7 @@ def _evaluated(seed, label, count, family, evaluate):
     instance order: its shape, then its fields that hold one number per
     instance and its values, as Python scalars."""
     out = []
-    for idx, s, fields, results in _grouped(seed, label, count, family, evaluate):
+    for idx, s, fields, results in _grouped(seed, label, range(count), family, evaluate):
         numbers = [f.tolist() for f in fields if f.ndim == 1] + [r.tolist() for r in results]
         out += zip(idx.tolist(), repeat(s), zip(*numbers))
     out.sort(key=itemgetter(0))
@@ -588,7 +591,7 @@ def _softmax_envelope_rows(seed, count):
     return rows
 
 
-_SUITE_BOX = BoxConstraint(0.5, 2.0)  # the scale box of the leverage envelope and invariances
+_SUITE_BOX = get_family("leverage").default_constraint()  # the scale box of the leverage envelope and invariances
 _ENVELOPE_QUERIES = 10  # query scales drawn per leverage envelope pair
 
 
@@ -627,8 +630,7 @@ def _gamma_search(A, G, delta, target):
 def _conditioning(A):
     """lambda_min(A^T A) of each matrix in a ``(k, n, d)`` stack, bitwise
     equal to ``min_eigenvalue(gram(a))`` of each matrix alone."""
-    G = np.array([a.T @ a for a in A])  # one 2-D product each, as gram() takes it
-    return _kernels.min_eigenvalue(np.triu(G) + np.swapaxes(np.triu(G, 1), -1, -2))
+    return _kernels.min_eigenvalue(gram(A))
 
 
 def _tall_shape(U, Z, d_hi=5, n_hi=10):
@@ -649,31 +651,15 @@ def _attempt_draw(U, Z, idx, n, d):
 _ATTEMPT = (3 + _ENVELOPE_QUERIES * 8, 2 * 8 * 3, lambda U, Z: _tall_shape(U, Z, 4, 9), _attempt_draw)  # d <= 3, n <= 8
 
 
-def _leverage_envelope_pairs(seed, block):
-    """U, Z, gamma and gap ratio of each index k's accepted attempt: its
-    first attempt a, counter row k at counter word 1 = a, whose A is
-    well-conditioned (lambda_min(A^T A) >= 0.05) and whose gamma search puts
-    the ratio eps*C/(c*delta) of A and A + gamma G in (0, 0.1].  Round 0
-    fills the block; later rounds refill only the pending indices."""
-    wu, wn, shape, draw = _ATTEMPT
-    key = derive_seed(seed, "lev-env")
-    V = uniform_rows(key, block, wu + wn)  # wn is even
-    U, Z = _split(V, wu)
-    gamma, ratio, pending = np.empty(len(block)), np.empty(len(block)), np.arange(len(block))
-    for attempt in range(50):
-        if attempt:
-            V[pending] = uniform_rows(key, pending + block.start, wu + wn, attempt)
-        for idx, s in _shape_groups(shape(U[pending], None)):
-            idx = pending[idx]
-            A, G, target, _ = draw(U, Z, idx, *s)
-            delta = _conditioning(A)
-            ok = delta >= 0.05
-            ratio[idx] = math.nan  # a failed conditioning test
-            gamma[idx[ok]], ratio[idx[ok]] = _gamma_search(A[ok], G[ok], delta[ok], target[ok])
-        pending = pending[~((0.0 < ratio[pending]) & (ratio[pending] <= 0.1))]
-        if not pending.size:
-            return U, Z, gamma, ratio
-    raise RuntimeError(f"could not draw a well-conditioned leverage pair for index {block[pending[0]]}")
+def _attempt_gaps(A, G, target, R):
+    """gamma and gap ratio of each leverage-envelope attempt in a stack;
+    both are NaN where A fails the conditioning test lambda_min(A^T A) >=
+    0.05, and the gamma search of ``_gamma_search`` sets the rest."""
+    delta = _conditioning(A)
+    ok = delta >= 0.05
+    gamma, ratio = np.full(len(A), math.nan), np.full(len(A), math.nan)
+    gamma[ok], ratio[ok] = _gamma_search(A[ok], G[ok], delta[ok], target[ok])
+    return gamma, ratio
 
 
 def _worst_tv(A, G, gamma, R):
@@ -688,26 +674,35 @@ def _worst_tv(A, G, gamma, R):
 
 def _leverage_envelope_rows(seed, count):
     # TV <= 4 * eps C / (c delta) whenever eps C / (c delta) <= 0.1, with
-    # eps the row-gram gap and delta = lambda_min(A^T A).
-    rows = []
-    for block in _blocks(count):
-        U, Z, gamma, ratio = _leverage_envelope_pairs(seed, block)
-        shapes = _ATTEMPT[2](U, Z)
-        worst = np.empty(len(block))
-        for idx, s in _shape_groups(shapes):
-            A, G, _, R = _attempt_draw(U, Z, idx, *s)
-            worst[idx] = _worst_tv(A, G, gamma[idx], R)
-        for k, (n, d), r, tv_max in zip(block, shapes.tolist(), ratio.tolist(), worst.tolist()):
-            params = {"n": n, "d": d, "ratio": r, "seed": k}
-            rows.append(BoundReport("leverage_tv_envelope", params, 4.0 * r, tv_max))
+    # eps the row-gram gap and delta = lambda_min(A^T A).  Pair k's accepted
+    # attempt is its first attempt a (counter word a) whose ratio is in
+    # (0, 0.1]; each round tries the pending pairs' next attempt, and one
+    # last pass reads every pair at its accepted word for its TV.
+    gamma, ratio, word = np.empty(count), np.empty(count), np.zeros(count, dtype=np.intp)
+    pending = np.arange(count)
+    for attempt in range(50):
+        for idx, _, _, (g, r) in _grouped(seed, "lev-env", pending, _ATTEMPT, _attempt_gaps, attempt):
+            gamma[idx], ratio[idx] = g, r
+        word[pending] = attempt
+        pending = pending[~((0.0 < ratio[pending]) & (ratio[pending] <= 0.1))]
+        if not pending.size:
+            break
+    else:
+        raise RuntimeError(f"could not draw a well-conditioned leverage pair for index {pending[0]}")
+    rows, ratios = [None] * count, ratio.tolist()
+    for idx, (n, d), (A, G, _, R), _ in _grouped(seed, "lev-env", range(count), _ATTEMPT, lambda *f: (), word):
+        for k, tv_max in zip(idx.tolist(), _worst_tv(A, G, gamma[idx], R).tolist()):
+            r = ratios[k]
+            rows[k] = BoundReport("leverage_tv_envelope", {"n": n, "d": d, "ratio": r, "seed": k}, 4.0 * r, tv_max)
     return rows
 
 
 def _low_mass_rows():
-    eps, energy = 0.1, 1.0
+    eps = 0.1
     rows = []
     for n in (10, 100, 1000):
-        model = low_mass_row_instance(n, d=2, energy=energy)
+        model = low_mass_row_instance(n)
+        energy = model.constraint.limit
         x = np.array([energy, 0.0])  # aligned boundary query maximizes the gap
         h2, _ = _softmax_pair(model.A, model.A + eps * model.M, x)
         params = {"n": n, "eps": eps, "E": energy}
@@ -905,7 +900,7 @@ def _metric_axioms(seed, count):
     identity distance.  A NaN distance fails each test and figure it enters."""
     sandwich = triangle = sym = identity = 0
     slack, sides, triangles, ident = 1e-12, [], [], []
-    for *_, distances in _grouped(seed, "metric", count, _METRIC, _metric_distances):
+    for *_, distances in _grouped(seed, "metric", range(count), _METRIC, _metric_distances):
         h2_pq, h2_qp, h2_pp, h2_pr, h2_qr, tv_pq, tv_qp, tv_pp, tv_pr, tv_qr = distances
         tv_sum, h_sum = tv_pq + tv_qr, np.sqrt(h2_pq) + np.sqrt(h2_qr)
         sandwich += np.count_nonzero(~sandwich_holds(h2_pq, tv_pq))
@@ -926,7 +921,7 @@ def run_invariance_suite(instances: int, seed: int) -> InvarianceReport:
     _check_instances(instances)
     props = []
     for name, label, tol, family, deviation in _INVARIANCES:
-        dev = np.hstack([dev for *_, (dev,) in _grouped(seed, label, instances, family, deviation)])
+        dev = np.hstack([dev for *_, (dev,) in _grouped(seed, label, range(instances), family, deviation)])
         violations = int(np.count_nonzero(~(dev <= tol)))
         props.append(PropertyResult(name, instances, float(dev.max()), violations, violations == 0))
     sandwich, triangle, sym, identity, sandwich_dev, triangle_dev, ident = _metric_axioms(seed, instances)

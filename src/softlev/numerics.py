@@ -36,14 +36,15 @@ def as_vector(x, name: str = "vector", stack: bool = False) -> np.ndarray:
 
 
 def gram(A) -> np.ndarray:
-    """A^T A, symmetrized so that G[i, j] == G[j, i] holds exactly.
+    """A^T A of a matrix or of each matrix in a stack, symmetrized so that
+    G[..., i, j] == G[..., j, i] holds exactly.
 
     Floating-point matmul does not guarantee bitwise symmetry, so the strict
     upper triangle is computed once and mirrored.
     """
-    A = as_matrix(A, "A")
-    G = A.T @ A
-    return np.triu(G) + np.triu(G, 1).T
+    A = as_matrix(A, "A", stack=True)
+    G = _kernels._t(A) @ A
+    return np.triu(G) + _kernels._t(np.triu(G, 1))
 
 
 def min_eigenvalue(S) -> float:

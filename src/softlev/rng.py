@@ -16,10 +16,10 @@ module global or share it between threads.
 A family of indexed units can instead share one key and address unit k by
 the Philox counter: :func:`uniform_rows` fills row k of W uniforms (W a
 multiple of 4) from counter ``[k * W / 4, word, 0, 0]``, so one call fills
-a run of consecutive rows bitwise as each row's own fill would, and any row
-replays alone in O(1).  :func:`box_muller` turns pairs of those uniforms
-into standard normals, elementwise, so the first m normals of a row do not
-depend on how many more are computed.
+a run of consecutive rows at one word bitwise as each row's own fill would,
+and any row replays alone in O(1).  :func:`box_muller` turns pairs of those
+uniforms into standard normals, elementwise, so the first m normals of a row
+do not depend on how many more are computed.
 """
 
 import operator
@@ -117,19 +117,21 @@ def generators(seeds):
     return map(Stream().keyed, seeds)
 
 
-def uniform_rows(key: int, rows, width: int, word: int = 0) -> np.ndarray:
-    """Row i holds the uniforms in [0, 1) of counter row ``rows[i]`` under
-    ``key``: W of them, ``width`` rounded up to a multiple of 4, from a
-    Philox keyed by ``key`` whose counter starts at ``[rows[i] * W / 4,
-    word, 0, 0]``.  A Philox block holds 4 uniforms, so consecutive rows are
-    consecutive blocks: each run of consecutive ``rows`` (increasing ints)
-    is one fill."""
+def uniform_rows(key: int, rows, width: int, word=0) -> np.ndarray:
+    """Row i holds the uniforms in [0, 1) of counter row ``rows[i]`` at
+    counter word ``word`` (one int, or one per row) under ``key``: W of
+    them, ``width`` rounded up to a multiple of 4, from a Philox keyed by
+    ``key`` whose counter starts at ``[rows[i] * W / 4, word, 0, 0]``.  A
+    Philox block holds 4 uniforms, so consecutive rows are consecutive
+    blocks: each run of consecutive ``rows`` (increasing ints) at one word
+    is one fill, and a new fill starts wherever the word changes."""
     stride = -(-width // 4)
     rows = np.asarray(rows, dtype=np.int64)
+    words = np.broadcast_to(np.asarray(word, dtype=np.int64), rows.shape)
     out = np.empty((len(rows), 4 * stride))
-    cuts = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
+    cuts = (np.flatnonzero((np.diff(rows) != 1) | (np.diff(words) != 0)) + 1).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
-        counter = (int(rows[lo]) * stride, word, 0, 0)
+        counter = (int(rows[lo]) * stride, int(words[lo]), 0, 0)
         np.random.Generator(np.random.Philox(key=int(key) & _MASK64, counter=counter)).random(out=out[lo:hi])
     return out
 

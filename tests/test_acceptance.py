@@ -237,7 +237,7 @@ def test_10_low_mass_row_h2_decays_like_one_over_n(verdict):
     eps, energy = 0.1, 1.0
     worst_ratio = 0.0
     for n in (10, 100, 1000):
-        model = harness.low_mass_row_instance(n, d=2, energy=energy)
+        model = harness.low_mass_row_instance(n)
         x = np.array([energy, 0.0])
         P = softmax_pmf(model.A, x)
         Q = softmax_pmf(model.A + eps * model.M, x)

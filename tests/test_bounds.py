@@ -88,20 +88,10 @@ def test_extremal_pair_attains_both_bounds():
 
 
 def test_extremal_pair_two_point_case_by_hand():
-    # n=2, m=1, t=1: a = (-eps/2, 0), b = (+eps/2, 0)
+    # n=2, m=1: a = (-eps/2, 0), b = (+eps/2, 0)
     a, b = extremal_pair(2, 1, 0.8)
     assert a == pytest.approx([-0.4, 0.0], abs=1e-15)
     assert b == pytest.approx([0.4, 0.0], abs=1e-15)
-
-
-def test_extremal_pair_mass_parameter_cancels():
-    a1, b1 = extremal_pair(5, 2, 0.7, t=1.0)
-    a2, b2 = extremal_pair(5, 2, 0.7, t=2.0)
-    assert not np.allclose(a1, a2)  # the logits themselves do move
-    P1, Q1 = _laws(a1, b1)
-    P2, Q2 = _laws(a2, b2)
-    assert np.abs(P1.probs - P2.probs).max() < 1e-15
-    assert np.abs(Q1.probs - Q2.probs).max() < 1e-15
 
 
 def test_extremal_pair_rejects_bad_parameters():
@@ -113,10 +103,6 @@ def test_extremal_pair_rejects_bad_parameters():
         extremal_pair(4, 1.5, 0.5)
     with pytest.raises(DomainError):
         extremal_pair(4, 1, 0.0)
-    with pytest.raises(DomainError):
-        extremal_pair(4, 1, 0.5, t=0.0)
-    with pytest.raises(DomainError):
-        extremal_pair(4, 1, 0.5, t=math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,17 @@ def test_distance_lemma_mode_requires_parameters():
     res = run_cli("distance", "--lemma-a1")
     assert res.returncode == 2
     assert "needs --eps" in res.stderr
+    # each mode refuses the other's options rather than ignoring them
+    lemma = ("--lemma-a1", "--eps", "1", "--n", "3", "--m", "1")
+    for argv in (
+        ("demo-softmax", *lemma),
+        (*lemma, "--query", "0.5,-0.25,0.5"),
+        ("demo-softmax", "--query", "0.5,-0.25,0.5", "--eps", "1"),
+        ("demo-leverage", "--query", "1,1,1,1,1,1", "--n", "3", "--m", "1"),
+    ):
+        res = run_cli("distance", *argv)
+        assert (res.returncode, res.stdout) == (2, ""), argv
+        assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: "), argv
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,18 @@ _OUT = "<out>"
 
 # argv (with _OUT where an output path goes) -> {"stdout" or a CSV suffix: sha256}
 _GOLDEN = {
+    ("pmf", "demo-softmax", "--query", "0.5,-0.25,0.5"): {
+        "stdout": "b576e6f0ab09f05a37c43f6ed89224087c9887680a281b06ab37c2084a8be06d",
+    },
+    ("pmf", "demo-leverage", "--query", "1,1.25,0.75,1.375,0.875,1.125"): {
+        "stdout": "d75e9a0253479ce30e3d6fd95d78096dc66091b701951ee562d72c942ffc21a5",
+    },
+    ("distance", "demo-softmax", "--query", "0.5,-0.25,0.5"): {
+        "stdout": "3f4563fdcc1fc1e6399f4a79aec4b2ff3cf7663b2c28c6d9c88c1457e6e62076",
+    },
+    ("distance", "--lemma-a1", "--eps", "1", "--n", "5", "--m", "2"): {
+        "stdout": "43ac706965c7ab56b9ea31c5d1dee2c149bf9213b84abb6c73903efe97819b95",
+    },
     ("optimize", "demo-softmax", "--objective", "hellinger"): {
         "stdout": "3575187db15dab26e9a92eb2dec02567c2a34d56f1f464de09c6895d0b1d00d9",
     },

@@ -38,7 +38,6 @@ from softlev.harness import (
 )
 from softlev.leverage import BoxConstraint, leverage_pmf
 from softlev.numerics import gram, min_eigenvalue, row_gram_gap, two_to_infty_norm
-from softlev.optimize import OptimizerConfig
 from softlev.rng import derive_seed, generator
 from softlev.softmax import EnergyConstraint, softmax_pmf
 
@@ -254,11 +253,9 @@ def test_experiment_spec_validation():
         ExperimentSpec(model=model, trials=0)
     with pytest.raises(ValueError):
         ExperimentSpec(model=model, threads=0)
-    # the sweep derives every ascent's seed from spec.seed, so a seed in
-    # the optimizer config would be silently ignored
-    with pytest.raises(ValueError, match=r"ExperimentSpec\.seed"):
-        ExperimentSpec(model=model, opt=OptimizerConfig(seed=7))
-    assert ExperimentSpec(model=model, opt=OptimizerConfig(restarts=4)).opt.restarts == 4
+    with pytest.raises(ValueError):
+        ExperimentSpec(model=model, restarts=0)
+    assert ExperimentSpec(model=model, restarts=4).restarts == 4
     spec = ExperimentSpec(model=model, eps_grid=[0.2, 0.1])
     assert spec.eps_grid == (0.2, 0.1)
 
@@ -433,7 +430,7 @@ def _rank_one_at_a_tenth():
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_run_sweep_reraises_a_failing_ascent_after_the_other_rows(tmp_path, monkeypatch, threads):
     spec = ExperimentSpec(model=_rank_one_at_a_tenth(), trials=40, threads=threads, out_path=str(tmp_path / "s.csv"))
-    nu = harness._sweep_nu(spec.model, spec.opt, spec.seed)
+    nu = harness._sweep_nu(spec)
     # the per-point loop: each point alone, its own ascent included
     rows, errors = [], []
     for i in range(len(spec.eps_grid)):
@@ -471,7 +468,7 @@ def test_run_sweep_reraises_a_point_whose_pair_overflows_after_the_other_rows(tm
     )
     with np.errstate(over="ignore"):
         optima = harness._sweep_optima(spec)
-        nu = harness._sweep_nu(spec.model, spec.opt, spec.seed)
+        nu = harness._sweep_nu(spec)
         rows = [sweep_point(spec, i, nu) for i in (1, 2)]
         with pytest.raises(ValueError, match="non-finite"):
             sweep_point(spec, 0, nu)
@@ -483,19 +480,18 @@ def test_run_sweep_reraises_a_point_whose_pair_overflows_after_the_other_rows(tm
 
 
 def test_run_sweep_refuses_indistinguishable_directions():
-    light = OptimizerConfig(restarts=4)
     # a pure shift direction never changes the softmax law
     A = np.zeros((3, 2))
     M = np.ones((3, 1)) @ np.array([[1.0, -0.5]])
     model = ModelSpec("softmax", A, None, M, EnergyConstraint(1.0), seed=0)
-    spec = ExperimentSpec(model=model, eps_grid=(0.2,), trials=30, opt=light)
+    spec = ExperimentSpec(model=model, eps_grid=(0.2,), trials=30, restarts=4)
     with pytest.raises(IndistinguishableError):
         run_sweep(spec)
     # scaling A preserves the leverage law
     g = np.random.default_rng(0)
     A = g.standard_normal((4, 2))
     model = ModelSpec("leverage", A, None, A.copy(), BoxConstraint(0.5, 2.0), seed=0)
-    spec = ExperimentSpec(model=model, eps_grid=(0.2,), trials=30, opt=light)
+    spec = ExperimentSpec(model=model, eps_grid=(0.2,), trials=30, restarts=4)
     with pytest.raises(IndistinguishableError):
         run_sweep(spec)
 
@@ -876,7 +872,7 @@ def _ref_extremal_rows():
 def _ref_low_mass_rows(eps=0.1, energy=1.0):
     rows = []
     for n in (10, 100, 1000):
-        model = low_mass_row_instance(n, d=2, energy=energy)
+        model = low_mass_row_instance(n)
         x = np.array([energy, 0.0])
         h2, _ = _ref_softmax_pair(model.A, model.A + eps * model.M, x)
         params = {"n": n, "eps": eps, "E": energy}
@@ -1144,7 +1140,8 @@ def test_metric_instance_whose_coins_all_mask_draws_the_index_to_keep():
     assert [k for k in range(count) if _masked_draws(seed, k)] == [77, 113, 148]
     assert _masked_draws(seed, count - 1) == ["Q"]
     got = {}
-    for idx, _, _, distances in harness._grouped(seed, "metric", count, harness._METRIC, harness._metric_distances):
+    metric = harness._METRIC
+    for idx, _, _, distances in harness._grouped(seed, "metric", range(count), metric, harness._metric_distances):
         got.update(zip(idx.tolist(), zip(*(d.tolist() for d in distances))))
     for k, g in enumerate(_ref_streams(seed, "metric", count, harness._METRIC)):
         P, Q, R = _ref_distributions(g)
@@ -1163,7 +1160,7 @@ def test_right_invariance_stacks_a_group_with_one_column():
     _, label, _, family, deviation = harness._INVARIANCES[1]
     groups = [
         (idx, devs)
-        for idx, (_, d), _, (devs,) in harness._grouped(seed, label, count, family, deviation)
+        for idx, (_, d), _, (devs,) in harness._grouped(seed, label, range(count), family, deviation)
         if d == 1 and len(idx) > 1
     ]
     assert len(groups) == 6
@@ -1249,7 +1246,7 @@ def _decoded(seed, label, count, draw):
     """Each kept instance's fields, by index, as ``_grouped`` decodes them
     for the family whose draw is ``draw``."""
     out = {}
-    for idx, _, fields, _ in harness._grouped(seed, label, count, _FAMILIES[draw], lambda *fields: ()):
+    for idx, _, fields, _ in harness._grouped(seed, label, range(count), _FAMILIES[draw], lambda *fields: ()):
         out.update((k, [f[j] for f in fields]) for j, k in enumerate(idx.tolist()))
     return out
 
@@ -1382,7 +1379,7 @@ def test_each_instance_replays_alone_bitwise(label, family, evaluate):
     # decodes and evaluates alone to bitwise the shape, fields and values
     # it has in its group.  About 0.1 s per family.
     seen = 0
-    for idx, s, fields, values in harness._grouped(4, label, 1100, family, evaluate):
+    for idx, s, fields, values in harness._grouped(4, label, range(1100), family, evaluate):
         for j, k in enumerate(idx.tolist()):
             shape, alone_fields, alone_values = _alone(4, label, k, family, evaluate)
             assert shape == s, k
@@ -1394,33 +1391,40 @@ def test_each_instance_replays_alone_bitwise(label, family, evaluate):
 
 def test_each_leverage_envelope_attempt_replays_alone_bitwise():
     # Each index's accepted attempt (k, attempt), found by replaying its
-    # attempts alone, fills bitwise the row the 1,100-instance run kept for
-    # it, and alone gives its gamma, ratio and row; some indices are
-    # accepted only at a later attempt.  About 0.5 s.
+    # attempts alone from a Philox at its counter, gives alone its row of
+    # the 1,100-instance run, and its fields, gamma and ratio are bitwise
+    # those of the pass that reads every index at its accepted word; some
+    # indices are accepted only at a later attempt.  About 0.5 s.
     seed, count = 4, 1100
-    _, wn, shape, draw = harness._ATTEMPT
+    _, _, shape, draw = harness._ATTEMPT
     rows = harness._leverage_envelope_rows(seed, count)
-    redrawn = 0
-    for block in harness._blocks(count):
-        U, Z, gamma, ratio = harness._leverage_envelope_pairs(seed, block)
-        for i, k in enumerate(block):
-            for attempt in range(50):
-                U1, Z1 = _alone_row(seed, "lev-env", k, harness._ATTEMPT, attempt)
-                n, d = shape(U1, Z1)[0].tolist()
-                A, G, target, R = draw(U1, Z1, np.zeros(1, dtype=np.intp), n, d)
-                delta = harness._conditioning(A)
-                if delta[0] >= 0.05:
-                    gamma1, ratio1 = harness._gamma_search(A, G, delta, target)
-                    if 0.0 < ratio1[0] <= 0.1:
-                        break
-            redrawn += attempt > 0
-            assert (U1.tobytes(), Z1([0], wn).tobytes()) == (U[i].tobytes(), Z([i], wn).tobytes()), k
-            assert (_bits(gamma1[0]), _bits(ratio1[0])) == (_bits(gamma[i]), _bits(ratio[i])), k
-            (worst,) = harness._worst_tv(A, G, gamma1, R)
-            r = ratio1[0].item()
-            row = BoundReport("leverage_tv_envelope", {"n": n, "d": d, "ratio": r, "seed": k}, 4.0 * r, worst.item())
-            assert _row_key(rows[k]) == _row_key(row), k
-    assert redrawn > 5
+    accepted = []
+    for k in range(count):
+        for attempt in range(50):
+            U1, Z1 = _alone_row(seed, "lev-env", k, harness._ATTEMPT, attempt)
+            n, d = shape(U1, Z1)[0].tolist()
+            fields = draw(U1, Z1, np.zeros(1, dtype=np.intp), n, d)
+            values = harness._attempt_gaps(*fields)
+            if 0.0 < values[1][0] <= 0.1:
+                break
+        accepted.append((attempt, fields, values))
+        A, G, _, R = fields
+        (worst,) = harness._worst_tv(A, G, values[0], R)
+        r = values[1][0].item()
+        row = BoundReport("leverage_tv_envelope", {"n": n, "d": d, "ratio": r, "seed": k}, 4.0 * r, worst.item())
+        assert _row_key(rows[k]) == _row_key(row), k
+    words = [attempt for attempt, _, _ in accepted]
+    assert sum(a > 0 for a in words) > 5
+    seen = 0
+    for idx, _, fields, values in harness._grouped(
+        seed, "lev-env", range(count), harness._ATTEMPT, harness._attempt_gaps, words
+    ):
+        for j, k in enumerate(idx.tolist()):
+            _, alone_fields, alone_values = accepted[k]
+            assert _field_bits([f[j] for f in fields]) == _field_bits([f[0] for f in alone_fields]), k
+            assert _field_bits([v[j] for v in values]) == _field_bits([v[0] for v in alone_values]), k
+            seen += 1
+    assert seen == count
 
 
 _TOP = 1.0 - 2.0**-53  # the largest uniform numpy draws
@@ -1456,7 +1460,7 @@ def test_every_shape_of_each_family_appears_in_a_thousand_instances():
             U = np.vstack([_alone_row(0, label, k, family)[0] for k in range(1000)])
             seen = set(map(tuple, family[2](U, None).tolist()))
         else:
-            seen = {s for _, s, _, _ in harness._grouped(0, label, 1000, family, lambda *fields: ())}
+            seen = {s for _, s, _, _ in harness._grouped(0, label, range(1000), family, lambda *fields: ())}
         assert seen == shapes, label
 
 

@@ -2,7 +2,6 @@
 
 import importlib.resources as ir
 import math
-from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -17,6 +16,7 @@ from softlev.hypotest import ModelOracle, estimate_sample_complexity, estimate_s
 from softlev.leverage import BoxConstraint, leverage_pmf
 from softlev.harness import ExperimentSpec, gaussian_instance, load_model_spec, padded_identity_instance
 from softlev.model import ModelSpec, get_family
+from softlev.optimize import OptimizerConfig
 from softlev.rng import derive_seed, generator
 from softlev.softmax import EnergyConstraint, softmax_pmf
 
@@ -314,7 +314,7 @@ def _sweep_points(family):
     for index, eps in enumerate(spec.eps_grid):
         row_seed = derive_seed(spec.seed, "grid", index)
         pair = _demo_pair(spec.model, eps)
-        query = pair.max_hellinger(replace(spec.opt, seed=derive_seed(row_seed, "opt"))).argmax
+        query = pair.max_hellinger(OptimizerConfig(spec.restarts, seed=derive_seed(row_seed, "opt"))).argmax
         points.append((eps, pair, query, derive_seed(row_seed, "mstar")))
     return points
 

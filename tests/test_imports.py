@@ -6,9 +6,8 @@ the sampling rule: only ``distributions.py``, whose ``_inverse_cdf``
 every sampler shares, calls ``searchsorted``; and the instance rules:
 ``harness.py`` calls no ``derive_seeds``, ``Stream``, ``generators``,
 ``integers`` or ``random``, only ``gaussian_instance`` calls
-``standard_normal``, only ``_grouped`` and the leverage envelope's attempt
-loop fill counter rows, and only ``rng``'s counter fill builds a Philox at
-a counter.
+``standard_normal``, only ``_grouped`` fills counter rows, and only
+``rng``'s counter fill builds a Philox at a counter.
 
 Parses each ``src/softlev/*.py`` with ``ast``, well under 0.1 s.  The
 start-up guard and the sweep guard each run one fresh interpreter, about
@@ -110,11 +109,12 @@ def _harness_tree():
     return ast.parse((Path(softlev.__file__).parent / "harness.py").read_text(encoding="utf-8"))
 
 
-def test_only_grouped_and_the_envelope_attempts_fill_counter_rows():
+def test_only_grouped_fills_counter_rows():
     # a randomized family reads its instances through harness._grouped,
-    # per shape group or per instance (_evaluated sits on it), so that none
-    # brings back its own loop over blocks of rows
-    assert sorted(set(_callers(_harness_tree(), "uniform_rows"))) == ["_grouped", "_leverage_envelope_pairs"]
+    # per shape group or per instance (_evaluated sits on it), and the
+    # leverage envelope its attempts and accepted rows, so that none brings
+    # back its own loop over blocks of rows
+    assert sorted(set(_callers(_harness_tree(), "uniform_rows"))) == ["_grouped"]
 
 
 def test_harness_keys_and_draws_no_stream_of_its_own():

@@ -908,13 +908,13 @@ def test_demo_sweep_ascents_equal_the_loop_where_rungs_come_back(monkeypatch, se
     optima, grid_rows = measured(harness._sweep_optima, spec)
     loop_rows = 0
     for i, optimum in enumerate(optima):
-        cfg = replace(spec.opt, seed=harness._point_seed(spec, i))
+        cfg = OptimizerConfig(spec.restarts, seed=harness._point_seed(spec, i))
         B = harness._point_pair(spec, i).B
         expected, n = measured(_outcome, _maximize_loop, max_hellinger_leverage, model.A, B, model.constraint, cfg)
         assert _summary(optimum) == expected, i
         loop_rows += n
     assert 2 * grid_rows <= loop_rows
-    nu_cfg = replace(spec.opt, seed=derive_seed(seed, "nu"))
+    nu_cfg = OptimizerConfig(spec.restarts, seed=derive_seed(seed, "nu"))
     nu = (max_variance_leverage, model.A, model.direction(), model.constraint, nu_cfg)
     (result, nu_rows), (expected, loop_rows) = measured(_outcome, *nu), measured(_outcome, _maximize_loop, *nu)
     assert result == expected

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from softlev import _kernels, cli, harness
-from softlev.optimize import OptimizerConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -79,7 +78,7 @@ def test_traced_sweep_reports_its_grid(spans):
     # hypotest layer is traced through harness.estimate_sample_complexity,
     # which each grid point calls once.
     model = harness.gaussian_instance("softmax", 4, 2, seed=1)
-    spec = harness.ExperimentSpec(model=model, eps_grid=(0.3, 0.15), trials=20, opt=OptimizerConfig(restarts=2), seed=9)
+    spec = harness.ExperimentSpec(model=model, eps_grid=(0.3, 0.15), trials=20, restarts=2, seed=9)
     tracer = spans.Tracer()
     try:
         tracer.install()

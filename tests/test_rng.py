@@ -258,13 +258,14 @@ def _philox_row(key, k, width, word=0):
 
 def test_uniform_rows_fill_each_row_as_its_own_philox():
     # runs of consecutive rows (one fill each) and lone rows, at two words
+    # and at one word per row, which cuts a run where it changes
     key = derive_seed(3, "rows")
     rows = [0, 1, 2, 7, 8, 40, 2**40]
-    for width, word in ((4, 0), (12, 0), (112, 3)):
+    for width, word in ((4, 0), (12, 0), (112, 3), (12, [0, 0, 2, 2, 0, 1, 0]), (8, np.arange(7))):
         got = uniform_rows(key, rows, width, word)
         assert got.shape == (len(rows), width)
-        for row, k in zip(got, rows):
-            assert row.tobytes() == _philox_row(key, k, width, word).tobytes(), (width, word, k)
+        for row, k, w in zip(got, rows, np.broadcast_to(word, len(rows)).tolist()):
+            assert row.tobytes() == _philox_row(key, k, width, w).tobytes(), (width, w, k)
 
 
 def test_a_block_of_rows_is_one_philox_fill_of_its_width_rounded_up():
